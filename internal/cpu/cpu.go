@@ -146,10 +146,13 @@ func (c *CPU) Clone() *CPU {
 	return &cp
 }
 
-// Costs returns the active cost model.
-func (c *CPU) Costs() CostModel { return c.costs }
+// Costs returns the active cost model. It points into the CPU, so the
+// kernel reads a cost per request without copying the whole table;
+// callers must treat it as read-only and change costs via SetCosts.
+func (c *CPU) Costs() *CostModel { return &c.costs }
 
-// SetCosts replaces the cost model (used by ablation experiments).
+// SetCosts replaces the cost model in place (used by ablation
+// experiments); pointers from Costs see the new values.
 func (c *CPU) SetCosts(m CostModel) { c.costs = m }
 
 // TSC returns the current time-stamp counter value.

@@ -85,3 +85,20 @@ func TestCostRelationships(t *testing.T) {
 		t.Fatal("execve+link should cost more than fork")
 	}
 }
+
+func TestCostsPointsIntoCPU(t *testing.T) {
+	c := New(0)
+	costs := c.Costs()
+	m := *costs
+	m.ContextSwitch = 7
+	c.SetCosts(m)
+	if costs.ContextSwitch != 7 {
+		t.Fatalf("Costs() pointer sees ContextSwitch %d after SetCosts, want 7", costs.ContextSwitch)
+	}
+	cl := c.Clone()
+	m.ContextSwitch = 9
+	c.SetCosts(m)
+	if got := cl.Costs().ContextSwitch; got != 7 {
+		t.Fatalf("clone's ContextSwitch = %d after SetCosts on the original, want 7", got)
+	}
+}

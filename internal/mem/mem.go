@@ -56,23 +56,43 @@ type FaultResult struct {
 	SwapIn    bool
 }
 
-// pageState tracks one virtual page of one address space.
+// pageState tracks one virtual page of one address space. The zero
+// value is a page never touched; space and vpage are filled in on the
+// first touch. The owner is an index rather than a pointer, which keeps
+// the record at 32 bytes and lets a leaf be copied verbatim into a
+// cloned space.
 type pageState struct {
-	space   *Space
+	// LRU list linkage (intrusive, deterministic).
+	prev, next *pageState
+
 	vpage   uint64
+	space   int32 // owner's index in Memory.spaces
 	present bool
 	swapped bool
 	dirty   bool
-
-	// LRU list linkage (intrusive, deterministic).
-	prev, next *pageState
 }
+
+// leafBits sizes the page table's leaves: vpage>>leafBits selects a
+// leaf and vpage&leafMask the page within it.
+const (
+	leafBits = 6
+	leafMask = 1<<leafBits - 1
+)
+
+// leaf holds the state of 1<<leafBits consecutive virtual pages
+// inline, so touching a page never allocates once its leaf exists.
+type leaf [1 << leafBits]pageState
 
 // Space is a per-process virtual address space.
 type Space struct {
 	mem   *Memory
 	name  string
-	pages map[uint64]*pageState
+	index int32 // position in mem.spaces
+
+	// leaves is the two-level page table, keyed by vpage>>leafBits;
+	// nil until the first touch and after Release.
+	leaves  map[uint64]*leaf
+	touched int // pages ever touched (resident or swapped)
 
 	resident   int
 	minor      uint64
@@ -125,7 +145,7 @@ func (m *Memory) SwapTraffic() (ins, outs uint64) { return m.swapIns, m.swapOuts
 
 // NewSpace creates an address space labelled name for diagnostics.
 func (m *Memory) NewSpace(name string) *Space {
-	s := &Space{mem: m, name: name, pages: make(map[uint64]*pageState)}
+	s := &Space{mem: m, name: name, index: int32(len(m.spaces))}
 	m.spaces = append(m.spaces, s)
 	return s
 }
@@ -145,7 +165,22 @@ func (s *Space) EvictedOut() uint64 { return s.evictedOut }
 
 // FootprintPages returns the number of pages this space has ever
 // touched (resident or swapped).
-func (s *Space) FootprintPages() int { return len(s.pages) }
+func (s *Space) FootprintPages() int { return s.touched }
+
+// page returns vpage's slot in the page table, creating its leaf on
+// first use.
+func (s *Space) page(vpage uint64) *pageState {
+	key := vpage >> leafBits
+	l := s.leaves[key]
+	if l == nil {
+		if s.leaves == nil {
+			s.leaves = make(map[uint64]*leaf)
+		}
+		l = new(leaf)
+		s.leaves[key] = l
+	}
+	return &l[vpage&leafMask]
+}
 
 // Touch performs one memory access at byte address addr. write marks
 // the page dirty. The returned FaultResult tells the kernel what to
@@ -156,11 +191,7 @@ func (s *Space) Touch(addr uint64, write bool) FaultResult {
 		panic(fmt.Sprintf("mem: touch on released space %q", s.name))
 	}
 	vpage := addr / s.mem.pageSize
-	p := s.pages[vpage]
-	if p == nil {
-		p = &pageState{space: s, vpage: vpage}
-		s.pages[vpage] = p
-	}
+	p := s.page(vpage)
 
 	if p.present {
 		s.mem.lruMoveToTail(p)
@@ -179,6 +210,8 @@ func (s *Space) Touch(addr uint64, write bool) FaultResult {
 		s.major++
 	} else {
 		s.minor++
+		p.space, p.vpage = s.index, vpage
+		s.touched++
 	}
 
 	for s.mem.usedFrames >= s.mem.totalFrames {
@@ -207,13 +240,17 @@ func (s *Space) Release() {
 	if s.released {
 		return
 	}
-	for _, p := range s.pages {
-		if p.present {
-			s.mem.lruRemove(p)
-			s.mem.usedFrames--
+	// Unlinking a set of pages leaves the same LRU list in any order.
+	for _, l := range s.leaves {
+		for i := range l {
+			if p := &l[i]; p.present {
+				s.mem.lruRemove(p)
+				s.mem.usedFrames--
+			}
 		}
 	}
-	s.pages = nil
+	s.leaves = nil
+	s.touched = 0
 	s.resident = 0
 	s.released = true
 }
@@ -230,8 +267,9 @@ func (m *Memory) evict(p *pageState) (swappedOut bool) {
 	}
 	p.dirty = false
 	m.usedFrames--
-	p.space.resident--
-	p.space.evictedOut++
+	s := m.spaces[p.space]
+	s.resident--
+	s.evictedOut++
 	return swappedOut
 }
 
@@ -281,7 +319,8 @@ func DiskLatency(freq sim.Hz) sim.Cycles {
 // subsystem for checkpoint restore, plus the old→new Space mapping so
 // callers can re-point their Space references. The intrusive LRU list
 // is rebuilt by walking head→tail, so future eviction order is
-// identical to the original's.
+// identical to the original's; each page's copy is found by leaf
+// arithmetic from its space index and vpage.
 func (m *Memory) Clone() (*Memory, map[*Space]*Space) {
 	cm := &Memory{
 		pageSize:    m.pageSize,
@@ -291,39 +330,35 @@ func (m *Memory) Clone() (*Memory, map[*Space]*Space) {
 		swapOuts:    m.swapOuts,
 	}
 	smap := make(map[*Space]*Space, len(m.spaces))
-	// pmap carries each page to its clone so the LRU walk below can
-	// link the copies in the original recency order.
-	var pmap map[*pageState]*pageState
-	var pages int
-	for _, s := range m.spaces {
-		pages += len(s.pages)
-	}
-	pmap = make(map[*pageState]*pageState, pages)
 	cm.spaces = make([]*Space, len(m.spaces))
 	for i, s := range m.spaces {
 		cs := &Space{
 			mem:        cm,
 			name:       s.name,
+			index:      s.index,
+			touched:    s.touched,
 			resident:   s.resident,
 			minor:      s.minor,
 			major:      s.major,
 			evictedOut: s.evictedOut,
 			released:   s.released,
 		}
-		if s.pages != nil {
-			cs.pages = make(map[uint64]*pageState, len(s.pages))
+		if s.leaves != nil {
+			cs.leaves = make(map[uint64]*leaf, len(s.leaves))
 			//simlint:unordered-ok deep copy into a map keyed identically; no iteration-order-dependent state is produced
-			for vp, p := range s.pages {
-				cp := &pageState{space: cs, vpage: p.vpage, present: p.present, swapped: p.swapped, dirty: p.dirty}
-				cs.pages[vp] = cp
-				pmap[p] = cp
+			for key, l := range s.leaves {
+				// Resident pages' copied links still point into the
+				// original; the LRU walk below overwrites them.
+				cl := new(leaf)
+				*cl = *l
+				cs.leaves[key] = cl
 			}
 		}
 		cm.spaces[i] = cs
 		smap[s] = cs
 	}
 	for p := m.lruHead; p != nil; p = p.next {
-		cm.lruPushTail(pmap[p])
+		cm.lruPushTail(cm.spaces[p.space].page(p.vpage))
 	}
 	return cm, smap
 }

@@ -14,6 +14,7 @@ package sched
 
 import (
 	"container/heap"
+	"fmt"
 
 	"repro/internal/proc"
 	"repro/internal/sim"
@@ -83,14 +84,23 @@ func (a *prioArray) remove(idx int, p *proc.Proc) bool {
 	if idx >= len(a.buckets) {
 		return false
 	}
-	q := a.buckets[idx]
-	for i, t := range q {
+	for i, t := range a.buckets[idx] {
 		if t == p {
-			a.buckets[idx] = append(q[:i:i], q[i+1:]...)
+			a.cut(idx, i)
 			return true
 		}
 	}
 	return false
+}
+
+// cut deletes entry i of bucket idx by shifting the rest down in
+// place, so the bucket keeps its capacity and the next push does not
+// reallocate. FIFO order is preserved.
+func (a *prioArray) cut(idx, i int) {
+	q := a.buckets[idx]
+	copy(q[i:], q[i+1:])
+	q[len(q)-1] = nil
+	a.buckets[idx] = q[:len(q)-1]
 }
 
 // clone deep-copies the array, re-pointing entries through pmap.
@@ -193,14 +203,11 @@ func (s *O1) Remove(p *proc.Proc) {
 		return
 	}
 	idx := niceIndex(p.Nice())
-	if s.active.remove(idx, p) || s.expired.remove(idx, p) {
-		d.queued = false
-		s.n--
-		return
+	if !s.active.remove(idx, p) && !s.expired.remove(idx, p) {
+		panic(fmt.Sprintf("sched: O1.Remove: pid %d is flagged queued but absent from both arrays at nice index %d", p.PID, idx))
 	}
-	// Queued flag set but not found indicates corruption; clear and
-	// continue rather than panic, keeping the simulation robust.
 	d.queued = false
+	s.n--
 }
 
 // PickNext implements Scheduler: highest priority first; when the
@@ -213,7 +220,7 @@ func (s *O1) PickNext() *proc.Proc {
 				continue
 			}
 			p := q[0]
-			s.active.buckets[idx] = q[1:]
+			s.active.cut(idx, 0)
 			s.data(p).queued = false
 			s.n--
 			return p

@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -95,6 +97,78 @@ func TestO1RemoveAndDoubleEnqueue(t *testing.T) {
 		t.Fatal("remove left task behind")
 	}
 	s.Remove(a) // double remove is a no-op
+}
+
+func TestO1RemovePanicsOnCorruptQueuedFlag(t *testing.T) {
+	s := NewO1(1000)
+	p := mk(7, 5)
+	s.data(p).queued = true // flagged queued, but in neither array
+	defer func() {
+		msg := fmt.Sprint(recover())
+		if !strings.Contains(msg, "pid 7") || !strings.Contains(msg, "nice index 25") {
+			t.Fatalf("Remove of a corrupt task panicked with %q, want the pid and nice index named", msg)
+		}
+	}()
+	s.Remove(p)
+}
+
+func TestO1InPlacePopKeepsFIFOAndClone(t *testing.T) {
+	s := NewO1(1000)
+	ps := []*proc.Proc{mk(1, 0), mk(2, 0), mk(3, 0), mk(4, 0)}
+	for _, p := range ps {
+		s.Enqueue(p)
+	}
+	if got := s.PickNext(); got != ps[0] {
+		t.Fatalf("first pick = %v, want %v", got, ps[0])
+	}
+	s.Remove(ps[2])
+	pmap := map[*proc.Proc]*proc.Proc{}
+	for _, p := range ps {
+		pmap[p] = mk(int(p.PID), 0)
+	}
+	c := s.Clone(pmap)
+	for _, want := range []*proc.Proc{ps[1], ps[3]} {
+		if got := s.PickNext(); got != want {
+			t.Fatalf("original pick = %v, want %v", got, want)
+		}
+		if got := c.PickNext(); got != pmap[want] {
+			t.Fatalf("clone pick = %v, want %v", got, pmap[want])
+		}
+	}
+	if s.PickNext() != nil || c.PickNext() != nil {
+		t.Fatal("queues not drained")
+	}
+}
+
+// TestO1SteadyStateAllocFree pins the flyweight wake path: once every
+// bucket has grown to its peak, an Enqueue/PickNext/Charge cycle (plus
+// a Remove/Enqueue of a queued task) allocates nothing.
+func TestO1SteadyStateAllocFree(t *testing.T) {
+	s := NewO1(1000)
+	procs := make([]*proc.Proc, 64)
+	for i := range procs {
+		procs[i] = mk(i+1, proc.MinNice+i*7%40)
+		s.Enqueue(procs[i])
+	}
+	k := 0
+	cycle := func() {
+		p := s.PickNext()
+		s.Charge(p, s.Quantum(p)/3+1)
+		s.Enqueue(p)
+		q := procs[k%len(procs)]
+		k++
+		s.Remove(q)
+		s.Enqueue(q)
+	}
+	for i := 0; i < 5000; i++ {
+		cycle()
+	}
+	if allocs := testing.AllocsPerRun(1000, cycle); allocs != 0 {
+		t.Fatalf("O1 cycle allocates %.2f times, want 0", allocs)
+	}
+	if s.Runnable() != len(procs) {
+		t.Fatalf("Runnable = %d, want %d", s.Runnable(), len(procs))
+	}
 }
 
 func TestO1ChargeConsumesSlice(t *testing.T) {

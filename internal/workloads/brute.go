@@ -74,17 +74,6 @@ func BuildBrute(p Params) (*guest.Program, *Result) {
 		Libs:    []string{"libc.so.6"},
 		Main: func(ctx guest.Context) {
 			found := make(chan string, 1)
-			// Candidate index decoding: i -> 4 letters.
-			word := func(i uint64) string {
-				b := []byte{
-					bruteAlphabet[(i/uint64(n*n*n))%uint64(n)],
-					bruteAlphabet[(i/uint64(n*n))%uint64(n)],
-					bruteAlphabet[(i/uint64(n))%uint64(n)],
-					bruteAlphabet[i%uint64(n)],
-				}
-				return string(b)
-			}
-
 			per := space / bruteThreads
 			for w := 0; w < bruteThreads; w++ {
 				lo := uint64(w) * per
@@ -102,13 +91,10 @@ func BuildBrute(p Params) (*guest.Program, *Result) {
 						}
 						// Hash the batch for real, then charge its
 						// modelled cost in one slice.
-						for i := start; i < end; i++ {
-							h := md5.Sum([]byte(word(i)))
-							if h == target {
-								select {
-								case found <- word(i):
-								default:
-								}
+						if match, ok := bruteHashBatch(start, end, target); ok {
+							select {
+							case found <- match:
+							default:
 							}
 						}
 						c.Compute(perCandidate * sim.Cycles(end-start))
@@ -154,6 +140,30 @@ func BuildBrute(p Params) (*guest.Program, *Result) {
 		},
 	}
 	return prog, res
+}
+
+// bruteWord decodes candidate index i into its four letters.
+func bruteWord(b *[4]byte, i uint64) {
+	n := uint64(len(bruteAlphabet))
+	b[0] = bruteAlphabet[i/(n*n*n)%n]
+	b[1] = bruteAlphabet[i/(n*n)%n]
+	b[2] = bruteAlphabet[i/n%n]
+	b[3] = bruteAlphabet[i%n]
+}
+
+// bruteHashBatch hashes every candidate in [lo, hi) with crypto/md5
+// and returns the first whose digest is target. Candidates are decoded
+// into a stack buffer, so the scan allocates nothing; only a match
+// becomes a string.
+func bruteHashBatch(lo, hi uint64, target [md5.Size]byte) (match string, ok bool) {
+	var b [4]byte
+	for i := lo; i < hi; i++ {
+		bruteWord(&b, i)
+		if md5.Sum(b[:]) == target && !ok {
+			match, ok = string(b[:]), true
+		}
+	}
+	return match, ok
 }
 
 // BrutePlaintext exposes the planted preimage for test verification.

@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"crypto/md5"
 	"strings"
 	"testing"
 
@@ -104,6 +105,34 @@ func TestBruteFindsPreimage(t *testing.T) {
 	}
 	if !strings.HasPrefix(res.Output, BrutePlaintext()+" ") {
 		t.Fatalf("B output = %q, want prefix %q", res.Output, BrutePlaintext())
+	}
+}
+
+func TestBruteHashBatchAllocFree(t *testing.T) {
+	target := md5.Sum([]byte(brutePlaintext))
+	n := uint64(len(bruteAlphabet))
+	var idx uint64
+	for _, c := range []byte(brutePlaintext) {
+		idx = idx*n + uint64(strings.IndexByte(bruteAlphabet, c))
+	}
+	lo := idx / bruteBatch * bruteBatch
+	if w, ok := bruteHashBatch(lo, lo+bruteBatch, target); !ok || w != brutePlaintext {
+		t.Fatalf("batch at %d = %q, %v; want %q", lo, w, ok, brutePlaintext)
+	}
+	var first, last [4]byte
+	bruteWord(&first, 0)
+	bruteWord(&last, n*n*n*n-1)
+	if string(first[:]) != "aaaa" || string(last[:]) != "zzzz" {
+		t.Fatalf("candidate range = %q..%q, want aaaa..zzzz", first, last)
+	}
+	miss := (lo + bruteBatch) % (n * n * n * n)
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, ok := bruteHashBatch(miss, miss+bruteBatch, target); ok {
+			t.Fatal("batch without the plaintext matched")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("bruteHashBatch allocates %.1f times per %d candidates, want 0", allocs, bruteBatch)
 	}
 }
 
