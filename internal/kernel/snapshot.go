@@ -146,9 +146,13 @@ func (m *Machine) Snapshot() (*MachineImage, error) {
 	switch {
 	case m.closed:
 		return nil, fmt.Errorf("%w: machine is shut down", ErrNotSnapshottable)
-	case m.pausedDriver != nil || m.driver != nil:
-		return nil, fmt.Errorf("%w: a goroutine guest holds the suspended engine (machines with started Body tasks cannot checkpoint)", ErrNotSnapshottable)
-	case m.pendingDriver != nil || m.pauseReq:
+	case m.pausedDriver != nil:
+		return nil, fmt.Errorf("%w: goroutine guest %s holds the suspended engine (machines with started Body tasks cannot checkpoint)", ErrNotSnapshottable, describeTask(m.pausedDriver))
+	case m.driver != nil:
+		return nil, fmt.Errorf("%w: goroutine guest %s holds the engine (machines with started Body tasks cannot checkpoint)", ErrNotSnapshottable, describeTask(m.driver))
+	case m.pendingDriver != nil:
+		return nil, fmt.Errorf("%w: machine is mid-drive, handing the engine to task %s; snapshot between Run/RunUntil calls", ErrNotSnapshottable, describeTask(m.pendingDriver))
+	case m.pauseReq:
 		return nil, fmt.Errorf("%w: machine is mid-drive; snapshot between Run/RunUntil calls", ErrNotSnapshottable)
 	}
 
@@ -251,6 +255,12 @@ func taskPID(t *task) proc.PID {
 		return 0
 	}
 	return t.p.PID
+}
+
+// describeTask identifies the task a refusal is about: its name, PID and
+// state.
+func describeTask(t *task) string {
+	return fmt.Sprintf("%s (pid %d, %s)", t.p.Name, t.p.PID, t.p.State)
 }
 
 func copyFinal(src map[string]map[proc.PID]metering.Usage) map[string]map[proc.PID]metering.Usage {

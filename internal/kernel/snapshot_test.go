@@ -369,9 +369,9 @@ func TestSnapshotGuestStateExposed(t *testing.T) {
 // refuse to checkpoint with ErrNotSnapshottable; a never-started
 // Body guest snapshots fine and replays identically.
 func TestSnapshotNotSnapshottable(t *testing.T) {
-	// Started Body guest.
+	// Started Body guest, paused mid-request: the refusal names it.
 	m := New(Config{Seed: 1, CPUHz: 1_000_000_000})
-	_, err := m.Spawn(SpawnConfig{
+	legacy, err := m.Spawn(SpawnConfig{
 		Name: "legacy", Content: "legacy v1",
 		Body: func(ctx guest.Context) {
 			for i := 0; i < 100; i++ {
@@ -386,9 +386,30 @@ func TestSnapshotNotSnapshottable(t *testing.T) {
 	if _, err := m.RunUntil(1_000_000); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Snapshot(); !errors.Is(err, ErrNotSnapshottable) {
+	_, err = m.Snapshot()
+	if !errors.Is(err, ErrNotSnapshottable) {
 		t.Fatalf("snapshot of started Body guest: err = %v, want ErrNotSnapshottable", err)
 	}
+	if want := fmt.Sprintf("legacy (pid %d,", legacy.PID); !strings.Contains(err.Error(), want) {
+		t.Fatalf("snapshot of started Body guest: err = %v, want the task named as %q", err, want)
+	}
+
+	// Mid-drive, about to hand the engine to a guest goroutine.
+	mid := New(Config{Seed: 1, CPUHz: 1_000_000_000})
+	next, err := mid.Spawn(SpawnConfig{Name: "next", Content: "next v1", Body: func(ctx guest.Context) { ctx.Compute(1000) }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mid.pendingDriver = mid.tasks[next.PID]
+	_, err = mid.Snapshot()
+	if !errors.Is(err, ErrNotSnapshottable) {
+		t.Fatalf("snapshot mid-drive: err = %v, want ErrNotSnapshottable", err)
+	}
+	if want := fmt.Sprintf("next (pid %d,", next.PID); !strings.Contains(err.Error(), want) {
+		t.Fatalf("snapshot mid-drive: err = %v, want the task named as %q", err, want)
+	}
+	mid.pendingDriver = nil
+	mid.Shutdown()
 
 	// Step guest without Fork.
 	m2 := New(Config{Seed: 1, CPUHz: 1_000_000_000})

@@ -13,7 +13,6 @@
 package sched
 
 import (
-	"container/heap"
 	"fmt"
 
 	"repro/internal/proc"
@@ -363,17 +362,21 @@ func (s *CFS) Enqueue(p *proc.Proc) {
 	d.queued = true
 	s.seq++
 	d.seq = s.seq
-	heap.Push(&s.h, cfsEntry{p: p, d: d})
+	s.h.push(cfsEntry{p: p, d: d})
 }
 
-// Remove implements Scheduler.
+// Remove implements Scheduler. A task flagged queued whose heap index
+// does not hold it is a corrupted runqueue, and Remove panics rather
+// than take out the wrong task or none.
 func (s *CFS) Remove(p *proc.Proc) {
 	d := s.data(p)
-	if !d.queued || d.index < 0 {
-		d.queued = false
+	if !d.queued {
 		return
 	}
-	heap.Remove(&s.h, d.index)
+	if d.index < 0 || d.index >= len(s.h) || s.h[d.index].p != p {
+		panic(fmt.Sprintf("sched: CFS.Remove: pid %d is flagged queued but heap index %d does not hold it", p.PID, d.index))
+	}
+	s.h.removeAt(d.index)
 	d.queued = false
 	d.index = -1
 }
@@ -383,7 +386,7 @@ func (s *CFS) PickNext() *proc.Proc {
 	if len(s.h) == 0 {
 		return nil
 	}
-	e := heap.Pop(&s.h).(cfsEntry)
+	e := s.h.removeAt(0)
 	e.d.queued = false
 	e.d.index = -1
 	if e.d.vruntime > s.minVruntime {
@@ -452,35 +455,79 @@ type cfsEntry struct {
 	d *cfsData
 }
 
+// cfsHeap is a binary min-heap ordered by less. It does not use
+// container/heap, whose interface boxes every entry pushed, popped or
+// removed; it moves entries by value and never allocates once its
+// slice has grown. Its sifts take container/heap's steps, so the
+// layout Clone copies is the one container/heap would build.
 type cfsHeap []cfsEntry
 
-func (h cfsHeap) Len() int { return len(h) }
-
-func (h cfsHeap) Less(i, j int) bool {
+// less orders by vruntime, then by enqueue sequence: a total order,
+// so the pop order does not depend on the heap's layout.
+func (h cfsHeap) less(i, j int) bool {
 	if h[i].d.vruntime != h[j].d.vruntime {
 		return h[i].d.vruntime < h[j].d.vruntime
 	}
 	return h[i].d.seq < h[j].d.seq
 }
 
-func (h cfsHeap) Swap(i, j int) {
+func (h cfsHeap) swap(i, j int) {
 	h[i], h[j] = h[j], h[i]
 	h[i].d.index = i
 	h[j].d.index = j
 }
 
-func (h *cfsHeap) Push(x any) {
-	e := x.(cfsEntry)
+func (h *cfsHeap) push(e cfsEntry) {
 	e.d.index = len(*h)
 	*h = append(*h, e)
+	h.up(len(*h) - 1)
 }
 
-func (h *cfsHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
+// removeAt takes out the entry at index i and restores the heap order.
+func (h *cfsHeap) removeAt(i int) cfsEntry {
+	n := len(*h) - 1
+	if n != i {
+		h.swap(i, n)
+		if !h.down(i, n) {
+			h.up(i)
+		}
+	}
+	e := (*h)[n]
+	(*h)[n] = cfsEntry{}
+	*h = (*h)[:n]
 	return e
+}
+
+func (h cfsHeap) up(j int) {
+	for j > 0 {
+		i := (j - 1) / 2 // parent
+		if !h.less(j, i) {
+			break
+		}
+		h.swap(i, j)
+		j = i
+	}
+}
+
+// down sifts the entry at i0 down within h[:n] and reports whether it
+// moved.
+func (h cfsHeap) down(i0, n int) bool {
+	i := i0
+	for {
+		j := 2*i + 1 // left child
+		if j >= n {
+			break
+		}
+		if r := j + 1; r < n && h.less(r, j) {
+			j = r
+		}
+		if !h.less(j, i) {
+			break
+		}
+		h.swap(i, j)
+		i = j
+	}
+	return i > i0
 }
 
 // Interface compliance checks.

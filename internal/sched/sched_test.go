@@ -282,6 +282,62 @@ func TestCFSRemove(t *testing.T) {
 	s.Remove(b) // double remove no-op
 }
 
+func TestCFSRemovePanicsOnCorruptQueuedFlag(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		index int
+	}{
+		{"no index", -1},
+		{"another task's slot", 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := NewCFS(1000)
+			s.Enqueue(mk(1, 0))
+			p := mk(7, 5)
+			d := s.data(p)
+			d.queued, d.index = true, tc.index // flagged queued, but not in the heap
+			defer func() {
+				msg := fmt.Sprint(recover())
+				if !strings.Contains(msg, "pid 7") || !strings.Contains(msg, fmt.Sprintf("heap index %d", tc.index)) {
+					t.Fatalf("Remove of a corrupt task panicked with %q, want the pid and heap index named", msg)
+				}
+				if s.Runnable() != 1 {
+					t.Fatalf("Runnable = %d after the refused Remove, want 1", s.Runnable())
+				}
+			}()
+			s.Remove(p)
+		})
+	}
+}
+
+func TestCFSSteadyStateAllocFree(t *testing.T) {
+	s := NewCFS(1000)
+	procs := make([]*proc.Proc, 64)
+	for i := range procs {
+		procs[i] = mk(i+1, proc.MinNice+i*7%40)
+		s.Enqueue(procs[i])
+	}
+	k := 0
+	cycle := func() {
+		p := s.PickNext()
+		s.Charge(p, s.Quantum(p)/3+1)
+		s.Enqueue(p)
+		q := procs[k%len(procs)]
+		k++
+		s.Remove(q)
+		s.Enqueue(q)
+	}
+	for i := 0; i < 5000; i++ {
+		cycle()
+	}
+	if allocs := testing.AllocsPerRun(1000, cycle); allocs != 0 {
+		t.Fatalf("CFS cycle allocates %.2f times, want 0", allocs)
+	}
+	if s.Runnable() != len(procs) {
+		t.Fatalf("Runnable = %d, want %d", s.Runnable(), len(procs))
+	}
+}
+
 func TestWeightTableShape(t *testing.T) {
 	if WeightOf(0) != 1024 {
 		t.Fatalf("WeightOf(0) = %d, want 1024", WeightOf(0))

@@ -2,6 +2,8 @@ package workloads
 
 import (
 	"crypto/md5"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -133,6 +135,119 @@ func TestBruteHashBatchAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("bruteHashBatch allocates %.1f times per %d candidates, want 0", allocs, bruteBatch)
+	}
+}
+
+// bruteHashBatch searches [lo, hi) for target's preimage the way a
+// Brute worker does, preparing the target on each call.
+func bruteHashBatch(lo, hi uint64, target [md5.Size]byte) (string, bool) {
+	t := newBruteTarget(target)
+	return t.search(lo, hi)
+}
+
+// bruteHashBatchRef is the search the kernel replaced and the
+// reference it is held to: crypto/md5 on every candidate in [lo, hi).
+func bruteHashBatchRef(lo, hi uint64, target [md5.Size]byte) (match string, ok bool) {
+	var b [4]byte
+	for i := lo; i < hi; i++ {
+		bruteWord(&b, i)
+		if md5.Sum(b[:]) == target && !ok {
+			match, ok = string(b[:]), true
+		}
+	}
+	return match, ok
+}
+
+// TestBruteKernelExhaustive holds the kernel's verdict to crypto/md5's
+// on every candidate, for targets at both ends of the space, the
+// planted one, seeded random words and a digest from outside the
+// space. Each sweep restarts just past every match it finds, so every
+// candidate's verdict is observed. Batches of one send every candidate
+// through both lanes alone; batches of bruteBatch-1 run the lanes in
+// pairs, end on a lone candidate and start at odd indices after a
+// match.
+func TestBruteKernelExhaustive(t *testing.T) {
+	n := uint64(len(bruteAlphabet))
+	space := n * n * n * n
+	words := []string{brutePlaintext, "aaaa", "zzzz"}
+	rng := rand.New(rand.NewSource(2013))
+	for k := 0; k < 4; k++ {
+		var b [4]byte
+		bruteWord(&b, rng.Uint64()%space)
+		words = append(words, string(b[:]))
+	}
+	var targets [][md5.Size]byte
+	for _, w := range words {
+		targets = append(targets, md5.Sum([]byte(w)))
+	}
+	targets = append(targets, md5.Sum([]byte("UTEX")))
+
+	want := make([][]uint64, len(targets))
+	var b [4]byte
+	for i := uint64(0); i < space; i++ {
+		bruteWord(&b, i)
+		sum := md5.Sum(b[:])
+		for k, tg := range targets {
+			if sum == tg {
+				want[k] = append(want[k], i)
+			}
+		}
+	}
+	for k := range targets {
+		if k < len(words) && len(want[k]) != 1 || k == len(words) && len(want[k]) != 0 {
+			t.Fatalf("reference: target %d has preimages %v", k, want[k])
+		}
+	}
+
+	for k, tg := range targets {
+		target := newBruteTarget(tg)
+		for _, size := range []uint64{1, bruteBatch - 1} {
+			var got []uint64
+			for lo := uint64(0); lo < space; {
+				hi := min(lo+size, space)
+				w, ok := target.search(lo, hi)
+				if !ok {
+					lo = hi
+					continue
+				}
+				var i uint64
+				for _, c := range []byte(w) {
+					i = i*n + uint64(strings.IndexByte(bruteAlphabet, c))
+				}
+				if i < lo || i >= hi {
+					t.Fatalf("target %d: search(%d, %d) = %q, outside the batch", k, lo, hi, w)
+				}
+				got = append(got, i)
+				lo = i + 1
+			}
+			if !slices.Equal(got, want[k]) {
+				t.Errorf("target %d, batches of %d: kernel matches %v, crypto/md5 matches %v", k, size, got, want[k])
+			}
+		}
+	}
+}
+
+// BenchmarkBruteHashBatch times one worker batch that misses: crypto/md5
+// on every candidate, the reference, against the kernel.
+func BenchmarkBruteHashBatch(b *testing.B) {
+	digest := md5.Sum([]byte(brutePlaintext))
+	target := newBruteTarget(digest)
+	for _, bc := range []struct {
+		name   string
+		search func(lo, hi uint64) (string, bool)
+	}{
+		{"md5.Sum", func(lo, hi uint64) (string, bool) { return bruteHashBatchRef(lo, hi, digest) }},
+		{"kernel", target.search},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, ok := bc.search(0, bruteBatch); ok {
+					b.Fatal("batch without the plaintext matched")
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*bruteBatch), "ns/candidate")
+		})
 	}
 }
 
