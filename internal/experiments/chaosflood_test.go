@@ -27,8 +27,8 @@ func chaosFloodSec(t *testing.T) float64 {
 // crashes nothing, runs one router incarnation, completes the flow,
 // balances every ledger, and replays bit-for-bit. (The zero-fault
 // kernel/cluster paths themselves are pinned bit-for-bit against the
-// pre-chaos goldens by the PR3/PR4 compat tests; the chaos scenario
-// is not byte-comparable to RunRouterFlood because its flow sender
+// pre-chaos goldens by TestClusterGoldens; the chaos scenario is not
+// byte-comparable to RunRouterFlood because its flow sender
 // deliberately arms the clock-driven retransmission timeout, so a
 // dead router can never hang it.)
 func TestChaosZeroOverlayIsInertAndReplayable(t *testing.T) {
