@@ -99,31 +99,11 @@ type (
 	// ClusterSharedSwapSpec couples machines' swap devices into one
 	// physically shared device hosted by one machine.
 	ClusterSharedSwapSpec = cluster.SharedSwapSpec
-	// MultiFloodSpec describes N attacker machines converging on one
-	// victim through a shared bottleneck wire.
-	MultiFloodSpec = experiments.MultiFloodSpec
-	// MultiFloodOut is one multi-attacker scenario's harvest.
-	MultiFloodOut = experiments.MultiFloodOut
-	// SwapFloodSpec describes a memory-hog neighbor machine
-	// pressuring the swap device a victim host exports.
-	SwapFloodSpec = experiments.SwapFloodSpec
-	// SwapFloodOut is one shared-swap scenario's harvest.
-	SwapFloodOut = experiments.SwapFloodOut
 	// RouterFloodSpec describes attackers flooding a victim host
 	// through a shared, billed router machine with a RED/ECN egress.
 	RouterFloodSpec = experiments.RouterFloodSpec
-	// RouterFloodOut is one routed-flood scenario's harvest.
-	RouterFloodOut = experiments.RouterFloodOut
-	// AckFlowConfig parameterises an ack-paced ECN transfer.
-	AckFlowConfig = experiments.AckFlowConfig
 	// AckFlowStats is an ack-paced transfer's harvest.
 	AckFlowStats = experiments.AckFlowStats
-	// FairFloodSpec describes an attacker and a well-behaved ECN flow
-	// contending for one shared egress wire under a selectable
-	// queueing discipline (FIFO or DRR).
-	FairFloodSpec = experiments.FairFloodSpec
-	// FairFloodOut is one shared-egress fairness scenario's harvest.
-	FairFloodOut = experiments.FairFloodOut
 
 	// FaultSpec is a machine's seeded syscall fault-injection table
 	// (kernel.Config.Faults); SyscallFault is one entry.
@@ -163,17 +143,13 @@ func KnownSyscallNames() []string { return kernel.KnownSyscallNames() }
 // IsKnownSyscall reports whether name is in the syscall namespace.
 func IsKnownSyscall(name string) bool { return kernel.IsKnownSyscall(name) }
 
-// Queueing disciplines a link spec may select (LinkSpec.Qdisc and
-// FairFloodSpec.Qdisc): FIFO is the default starvable wire, DRR the
-// deficit-round-robin fair queue with per-flow byte quanta.
+// Queueing disciplines a link spec may select (LinkSpec.Qdisc): FIFO
+// is the default starvable wire, DRR the deficit-round-robin fair
+// queue with per-flow byte quanta.
 const (
 	QdiscFIFO = cluster.QdiscFIFO
 	QdiscDRR  = cluster.QdiscDRR
 )
-
-// DefaultQuantumBytes is DRR's per-flow byte quantum when a spec
-// leaves it zero (one maximum-size Ethernet frame).
-const DefaultQuantumBytes = cluster.DefaultQuantumBytes
 
 // UnlimitedLinkPPS selects an idealised lossless infinite-rate wire
 // in link and cluster specs (no serialisation gap, no queue, no
@@ -185,34 +161,6 @@ const UnlimitedLinkPPS = cluster.UnlimitedPPS
 // in packets when a spec leaves it zero.
 const DefaultLinkQueueDepth = cluster.DefaultQueueDepth
 
-// MeterMultiFlood executes one N-attackers → one-victim bottleneck
-// flood scenario in deterministic lockstep.
-func MeterMultiFlood(spec MultiFloodSpec) (*MultiFloodOut, error) {
-	return experiments.RunMultiFlood(spec)
-}
-
-// MeterSwapFlood executes one shared-swap pressure scenario (the
-// cross-machine exception flood) in deterministic lockstep.
-func MeterSwapFlood(spec SwapFloodSpec) (*SwapFloodOut, error) {
-	return experiments.RunSwapFlood(spec)
-}
-
-// MeterFairFlood executes one shared-egress fairness scenario in
-// deterministic lockstep: an attacker floods the same congested wire
-// a well-behaved ECN flow needs, under the spec's queueing
-// discipline — FIFO (starvable) or DRR (per-flow fair).
-func MeterFairFlood(spec FairFloodSpec) (*FairFloodOut, error) {
-	return experiments.RunFairFlood(spec)
-}
-
-// MeterRouterFlood executes one attackers → router → victim scenario
-// in deterministic lockstep: the router is a real billed machine
-// running cluster.Forwarder, and its egress wire applies RED/ECN
-// queue feedback.
-func MeterRouterFlood(spec RouterFloodSpec) (*RouterFloodOut, error) {
-	return experiments.RunRouterFlood(spec)
-}
-
 // MeterChaosFlood executes one routed-flood scenario under a chaos
 // overlay — seeded syscall faults on every machine, a scheduled
 // mid-run router crash (and optional reboot), and egress link flap —
@@ -221,15 +169,6 @@ func MeterRouterFlood(spec RouterFloodSpec) (*RouterFloodOut, error) {
 func MeterChaosFlood(spec ChaosFloodSpec) (*ChaosFloodOut, error) {
 	return experiments.RunChaosFlood(spec)
 }
-
-// Forwarder returns the store-and-forward router guest: spawn it on
-// a cluster machine marked Service to turn that machine into a
-// billed router (see cluster.Forwarder).
-func Forwarder(lookup sim.Cycles) guest.Routine { return cluster.Forwarder(lookup) }
-
-// DefaultForwardUs is a software router's default per-frame
-// lookup/queue service in microseconds.
-const DefaultForwardUs = cluster.DefaultForwardUs
 
 // DefaultCPUHz is the simulated clock matching the paper's testbed
 // (2.53 GHz).
@@ -428,12 +367,12 @@ func NewMachine(cfg kernel.Config) *kernel.Machine { return kernel.New(cfg) }
 // MachineConfig is the low-level machine configuration.
 type MachineConfig = kernel.Config
 
-// Checkpoint & fork: a paused machine (or a whole lockstep cluster)
-// can be snapshotted into an immutable image and restored — any
-// number of times — into independent copies that continue the
-// identical history until their inputs diverge. This is the substrate
-// behind shared-warmup campaigns: run one common prefix, fork the
-// image into every variant.
+// Checkpoint & fork: a paused machine can be snapshotted into an
+// immutable image and restored — any number of times — into
+// independent copies that continue the identical history until their
+// inputs diverge (Machine.Fork does both in one step). This is the
+// substrate behind shared-warmup campaigns: run one common prefix,
+// fork the image into every variant.
 type (
 	// Cycles is virtual time in CPU cycles.
 	Cycles = sim.Cycles
@@ -444,8 +383,6 @@ type (
 	// MachinePool recycles finished machines' scaffolding across
 	// RestoreMachine calls; not safe for concurrent use.
 	MachinePool = kernel.Pool
-	// ClusterImage is a whole fabric's checkpoint (Cluster.Snapshot).
-	ClusterImage = cluster.ClusterImage
 	// ForkLabSpec parameterises the checkpointable fork-lab scenario.
 	ForkLabSpec = experiments.ForkLabSpec
 	// ForkLabOut is a finished fork-lab run's deterministic outcome.
@@ -468,14 +405,6 @@ func SnapshotMachine(m *kernel.Machine) (*MachineImage, error) { return m.Snapsh
 // RestoreMachine rebuilds an independent machine from an image; the
 // image remains valid for further restores.
 func RestoreMachine(img *MachineImage) (*kernel.Machine, error) { return kernel.Restore(img) }
-
-// ForkMachine snapshots and restores in one step: the copy continues
-// the identical history until its inputs diverge from the original's.
-func ForkMachine(m *kernel.Machine) (*kernel.Machine, error) { return m.Fork() }
-
-// RestoreCluster rebuilds an independent lockstep fabric from a
-// cluster image.
-func RestoreCluster(img *ClusterImage) (*Cluster, error) { return cluster.Restore(img) }
 
 // BuildForkLab constructs the fork-lab machine: the fully
 // checkpointable micro-scenario behind meterlab's snapshot/resume

@@ -572,20 +572,9 @@ func (l *Link) Send(f Frame) bool {
 		svc := p.svcBytes(device.WireBytes(f))
 		if floor := p.lastArrival + svc; arrive < floor {
 			queued := uint64((floor - arrive) / p.gap)
-			if queued >= p.depth {
+			if queued >= p.depth || !l.redAdmit(queued, &f) {
 				l.dropped++
 				return false
-			}
-			if p.redHit(p.redSample(queued)) {
-				if !f.ECN {
-					l.dropped++
-					l.earlyDrop++
-					return false
-				}
-				if !f.CE {
-					l.marked++
-				}
-				f.CE = true
 			}
 			// The wire is the binding constraint: per-frame service
 			// time varies with frame size, so perturb the nominal
@@ -604,28 +593,43 @@ func (l *Link) Send(f Frame) bool {
 		}
 		p.lastArrival = arrive
 	}
-	if l.downAt > 0 && arrive >= l.downAt {
-		// The frame would land after the destination's scheduled
-		// crash: it occupied the wire but arrives at a dead machine.
+	return l.land(arrive, f)
+}
+
+// redAdmit runs the RED policy on a frame offered behind queued
+// minimum-frame slots: the estimator observes the depth and, on early
+// feedback, an ECN-capable frame is CE-marked and admitted while any
+// other frame is refused as an early drop. The caller counts the
+// refused frame as dropped, so every Send path closes its own ledger.
+func (l *Link) redAdmit(queued uint64, f *Frame) bool {
+	p := l.pipe
+	if !p.redHit(p.redSample(queued)) {
+		return true
+	}
+	if !f.ECN {
+		l.earlyDrop++
+		return false
+	}
+	if !f.CE {
+		l.marked++
+	}
+	f.CE = true
+	return true
+}
+
+// land hands a wire-committed frame to the destination NIC at its
+// arrival time — or counts a drop when the destination machine has
+// finished, or when the frame would arrive at or after the
+// destination's scheduled crash (it occupied the wire but lands on a
+// dead machine).
+func (l *Link) land(arrive sim.Cycles, f Frame) bool {
+	if l.to.Closed() || (l.downAt > 0 && arrive >= l.downAt) {
 		l.dropped++
 		return false
 	}
 	l.delivered++
 	l.to.NIC().InjectRxFrame(arrive, f)
 	return true
-}
-
-// deliver hands a wire-committed frame to the destination NIC at its
-// departure time plus this link's propagation delay — or counts a
-// drop when the destination machine has since finished.
-func (l *Link) deliver(depart sim.Cycles, f Frame) {
-	arrive := depart + l.latency
-	if l.to.Closed() || (l.downAt > 0 && arrive >= l.downAt) {
-		l.dropped++
-		return
-	}
-	l.delivered++
-	l.to.NIC().InjectRxFrame(arrive, f)
 }
 
 // sendDRR offers one frame to a DRR pipe at the sending machine's
@@ -652,7 +656,7 @@ func (p *pipe) sendDRR(l *Link, f Frame) bool {
 			// between bursts.
 			p.redSample(0)
 			p.busyUntil = start + p.jitterSvc(p.svcBytes(wb))
-			l.deliver(p.busyUntil, f)
+			l.land(p.busyUntil+l.latency, f)
 			return true
 		}
 		// Flap-down window: fall through and park the frame in the
@@ -674,16 +678,9 @@ func (p *pipe) sendDRR(l *Link, f Frame) bool {
 		el.dropped++
 	}
 	// RED gates on the backlog ahead of the newcomer, in slots.
-	if p.redHit(p.redSample(p.drr.Bytes() / device.MinFrameBytes)) {
-		if !f.ECN {
-			l.dropped++
-			l.earlyDrop++
-			return false
-		}
-		if !f.CE {
-			l.marked++
-		}
-		f.CE = true
+	if !l.redAdmit(p.drr.Bytes()/device.MinFrameBytes, &f) {
+		l.dropped++
+		return false
 	}
 	p.drr.Enqueue(device.QdiscEntry{F: f, Cost: wb, Tag: l.tag})
 	l.queued++
@@ -709,7 +706,7 @@ func (p *pipe) drain() {
 		el := p.byTag[e.Tag]
 		el.queued--
 		p.busyUntil += p.jitterSvc(p.svcBytes(e.Cost))
-		el.deliver(p.busyUntil, e.F)
+		el.land(p.busyUntil+el.latency, e.F)
 	}
 }
 

@@ -11,9 +11,10 @@
 // All three guests here are written as resumable state machines
 // (guest.Step) so fleets of them run on the flyweight driver — a few
 // words of struct state per guest instead of a parked goroutine
-// stack. The Routine constructors wrap the same machines for the
-// goroutine driver; either way the request sequence is identical, so
-// histories replay bit-for-bit across drivers.
+// stack. guestSpawn wraps the same machines for the goroutine driver
+// when Options.GoroutineGuests asks for it; either way the request
+// sequence is identical, so histories replay bit-for-bit across
+// drivers.
 package experiments
 
 import (
@@ -22,10 +23,10 @@ import (
 	"repro/internal/sim"
 )
 
-// floodGen is the resumable packet generator behind floodBody: send a
-// slot's frame (retrying transients within half a period), carry the
-// freq%pps remainder into the interval, sleep the jittered slot, and
-// repeat until the budget of packets is offered.
+// floodGen is the resumable packet generator behind floodBodyStep:
+// send a slot's frame (retrying transients within half a period),
+// carry the freq%pps remainder into the interval, sleep the jittered
+// slot, and repeat until the budget of packets is offered.
 type floodGen struct {
 	base     sim.Cycles
 	rem, pps uint64
@@ -94,11 +95,6 @@ func floodBodyStep(freq sim.Hz, pps, packets uint64, frame guest.Frame) guest.St
 		frame:   frame,
 	}
 	return g.start
-}
-
-// floodBody is floodBodyStep for the goroutine driver.
-func floodBody(freq sim.Hz, pps, packets uint64, frame guest.Frame) guest.Routine {
-	return guest.StepRoutine(floodBodyStep(freq, pps, packets, frame))
 }
 
 // AckFlowConfig parameterises one ack-paced transfer.
@@ -401,11 +397,6 @@ func AckPacedSenderStep(cfg AckFlowConfig, stats *AckFlowStats) guest.Step {
 	return g.start
 }
 
-// AckPacedSender is AckPacedSenderStep for the goroutine driver.
-func AckPacedSender(cfg AckFlowConfig, stats *AckFlowStats) guest.Routine {
-	return guest.StepRoutine(AckPacedSenderStep(cfg, stats))
-}
-
 // ackEchoGen is the resumable echo daemon: block for traffic, drain
 // the receive buffer with briefly-retried reads, and ack each
 // matching data frame back to its own source.
@@ -474,11 +465,6 @@ func (g *ackEchoGen) afterSendAck(ctx guest.Context, _ guest.Resume) guest.Step 
 func AckEchoStep(flow uint32) guest.Step {
 	g := &ackEchoGen{flow: flow}
 	return g.start
-}
-
-// AckEcho is AckEchoStep for the goroutine driver.
-func AckEcho(flow uint32) guest.Routine {
-	return guest.StepRoutine(AckEchoStep(flow))
 }
 
 // ackEchoRetryCycles bounds the echo daemon's backoff on an injected

@@ -75,13 +75,14 @@ func RunIndexedWorkers(n, parallelism int, fn func(worker, i int)) {
 	wg.Wait()   //simlint:gotime-ok campaign pool; runs are independent seeded machines merged in index order
 }
 
-// Campaign is the one fan-out runner behind every RunAll* helper: it
-// executes run(spec) for every spec on the worker pool (parallelism
-// zero = all cores) and returns the results in declaration order. On
-// failure it reports the error of the earliest-declared failing spec
-// — "<kind> run <i> (<desc(spec)>): <cause>" — so error output is as
-// deterministic as success output. kind names the campaign family in
-// that message; desc renders one spec for it.
+// Campaign is the one fan-out runner behind every figure's run
+// matrix: it executes run(spec) for every spec on the worker pool
+// (parallelism zero = all cores) and returns the results in
+// declaration order. On failure it reports the error of the
+// earliest-declared failing spec — "<kind> run <i> (<desc(spec)>):
+// <cause>" — so error output is as deterministic as success output.
+// kind names the campaign family in that message; desc renders one
+// spec for it.
 func Campaign[Spec, Out any](kind string, specs []Spec, parallelism int,
 	run func(Spec) (Out, error), desc func(Spec) string) ([]Out, error) {
 	outs := make([]Out, len(specs))
@@ -95,17 +96,6 @@ func Campaign[Spec, Out any](kind string, specs []Spec, parallelism int,
 		}
 	}
 	return outs, nil
-}
-
-// RunAll executes every spec on its own fresh machine and returns the
-// results in declaration order.
-//
-// Deprecated: RunAll is Campaign over Run; new callers should use
-// Campaign directly. Kept as a thin wrapper for the pre-generic API.
-func RunAll(specs []RunSpec, parallelism int) ([]*RunOut, error) {
-	return Campaign("campaign", specs, parallelism, Run, func(s RunSpec) string {
-		return fmt.Sprintf("%s/%s", s.Workload, key(s.Attack))
-	})
 }
 
 // Matrix accumulates a campaign's run declarations. Runners Add every
@@ -126,7 +116,10 @@ func (mx *Matrix) Add(s RunSpec) int {
 // Len reports the number of declared runs.
 func (mx *Matrix) Len() int { return len(mx.specs) }
 
-// Run executes the declared matrix with the given parallelism.
+// Run executes the declared matrix with the given parallelism, each
+// spec on its own fresh machine.
 func (mx *Matrix) Run(parallelism int) ([]*RunOut, error) {
-	return RunAll(mx.specs, parallelism)
+	return Campaign("campaign", mx.specs, parallelism, Run, func(s RunSpec) string {
+		return fmt.Sprintf("%s/%s", s.Workload, key(s.Attack))
+	})
 }

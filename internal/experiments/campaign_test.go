@@ -5,8 +5,9 @@ import (
 	"testing"
 )
 
-// TestRunAllMatchesSequentialRun asserts the worker pool returns the
-// same results, in declaration order, as calling Run spec by spec.
+// TestRunAllMatchesSequentialRun asserts Matrix.Run's worker pool
+// returns the same results, in declaration order, as calling Run spec
+// by spec.
 func TestRunAllMatchesSequentialRun(t *testing.T) {
 	o := quick()
 	specs := []RunSpec{
@@ -14,6 +15,7 @@ func TestRunAllMatchesSequentialRun(t *testing.T) {
 		{Opts: o, Workload: "P"},
 		{Opts: o, Workload: "W"},
 	}
+	var mx Matrix
 	want := make([]*RunOut, len(specs))
 	for i, s := range specs {
 		out, err := Run(s)
@@ -21,8 +23,9 @@ func TestRunAllMatchesSequentialRun(t *testing.T) {
 			t.Fatal(err)
 		}
 		want[i] = out
+		mx.Add(s)
 	}
-	got, err := RunAll(specs, 3)
+	got, err := mx.Run(3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,17 +41,20 @@ func TestRunAllMatchesSequentialRun(t *testing.T) {
 	}
 }
 
-// TestRunAllReportsEarliestError asserts the deterministic error
-// contract: with several failing specs, the earliest-declared one is
-// reported regardless of completion order.
+// TestRunAllReportsEarliestError asserts Matrix.Run's deterministic
+// error contract: with several failing specs, the earliest-declared
+// one is reported regardless of completion order.
 func TestRunAllReportsEarliestError(t *testing.T) {
 	o := quick()
-	specs := []RunSpec{
+	var mx Matrix
+	for _, s := range []RunSpec{
 		{Opts: o, Workload: "O"},
 		{Opts: o, Workload: "bogus-1"},
 		{Opts: o, Workload: "bogus-2"},
+	} {
+		mx.Add(s)
 	}
-	_, err := RunAll(specs, 3)
+	_, err := mx.Run(3)
 	if err == nil {
 		t.Fatal("want error")
 	}

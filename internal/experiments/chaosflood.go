@@ -16,8 +16,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/guest"
 	"repro/internal/kernel"
-	"repro/internal/proc"
-	"repro/internal/sim"
 	"repro/internal/textplot"
 )
 
@@ -150,244 +148,43 @@ func (out *ChaosFloodOut) Unbalanced() []string {
 	return bad
 }
 
-// RunChaosFlood executes one chaos scenario. The topology is the
-// routed flood's: machines 0..A-1 attackers, A the flow sender, A+1
-// the router (crash/restart target), A+2 the victim host.
+// RunChaosFlood executes one chaos scenario on the routed star of
+// runRoutedFlood; the overlay's crash/restart target is the router.
+// The flow sender writes off outstanding frames after 50 ms of
+// virtual time without an ack, so a dead router makes it give up
+// instead of polling forever.
 func RunChaosFlood(spec ChaosFloodSpec) (*ChaosFloodOut, error) {
 	fl := spec.Flood
-	cs := spec.Chaos
-	o := fl.Opts.norm()
-	if fl.Attackers < 1 {
-		return nil, fmt.Errorf("chaosflood: need at least one attacker machine, have %d", fl.Attackers)
-	}
-	if cs.RouterCrashSec < 0 || cs.RouterRestartSec < 0 {
-		return nil, fmt.Errorf("chaosflood: crash/restart times must be non-negative (crash %gs, restart %gs)", cs.RouterCrashSec, cs.RouterRestartSec)
-	}
-	if cs.RouterRestartSec > 0 && cs.RouterCrashSec == 0 {
-		return nil, fmt.Errorf("chaosflood: RouterRestartSec %gs without RouterCrashSec (nothing to restart)", cs.RouterRestartSec)
-	}
-	faults, err := cs.faultSpec()
+	r, err := runRoutedFlood("chaosflood "+chaosFloodKey(spec), fl, spec.Chaos, 50_000, "ack-paced ecn sender v1 (chaos-hardened)")
 	if err != nil {
 		return nil, err
 	}
-	floodSec := fl.FloodSeconds
-	if floodSec == 0 {
-		s, err := (ClusterRunSpec{Victims: []ClusterVictim{fl.Victim}}).floodSeconds(o)
-		if err != nil {
-			return nil, err
-		}
-		floodSec = s
-	}
-	if cs.RouterCrashSec > 0 && cs.RouterCrashSec >= 4*floodSec {
-		return nil, fmt.Errorf("chaosflood: RouterCrashSec %gs is past the scenario horizon (~%gs flood): the crash would never land", cs.RouterCrashSec, floodSec)
-	}
-	tick := sim.Cycles(uint64(o.Freq) / o.HZ)
-	accts, err := victimAccountants(fl.Victim.Billing, tick)
-	if err != nil {
-		return nil, err
-	}
-	lookupUs := fl.RouterLookupUs
-	if lookupUs == 0 {
-		lookupUs = cluster.DefaultForwardUs
-	}
-	perUs := sim.Cycles(uint64(o.Freq) / 1_000_000)
-	crashAt := sim.Cycles(cs.RouterCrashSec * float64(o.Freq))
-	restartAfter := sim.Cycles(cs.RouterRestartSec * float64(o.Freq))
-
-	senderIdx := fl.Attackers
 	routerIdx := fl.Attackers + 1
-	victimIdx := fl.Attackers + 2
-
-	machines := make([]cluster.MachineSpec, 0, victimIdx+1)
-
-	// Attackers: non-ECN junk toward the victim, under injection like
-	// everyone else (their pktgen forfeits faulted slots).
-	pps := fl.PerAttackerPPS
-	for a := 0; a < fl.Attackers; a++ {
-		cfg := o.machineConfig()
-		cfg.Seed = clusterSeed(o.Seed, a)
-		cfg.Faults = faults
-		machines = append(machines, cluster.MachineSpec{
-			Name:   fmt.Sprintf("attacker-%d", a),
-			Config: cfg,
-			Boot: func(c *cluster.Cluster, m *kernel.Machine) error {
-				if pps == 0 {
-					return nil // silent baseline
-				}
-				packets := uint64(floodSec * float64(pps))
-				_, err := m.Spawn(guestSpawn(o, "pktgen", "junk-ip packet generator v3 (routed)",
-					floodBodyStep(o.Freq, pps, packets, guest.Frame{Dst: c.AddrOf(victimIdx)})))
-				return err
-			},
-		})
-	}
-
-	// Sender: the well-behaved flow, on the clock-driven timeout so a
-	// dead router makes it give up instead of polling forever.
-	flowStats := &AckFlowStats{}
-	senderCfg := o.machineConfig()
-	senderCfg.Seed = clusterSeed(o.Seed, senderIdx)
-	senderCfg.Faults = faults
-	machines = append(machines, cluster.MachineSpec{
-		Name:   "sender",
-		Config: senderCfg,
-		Boot: func(c *cluster.Cluster, m *kernel.Machine) error {
-			if fl.FlowFrames == 0 {
-				return nil
-			}
-			_, err := m.Spawn(guestSpawn(o, "flowsend", "ack-paced ecn sender v1 (chaos-hardened)",
-				AckPacedSenderStep(AckFlowConfig{
-					Peer:          c.AddrOf(victimIdx),
-					Flow:          routerFloodFlowID,
-					Frames:        fl.FlowFrames,
-					Window:        fl.FlowWindow,
-					PaceCycles:    500 * perUs, // ≤2k pps offered
-					TimeoutCycles: 50_000 * perUs,
-				}, flowStats)))
-			return err
-		},
-	})
-
-	// Router: the crash/restart target. Boot runs once per
-	// incarnation, so the daemon's PID is recorded per incarnation
-	// for the cumulative harvest.
-	var routerPIDs []proc.PID
-	routerCfg := o.machineConfig()
-	routerCfg.Seed = clusterSeed(o.Seed, routerIdx)
-	routerCfg.Faults = faults
-	machines = append(machines, cluster.MachineSpec{
-		Name:         "router",
-		Config:       routerCfg,
-		Service:      true,
-		CrashAt:      crashAt,
-		RestartAfter: restartAfter,
-		Boot: func(_ *cluster.Cluster, m *kernel.Machine) error {
-			p, err := m.Spawn(guestSpawn(o, "fwd", "store-and-forward router daemon v1",
-				cluster.ForwarderStep(sim.Cycles(lookupUs)*perUs)))
-			if p != nil {
-				routerPIDs = append(routerPIDs, p.PID)
-			}
-			return err
-		},
-	})
-
-	// Victim host: billed workload plus the flow's echo daemon.
-	var launch *launched
-	victimCfg := o.machineConfig()
-	victimCfg.Seed = clusterSeed(o.Seed, victimIdx)
-	victimCfg.Accountants = accts
-	victimCfg.Faults = faults
-	machines = append(machines, cluster.MachineSpec{
-		Name:    "victim",
-		Config:  victimCfg,
-		Service: fl.FlowFrames > 0,
-		Boot: func(_ *cluster.Cluster, m *kernel.Machine) error {
-			if fl.FlowFrames > 0 {
-				if _, err := m.Spawn(guestSpawn(o, "echod", "per-flow ack echo daemon v1",
-					AckEchoStep(routerFloodFlowID))); err != nil {
-					return err
-				}
-			}
-			l, err := launchSpec(m, RunSpec{
-				Opts:       o,
-				Workload:   fl.Victim.Workload,
-				VictimNice: fl.Victim.Nice,
-			})
-			if err != nil {
-				return err
-			}
-			launch = l
-			return nil
-		},
-	})
-
-	// Routed star topology, flap armed on the congested egress hop.
-	links := make([]cluster.LinkSpec, 0, victimIdx)
-	linkNames := make([]string, 0, victimIdx)
-	for a := 0; a < fl.Attackers; a++ {
-		links = append(links, cluster.LinkSpec{From: a, To: routerIdx, LatencyUs: fl.LinkLatencyUs})
-		linkNames = append(linkNames, fmt.Sprintf("attacker-%d/router", a))
-	}
-	links = append(links, cluster.LinkSpec{From: senderIdx, To: routerIdx, LatencyUs: fl.LinkLatencyUs})
-	linkNames = append(linkNames, "sender/router")
-	links = append(links, cluster.LinkSpec{
-		From: routerIdx, To: victimIdx,
-		LatencyUs:        fl.LinkLatencyUs,
-		PacketsPerSecond: fl.EgressPPS,
-		QueueDepth:       fl.EgressQueueDepth,
-		RED:              fl.RED,
-		Flap:             cs.VictimFlap,
-	})
-	linkNames = append(linkNames, "router/victim")
-	routes := make([]cluster.RouteSpec, 0, fl.Attackers+2)
-	for a := 0; a < fl.Attackers; a++ {
-		routes = append(routes, cluster.RouteSpec{On: a, Dst: victimIdx, Via: routerIdx})
-	}
-	routes = append(routes,
-		cluster.RouteSpec{On: senderIdx, Dst: victimIdx, Via: routerIdx},
-		cluster.RouteSpec{On: victimIdx, Dst: senderIdx, Via: routerIdx},
-	)
-
-	cl, err := cluster.New(cluster.Config{Machines: machines, Links: links, Routes: routes})
-	if err != nil {
-		return nil, err
-	}
-	if err := cl.Run(); err != nil {
-		return nil, fmt.Errorf("chaosflood %s: %w", chaosFloodKey(spec), err)
-	}
-	if launch.prog != nil && !launch.prog.Done {
-		return nil, fmt.Errorf("chaosflood %s: victim workload retired before completion (stalled behind the service daemon?)", chaosFloodKey(spec))
-	}
-
-	vm := cl.Machine(victimIdx)
-	billing := fl.Victim.Billing
-	if billing == "" {
-		billing = "jiffy"
-	}
 	out := &ChaosFloodOut{
-		Spec: spec,
-		Victim: ClusterVictimOut{
-			Billing:         billing,
-			Run:             launch.harvest(vm),
-			PacketsReceived: vm.NIC().Received(),
-		},
-		Router: PartyUsage{
-			Name: "fwd",
-			User: make(map[string]float64, len(Schemes)),
-			Sys:  make(map[string]float64, len(Schemes)),
-		},
-		RouterCrashed: cl.Crashed(routerIdx),
-		Flow:          *flowStats,
-		ElapsedSec:    clusterElapsedSec(cl),
+		Spec:               spec,
+		Victim:             r.victim,
+		Router:             r.router,
+		RouterIncarnations: len(r.cl.Incarnations(routerIdx)),
+		RouterCrashed:      r.cl.Crashed(routerIdx),
+		RouterForwarded:    r.forwarded,
+		Flow:               r.flow,
+		ElapsedSec:         clusterElapsedSec(r.cl),
 	}
-	incs := cl.Incarnations(routerIdx)
-	out.RouterIncarnations = len(incs)
-	for k, inc := range incs {
-		var pid proc.PID
-		if k < len(routerPIDs) {
-			pid = routerPIDs[k]
-		}
-		u := usageOf(inc, "fwd", pid)
-		for _, s := range Schemes {
-			out.Router.User[s] += u.User[s]
-			out.Router.Sys[s] += u.Sys[s]
-		}
-		out.RouterForwarded += inc.NIC().Transmitted()
-	}
-	if len(routerPIDs) > 0 {
-		out.Router.PID = routerPIDs[0]
-	}
-	for i := 0; i < cl.Size(); i++ {
-		for _, inc := range cl.Incarnations(i) {
+	for i := 0; i < r.cl.Size(); i++ {
+		for _, inc := range r.cl.Incarnations(i) {
 			out.FaultsInjected += inc.FaultsInjected()
 		}
 	}
-	for i := 0; i < cl.Links(); i++ {
-		fwd := cl.Link(i)
+	for i := 0; i < r.cl.Links(); i++ {
+		name := "router/victim"
+		if i < routerIdx {
+			name = r.cl.Name(i) + "/router"
+		}
+		fwd := r.cl.Link(i)
 		rev := fwd.Reverse()
 		out.Links = append(out.Links,
-			LinkAccounting{Name: linkNames[i] + "/fwd", Sent: fwd.Sent(), Delivered: fwd.Delivered(), Dropped: fwd.Dropped(), Queued: fwd.Queued()},
-			LinkAccounting{Name: linkNames[i] + "/rev", Sent: rev.Sent(), Delivered: rev.Delivered(), Dropped: rev.Dropped(), Queued: rev.Queued()},
+			LinkAccounting{Name: name + "/fwd", Sent: fwd.Sent(), Delivered: fwd.Delivered(), Dropped: fwd.Dropped(), Queued: fwd.Queued()},
+			LinkAccounting{Name: name + "/rev", Sent: rev.Sent(), Delivered: rev.Delivered(), Dropped: rev.Dropped(), Queued: rev.Queued()},
 		)
 	}
 	return out, nil
@@ -396,16 +193,6 @@ func RunChaosFlood(spec ChaosFloodSpec) (*ChaosFloodOut, error) {
 func chaosFloodKey(spec ChaosFloodSpec) string {
 	return fmt.Sprintf("%d-attackers/%dpps/%dppm/crash@%gs",
 		spec.Flood.Attackers, spec.Flood.PerAttackerPPS, spec.Chaos.FaultPPM, spec.Chaos.RouterCrashSec)
-}
-
-// RunAllChaosFloods executes every scenario on its own lockstep
-// machine set across the campaign worker pool — the RunAll contract.
-//
-// Deprecated: RunAllChaosFloods is Campaign("chaosflood", ...) over RunChaosFlood;
-// new callers should use Campaign directly. Kept as a thin wrapper
-// for the pre-generic API.
-func RunAllChaosFloods(specs []ChaosFloodSpec, parallelism int) ([]*ChaosFloodOut, error) {
-	return Campaign("chaosflood", specs, parallelism, RunChaosFlood, chaosFloodKey)
 }
 
 // chaosFloodBase is the shared flood under every chaos scenario: the
@@ -433,7 +220,7 @@ func chaosFloodBase(o Options) RouterFloodSpec {
 func ChaosFlood(o Options) (*Figure, error) {
 	o = o.norm()
 	base := chaosFloodBase(o)
-	floodSec, err := (ClusterRunSpec{Victims: []ClusterVictim{base.Victim}}).floodSeconds(o)
+	floodSec, err := floodSeconds(o, base.FloodSeconds, base.Victim)
 	if err != nil {
 		return nil, err
 	}
@@ -460,7 +247,7 @@ func ChaosFlood(o Options) (*Figure, error) {
 	for i, sc := range scenarios {
 		specs[i] = ChaosFloodSpec{Flood: base, Chaos: sc.chaos}
 	}
-	outs, err := RunAllChaosFloods(specs, o.Parallelism)
+	outs, err := Campaign("chaosflood", specs, o.Parallelism, RunChaosFlood, chaosFloodKey)
 	if err != nil {
 		return nil, fmt.Errorf("chaos flood: %w", err)
 	}

@@ -15,7 +15,7 @@ func quickChaosSpec(chaos ChaosSpec) ChaosFloodSpec {
 // scale, so crash schedules in tests land inside the scenario.
 func chaosFloodSec(t *testing.T) float64 {
 	t.Helper()
-	s, err := (ClusterRunSpec{Victims: []ClusterVictim{{Workload: "O", Billing: "jiffy"}}}).floodSeconds(quick())
+	s, err := floodSeconds(quick(), 0, ClusterVictim{Workload: "O", Billing: "jiffy"})
 	if err != nil {
 		t.Fatal(err)
 	}

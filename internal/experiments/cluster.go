@@ -8,13 +8,14 @@
 // inflating while the process-aware-billed victim's stays put.
 //
 // Cluster runs are RunSpec-shaped work for the campaign engine: a
-// figure declares its whole []ClusterRunSpec matrix and
-// RunAllClusters shards the independent clusters across the same
-// worker pool RunAll uses, with the same declaration-order,
+// figure declares its whole []ClusterRunSpec matrix and Campaign
+// shards the independent clusters across the same worker pool
+// Matrix.Run uses, with the same declaration-order,
 // byte-identical-results contract.
 package experiments
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/cluster"
@@ -142,13 +143,66 @@ func victimAccountants(billing string, tick sim.Cycles) ([]metering.Accountant, 
 	return accts, nil
 }
 
-// floodSeconds resolves the attacker's transmit duration.
-func (spec ClusterRunSpec) floodSeconds(o Options) (float64, error) {
-	if spec.FloodSeconds > 0 {
-		return spec.FloodSeconds, nil
+// victimHost is a cluster scenario's billed victim machine. machine
+// declares it and harvest collects its bill once the cluster has run.
+type victimHost struct {
+	v      ClusterVictim
+	launch *launched
+}
+
+// machine declares the host as cluster member idx: the billing
+// accountant first, and a Boot that runs daemons (when non-nil) and
+// then launches the victim's job through the shell.
+func (h *victimHost) machine(o Options, v ClusterVictim, idx int, daemons func(*kernel.Machine) error) (cluster.MachineSpec, error) {
+	accts, err := victimAccountants(v.Billing, sim.Cycles(uint64(o.Freq)/o.HZ))
+	if err != nil {
+		return cluster.MachineSpec{}, err
+	}
+	h.v = v
+	cfg := o.machineConfig()
+	cfg.Seed = clusterSeed(o.Seed, idx)
+	cfg.Accountants = accts
+	return cluster.MachineSpec{
+		Config: cfg,
+		Boot: func(_ *cluster.Cluster, m *kernel.Machine) error {
+			if daemons != nil {
+				if err := daemons(m); err != nil {
+					return err
+				}
+			}
+			l, err := launchSpec(m, RunSpec{Opts: o, Workload: v.Workload, VictimNice: v.Nice})
+			if err != nil {
+				return err
+			}
+			h.launch = l
+			return nil
+		},
+	}, nil
+}
+
+// harvest collects the finished host's bill. A job retired unfinished
+// — a Service host quiesced while its workload stalled behind a
+// daemon — is an error instead of a half-run harvest.
+func (h *victimHost) harvest(m *kernel.Machine) (ClusterVictimOut, error) {
+	if h.launch.prog != nil && !h.launch.prog.Done {
+		return ClusterVictimOut{}, errors.New("victim workload retired before completion (stalled behind the service daemon?)")
+	}
+	billing := h.v.Billing
+	if billing == "" {
+		billing = "jiffy"
+	}
+	return ClusterVictimOut{Billing: billing, Run: h.launch.harvest(m), PacketsReceived: m.NIC().Received()}, nil
+}
+
+// floodSeconds resolves an attack's transmit duration: given when
+// positive, otherwise 1.5x the longest victim baseline, so the attack
+// outlives every victim.
+func floodSeconds(o Options, given float64, victims ...ClusterVictim) (float64, error) {
+	if given > 0 {
+		return given, nil
 	}
 	var longest float64
-	for _, v := range spec.Victims {
+	for _, v := range victims {
 		w, err := workloads.SpecByKey(v.Workload)
 		if err != nil {
 			return 0, err
@@ -169,13 +223,12 @@ func RunCluster(spec ClusterRunSpec) (*ClusterOut, error) {
 	if len(spec.Victims) == 0 {
 		return nil, fmt.Errorf("cluster: no victim machines in spec")
 	}
-	floodSec, err := spec.floodSeconds(o)
+	floodSec, err := floodSeconds(o, spec.FloodSeconds, spec.Victims...)
 	if err != nil {
 		return nil, err
 	}
-	tick := sim.Cycles(uint64(o.Freq) / o.HZ)
 
-	launches := make([]*launched, len(spec.Victims))
+	hosts := make([]victimHost, len(spec.Victims))
 	machines := make([]cluster.MachineSpec, 0, len(spec.Victims)+1)
 
 	// Machine 0: the attacker. Its packet generator offers FloodPPS
@@ -241,29 +294,11 @@ func RunCluster(spec ClusterRunSpec) (*ClusterOut, error) {
 	})
 
 	for i, v := range spec.Victims {
-		i, v := i, v
-		accts, err := victimAccountants(v.Billing, tick)
+		victim, err := hosts[i].machine(o, v, i+1, nil)
 		if err != nil {
 			return nil, err
 		}
-		victimCfg := o.machineConfig()
-		victimCfg.Seed = clusterSeed(o.Seed, i+1)
-		victimCfg.Accountants = accts
-		machines = append(machines, cluster.MachineSpec{
-			Config: victimCfg,
-			Boot: func(_ *cluster.Cluster, m *kernel.Machine) error {
-				l, err := launchSpec(m, RunSpec{
-					Opts:       o,
-					Workload:   v.Workload,
-					VictimNice: v.Nice,
-				})
-				if err != nil {
-					return err
-				}
-				launches[i] = l
-				return nil
-			},
-		})
+		machines = append(machines, victim)
 	}
 
 	links := make([]cluster.LinkSpec, len(spec.Victims))
@@ -288,17 +323,12 @@ func RunCluster(spec ClusterRunSpec) (*ClusterOut, error) {
 	}
 
 	out := &ClusterOut{Spec: spec, ElapsedSec: clusterElapsedSec(cl)}
-	for i := range spec.Victims {
-		m := cl.Machine(i + 1)
-		billing := spec.Victims[i].Billing
-		if billing == "" {
-			billing = "jiffy"
+	for i := range hosts {
+		v, err := hosts[i].harvest(cl.Machine(i + 1))
+		if err != nil {
+			return nil, fmt.Errorf("cluster %s: %w", clusterKey(spec), err)
 		}
-		out.Victims = append(out.Victims, ClusterVictimOut{
-			Billing:         billing,
-			Run:             launches[i].harvest(m),
-			PacketsReceived: m.NIC().Received(),
-		})
+		out.Victims = append(out.Victims, v)
 		out.PacketsSent = append(out.PacketsSent, cl.Link(i).Sent())
 		out.PacketsDropped = append(out.PacketsDropped, cl.Link(i).Dropped())
 	}
@@ -307,18 +337,6 @@ func RunCluster(spec ClusterRunSpec) (*ClusterOut, error) {
 
 func clusterKey(spec ClusterRunSpec) string {
 	return fmt.Sprintf("%d-victims/%dpps", len(spec.Victims), spec.FloodPPS)
-}
-
-// RunAllClusters executes every cluster scenario on its own lockstep
-// machine set, sharding whole clusters across the campaign worker
-// pool, and returns results in declaration order with the earliest
-// declared failure reported — the RunAll contract, one level up.
-//
-// Deprecated: RunAllClusters is Campaign("cluster", ...) over RunCluster;
-// new callers should use Campaign directly. Kept as a thin wrapper
-// for the pre-generic API.
-func RunAllClusters(specs []ClusterRunSpec, parallelism int) ([]*ClusterOut, error) {
-	return Campaign("cluster", specs, parallelism, RunCluster, clusterKey)
 }
 
 // victimBillSeconds reads a victim's billed (user, system) seconds
@@ -353,7 +371,7 @@ func clusterFloodWith(o Options, linkPPS, queueDepth uint64) (*Figure, error) {
 	for i, pps := range rates {
 		specs[i] = ClusterRunSpec{Opts: o, Victims: victims, FloodPPS: pps, LinkPPS: linkPPS, LinkQueueDepth: queueDepth}
 	}
-	outs, err := RunAllClusters(specs, o.Parallelism)
+	outs, err := Campaign("cluster", specs, o.Parallelism, RunCluster, clusterKey)
 	if err != nil {
 		return nil, fmt.Errorf("cluster flood: %w", err)
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/kernel"
 )
 
 func quickClusterSpec(pps uint64) ClusterRunSpec {
@@ -125,16 +126,57 @@ func TestLosslessInfiniteRateReplaysClusterArtifact(t *testing.T) {
 	}
 }
 
-// TestRunAllClustersReportsEarliestError mirrors RunAll's
-// deterministic error contract one level up.
+// TestRunAllClustersReportsEarliestError mirrors Matrix.Run's
+// deterministic error contract one level up, on a Campaign of whole
+// clusters.
 func TestRunAllClustersReportsEarliestError(t *testing.T) {
 	bad := quickClusterSpec(1000)
 	bad.Victims = []ClusterVictim{{Workload: "bogus"}}
-	_, err := RunAllClusters([]ClusterRunSpec{quickClusterSpec(1000), bad, bad}, 3)
+	_, err := Campaign("cluster", []ClusterRunSpec{quickClusterSpec(1000), bad, bad}, 3, RunCluster, clusterKey)
 	if err == nil {
 		t.Fatal("want error")
 	}
 	if got := err.Error(); !strings.Contains(got, "cluster run 1") {
 		t.Fatalf("error %q does not name the earliest failing spec", got)
+	}
+}
+
+// TestVictimHostRefusesUnfinishedJob pins the shared victim host's
+// harvest. A host retired before its job finished — shut down right
+// after boot, as the cluster retires a quiesced Service machine — is
+// refused instead of harvested as a half-run bill; the same host run
+// to completion harvests under its default jiffy billing.
+func TestVictimHostRefusesUnfinishedJob(t *testing.T) {
+	for _, finish := range []bool{false, true} {
+		var host victimHost
+		spec, err := host.machine(quick().norm(), ClusterVictim{Workload: "O"}, 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := kernel.New(spec.Config)
+		if err := spec.Boot(nil, m); err != nil {
+			t.Fatal(err)
+		}
+		if finish {
+			if err := m.Run(); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			m.Shutdown()
+		}
+		out, err := host.harvest(m)
+		if !finish {
+			if err == nil || !strings.Contains(err.Error(), "retired before completion") {
+				t.Errorf("retired host harvested: err %v", err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.Billing != "jiffy" || !out.Run.Result.Done || out.Run.Victim.Total("jiffy") == 0 {
+			t.Errorf("finished host harvest: billing %q, done %v, jiffy bill %v",
+				out.Billing, out.Run.Result.Done, out.Run.Victim.Total("jiffy"))
+		}
 	}
 }

@@ -97,23 +97,31 @@ const fairFloodFlowID = 9
 
 // RunFairFlood executes one scenario.
 func RunFairFlood(spec FairFloodSpec) (*FairFloodOut, error) {
+	const attackerIdx, senderIdx, victimIdx = 0, 1, 2
 	o := spec.Opts.norm()
 	if spec.FlowFrames == 0 {
 		return nil, fmt.Errorf("fairflood: FlowFrames must be ≥ 1 (the flow is what fairness is measured on)")
 	}
-	floodSec := spec.FloodSeconds
-	if floodSec == 0 {
-		s, err := (ClusterRunSpec{Victims: []ClusterVictim{spec.Victim}}).floodSeconds(o)
-		if err != nil {
-			return nil, err
-		}
-		floodSec = s
-	}
-	tick := sim.Cycles(uint64(o.Freq) / o.HZ)
-	accts, err := victimAccountants(spec.Victim.Billing, tick)
+	floodSec, err := floodSeconds(o, spec.FloodSeconds, spec.Victim)
 	if err != nil {
 		return nil, err
 	}
+	var host victimHost
+	victim, err := host.machine(o, spec.Victim, victimIdx, func(m *kernel.Machine) error {
+		// The echo daemon runs at high priority, like the softirq half
+		// of a real network stack: ack latency then reflects the wire
+		// under test, not the victim workload's timeslice.
+		echod := guestSpawn(o, "echod", "per-flow ack echo daemon v1", AckEchoStep(fairFloodFlowID))
+		echod.Nice = -15
+		_, err := m.Spawn(echod)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	victim.Name = "victim"
+	victim.Service = true // the echo daemon never exits
+
 	perUs := sim.Cycles(uint64(o.Freq) / 1_000_000)
 	junkBytes := spec.AttackerBytes
 	if junkBytes == 0 {
@@ -132,18 +140,12 @@ func RunFairFlood(spec FairFloodSpec) (*FairFloodOut, error) {
 		egressPPS = 30_000
 	}
 
-	const attackerIdx, senderIdx, victimIdx = 0, 1, 2
-
 	attackerCfg := o.machineConfig()
 	attackerCfg.Seed = clusterSeed(o.Seed, attackerIdx)
 	senderCfg := o.machineConfig()
 	senderCfg.Seed = clusterSeed(o.Seed, senderIdx)
-	victimCfg := o.machineConfig()
-	victimCfg.Seed = clusterSeed(o.Seed, victimIdx)
-	victimCfg.Accountants = accts
 
 	flowStats := &AckFlowStats{}
-	var launch *launched
 	machines := []cluster.MachineSpec{
 		{
 			Name:   "attacker",
@@ -176,33 +178,7 @@ func RunFairFlood(spec FairFloodSpec) (*FairFloodOut, error) {
 				return err
 			},
 		},
-		{
-			Name:    "victim",
-			Config:  victimCfg,
-			Service: true, // the echo daemon never exits
-			Boot: func(_ *cluster.Cluster, m *kernel.Machine) error {
-				// The echo daemon runs at high priority, like the
-				// softirq half of a real network stack: ack latency
-				// then reflects the wire under test, not the victim
-				// workload's timeslice.
-				echod := guestSpawn(o, "echod", "per-flow ack echo daemon v1",
-					AckEchoStep(fairFloodFlowID))
-				echod.Nice = -15
-				if _, err := m.Spawn(echod); err != nil {
-					return err
-				}
-				l, err := launchSpec(m, RunSpec{
-					Opts:       o,
-					Workload:   spec.Victim.Workload,
-					VictimNice: spec.Victim.Nice,
-				})
-				if err != nil {
-					return err
-				}
-				launch = l
-				return nil
-			},
-		},
+		victim,
 	}
 
 	// Both uplinks serialise through one shared egress pipe — the
@@ -232,23 +208,14 @@ func RunFairFlood(spec FairFloodSpec) (*FairFloodOut, error) {
 	if err := cl.Run(); err != nil {
 		return nil, fmt.Errorf("fairflood %s: %w", fairFloodKey(spec), err)
 	}
-	if launch.prog != nil && !launch.prog.Done {
-		return nil, fmt.Errorf("fairflood %s: victim workload retired before completion (stalled behind the service daemon?)", fairFloodKey(spec))
-	}
-
-	vm := cl.Machine(victimIdx)
-	billing := spec.Victim.Billing
-	if billing == "" {
-		billing = "jiffy"
+	v, err := host.harvest(cl.Machine(victimIdx))
+	if err != nil {
+		return nil, fmt.Errorf("fairflood %s: %w", fairFloodKey(spec), err)
 	}
 	junk, flow := cl.Link(0), cl.Link(1)
 	out := &FairFloodOut{
-		Spec: spec,
-		Victim: ClusterVictimOut{
-			Billing:         billing,
-			Run:             launch.harvest(vm),
-			PacketsReceived: vm.NIC().Received(),
-		},
+		Spec:               spec,
+		Victim:             v,
 		Flow:               *flowStats,
 		FlowDoneSec:        cl.Machine(senderIdx).Clock().Seconds(flowStats.DoneAt),
 		JunkOffered:        junk.Sent(),
@@ -270,16 +237,6 @@ func fairFloodKey(spec FairFloodSpec) string {
 		q = cluster.QdiscFIFO
 	}
 	return fmt.Sprintf("%s/%dpps", q, spec.AttackerPPS)
-}
-
-// RunAllFairFloods executes every scenario on its own lockstep
-// machine set across the campaign worker pool — the RunAll contract.
-//
-// Deprecated: RunAllFairFloods is Campaign("fairflood", ...) over RunFairFlood;
-// new callers should use Campaign directly. Kept as a thin wrapper
-// for the pre-generic API.
-func RunAllFairFloods(specs []FairFloodSpec, parallelism int) ([]*FairFloodOut, error) {
-	return Campaign("fairflood", specs, parallelism, RunFairFlood, fairFloodKey)
 }
 
 // Artifact parameters: MTU junk at 4000 pps (~2.4x the 30k-slot
@@ -318,7 +275,7 @@ func FairFlood(o Options) (*Figure, error) {
 		specs[i].FlowFrames = fairFloodFlowFrames
 		specs[i].EgressPPS = fairFloodEgressPPS
 	}
-	outs, err := RunAllFairFloods(specs, o.Parallelism)
+	outs, err := Campaign("fairflood", specs, o.Parallelism, RunFairFlood, fairFloodKey)
 	if err != nil {
 		return nil, fmt.Errorf("fair flood: %w", err)
 	}

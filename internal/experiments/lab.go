@@ -44,7 +44,7 @@ type Options struct {
 	// regression surfaces as an error instead of a hang.
 	MaxSteps uint64
 	// Parallelism caps how many independent simulated machines a
-	// campaign executes concurrently (RunAll's worker pool, and the
+	// campaign executes concurrently (Campaign's worker pool, and the
 	// cross-artifact fan-out of cpumeter.ReproduceAll). Zero selects
 	// runtime.GOMAXPROCS(0); 1 forces sequential execution. Every
 	// machine is seeded and self-contained, so results — and

@@ -14,7 +14,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/guest"
 	"repro/internal/kernel"
-	"repro/internal/sim"
 	"repro/internal/textplot"
 )
 
@@ -64,16 +63,12 @@ func RunMultiFlood(spec MultiFloodSpec) (*MultiFloodOut, error) {
 	if spec.PerAttackerPPS == 0 {
 		return nil, fmt.Errorf("multiflood: zero per-attacker rate")
 	}
-	floodSec := spec.FloodSeconds
-	if floodSec == 0 {
-		s, err := (ClusterRunSpec{Victims: []ClusterVictim{spec.Victim}}).floodSeconds(o)
-		if err != nil {
-			return nil, err
-		}
-		floodSec = s
+	floodSec, err := floodSeconds(o, spec.FloodSeconds, spec.Victim)
+	if err != nil {
+		return nil, err
 	}
-	tick := sim.Cycles(uint64(o.Freq) / o.HZ)
-	accts, err := victimAccountants(spec.Victim.Billing, tick)
+	var host victimHost
+	victim, err := host.machine(o, spec.Victim, spec.Attackers, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -90,7 +85,7 @@ func RunMultiFlood(spec MultiFloodSpec) (*MultiFloodOut, error) {
 				// Every attacker addresses the victim machine directly;
 				// the NIC's routing table resolves the frame onto the
 				// attacker's link into the bottleneck. Transmitting
-				// through NetSend (floodBody) bills the tx path and
+				// through NetSend (floodBodyStep) bills the tx path and
 				// observes the wire's drop feedback; Offered counts
 				// what was actually sent.
 				_, err := m.Spawn(guestSpawn(o, "pktgen", "junk-ip packet generator v2 (tx-path)",
@@ -99,26 +94,7 @@ func RunMultiFlood(spec MultiFloodSpec) (*MultiFloodOut, error) {
 			},
 		})
 	}
-
-	var launch *launched
-	victimCfg := o.machineConfig()
-	victimCfg.Seed = clusterSeed(o.Seed, spec.Attackers)
-	victimCfg.Accountants = accts
-	machines = append(machines, cluster.MachineSpec{
-		Config: victimCfg,
-		Boot: func(_ *cluster.Cluster, m *kernel.Machine) error {
-			l, err := launchSpec(m, RunSpec{
-				Opts:       o,
-				Workload:   spec.Victim.Workload,
-				VictimNice: spec.Victim.Nice,
-			})
-			if err != nil {
-				return err
-			}
-			launch = l
-			return nil
-		},
-	})
+	machines = append(machines, victim)
 
 	links := make([]cluster.LinkSpec, spec.Attackers)
 	for a := 0; a < spec.Attackers; a++ {
@@ -138,42 +114,22 @@ func RunMultiFlood(spec MultiFloodSpec) (*MultiFloodOut, error) {
 	if err := cl.Run(); err != nil {
 		return nil, fmt.Errorf("multiflood %s: %w", multiFloodKey(spec), err)
 	}
-
-	vm := cl.Machine(spec.Attackers)
-	billing := spec.Victim.Billing
-	if billing == "" {
-		billing = "jiffy"
+	v, err := host.harvest(cl.Machine(spec.Attackers))
+	if err != nil {
+		return nil, fmt.Errorf("multiflood %s: %w", multiFloodKey(spec), err)
 	}
-	out := &MultiFloodOut{
-		Spec: spec,
-		Victim: ClusterVictimOut{
-			Billing:         billing,
-			Run:             launch.harvest(vm),
-			PacketsReceived: vm.NIC().Received(),
-		},
-	}
+	out := &MultiFloodOut{Spec: spec, Victim: v, ElapsedSec: clusterElapsedSec(cl)}
 	for a := 0; a < spec.Attackers; a++ {
 		l := cl.Link(a)
 		out.Offered += l.Sent()
 		out.Carried += l.Delivered()
 		out.Dropped += l.Dropped()
 	}
-	out.ElapsedSec = clusterElapsedSec(cl)
 	return out, nil
 }
 
 func multiFloodKey(spec MultiFloodSpec) string {
 	return fmt.Sprintf("%d-attackers/%dpps/%s", spec.Attackers, spec.PerAttackerPPS, spec.Victim.Billing)
-}
-
-// RunAllMultiFloods executes every scenario on its own lockstep
-// machine set across the campaign worker pool — the RunAll contract.
-//
-// Deprecated: RunAllMultiFloods is Campaign("multiflood", ...) over RunMultiFlood;
-// new callers should use Campaign directly. Kept as a thin wrapper
-// for the pre-generic API.
-func RunAllMultiFloods(specs []MultiFloodSpec, parallelism int) ([]*MultiFloodOut, error) {
-	return Campaign("multiflood", specs, parallelism, RunMultiFlood, multiFloodKey)
 }
 
 // multiFloodBottleneckPPS is the artifact's shared ingress capacity:
@@ -209,7 +165,7 @@ func MultiAttackerFlood(o Options) (*Figure, error) {
 			})
 		}
 	}
-	outs, err := RunAllMultiFloods(specs, o.Parallelism)
+	outs, err := Campaign("multiflood", specs, o.Parallelism, RunMultiFlood, multiFloodKey)
 	if err != nil {
 		return nil, fmt.Errorf("multi-attacker flood: %w", err)
 	}

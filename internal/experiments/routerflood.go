@@ -86,216 +86,229 @@ type RouterFloodOut struct {
 // flow 0 and is drained unacked.
 const routerFloodFlowID = 7
 
-// RunRouterFlood executes one scenario: machines 0..A-1 are the
-// attackers, A the flow sender, A+1 the router (a Service machine
-// running cluster.Forwarder), A+2 the victim host (billed workload
-// plus the flow's echo daemon).
-func RunRouterFlood(spec RouterFloodSpec) (*RouterFloodOut, error) {
-	o := spec.Opts.norm()
-	if spec.Attackers < 1 {
-		return nil, fmt.Errorf("routerflood: need at least one attacker machine, have %d", spec.Attackers)
+// routedFlood is one routed-flood run, harvested once for both
+// projections: RunRouterFlood and RunChaosFlood.
+type routedFlood struct {
+	cl     *cluster.Cluster
+	victim ClusterVictimOut
+	// router sums the forwarding daemon's usage, and forwarded its
+	// retransmitted frames, over every router incarnation.
+	router    PartyUsage
+	forwarded uint64
+	flow      AckFlowStats
+}
+
+// runRoutedFlood builds and runs the routed star under a chaos
+// overlay whose zero value injects, crashes and flaps nothing.
+// Machines 0..A-1 are the attackers, A the flow sender, A+1 the
+// router (a Service machine running the forwarding daemon, and the
+// overlay's crash target), A+2 the victim host (billed workload plus
+// the flow's echo daemon). Links 0..A join the attackers and the
+// sender to the router; link A+1 is the congested router→victim
+// egress. who prefixes errors. The flow sender runs the image
+// senderContent and writes off outstanding frames after
+// flowTimeoutUs without an ack on its guest clock, or after idle
+// poll ticks when flowTimeoutUs is zero.
+func runRoutedFlood(who string, fl RouterFloodSpec, cs ChaosSpec, flowTimeoutUs uint64, senderContent string) (*routedFlood, error) {
+	o := fl.Opts.norm()
+	if fl.Attackers < 1 {
+		return nil, fmt.Errorf("%s: need at least one attacker machine, have %d", who, fl.Attackers)
 	}
-	floodSec := spec.FloodSeconds
-	if floodSec == 0 {
-		s, err := (ClusterRunSpec{Victims: []ClusterVictim{spec.Victim}}).floodSeconds(o)
-		if err != nil {
-			return nil, err
-		}
-		floodSec = s
+	if cs.RouterCrashSec < 0 || cs.RouterRestartSec < 0 {
+		return nil, fmt.Errorf("%s: crash/restart times must be non-negative (crash %gs, restart %gs)", who, cs.RouterCrashSec, cs.RouterRestartSec)
 	}
-	tick := sim.Cycles(uint64(o.Freq) / o.HZ)
-	accts, err := victimAccountants(spec.Victim.Billing, tick)
+	if cs.RouterRestartSec > 0 && cs.RouterCrashSec == 0 {
+		return nil, fmt.Errorf("%s: RouterRestartSec %gs without RouterCrashSec (nothing to restart)", who, cs.RouterRestartSec)
+	}
+	faults, err := cs.faultSpec()
 	if err != nil {
 		return nil, err
 	}
-	lookupUs := spec.RouterLookupUs
+	floodSec, err := floodSeconds(o, fl.FloodSeconds, fl.Victim)
+	if err != nil {
+		return nil, err
+	}
+	if cs.RouterCrashSec > 0 && cs.RouterCrashSec >= 4*floodSec {
+		return nil, fmt.Errorf("%s: RouterCrashSec %gs is past the scenario horizon (~%gs flood): the crash would never land", who, cs.RouterCrashSec, floodSec)
+	}
+	senderIdx, routerIdx, victimIdx := fl.Attackers, fl.Attackers+1, fl.Attackers+2
+
+	// Victim host: the billed workload plus the flow's echo daemon.
+	var host victimHost
+	victim, err := host.machine(o, fl.Victim, victimIdx, func(m *kernel.Machine) error {
+		if fl.FlowFrames == 0 {
+			return nil
+		}
+		_, err := m.Spawn(guestSpawn(o, "echod", "per-flow ack echo daemon v1", AckEchoStep(routerFloodFlowID)))
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	victim.Name = "victim"
+	victim.Config.Faults = faults
+	// Only the echo daemon makes this a service machine; with no
+	// flow the workload keeps exact stall detection.
+	victim.Service = fl.FlowFrames > 0
+
+	lookupUs := fl.RouterLookupUs
 	if lookupUs == 0 {
 		lookupUs = cluster.DefaultForwardUs
 	}
 	perUs := sim.Cycles(uint64(o.Freq) / 1_000_000)
-
-	senderIdx := spec.Attackers
-	routerIdx := spec.Attackers + 1
-	victimIdx := spec.Attackers + 2
-
+	member := func(name string, idx int) cluster.MachineSpec {
+		cfg := o.machineConfig()
+		cfg.Seed = clusterSeed(o.Seed, idx)
+		cfg.Faults = faults
+		return cluster.MachineSpec{Name: name, Config: cfg}
+	}
 	machines := make([]cluster.MachineSpec, 0, victimIdx+1)
 
 	// Attackers: non-ECN junk addressed to the victim, resolved onto
 	// each attacker's uplink into the router by the routing table.
-	pps := spec.PerAttackerPPS
-	for a := 0; a < spec.Attackers; a++ {
-		cfg := o.machineConfig()
-		cfg.Seed = clusterSeed(o.Seed, a)
-		machines = append(machines, cluster.MachineSpec{
-			Name:   fmt.Sprintf("attacker-%d", a),
-			Config: cfg,
-			Boot: func(c *cluster.Cluster, m *kernel.Machine) error {
-				if pps == 0 {
-					return nil // silent baseline
-				}
-				packets := uint64(floodSec * float64(pps))
-				_, err := m.Spawn(guestSpawn(o, "pktgen", "junk-ip packet generator v3 (routed)",
-					floodBodyStep(o.Freq, pps, packets, guest.Frame{Dst: c.AddrOf(victimIdx)})))
-				return err
-			},
-		})
+	pps := fl.PerAttackerPPS
+	for a := 0; a < fl.Attackers; a++ {
+		attacker := member(fmt.Sprintf("attacker-%d", a), a)
+		attacker.Boot = func(c *cluster.Cluster, m *kernel.Machine) error {
+			if pps == 0 {
+				return nil // silent baseline
+			}
+			packets := uint64(floodSec * float64(pps))
+			_, err := m.Spawn(guestSpawn(o, "pktgen", "junk-ip packet generator v3 (routed)",
+				floodBodyStep(o.Freq, pps, packets, guest.Frame{Dst: c.AddrOf(victimIdx)})))
+			return err
+		}
+		machines = append(machines, attacker)
 	}
 
 	// Sender: the well-behaved ECN flow.
-	flowStats := &AckFlowStats{}
-	senderCfg := o.machineConfig()
-	senderCfg.Seed = clusterSeed(o.Seed, senderIdx)
-	machines = append(machines, cluster.MachineSpec{
-		Name:   "sender",
-		Config: senderCfg,
-		Boot: func(c *cluster.Cluster, m *kernel.Machine) error {
-			if spec.FlowFrames == 0 {
-				return nil
-			}
-			_, err := m.Spawn(guestSpawn(o, "flowsend", "ack-paced ecn sender v1",
-				AckPacedSenderStep(AckFlowConfig{
-					Peer:       c.AddrOf(victimIdx),
-					Flow:       routerFloodFlowID,
-					Frames:     spec.FlowFrames,
-					Window:     spec.FlowWindow,
-					PaceCycles: 500 * perUs, // ≤2k pps offered
-				}, flowStats)))
-			return err
-		},
-	})
+	flow := &AckFlowStats{}
+	sender := member("sender", senderIdx)
+	sender.Boot = func(c *cluster.Cluster, m *kernel.Machine) error {
+		if fl.FlowFrames == 0 {
+			return nil
+		}
+		_, err := m.Spawn(guestSpawn(o, "flowsend", senderContent,
+			AckPacedSenderStep(AckFlowConfig{
+				Peer:          c.AddrOf(victimIdx),
+				Flow:          routerFloodFlowID,
+				Frames:        fl.FlowFrames,
+				Window:        fl.FlowWindow,
+				PaceCycles:    500 * perUs, // ≤2k pps offered
+				TimeoutCycles: sim.Cycles(flowTimeoutUs) * perUs,
+			}, flow)))
+		return err
+	}
 
 	// Router: a real billed machine running the forwarding daemon.
-	var routerPID proc.PID
-	routerCfg := o.machineConfig()
-	routerCfg.Seed = clusterSeed(o.Seed, routerIdx)
-	machines = append(machines, cluster.MachineSpec{
-		Name:    "router",
-		Config:  routerCfg,
-		Service: true,
-		Boot: func(_ *cluster.Cluster, m *kernel.Machine) error {
-			p, err := m.Spawn(guestSpawn(o, "fwd", "store-and-forward router daemon v1",
-				cluster.ForwarderStep(sim.Cycles(lookupUs)*perUs)))
-			if p != nil {
-				routerPID = p.PID
-			}
-			return err
-		},
-	})
-
-	// Victim host: the billed workload plus the flow's echo daemon.
-	var launch *launched
-	victimCfg := o.machineConfig()
-	victimCfg.Seed = clusterSeed(o.Seed, victimIdx)
-	victimCfg.Accountants = accts
-	machines = append(machines, cluster.MachineSpec{
-		Name:   "victim",
-		Config: victimCfg,
-		// Only the echo daemon makes this a service machine; with no
-		// flow the workload keeps exact stall detection.
-		Service: spec.FlowFrames > 0,
-		Boot: func(_ *cluster.Cluster, m *kernel.Machine) error {
-			if spec.FlowFrames > 0 {
-				if _, err := m.Spawn(guestSpawn(o, "echod", "per-flow ack echo daemon v1",
-					AckEchoStep(routerFloodFlowID))); err != nil {
-					return err
-				}
-			}
-			l, err := launchSpec(m, RunSpec{
-				Opts:       o,
-				Workload:   spec.Victim.Workload,
-				VictimNice: spec.Victim.Nice,
-			})
-			if err != nil {
-				return err
-			}
-			launch = l
-			return nil
-		},
-	})
+	// Boot runs once per incarnation, so the daemon's PID is recorded
+	// per incarnation for the cumulative harvest.
+	var routerPIDs []proc.PID
+	router := member("router", routerIdx)
+	router.Service = true
+	router.CrashAt = sim.Cycles(cs.RouterCrashSec * float64(o.Freq))
+	router.RestartAfter = sim.Cycles(cs.RouterRestartSec * float64(o.Freq))
+	router.Boot = func(_ *cluster.Cluster, m *kernel.Machine) error {
+		p, err := m.Spawn(guestSpawn(o, "fwd", "store-and-forward router daemon v1",
+			cluster.ForwarderStep(sim.Cycles(lookupUs)*perUs)))
+		if p != nil {
+			routerPIDs = append(routerPIDs, p.PID)
+		}
+		return err
+	}
+	machines = append(machines, sender, router, victim)
 
 	// Star topology around the router; the egress hop carries the
-	// congestion policy. Static routes send victim-bound traffic
-	// through the router and the victim's acks back the same way.
-	links := make([]cluster.LinkSpec, 0, victimIdx)
-	for a := 0; a < spec.Attackers; a++ {
-		links = append(links, cluster.LinkSpec{From: a, To: routerIdx, LatencyUs: spec.LinkLatencyUs})
-	}
-	links = append(links, cluster.LinkSpec{From: senderIdx, To: routerIdx, LatencyUs: spec.LinkLatencyUs})
-	egress := len(links)
-	links = append(links, cluster.LinkSpec{
-		From: routerIdx, To: victimIdx,
-		LatencyUs:        spec.LinkLatencyUs,
-		PacketsPerSecond: spec.EgressPPS,
-		QueueDepth:       spec.EgressQueueDepth,
-		RED:              spec.RED,
-	})
-	routes := make([]cluster.RouteSpec, 0, spec.Attackers+2)
-	for a := 0; a < spec.Attackers; a++ {
+	// congestion policy and the overlay's flap. Static routes send
+	// victim-bound traffic through the router and the victim's acks
+	// back the same way.
+	links := make([]cluster.LinkSpec, 0, fl.Attackers+2)
+	routes := make([]cluster.RouteSpec, 0, fl.Attackers+2)
+	for a := 0; a <= senderIdx; a++ { // every attacker, then the sender
+		links = append(links, cluster.LinkSpec{From: a, To: routerIdx, LatencyUs: fl.LinkLatencyUs})
 		routes = append(routes, cluster.RouteSpec{On: a, Dst: victimIdx, Via: routerIdx})
 	}
-	routes = append(routes,
-		cluster.RouteSpec{On: senderIdx, Dst: victimIdx, Via: routerIdx},
-		cluster.RouteSpec{On: victimIdx, Dst: senderIdx, Via: routerIdx},
-	)
+	links = append(links, cluster.LinkSpec{
+		From: routerIdx, To: victimIdx,
+		LatencyUs:        fl.LinkLatencyUs,
+		PacketsPerSecond: fl.EgressPPS,
+		QueueDepth:       fl.EgressQueueDepth,
+		RED:              fl.RED,
+		Flap:             cs.VictimFlap,
+	})
+	routes = append(routes, cluster.RouteSpec{On: victimIdx, Dst: senderIdx, Via: routerIdx})
 
 	cl, err := cluster.New(cluster.Config{Machines: machines, Links: links, Routes: routes})
 	if err != nil {
 		return nil, err
 	}
 	if err := cl.Run(); err != nil {
-		return nil, fmt.Errorf("routerflood %s: %w", routerFloodKey(spec), err)
+		return nil, fmt.Errorf("%s: %w", who, err)
 	}
-	// The victim machine is marked Service for its echo daemon, so
-	// quiesce would also retire a stalled workload silently; make
-	// that case an error instead of a half-run harvest.
-	if launch.prog != nil && !launch.prog.Done {
-		return nil, fmt.Errorf("routerflood %s: victim workload retired before completion (stalled behind the service daemon?)", routerFloodKey(spec))
+	v, err := host.harvest(cl.Machine(victimIdx))
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", who, err)
 	}
+	r := &routedFlood{
+		cl:     cl,
+		victim: v,
+		router: PartyUsage{
+			Name: "fwd",
+			User: make(map[string]float64, len(Schemes)),
+			Sys:  make(map[string]float64, len(Schemes)),
+		},
+		flow: *flow,
+	}
+	for k, inc := range cl.Incarnations(routerIdx) {
+		var pid proc.PID
+		if k < len(routerPIDs) {
+			pid = routerPIDs[k]
+		}
+		u := usageOf(inc, "fwd", pid)
+		for _, s := range Schemes {
+			r.router.User[s] += u.User[s]
+			r.router.Sys[s] += u.Sys[s]
+		}
+		r.forwarded += inc.NIC().Transmitted()
+	}
+	if len(routerPIDs) > 0 {
+		r.router.PID = routerPIDs[0]
+	}
+	return r, nil
+}
 
-	vm := cl.Machine(victimIdx)
-	rm := cl.Machine(routerIdx)
-	billing := spec.Victim.Billing
-	if billing == "" {
-		billing = "jiffy"
+// RunRouterFlood executes one scenario on the routed star of
+// runRoutedFlood, with no chaos overlay and the idle-tick flow
+// timeout.
+func RunRouterFlood(spec RouterFloodSpec) (*RouterFloodOut, error) {
+	r, err := runRoutedFlood("routerflood "+routerFloodKey(spec), spec, ChaosSpec{}, 0, "ack-paced ecn sender v1")
+	if err != nil {
+		return nil, err
 	}
 	out := &RouterFloodOut{
-		Spec: spec,
-		Victim: ClusterVictimOut{
-			Billing:         billing,
-			Run:             launch.harvest(vm),
-			PacketsReceived: vm.NIC().Received(),
-		},
-		Router:          usageOf(rm, "fwd", routerPID),
-		RouterForwarded: rm.NIC().Transmitted(),
-		RouterRxDropped: rm.RxBufDropped(),
-		Flow:            *flowStats,
-		ElapsedSec:      clusterElapsedSec(cl),
+		Spec:            spec,
+		Victim:          r.victim,
+		Router:          r.router,
+		RouterForwarded: r.forwarded,
+		RouterRxDropped: r.cl.Machine(spec.Attackers + 1).RxBufDropped(),
+		Flow:            r.flow,
+		ElapsedSec:      clusterElapsedSec(r.cl),
 	}
 	for a := 0; a < spec.Attackers; a++ {
-		l := cl.Link(a)
+		l := r.cl.Link(a)
 		out.Offered += l.Sent()
 		out.Carried += l.Delivered()
 		out.DroppedIngress += l.Dropped()
 	}
-	el := cl.Link(egress)
-	out.EgressMarked = el.Marked()
-	out.EgressEarlyDropped = el.EarlyDropped()
-	out.EgressDropped = el.Dropped()
+	egress := r.cl.Link(spec.Attackers + 1)
+	out.EgressMarked = egress.Marked()
+	out.EgressEarlyDropped = egress.EarlyDropped()
+	out.EgressDropped = egress.Dropped()
 	return out, nil
 }
 
 func routerFloodKey(spec RouterFloodSpec) string {
 	return fmt.Sprintf("%d-attackers/%dpps/%s", spec.Attackers, spec.PerAttackerPPS, spec.Victim.Billing)
-}
-
-// RunAllRouterFloods executes every scenario on its own lockstep
-// machine set across the campaign worker pool — the RunAll contract.
-//
-// Deprecated: RunAllRouterFloods is Campaign("routerflood", ...) over RunRouterFlood;
-// new callers should use Campaign directly. Kept as a thin wrapper
-// for the pre-generic API.
-func RunAllRouterFloods(specs []RouterFloodSpec, parallelism int) ([]*RouterFloodOut, error) {
-	return Campaign("routerflood", specs, parallelism, RunRouterFlood, routerFloodKey)
 }
 
 // Artifact parameters: two attackers share a router whose 30k-pps
@@ -333,7 +346,7 @@ func RouterFlood(o Options) (*Figure, error) {
 			FlowFrames:     routerFloodFlowFrames,
 		}
 	}
-	outs, err := RunAllRouterFloods(specs, o.Parallelism)
+	outs, err := Campaign("routerflood", specs, o.Parallelism, RunRouterFlood, routerFloodKey)
 	if err != nil {
 		return nil, fmt.Errorf("router flood: %w", err)
 	}

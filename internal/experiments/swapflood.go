@@ -18,7 +18,6 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/mem"
 	"repro/internal/proc"
-	"repro/internal/sim"
 	"repro/internal/textplot"
 )
 
@@ -74,28 +73,19 @@ const swapHogRate = 200
 // lockstep.
 func RunSwapFlood(spec SwapFloodSpec) (*SwapFloodOut, error) {
 	o := spec.Opts.norm()
-	tick := sim.Cycles(uint64(o.Freq) / o.HZ)
-	accts, err := victimAccountants(spec.Victim.Billing, tick)
+	var host victimHost
+	victim, err := host.machine(o, spec.Victim, 0, nil)
 	if err != nil {
 		return nil, err
 	}
-	hogSec := spec.HogSeconds
-	if hogSec == 0 {
-		s, err := (ClusterRunSpec{Victims: []ClusterVictim{spec.Victim}}).floodSeconds(o)
-		if err != nil {
-			return nil, err
-		}
-		hogSec = s
+	hogSec, err := floodSeconds(o, spec.HogSeconds, spec.Victim)
+	if err != nil {
+		return nil, err
 	}
 	neighborMem := spec.NeighborMemBytes
 	if neighborMem == 0 {
 		neighborMem = physMem(o) / 8
 	}
-
-	var launch *launched
-	hostCfg := o.machineConfig()
-	hostCfg.Seed = clusterSeed(o.Seed, 0)
-	hostCfg.Accountants = accts
 	neighborCfg := o.machineConfig()
 	neighborCfg.Seed = clusterSeed(o.Seed, 1)
 	neighborCfg.PhysMemBytes = neighborMem
@@ -111,21 +101,7 @@ func RunSwapFlood(spec SwapFloodSpec) (*SwapFloodOut, error) {
 
 	var hogPID proc.PID
 	machines := []cluster.MachineSpec{
-		{
-			Config: hostCfg,
-			Boot: func(_ *cluster.Cluster, m *kernel.Machine) error {
-				l, err := launchSpec(m, RunSpec{
-					Opts:       o,
-					Workload:   spec.Victim.Workload,
-					VictimNice: spec.Victim.Nice,
-				})
-				if err != nil {
-					return err
-				}
-				launch = l
-				return nil
-			},
-		},
+		victim,
 		{
 			Config: neighborCfg,
 			Boot: func(_ *cluster.Cluster, m *kernel.Machine) error {
@@ -167,26 +143,22 @@ func RunSwapFlood(spec SwapFloodSpec) (*SwapFloodOut, error) {
 		return nil, fmt.Errorf("swapflood %s: %w", swapFloodKey(spec), err)
 	}
 
-	host, neighbor := cl.Machine(0), cl.Machine(1)
-	billing := spec.Victim.Billing
-	if billing == "" {
-		billing = "jiffy"
+	v, err := host.harvest(cl.Machine(0))
+	if err != nil {
+		return nil, fmt.Errorf("swapflood %s: %w", swapFloodKey(spec), err)
 	}
+	neighbor := cl.Machine(1)
 	out := &SwapFloodOut{
-		Spec: spec,
-		Victim: ClusterVictimOut{
-			Billing:         billing,
-			Run:             launch.harvest(host),
-			PacketsReceived: host.NIC().Received(),
-		},
+		Spec:          spec,
+		Victim:        v,
 		RemoteReads:   neighbor.Disk().IOs(),
 		RemoteWrites:  neighbor.Disk().Writes(),
-		HostRxPackets: host.NIC().Received(),
+		HostRxPackets: v.PacketsReceived,
+		ElapsedSec:    clusterElapsedSec(cl),
 	}
 	if hogPID != 0 {
 		out.HogMajorFaults = neighbor.Stats(hogPID).MajorFaults
 	}
-	out.ElapsedSec = clusterElapsedSec(cl)
 	return out, nil
 }
 
@@ -196,16 +168,6 @@ func swapFloodKey(spec SwapFloodSpec) string {
 		hog = "hog"
 	}
 	return fmt.Sprintf("%s/%s", hog, spec.Victim.Billing)
-}
-
-// RunAllSwapFloods executes every scenario on its own lockstep
-// machine set across the campaign worker pool — the RunAll contract.
-//
-// Deprecated: RunAllSwapFloods is Campaign("swapflood", ...) over RunSwapFlood;
-// new callers should use Campaign directly. Kept as a thin wrapper
-// for the pre-generic API.
-func RunAllSwapFloods(specs []SwapFloodSpec, parallelism int) ([]*SwapFloodOut, error) {
-	return Campaign("swapflood", specs, parallelism, RunSwapFlood, swapFloodKey)
 }
 
 // CrossMachineExceptionFlood regenerates the cluster-level exception
@@ -227,7 +189,7 @@ func CrossMachineExceptionFlood(o Options) (*Figure, error) {
 			})
 		}
 	}
-	outs, err := RunAllSwapFloods(specs, o.Parallelism)
+	outs, err := Campaign("swapflood", specs, o.Parallelism, RunSwapFlood, swapFloodKey)
 	if err != nil {
 		return nil, fmt.Errorf("cross-machine exception flood: %w", err)
 	}
