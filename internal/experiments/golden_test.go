@@ -183,11 +183,13 @@ func TestClusterGoldens(t *testing.T) {
 			}
 		})
 	}
-	if *update {
+	switch {
+	case t.Failed(): // a partial digest list is never written
+	case *update:
 		if err := os.WriteFile(harvestDigests, []byte(strings.Join(lines, "")), 0o644); err != nil {
 			t.Fatal(err)
 		}
-	} else if !t.Failed() && len(want) > 0 {
+	case len(want) > 0:
 		t.Errorf("%s has digests for specs no figure runs: %v", harvestDigests, want)
 	}
 }
