@@ -13,32 +13,40 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/attacks"
 	"repro/internal/cluster"
 	"repro/internal/kernel"
+	"repro/internal/workloads"
 )
 
-var update = flag.Bool("update", false, "rewrite the cluster-family goldens under testdata/ from the current tree")
+var update = flag.Bool("update", false, "rewrite the artifact goldens under testdata/ from the current tree")
 
-// harvestDigests holds one SHA-256 per spec the cluster figures run,
-// as "<hex>  <artifact id>/<spec index>" lines in table order.
+// harvestDigests holds one SHA-256 per spec the table runs, as
+// "<hex>  <id>/<spec index>" lines in table order.
 const harvestDigests = "testdata/harvest.sha256"
 
-// clusterGoldens pins every cluster-family artifact twice at quick()
-// options: its rendered figure (testdata/<id>.golden) and, for each
-// spec its figure runs, a digest of that spec's full-precision
-// harvest (harvestDigests), because a render rounds bills to 0.1 s.
-// The table is sorted by id; TestClusterGoldenTableIsPinned keeps it
-// so. Each harvest function declares the specs its figure declares,
-// in the figure's order.
+// clusterGoldens pins every registered artifact at quick() options:
+// its rendered figure (testdata/<id>.golden) and, for the cluster
+// family, a digest of each spec its figure runs, taken over the
+// spec's full-precision harvest (harvestDigests), because a render
+// rounds bills to 0.1 s. The "run" entry renders nothing: it digests
+// Run for every workload under no attack and under each attack, which
+// pins the single-machine artifacts' per-scheme seconds, victim
+// counters and measurement logs below render precision. The table is
+// sorted by id; TestClusterGoldenTableIsPinned keeps it so. Each
+// harvest function declares the specs its figure declares, in the
+// figure's order.
 //
 // Provenance: the cluster, multiflood and swapflood renders were
 // captured before links carried addressed frames, routing tables and
 // RED; the routerflood render before the qdisc layer (DRR,
 // byte-accurate wires, EWMA RED, the guest clock); the fairflood and
-// chaosflood renders and every harvest digest at the commit before
-// the routed star and the victim host were each built in one place.
-// All of them still pass byte for byte. Regenerate them only to move
-// that bar on purpose:
+// chaosflood renders and the cluster harvest digests at the commit
+// before the routed star and the victim host were each built in one
+// place; the single-machine renders and the run digests while the
+// paper's guests still ran on a goroutine per task. All of them still
+// pass byte for byte. Regenerate them only to move that bar on
+// purpose:
 //
 //	go test ./internal/experiments -run TestClusterGoldens -update
 var clusterGoldens = []struct {
@@ -46,6 +54,10 @@ var clusterGoldens = []struct {
 	render  func(Options) (*Figure, error)
 	harvest func(t *testing.T, o Options) []any
 }{
+	{"ablation1", AblationTickRate, nil},
+	{"ablation2", AblationScheduler, nil},
+	{"ablation3", AblationIRQAccounting, nil},
+	{"ablation4", AblationDetector, nil},
 	{"chaosflood", ChaosFlood, func(t *testing.T, o Options) []any {
 		base := chaosFloodBase(o)
 		floodSec := chaosFloodSec(t)
@@ -75,6 +87,7 @@ var clusterGoldens = []struct {
 		}
 		return runEach(t, specs, RunCluster)
 	}},
+	{"comparison", ComparisonTable, nil},
 	{"fairflood", FairFlood, func(t *testing.T, o Options) []any {
 		specs := []FairFloodSpec{
 			{Qdisc: cluster.QdiscFIFO, AttackerPPS: 0},
@@ -89,6 +102,15 @@ var clusterGoldens = []struct {
 		}
 		return runEach(t, specs, RunFairFlood)
 	}},
+	{"figure10", Figure10, nil},
+	{"figure11", Figure11, nil},
+	{"figure4", Figure4, nil},
+	{"figure5", Figure5, nil},
+	{"figure6", Figure6, nil},
+	{"figure7", Figure7, nil},
+	{"figure8", Figure8, nil},
+	{"figure9", Figure9, nil},
+	{"mitigation", TrustedMitigation, nil},
 	{"multiflood", MultiAttackerFlood, func(t *testing.T, o Options) []any {
 		var specs []MultiFloodSpec
 		for _, billing := range []string{"jiffy", "process-aware"} {
@@ -119,6 +141,16 @@ var clusterGoldens = []struct {
 		}
 		return runEach(t, specs, RunRouterFlood)
 	}},
+	{"run", nil, func(t *testing.T, o Options) []any {
+		var specs []RunSpec
+		for _, w := range workloads.Specs() {
+			specs = append(specs, RunSpec{Opts: o, Workload: w.Key})
+			for _, a := range attacks.All(o.Freq) {
+				specs = append(specs, RunSpec{Opts: o, Workload: w.Key, Attack: a})
+			}
+		}
+		return runEach(t, specs, Run)
+	}},
 	{"swapflood", CrossMachineExceptionFlood, func(t *testing.T, o Options) []any {
 		var specs []SwapFloodSpec
 		for _, billing := range []string{"jiffy", "process-aware"} {
@@ -143,9 +175,8 @@ func runEach[S, O any](t *testing.T, specs []S, run func(S) (O, error)) []any {
 	return outs
 }
 
-// TestClusterGoldens replays every cluster-family artifact against
-// its render golden and every spec its figure runs against its
-// harvest digest.
+// TestClusterGoldens replays every artifact against its render golden
+// and every spec the table runs against its harvest digest.
 func TestClusterGoldens(t *testing.T) {
 	want := map[string]string{}
 	if !*update {
@@ -155,21 +186,12 @@ func TestClusterGoldens(t *testing.T) {
 	var lines []string
 	for _, g := range clusterGoldens {
 		t.Run(g.id, func(t *testing.T) {
-			fig, err := g.render(o)
-			if err != nil {
-				t.Fatal(err)
+			if g.render != nil {
+				checkRender(t, g.id, g.render, o)
 			}
-			file := "testdata/" + g.id + ".golden"
-			if *update {
-				if err := os.WriteFile(file, []byte(fig.Render()), 0o644); err != nil {
-					t.Fatal(err)
-				}
-			} else if golden, err := os.ReadFile(file); err != nil {
-				t.Fatal(err)
-			} else if got := fig.Render(); got != string(golden) {
-				t.Errorf("render diverged from %s\n--- got ---\n%s--- want ---\n%s", file, got, golden)
+			if g.harvest == nil {
+				return
 			}
-
 			for i, out := range g.harvest(t, o) {
 				var b strings.Builder
 				dumpHarvest(&b, reflect.TypeOf(out).Elem().Name(), reflect.ValueOf(out))
@@ -191,6 +213,26 @@ func TestClusterGoldens(t *testing.T) {
 		}
 	case len(want) > 0:
 		t.Errorf("%s has digests for specs no figure runs: %v", harvestDigests, want)
+	}
+}
+
+// checkRender compares the artifact's render with testdata/<id>.golden,
+// or rewrites the golden under -update.
+func checkRender(t *testing.T, id string, render func(Options) (*Figure, error), o Options) {
+	t.Helper()
+	fig, err := render(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	file := "testdata/" + id + ".golden"
+	if *update {
+		if err := os.WriteFile(file, []byte(fig.Render()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	} else if golden, err := os.ReadFile(file); err != nil {
+		t.Fatal(err)
+	} else if got := fig.Render(); got != string(golden) {
+		t.Errorf("render diverged from %s\n--- got ---\n%s--- want ---\n%s", file, got, golden)
 	}
 }
 
@@ -266,13 +308,18 @@ func dumpHarvest(b *strings.Builder, path string, v reflect.Value) {
 }
 
 // TestClusterGoldenTableIsPinned keeps clusterGoldens sorted and
-// duplicate-free and makes it cover exactly the render goldens under
-// testdata/, so a rename or an addition cannot leave a golden
-// unreplayed or make -update write files in a churning order.
+// duplicate-free and makes its render entries cover exactly the
+// render goldens under testdata/, so a rename or an addition cannot
+// leave a golden unreplayed or make -update write files in a
+// churning order.
 func TestClusterGoldenTableIsPinned(t *testing.T) {
 	ids := make([]string, len(clusterGoldens))
+	var rendered []string
 	for i, g := range clusterGoldens {
 		ids[i] = g.id
+		if g.render != nil {
+			rendered = append(rendered, g.id)
+		}
 	}
 	if !sort.StringsAreSorted(ids) {
 		t.Errorf("clusterGoldens ids %v are not sorted", ids)
@@ -291,7 +338,7 @@ func TestClusterGoldenTableIsPinned(t *testing.T) {
 		onDisk = append(onDisk, strings.TrimSuffix(filepath.Base(g), ".golden"))
 	}
 	sort.Strings(onDisk)
-	if strings.Join(onDisk, ",") != strings.Join(ids, ",") {
-		t.Fatalf("testdata has goldens for %v, table covers %v", onDisk, ids)
+	if strings.Join(onDisk, ",") != strings.Join(rendered, ",") {
+		t.Fatalf("testdata has goldens for %v, table renders %v", onDisk, rendered)
 	}
 }
