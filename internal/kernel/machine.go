@@ -1,9 +1,9 @@
 // Package kernel is the simulated operating system: a deterministic
 // discrete-event machine tying together the CPU, memory, devices,
-// scheduler, and accounting substrates. Guest programs run as
-// coroutines driven through guest.Context; exactly one goroutine
-// (kernel or one guest) executes at any instant, so identical seeds
-// replay identical histories.
+// scheduler, and accounting substrates. Guests run through
+// guest.Context under one activation loop (step.go); exactly one
+// goroutine (the engine's or one guest coroutine) executes at any
+// instant, so identical seeds replay identical histories.
 //
 // The modelled execution mechanisms are the ones the paper's attacks
 // exploit: CPU time is sampled per timer tick by the jiffy
@@ -132,29 +132,17 @@ type Machine struct {
 	needResched bool
 	closed      bool
 
-	// The machine's state engine runs inline on whichever goroutine
-	// is "driving": initially the Run caller, thereafter the guest
-	// goroutine whose request is being serviced. Control moves to
-	// another goroutine only at an actual task switch, so a guest
-	// action that completes without rescheduling costs no goroutine
-	// handoff at all. driver is the task whose goroutine currently
-	// drives (nil while the Run/RunUntil caller does); pendingDriver,
-	// when set, tells the driving loop to hand the engine to that
-	// task's goroutine and park; runDone carries the run's outcome —
-	// finished, failed, or paused at a RunUntil barrier — back to the
-	// parked caller after it has handed the engine off.
-	driver        *task
-	pendingDriver *task
-	runDone       chan runSignal
+	// coros are every coroutine the machine has made for Body guests;
+	// idle are those whose guest ended, ready for the next Body task.
+	coros []*coro
+	idle  []*coro
 
 	// RunUntil support: barrierFire is the reusable barrier-event
-	// callback that raises pauseReq; a driving goroutine that observes
-	// pauseReq suspends the engine and reports back to the RunUntil
-	// caller, recording itself in pausedDriver if it parks (a live
-	// guest mid-request) so the next RunUntil can resume it.
-	pauseReq     bool
-	pausedDriver *task
-	barrierFire  func()
+	// callback that raises pauseReq; the activation loop stops at
+	// pauseReq and returns to the RunUntil caller, leaving any posted
+	// request for the next RunUntil to service.
+	pauseReq    bool
+	barrierFire func()
 
 	// timerFire/preemptFire/writebackFire are the recurring event
 	// callbacks, built once so re-arming the timer, scheduling a
@@ -214,7 +202,6 @@ func New(cfg Config) *Machine {
 		groupCount:    make(map[proc.PID]int),
 		finalUsage:    make(map[string]map[proc.PID]metering.Usage),
 		finalChildren: make(map[string]map[proc.PID]metering.Usage),
-		runDone:       make(chan runSignal, 1),
 	}
 	m.timerFire = m.timerTick
 	m.preemptFire = func() { m.needResched = true }
@@ -366,11 +353,11 @@ type SpawnConfig struct {
 	// Libs are linked at spawn (with Env's LD_PRELOAD honoured).
 	// Nil links the full registry default set: libc and libm.
 	Libs []string
-	// Body runs the guest on the goroutine compat driver. Exactly one
-	// of Body and Step must be set.
+	// Body is the guest as blocking code, run on a coroutine. Exactly
+	// one of Body and Step must be set.
 	Body guest.Routine
-	// Step runs the guest on the flyweight driver: a resumable state
-	// machine with no goroutine and no parked stack (see guest.Step).
+	// Step is the guest as a resumable state machine with no goroutine
+	// and no parked stack (see guest.Step).
 	Step guest.Step
 	// Fork, when set on a Step task, makes the guest checkpointable:
 	// Snapshot calls it to clone the guest's continuation and state
@@ -382,7 +369,7 @@ type SpawnConfig struct {
 // Spawn creates a runnable process outside any fork chain.
 func (m *Machine) Spawn(sc SpawnConfig) (*proc.Proc, error) {
 	if (sc.Body == nil) == (sc.Step == nil) {
-		return nil, fmt.Errorf("spawn %s: exactly one of Body (goroutine driver) and Step (flyweight driver) must be set", sc.Name)
+		return nil, fmt.Errorf("spawn %s: exactly one of Body (blocking code) and Step (a resumable state machine) must be set", sc.Name)
 	}
 	p := m.table.Create(sc.Name, nil)
 	p.SetNice(sc.Nice)
@@ -406,7 +393,6 @@ func (m *Machine) Spawn(sc SpawnConfig) (*proc.Proc, error) {
 	t := m.newTask(p, sc.Body)
 	if sc.Step != nil {
 		t.stepFn = sc.Step
-		t.stepCtx.t = t
 		t.forkFn = sc.Fork
 	}
 	t.billable = true
@@ -430,13 +416,7 @@ func (m *Machine) newTask(p *proc.Proc, body guest.Routine) *task {
 		st:   m.statOf(p.TGID),
 		body: body,
 	}
-	if body != nil {
-		// grant is buffered (capacity 1) so a handoff can be published
-		// before the target has parked: the send never blocks, and the
-		// target consumes it on its next awaitGrant. Flyweight tasks
-		// (body nil; Spawn sets stepFn) never park, so they get none.
-		t.grant = make(chan struct{}, 1)
-	}
+	t.stepCtx.t = t
 	t.wakeFire = func() {
 		t.wakePending = false
 		m.wakeNow(t)
@@ -487,24 +467,12 @@ func (m *Machine) measure(p *proc.Proc, kind MeasurementKind, name, digest strin
 	})
 }
 
-// runSignal is what a driving goroutine reports back to the parked
-// Run/RunUntil caller: the run finished (err nil), failed (err set),
-// or suspended at a RunUntil barrier (paused).
-type runSignal struct {
-	err    error
-	paused bool
-}
-
 // Run executes until every spawned task has exited. It returns
 // ErrDeadlock if progress becomes impossible, or an error when
 // MaxSteps is exceeded.
-//
-// The caller drives the engine only until the first task must run
-// guest code; from then on the engine travels with the grants, and
-// Run parks until some driver reports the machine finished.
 func (m *Machine) Run() error {
 	defer m.shutdown()
-	_, err := m.driveToSignal()
+	_, err := m.drive()
 	return err
 }
 
@@ -530,26 +498,16 @@ func (m *Machine) RunUntil(limit sim.Cycles) (done bool, err error) {
 		return false, nil
 	}
 	m.queue.Schedule(limit, "barrier", m.barrierFire)
-	done, err = m.driveToSignal()
+	done, err = m.drive()
 	if done || err != nil {
 		m.shutdown()
 	}
 	return done, err
 }
 
-// driveToSignal drives the engine on the caller's goroutine — or
-// resumes the guest goroutine that paused at the previous barrier —
-// until the run finishes, fails, or pauses again. It reports
-// done=true when every task has exited.
-func (m *Machine) driveToSignal() (bool, error) {
-	if u := m.pausedDriver; u != nil {
-		// Hand the engine back to the guest that paused mid-request;
-		// it drives until the next signal.
-		m.pausedDriver = nil
-		u.grant <- struct{}{}
-		sig := <-m.runDone
-		return !sig.paused && sig.err == nil, sig.err
-	}
+// drive steps the engine until every task has exited (done), a
+// RunUntil barrier fires, or the run fails.
+func (m *Machine) drive() (done bool, err error) {
 	for m.live > 0 {
 		if m.pauseReq {
 			m.pauseReq = false
@@ -557,12 +515,6 @@ func (m *Machine) driveToSignal() (bool, error) {
 		}
 		if err := m.driveStep(); err != nil {
 			return false, err
-		}
-		if u := m.pendingDriver; u != nil {
-			m.pendingDriver = nil
-			m.handoffTo(u)
-			sig := <-m.runDone
-			return !sig.paused && sig.err == nil, sig.err
 		}
 	}
 	return true, nil
@@ -575,8 +527,7 @@ func (m *Machine) driveToSignal() (bool, error) {
 // blocked on a condition only an external event (a cluster packet)
 // can satisfy. The periodic timer tick does not count as work: ticks
 // wake nothing, so a machine whose queue holds only its own ticks is
-// idle until the network feeds it. (Which guest goroutine happens to
-// hold the suspended engine is irrelevant to whether work exists.)
+// idle until the network feeds it.
 func (m *Machine) NextWorkAt() (at sim.Cycles, ok bool) {
 	if m.closed || m.live == 0 {
 		return 0, false
@@ -621,71 +572,26 @@ func (m *Machine) ScheduleIRQWorkTagged(at sim.Cycles, tag uint64, work func()) 
 	m.queue.ScheduleTagged(at, "irq-work", tag, work)
 }
 
-// Shutdown releases the machine's guest goroutines without running to
+// Shutdown stops the machine's guest coroutines without running to
 // completion. A cluster uses it to tear down remaining machines after
 // one machine fails; Run and a completed RunUntil shut down
 // automatically. Shutdown is idempotent, and the machine cannot be
 // advanced afterwards.
 func (m *Machine) Shutdown() { m.shutdown() }
 
-// handoffTo moves the engine to task u's goroutine: starting it if it
-// has never run, waking it from awaitGrant otherwise. The caller must
-// stop driving immediately afterwards (park, or die if exiting).
-func (m *Machine) handoffTo(u *task) {
-	m.driver = u
-	if !u.started {
-		u.start()
-		return
-	}
-	u.grant <- struct{}{}
-}
-
-// finish reports the run's outcome to the parked Run/RunUntil caller.
-// Called by the last driving guest goroutine.
-func (m *Machine) finish(err error) {
-	m.runDone <- runSignal{err: err}
-}
-
-// pausePark suspends the engine at a barrier from a live guest driver:
-// the task records itself for resumption, reports the pause to the
-// parked RunUntil caller, and parks until the next RunUntil (or
-// machine shutdown) wakes it.
-func (m *Machine) pausePark(t *task) {
-	m.pauseReq = false
-	m.pausedDriver = t
-	m.runDone <- runSignal{paused: true}
-	if !t.awaitGrant() {
-		panic(killPanic{})
-	}
-}
-
-// pauseExit suspends the engine at a barrier from an exiting guest
-// driver: the goroutine is about to die, so instead of parking it
-// returns the engine to the RunUntil caller, which drives on resume.
-func (m *Machine) pauseExit() {
-	m.pauseReq = false
-	m.driver = nil
-	m.runDone <- runSignal{paused: true}
-}
-
-// shutdown unblocks any still-parked guest goroutines (they unwind
-// via killPanic) so tests do not leak. Closing each task's grant
-// channel wakes guests blocked waiting for a grant; guests never
-// block submitting a request (the request channel is buffered), so
-// this covers every parking site.
+// shutdown stops every coroutine the machine made, so none outlives
+// it: an idle one returns, and one holding a guest mid-request unwinds
+// the guest's code via killPanic. That includes the coroutine of a
+// guest killed mid-request (OOM), whose task is already reaped.
 func (m *Machine) shutdown() {
 	if m.closed {
 		return
 	}
 	m.closed = true
-	//simlint:unordered-ok closing each grant channel is commutative; no history event is emitted
-	for _, t := range m.tasks {
-		if t.grant != nil {
-			// Flyweight tasks have no grant channel and no parked
-			// goroutine; there is nothing to unwind.
-			close(t.grant)
-		}
+	for _, co := range m.coros {
+		co.stop()
 	}
+	m.coros, m.idle = nil, nil
 }
 
 // fireDue pops and fires every event due at the current virtual time,
@@ -708,9 +614,7 @@ func (m *Machine) fireDue() bool {
 
 // driveStep advances the simulation by one action: firing a due
 // event, dispatching, burning a compute span, or servicing one
-// request. It runs on whichever goroutine holds the engine. A task
-// switch is expressed by setting pendingDriver; the calling drive
-// loop performs the goroutine handoff.
+// request, then running the guest whose request it granted.
 func (m *Machine) driveStep() error {
 	if m.cfg.MaxSteps > 0 && m.steps >= m.cfg.MaxSteps {
 		return fmt.Errorf("kernel: exceeded %d steps at t=%d", m.cfg.MaxSteps, m.clock.Now())
@@ -753,14 +657,9 @@ func (m *Machine) driveStep() error {
 	t := m.current
 	switch {
 	case !t.started:
-		if t.stepFn != nil {
-			// A flyweight task's first activation runs inline on the
-			// driving goroutine; there is no guest goroutine to start.
-			m.stepRun(t)
-			return nil
-		}
-		// The task's guest code has never run: hand it the engine.
-		m.pendingDriver = t
+		// The task's guest has never run: its first activation.
+		m.stepRun(t)
+		return nil
 	case t.cur != nil && !t.begun:
 		// A posted request not yet serviced (the task lost the CPU
 		// between posting and dispatch, e.g. after a yield).
@@ -773,15 +672,15 @@ func (m *Machine) driveStep() error {
 		t.resume = nil
 		f()
 	case t.cur != nil && t.completed:
-		m.finishRequest(t)
+		// A blocked request (disk, wait, sleep) completed: grant it.
+		m.grantNow(t)
 	default:
 		return fmt.Errorf("kernel: task %v dispatched with no serviceable work", t.p)
 	}
-	// A flyweight task whose request was just granted resumes here,
-	// still on the driving goroutine. The dispatched task is checked
-	// rather than m.current: a yield grants and then vacates the CPU,
-	// and the activation must still run.
-	if t.stepFn != nil && t.granted {
+	// A task whose request was just granted resumes here. The
+	// dispatched task is checked rather than m.current: a yield grants
+	// and then vacates the CPU, and the activation must still run.
+	if t.granted {
 		m.stepRun(t)
 	}
 	return nil
@@ -1153,28 +1052,14 @@ func (m *Machine) burnCompute(t *task) {
 	}
 }
 
-// grantNow completes the current request and resumes the guest. When
-// the granted task is the one driving the engine, its drive loop sees
-// the granted flag and simply returns to guest code — no goroutine
-// switch. Otherwise the engine is handed to the granted task.
+// grantNow completes t's request. The guest resumes in the activation
+// loop: inline if t posted it there, otherwise at the end of the
+// driveStep that granted it.
 func (m *Machine) grantNow(t *task) {
 	t.cur = nil
 	t.completed = false
 	t.begun = false
 	t.granted = true
-	if t != m.driver && t.stepFn == nil {
-		// Flyweight tasks have no goroutine to hand the engine to:
-		// their next activation runs inline, either in the posting
-		// stepRun loop (synchronous grant) or at the end of the
-		// driveStep that granted them.
-		m.pendingDriver = t
-	}
-}
-
-// finishRequest delivers the grant for a request that completed while
-// the task was blocked (disk, wait, sleep).
-func (m *Machine) finishRequest(t *task) {
-	m.grantNow(t)
 }
 
 // beginPosted services t's freshly posted request inline if t still
@@ -1183,7 +1068,10 @@ func (m *Machine) finishRequest(t *task) {
 // count the step against the runaway budget, fire due events, and
 // honor a pending preemption. When t loses the CPU (preempted, or
 // the budget is exhausted and the next driveStep must report it) the
-// request stays posted for service at t's next dispatch.
+// request stays posted for service at t's next dispatch. A compute is
+// also burned here, as the next driveStep would burn it, so a guest
+// whose compute completes on the CPU continues without leaving the
+// activation.
 func (m *Machine) beginPosted(t *task) {
 	t.begun = false
 	if m.current != t {
@@ -1203,8 +1091,17 @@ func (m *Machine) beginPosted(t *task) {
 		m.preemptCurrent()
 	}
 	m.needResched = false
-	if m.current == t {
-		t.begun = true
-		m.beginRequest(t, t.cur)
+	if m.current != t {
+		return
 	}
+	t.begun = true
+	m.beginRequest(t, t.cur)
+	// A compute only set pendingUser. Since the preamble above, no time
+	// has passed and nothing was scheduled, so the next driveStep would
+	// fire nothing, keep t on the CPU, and burn: do that step here.
+	if t.pendingUser == 0 || m.cfg.MaxSteps > 0 && m.steps >= m.cfg.MaxSteps {
+		return
+	}
+	m.steps++
+	m.burnCompute(t)
 }

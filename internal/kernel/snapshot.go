@@ -15,11 +15,11 @@
 // plus — for flyweight guests — a cloned guest continuation obtained
 // through the guest's ForkFunc.
 //
-// What cannot be checkpointed: a guest running on the goroutine
-// compat driver (SpawnConfig.Body) that has already started — its
-// state lives in a parked goroutine stack the simulator cannot
-// serialise — and flyweight guests spawned without a Fork function.
-// Snapshot reports both as ErrNotSnapshottable. Events owned by a
+// What cannot be checkpointed: a Body guest (SpawnConfig.Body) that
+// has started — its state lives on a suspended coroutine stack the
+// simulator cannot serialise — and flyweight guests spawned without a
+// Fork function. Snapshot reports both as ErrNotSnapshottable, naming
+// the task and its state. Events owned by a
 // cluster ("pipe-service", "irq-work" scheduled by cluster wiring)
 // snapshot fine but only restore through the cluster layer, which
 // supplies the resolver for them.
@@ -42,10 +42,11 @@ import (
 )
 
 // ErrNotSnapshottable marks machine state that cannot be frozen: a
-// started goroutine-driver guest (its continuation is a parked Go
-// stack), a flyweight guest without a Fork function, or an engine
-// suspended inside a guest goroutine. Callers branch on it with
-// errors.Is to fall back to re-running setup from scratch.
+// started Body guest (its continuation is a suspended coroutine
+// stack), a flyweight guest without a Fork function, a pending
+// RunUntil barrier, or a machine that is shut down or mid-drive.
+// Callers branch on it with errors.Is to fall back to re-running setup
+// from scratch.
 var ErrNotSnapshottable = errors.New("kernel: machine state is not snapshottable")
 
 // MachineImage is a frozen machine: a quiescent deep copy of every
@@ -99,9 +100,8 @@ type MachineImage struct {
 type taskImage struct {
 	pid     proc.PID
 	started bool
-	gone    bool
 
-	body       guest.Routine // never-started goroutine guests only
+	body       guest.Routine // never-started Body guests only
 	stepFn     guest.Step
 	forkFn     guest.ForkFunc
 	guestState any
@@ -146,12 +146,6 @@ func (m *Machine) Snapshot() (*MachineImage, error) {
 	switch {
 	case m.closed:
 		return nil, fmt.Errorf("%w: machine is shut down", ErrNotSnapshottable)
-	case m.pausedDriver != nil:
-		return nil, fmt.Errorf("%w: goroutine guest %s holds the suspended engine (machines with started Body tasks cannot checkpoint)", ErrNotSnapshottable, describeTask(m.pausedDriver))
-	case m.driver != nil:
-		return nil, fmt.Errorf("%w: goroutine guest %s holds the engine (machines with started Body tasks cannot checkpoint)", ErrNotSnapshottable, describeTask(m.driver))
-	case m.pendingDriver != nil:
-		return nil, fmt.Errorf("%w: machine is mid-drive, handing the engine to task %s; snapshot between Run/RunUntil calls", ErrNotSnapshottable, describeTask(m.pendingDriver))
 	case m.pauseReq:
 		return nil, fmt.Errorf("%w: machine is mid-drive; snapshot between Run/RunUntil calls", ErrNotSnapshottable)
 	}
@@ -282,12 +276,12 @@ func copyFinalInto(dst, src map[string]map[proc.PID]metering.Usage) {
 }
 
 // snapshotTask freezes one task. Flyweight guests are cloned through
-// their ForkFunc; started goroutine guests are rejected.
+// their ForkFunc; started Body guests are refused. Every refusal names
+// the task and its state.
 func (m *Machine) snapshotTask(t *task) (taskImage, error) {
 	ti := taskImage{
 		pid:          t.p.PID,
 		started:      t.started,
-		gone:         t.gone,
 		begun:        t.begun,
 		completed:    t.completed,
 		hasResume:    t.resume != nil,
@@ -304,35 +298,32 @@ func (m *Machine) snapshotTask(t *task) (taskImage, error) {
 		billable:     t.billable,
 	}
 	if t.granted {
-		return ti, fmt.Errorf("%w: task %v holds an undelivered grant", ErrNotSnapshottable, t.p)
+		return ti, fmt.Errorf("%w: task %s holds an undelivered grant", ErrNotSnapshottable, describeTask(t))
 	}
 	switch {
 	case t.stepFn != nil:
 		if t.forkFn == nil {
-			return ti, fmt.Errorf("%w: task %v runs a flyweight guest spawned without a Fork function", ErrNotSnapshottable, t.p)
+			return ti, fmt.Errorf("%w: task %s runs a flyweight guest spawned without a Fork function", ErrNotSnapshottable, describeTask(t))
 		}
 		fk, err := t.forkFn(t.stepFn)
 		if err != nil {
-			return ti, fmt.Errorf("snapshot task %v: fork guest: %w", t.p, err)
+			return ti, fmt.Errorf("snapshot task %s: fork guest: %w", describeTask(t), err)
 		}
 		if fk.Step == nil || fk.Fork == nil {
-			return ti, fmt.Errorf("snapshot task %v: guest fork returned an incomplete clone", t.p)
+			return ti, fmt.Errorf("snapshot task %s: guest fork returned an incomplete clone", describeTask(t))
 		}
 		ti.stepFn, ti.forkFn, ti.guestState = fk.Step, fk.Fork, fk.State
-	case t.body != nil && t.started && !t.gone:
-		return ti, fmt.Errorf("%w: task %v runs on the goroutine driver with a parked stack (spawn with Step + Fork to checkpoint)", ErrNotSnapshottable, t.p)
+	case t.co != nil:
+		return ti, fmt.Errorf("%w: task %s runs a Body guest whose code is suspended on a coroutine stack (spawn with Step + Fork to checkpoint)", ErrNotSnapshottable, describeTask(t))
 	case !t.started:
 		ti.body = t.body
 	}
 	if t.cur != nil {
-		if t.cur != &t.stepCtx.r {
-			return ti, fmt.Errorf("%w: task %v has an in-flight goroutine-driver request", ErrNotSnapshottable, t.p)
-		}
 		ti.hasCur = true
 		ti.req = *t.cur
 	}
 	if ti.hasResume && !ti.hasCur {
-		return ti, fmt.Errorf("%w: task %v has a resume continuation with no in-flight request", ErrNotSnapshottable, t.p)
+		return ti, fmt.Errorf("%w: task %s has a resume continuation with no in-flight request", ErrNotSnapshottable, describeTask(t))
 	}
 	for _, tr := range t.tracees {
 		ti.traceePIDs = append(ti.traceePIDs, tr.p.PID)
@@ -398,7 +389,6 @@ func (img *MachineImage) restore(ext RestoreResolver, shell *Machine) (*Machine,
 			groupCount:    make(map[proc.PID]int),
 			finalUsage:    make(map[string]map[proc.PID]metering.Usage),
 			finalChildren: make(map[string]map[proc.PID]metering.Usage),
-			runDone:       make(chan runSignal, 1),
 		}
 	} else {
 		m.scrub()
@@ -571,7 +561,6 @@ func (m *Machine) restoreTask(ti *taskImage) error {
 	}
 	t := m.newTask(p, ti.body)
 	t.started = ti.started
-	t.gone = ti.gone
 	t.pendingUser = ti.pendingUser
 	t.image = ti.image
 	t.linkMap = ti.linkMap
@@ -594,10 +583,8 @@ func (m *Machine) restoreTask(ti *taskImage) error {
 		t.stepFn = fk.Step
 		t.forkFn = fk.Fork
 		t.guestState = fk.State
-		t.stepCtx.t = t
 	}
 	if ti.hasCur {
-		t.stepCtx.t = t
 		t.stepCtx.r = ti.req
 		t.cur = &t.stepCtx.r
 		t.begun = ti.begun
@@ -614,8 +601,8 @@ func (m *Machine) restoreTask(ti *taskImage) error {
 }
 
 // scrub resets a recycled machine shell for restore, keeping its
-// allocated containers (maps, event queue free list, rng, run
-// channel) so a Pool.Get allocates far less than a fresh build.
+// allocated containers (maps, event queue free list, rng) so a
+// Pool.Get allocates far less than a fresh build.
 func (m *Machine) scrub() {
 	clear(m.tasks)
 	clear(m.stats)
@@ -629,16 +616,9 @@ func (m *Machine) scrub() {
 	m.netWaiters = m.netWaiters[:0]
 	m.rxHead, m.rxLen, m.rxDropped = 0, 0, 0
 	m.current, m.lastRun = nil, nil
-	m.driver, m.pendingDriver, m.pausedDriver = nil, nil, nil
 	m.pauseReq, m.needResched, m.closed = false, false, false
 	m.faultsInjected = 0
 	m.live, m.steps = 0, 0
-	//simlint:gotime-ok shell reset between runs: drains a stale done token from the retired machine's own signal channel; no guest observes it
-	select {
-	//simlint:gotime-ok shell reset between runs: drains a stale done token from the retired machine's own signal channel; no guest observes it
-	case <-m.runDone:
-	default:
-	}
 }
 
 // Pool recycles finished machines' allocated scaffolding across

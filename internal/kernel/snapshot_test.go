@@ -364,12 +364,13 @@ func TestSnapshotGuestStateExposed(t *testing.T) {
 	}
 }
 
-// TestSnapshotNotSnapshottable pins the compat-path contract: a
-// started goroutine (Body) guest and a Step guest without Fork both
-// refuse to checkpoint with ErrNotSnapshottable; a never-started
-// Body guest snapshots fine and replays identically.
+// TestSnapshotNotSnapshottable pins the checkpoint contract: a
+// started Body guest and a Step guest without Fork both refuse to
+// checkpoint with ErrNotSnapshottable; a never-started Body guest
+// snapshots fine and replays identically.
 func TestSnapshotNotSnapshottable(t *testing.T) {
-	// Started Body guest, paused mid-request: the refusal names it.
+	// Started Body guest, paused mid-compute: the refusal names the
+	// task and its state.
 	m := New(Config{Seed: 1, CPUHz: 1_000_000_000})
 	legacy, err := m.Spawn(SpawnConfig{
 		Name: "legacy", Content: "legacy v1",
@@ -390,26 +391,9 @@ func TestSnapshotNotSnapshottable(t *testing.T) {
 	if !errors.Is(err, ErrNotSnapshottable) {
 		t.Fatalf("snapshot of started Body guest: err = %v, want ErrNotSnapshottable", err)
 	}
-	if want := fmt.Sprintf("legacy (pid %d,", legacy.PID); !strings.Contains(err.Error(), want) {
-		t.Fatalf("snapshot of started Body guest: err = %v, want the task named as %q", err, want)
+	if want := fmt.Sprintf("legacy (pid %d, %s)", legacy.PID, proc.Running); !strings.Contains(err.Error(), want) {
+		t.Fatalf("snapshot of started Body guest: err = %v, want the task and its state named as %q", err, want)
 	}
-
-	// Mid-drive, about to hand the engine to a guest goroutine.
-	mid := New(Config{Seed: 1, CPUHz: 1_000_000_000})
-	next, err := mid.Spawn(SpawnConfig{Name: "next", Content: "next v1", Body: func(ctx guest.Context) { ctx.Compute(1000) }})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mid.pendingDriver = mid.tasks[next.PID]
-	_, err = mid.Snapshot()
-	if !errors.Is(err, ErrNotSnapshottable) {
-		t.Fatalf("snapshot mid-drive: err = %v, want ErrNotSnapshottable", err)
-	}
-	if want := fmt.Sprintf("next (pid %d,", next.PID); !strings.Contains(err.Error(), want) {
-		t.Fatalf("snapshot mid-drive: err = %v, want the task named as %q", err, want)
-	}
-	mid.pendingDriver = nil
-	mid.Shutdown()
 
 	// Step guest without Fork.
 	m2 := New(Config{Seed: 1, CPUHz: 1_000_000_000})

@@ -2,28 +2,37 @@ package kernel
 
 import (
 	"fmt"
+	"iter"
 
 	"repro/internal/guest"
 	"repro/internal/proc"
 	"repro/internal/sim"
 )
 
-// This file is the flyweight guest driver: tasks spawned with
-// SpawnConfig.Step run as resumable state machines (guest.Step) with
-// no goroutine, no grant channel, and no parked stack. The engine
-// invokes one activation per granted request, on whatever goroutine
-// is currently driving the machine; an activation posts its next
-// request through the same beginPosted entry point the goroutine
-// driver uses, so the two drivers produce identical machine
-// histories. The goroutine driver (task.go) remains the compat path
-// for guests that need Call/Exec or arbitrary blocking Routine code.
+// This file is the kernel's only guest driver: the activation loop.
+// The engine runs one activation per granted request on the goroutine
+// driving the machine, and an activation posts its next request
+// through beginPosted, which services it inline while the task keeps
+// the CPU. A guest is written one of two ways:
+//
+//   - SpawnConfig.Step: a resumable state machine (guest.Step) with no
+//     goroutine and no parked stack. An activation is one call of its
+//     continuation.
+//   - SpawnConfig.Body: blocking Go code (guest.Routine), as libc,
+//     libm, program images and attacks are written. An activation
+//     resumes the code on the task's coroutine (see coro), which runs
+//     on through every request granted inline and yields only when a
+//     request is left pending.
+//
+// Both post through the same stepCtx, so a guest's request sequence —
+// not how it is written — determines the machine's history.
 
-// stepCtx implements guest.Context for a flyweight task. Like
-// guestCtx it embeds the task's single reusable request; unlike
-// guestCtx its posting methods do not block — they post the request,
-// run the engine's inter-request bookkeeping (which may service the
-// request synchronously), and return zero values. The real reply is
-// delivered as the next activation's Resume.
+// stepCtx implements guest.Context for a flyweight task and holds
+// every task's single reusable request. Its posting methods do not
+// block — they post the request, run the engine's inter-request
+// bookkeeping (which may service the request synchronously), and
+// return zero values. The real reply is delivered as the next
+// activation's Resume; a Body guest's guestCtx reads it from r.
 type stepCtx struct {
 	t *task
 	r request
@@ -33,10 +42,9 @@ type stepCtx struct {
 
 var _ guest.Context = (*stepCtx)(nil)
 
-// post offers the request already written into c.r to the engine.
-// Mirrors task.call's posting exactly, minus the drive loop: a
-// flyweight task never drives the engine, it returns to whoever does.
-// Callers assign c.r with a full struct literal first — assigning in
+// post offers the request already written into c.r to the engine. A
+// guest never drives the engine; it returns to whoever does. Callers
+// assign c.r with a full struct literal first — assigning in
 // place rather than passing the request by value keeps a post to a
 // single struct copy, which the activation loop is hot enough to feel.
 func (c *stepCtx) post() {
@@ -212,14 +220,18 @@ func (c *stepCtx) Exec(prog *guest.Program) {
 	panic(fmt.Sprintf("kernel: flyweight task %v used Exec (program images run Routine code; spawn with Body)", c.t.p))
 }
 
-// stepRun runs a flyweight task's activations: the first when the
-// task has never run, then one per granted request, looping while
-// posted requests are serviced synchronously — exactly where a
-// goroutine guest would continue inline after a non-blocking call. It
-// returns when the task's posted request is left pending (blocked, a
-// barrier fired, or the CPU was lost) or the task exited.
+// stepRun runs a task's activations: the first when the task has
+// never run, then one per granted request. It returns when the task's
+// posted request is left pending (blocked, a barrier fired, or the CPU
+// was lost) or the task exited, whose exit it then posts.
 func (m *Machine) stepRun(t *task) {
-	exited, code := m.stepLoop(t)
+	var exited bool
+	var code int
+	if t.body != nil {
+		exited, code = m.resumeBody(t)
+	} else {
+		exited, code = m.stepLoop(t)
+	}
 	if !exited {
 		return
 	}
@@ -228,12 +240,46 @@ func (m *Machine) stepRun(t *task) {
 		panic(fmt.Sprintf("kernel: flyweight task %v exited with a request in flight", t.p))
 	}
 	t.stepFn = nil
-	// Post the exit through the same entry point task.call uses; if
-	// the task no longer owns the CPU the request waits for dispatch
-	// like any other.
+	// Post the exit like any request; if the task no longer owns the
+	// CPU it waits for dispatch.
 	c.r = request{kind: rqExit, code: code}
 	t.cur = &c.r
 	m.beginPosted(t)
+}
+
+// resumeBody resumes a Body task's code on its coroutine, bound at the
+// first activation, until the code leaves a request pending (exited
+// false) or ends. An ended guest's coroutine goes back to the machine
+// for the next Body task.
+func (m *Machine) resumeBody(t *task) (exited bool, code int) {
+	if !t.started {
+		t.started = true
+		t.co = m.bindCoro(t)
+	}
+	co := t.co
+	co.resume()
+	if !co.ended {
+		return false, 0
+	}
+	co.ended = false
+	t.co = nil
+	m.idle = append(m.idle, co)
+	return true, co.code
+}
+
+// bindCoro binds an idle coroutine to t, making one when none is idle.
+func (m *Machine) bindCoro(t *task) *coro {
+	var co *coro
+	if n := len(m.idle); n > 0 {
+		co = m.idle[n-1]
+		m.idle = m.idle[:n-1]
+	} else {
+		co = &coro{}
+		co.resume, co.stop = iter.Pull(co.run)
+		m.coros = append(m.coros, co)
+	}
+	co.ctx.t = t
+	return co
 }
 
 // stepLoop runs activations until the task blocks (exited false) or

@@ -1,9 +1,11 @@
 package kernel
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/guest"
+	"repro/internal/mem"
 	"repro/internal/metering"
 	"repro/internal/proc"
 	"repro/internal/sim"
@@ -283,5 +285,74 @@ func TestRetryStepMatchesBlockingRetry(t *testing.T) {
 	}
 	if got != want {
 		t.Fatalf("resumable retry diverged: got %+v, want %+v", got, want)
+	}
+}
+
+// pagingMachine is a 4 MiB machine whose OOM killer acts after 1,000
+// major faults, and pager is a Body guest that keeps paging through
+// 64 MiB until the OOM killer takes it mid-request.
+func pagingMachine() *Machine {
+	return New(Config{Seed: 1, CPUHz: 1_000_000_000, PhysMemBytes: 4 << 20, OOMMajorFaultLimit: 1000, MaxSteps: 50_000_000})
+}
+
+func pager(ctx guest.Context) {
+	for {
+		for a := uint64(0); a < 64<<20; a += mem.DefaultPageSize {
+			ctx.Store(a)
+		}
+	}
+}
+
+// TestOOMKilledLoneBodyGuestFinishesRun pins that a Body guest killed
+// while it is the machine's last live task ends the run cleanly: Run
+// returns nil, as it does for the same guest written as a Step.
+func TestOOMKilledLoneBodyGuestFinishesRun(t *testing.T) {
+	m := pagingMachine()
+	p, err := m.Spawn(SpawnConfig{Name: "pager", Body: pager})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Run(); err != nil {
+		t.Fatalf("run: %v, want nil once the OOM killer reaps the last task", err)
+	}
+	if code := p.ExitCode; code != 137 {
+		t.Fatalf("pager exit code = %d, want 137 (OOM kill)", code)
+	}
+}
+
+// TestOOMKilledBodyGuestLeavesNoGoroutine pins that a Body guest
+// killed mid-request while another task still runs leaves no
+// goroutine behind: shutdown stops its coroutine although reaping has
+// already dropped the task.
+func TestOOMKilledBodyGuestLeavesNoGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	m := pagingMachine()
+	victim, err := m.Spawn(SpawnConfig{Name: "pager", Body: pager})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The worker computes until the pager is dead, so the kill lands
+	// while another task still runs.
+	if _, err := m.Spawn(SpawnConfig{Name: "worker", Body: func(ctx guest.Context) {
+		for {
+			ctx.Compute(1_000_000)
+			if _, alive := ctx.FindProcess("pager"); !alive {
+				return
+			}
+		}
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	run(t, m)
+	if victim.ExitCode != 137 {
+		t.Fatalf("pager exit code = %d, want 137 (OOM kill)", victim.ExitCode)
+	}
+	after := runtime.NumGoroutine()
+	for i := 0; i < 1000 && after > before; i++ {
+		runtime.Gosched()
+		after = runtime.NumGoroutine()
+	}
+	if after > before {
+		t.Fatalf("%d goroutines after the run, %d before: the killed guest's goroutine outlived its machine", after, before)
 	}
 }

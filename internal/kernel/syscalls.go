@@ -379,7 +379,9 @@ func (m *Machine) doExec(t *task, prog *guest.Program) error {
 func (m *Machine) doExit(t *task, code int) {
 	t.p.ExitCode = code
 	t.cur = nil
-	t.gone = true
+	// A Body guest killed mid-request never resumes; its coroutine
+	// stays suspended until shutdown stops it.
+	t.co = nil
 	m.blockCurrent(proc.Zombie)
 	m.sched.Remove(t.p)
 	m.live--

@@ -36,10 +36,9 @@ const (
 	rqNetRxWait
 )
 
-// request is one guest action awaiting kernel service. The guest
-// goroutine fills the input fields, posts the request, and drives the
-// machine engine until it is granted; the engine fills the reply
-// fields before granting, so reads after the grant are race-free.
+// request is one guest action awaiting kernel service. Every request
+// lives in its task's stepCtx: the guest fills the input fields and
+// posts it, and the engine fills the reply fields before granting it.
 type request struct {
 	kind reqKind
 
@@ -66,8 +65,7 @@ type request struct {
 	u, s sim.Cycles
 }
 
-// task couples a PCB with its guest goroutine and kernel-side
-// execution state.
+// task couples a PCB with its guest and kernel-side execution state.
 type task struct {
 	p *proc.Proc
 	m *Machine
@@ -76,12 +74,17 @@ type task struct {
 	// creation so request service does not look it up per action.
 	st *Stats
 
+	// body is a Body guest's blocking code. It runs on co, a coroutine
+	// bound at the task's first activation and returned to the
+	// machine when the code ends.
 	body guest.Routine
+	co   *coro
 
 	// stepFn, when non-nil, marks a flyweight task: the guest is a
-	// resumable state machine driven by stepRun (see step.go) instead
-	// of a goroutine, and stepCtx is its Context. stepFn holds the
+	// resumable state machine (see step.go). stepFn holds the
 	// continuation that receives the next granted request's reply.
+	// stepCtx is every task's Context for posting requests; a Body
+	// guest posts through it from guestCtx.
 	stepFn  guest.Step
 	stepCtx stepCtx
 
@@ -93,25 +96,19 @@ type task struct {
 	forkFn     guest.ForkFunc
 	guestState any
 
-	// grant parks the guest goroutine across task switches: a send
-	// both completes the task's request and hands it the engine; a
-	// close (machine shutdown) unwinds the guest via killPanic. Nil
-	// for flyweight tasks, which never park.
-	grant   chan struct{}
+	// started marks that the guest's first activation has run.
 	started bool
-	gone    bool // goroutine finished (exit request seen)
 
-	// cur is the request being serviced, posted directly by the guest
-	// goroutine (the engine is always paused while guest code runs,
-	// so there is a single writer). begun marks that the kernel has
-	// started servicing it; granted marks completion, read by the
-	// guest's drive loop. pendingUser is user-mode computation still
-	// to burn before cur completes (only rqCompute uses it; kernel
-	// services are non-preemptible lumps). completed marks a blocked
-	// request (disk wait, wait(), trace stop) whose condition has
-	// been satisfied; the grant is delivered when the task is next
-	// dispatched. resume, when set, is a continuation run at next
-	// dispatch (finishing a watchpoint-interrupted memory access).
+	// cur is the request being serviced (always &stepCtx.r). begun
+	// marks that the kernel has started servicing it; granted marks
+	// completion, read by the activation loop. pendingUser is
+	// user-mode computation still to burn before cur completes (only
+	// rqCompute uses it; kernel services are non-preemptible lumps).
+	// completed marks a blocked request (disk wait, wait(), trace
+	// stop) whose condition has been satisfied; the grant is delivered
+	// when the task is next dispatched. resume, when set, is a
+	// continuation run at next dispatch (finishing a
+	// watchpoint-interrupted memory access).
 	cur         *request
 	begun       bool
 	granted     bool
@@ -169,121 +166,70 @@ type task struct {
 	billable bool
 }
 
-// exitPanic unwinds the guest goroutine on Exit.
+// exitPanic unwinds a guest's code on Exit.
 type exitPanic struct{ code int }
 
-// killPanic unwinds guest goroutines when the machine shuts down.
+// killPanic unwinds a Body guest's code on its coroutine when the
+// machine shuts down.
 type killPanic struct{}
 
-// start launches the guest goroutine. Called by handoffTo at the
-// task's first dispatch; the new goroutine immediately owns the
-// engine and keeps it until its first call hands it elsewhere.
-func (t *task) start() {
-	t.started = true
-	go func() {
-		code := 0
-		defer func() {
-			if r := recover(); r != nil {
-				switch v := r.(type) {
-				case exitPanic:
-					code = v.code
-				case killPanic:
-					return // machine shut down; vanish silently
-				default:
-					panic(r)
-				}
-			}
-			t.exitAndDrive(code)
-		}()
-		ctx := &guestCtx{t: t}
-		t.body(ctx)
-	}()
+// coro is a Go coroutine (iter.Pull) that runs Body guests' blocking
+// code. The machine binds one to a Body task at its first activation
+// and takes it back when the guest's code ends, so a fork storm's
+// short-lived children reuse a few coroutines instead of making one
+// each. Shutdown stops every coroutine the machine made.
+type coro struct {
+	ctx    guestCtx
+	resume func() (struct{}, bool)
+	stop   func()
+	// ended marks that the bound guest's code returned (or called
+	// Exit with code) and the coroutine is parked for reuse.
+	ended bool
+	code  int
 }
 
-// call posts a request and drives the machine engine until the
-// request is granted, handing the engine to other goroutines across
-// task switches and parking until it returns. The fast path — the
-// request completes without a task switch — involves no channel
-// operation or goroutine handoff at all. When a RunUntil barrier
-// fires, the goroutine parks with the engine suspended and resumes
-// driving at the next RunUntil.
-func (t *task) call(r *request) *request {
-	m := t.m
-	t.cur = r
-	// Service inline when we still own the CPU after the engine's
-	// inter-request bookkeeping; otherwise (yielded, preempted, or
-	// step budget exhausted) the request waits for dispatch.
-	m.beginPosted(t)
-	for !t.granted {
-		if m.pauseReq {
-			m.pausePark(t)
-			continue
-		}
-		if err := m.driveStep(); err != nil {
-			m.finish(err)
-			panic(killPanic{})
-		}
-		if u := m.pendingDriver; u != nil {
-			m.pendingDriver = nil
-			m.handoffTo(u)
-			if !t.awaitGrant() {
-				panic(killPanic{})
-			}
-		}
-	}
-	t.granted = false
-	return r
-}
-
-// awaitGrant parks until this task is granted (and with the grant,
-// handed the engine). It reports false when the machine shut down
-// instead.
-func (t *task) awaitGrant() bool {
-	_, ok := <-t.grant
-	return ok
-}
-
-// exitAndDrive services this task's exit and then keeps driving the
-// engine until it can hand it to another goroutine — or reports the
-// run finished when this was the last live task. The goroutine then
-// returns (dies) either way.
-func (t *task) exitAndDrive(code int) {
-	m := t.m
-	r := request{kind: rqExit, code: code}
-	t.cur = &r
-	m.beginPosted(t)
+// run is the coroutine's body: run the bound task's guest code, report
+// its end, and park until the machine binds the next Body task.
+func (co *coro) run(yield func(struct{}) bool) {
+	co.ctx.yield = yield
 	for {
-		if m.live == 0 {
-			m.finish(nil)
+		code, killed := co.runGuest()
+		if killed {
 			return
 		}
-		if m.pauseReq {
-			// Barrier while unwinding: this goroutine is dying, so
-			// hand the engine back to the RunUntil caller and vanish.
-			m.pauseExit()
-			return
-		}
-		if err := m.driveStep(); err != nil {
-			m.finish(err)
-			return
-		}
-		if u := m.pendingDriver; u != nil {
-			m.pendingDriver = nil
-			m.handoffTo(u)
+		co.ended, co.code = true, code
+		if !yield(struct{}{}) {
 			return
 		}
 	}
 }
 
-// guestCtx implements guest.Context on the guest goroutine. The
-// embedded request is reused for every call: a task has at most one
-// request in flight and the kernel releases it (cur = nil) before
-// granting, so recycling it guest-side removes a heap allocation per
-// guest action. Each use reassigns the whole struct, clearing stale
-// reply fields from the previous action.
+// runGuest runs the bound task's Body to its end, converting an Exit
+// into its code and a shutdown into killed.
+func (co *coro) runGuest() (code int, killed bool) {
+	defer func() {
+		switch r := recover().(type) {
+		case nil:
+		case exitPanic:
+			code = r.code
+		case killPanic:
+			killed = true
+		default:
+			panic(r)
+		}
+	}()
+	co.ctx.t.body(&co.ctx)
+	return 0, false
+}
+
+// guestCtx implements guest.Context for a Body guest, on its
+// coroutine. Each request is posted through the task's stepCtx exactly
+// as a flyweight activation posts it. When the post is granted inline
+// the guest simply continues; otherwise the coroutine yields to the
+// activation loop, which resumes it once the request is granted.
 type guestCtx struct {
-	t *task
-	r request
+	t     *task
+	yield func(struct{}) bool
 	// argbuf backs Call1's argument slice (see guest.LibFunc's
 	// aliasing contract).
 	argbuf [1]uint64
@@ -293,10 +239,20 @@ var _ guest.Context = (*guestCtx)(nil)
 
 func (c *guestCtx) PID() proc.PID { return c.t.p.PID }
 
-// do resets the reusable request to r and runs it through the kernel.
+// do posts r and returns it once granted, with its reply fields
+// filled. Assigning the whole struct clears stale replies from the
+// task's previous request.
 func (c *guestCtx) do(r request) *request {
-	c.r = r
-	return c.t.call(&c.r)
+	t := c.t
+	s := &t.stepCtx
+	s.r = r
+	s.post()
+	if !t.granted && !c.yield(struct{}{}) {
+		panic(killPanic{})
+	}
+	t.granted = false
+	s.posted = false
+	return &s.r
 }
 
 func (c *guestCtx) Compute(d sim.Cycles) {
@@ -379,15 +335,15 @@ func (c *guestCtx) SetNice(n int) {
 }
 
 func (c *guestCtx) Nice() int {
-	// Safe direct read: the machine engine is paused while guest
-	// code runs, and only this task writes its own nice value.
+	// Safe direct read: the engine waits while guest code runs, and
+	// only this task writes its own nice value.
 	return c.t.p.Nice()
 }
 
 func (c *guestCtx) Getenv(key string) string {
 	// Env is written only by this task or before it first runs
-	// (inheritance at fork), and the machine engine is paused while
-	// guest code executes, so this access is race-free.
+	// (inheritance at fork), and the engine waits while guest code
+	// runs, so this access is race-free.
 	return c.t.p.Env[key]
 }
 
@@ -401,8 +357,8 @@ func (c *guestCtx) FindProcess(name string) (proc.PID, bool) {
 }
 
 func (c *guestCtx) Rand() *sim.Rand {
-	// Safe for the same reason as Getenv: strict coroutine handoff
-	// means exactly one goroutine (this one) is running now.
+	// Safe for the same reason as Getenv: a coroutine switch hands
+	// control over, so only this guest runs now.
 	return c.t.m.rng
 }
 
@@ -437,8 +393,8 @@ func (c *guestCtx) NetRecv() (guest.Frame, bool, error) {
 }
 
 func (c *guestCtx) NetAddr() guest.Addr {
-	// Safe direct read like Nice/Getenv: the engine is paused while
-	// guest code runs, and the address is fixed at cluster wiring.
+	// Safe direct read like Nice/Getenv: the engine waits while guest
+	// code runs, and the address is fixed at cluster wiring.
 	return c.t.m.nic.Addr()
 }
 
