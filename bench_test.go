@@ -313,12 +313,11 @@ func BenchmarkChaosFlood(b *testing.B) {
 	}, "router-bill-sec")
 }
 
-// BenchmarkMachineStepsDriver races the two guest drivers on an
-// identical resumable guest — a long compute/sleep alternation — so
-// the flyweight driver's saving (no goroutine handoff per request, no
-// parked stack) shows up directly as ns/op and B/op deltas against
-// the goroutine driver running the very same state machine through
-// guest.StepRoutine.
+// BenchmarkMachineStepsDriver races the two ways to write a guest on
+// one request sequence — a long compute/sleep alternation — so the
+// flyweight form's saving (no coroutine switch when a request blocks,
+// no parked stack) shows up directly as ns/op and B/op deltas against
+// the same sequence written as blocking Body code.
 func BenchmarkMachineStepsDriver(b *testing.B) {
 	const iters = 50_000
 	driver := func(flyweight bool) func(b *testing.B) {
@@ -344,7 +343,15 @@ func BenchmarkMachineStepsDriver(b *testing.B) {
 				if flyweight {
 					sc.Step = step
 				} else {
-					sc.Body = guest.StepRoutine(step)
+					sc.Body = func(ctx guest.Context) {
+						for n := 1; n <= iters; n++ {
+							if n%2 == 0 {
+								ctx.Compute(50_000)
+							} else {
+								ctx.Sleep(50_000)
+							}
+						}
+					}
 				}
 				if _, err := m.Spawn(sc); err != nil {
 					b.Fatal(err)
@@ -356,19 +363,20 @@ func BenchmarkMachineStepsDriver(b *testing.B) {
 		}
 	}
 	b.Run("flyweight", driver(true))
-	b.Run("goroutine", driver(false))
+	b.Run("body", driver(false))
 }
 
 // BenchmarkResidentMachines measures whole-fleet residency: 10k idle
-// simulated machines, each hosting one resumable idler guest, all
-// stepped through a few idle ticks, reported as resident bytes (heap
-// plus goroutine stacks — a parked guest's stack lives in StackInuse,
-// not HeapAlloc) per machine. Under the flyweight driver a resident
-// guest is a few words of struct state, so the per-machine figure is
-// the machine model itself (~6 KB of scheduler arrays, accountants,
-// devices) plus per-process billing metadata; the goroutine sub-bench
-// pays a parked ~8 KB-class stack per guest on top — the cost the
-// flyweight driver exists to delete.
+// simulated machines, each hosting one idler guest, all stepped
+// through a few idle ticks, reported as resident bytes (heap plus
+// goroutine stacks — a suspended coroutine's stack lives in
+// StackInuse, not HeapAlloc) per machine. Written as a Step, a
+// resident guest is a few words of struct state, so the per-machine
+// figure is the machine model itself (~6 KB of scheduler arrays,
+// accountants, devices) plus per-process billing metadata; the body
+// sub-bench writes the idler as blocking code and pays its coroutine's
+// ~8 KB-class stack per guest on top — the cost the flyweight form
+// exists to delete.
 func BenchmarkResidentMachines(b *testing.B) {
 	const residents = 10_000
 	fleet := func(flyweight bool) func(b *testing.B) {
@@ -389,7 +397,11 @@ func BenchmarkResidentMachines(b *testing.B) {
 					if flyweight {
 						sc.Step = step
 					} else {
-						sc.Body = guest.StepRoutine(step)
+						sc.Body = func(ctx guest.Context) {
+							for {
+								ctx.Sleep(1_000_000)
+							}
+						}
 					}
 					if _, err := m.Spawn(sc); err != nil {
 						b.Fatal(err)
@@ -415,7 +427,7 @@ func BenchmarkResidentMachines(b *testing.B) {
 		}
 	}
 	b.Run("flyweight", fleet(true))
-	b.Run("goroutine", fleet(false))
+	b.Run("body", fleet(false))
 }
 
 // BenchmarkMeterAllocs pins the allocation footprint of one metered

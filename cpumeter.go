@@ -390,7 +390,7 @@ type (
 )
 
 // ErrNotSnapshottable reports a machine (or cluster) that cannot be
-// checkpointed: goroutine-driver guests, forkless step guests, or a
+// checkpointed: started Body guests, forkless step guests, or a
 // cluster member already finished, crashed, or rebooted.
 var ErrNotSnapshottable = kernel.ErrNotSnapshottable
 

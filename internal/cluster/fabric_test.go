@@ -57,7 +57,7 @@ func TestForwarderRoutesAcrossHops(t *testing.T) {
 					_, err := m.Spawn(kernel.SpawnConfig{
 						Name:    "fwd",
 						Content: "fwd v1",
-						Body:    Forwarder(3000),
+						Step:    ForwarderStep(3000),
 					})
 					return err
 				},

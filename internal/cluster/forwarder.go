@@ -8,13 +8,11 @@ import (
 )
 
 // The forwarding daemon is the cluster's hottest guest — every frame
-// crossing a router activates it — so it runs on the flyweight driver:
+// crossing a router activates it — so it is written as a Step guest:
 // forwarderStep below is an explicit resumable state machine
 // (guest.Step) holding its loop position in a few words of struct
-// state instead of a parked goroutine stack. Forwarder wraps the same
-// machine for spawn sites still using the goroutine driver; both forms
-// issue the identical request sequence, so histories replay
-// bit-for-bit regardless of driver.
+// state instead of a coroutine stack, which also makes a router
+// checkpointable.
 
 // DefaultForwardUs is a software router's per-frame lookup/queue
 // service when a forwarder leaves it unset: ~3 µs of FIB lookup,
@@ -149,9 +147,18 @@ func (g *forwarderStep) fork(cur guest.Step) (guest.Forked, error) {
 	return guest.Forked{Step: s, Fork: c.fork, State: &c}, nil
 }
 
-// ForwarderStep returns the forwarding guest as a resumable state
-// machine for the flyweight driver. See Forwarder for the daemon's
-// semantics; the two are the same machine.
+// ForwarderStep returns the forwarding guest a router machine runs: it
+// blocks for traffic, then drains the kernel's receive buffer,
+// spending lookup cycles of user-mode table work per frame before
+// retransmitting it — Src preserved — toward its destination via
+// NetForward. Every step is billed on the router machine like any
+// guest's work (the receive interrupts, the read and sendto
+// syscalls, the lookup cycles), so the router's own bill is a
+// first-class observable: an attacker flooding through a shared
+// router inflates the router's metered time without ever running an
+// instruction there. Spawn it as SpawnConfig.Step on a MachineSpec
+// with Service set — the daemon never exits; the cluster retires it
+// when the fabric quiesces.
 func ForwarderStep(lookup sim.Cycles) guest.Step {
 	step, _ := ForwarderGuest(lookup)
 	return step
@@ -163,20 +170,4 @@ func ForwarderStep(lookup sim.Cycles) guest.Step {
 func ForwarderGuest(lookup sim.Cycles) (guest.Step, guest.ForkFunc) {
 	g := &forwarderStep{lookup: lookup, budget: forwarderBudget(lookup)}
 	return g.start, g.fork
-}
-
-// Forwarder returns the forwarding guest a router machine runs: it
-// blocks for traffic, then drains the kernel's receive buffer,
-// spending lookup cycles of user-mode table work per frame before
-// retransmitting it — Src preserved — toward its destination via
-// NetForward. Every step is billed on the router machine like any
-// guest's work (the receive interrupts, the read and sendto
-// syscalls, the lookup cycles), so the router's own bill is a
-// first-class observable: an attacker flooding through a shared
-// router inflates the router's metered time without ever running an
-// instruction there. Spawn it on a MachineSpec with Service set —
-// the daemon never exits; the cluster retires it when the fabric
-// quiesces.
-func Forwarder(lookup sim.Cycles) guest.Routine {
-	return guest.StepRoutine(ForwarderStep(lookup))
 }

@@ -9,12 +9,8 @@
 // instead of bleeding tail-drops.
 //
 // All three guests here are written as resumable state machines
-// (guest.Step) so fleets of them run on the flyweight driver — a few
-// words of struct state per guest instead of a parked goroutine
-// stack. guestSpawn wraps the same machines for the goroutine driver
-// when Options.GoroutineGuests asks for it; either way the request
-// sequence is identical, so histories replay bit-for-bit across
-// drivers.
+// (guest.Step), spawned as SpawnConfig.Step, so a fleet of them costs
+// a few words of struct state per guest instead of a coroutine stack.
 package experiments
 
 import (
@@ -376,8 +372,8 @@ func (g *ackSender) afterDoneClock(ctx guest.Context, r guest.Resume) guest.Step
 }
 
 // AckPacedSenderStep returns the flow's sending guest as a resumable
-// state machine for the flyweight driver. stats must outlive the run;
-// the guest fills it as its last action.
+// state machine, to spawn as SpawnConfig.Step. stats must outlive the
+// run; the guest fills it as its last action.
 func AckPacedSenderStep(cfg AckFlowConfig, stats *AckFlowStats) guest.Step {
 	g := &ackSender{cfg: cfg, stats: stats}
 	g.maxW = cfg.Window

@@ -288,7 +288,9 @@ func RunCluster(spec ClusterRunSpec) (*ClusterOut, error) {
 				ctx.Syscall("sendto")
 				return step
 			}
-			_, err := m.Spawn(guestSpawn(o, "pktgen", "junk-ip packet generator v1", step))
+			_, err := m.Spawn(kernel.SpawnConfig{
+				Name: "pktgen", Content: "junk-ip packet generator v1", Step: step,
+			})
 			return err
 		},
 	})

@@ -111,9 +111,10 @@ func RunFairFlood(spec FairFloodSpec) (*FairFloodOut, error) {
 		// The echo daemon runs at high priority, like the softirq half
 		// of a real network stack: ack latency then reflects the wire
 		// under test, not the victim workload's timeslice.
-		echod := guestSpawn(o, "echod", "per-flow ack echo daemon v1", AckEchoStep(fairFloodFlowID))
-		echod.Nice = -15
-		_, err := m.Spawn(echod)
+		_, err := m.Spawn(kernel.SpawnConfig{
+			Name: "echod", Content: "per-flow ack echo daemon v1",
+			Step: AckEchoStep(fairFloodFlowID), Nice: -15,
+		})
 		return err
 	})
 	if err != nil {
@@ -155,9 +156,11 @@ func RunFairFlood(spec FairFloodSpec) (*FairFloodOut, error) {
 					return nil // silent baseline
 				}
 				packets := uint64(floodSec * float64(spec.AttackerPPS))
-				_, err := m.Spawn(guestSpawn(o, "pktgen", "junk-ip packet generator v4 (mtu frames)",
-					floodBodyStep(o.Freq, spec.AttackerPPS, packets,
-						guest.Frame{Dst: c.AddrOf(victimIdx), Bytes: junkBytes})))
+				_, err := m.Spawn(kernel.SpawnConfig{
+					Name: "pktgen", Content: "junk-ip packet generator v4 (mtu frames)",
+					Step: floodBodyStep(o.Freq, spec.AttackerPPS, packets,
+						guest.Frame{Dst: c.AddrOf(victimIdx), Bytes: junkBytes}),
+				})
 				return err
 			},
 		},
@@ -165,8 +168,9 @@ func RunFairFlood(spec FairFloodSpec) (*FairFloodOut, error) {
 			Name:   "sender",
 			Config: senderCfg,
 			Boot: func(c *cluster.Cluster, m *kernel.Machine) error {
-				_, err := m.Spawn(guestSpawn(o, "flowsend", "ack-paced ecn sender v2 (clock rto)",
-					AckPacedSenderStep(AckFlowConfig{
+				_, err := m.Spawn(kernel.SpawnConfig{
+					Name: "flowsend", Content: "ack-paced ecn sender v2 (clock rto)",
+					Step: AckPacedSenderStep(AckFlowConfig{
 						Peer:          c.AddrOf(victimIdx),
 						Flow:          fairFloodFlowID,
 						Frames:        spec.FlowFrames,
@@ -174,7 +178,8 @@ func RunFairFlood(spec FairFloodSpec) (*FairFloodOut, error) {
 						PaceCycles:    500 * perUs, // ≤2k pps offered
 						TimeoutCycles: sim.Cycles(timeoutUs) * perUs,
 						FrameBytes:    flowBytes,
-					}, flowStats)))
+					}, flowStats),
+				})
 				return err
 			},
 		},

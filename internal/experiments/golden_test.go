@@ -41,12 +41,13 @@ const harvestDigests = "testdata/harvest.sha256"
 // captured before links carried addressed frames, routing tables and
 // RED; the routerflood render before the qdisc layer (DRR,
 // byte-accurate wires, EWMA RED, the guest clock); the fairflood and
-// chaosflood renders and the cluster harvest digests at the commit
-// before the routed star and the victim host were each built in one
-// place; the single-machine renders and the run digests while the
-// paper's guests still ran on a goroutine per task. All of them still
-// pass byte for byte. Regenerate them only to move that bar on
-// purpose:
+// chaosflood renders at the commit before the routed star and the
+// victim host were each built in one place; the single-machine renders
+// while the paper's guests still ran on a goroutine per task. All of
+// them still pass byte for byte. The harvest digests were last
+// rewritten when Options lost its GoroutineGuests field, which took
+// exactly the Opts.GoroutineGuests=false lines out of each dump.
+// Regenerate the goldens only to move that bar on purpose:
 //
 //	go test ./internal/experiments -run TestClusterGoldens -update
 var clusterGoldens = []struct {

@@ -11,7 +11,6 @@ import (
 	"fmt"
 
 	"repro/internal/attacks"
-	"repro/internal/guest"
 	"repro/internal/kernel"
 	"repro/internal/metering"
 	"repro/internal/proc"
@@ -50,29 +49,6 @@ type Options struct {
 	// machine is seeded and self-contained, so results — and
 	// rendered artifacts — are byte-identical at any setting.
 	Parallelism int
-	// GoroutineGuests runs the ported hot-path guests (flood sources,
-	// ack-paced flows, forwarding and echo daemons) on the compat
-	// goroutine driver instead of the flyweight resumable-step driver
-	// that is the default. Both drivers issue the identical request
-	// sequence — the equivalence suite pins every artifact byte-for-
-	// byte — so the knob exists for A/B benchmarking and for bisecting
-	// a suspected driver divergence, not for changing results.
-	GoroutineGuests bool
-}
-
-// guestSpawn builds the spawn config for a ported resumable guest
-// under the options' driver selection: the flyweight Step driver by
-// default, the goroutine driver (the same state machine wrapped in
-// guest.StepRoutine) when GoroutineGuests is set. Callers needing
-// extra SpawnConfig fields (Nice, ...) set them on the result.
-func guestSpawn(o Options, name, content string, step guest.Step) kernel.SpawnConfig {
-	sc := kernel.SpawnConfig{Name: name, Content: content}
-	if o.GoroutineGuests {
-		sc.Body = guest.StepRoutine(step)
-	} else {
-		sc.Step = step
-	}
-	return sc
 }
 
 func (o Options) norm() Options {

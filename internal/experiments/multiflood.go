@@ -88,8 +88,10 @@ func RunMultiFlood(spec MultiFloodSpec) (*MultiFloodOut, error) {
 				// through NetSend (floodBodyStep) bills the tx path and
 				// observes the wire's drop feedback; Offered counts
 				// what was actually sent.
-				_, err := m.Spawn(guestSpawn(o, "pktgen", "junk-ip packet generator v2 (tx-path)",
-					floodBodyStep(o.Freq, pps, packets, guest.Frame{Dst: c.AddrOf(spec.Attackers)})))
+				_, err := m.Spawn(kernel.SpawnConfig{
+					Name: "pktgen", Content: "junk-ip packet generator v2 (tx-path)",
+					Step: floodBodyStep(o.Freq, pps, packets, guest.Frame{Dst: c.AddrOf(spec.Attackers)}),
+				})
 				return err
 			},
 		})

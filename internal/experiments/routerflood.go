@@ -139,7 +139,9 @@ func runRoutedFlood(who string, fl RouterFloodSpec, cs ChaosSpec, flowTimeoutUs 
 		if fl.FlowFrames == 0 {
 			return nil
 		}
-		_, err := m.Spawn(guestSpawn(o, "echod", "per-flow ack echo daemon v1", AckEchoStep(routerFloodFlowID)))
+		_, err := m.Spawn(kernel.SpawnConfig{
+			Name: "echod", Content: "per-flow ack echo daemon v1", Step: AckEchoStep(routerFloodFlowID),
+		})
 		return err
 	})
 	if err != nil {
@@ -174,8 +176,10 @@ func runRoutedFlood(who string, fl RouterFloodSpec, cs ChaosSpec, flowTimeoutUs 
 				return nil // silent baseline
 			}
 			packets := uint64(floodSec * float64(pps))
-			_, err := m.Spawn(guestSpawn(o, "pktgen", "junk-ip packet generator v3 (routed)",
-				floodBodyStep(o.Freq, pps, packets, guest.Frame{Dst: c.AddrOf(victimIdx)})))
+			_, err := m.Spawn(kernel.SpawnConfig{
+				Name: "pktgen", Content: "junk-ip packet generator v3 (routed)",
+				Step: floodBodyStep(o.Freq, pps, packets, guest.Frame{Dst: c.AddrOf(victimIdx)}),
+			})
 			return err
 		}
 		machines = append(machines, attacker)
@@ -188,15 +192,17 @@ func runRoutedFlood(who string, fl RouterFloodSpec, cs ChaosSpec, flowTimeoutUs 
 		if fl.FlowFrames == 0 {
 			return nil
 		}
-		_, err := m.Spawn(guestSpawn(o, "flowsend", senderContent,
-			AckPacedSenderStep(AckFlowConfig{
+		_, err := m.Spawn(kernel.SpawnConfig{
+			Name: "flowsend", Content: senderContent,
+			Step: AckPacedSenderStep(AckFlowConfig{
 				Peer:          c.AddrOf(victimIdx),
 				Flow:          routerFloodFlowID,
 				Frames:        fl.FlowFrames,
 				Window:        fl.FlowWindow,
 				PaceCycles:    500 * perUs, // ≤2k pps offered
 				TimeoutCycles: sim.Cycles(flowTimeoutUs) * perUs,
-			}, flow)))
+			}, flow),
+		})
 		return err
 	}
 
@@ -209,8 +215,10 @@ func runRoutedFlood(who string, fl RouterFloodSpec, cs ChaosSpec, flowTimeoutUs 
 	router.CrashAt = sim.Cycles(cs.RouterCrashSec * float64(o.Freq))
 	router.RestartAfter = sim.Cycles(cs.RouterRestartSec * float64(o.Freq))
 	router.Boot = func(_ *cluster.Cluster, m *kernel.Machine) error {
-		p, err := m.Spawn(guestSpawn(o, "fwd", "store-and-forward router daemon v1",
-			cluster.ForwarderStep(sim.Cycles(lookupUs)*perUs)))
+		p, err := m.Spawn(kernel.SpawnConfig{
+			Name: "fwd", Content: "store-and-forward router daemon v1",
+			Step: cluster.ForwarderStep(sim.Cycles(lookupUs) * perUs),
+		})
 		if p != nil {
 			routerPIDs = append(routerPIDs, p.PID)
 		}

@@ -3,45 +3,42 @@ package guest
 import (
 	"errors"
 
-	"repro/internal/proc"
 	"repro/internal/sim"
 )
 
 // This file defines the resumable (flyweight) guest form: a guest
-// written as an explicit state machine instead of a goroutine. A
+// written as an explicit state machine instead of blocking code. A
 // resumable guest is a Step function that, given its Context and the
 // kernel's reply to its previous request, runs until it posts its
 // next request and returns the continuation that will receive that
 // request's reply. No goroutine, no parked stack: the guest's entire
 // execution state is the continuation value plus whatever state the
 // continuation closes over, which is what makes tasks cheap enough
-// for 10k+ resident machines and (eventually) serialisable for
-// checkpoint/fork.
+// for 10k+ resident machines and serialisable for checkpoint/fork
+// (see ForkFunc).
+//
+// The kernel runs both guest forms — a Step and a blocking Routine —
+// on one activation loop, so a Step and a Routine that issue the same
+// request sequence produce byte-identical machine histories.
 //
 // The contract for a Step activation:
 //
 //   - At most one request-posting Context call per activation, and it
-//     must be the activation's last action. On the flyweight driver a
-//     posting method only *posts*: it returns zero values, and the
-//     real reply arrives in the next activation's Resume. Code after
-//     the post would run before the request is serviced, so both
-//     drivers forbid a second post in one activation.
+//     must be the activation's last action. A posting method only
+//     *posts*: it returns zero values, and the real reply arrives in
+//     the next activation's Resume. Code after the post would run
+//     before the request is serviced, so the kernel forbids a second
+//     post in one activation.
 //   - Pure reads (PID, Nice, Getenv, Setenv, Rand, NetAddr) never
 //     post and may be used anywhere in an activation — but a Rand
 //     draw after a post would reorder against the machine's own
 //     draws on a blocking request, so keep those before the post too.
 //   - Returning nil exits the task with code 0; Exit(code) works as
-//     on the goroutine driver. A guest must not exit with a request
-//     already posted in the same activation.
+//     in a Routine. A guest must not exit with a request already
+//     posted in the same activation.
 //   - Call/Call1/Exec are unavailable: library functions and program
 //     images run arbitrary Routine code mid-call, which has no
-//     resumable form. Guests that need them stay on the goroutine
-//     driver.
-//
-// StepRoutine adapts a Step to the goroutine driver with the same
-// contract enforced, so one guest source runs on either driver and —
-// because both issue the identical request sequence — produces
-// byte-identical machine histories.
+//     resumable form. Guests that need them are written as Routines.
 
 // Resume carries the kernel's reply to the request posted by the
 // previous activation. Which fields are meaningful depends on what
@@ -70,193 +67,6 @@ type Resume struct {
 // kernel request is posted and return the continuation that receives
 // its reply, or return nil to exit with code 0.
 type Step func(ctx Context, r Resume) Step
-
-// stepCompat adapts a Step to a blocking Context (the goroutine
-// driver): each posting call is performed immediately and its reply
-// stashed as the next activation's Resume, while the Step still sees
-// the flyweight contract — zero return values and a panic on a
-// second post — so a guest cannot accidentally depend on behaviour
-// only one driver provides.
-type stepCompat struct {
-	ctx    Context
-	next   Resume
-	posted bool
-}
-
-var _ Context = (*stepCompat)(nil)
-
-// mark records this activation's single allowed post and resets next
-// so the reply fields the posting method is about to write land on a
-// zeroed Resume — the same all-zero baseline the flyweight driver gets
-// from its full request-literal assignment.
-func (a *stepCompat) mark() {
-	if a.posted {
-		panic("guest: resumable guest posted two requests in one activation (a kernel request must be the activation's last action)")
-	}
-	a.posted = true
-	a.next = Resume{}
-}
-
-func (a *stepCompat) PID() proc.PID            { return a.ctx.PID() }
-func (a *stepCompat) Nice() int                { return a.ctx.Nice() }
-func (a *stepCompat) Getenv(key string) string { return a.ctx.Getenv(key) }
-func (a *stepCompat) Setenv(key, value string) { a.ctx.Setenv(key, value) }
-func (a *stepCompat) Rand() *sim.Rand          { return a.ctx.Rand() }
-func (a *stepCompat) NetAddr() Addr            { return a.ctx.NetAddr() }
-
-func (a *stepCompat) Compute(d sim.Cycles) {
-	if d == 0 {
-		return // no kernel interaction on either driver
-	}
-	a.mark()
-	a.ctx.Compute(d)
-}
-
-func (a *stepCompat) Load(addr uint64) {
-	a.mark()
-	a.ctx.Load(addr)
-}
-
-func (a *stepCompat) Store(addr uint64) {
-	a.mark()
-	a.ctx.Store(addr)
-}
-
-func (a *stepCompat) Syscall(name string) error {
-	a.mark()
-	a.next.Err = a.ctx.Syscall(name)
-	return nil
-}
-
-func (a *stepCompat) Fork(name string, body Routine) proc.PID {
-	a.mark()
-	a.next.Ret = uint64(a.ctx.Fork(name, body))
-	return 0
-}
-
-func (a *stepCompat) SpawnThread(name string, body Routine) proc.PID {
-	a.mark()
-	a.next.Ret = uint64(a.ctx.SpawnThread(name, body))
-	return 0
-}
-
-func (a *stepCompat) Wait() (WaitResult, bool) {
-	a.mark()
-	a.next.Wres, a.next.OK = a.ctx.Wait()
-	return WaitResult{}, false
-}
-
-func (a *stepCompat) Exit(code int) { a.ctx.Exit(code) }
-
-func (a *stepCompat) Yield() {
-	a.mark()
-	a.ctx.Yield()
-}
-
-func (a *stepCompat) Sleep(d sim.Cycles) {
-	a.mark()
-	a.ctx.Sleep(d)
-}
-
-func (a *stepCompat) SetNice(n int) {
-	a.mark()
-	a.ctx.SetNice(n)
-}
-
-func (a *stepCompat) FindProcess(name string) (proc.PID, bool) {
-	a.mark()
-	pid, ok := a.ctx.FindProcess(name)
-	a.next.Ret, a.next.OK = uint64(pid), ok
-	return 0, false
-}
-
-func (a *stepCompat) Ptrace(req PtraceRequest, pid proc.PID, addr, data uint64) error {
-	a.mark()
-	a.next.Err = a.ctx.Ptrace(req, pid, addr, data)
-	return nil
-}
-
-func (a *stepCompat) Usage() (user, system sim.Cycles) {
-	a.mark()
-	a.next.User, a.next.Sys = a.ctx.Usage()
-	return 0, 0
-}
-
-func (a *stepCompat) ClockNow() sim.Cycles {
-	a.mark()
-	a.next.Ret = uint64(a.ctx.ClockNow())
-	return 0
-}
-
-func (a *stepCompat) NetSend(f Frame) (bool, error) {
-	a.mark()
-	a.next.OK, a.next.Err = a.ctx.NetSend(f)
-	return false, nil
-}
-
-func (a *stepCompat) NetForward(f Frame) (bool, error) {
-	a.mark()
-	a.next.OK, a.next.Err = a.ctx.NetForward(f)
-	return false, nil
-}
-
-func (a *stepCompat) NetRecv() (Frame, bool, error) {
-	a.mark()
-	a.next.Frame, a.next.OK, a.next.Err = a.ctx.NetRecv()
-	return Frame{}, false, nil
-}
-
-func (a *stepCompat) NetRx() uint64 {
-	a.mark()
-	a.next.Ret = a.ctx.NetRx()
-	return 0
-}
-
-func (a *stepCompat) NetRxWait(seen uint64) uint64 {
-	a.mark()
-	a.next.Ret = a.ctx.NetRxWait(seen)
-	return 0
-}
-
-func (a *stepCompat) Call(fn string, args ...uint64) uint64 {
-	panic("guest: Call is unavailable to resumable guests (library code has no resumable form; use the goroutine driver)")
-}
-
-func (a *stepCompat) Call1(fn string, a0 uint64) uint64 {
-	panic("guest: Call1 is unavailable to resumable guests (library code has no resumable form; use the goroutine driver)")
-}
-
-func (a *stepCompat) Exec(prog *Program) {
-	panic("guest: Exec is unavailable to resumable guests (program images run Routine code; use the goroutine driver)")
-}
-
-// RunSteps drives a resumable guest to completion on a blocking
-// Context, activation by activation. It is the goroutine-driver
-// counterpart of the kernel's flyweight activation loop and enforces
-// the identical contract, so the request sequence a guest issues is
-// the same on both drivers by construction.
-func RunSteps(ctx Context, s Step) {
-	a := &stepCompat{ctx: ctx}
-	for s != nil {
-		a.posted = false
-		// a.next is copied into the argument before the activation runs,
-		// so the posting method overwriting it (via mark) is safe.
-		next := s(a, a.next)
-		if next != nil && !a.posted {
-			panic("guest: resumable guest returned a continuation without posting a request (an activation must post or exit)")
-		}
-		if next == nil && a.posted {
-			panic("guest: resumable guest exited with a request in flight")
-		}
-		s = next
-	}
-}
-
-// StepRoutine adapts a resumable guest to the goroutine compat
-// driver.
-func StepRoutine(s Step) Routine {
-	return func(ctx Context) { RunSteps(ctx, s) }
-}
 
 // RetryOp posts one attempt of a retried request. It must make
 // exactly one posting Context call (the activation's last action).

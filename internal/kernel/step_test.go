@@ -13,8 +13,8 @@ import (
 
 // mixedGuest is a resumable guest exercising most of the request
 // surface: compute spans, a syscall, a sleep, a yield, a clock read,
-// a fork of a goroutine-driver child plus the wait that reaps it, and
-// a nonzero exit. Both drivers run this exact source.
+// a fork of a Body child plus the wait that reaps it, and a nonzero
+// exit. mixedBody issues the same requests as blocking code.
 type mixedGuest struct {
 	pc       int
 	childPID proc.PID
@@ -69,17 +69,37 @@ func (g *mixedGuest) run(ctx guest.Context, r guest.Resume) guest.Step {
 	return nil
 }
 
-// runMixed runs the mixed guest under the selected driver and returns
+// mixedBody is mixedGuest's request sequence written as blocking
+// code, recording the replies into g.
+func mixedBody(g *mixedGuest) guest.Routine {
+	return func(ctx guest.Context) {
+		ctx.Compute(1_000_000)
+		//simlint:errno-ok no faults configured
+		ctx.Syscall("read")
+		g.childPID = ctx.Fork("child", func(c guest.Context) {
+			c.Compute(500_000)
+			c.Exit(42)
+		})
+		g.wres, g.wok = ctx.Wait()
+		ctx.Sleep(2_000_000)
+		ctx.Yield()
+		g.clock = ctx.ClockNow()
+		ctx.Compute(750_000)
+		ctx.Exit(7)
+	}
+}
+
+// runMixed runs the mixed guest as a Step or as a Body and returns
 // the guest state plus the machine for ledger comparison.
-func runMixed(t *testing.T, flyweight bool) (*mixedGuest, *Machine, proc.PID) {
+func runMixed(t *testing.T, asStep bool) (*mixedGuest, *Machine, proc.PID) {
 	t.Helper()
 	m := testMachine(t)
 	g := &mixedGuest{}
 	sc := SpawnConfig{Name: "mixed"}
-	if flyweight {
+	if asStep {
 		sc.Step = g.run
 	} else {
-		sc.Body = guest.StepRoutine(g.run)
+		sc.Body = mixedBody(g)
 	}
 	p, err := m.Spawn(sc)
 	if err != nil {
@@ -89,39 +109,46 @@ func runMixed(t *testing.T, flyweight bool) (*mixedGuest, *Machine, proc.PID) {
 	return g, m, p.PID
 }
 
-func TestFlyweightMatchesGoroutineDriver(t *testing.T) {
-	gf, mf, pf := runMixed(t, true)
-	gg, mg, pg := runMixed(t, false)
+// TestStepGuestMatchesBodyGuest pins that how a guest is written does
+// not change the machine's history: the same request sequence as a
+// Step and as blocking Body code gets the same replies, the same
+// final clock and the same bills.
+func TestStepGuestMatchesBodyGuest(t *testing.T) {
+	gs, ms, ps := runMixed(t, true)
+	gb, mb, pb := runMixed(t, false)
 
-	if !gf.wok || !gg.wok {
-		t.Fatalf("wait reaped no child: flyweight ok=%v goroutine ok=%v", gf.wok, gg.wok)
+	if !gs.wok || !gb.wok {
+		t.Fatalf("wait reaped no child: step ok=%v body ok=%v", gs.wok, gb.wok)
 	}
-	if gf.wres.ExitCode != 42 || gg.wres.ExitCode != 42 {
-		t.Fatalf("child exit codes = %d / %d, want 42", gf.wres.ExitCode, gg.wres.ExitCode)
+	if gs.wres.ExitCode != 42 || gb.wres.ExitCode != 42 {
+		t.Fatalf("child exit codes = %d / %d, want 42", gs.wres.ExitCode, gb.wres.ExitCode)
 	}
-	if gf.childPID != gg.childPID || gf.wres.PID != gg.wres.PID {
-		t.Fatalf("child pids diverged: flyweight fork=%d wait=%d, goroutine fork=%d wait=%d",
-			gf.childPID, gf.wres.PID, gg.childPID, gg.wres.PID)
+	if gs.childPID != gb.childPID || gs.wres.PID != gb.wres.PID {
+		t.Fatalf("child pids diverged: step fork=%d wait=%d, body fork=%d wait=%d",
+			gs.childPID, gs.wres.PID, gb.childPID, gb.wres.PID)
 	}
-	if gf.clock == 0 || gf.clock != gg.clock {
-		t.Fatalf("ClockNow diverged: flyweight %d, goroutine %d", gf.clock, gg.clock)
+	if gs.clock == 0 || gs.clock != gb.clock {
+		t.Fatalf("ClockNow diverged: step %d, body %d", gs.clock, gb.clock)
 	}
-	if nf, ng := mf.Clock().Now(), mg.Clock().Now(); nf != ng {
-		t.Fatalf("final virtual time diverged: flyweight %d, goroutine %d", nf, ng)
+	if ns, nb := ms.Clock().Now(), mb.Clock().Now(); ns != nb {
+		t.Fatalf("final virtual time diverged: step %d, body %d", ns, nb)
 	}
 	for _, scheme := range []string{"jiffy", "tsc", "process-aware"} {
-		uf, _ := mf.UsageBy(scheme, pf)
-		ug, _ := mg.UsageBy(scheme, pg)
-		if uf != ug {
-			t.Fatalf("%s usage diverged: flyweight %+v, goroutine %+v", scheme, uf, ug)
+		us, _ := ms.UsageBy(scheme, ps)
+		ub, _ := mb.UsageBy(scheme, pb)
+		if us != ub {
+			t.Fatalf("%s usage diverged: step %+v, body %+v", scheme, us, ub)
 		}
+	}
+	if cs, cb := ms.Stats(ps), mb.Stats(pb); cs != cb {
+		t.Fatalf("kernel counters diverged: step %+v, body %+v", cs, cb)
 	}
 }
 
 // TestFlyweightBarrierSlices pins that driving a flyweight guest in
 // RunUntil barrier slices produces the exact history Run would — the
-// same invariant the goroutine driver holds, and what a cluster's
-// lockstep depends on.
+// same invariant Body guests hold, and what a cluster's lockstep
+// depends on.
 func TestFlyweightBarrierSlices(t *testing.T) {
 	whole := func() (sim.Cycles, metering.Usage) {
 		m := testMachine(t)
@@ -160,10 +187,10 @@ func TestFlyweightBarrierSlices(t *testing.T) {
 	}
 }
 
-// TestFlyweightContractViolations pins the driver's determinism
-// guards: an activation that posts twice, or returns a continuation
-// without posting, is a guest bug and must fail loudly rather than
-// silently diverge between drivers.
+// TestFlyweightContractViolations pins the activation loop's
+// determinism guards: an activation that posts twice, or returns a
+// continuation without posting, is a guest bug and must fail loudly
+// rather than silently diverge from the request sequence it means.
 func TestFlyweightContractViolations(t *testing.T) {
 	mustPanic := func(name string, step guest.Step) {
 		t.Helper()
