@@ -1,18 +1,14 @@
-// Package gotime defines the simlint analyzer that confines real
-// concurrency to the simulator's engine files. The simulator models
-// thousands of tasks, but the model itself must execute as one
-// deterministic event loop: a stray goroutine or channel in model
-// code introduces host-scheduler ordering into state the replay
-// goldens assert is a pure function of the seed. Only the sanctioned
-// engine files — the kernel's coroutine scheduler (machine.go,
-// task.go), its flyweight step driver (step.go) and the cluster event
-// loop (cluster.go) — may use go statements, channels, select, or the
-// sync package inside the deterministic scope; everywhere else in the
-// scope, both direct uses and calls that transitively reach
-// concurrency (via the callsummary facts) are flagged. Notably the
-// ported resumable guests (cluster/forwarder.go, the experiments'
-// flood and ack-flow machines) are NOT sanctioned: a guest runs under
-// the simulated scheduler and must never touch the host's.
+// Package gotime defines the simlint analyzer that keeps real
+// concurrency out of the simulator's deterministic packages. The
+// simulator models thousands of tasks, but the model itself must
+// execute as one deterministic event loop: a stray goroutine or
+// channel in model code introduces host-scheduler ordering into state
+// the replay goldens assert is a pure function of the seed. No file in
+// the deterministic scope may use go statements, channels, select, or
+// the sync package — the kernel's own engine included, which runs
+// blocking guests on coroutines (iter.Pull) rather than goroutines —
+// and calls that transitively reach concurrency (via the callsummary
+// facts) are flagged too.
 //
 // Deliberate concurrency in the scope — the experiment campaign
 // runner's worker pool, which parallelizes independent seeded runs
@@ -22,8 +18,6 @@ package gotime
 
 import (
 	"go/ast"
-	"path/filepath"
-	"strings"
 
 	"repro/internal/analysis"
 	"repro/internal/analysis/annotation"
@@ -36,50 +30,17 @@ import (
 // `//simlint:gotime-ok <why>`.
 const Key = "gotime-ok"
 
-// Analyzer flags concurrency outside the sanctioned engine files.
+// Analyzer flags concurrency in deterministic packages.
 var Analyzer = &analysis.Analyzer{
 	Name: "gotime",
-	Doc: "flag goroutines and channel operations outside the engine files\n\n" +
+	Doc: "flag goroutines and channel operations in deterministic packages\n\n" +
 		"Deterministic packages run under the kernel's cooperative scheduler;\n" +
-		"real goroutines, channels, select, and sync belong only in the\n" +
-		"sanctioned engine files (kernel machine.go/task.go/step.go, cluster\n" +
-		"cluster.go). Calls that reach concurrency in helper packages are\n" +
-		"flagged at the call site via callsummary facts. Suppress a\n" +
-		"deliberate use with a justified //simlint:gotime-ok annotation.",
+		"real goroutines, channels, select, and sync do not belong there.\n" +
+		"Calls that reach concurrency in helper packages are flagged at the\n" +
+		"call site via callsummary facts. Suppress a deliberate use with a\n" +
+		"justified //simlint:gotime-ok annotation.",
 	Requires: []*analysis.Analyzer{callsummary.Analyzer},
 	Run:      run,
-}
-
-// sanctioned maps a package-path tail to the base names of its engine
-// files, where the event loop's own concurrency machinery lives.
-var sanctioned = map[string][]string{
-	"internal/kernel":  {"machine.go", "task.go", "step.go"},
-	"internal/cluster": {"cluster.go"},
-}
-
-// sanctionedFile reports whether the file is an engine file of its
-// package. Test variants ("pkg [pkg.test]") inherit their package's
-// sanction list, but test files themselves are never sanctioned.
-func sanctionedFile(pkgPath, filename string) bool {
-	base := filepath.Base(filename)
-	for tail, files := range sanctioned {
-		if pkgPath != tail && !strings.HasSuffix(normalize(pkgPath), "/"+tail) {
-			continue
-		}
-		for _, f := range files {
-			if base == f {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-func normalize(path string) string {
-	if i := strings.IndexByte(path, ' '); i >= 0 {
-		path = path[:i]
-	}
-	return strings.TrimSuffix(path, "_test")
 }
 
 func run(pass *analysis.Pass) (any, error) {
@@ -90,10 +51,6 @@ func run(pass *analysis.Pass) (any, error) {
 	sums := pass.ResultOf[callsummary.Analyzer].(*callsummary.Result)
 
 	for _, f := range pass.Files {
-		filename := pass.Fset.Position(f.Pos()).Filename
-		if sanctionedFile(pass.Pkg.Path(), filename) {
-			continue
-		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			if desc, ok := callsummary.ConcOp(pass.TypesInfo, n); ok {
 				if note, found := notes.At(n.Pos(), Key); found {
@@ -102,7 +59,7 @@ func run(pass *analysis.Pass) (any, error) {
 					}
 					return true
 				}
-				pass.Reportf(n.Pos(), "%s in a deterministic package outside the engine files; schedule through the kernel's event loop, or annotate //simlint:%s <why>", desc, Key)
+				pass.Reportf(n.Pos(), "%s in a deterministic package; schedule through the kernel's event loop, or annotate //simlint:%s <why>", desc, Key)
 				return true
 			}
 			// Calls that leave the deterministic scope for a callee that

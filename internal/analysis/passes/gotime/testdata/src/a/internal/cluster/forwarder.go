@@ -1,7 +1,6 @@
-// forwarder.go is NOT sanctioned: it holds the ported resumable
-// forwarding guest, which runs under the simulated scheduler — a
-// channel here would smuggle host-scheduler ordering into a guest
-// that both drivers must replay identically.
+// forwarder.go holds the resumable forwarding guest, which runs under
+// the simulated scheduler — a channel here would smuggle
+// host-scheduler ordering into a guest that must replay identically.
 package cluster
 
 func forwarderLeak(wake chan struct{}) {

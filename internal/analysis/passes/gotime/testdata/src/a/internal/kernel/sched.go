@@ -1,4 +1,4 @@
-// sched.go is NOT a sanctioned engine file: concurrency here must go
+// sched.go stands for any kernel file: concurrency here must go
 // through the kernel's event loop.
 package kernel
 
@@ -58,8 +58,8 @@ func annotatedIndirect() {
 }
 
 func inScopeCalleeNotDoubled() {
-	// helper and the Machine engine are inside the deterministic
-	// scope: policed at their declarations, not at call sites.
+	// helper and badSpawn are inside the deterministic scope: policed
+	// at their declarations, not at call sites.
 	helper()
-	new(Machine).Run()
+	badSpawn(nil)
 }
