@@ -311,9 +311,9 @@ func TestClusterCrashRestartReplay(t *testing.T) {
 	}
 }
 
-// TestClusterSnapshotRejects pins the refusal surface: goroutine-
-// driver guests and finished fabrics are not snapshottable, and both
-// report kernel.ErrNotSnapshottable.
+// TestClusterSnapshotRejects pins the refusal surface: started Body
+// guests (suspended on their coroutines) and finished fabrics are not
+// snapshottable, and both report kernel.ErrNotSnapshottable.
 func TestClusterSnapshotRejects(t *testing.T) {
 	t.Run("goroutine guest", func(t *testing.T) {
 		cfg := Config{
@@ -341,7 +341,7 @@ func TestClusterSnapshotRejects(t *testing.T) {
 			t.Fatal(err)
 		}
 		if _, err := c.Snapshot(); !errors.Is(err, kernel.ErrNotSnapshottable) {
-			t.Fatalf("snapshot with started goroutine guests = %v, want ErrNotSnapshottable", err)
+			t.Fatalf("snapshot with started Body guests = %v, want ErrNotSnapshottable", err)
 		}
 	})
 	t.Run("finished cluster", func(t *testing.T) {

@@ -45,8 +45,8 @@ const harvestDigests = "testdata/harvest.sha256"
 // victim host were each built in one place; the single-machine renders
 // while the paper's guests still ran on a goroutine per task. All of
 // them still pass byte for byte. The harvest digests were last
-// rewritten when Options lost its GoroutineGuests field, which took
-// exactly the Opts.GoroutineGuests=false lines out of each dump.
+// rewritten when Options lost its driver-selection field, which took
+// exactly that field's line out of each dump's Opts.
 // Regenerate the goldens only to move that bar on purpose:
 //
 //	go test ./internal/experiments -run TestClusterGoldens -update

@@ -14,12 +14,13 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# The pinned gate set: the kernel hot path (both guest drivers), the
-# resident-memory footprint, the heaviest cluster artifacts (the
-# routed fabric, the qdisc layer, and the chaos overlay with its
-# crash/restart machinery), and the checkpoint/fork campaign path.
-# BenchmarkMachineSteps also matches the BenchmarkMachineStepsDriver
-# flyweight/goroutine A/B pair.
+# The pinned gate set: the kernel hot path (both ways to write a
+# guest), the resident-memory footprint, the heaviest cluster
+# artifacts (the routed fabric, the qdisc layer, and the chaos overlay
+# with its crash/restart machinery), and the checkpoint/fork campaign
+# path. BenchmarkMachineSteps also matches the
+# BenchmarkMachineStepsDriver flyweight/body pair; the body halves are
+# reported without a baseline until a BENCH file records them.
 PINNED='BenchmarkMachineSteps|BenchmarkResidentMachines|BenchmarkRouterFlood|BenchmarkFairFlood|BenchmarkChaosFlood|BenchmarkForkedCampaign'
 MAX_REGRESSION_PCT="${MAX_REGRESSION_PCT:-30}"
 
