@@ -383,3 +383,29 @@ func TestOOMKilledBodyGuestLeavesNoGoroutine(t *testing.T) {
 		t.Fatalf("%d goroutines after the run, %d before: the killed guest's goroutine outlived its machine", after, before)
 	}
 }
+
+// TestBodyCoroutinesAreReused pins that a machine recycles the
+// coroutines of ended Body guests, as a fork storm needs: a parent
+// that forks and reaps 200 children one at a time runs on two
+// coroutines, its own and one its children take in turn.
+func TestBodyCoroutinesAreReused(t *testing.T) {
+	m := testMachine(t)
+	made := 0
+	if _, err := m.Spawn(SpawnConfig{Name: "parent", Body: func(ctx guest.Context) {
+		for i := 0; i < 200; i++ {
+			ctx.Fork("child", func(c guest.Context) { c.Compute(10_000) })
+			if _, ok := ctx.Wait(); !ok {
+				t.Error("wait reaped no child")
+			}
+		}
+		// The engine waits while guest code runs, so the machine can
+		// be read here, before shutdown releases its coroutines.
+		made = len(m.coros)
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	run(t, m)
+	if made != 2 {
+		t.Fatalf("the machine made %d coroutines for 201 Body tasks, want 2", made)
+	}
+}
