@@ -9,52 +9,72 @@ import (
 	"repro/internal/sim"
 )
 
-// This file is the kernel's only guest driver: the activation loop.
-// The engine runs one activation per granted request on the goroutine
+// This file is the kernel's only guest driver: the activation loop,
+// and stepCtx, the one guest.Context every task posts through. The
+// engine runs one activation per granted request on the goroutine
 // driving the machine, and an activation posts its next request
 // through beginPosted, which services it inline while the task keeps
 // the CPU. A guest is written one of two ways:
 //
 //   - SpawnConfig.Step: a resumable state machine (guest.Step) with no
 //     goroutine and no parked stack. An activation is one call of its
-//     continuation.
+//     continuation, and a post returns zero values: the reply arrives
+//     as the next activation's Resume.
 //   - SpawnConfig.Body: blocking Go code (guest.Routine), as libc,
 //     libm, program images and attacks are written. An activation
 //     resumes the code on the task's coroutine (see coro), which runs
 //     on through every request granted inline and yields only when a
-//     request is left pending.
+//     request is left pending; a post returns the reply.
 //
-// Both post through the same stepCtx, so a guest's request sequence —
-// not how it is written — determines the machine's history.
+// Both forms post the same request the same way, so a guest's request
+// sequence — not how it is written — determines the machine's history.
 
-// stepCtx implements guest.Context for a flyweight task and holds
-// every task's single reusable request. Its posting methods do not
-// block — they post the request, run the engine's inter-request
-// bookkeeping (which may service the request synchronously), and
-// return zero values. The real reply is delivered as the next
-// activation's Resume; a Body guest's guestCtx reads it from r.
+// stepCtx is a task's guest.Context and holds its single reusable
+// request. A posting method writes the request into r, posts it, and
+// returns the reply fields of the request post returns.
 type stepCtx struct {
 	t *task
 	r request
 	// posted marks this activation's single allowed post.
 	posted bool
+	// argbuf backs Call1's argument slice (see guest.LibFunc's
+	// aliasing contract).
+	argbuf [1]uint64
 }
 
 var _ guest.Context = (*stepCtx)(nil)
 
-// post offers the request already written into c.r to the engine. A
-// guest never drives the engine; it returns to whoever does. Callers
-// assign c.r with a full struct literal first — assigning in
-// place rather than passing the request by value keeps a post to a
-// single struct copy, which the activation loop is hot enough to feel.
-func (c *stepCtx) post() {
+// noReply is what a Step task's post returns. The kernel never writes
+// it, so a Step guest's posting methods return zero values.
+var noReply request
+
+// post offers the request already written into c.r to the engine.
+// Callers assign c.r with a full struct literal first, which clears
+// stale replies and keeps a post to a single struct copy. A Step task
+// returns to whoever drives the engine, so its post returns noReply at
+// once. A Body task's post returns c.r once granted: inline, or after
+// its coroutine yields to the activation loop until the grant.
+func (c *stepCtx) post() *request {
 	if c.posted {
 		panic(fmt.Sprintf("kernel: flyweight task %v posted two requests in one activation (a kernel request must be the activation's last action)", c.t.p))
 	}
 	c.posted = true
 	t := c.t
+	// Read co before servicing: if the OOM killer reaps the task
+	// mid-request, doExit clears t.co, and the killed guest must still
+	// yield here rather than run on and post again.
+	co := t.co
 	t.cur = &c.r
 	t.m.beginPosted(t)
+	if co == nil {
+		return &noReply
+	}
+	if !t.granted && !co.yield(struct{}{}) {
+		panic(killPanic{})
+	}
+	t.granted = false
+	c.posted = false
+	return &c.r
 }
 
 // takeResume harvests the serviced request's reply fields.
@@ -92,35 +112,56 @@ func (c *stepCtx) Store(addr uint64) {
 }
 
 func (c *stepCtx) Call(fn string, args ...uint64) uint64 {
-	panic(fmt.Sprintf("kernel: flyweight task %v used Call (library code has no resumable form; spawn with Body)", c.t.p))
+	return c.callSym(fn, args)
 }
 
 func (c *stepCtx) Call1(fn string, a0 uint64) uint64 {
-	panic(fmt.Sprintf("kernel: flyweight task %v used Call1 (library code has no resumable form; spawn with Body)", c.t.p))
+	// The scratch buffer lives in the (heap-resident) task, so slicing
+	// it does not allocate; LibFunc implementations are forbidden from
+	// retaining args.
+	c.argbuf[0] = a0
+	return c.callSym(fn, c.argbuf[:1])
+}
+
+// callSym resolves fn through the link map and runs it in this
+// context, charging the PLT indirection. A Step task cannot: library
+// code is Routine code, which has no resumable form.
+func (c *stepCtx) callSym(fn string, args []uint64) uint64 {
+	if c.t.body == nil {
+		panic(fmt.Sprintf("kernel: flyweight task %v called %q (library code has no resumable form; spawn with Body)", c.t.p, fn))
+	}
+	lm := c.t.linkMap
+	if lm == nil {
+		panic(fmt.Sprintf("kernel: task %v calls %q with no link map (not exec'd)", c.t.p, fn))
+	}
+	f, _, ok := lm.Resolve(fn)
+	if !ok {
+		panic(fmt.Sprintf("kernel: undefined symbol %q in %v", fn, c.t.p))
+	}
+	// PLT indirection cost, then the callee runs in this context.
+	c.Compute(pltCost)
+	return f(c, args)
 }
 
 func (c *stepCtx) Syscall(name string) error {
 	c.r = request{kind: rqSyscall, name: name}
-	c.post()
-	return nil
+	return c.post().err
 }
 
 func (c *stepCtx) Fork(name string, body guest.Routine) proc.PID {
 	c.r = request{kind: rqFork, name: name, body: body}
-	c.post()
-	return 0
+	return proc.PID(c.post().ret)
 }
 
 func (c *stepCtx) SpawnThread(name string, body guest.Routine) proc.PID {
 	c.r = request{kind: rqThread, name: name, body: body}
-	c.post()
-	return 0
+	return proc.PID(c.post().ret)
 }
 
 func (c *stepCtx) Wait() (guest.WaitResult, bool) {
 	c.r = request{kind: rqWait}
-	c.post()
-	return guest.WaitResult{}, false
+	r := c.post()
+	return r.wres, r.wok
 }
 
 func (c *stepCtx) Exit(code int) {
@@ -142,6 +183,10 @@ func (c *stepCtx) SetNice(n int) {
 	c.post()
 }
 
+// The pure reads and Setenv touch state directly: the engine waits
+// while guest code runs, and no other task writes this one's state
+// once it runs.
+
 func (c *stepCtx) Nice() int {
 	return c.t.p.Nice()
 }
@@ -156,8 +201,8 @@ func (c *stepCtx) Setenv(key, value string) {
 
 func (c *stepCtx) FindProcess(name string) (proc.PID, bool) {
 	c.r = request{kind: rqFind, name: name}
-	c.post()
-	return 0, false
+	r := c.post()
+	return proc.PID(r.ret), r.wok
 }
 
 func (c *stepCtx) Rand() *sim.Rand {
@@ -166,38 +211,36 @@ func (c *stepCtx) Rand() *sim.Rand {
 
 func (c *stepCtx) Ptrace(req guest.PtraceRequest, pid proc.PID, addr, data uint64) error {
 	c.r = request{kind: rqPtrace, ptReq: req, ptPid: pid, ptAddr: addr, ptData: data}
-	c.post()
-	return nil
+	return c.post().err
 }
 
 func (c *stepCtx) Usage() (user, system sim.Cycles) {
 	c.r = request{kind: rqUsage}
-	c.post()
-	return 0, 0
+	r := c.post()
+	return r.u, r.s
 }
 
 func (c *stepCtx) ClockNow() sim.Cycles {
 	c.r = request{kind: rqClock}
-	c.post()
-	return 0
+	return sim.Cycles(c.post().ret)
 }
 
 func (c *stepCtx) NetSend(f guest.Frame) (bool, error) {
 	c.r = request{kind: rqNetSend, frame: f}
-	c.post()
-	return false, nil
+	r := c.post()
+	return r.wok, r.err
 }
 
 func (c *stepCtx) NetForward(f guest.Frame) (bool, error) {
 	c.r = request{kind: rqNetForward, frame: f}
-	c.post()
-	return false, nil
+	r := c.post()
+	return r.wok, r.err
 }
 
 func (c *stepCtx) NetRecv() (guest.Frame, bool, error) {
 	c.r = request{kind: rqNetRecv}
-	c.post()
-	return guest.Frame{}, false, nil
+	r := c.post()
+	return r.frame, r.wok, r.err
 }
 
 func (c *stepCtx) NetAddr() guest.Addr {
@@ -206,19 +249,50 @@ func (c *stepCtx) NetAddr() guest.Addr {
 
 func (c *stepCtx) NetRx() uint64 {
 	c.r = request{kind: rqNetRx}
-	c.post()
-	return 0
+	return c.post().ret
 }
 
 func (c *stepCtx) NetRxWait(seen uint64) uint64 {
 	c.r = request{kind: rqNetRxWait, addr: seen}
-	c.post()
-	return 0
+	return c.post().ret
 }
 
+// Exec loads a program image: the kernel charges execve and dynamic
+// linking, builds the link map, and records integrity measurements;
+// then constructors, main, and destructors run here in guest context,
+// exactly the sandwich of Fig. 2 in the paper.
 func (c *stepCtx) Exec(prog *guest.Program) {
-	panic(fmt.Sprintf("kernel: flyweight task %v used Exec (program images run Routine code; spawn with Body)", c.t.p))
+	if c.t.body == nil {
+		panic(fmt.Sprintf("kernel: flyweight task %v used Exec (program images run Routine code; spawn with Body)", c.t.p))
+	}
+	c.r = request{kind: rqExec, prog: prog}
+	if err := c.post().err; err != nil {
+		panic(fmt.Sprintf("kernel: exec %q: %v", prog.Name, err))
+	}
+	libs := c.t.linkMap.Libraries()
+	for _, l := range libs {
+		if l.Constructor != nil {
+			c.Compute(ctorDispatchCost)
+			l.Constructor(c)
+		}
+	}
+	if prog.Main != nil {
+		prog.Main(c)
+	}
+	for i := len(libs) - 1; i >= 0; i-- {
+		if d := libs[i].Destructor; d != nil {
+			c.Compute(ctorDispatchCost)
+			d(c)
+		}
+	}
 }
+
+// pltCost is the user-mode cost of one PLT-resolved library call.
+const pltCost sim.Cycles = 12
+
+// ctorDispatchCost is the loader's per-routine dispatch overhead
+// around constructors/destructors.
+const ctorDispatchCost sim.Cycles = 200
 
 // stepRun runs a task's activations: the first when the task has
 // never run, then one per granted request. It returns when the task's
@@ -278,7 +352,7 @@ func (m *Machine) bindCoro(t *task) *coro {
 		co.resume, co.stop = iter.Pull(co.run)
 		m.coros = append(m.coros, co)
 	}
-	co.ctx.t = t
+	co.t = t
 	return co
 }
 

@@ -1,14 +1,17 @@
 package kernel
 
 import (
-	"fmt"
-
 	"repro/internal/device"
 	"repro/internal/guest"
 	"repro/internal/lib"
 	"repro/internal/proc"
 	"repro/internal/sim"
 )
+
+// This file holds a task's kernel-side state: the request its guest
+// posts, the PCB and bookkeeping the engine keeps per task, and coro,
+// the coroutine a Body guest's blocking code runs on. The guest posts
+// through stepCtx (step.go) whichever way it is written.
 
 // reqKind enumerates guest requests.
 type reqKind int
@@ -83,8 +86,8 @@ type task struct {
 	// stepFn, when non-nil, marks a flyweight task: the guest is a
 	// resumable state machine (see step.go). stepFn holds the
 	// continuation that receives the next granted request's reply.
-	// stepCtx is every task's Context for posting requests; a Body
-	// guest posts through it from guestCtx.
+	// stepCtx is the task's guest.Context, whichever way the guest is
+	// written.
 	stepFn  guest.Step
 	stepCtx stepCtx
 
@@ -179,7 +182,10 @@ type killPanic struct{}
 // short-lived children reuse a few coroutines instead of making one
 // each. Shutdown stops every coroutine the machine made.
 type coro struct {
-	ctx    guestCtx
+	// t is the bound task. Its code posts through t.stepCtx, whose
+	// post yields here until a request left pending is granted.
+	t      *task
+	yield  func(struct{}) bool
 	resume func() (struct{}, bool)
 	stop   func()
 	// ended marks that the bound guest's code returned (or called
@@ -191,7 +197,7 @@ type coro struct {
 // run is the coroutine's body: run the bound task's guest code, report
 // its end, and park until the machine binds the next Body task.
 func (co *coro) run(yield func(struct{}) bool) {
-	co.ctx.yield = yield
+	co.yield = yield
 	for {
 		code, killed := co.runGuest()
 		if killed {
@@ -218,226 +224,6 @@ func (co *coro) runGuest() (code int, killed bool) {
 			panic(r)
 		}
 	}()
-	co.ctx.t.body(&co.ctx)
+	co.t.body(&co.t.stepCtx)
 	return 0, false
 }
-
-// guestCtx implements guest.Context for a Body guest, on its
-// coroutine. Each request is posted through the task's stepCtx exactly
-// as a flyweight activation posts it. When the post is granted inline
-// the guest simply continues; otherwise the coroutine yields to the
-// activation loop, which resumes it once the request is granted.
-type guestCtx struct {
-	t     *task
-	yield func(struct{}) bool
-	// argbuf backs Call1's argument slice (see guest.LibFunc's
-	// aliasing contract).
-	argbuf [1]uint64
-}
-
-var _ guest.Context = (*guestCtx)(nil)
-
-func (c *guestCtx) PID() proc.PID { return c.t.p.PID }
-
-// do posts r and returns it once granted, with its reply fields
-// filled. Assigning the whole struct clears stale replies from the
-// task's previous request.
-func (c *guestCtx) do(r request) *request {
-	t := c.t
-	s := &t.stepCtx
-	s.r = r
-	s.post()
-	if !t.granted && !c.yield(struct{}{}) {
-		panic(killPanic{})
-	}
-	t.granted = false
-	s.posted = false
-	return &s.r
-}
-
-func (c *guestCtx) Compute(d sim.Cycles) {
-	if d == 0 {
-		return
-	}
-	c.do(request{kind: rqCompute, cycles: d})
-}
-
-func (c *guestCtx) Load(addr uint64) {
-	c.do(request{kind: rqAccess, addr: addr})
-}
-
-func (c *guestCtx) Store(addr uint64) {
-	c.do(request{kind: rqAccess, addr: addr, write: true})
-}
-
-func (c *guestCtx) Call(fn string, args ...uint64) uint64 {
-	return c.callSym(fn, args)
-}
-
-func (c *guestCtx) Call1(fn string, a0 uint64) uint64 {
-	// The scratch buffer lives in the (heap-resident) context, so
-	// slicing it does not allocate; LibFunc implementations are
-	// forbidden from retaining args.
-	c.argbuf[0] = a0
-	return c.callSym(fn, c.argbuf[:1])
-}
-
-// callSym resolves fn through the link map and runs it in this
-// context, charging the PLT indirection.
-func (c *guestCtx) callSym(fn string, args []uint64) uint64 {
-	lm := c.t.linkMap
-	if lm == nil {
-		panic(fmt.Sprintf("kernel: task %v calls %q with no link map (not exec'd)", c.t.p, fn))
-	}
-	f, _, ok := lm.Resolve(fn)
-	if !ok {
-		panic(fmt.Sprintf("kernel: undefined symbol %q in %v", fn, c.t.p))
-	}
-	// PLT indirection cost, then the callee runs in this context.
-	c.Compute(pltCost)
-	return f(c, args)
-}
-
-func (c *guestCtx) Syscall(name string) error {
-	r := c.do(request{kind: rqSyscall, name: name})
-	return r.err
-}
-
-func (c *guestCtx) Fork(name string, body guest.Routine) proc.PID {
-	r := c.do(request{kind: rqFork, name: name, body: body})
-	return proc.PID(r.ret)
-}
-
-func (c *guestCtx) SpawnThread(name string, body guest.Routine) proc.PID {
-	r := c.do(request{kind: rqThread, name: name, body: body})
-	return proc.PID(r.ret)
-}
-
-func (c *guestCtx) Wait() (guest.WaitResult, bool) {
-	r := c.do(request{kind: rqWait})
-	return r.wres, r.wok
-}
-
-func (c *guestCtx) Exit(code int) {
-	panic(exitPanic{code: code})
-}
-
-func (c *guestCtx) Yield() {
-	c.do(request{kind: rqYield})
-}
-
-func (c *guestCtx) Sleep(d sim.Cycles) {
-	c.do(request{kind: rqSleep, cycles: d})
-}
-
-func (c *guestCtx) SetNice(n int) {
-	c.do(request{kind: rqNice, nice: n})
-}
-
-func (c *guestCtx) Nice() int {
-	// Safe direct read: the engine waits while guest code runs, and
-	// only this task writes its own nice value.
-	return c.t.p.Nice()
-}
-
-func (c *guestCtx) Getenv(key string) string {
-	// Env is written only by this task or before it first runs
-	// (inheritance at fork), and the engine waits while guest code
-	// runs, so this access is race-free.
-	return c.t.p.Env[key]
-}
-
-func (c *guestCtx) Setenv(key, value string) {
-	c.t.p.Env[key] = value
-}
-
-func (c *guestCtx) FindProcess(name string) (proc.PID, bool) {
-	r := c.do(request{kind: rqFind, name: name})
-	return proc.PID(r.ret), r.wok
-}
-
-func (c *guestCtx) Rand() *sim.Rand {
-	// Safe for the same reason as Getenv: a coroutine switch hands
-	// control over, so only this guest runs now.
-	return c.t.m.rng
-}
-
-func (c *guestCtx) Ptrace(req guest.PtraceRequest, pid proc.PID, addr, data uint64) error {
-	r := c.do(request{kind: rqPtrace, ptReq: req, ptPid: pid, ptAddr: addr, ptData: data})
-	return r.err
-}
-
-func (c *guestCtx) Usage() (user, system sim.Cycles) {
-	r := c.do(request{kind: rqUsage})
-	return r.u, r.s
-}
-
-func (c *guestCtx) ClockNow() sim.Cycles {
-	r := c.do(request{kind: rqClock})
-	return sim.Cycles(r.ret)
-}
-
-func (c *guestCtx) NetSend(f guest.Frame) (bool, error) {
-	r := c.do(request{kind: rqNetSend, frame: f})
-	return r.wok, r.err
-}
-
-func (c *guestCtx) NetForward(f guest.Frame) (bool, error) {
-	r := c.do(request{kind: rqNetForward, frame: f})
-	return r.wok, r.err
-}
-
-func (c *guestCtx) NetRecv() (guest.Frame, bool, error) {
-	r := c.do(request{kind: rqNetRecv})
-	return r.frame, r.wok, r.err
-}
-
-func (c *guestCtx) NetAddr() guest.Addr {
-	// Safe direct read like Nice/Getenv: the engine waits while guest
-	// code runs, and the address is fixed at cluster wiring.
-	return c.t.m.nic.Addr()
-}
-
-func (c *guestCtx) NetRx() uint64 {
-	r := c.do(request{kind: rqNetRx})
-	return r.ret
-}
-
-func (c *guestCtx) NetRxWait(seen uint64) uint64 {
-	r := c.do(request{kind: rqNetRxWait, addr: seen})
-	return r.ret
-}
-
-// Exec loads a program image: the kernel charges execve and dynamic
-// linking, builds the link map, and records integrity measurements;
-// then constructors, main, and destructors run here in guest context,
-// exactly the sandwich of Fig. 2 in the paper.
-func (c *guestCtx) Exec(prog *guest.Program) {
-	r := c.do(request{kind: rqExec, prog: prog})
-	if r.err != nil {
-		panic(fmt.Sprintf("kernel: exec %q: %v", prog.Name, r.err))
-	}
-	libs := c.t.linkMap.Libraries()
-	for _, l := range libs {
-		if l.Constructor != nil {
-			c.Compute(ctorDispatchCost)
-			l.Constructor(c)
-		}
-	}
-	if prog.Main != nil {
-		prog.Main(c)
-	}
-	for i := len(libs) - 1; i >= 0; i-- {
-		if d := libs[i].Destructor; d != nil {
-			c.Compute(ctorDispatchCost)
-			d(c)
-		}
-	}
-}
-
-// pltCost is the user-mode cost of one PLT-resolved library call.
-const pltCost sim.Cycles = 12
-
-// ctorDispatchCost is the loader's per-routine dispatch overhead
-// around constructors/destructors.
-const ctorDispatchCost sim.Cycles = 200
