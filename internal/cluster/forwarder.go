@@ -144,7 +144,7 @@ func (g *forwarderStep) fork(cur guest.Step) (guest.Forked, error) {
 	if !ok {
 		return guest.Forked{}, fmt.Errorf("cluster: forwarder holds an unrecognised continuation")
 	}
-	return guest.Forked{Step: s, Fork: c.fork, State: &c}, nil
+	return guest.Forked{Step: s, Fork: c.fork}, nil
 }
 
 // ForwarderStep returns the forwarding guest a router machine runs: it

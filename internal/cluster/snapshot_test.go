@@ -48,7 +48,7 @@ func (g *snapSender) fork(cur guest.Step) (guest.Forked, error) {
 	if !ok {
 		return guest.Forked{}, fmt.Errorf("snapSender: unknown continuation")
 	}
-	return guest.Forked{Step: s, Fork: c.fork, State: &c}, nil
+	return guest.Forked{Step: s, Fork: c.fork}, nil
 }
 
 // snapWatcher is a forkable infinite sink: it blocks in NetRxWait
@@ -74,7 +74,7 @@ func (w *snapWatcher) fork(cur guest.Step) (guest.Forked, error) {
 	if !ok {
 		return guest.Forked{}, fmt.Errorf("snapWatcher: unknown continuation")
 	}
-	return guest.Forked{Step: s, Fork: c.fork, State: &c}, nil
+	return guest.Forked{Step: s, Fork: c.fork}, nil
 }
 
 // snapClusterCfg builds a three-machine fabric dense in cluster

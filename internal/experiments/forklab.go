@@ -93,7 +93,7 @@ func (g *forkChurn) fork(cur guest.Step) (guest.Forked, error) {
 	if !ok {
 		return guest.Forked{}, fmt.Errorf("forklab churn: unknown continuation")
 	}
-	return guest.Forked{Step: s, Fork: c.fork, State: &c}, nil
+	return guest.Forked{Step: s, Fork: c.fork}, nil
 }
 
 // forkSender transmits flow frames — drawing "sendto" fault rolls —
@@ -131,7 +131,7 @@ func (g *forkSender) fork(cur guest.Step) (guest.Forked, error) {
 	if !ok {
 		return guest.Forked{}, fmt.Errorf("forklab sender: unknown continuation")
 	}
-	return guest.Forked{Step: s, Fork: c.fork, State: &c}, nil
+	return guest.Forked{Step: s, Fork: c.fork}, nil
 }
 
 // forkWatcher blocks in NetRxWait consuming the NIC flood.
@@ -159,7 +159,7 @@ func (w *forkWatcher) fork(cur guest.Step) (guest.Forked, error) {
 	if !ok {
 		return guest.Forked{}, fmt.Errorf("forklab watcher: unknown continuation")
 	}
-	return guest.Forked{Step: s, Fork: c.fork, State: &c}, nil
+	return guest.Forked{Step: s, Fork: c.fork}, nil
 }
 
 // BuildForkLab constructs the fork-lab machine: tight physical memory

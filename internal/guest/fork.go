@@ -24,13 +24,11 @@ import "reflect"
 type ForkFunc func(cur Step) (Forked, error)
 
 // Forked is a cloned guest: the clone's continuation (equivalent to
-// the one the original was parked on), its own ForkFunc so the clone
-// can be forked again, and optionally the clone's state struct for
-// the harvest layer to read results out of (e.g. a sender's stats).
+// the one the original was parked on) and its own ForkFunc, so the
+// clone can be forked again.
 type Forked struct {
-	Step  Step
-	Fork  ForkFunc
-	State any
+	Step Step
+	Fork ForkFunc
 }
 
 // RebindStep maps a continuation of one guest instance onto the

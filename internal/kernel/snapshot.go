@@ -101,10 +101,9 @@ type taskImage struct {
 	pid     proc.PID
 	started bool
 
-	body       guest.Routine // never-started Body guests only
-	stepFn     guest.Step
-	forkFn     guest.ForkFunc
-	guestState any
+	body   guest.Routine // never-started Body guests only
+	stepFn guest.Step
+	forkFn guest.ForkFunc
 
 	hasCur    bool
 	req       request
@@ -312,7 +311,7 @@ func (m *Machine) snapshotTask(t *task) (taskImage, error) {
 		if fk.Step == nil || fk.Fork == nil {
 			return ti, fmt.Errorf("snapshot task %s: guest fork returned an incomplete clone", describeTask(t))
 		}
-		ti.stepFn, ti.forkFn, ti.guestState = fk.Step, fk.Fork, fk.State
+		ti.stepFn, ti.forkFn = fk.Step, fk.Fork
 	case t.co != nil:
 		return ti, fmt.Errorf("%w: task %s runs a Body guest whose code is suspended on a coroutine stack (spawn with Step + Fork to checkpoint)", ErrNotSnapshottable, describeTask(t))
 	case !t.started:
@@ -361,17 +360,6 @@ func (m *Machine) Fork() (*Machine, error) {
 		return nil, err
 	}
 	return Restore(img)
-}
-
-// GuestState returns the state struct a restored flyweight guest's
-// fork exposed (guest.Forked.State), so a harvest layer can read
-// results out of a forked machine's guests; nil when the task is
-// unknown or its guest exposed none.
-func (m *Machine) GuestState(pid proc.PID) any {
-	if t := m.tasks[pid]; t != nil {
-		return t.guestState
-	}
-	return nil
 }
 
 // restore builds a machine from the image, optionally into a
@@ -582,7 +570,6 @@ func (m *Machine) restoreTask(ti *taskImage) error {
 		}
 		t.stepFn = fk.Step
 		t.forkFn = fk.Fork
-		t.guestState = fk.State
 	}
 	if ti.hasCur {
 		t.stepCtx.r = ti.req

@@ -50,7 +50,7 @@ func (g *churnGuest) fork(cur guest.Step) (guest.Forked, error) {
 	if !ok {
 		return guest.Forked{}, fmt.Errorf("churnGuest: unknown continuation")
 	}
-	return guest.Forked{Step: s, Fork: c.fork, State: &c}, nil
+	return guest.Forked{Step: s, Fork: c.fork}, nil
 }
 
 // senderGuest transmits flow frames (drawing "sendto" fault rolls)
@@ -88,7 +88,7 @@ func (g *senderGuest) fork(cur guest.Step) (guest.Forked, error) {
 	if !ok {
 		return guest.Forked{}, fmt.Errorf("senderGuest: unknown continuation")
 	}
-	return guest.Forked{Step: s, Fork: c.fork, State: &c}, nil
+	return guest.Forked{Step: s, Fork: c.fork}, nil
 }
 
 // rxWatcher blocks in NetRxWait consuming the NIC flood, exercising
@@ -117,7 +117,7 @@ func (w *rxWatcher) fork(cur guest.Step) (guest.Forked, error) {
 	if !ok {
 		return guest.Forked{}, fmt.Errorf("rxWatcher: unknown continuation")
 	}
-	return guest.Forked{Step: s, Fork: c.fork, State: &c}, nil
+	return guest.Forked{Step: s, Fork: c.fork}, nil
 }
 
 // snapCfg is a machine config dense in mechanisms: tight RAM for
@@ -337,30 +337,6 @@ func TestForkDivergence(t *testing.T) {
 	}
 	if base1 == heavy {
 		t.Fatal("post-fork flood input did not diverge the forked machine")
-	}
-}
-
-// TestSnapshotGuestStateExposed pins the harvest path: a restored
-// machine exposes each forked guest's state struct via GuestState.
-func TestSnapshotGuestStateExposed(t *testing.T) {
-	m := New(snapCfg(3))
-	pids := spawnSnapWorkload(t, m)
-	if _, err := m.RunUntil(4_000_000); err != nil {
-		t.Fatal(err)
-	}
-	r, err := m.Fork()
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, ok := r.GuestState(pids[0]).(*churnGuest)
-	if !ok {
-		t.Fatalf("GuestState(churn) = %T, want *churnGuest", r.GuestState(pids[0]))
-	}
-	if g.i == 0 {
-		t.Fatal("forked churn guest shows no progress; fork did not carry state")
-	}
-	if s := m.GuestState(pids[0]); s != nil {
-		t.Fatalf("original machine unexpectedly exposes guest state %T", s)
 	}
 }
 

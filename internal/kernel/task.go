@@ -93,11 +93,8 @@ type task struct {
 
 	// forkFn clones the flyweight guest's continuation and state for a
 	// machine checkpoint (see guest.ForkFunc); nil guests are not
-	// snapshottable. guestState is the restored guest's state struct
-	// (Forked.State), exposed via Machine.GuestState so a harvest layer
-	// can read results out of a forked machine's guests.
-	forkFn     guest.ForkFunc
-	guestState any
+	// snapshottable.
+	forkFn guest.ForkFunc
 
 	// started marks that the guest's first activation has run.
 	started bool
