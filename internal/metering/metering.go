@@ -105,7 +105,8 @@ type Accountant interface {
 }
 
 // ledger accumulates usage keyed by TGID, plus a children bucket fed
-// by reaping. The charge path is hot — every execution slice and
+// by reaping. Each scheme embeds one, which answers its Usage, OnReap,
+// ChildrenUsage and Snapshot. The charge path is hot — every execution slice and
 // every timer tick land here for every scheme — so the last-charged
 // entry is cached: consecutive charges to the same thread group (the
 // overwhelmingly common case, since the current task absorbs runs of
@@ -125,9 +126,9 @@ func newLedger() ledger {
 	}
 }
 
-// reap folds child (own + its accumulated children) into parent's
-// children bucket and forgets the child.
-func (l *ledger) reap(parent, child proc.PID) {
+// OnReap implements Accountant: it folds child (own + its accumulated
+// children) into parent's children bucket and forgets the child.
+func (l *ledger) OnReap(parent, child proc.PID) {
 	var folded Usage
 	if u := l.byTGID[child]; u != nil {
 		folded = folded.Add(*u)
@@ -151,7 +152,8 @@ func (l *ledger) reap(parent, child proc.PID) {
 	*pc = pc.Add(folded)
 }
 
-func (l *ledger) childrenUsage(pid proc.PID) Usage {
+// ChildrenUsage implements Accountant.
+func (l *ledger) ChildrenUsage(pid proc.PID) Usage {
 	if u := l.children[pid]; u != nil {
 		return *u
 	}
@@ -183,7 +185,8 @@ func (l *ledger) chargeTask(p *proc.Proc, m cpu.Mode, d sim.Cycles) {
 	}
 }
 
-func (l *ledger) usage(pid proc.PID) Usage {
+// Usage implements Accountant.
+func (l *ledger) Usage(pid proc.PID) Usage {
 	if u := l.byTGID[pid]; u != nil {
 		return *u
 	}
@@ -215,7 +218,8 @@ func (l *ledger) clone() ledger {
 	return c
 }
 
-func (l *ledger) snapshot() map[proc.PID]Usage {
+// Snapshot implements Accountant.
+func (l *ledger) Snapshot() map[proc.PID]Usage {
 	out := make(map[proc.PID]Usage, len(l.byTGID))
 	//simlint:unordered-ok map-to-map copy; callers order via SortedPIDs
 	for pid, u := range l.byTGID {
@@ -228,13 +232,13 @@ func (l *ledger) snapshot() map[proc.PID]Usage {
 // is charged to the current task at every timer interrupt.
 type JiffyAccountant struct {
 	tick sim.Cycles // cycles per jiffy
-	l    ledger
+	ledger
 }
 
 // NewJiffy returns a jiffy accountant for the given tick length in
 // cycles (freq / HZ).
 func NewJiffy(tickCycles sim.Cycles) *JiffyAccountant {
-	return &JiffyAccountant{tick: tickCycles, l: newLedger()}
+	return &JiffyAccountant{tick: tickCycles, ledger: newLedger()}
 }
 
 // Name implements Accountant.
@@ -245,7 +249,7 @@ func (a *JiffyAccountant) TickCycles() sim.Cycles { return a.tick }
 
 // OnTick charges one full tick to the current task.
 func (a *JiffyAccountant) OnTick(cur *proc.Proc, mode cpu.Mode) {
-	a.l.chargeTask(cur, mode, a.tick)
+	a.chargeTask(cur, mode, a.tick)
 }
 
 // OnRun is ignored: the jiffy scheme only samples at ticks.
@@ -256,31 +260,19 @@ func (a *JiffyAccountant) OnRun(*proc.Proc, cpu.Mode, sim.Cycles) {}
 // paper describes.
 func (a *JiffyAccountant) OnInterrupt(device.IRQ, *proc.Proc, sim.Cycles) {}
 
-// Usage implements Accountant.
-func (a *JiffyAccountant) Usage(pid proc.PID) Usage { return a.l.usage(pid) }
-
-// OnReap implements Accountant.
-func (a *JiffyAccountant) OnReap(parent, child proc.PID) { a.l.reap(parent, child) }
-
-// ChildrenUsage implements Accountant.
-func (a *JiffyAccountant) ChildrenUsage(pid proc.PID) Usage { return a.l.childrenUsage(pid) }
-
-// Snapshot implements Accountant.
-func (a *JiffyAccountant) Snapshot() map[proc.PID]Usage { return a.l.snapshot() }
-
 // Clone implements Accountant.
 func (a *JiffyAccountant) Clone() Accountant {
-	return &JiffyAccountant{tick: a.tick, l: a.l.clone()}
+	return &JiffyAccountant{tick: a.tick, ledger: a.clone()}
 }
 
 // TSCAccountant charges exact slice lengths. Interrupt time is still
 // billed to the current task (system time), like Linux but precise.
 type TSCAccountant struct {
-	l ledger
+	ledger
 }
 
 // NewTSC returns a TSC accountant.
-func NewTSC() *TSCAccountant { return &TSCAccountant{l: newLedger()} }
+func NewTSC() *TSCAccountant { return &TSCAccountant{ledger: newLedger()} }
 
 // Name implements Accountant.
 func (a *TSCAccountant) Name() string { return "tsc" }
@@ -290,39 +282,27 @@ func (a *TSCAccountant) OnTick(*proc.Proc, cpu.Mode) {}
 
 // OnRun charges the exact slice.
 func (a *TSCAccountant) OnRun(p *proc.Proc, m cpu.Mode, d sim.Cycles) {
-	a.l.chargeTask(p, m, d)
+	a.chargeTask(p, m, d)
 }
 
 // OnInterrupt bills handler time to the interrupted task's system
 // time, preserving Linux's attribution flaw at cycle precision.
 func (a *TSCAccountant) OnInterrupt(_ device.IRQ, cur *proc.Proc, d sim.Cycles) {
-	a.l.chargeTask(cur, cpu.Kernel, d)
+	a.chargeTask(cur, cpu.Kernel, d)
 }
 
-// Usage implements Accountant.
-func (a *TSCAccountant) Usage(pid proc.PID) Usage { return a.l.usage(pid) }
-
-// OnReap implements Accountant.
-func (a *TSCAccountant) OnReap(parent, child proc.PID) { a.l.reap(parent, child) }
-
-// ChildrenUsage implements Accountant.
-func (a *TSCAccountant) ChildrenUsage(pid proc.PID) Usage { return a.l.childrenUsage(pid) }
-
-// Snapshot implements Accountant.
-func (a *TSCAccountant) Snapshot() map[proc.PID]Usage { return a.l.snapshot() }
-
 // Clone implements Accountant.
-func (a *TSCAccountant) Clone() Accountant { return &TSCAccountant{l: a.l.clone()} }
+func (a *TSCAccountant) Clone() Accountant { return &TSCAccountant{ledger: a.clone()} }
 
 // ProcessAwareAccountant is the paper's fine-grained scheme: exact
 // slices plus interrupt time diverted to SystemPID.
 type ProcessAwareAccountant struct {
-	l ledger
+	ledger
 }
 
 // NewProcessAware returns a process-aware accountant.
 func NewProcessAware() *ProcessAwareAccountant {
-	return &ProcessAwareAccountant{l: newLedger()}
+	return &ProcessAwareAccountant{ledger: newLedger()}
 }
 
 // Name implements Accountant.
@@ -333,30 +313,18 @@ func (a *ProcessAwareAccountant) OnTick(*proc.Proc, cpu.Mode) {}
 
 // OnRun charges the exact slice.
 func (a *ProcessAwareAccountant) OnRun(p *proc.Proc, m cpu.Mode, d sim.Cycles) {
-	a.l.chargeTask(p, m, d)
+	a.chargeTask(p, m, d)
 }
 
 // OnInterrupt bills handler time to the system account, not the
 // victim of the interrupt.
 func (a *ProcessAwareAccountant) OnInterrupt(_ device.IRQ, _ *proc.Proc, d sim.Cycles) {
-	a.l.entry(SystemPID).System += d
+	a.entry(SystemPID).System += d
 }
-
-// Usage implements Accountant.
-func (a *ProcessAwareAccountant) Usage(pid proc.PID) Usage { return a.l.usage(pid) }
-
-// OnReap implements Accountant.
-func (a *ProcessAwareAccountant) OnReap(parent, child proc.PID) { a.l.reap(parent, child) }
-
-// ChildrenUsage implements Accountant.
-func (a *ProcessAwareAccountant) ChildrenUsage(pid proc.PID) Usage { return a.l.childrenUsage(pid) }
-
-// Snapshot implements Accountant.
-func (a *ProcessAwareAccountant) Snapshot() map[proc.PID]Usage { return a.l.snapshot() }
 
 // Clone implements Accountant.
 func (a *ProcessAwareAccountant) Clone() Accountant {
-	return &ProcessAwareAccountant{l: a.l.clone()}
+	return &ProcessAwareAccountant{ledger: a.clone()}
 }
 
 // Multi fans hooks out to several accountants so one run yields every
