@@ -1,0 +1,228 @@
+package kernel
+
+import (
+	"errors"
+	"testing"
+
+	"repro/internal/guest"
+	"repro/internal/mem"
+	"repro/internal/proc"
+	"repro/internal/sim"
+)
+
+// fuzzOp is one decoded guest request: an opcode and its argument.
+type fuzzOp struct {
+	code byte
+	arg  uint16
+}
+
+const (
+	fuzzCompute = iota
+	fuzzSleep
+	fuzzYield
+	fuzzClock
+	fuzzSyscall
+	fuzzStore
+	fuzzLoad
+	fuzzUsage
+	fuzzNice
+	fuzzOpCount
+
+	// fuzzPages is the span Store and Load touch, twice the machine's
+	// RAM (fuzzMachine), so the sequence pages.
+	fuzzPages  = 48
+	fuzzMaxOps = 64
+)
+
+// decodeFuzzOps reads up to fuzzMaxOps requests, three bytes each: an
+// opcode and a little-endian argument.
+func decodeFuzzOps(data []byte) []fuzzOp {
+	var ops []fuzzOp
+	for len(data) >= 3 && len(ops) < fuzzMaxOps {
+		ops = append(ops, fuzzOp{code: data[0] % fuzzOpCount, arg: uint16(data[1]) | uint16(data[2])<<8})
+		data = data[3:]
+	}
+	return ops
+}
+
+// fuzzMachine has 24 pages of RAM and fails a quarter of read
+// syscalls with EAGAIN.
+func fuzzMachine() *Machine {
+	return New(Config{
+		Seed:         5,
+		CPUHz:        1_000_000_000,
+		MaxSteps:     50_000_000,
+		PhysMemBytes: fuzzPages / 2 * mem.DefaultPageSize,
+		Faults: &FaultSpec{Syscalls: []SyscallFault{
+			{Name: "read", Errno: guest.EAGAIN, ProbPPM: 250_000},
+		}},
+	})
+}
+
+// post issues op through ctx. Compute and Sleep take at least one
+// cycle, so every op posts exactly one request. It returns the
+// method's return values as log words.
+func (op fuzzOp) post(ctx guest.Context) []uint64 {
+	switch op.code {
+	case fuzzCompute:
+		ctx.Compute(1 + sim.Cycles(op.arg)*100)
+	case fuzzSleep:
+		ctx.Sleep(1 + sim.Cycles(op.arg)*100)
+	case fuzzYield:
+		ctx.Yield()
+	case fuzzClock:
+		return []uint64{uint64(ctx.ClockNow())}
+	case fuzzSyscall:
+		return []uint64{errnoWord(ctx.Syscall("read"))}
+	case fuzzStore:
+		ctx.Store(uint64(op.arg%fuzzPages) * mem.DefaultPageSize)
+	case fuzzLoad:
+		ctx.Load(uint64(op.arg%fuzzPages) * mem.DefaultPageSize)
+	case fuzzUsage:
+		u, s := ctx.Usage()
+		return []uint64{uint64(u), uint64(s)}
+	case fuzzNice:
+		ctx.SetNice(int(op.arg%40) - 20)
+	}
+	return nil
+}
+
+// reply returns the log words the kernel's reply to op carries in r,
+// the same words post returns to a Body guest.
+func (op fuzzOp) reply(r guest.Resume) []uint64 {
+	switch op.code {
+	case fuzzClock:
+		return []uint64{r.Ret}
+	case fuzzSyscall:
+		return []uint64{errnoWord(r.Err)}
+	case fuzzUsage:
+		return []uint64{uint64(r.User), uint64(r.Sys)}
+	}
+	return nil
+}
+
+// errnoWord encodes a syscall's error reply: 0 for success, the errno
+// otherwise, and all ones for an error that is no errno.
+func errnoWord(err error) uint64 {
+	var e guest.Errno
+	switch {
+	case err == nil:
+		return 0
+	case errors.As(err, &e):
+		return uint64(e)
+	}
+	return ^uint64(0)
+}
+
+// fuzzStep replays ops as a Step guest, logging each reply from the
+// next activation's Resume. bad records a posting method that returned
+// a nonzero value, which the Step contract forbids.
+type fuzzStep struct {
+	ops []fuzzOp
+	i   int
+	log []uint64
+	bad bool
+}
+
+func (g *fuzzStep) run(ctx guest.Context, r guest.Resume) guest.Step {
+	if g.i > 0 {
+		g.log = append(g.log, g.ops[g.i-1].reply(r)...)
+	}
+	if g.i == len(g.ops) {
+		return nil
+	}
+	op := g.ops[g.i]
+	g.i++
+	for _, w := range op.post(ctx) {
+		g.bad = g.bad || w != 0
+	}
+	return g.run
+}
+
+// fuzzRun runs ops on a fresh fuzzMachine as a Step or a Body guest
+// and returns the reply log with the machine and the guest's pid.
+func fuzzRun(t *testing.T, ops []fuzzOp, asStep bool) ([]uint64, *Machine, proc.PID) {
+	t.Helper()
+	m := fuzzMachine()
+	var log []uint64
+	g := &fuzzStep{ops: ops}
+	sc := SpawnConfig{Name: "fuzz"}
+	if asStep {
+		sc.Step = g.run
+	} else {
+		sc.Body = func(ctx guest.Context) {
+			for _, op := range ops {
+				log = append(log, op.post(ctx)...)
+			}
+		}
+	}
+	p, err := m.Spawn(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Run(); err != nil {
+		t.Fatalf("step=%v: run: %v", asStep, err)
+	}
+	if asStep {
+		if g.bad {
+			t.Fatal("a Step guest's posting method returned a nonzero value")
+		}
+		log = g.log
+	}
+	return log, m, p.PID
+}
+
+// FuzzStepMatchesBody pins TestStepGuestMatchesBodyGuest's invariant
+// over arbitrary request sequences that page, draw injected faults,
+// read usage and renice: the same sequence written as a Step and as
+// blocking Body code gets the same replies, the same final clock, the
+// same kernel counters and the same bills under every scheme.
+func FuzzStepMatchesBody(f *testing.F) {
+	f.Add([]byte{fuzzCompute, 0x10, 0x27, fuzzClock, 0, 0, fuzzUsage, 0, 0})
+	f.Add([]byte{fuzzSyscall, 0, 0, fuzzSyscall, 0, 0, fuzzSyscall, 0, 0, fuzzSyscall, 0, 0, fuzzSyscall, 0, 0})
+	f.Add([]byte{
+		fuzzStore, 0, 0, fuzzStore, 30, 0, fuzzLoad, 1, 0, fuzzStore, 47, 0,
+		fuzzLoad, 0, 0, fuzzSleep, 0xff, 0, fuzzYield, 0, 0, fuzzNice, 39, 0,
+		fuzzCompute, 0xff, 0xff, fuzzUsage, 0, 0, fuzzClock, 0, 0,
+	})
+	// Store every page, then load the first ones back: past 24 pages
+	// the machine swaps.
+	var paging []byte
+	for i := 0; i < fuzzMaxOps; i++ {
+		code := byte(fuzzStore)
+		if i >= fuzzPages {
+			code = fuzzLoad
+		}
+		paging = append(paging, code, byte(i%fuzzPages), 0)
+	}
+	f.Add(paging)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ops := decodeFuzzOps(data)
+		if len(ops) == 0 {
+			return
+		}
+		logS, ms, ps := fuzzRun(t, ops, true)
+		logB, mb, pb := fuzzRun(t, ops, false)
+		if len(logS) != len(logB) {
+			t.Fatalf("reply logs differ in length: step %d, body %d", len(logS), len(logB))
+		}
+		for i := range logS {
+			if logS[i] != logB[i] {
+				t.Fatalf("reply word %d diverged: step %d, body %d\nstep %v\nbody %v", i, logS[i], logB[i], logS, logB)
+			}
+		}
+		if ns, nb := ms.Clock().Now(), mb.Clock().Now(); ns != nb {
+			t.Fatalf("final virtual time diverged: step %d, body %d", ns, nb)
+		}
+		if cs, cb := ms.Stats(ps), mb.Stats(pb); cs != cb {
+			t.Fatalf("kernel counters diverged: step %+v, body %+v", cs, cb)
+		}
+		for _, scheme := range []string{"jiffy", "tsc", "process-aware"} {
+			us, _ := ms.UsageBy(scheme, ps)
+			ub, _ := mb.UsageBy(scheme, pb)
+			if us != ub {
+				t.Fatalf("%s usage diverged: step %+v, body %+v", scheme, us, ub)
+			}
+		}
+	})
+}

@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/guest"
@@ -188,33 +189,96 @@ func TestFlyweightBarrierSlices(t *testing.T) {
 }
 
 // TestFlyweightContractViolations pins the activation loop's
-// determinism guards: an activation that posts twice, or returns a
-// continuation without posting, is a guest bug and must fail loudly
-// rather than silently diverge from the request sequence it means.
+// determinism guards: an activation that posts twice, returns a
+// continuation without posting, or runs Routine code in guest context
+// (Call, Call1, Exec) is a guest bug and must fail loudly rather than
+// silently diverge from the request sequence it means. It also pins
+// that a Step guest's posting methods return zero values, even for a
+// request the kernel grants inline: the reply arrives in the next
+// Resume only.
 func TestFlyweightContractViolations(t *testing.T) {
-	mustPanic := func(name string, step guest.Step) {
+	mustPanic := func(name, want string, step guest.Step) {
 		t.Helper()
 		m := testMachine(t)
 		if _, err := m.Spawn(SpawnConfig{Name: name, Step: step}); err != nil {
 			t.Fatal(err)
 		}
 		defer func() {
-			if recover() == nil {
-				t.Fatalf("%s: expected a contract panic, got none", name)
+			r := recover()
+			if msg, _ := r.(string); !strings.Contains(msg, want) {
+				t.Fatalf("%s: got panic %v, want one containing %q", name, r, want)
 			}
 			m.Shutdown()
 		}()
 		_ = m.Run()
 	}
 
-	mustPanic("double-post", func(ctx guest.Context, r guest.Resume) guest.Step {
+	mustPanic("double-post", "posted two requests", func(ctx guest.Context, r guest.Resume) guest.Step {
 		ctx.Compute(1000)
 		ctx.Sleep(1000) // second post in one activation
 		return nil
 	})
-	mustPanic("no-post", func(ctx guest.Context, r guest.Resume) guest.Step {
+	mustPanic("no-post", "without posting", func(ctx guest.Context, r guest.Resume) guest.Step {
 		return func(guest.Context, guest.Resume) guest.Step { return nil }
 	})
+	mustPanic("call", `called "strlen"`, func(ctx guest.Context, r guest.Resume) guest.Step {
+		ctx.Call("strlen", 0)
+		return nil
+	})
+	mustPanic("call1", `called "strlen"`, func(ctx guest.Context, r guest.Resume) guest.Step {
+		ctx.Call1("strlen", 0)
+		return nil
+	})
+	mustPanic("exec", "used Exec", func(ctx guest.Context, r guest.Resume) guest.Step {
+		ctx.Exec(&guest.Program{Name: "prog"})
+		return nil
+	})
+
+	m := New(Config{Seed: 1, CPUHz: 1_000_000_000, MaxSteps: 50_000_000,
+		Faults: &FaultSpec{Syscalls: []SyscallFault{{Name: "read", Errno: guest.EAGAIN, ProbPPM: 1_000_000}}}})
+	m.NIC().InjectRx(1000)
+	probes := []struct {
+		name  string
+		post  func(guest.Context) bool // posts; reports a zero return
+		reply func(guest.Resume) bool  // reports the kernel's nonzero reply
+	}{
+		{"ClockNow", func(c guest.Context) bool { return c.ClockNow() == 0 }, func(r guest.Resume) bool { return r.Ret != 0 }},
+		{"NetRx", func(c guest.Context) bool { return c.NetRx() == 0 }, func(r guest.Resume) bool { return r.Ret == 1 }},
+		{"Usage", func(c guest.Context) bool { u, s := c.Usage(); return u == 0 && s == 0 }, func(r guest.Resume) bool { return r.User != 0 }},
+		{"Syscall", func(c guest.Context) bool { return c.Syscall("read") == nil }, func(r guest.Resume) bool { return r.Err == guest.EAGAIN }},
+	}
+	i := -1
+	var probe guest.Step
+	probe = func(ctx guest.Context, r guest.Resume) guest.Step {
+		if i < 0 {
+			// Run long enough for a clock, a bill and a delivered frame.
+			ctx.Compute(30_000_000)
+			i++
+			return probe
+		}
+		if i > 0 && !probes[i-1].reply(r) {
+			t.Errorf("%s: Resume %+v carries no reply", probes[i-1].name, r)
+		}
+		if i == len(probes) {
+			return nil
+		}
+		p := probes[i]
+		i++
+		if !p.post(ctx) {
+			t.Errorf("%s returned a nonzero value to a Step guest", p.name)
+		}
+		if !m.tasks[ctx.PID()].granted {
+			t.Errorf("%s was not granted inline; the probe pins nothing", p.name)
+		}
+		return probe
+	}
+	if _, err := m.Spawn(SpawnConfig{Name: "probe", Step: probe}); err != nil {
+		t.Fatal(err)
+	}
+	run(t, m)
+	if i != len(probes) {
+		t.Fatalf("probe ran %d of %d posts", i, len(probes))
+	}
 }
 
 // TestSpawnRequiresExactlyOneDriver pins the SpawnConfig validation.
