@@ -186,27 +186,12 @@ func New(cfg Config) *Machine {
 	if cfg.WakeLatencyBase == 0 {
 		cfg.WakeLatencyBase = sim.Cycles(uint64(cfg.CPUHz) / 1000) // 1 ms
 	}
-	c := cpu.New(cfg.CPUHz)
-	m := &Machine{
-		cfg:           cfg,
-		cpu:           c,
-		clock:         c.Clock(),
-		queue:         sim.NewEventQueue(),
-		rng:           sim.NewRand(cfg.Seed),
-		mem:           mem.New(cfg.PhysMemBytes, 0),
-		table:         proc.NewTable(),
-		reg:           cfg.Registry,
-		tasks:         make(map[proc.PID]*task),
-		stats:         make(map[proc.PID]*Stats),
-		measuredKeys:  make(map[measureKey]bool),
-		groupCount:    make(map[proc.PID]int),
-		finalUsage:    make(map[string]map[proc.PID]metering.Usage),
-		finalChildren: make(map[string]map[proc.PID]metering.Usage),
-	}
-	m.timerFire = m.timerTick
-	m.preemptFire = func() { m.needResched = true }
-	m.writebackFire = m.diskIRQ
-	m.barrierFire = func() { m.pauseReq = true }
+	m := newShell(cfg.Seed)
+	m.cfg, m.reg = cfg, cfg.Registry
+	m.cpu = cpu.New(cfg.CPUHz)
+	m.clock = m.cpu.Clock()
+	m.mem = mem.New(cfg.PhysMemBytes, 0)
+	m.table = proc.NewTable()
 	m.tickCycles = sim.Cycles(uint64(cfg.CPUHz) / cfg.HZ)
 
 	cyclesPerMs := sim.Cycles(uint64(cfg.CPUHz) / 1000)
@@ -242,6 +227,27 @@ func New(cfg Config) *Machine {
 	// Arm the periodic timer.
 	m.nextTickAt = m.clock.Now() + m.tickCycles
 	m.queue.Schedule(m.nextTickAt, sim.KindTimer, m.timerFire)
+	return m
+}
+
+// newShell returns what New and a restore both build first: a
+// machine's empty containers, its rng at seed, and its recurring event
+// callbacks.
+func newShell(seed int64) *Machine {
+	m := &Machine{
+		queue:         sim.NewEventQueue(),
+		rng:           sim.NewRand(seed),
+		tasks:         make(map[proc.PID]*task),
+		stats:         make(map[proc.PID]*Stats),
+		measuredKeys:  make(map[measureKey]bool),
+		groupCount:    make(map[proc.PID]int),
+		finalUsage:    make(map[string]map[proc.PID]metering.Usage),
+		finalChildren: make(map[string]map[proc.PID]metering.Usage),
+	}
+	m.timerFire = m.timerTick
+	m.preemptFire = func() { m.needResched = true }
+	m.writebackFire = m.diskIRQ
+	m.barrierFire = func() { m.pauseReq = true }
 	return m
 }
 

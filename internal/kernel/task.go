@@ -96,25 +96,45 @@ type task struct {
 	// snapshottable.
 	forkFn guest.ForkFunc
 
+	// cur is the request being serviced (always &stepCtx.r); granted
+	// marks its completion, read by the activation loop. resume, when
+	// set, is a continuation run at next dispatch (finishing a
+	// watchpoint-interrupted memory access).
+	cur     *request
+	granted bool
+	resume  func()
+
+	taskState
+
+	// tracees are the tasks this one has ptrace-attached to.
+	tracees []*task
+
+	// wakeFire is the reusable callback for delayed wake events, built
+	// once in newTask so the wake path does not allocate a closure per
+	// wakeup. sleepFire and swapInFire are the same idea for sleep
+	// expiry and blocking swap-in completion: a task has at most one of
+	// each in flight, so the steady-state sleep/fault loops of the
+	// runtime attacks allocate nothing.
+	wakeFire   func()
+	sleepFire  func()
+	swapInFire func()
+}
+
+// taskState is a task's plain-data state: flags, cycle counts and the
+// immutable program it runs. A machine copy assigns it as one value.
+type taskState struct {
 	// started marks that the guest's first activation has run.
 	started bool
 
-	// cur is the request being serviced (always &stepCtx.r). begun
-	// marks that the kernel has started servicing it; granted marks
-	// completion, read by the activation loop. pendingUser is
-	// user-mode computation still to burn before cur completes (only
-	// rqCompute uses it; kernel services are non-preemptible lumps).
-	// completed marks a blocked request (disk wait, wait(), trace
-	// stop) whose condition has been satisfied; the grant is delivered
-	// when the task is next dispatched. resume, when set, is a
-	// continuation run at next dispatch (finishing a
-	// watchpoint-interrupted memory access).
-	cur         *request
+	// begun marks that the kernel has started servicing cur.
+	// pendingUser is user-mode computation still to burn before cur
+	// completes (only rqCompute uses it; kernel services are
+	// non-preemptible lumps). completed marks a blocked request (disk
+	// wait, wait(), trace stop) whose condition has been satisfied; the
+	// grant is delivered when the task is next dispatched.
 	begun       bool
-	granted     bool
 	pendingUser sim.Cycles
 	completed   bool
-	resume      func()
 
 	// image is the executable identity this task runs (inherited on
 	// fork, replaced by exec). linkMap is set by exec.
@@ -140,24 +160,13 @@ type task struct {
 	// statistics.
 	blockedAt sim.Cycles
 
-	// tracees are the tasks this one has ptrace-attached to.
-	tracees []*task
-
 	// stopReported marks a ptrace stop already delivered to the
 	// tracer via Wait.
 	stopReported bool
 
 	// wakePending marks a scheduled delayed wake so duplicate wake
-	// events are not enqueued. wakeFire is the reusable callback for
-	// those events, built once in newTask so the wake path does not
-	// allocate a closure per wakeup. sleepFire and swapInFire are the
-	// same idea for sleep expiry and blocking swap-in completion: a
-	// task has at most one of each in flight, so the steady-state
-	// sleep/fault loops of the runtime attacks allocate nothing.
+	// events are not enqueued.
 	wakePending bool
-	wakeFire    func()
-	sleepFire   func()
-	swapInFire  func()
 
 	// billable marks thread groups whose final usage must outlive
 	// reaping: directly spawned processes and anything that exec'd a
