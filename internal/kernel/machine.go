@@ -673,10 +673,9 @@ func (m *Machine) driveStep() error {
 		m.beginRequest(t, t.cur)
 	case t.cur != nil && t.pendingUser > 0:
 		m.burnCompute(t)
-	case t.resume != nil:
-		f := t.resume
-		t.resume = nil
-		f()
+	case t.watchFired:
+		// A watchpoint-interrupted access resumes past its trap.
+		m.serviceAccess(t, t.cur, true)
 	case t.cur != nil && t.completed:
 		// A blocked request (disk, wait, sleep) completed: grant it.
 		m.grantNow(t)

@@ -273,20 +273,12 @@ func (c *Machine) cloneTask(t *task, p *proc.Proc) error {
 		return fmt.Errorf("%w: task %s runs a flyweight guest spawned without a Fork function", ErrNotSnapshottable, describeTask(t))
 	case t.co != nil:
 		return fmt.Errorf("%w: task %s runs a Body guest whose code is suspended on a coroutine stack (spawn with Step + Fork to checkpoint)", ErrNotSnapshottable, describeTask(t))
-	case t.resume != nil && t.cur == nil:
-		return fmt.Errorf("%w: task %s has a resume continuation with no in-flight request", ErrNotSnapshottable, describeTask(t))
 	}
 	ct := c.newTask(p, t.body)
 	ct.taskState = t.taskState
 	ct.stepCtx.r = t.stepCtx.r
 	if t.cur != nil {
 		ct.cur = &ct.stepCtx.r
-	}
-	if t.resume != nil {
-		// The only resume continuation the kernel parks is the
-		// watchpoint-interrupted access retry (see debugTrap), which is
-		// fully determined by the in-flight request.
-		ct.resume = func() { c.serviceAccess(ct, ct.cur, true) }
 	}
 	// An exited Step task keeps its forkFn, so fork only a running guest.
 	if t.stepFn == nil {

@@ -250,7 +250,7 @@ func (m *Machine) serviceAccess(t *task, r *request, skipWatch bool) {
 	st := t.st
 
 	if !skipWatch && t.p.Tracer != nil && t.p.Debug.Matches(r.addr, r.write) {
-		m.debugTrap(t, r)
+		m.debugTrap(t)
 		return
 	}
 	t.watchFired = false
@@ -306,18 +306,17 @@ const accessCost sim.Cycles = 4
 // SIGTRAP delivery to the traced task, and the stop that hands
 // control to the tracer. All of it is kernel work in the victim's
 // context — the thrashing attack's whole effect (Fig. 9).
-func (m *Machine) debugTrap(t *task, r *request) {
+func (m *Machine) debugTrap(t *task) {
 	c := m.cpu.Costs()
 	st := t.st
 	st.DebugExceptions++
 	st.TraceStops++
 	st.SignalsReceived++
 	m.chargedAdvance(c.DebugException+c.SignalDeliver+c.PtraceStop, cpu.Kernel, t)
-	t.watchFired = true
-	t.stopReported = false
 	// When the tracer resumes this task, finish the interrupted
 	// access (without re-trapping) at next dispatch.
-	t.resume = func() { m.serviceAccess(t, r, true) }
+	t.watchFired = true
+	t.stopReported = false
 	m.blockCurrent(proc.Stopped)
 	m.notifyWaiters(t)
 }

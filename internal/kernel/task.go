@@ -97,12 +97,9 @@ type task struct {
 	forkFn guest.ForkFunc
 
 	// cur is the request being serviced (always &stepCtx.r); granted
-	// marks its completion, read by the activation loop. resume, when
-	// set, is a continuation run at next dispatch (finishing a
-	// watchpoint-interrupted memory access).
+	// marks its completion, read by the activation loop.
 	cur     *request
 	granted bool
-	resume  func()
 
 	taskState
 
@@ -148,7 +145,8 @@ type taskState struct {
 	waitingChild bool
 
 	// watchFired marks that the in-flight memory access already took
-	// its watchpoint trap, so the post-resume retry skips the check.
+	// its watchpoint trap: the task's next dispatch retries the access
+	// without the check.
 	watchFired bool
 
 	// stopPending defers a SIGSTOP delivered while the task was
