@@ -453,3 +453,151 @@ func TestPoolReusesShells(t *testing.T) {
 		pool.Put(r)
 	}
 }
+
+// tracedHotAddr is the traced victim's hot variable.
+const tracedHotAddr = 0x4000
+
+// tracedVictim computes and stores to one hot address in a loop.
+type tracedVictim struct {
+	rounds int
+	i      int
+}
+
+func (v *tracedVictim) run(ctx guest.Context, _ guest.Resume) guest.Step {
+	if v.i >= v.rounds {
+		return nil
+	}
+	v.i++
+	ctx.Compute(30_000)
+	return v.store
+}
+
+func (v *tracedVictim) store(ctx guest.Context, _ guest.Resume) guest.Step {
+	ctx.Store(tracedHotAddr)
+	return v.run
+}
+
+func (v *tracedVictim) fork(cur guest.Step) (guest.Forked, error) {
+	c := *v
+	s, ok := guest.RebindStep(cur, []guest.Step{v.run, v.store}, []guest.Step{c.run, c.store})
+	if !ok {
+		return guest.Forked{}, fmt.Errorf("tracedVictim: unknown continuation")
+	}
+	return guest.Forked{Step: s, Fork: c.fork}, nil
+}
+
+// watchTracer attaches to the victim, arms a watchpoint on its hot
+// address, and resumes it at every stop until it exits. Each
+// activation posts the request its phase names.
+type watchTracer struct {
+	victim proc.PID
+	phase  int
+	err    error
+}
+
+func (w *watchTracer) run(ctx guest.Context, r guest.Resume) guest.Step {
+	if r.Err != nil {
+		w.err = r.Err
+		return nil
+	}
+	w.phase++
+	switch w.phase {
+	case 1:
+		ctx.Sleep(100_000) // let the victim start
+	case 2:
+		ctx.Ptrace(guest.PtraceAttach, w.victim, 0, 0)
+	case 3:
+		ctx.Wait() // the attach's stop
+	case 4:
+		ctx.Ptrace(guest.PtracePokeUser, w.victim, guest.DR0, tracedHotAddr)
+	case 5:
+		ctx.Ptrace(guest.PtracePokeUser, w.victim, guest.DR7, 1)
+	case 6:
+		ctx.Ptrace(guest.PtraceCont, w.victim, 0, 0)
+	case 7:
+		ctx.Wait()
+	default:
+		if !r.OK || !r.Wres.Stopped {
+			return nil // the victim exited
+		}
+		w.phase = 6 // resume it, then wait again
+		ctx.Ptrace(guest.PtraceCont, w.victim, 0, 0)
+	}
+	return w.run
+}
+
+func (w *watchTracer) fork(cur guest.Step) (guest.Forked, error) {
+	c := *w
+	s, ok := guest.RebindStep(cur, []guest.Step{w.run}, []guest.Step{c.run})
+	if !ok {
+		return guest.Forked{}, fmt.Errorf("watchTracer: unknown continuation")
+	}
+	return guest.Forked{Step: s, Fork: c.fork}, nil
+}
+
+// TestSnapshotTracedTask checkpoints a ptrace pair — a victim that
+// traps on a watchpoint at every store and a tracer that resumes it —
+// at evenly spaced barriers. Each restore must finish byte-identical to
+// the uninterrupted run, and some barrier must catch the victim
+// stopped at its trap, so the copy of stop, trace and watchpoint state
+// is exercised.
+func TestSnapshotTracedTask(t *testing.T) {
+	build := func() (*Machine, []proc.PID, *watchTracer) {
+		m := New(Config{Seed: 3, CPUHz: 1_000_000_000})
+		v := &tracedVictim{rounds: 200}
+		vp, err := m.Spawn(SpawnConfig{Name: "victim", Content: "victim v1", Step: v.run, Fork: v.fork})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := &watchTracer{victim: vp.PID}
+		tp, err := m.Spawn(SpawnConfig{Name: "tracer", Content: "tracer v1", Nice: -5, Step: w.run, Fork: w.fork})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m, []proc.PID{vp.PID, tp.PID}, w
+	}
+	ref, pids, w := build()
+	runToCompletion(t, ref)
+	if w.err != nil {
+		t.Fatalf("tracer: %v", w.err)
+	}
+	if ref.Stats(pids[0]).DebugExceptions == 0 {
+		t.Fatal("the victim never hit its watchpoint")
+	}
+	want := renderFinal(ref, pids)
+	end := ref.Clock().Now()
+
+	const slices = 40
+	caught := 0
+	for i := sim.Cycles(1); i < slices; i++ {
+		barrier := end * i / slices
+		m, _, _ := build()
+		done, err := m.RunUntil(barrier)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if done {
+			t.Fatalf("barrier %d: the run finished before it", barrier)
+		}
+		if vt := m.tasks[pids[0]]; vt != nil && vt.watchFired {
+			caught++
+		}
+		img, err := m.Snapshot()
+		if err != nil {
+			t.Fatalf("barrier %d: snapshot: %v", barrier, err)
+		}
+		m.Shutdown()
+		r, err := Restore(img)
+		if err != nil {
+			t.Fatalf("barrier %d: restore: %v", barrier, err)
+		}
+		runToCompletion(t, r)
+		if got := renderFinal(r, pids); got != want {
+			t.Fatalf("barrier %d: restored run diverged:\n got: %s\nwant: %s", barrier, got, want)
+		}
+	}
+	if caught == 0 {
+		t.Fatal("no barrier caught the victim stopped at its watchpoint")
+	}
+	t.Logf("%d of %d barriers caught the victim stopped at its watchpoint", caught, slices-1)
+}
