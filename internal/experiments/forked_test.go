@@ -3,6 +3,9 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/kernel"
+	"repro/internal/sim"
 )
 
 // TestForkedCampaignMatchesFreshBuilds pins the shared-warmup
@@ -70,4 +73,67 @@ func TestForkedCampaignWarmupPastEnd(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "warmup finished before") {
 		t.Fatalf("campaign with a past-end warmup = %v, want a warmup-finished error", err)
 	}
+}
+
+// FuzzSnapshotBarrier checkpoints the fork lab at a random barrier,
+// given as a fraction of an uninterrupted run's end. The snapshotted
+// original, one Restore and two Pool.Get restores of its image must
+// all finish byte-identical to the uninterrupted run.
+func FuzzSnapshotBarrier(f *testing.F) {
+	f.Add(int64(2010), uint8(59), uint16(32768))
+	f.Add(int64(77), uint8(4), uint16(1))
+	f.Add(int64(-9), uint8(0), uint16(65535))
+	f.Fuzz(func(t *testing.T, seed int64, rounds uint8, frac uint16) {
+		spec := ForkLabSpec{Seed: seed, Rounds: 1 + int(rounds)%60}
+		finish := func(m *kernel.Machine) string {
+			t.Helper()
+			if err := m.Run(); err != nil {
+				t.Fatal(err)
+			}
+			return HarvestForkLab(m).Digest
+		}
+		ref, err := BuildForkLab(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := finish(ref)
+		barrier := ref.Clock().Now() * sim.Cycles(frac) / (1 << 16)
+
+		m, err := BuildForkLab(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		done, err := m.RunUntil(barrier)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if done {
+			return // the run finished before the barrier
+		}
+		img, err := m.Snapshot()
+		if err != nil {
+			t.Fatalf("snapshot at %d: %v", barrier, err)
+		}
+		if got := finish(m); got != want {
+			t.Fatalf("barrier %d: the snapshotted original diverged:\n got: %s\nwant: %s", barrier, got, want)
+		}
+		r, err := kernel.Restore(img)
+		if err != nil {
+			t.Fatalf("restore at %d: %v", barrier, err)
+		}
+		if got := finish(r); got != want {
+			t.Fatalf("barrier %d: the restore diverged:\n got: %s\nwant: %s", barrier, got, want)
+		}
+		var pool kernel.Pool
+		for i := 0; i < 2; i++ {
+			pm, err := pool.Get(img)
+			if err != nil {
+				t.Fatalf("pooled restore %d at %d: %v", i, barrier, err)
+			}
+			if got := finish(pm); got != want {
+				t.Fatalf("barrier %d: pooled restore %d diverged:\n got: %s\nwant: %s", barrier, i, got, want)
+			}
+			pool.Put(pm)
+		}
+	})
 }
