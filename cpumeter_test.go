@@ -58,6 +58,16 @@ func TestMeterUnknownWorkload(t *testing.T) {
 	}
 }
 
+// TestMeterUnknownSchedulerPolicy pins that a bad scheduler policy
+// comes back from Meter as an error naming it, not as a panic in the
+// machine build.
+func TestMeterUnknownSchedulerPolicy(t *testing.T) {
+	_, err := Meter(JobSpec{Workload: "W", Options: Options{Scale: 0.005, SchedulerPolicy: "rr"}})
+	if err == nil || !strings.Contains(err.Error(), `run W/baseline: unknown scheduler policy "rr"`) {
+		t.Fatalf("Meter with policy rr: err = %v, want an unknown-policy error", err)
+	}
+}
+
 func TestBuildReportAndAuditRoundTrip(t *testing.T) {
 	opts := Options{Scale: 0.01}
 	ref, err := Meter(JobSpec{Workload: "O", Options: opts})

@@ -872,6 +872,9 @@ func shellFrom(cfg Config) (c *Cluster, freq sim.Hz, perUs sim.Cycles, err error
 		if ms.CrashAt > 0 && cfg.SharedSwap != nil {
 			return nil, 0, 0, fmt.Errorf("cluster: machine %d arms CrashAt under a shared swap device (crash/restart does not compose with cross-machine swap billing)", i)
 		}
+		if err := ms.Config.Validate(); err != nil {
+			return nil, 0, 0, fmt.Errorf("cluster: machine %d: %w", i, err)
+		}
 		c.crashAt[i] = ms.CrashAt
 		c.names[i] = ms.Name
 		c.service[i] = ms.Service

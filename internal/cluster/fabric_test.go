@@ -430,6 +430,24 @@ func TestClusterValidation(t *testing.T) {
 			},
 			want: "bottleneck",
 		},
+		{
+			name: "unknown scheduler policy",
+			cfg: Config{Machines: []MachineSpec{
+				{Config: kernel.Config{Seed: 1, CPUHz: testHz, SchedulerPolicy: "rr"}},
+			}},
+			want: `machine 0: unknown scheduler policy "rr"`,
+		},
+		{
+			name: "misspelled fault syscall",
+			cfg: Config{Machines: []MachineSpec{
+				mspec("a"),
+				{Config: kernel.Config{Seed: 1, CPUHz: testHz, Faults: &kernel.FaultSpec{Syscalls: []kernel.SyscallFault{
+					//simlint:syscall-ok the rejection of this typo is the property under test
+					{Name: "sendot", Errno: guest.EIO, ProbPPM: 10},
+				}}}},
+			}},
+			want: `machine 1: fault "sendot": unknown syscall`,
+		},
 	}
 	for _, tc := range cases {
 		_, err := New(tc.cfg)

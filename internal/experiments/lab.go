@@ -251,7 +251,11 @@ func (l *launched) harvest(m *kernel.Machine) *RunOut {
 // Run executes one victim/attack combination on a fresh machine.
 func Run(spec RunSpec) (*RunOut, error) {
 	o := spec.Opts.norm()
-	m := kernel.New(o.machineConfig())
+	cfg := o.machineConfig()
+	if err := cfg.Validate(); err != nil {
+		return nil, fmt.Errorf("run %s/%s: %w", spec.Workload, key(spec.Attack), err)
+	}
+	m := kernel.New(cfg)
 	l, err := launchSpec(m, spec)
 	if err != nil {
 		return nil, err

@@ -37,10 +37,11 @@ type FaultSpec struct {
 
 // Validate reports the first malformed entry: a name outside the
 // syscall namespace, an unknown errno, or a probability past
-// PPMScale. Upper layers (cluster specs, CLI flags) call it to turn
-// bad configs into usage errors before New panics. The name check
-// matters most: a typo'd entry would otherwise arm nothing and let a
-// chaos run report a clean bill that tested nothing.
+// PPMScale. Config.Validate calls it, so cluster.New and
+// experiments.Run turn a bad spec into an error before New would
+// panic. The name check matters most: a typo'd entry would otherwise
+// arm nothing and let a chaos run report a clean bill that tested
+// nothing.
 func (s *FaultSpec) Validate() error {
 	if s == nil {
 		return nil
@@ -61,15 +62,10 @@ func (s *FaultSpec) Validate() error {
 	return nil
 }
 
-// initFaults installs the spec's live entries. Like an unknown
-// scheduler policy, a malformed spec is a construction bug and
-// panics; validate ahead of New to get an error instead.
+// initFaults installs the live entries of a spec New has validated.
 func (m *Machine) initFaults(spec *FaultSpec) {
 	if spec == nil {
 		return
-	}
-	if err := spec.Validate(); err != nil {
-		panic(fmt.Sprintf("kernel: %v", err))
 	}
 	for _, sf := range spec.Syscalls {
 		if sf.ProbPPM == 0 {

@@ -172,8 +172,23 @@ type Machine struct {
 // can ever run again.
 var ErrDeadlock = errors.New("kernel: deadlock: live tasks but no runnable task and no pending events")
 
-// New builds a machine from cfg.
+// Validate reports a config New would reject: an unknown scheduler
+// policy or a malformed fault spec (see FaultSpec.Validate).
+func (cfg Config) Validate() error {
+	switch cfg.SchedulerPolicy {
+	case "", "o1", "cfs":
+	default:
+		return fmt.Errorf("unknown scheduler policy %q (have o1, cfs)", cfg.SchedulerPolicy)
+	}
+	return cfg.Faults.Validate()
+}
+
+// New builds a machine from cfg. An invalid cfg is a construction bug
+// and panics; call Config.Validate first to get an error instead.
 func New(cfg Config) *Machine {
+	if err := cfg.Validate(); err != nil {
+		panic("kernel: " + err.Error())
+	}
 	if cfg.CPUHz == 0 {
 		cfg.CPUHz = sim.DefaultCPUHz
 	}
@@ -195,13 +210,10 @@ func New(cfg Config) *Machine {
 	m.tickCycles = sim.Cycles(uint64(cfg.CPUHz) / cfg.HZ)
 
 	cyclesPerMs := sim.Cycles(uint64(cfg.CPUHz) / 1000)
-	switch cfg.SchedulerPolicy {
-	case "", "o1":
-		m.sched = sched.NewO1(cyclesPerMs)
-	case "cfs":
+	if cfg.SchedulerPolicy == "cfs" {
 		m.sched = sched.NewCFS(cyclesPerMs)
-	default:
-		panic(fmt.Sprintf("kernel: unknown scheduler policy %q", cfg.SchedulerPolicy))
+	} else {
+		m.sched = sched.NewO1(cyclesPerMs)
 	}
 
 	accts := cfg.Accountants

@@ -33,6 +33,18 @@ for a in shell ctor subst sched thrash irqflood excflood; do
     "$BIN" meter O -attack "$a" -scale "$SCALE" >/dev/null
 done
 
+# A bad scheduler policy is a usage error: exit 1 with a message, not a
+# panic out of the machine build.
+say "scheduler policy validation"
+SCHED_ERR="$(dirname "$BIN")/sched.err"
+status=0
+"$BIN" meter O -sched rr -scale "$SCALE" >/dev/null 2>"$SCHED_ERR" || status=$?
+if [ "$status" -ne 1 ] || grep -q 'panic:' "$SCHED_ERR"; then
+    say "meter O -sched rr exited $status (want 1, no panic):"
+    cat "$SCHED_ERR" >&2
+    exit 1
+fi
+
 # Cluster mode across its wire-shaping flag surface: defaults, lossy
 # tuning, lossless replay, RED/ECN, EWMA RED, and both qdiscs.
 say "cluster default"
