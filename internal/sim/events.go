@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"container/heap"
-	"sort"
-)
+import "sort"
 
 // Event is a callback scheduled to fire at a virtual time. Events
 // with equal times fire in insertion order (stable), which keeps the
@@ -23,7 +20,6 @@ type Event struct {
 	// for singleton kinds.
 	Tag uint64
 
-	seq   uint64
 	index int // heap index; -1 once popped or cancelled
 }
 
@@ -39,8 +35,18 @@ func (e *Event) Cancelled() bool { return e.index < 0 }
 const KindTimer = "timer"
 
 // EventQueue is a deterministic priority queue of events ordered by
-// virtual time, breaking ties by insertion order. A free list recycles
-// popped events so steady-state scheduling does not allocate.
+// virtual time, breaking ties by insertion order. It is a binary
+// min-heap of entries that carry their (time, sequence) key inline,
+// so a sift compares keys without touching the events, and PeekTime
+// reads the root's key. A free list recycles popped events so
+// steady-state scheduling does not allocate.
+//
+// A caller that keeps its own time-ordered backlog can leave all but
+// the backlog's head out of the queue: Reserve draws each item's
+// sequence number when the item is created, and ScheduleReserved
+// enters the head at that number, so it fires exactly where a
+// Schedule call made at Reserve time would have. The disk's
+// writeback FIFO works this way.
 type EventQueue struct {
 	h      eventHeap
 	seq    uint64
@@ -65,8 +71,22 @@ func (q *EventQueue) Schedule(at Cycles, kind string, fn func()) *Event {
 
 // ScheduleTagged is Schedule with a restore tag (see Event.Tag).
 func (q *EventQueue) ScheduleTagged(at Cycles, kind string, tag uint64, fn func()) *Event {
+	return q.insert(at, kind, tag, q.Reserve(), fn)
+}
+
+// Reserve draws the next insertion sequence number without scheduling
+// anything. Pass it to ScheduleReserved later; each number is used at
+// most once.
+func (q *EventQueue) Reserve() uint64 {
 	q.seq++
-	return q.insert(at, kind, tag, q.seq, fn)
+	return q.seq
+}
+
+// ScheduleReserved is ScheduleTagged at a sequence number drawn
+// earlier from Reserve: the event ties with equal-time events as if
+// it had been scheduled when the number was reserved.
+func (q *EventQueue) ScheduleReserved(at Cycles, seq uint64, kind string, tag uint64, fn func()) *Event {
+	return q.insert(at, kind, tag, seq, fn)
 }
 
 // insert enqueues an event with an explicit sequence number, drawing
@@ -77,11 +97,12 @@ func (q *EventQueue) insert(at Cycles, kind string, tag, seq uint64, fn func()) 
 		e = q.free[n-1]
 		q.free[n-1] = nil
 		q.free = q.free[:n-1]
-		e.At, e.Kind, e.Fire, e.Tag, e.seq = at, kind, fn, tag, seq
+		e.At, e.Kind, e.Fire, e.Tag = at, kind, fn, tag
 	} else {
-		e = &Event{At: at, Kind: kind, Fire: fn, Tag: tag, seq: seq}
+		e = &Event{At: at, Kind: kind, Fire: fn, Tag: tag}
 	}
-	heap.Push(&q.h, e)
+	q.h = append(q.h, entry{})
+	q.h.up(len(q.h)-1, entry{at: at, seq: seq, e: e})
 	if kind == KindTimer {
 		q.timers++
 	}
@@ -116,7 +137,7 @@ func (q *EventQueue) Cancel(e *Event) {
 	if e == nil || e.index < 0 {
 		return
 	}
-	heap.Remove(&q.h, e.index)
+	q.h.remove(e.index)
 	e.index = -1
 	e.Fire = nil
 	if e.Kind == KindTimer {
@@ -131,7 +152,7 @@ func (q *EventQueue) PeekTime() (at Cycles, ok bool) {
 	if len(q.h) == 0 {
 		return 0, false
 	}
-	return q.h[0].At, true
+	return q.h[0].at, true
 }
 
 // Pop removes and returns the earliest event, or nil when empty.
@@ -139,7 +160,7 @@ func (q *EventQueue) Pop() *Event {
 	if len(q.h) == 0 {
 		return nil
 	}
-	e := heap.Pop(&q.h).(*Event)
+	e := q.h.remove(0)
 	e.index = -1
 	if e.Kind == KindTimer {
 		q.timers--
@@ -176,8 +197,8 @@ type QueueImage struct {
 func (q *EventQueue) Snapshot() QueueImage {
 	img := QueueImage{Seq: q.seq, FreeLen: len(q.free)}
 	img.Events = make([]EventImage, len(q.h))
-	for i, e := range q.h {
-		img.Events[i] = EventImage{At: e.At, Kind: e.Kind, Tag: e.Tag, Seq: e.seq}
+	for i, x := range q.h {
+		img.Events[i] = EventImage{At: x.at, Kind: x.e.Kind, Tag: x.e.Tag, Seq: x.seq}
 	}
 	sort.Slice(img.Events, func(i, j int) bool {
 		if img.Events[i].At != img.Events[j].At {
@@ -212,44 +233,85 @@ func (q *EventQueue) RestoreInto(img QueueImage, resolve func(kind string, tag u
 // free list's capacity — the restore-into-recycled-machine path uses
 // it so rebuilding a queue allocates no fresh events.
 func (q *EventQueue) Reset() {
-	for _, e := range q.h {
-		e.index = -1
-		e.Fire = nil
-		q.free = append(q.free, e)
+	for _, x := range q.h {
+		x.e.index = -1
+		x.e.Fire = nil
+		q.free = append(q.free, x.e)
 	}
+	clear(q.h)
 	q.h = q.h[:0]
 	q.seq = 0
 	q.timers = 0
 }
 
-type eventHeap []*Event
+// entry is one heap slot: an event with its (time, sequence) key
+// copied inline.
+type entry struct {
+	at  Cycles
+	seq uint64
+	e   *Event
+}
 
-func (h eventHeap) Len() int { return len(h) }
+// before orders by time, then by sequence: a strict total order, so
+// the pop order does not depend on the heap's layout.
+func (x entry) before(y entry) bool {
+	return x.at < y.at || x.at == y.at && x.seq < y.seq
+}
 
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].At != h[j].At {
-		return h[i].At < h[j].At
+// eventHeap is a binary min-heap of entries ordered by before. Its
+// sifts move entries into a hole instead of swapping, and keep each
+// event's index current for Cancel.
+type eventHeap []entry
+
+// up sifts x upward from the hole at j and stores it where it stops.
+func (h eventHeap) up(j int, x entry) {
+	for j > 0 {
+		i := (j - 1) / 2 // parent
+		if !x.before(h[i]) {
+			break
+		}
+		h[j] = h[i]
+		h[j].e.index = j
+		j = i
 	}
-	return h[i].seq < h[j].seq
+	h[j] = x
+	x.e.index = j
 }
 
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
+// down sifts x downward from the hole at i, stores it where it stops,
+// and returns that index.
+func (h eventHeap) down(i int, x entry) int {
+	n := len(h)
+	for {
+		j := 2*i + 1 // left child
+		if j >= n {
+			break
+		}
+		if r := j + 1; r < n && h[r].before(h[j]) {
+			j = r
+		}
+		if !h[j].before(x) {
+			break
+		}
+		h[i] = h[j]
+		h[i].e.index = i
+		i = j
+	}
+	h[i] = x
+	x.e.index = i
+	return i
 }
 
-func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*h)
-	*h = append(*h, e)
-}
-
-func (h *eventHeap) Pop() any {
+// remove takes the event at index i out of the heap, restores the
+// heap order, and returns the event.
+func (h *eventHeap) remove(i int) *Event {
 	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
+	n := len(old) - 1
+	e, last := old[i].e, old[n]
+	old[n] = entry{}
+	*h = old[:n]
+	if i < n && h.down(i, last) == i {
+		h.up(i, last)
+	}
 	return e
 }
