@@ -8,6 +8,8 @@
 package device
 
 import (
+	"math/bits"
+
 	"repro/internal/sim"
 )
 
@@ -458,6 +460,16 @@ func (ch *DiskChannel) Clone() *DiskChannel {
 // separate write channel modelling the drive's write cache and the
 // kernel's background writeback, so a dirty-page storm cannot starve
 // demand paging. Both channels have the same per-page latency.
+//
+// Pending writebacks wait in a FIFO, and only its head is in the
+// event queue. Each write reserves its queue sequence number when it
+// is submitted, and the head enters the queue at its own (time, seq),
+// so every completion fires exactly where a separately scheduled
+// event would. On a private channel completion times never decrease,
+// so FIFO order is firing order. A shared channel can complete a
+// write before this disk's FIFO tail (another machine's clock capped
+// the channel lower); such a write is scheduled straight into the
+// queue instead.
 type Disk struct {
 	queue   *sim.EventQueue
 	clock   *sim.Clock
@@ -467,11 +479,50 @@ type Disk struct {
 	notify func(complete sim.Cycles)
 	ios    uint64
 	writes uint64
+
+	// writeback is the one completion callback every write fires;
+	// headFire pops the FIFO head, enters the next head in the queue,
+	// then calls it. wq is a ring of power-of-two capacity holding
+	// wqLen pending writes from index wqHead on.
+	writeback func()
+	headFire  func()
+	wq        []pendingWrite
+	wqHead    int
+	wqLen     int
 }
 
+// pendingWrite is one FIFO-held writeback: its completion time and
+// the queue sequence number it reserved at submission.
+type pendingWrite struct {
+	at  sim.Cycles
+	seq uint64
+}
+
+// Restore tags for "disk-write" events (sim.Event.Tag): a write
+// scheduled straight into the queue fires the writeback callback,
+// and the FIFO head fires headFire.
+const (
+	diskWriteDirect uint64 = 0
+	diskWriteHead   uint64 = 1
+)
+
 // NewDisk returns a disk with the given per-page access latency.
-func NewDisk(queue *sim.EventQueue, clock *sim.Clock, latency sim.Cycles) *Disk {
-	return &Disk{queue: queue, clock: clock, latency: latency, ch: &DiskChannel{}}
+// writeback is called in event context when each background write
+// completes.
+func NewDisk(queue *sim.EventQueue, clock *sim.Clock, latency sim.Cycles, writeback func()) *Disk {
+	d := &Disk{queue: queue, clock: clock, latency: latency, ch: &DiskChannel{}, writeback: writeback}
+	d.headFire = func() {
+		d.wqHead = (d.wqHead + 1) & (len(d.wq) - 1)
+		d.wqLen--
+		// Enter the next head before the callback runs: the kernel's
+		// completion interrupt advances time and fires due events.
+		if d.wqLen > 0 {
+			next := d.wq[d.wqHead]
+			d.queue.ScheduleReserved(next.at, next.seq, "disk-write", diskWriteHead, d.headFire)
+		}
+		d.writeback()
+	}
+	return d
 }
 
 // Share points this disk at a shared device channel, so its I/O
@@ -483,20 +534,35 @@ func (d *Disk) Share(ch *DiskChannel) { d.ch = ch }
 func (d *Disk) Channel() *DiskChannel { return d.ch }
 
 // Clone returns a Disk for a restored machine, wired to the new
-// machine's queue and clock, with the channel horizons and I/O
-// counters carried over. A disk that shared a channel must be
-// re-pointed (Share) at the restored shared channel afterwards; the
-// OnIO hook, a closure into external wiring, is likewise the owner's
-// to re-register.
-func (d *Disk) Clone(queue *sim.EventQueue, clock *sim.Clock) *Disk {
-	return &Disk{
-		queue:   queue,
-		clock:   clock,
-		latency: d.latency,
-		ch:      d.ch.Clone(),
-		ios:     d.ios,
-		writes:  d.writes,
+// machine's queue, clock and writeback callback, with the channel
+// horizons, the writeback FIFO and the I/O counters carried over. A
+// disk that shared a channel must be re-pointed (Share) at the
+// restored shared channel afterwards; the OnIO hook, a closure into
+// external wiring, is likewise the owner's to re-register.
+func (d *Disk) Clone(queue *sim.EventQueue, clock *sim.Clock, writeback func()) *Disk {
+	c := NewDisk(queue, clock, d.latency, writeback)
+	c.ch = d.ch.Clone()
+	c.ios, c.writes = d.ios, d.writes
+	if d.wqLen > 0 {
+		// relayout copies out of the shared ring into the clone's own.
+		c.wq, c.wqHead, c.wqLen = d.wq, d.wqHead, d.wqLen
+		c.relayout(ringCap(d.wqLen))
 	}
+	return c
+}
+
+// ringCap returns the FIFO capacity for n writes: the least power of
+// two that is at least n.
+func ringCap(n int) int { return 1 << bits.Len(uint(n-1)) }
+
+// relayout moves the FIFO's entries into a new ring of capacity n,
+// starting at index 0.
+func (d *Disk) relayout(n int) {
+	buf := make([]pendingWrite, n)
+	for i := range d.wqLen {
+		buf[i] = d.wq[(d.wqHead+i)&(len(d.wq)-1)]
+	}
+	d.wq, d.wqHead = buf, 0
 }
 
 // OnIO registers a per-submission hook invoked with each I/O's
@@ -507,8 +573,25 @@ func (d *Disk) OnIO(fn func(complete sim.Cycles)) { d.notify = fn }
 // IOs reports the number of completed read accesses.
 func (d *Disk) IOs() uint64 { return d.ios }
 
-// Writes reports the number of completed writebacks.
+// Writes reports the number of submitted writebacks.
 func (d *Disk) Writes() uint64 { return d.writes }
+
+// PendingWrites reports the writebacks waiting in the disk's FIFO,
+// its head included. A shared-channel write scheduled straight into
+// the event queue is not counted.
+func (d *Disk) PendingWrites() int { return d.wqLen }
+
+// RestoreFire resolves a pending "disk-write" event's restore tag to
+// the matching callback on this (restored) disk.
+func (d *Disk) RestoreFire(tag uint64) (func(), bool) {
+	switch tag {
+	case diskWriteDirect:
+		return d.writeback, true
+	case diskWriteHead:
+		return d.headFire, true
+	}
+	return nil, false
+}
 
 // Submit enqueues one blocking page read (swap-in) and schedules done
 // at completion. Reads serialise behind in-flight reads only.
@@ -538,12 +621,12 @@ func (d *Disk) SubmitTagged(tag uint64, done func()) {
 // unbounded queueing.
 const maxWriteBacklog = 64
 
-// SubmitWrite enqueues one background writeback (swap-out) and
-// schedules done at completion. No completion is ever scheduled past
-// now + maxWriteBacklog*latency (the backlog horizon), and writeBusy
-// always reflects the last scheduled completion so a later submit
-// sees a consistent channel.
-func (d *Disk) SubmitWrite(done func()) {
+// SubmitWrite enqueues one background writeback (swap-out), which
+// calls the disk's writeback callback at completion. No completion is
+// ever scheduled past now + maxWriteBacklog*latency (the backlog
+// horizon), and writeBusy always reflects the last scheduled
+// completion so a later submit sees a consistent channel.
+func (d *Disk) SubmitWrite() {
 	now := d.clock.Now()
 	start := d.ch.writeBusy
 	if start < now {
@@ -555,8 +638,27 @@ func (d *Disk) SubmitWrite(done func()) {
 	}
 	d.ch.writeBusy = complete
 	d.writes++
-	d.queue.Schedule(complete, "disk-write", done)
+	seq := d.queue.Reserve()
+	switch {
+	case d.wqLen == 0:
+		d.pushWrite(complete, seq)
+		d.queue.ScheduleReserved(complete, seq, "disk-write", diskWriteHead, d.headFire)
+	case complete >= d.wq[(d.wqHead+d.wqLen-1)&(len(d.wq)-1)].at:
+		d.pushWrite(complete, seq)
+	default:
+		// Earlier than the FIFO's tail: only a shared channel does this.
+		d.queue.ScheduleReserved(complete, seq, "disk-write", diskWriteDirect, d.writeback)
+	}
 	if d.notify != nil {
 		d.notify(complete)
 	}
+}
+
+// pushWrite appends a write to the FIFO, doubling the ring when full.
+func (d *Disk) pushWrite(at sim.Cycles, seq uint64) {
+	if d.wqLen == len(d.wq) {
+		d.relayout(ringCap(d.wqLen + 1))
+	}
+	d.wq[(d.wqHead+d.wqLen)&(len(d.wq)-1)] = pendingWrite{at: at, seq: seq}
+	d.wqLen++
 }

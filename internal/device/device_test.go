@@ -1,6 +1,8 @@
 package device
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/sim"
@@ -177,7 +179,7 @@ func TestNICRestartReplacesRate(t *testing.T) {
 func TestDiskSerialises(t *testing.T) {
 	q := sim.NewEventQueue()
 	c := sim.NewClock(1_000_000)
-	d := NewDisk(q, c, 100)
+	d := NewDisk(q, c, 100, nil)
 	var done []sim.Cycles
 	d.Submit(func() { done = append(done, c.Now()) })
 	d.Submit(func() { done = append(done, c.Now()) })
@@ -205,12 +207,12 @@ func TestDiskWritebackHorizon(t *testing.T) {
 	q := sim.NewEventQueue()
 	c := sim.NewClock(1_000_000)
 	const latency = 100
-	d := NewDisk(q, c, latency)
-
 	var done []sim.Cycles
+	d := NewDisk(q, c, latency, func() { done = append(done, c.Now()) })
+
 	const n = maxWriteBacklog + 10
 	for i := 0; i < n; i++ {
-		d.SubmitWrite(func() { done = append(done, c.Now()) })
+		d.SubmitWrite()
 	}
 	horizon := sim.Cycles(maxWriteBacklog * latency)
 	drain(t, q, c, 10*n)
@@ -240,11 +242,189 @@ func TestDiskWritebackHorizon(t *testing.T) {
 
 	// After the backlog drains, the channel behaves normally again:
 	// the next write completes one latency out.
-	var after sim.Cycles
-	d.SubmitWrite(func() { after = c.Now() })
+	d.SubmitWrite()
 	drain(t, q, c, 10)
-	if want := horizon + latency; after != want {
-		t.Fatalf("post-drain write completed at %d, want %d", after, want)
+	if want := horizon + latency; done[n] != want {
+		t.Fatalf("post-drain write completed at %d, want %d", done[n], want)
+	}
+}
+
+// TestDiskWritebackDueDuringCallback pins that the FIFO enters its
+// next head before it runs the completion callback. The kernel's
+// completion interrupt advances time and fires whatever falls due on
+// the way, so a write completing inside it must already be queued.
+func TestDiskWritebackDueDuringCallback(t *testing.T) {
+	q, c := sim.NewEventQueue(), sim.NewClock(1_000_000)
+	const latency, irq = 100, 10
+	var done []sim.Cycles
+	d := NewDisk(q, c, latency, func() {
+		done = append(done, c.Now())
+		// Burn irq cycles the way the kernel's advance does.
+		for left := sim.Cycles(irq); left > 0; {
+			chunk := left
+			if at, ok := q.PeekTime(); ok {
+				if at <= c.Now() {
+					e := q.Pop()
+					e.Fire()
+					q.Release(e)
+					continue
+				}
+				chunk = min(chunk, at-c.Now())
+			}
+			c.Advance(chunk)
+			left -= chunk
+		}
+	})
+	// The last of these completes at the horizon, 6,400; the write
+	// submitted one cycle later is capped at 6,401, inside the
+	// interrupt of the one before it.
+	for range maxWriteBacklog {
+		d.SubmitWrite()
+	}
+	c.AdvanceTo(1)
+	d.SubmitWrite()
+	for {
+		at, ok := q.PeekTime()
+		if !ok {
+			break
+		}
+		if at > c.Now() {
+			c.AdvanceTo(at)
+		}
+		e := q.Pop()
+		e.Fire()
+		q.Release(e)
+	}
+	if len(done) != maxWriteBacklog+1 {
+		t.Fatalf("completions = %d, want %d", len(done), maxWriteBacklog+1)
+	}
+	if got := done[maxWriteBacklog-1:]; got[0] != 6_400 || got[1] != 6_401 {
+		t.Fatalf("the last two writes completed at %v, want [6400 6401]", got)
+	}
+}
+
+// diskFiring is one event fired on a disk's machine: a writeback
+// completion or a tagged marker, and when it fired.
+type diskFiring struct {
+	what string
+	at   sim.Cycles
+}
+
+// TestDiskSharedChannelFallback drives the write FIFO's one fallback,
+// which no workload reaches: on a shared channel, a machine whose
+// clock lags caps the channel's horizon below another machine's FIFO
+// tail, so that machine's next write completes before its tail and
+// must go straight into the event queue. B's completions must fire in
+// the same (time, seq) order as when every write is its own event, and
+// a Clone taken with FIFO-held and directly scheduled writes both
+// pending must replay the same completions.
+func TestDiskSharedChannelFallback(t *testing.T) {
+	const latency = 100
+	ch := NewDiskChannel()
+	qA, cA := sim.NewEventQueue(), sim.NewClock(1_000_000)
+	qB, cB := sim.NewEventQueue(), sim.NewClock(1_000_000)
+	var got []diskFiring
+	a := NewDisk(qA, cA, latency, func() {})
+	b := NewDisk(qB, cB, latency, func() { got = append(got, diskFiring{"write", cB.Now()}) })
+	a.Share(ch)
+	b.Share(ch)
+	var completes []sim.Cycles
+	b.OnIO(func(at sim.Cycles) { completes = append(completes, at) })
+	marker := func(log *[]diskFiring, c *sim.Clock, tag uint64) func() {
+		return func() { *log = append(*log, diskFiring{fmt.Sprint("marker", tag), c.Now()}) }
+	}
+
+	// B, at t=10,000, fills the channel to its backlog horizon.
+	cB.AdvanceTo(10_000)
+	for range maxWriteBacklog {
+		b.SubmitWrite()
+	}
+	qB.ScheduleTagged(10_100, "marker", 1, marker(&got, cB, 1))
+	// A, still at t=0, is capped at its own horizon, below B's tail.
+	a.SubmitWrite()
+	if ch.writeBusy != 6_400 {
+		t.Fatalf("A's write moved the channel to %d, want 6400", ch.writeBusy)
+	}
+	// B's next writes complete before its FIFO tail at 16,400.
+	b.SubmitWrite()
+	b.SubmitWrite()
+	qB.ScheduleTagged(16_400, "marker", 2, marker(&got, cB, 2))
+	if tail, next := completes[maxWriteBacklog-1], completes[maxWriteBacklog]; tail != 16_400 || next != 10_100 {
+		t.Fatalf("B's tail at %d and next write at %d, want 16400 and 10100", tail, next)
+	}
+	if b.PendingWrites() != maxWriteBacklog {
+		t.Fatalf("PendingWrites = %d, want the %d FIFO-held writes", b.PendingWrites(), maxWriteBacklog)
+	}
+	if want := 1 + 2 + 2; qB.Len() != want {
+		t.Fatalf("B's queue holds %d events, want %d (FIFO head, two direct writes, two markers)", qB.Len(), want)
+	}
+
+	// The reference: every write of B scheduled as its own event, in
+	// submission order, so each draws the sequence number it reserved.
+	qR, cR := sim.NewEventQueue(), sim.NewClock(1_000_000)
+	var want []diskFiring
+	writeR := func() { want = append(want, diskFiring{"write", cR.Now()}) }
+	for _, at := range completes[:maxWriteBacklog] {
+		qR.Schedule(at, "disk-write", writeR)
+	}
+	qR.ScheduleTagged(10_100, "marker", 1, marker(&want, cR, 1))
+	for _, at := range completes[maxWriteBacklog:] {
+		qR.Schedule(at, "disk-write", writeR)
+	}
+	qR.ScheduleTagged(16_400, "marker", 2, marker(&want, cR, 2))
+
+	// The clone, taken with both kinds of write pending.
+	qC, cC := sim.NewEventQueue(), cB.Clone()
+	var cloned []diskFiring
+	c := b.Clone(qC, cC, func() { cloned = append(cloned, diskFiring{"write", cC.Now()}) })
+	qC.RestoreInto(qB.Snapshot(), func(kind string, tag uint64) func() {
+		if kind == "marker" {
+			return marker(&cloned, cC, tag)
+		}
+		fn, ok := c.RestoreFire(tag)
+		if !ok {
+			t.Fatalf("no restore callback for disk-write tag %d", tag)
+		}
+		return fn
+	})
+
+	drain(t, qB, cB, 1000)
+	drain(t, qR, cR, 1000)
+	drain(t, qC, cC, 1000)
+	if len(want) != maxWriteBacklog+2+2 {
+		t.Fatalf("reference fired %d events, want %d", len(want), maxWriteBacklog+4)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("FIFO disk fired\n%v\nwant\n%v", got, want)
+	}
+	if !slices.Equal(cloned, want) {
+		t.Fatalf("clone fired\n%v\nwant\n%v", cloned, want)
+	}
+	if b.PendingWrites() != 0 || c.PendingWrites() != 0 {
+		t.Fatalf("writes left pending: %d and %d", b.PendingWrites(), c.PendingWrites())
+	}
+}
+
+// TestDiskWritebackSteadyAllocs pins the FIFO's steady state: at a
+// constant backlog, submitting one write and completing one allocates
+// nothing.
+func TestDiskWritebackSteadyAllocs(t *testing.T) {
+	q, c := sim.NewEventQueue(), sim.NewClock(1_000_000)
+	d := NewDisk(q, c, 100, func() {})
+	for range maxWriteBacklog / 2 {
+		d.SubmitWrite()
+	}
+	if allocs := testing.AllocsPerRun(1000, func() {
+		d.SubmitWrite()
+		e := q.Pop()
+		c.AdvanceTo(e.At)
+		e.Fire()
+		q.Release(e)
+	}); allocs > 0 {
+		t.Fatalf("a submit/complete cycle allocates %.1f objects", allocs)
+	}
+	if d.PendingWrites() != maxWriteBacklog/2 || q.Len() != 1 {
+		t.Fatalf("backlog %d writes in %d events, want %d in 1", d.PendingWrites(), q.Len(), maxWriteBacklog/2)
 	}
 }
 

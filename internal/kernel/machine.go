@@ -147,7 +147,8 @@ type Machine struct {
 	// timerFire/preemptFire/writebackFire are the recurring event
 	// callbacks, built once so re-arming the timer, scheduling a
 	// preemption point, or completing a background writeback does not
-	// allocate a closure per occurrence.
+	// allocate a closure per occurrence. The disk owns writebackFire
+	// and calls it at every writeback completion.
 	timerFire     func()
 	preemptFire   func()
 	writebackFire func()
@@ -227,7 +228,7 @@ func New(cfg Config) *Machine {
 	m.acct = metering.NewMulti(accts...)
 
 	m.nic = device.NewNIC(m.queue, m.clock, m.rng, m.nicRx)
-	m.disk = device.NewDisk(m.queue, m.clock, mem.DiskLatency(cfg.CPUHz))
+	m.disk = device.NewDisk(m.queue, m.clock, mem.DiskLatency(cfg.CPUHz), m.writebackFire)
 	m.initFaults(cfg.Faults)
 
 	// A restarted machine boots mid-history: fast-forward the clock to

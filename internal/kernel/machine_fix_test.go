@@ -220,3 +220,55 @@ func TestRunUntilSlicesMatchRun(t *testing.T) {
 		}
 	}
 }
+
+// storeSweep is a flyweight guest that stores once to each of pages
+// consecutive pages.
+type storeSweep struct {
+	pages, i uint64
+}
+
+func (g *storeSweep) run(ctx guest.Context, _ guest.Resume) guest.Step {
+	if g.i >= g.pages {
+		return nil
+	}
+	ctx.Store(0x400000 + g.i*mem.DefaultPageSize)
+	g.i++
+	return g.run
+}
+
+// TestWritebackBacklogKeepsQueueShallow pins the disk's writeback
+// FIFO: a guest that dirties far more pages than the machine has RAM
+// piles thousands of writebacks onto the disk, yet the event queue
+// holds only the FIFO's head among them, so at no barrier does it
+// hold more than a handful of events.
+func TestWritebackBacklogKeepsQueueShallow(t *testing.T) {
+	const ramPages = 256
+	m := New(Config{Seed: 3, CPUHz: 1_000_000_000, PhysMemBytes: ramPages * mem.DefaultPageSize})
+	g := &storeSweep{pages: ramPages + 2000}
+	if _, err := m.Spawn(SpawnConfig{Name: "sweep", Content: "sweep v1", Step: g.run}); err != nil {
+		t.Fatal(err)
+	}
+	const slice = sim.Cycles(1_000_000) // 1 ms
+	peakQueue, peakWrites := 0, 0
+	for limit := slice; ; limit += slice {
+		done, err := m.RunUntil(limit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if done {
+			break
+		}
+		peakQueue = max(peakQueue, m.queue.Len())
+		peakWrites = max(peakWrites, m.Disk().PendingWrites())
+	}
+	t.Logf("peak queue %d, peak pending writes %d", peakQueue, peakWrites)
+	if peakQueue > 16 {
+		t.Fatalf("the event queue held %d events at a barrier, want at most 16", peakQueue)
+	}
+	if peakWrites < 1000 {
+		t.Fatalf("at most %d writebacks were pending at a barrier, want a backlog of at least 1000", peakWrites)
+	}
+	if g.i != g.pages {
+		t.Fatalf("the guest stored to %d of %d pages", g.i, g.pages)
+	}
+}

@@ -13,7 +13,9 @@
 // number, since same-time events fire in sequence order), both
 // splitmix64 streams (machine and fault), the memory subsystem with
 // its LRU chain, the process table, scheduler runqueues, every
-// metering ledger, NIC and disk device state, the kernel receive ring,
+// metering ledger, NIC and disk device state (the disk's writeback
+// FIFO included, whose head is the one queued event among its
+// writes), the kernel receive ring,
 // and each task's kernel-side execution state plus — for flyweight
 // guests — a cloned guest continuation obtained through the guest's
 // ForkFunc. Each copy rebuilds every pending event's callback from the
@@ -60,8 +62,15 @@ type MachineImage struct {
 // machine was paused at when snapshotted.
 func (img *MachineImage) At() sim.Cycles { return img.m.clock.Now() }
 
-// PendingEvents reports how many events the image carries.
-func (img *MachineImage) PendingEvents() int { return img.m.queue.Len() }
+// PendingEvents reports how many events the image carries, counting
+// each writeback the disk's FIFO holds behind its queued head.
+func (img *MachineImage) PendingEvents() int {
+	n := img.m.queue.Len()
+	if w := img.m.disk.PendingWrites(); w > 0 {
+		n += w - 1
+	}
+	return n
+}
 
 // Tasks reports how many tasks (live or zombie) the image carries.
 func (img *MachineImage) Tasks() int { return len(img.m.tasks) }
@@ -191,7 +200,7 @@ func (m *Machine) clone(shell *Machine, ext RestoreResolver) (*Machine, error) {
 	c.sched = m.sched.Clone(pmap)
 	c.acct = m.acct.Clone().(*metering.Multi)
 	c.nic = m.nic.Clone(c.queue, c.clock, c.rng, c.nicRx)
-	c.disk = m.disk.Clone(c.queue, c.clock)
+	c.disk = m.disk.Clone(c.queue, c.clock, c.writebackFire)
 
 	//simlint:unordered-ok deep copy into a map keyed identically
 	for pid, s := range m.stats {
@@ -321,7 +330,10 @@ func (m *Machine) resolveFire(kind string, tag uint64, ext RestoreResolver) (fun
 	case "preempt":
 		return m.preemptFire, nil
 	case "disk-write":
-		return m.writebackFire, nil
+		if fn, ok := m.disk.RestoreFire(tag); ok {
+			return fn, nil
+		}
+		return nop, fmt.Errorf("kernel: restore: unknown disk-write tag %d", tag)
 	case "barrier":
 		return nop, fmt.Errorf("%w: a RunUntil barrier event is pending", ErrNotSnapshottable)
 	case "wake":

@@ -285,7 +285,7 @@ func (m *Machine) serviceAccess(t *task, r *request, skipWatch bool) {
 	// whichever task is then current.
 	for i := 0; i < res.SwapOuts; i++ {
 		m.chargedAdvance(c.DiskAccessSetup, cpu.Kernel, t)
-		m.disk.SubmitWrite(m.writebackFire)
+		m.disk.SubmitWrite()
 	}
 
 	if res.Kind == mem.MajorFault {
