@@ -418,7 +418,8 @@ func (m *Machine) Spawn(sc SpawnConfig) (*proc.Proc, error) {
 	m.groupCount[p.TGID]++
 	t.linkMap = lm
 	t.image = &guest.Program{Name: sc.Name, Content: sc.Content}
-	m.measure(p, MeasureProgram, sc.Name, ProgramDigest(sc.Name, sc.Content))
+	t.imageDigest = ProgramDigest(sc.Name, sc.Content)
+	m.measure(p, MeasureProgram, sc.Name, t.imageDigest)
 	for _, l := range lm.Libraries() {
 		m.measure(p, MeasureLibrary, l.Name, l.Digest())
 	}

@@ -334,12 +334,12 @@ func (m *Machine) doFork(t *task, name string, body guest.Routine, thread bool) 
 	}
 	ct := m.newTask(child, body)
 	ct.linkMap = t.linkMap
-	ct.image = t.image
+	ct.image, ct.imageDigest = t.image, t.imageDigest
 	m.groupCount[child.TGID]++
 	if !thread && t.image != nil {
 		// The child initially executes the parent's image (between
 		// fork and any exec) — the window the shell attack exploits.
-		m.measure(child, MeasureInherited, t.image.Name, ProgramDigest(t.image.Name, t.image.Content))
+		m.measure(child, MeasureInherited, t.image.Name, t.imageDigest)
 	}
 	child.State = proc.Ready
 	m.live++
@@ -365,8 +365,9 @@ func (m *Machine) doExec(t *task, prog *guest.Program) error {
 	m.chargedAdvance(c.DynamicLink*sim.Cycles(1+len(lm.Libraries())), cpu.Kernel, t)
 	t.linkMap = lm
 	t.image = prog
+	t.imageDigest = ProgramDigest(prog.Name, prog.Content)
 	t.billable = true
-	m.measure(t.p, MeasureProgram, prog.Name, ProgramDigest(prog.Name, prog.Content))
+	m.measure(t.p, MeasureProgram, prog.Name, t.imageDigest)
 	for _, l := range lm.Libraries() {
 		m.measure(t.p, MeasureLibrary, l.Name, l.Digest())
 	}

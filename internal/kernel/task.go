@@ -134,9 +134,11 @@ type taskState struct {
 	completed   bool
 
 	// image is the executable identity this task runs (inherited on
-	// fork, replaced by exec). linkMap is set by exec.
-	image   *guest.Program
-	linkMap *lib.LinkMap
+	// fork, replaced by exec), and imageDigest its ProgramDigest,
+	// hashed once per spawn or exec. linkMap is set by exec.
+	image       *guest.Program
+	imageDigest string
+	linkMap     *lib.LinkMap
 
 	// quantumLeft is the remaining timeslice granted at dispatch.
 	quantumLeft sim.Cycles
