@@ -2,6 +2,8 @@ package kernel
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/guest"
@@ -47,12 +49,13 @@ func decodeFuzzOps(data []byte) []fuzzOp {
 
 // fuzzMachine has 24 pages of RAM and fails a quarter of read
 // syscalls with EAGAIN.
-func fuzzMachine() *Machine {
+func fuzzMachine(policy string) *Machine {
 	return New(Config{
-		Seed:         5,
-		CPUHz:        1_000_000_000,
-		MaxSteps:     50_000_000,
-		PhysMemBytes: fuzzPages / 2 * mem.DefaultPageSize,
+		Seed:            5,
+		CPUHz:           1_000_000_000,
+		MaxSteps:        50_000_000,
+		SchedulerPolicy: policy,
+		PhysMemBytes:    fuzzPages / 2 * mem.DefaultPageSize,
 		Faults: &FaultSpec{Syscalls: []SyscallFault{
 			{Name: "read", Errno: guest.EAGAIN, ProbPPM: 250_000},
 		}},
@@ -143,7 +146,7 @@ func (g *fuzzStep) run(ctx guest.Context, r guest.Resume) guest.Step {
 // and returns the reply log with the machine and the guest's pid.
 func fuzzRun(t *testing.T, ops []fuzzOp, asStep bool) ([]uint64, *Machine, proc.PID) {
 	t.Helper()
-	m := fuzzMachine()
+	m := fuzzMachine("")
 	var log []uint64
 	g := &fuzzStep{ops: ops}
 	sc := SpawnConfig{Name: "fuzz"}
@@ -223,6 +226,93 @@ func FuzzStepMatchesBody(f *testing.F) {
 			if us != ub {
 				t.Fatalf("%s usage diverged: step %+v, body %+v", scheme, us, ub)
 			}
+		}
+	})
+}
+
+// slicedRun runs two Body guests replaying ops (even-indexed ops at
+// nice 0, odd-indexed at nice 3) beside a compute hog on a fresh
+// fuzzMachine. A zero slice drives it with Run; otherwise with RunUntil
+// in slices of that width. It returns each guest's reply log, with the
+// ClockNow reply after every op, and renderFinal.
+func slicedRun(t *testing.T, policy string, ops []fuzzOp, slice sim.Cycles) ([2][]uint64, string) {
+	t.Helper()
+	m := fuzzMachine(policy)
+	var logs [2][]uint64
+	var pids []proc.PID
+	spawn := func(name string, nice int, body guest.Routine) {
+		p, err := m.Spawn(SpawnConfig{Name: name, Content: name, Nice: nice, Body: body})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pids = append(pids, p.PID)
+	}
+	for g := range logs {
+		spawn(fmt.Sprintf("guest%d", g), 3*g, func(ctx guest.Context) {
+			for i := g; i < len(ops); i += 2 {
+				logs[g] = append(logs[g], ops[i].post(ctx)...)
+				logs[g] = append(logs[g], uint64(ctx.ClockNow()))
+			}
+		})
+	}
+	// The hog outlasts an O1 nice-0 timeslice (100 ms), so quanta
+	// expire under both policies.
+	spawn("hog", 0, func(ctx guest.Context) {
+		for i := 0; i < 50; i++ {
+			ctx.Compute(2_500_000)
+		}
+	})
+	if slice == 0 {
+		if err := m.Run(); err != nil {
+			t.Fatalf("run: %v", err)
+		}
+		return logs, renderFinal(m, pids)
+	}
+	for limit := slice; ; limit += slice {
+		done, err := m.RunUntil(limit)
+		if err != nil {
+			t.Fatalf("run until %d: %v", limit, err)
+		}
+		if done {
+			return logs, renderFinal(m, pids)
+		}
+	}
+}
+
+// FuzzSlicedRunMatchesRun pins RunUntil's contract across the inline
+// compute burn: two fuzzed Body guests and a compute hog, on O1 or CFS
+// (the first byte), get the same replies, clocks and renderFinal when
+// driven by Run and in RunUntil slices of 10,000 + 97·w cycles (w the
+// second byte). A barrier inside a compute forces the general path, so
+// the two runs burn different computes inline.
+func FuzzSlicedRunMatchesRun(f *testing.F) {
+	f.Add([]byte{0, 0, fuzzCompute, 0x10, 0x27, fuzzCompute, 0x20, 0x4e, fuzzClock, 0, 0, fuzzSyscall, 0, 0, fuzzCompute, 0xff, 0x03, fuzzCompute, 0x40, 0x01})
+	f.Add([]byte{1, 40, fuzzCompute, 0x10, 0x27, fuzzSleep, 0x00, 0x10, fuzzCompute, 0x20, 0x4e, fuzzYield, 0, 0, fuzzCompute, 0x88, 0x13, fuzzUsage, 0, 0})
+	f.Add([]byte{
+		0, 200, fuzzStore, 0, 0, fuzzCompute, 0x00, 0x20, fuzzStore, 30, 0, fuzzCompute, 0xe8, 0x03,
+		fuzzLoad, 1, 0, fuzzNice, 10, 0, fuzzCompute, 0xff, 0xff, fuzzSleep, 0x50, 0x00, fuzzClock, 0, 0,
+	})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		policy := "o1"
+		if data[0]&1 == 1 {
+			policy = "cfs"
+		}
+		ops := decodeFuzzOps(data[2:])
+		if len(ops) == 0 {
+			return
+		}
+		wantLogs, want := slicedRun(t, policy, ops, 0)
+		gotLogs, got := slicedRun(t, policy, ops, 10_000+97*sim.Cycles(data[1]))
+		for g := range wantLogs {
+			if !slices.Equal(gotLogs[g], wantLogs[g]) {
+				t.Fatalf("%s: guest %d replies diverged:\nsliced %v\nrun    %v", policy, g, gotLogs[g], wantLogs[g])
+			}
+		}
+		if got != want {
+			t.Fatalf("%s: renderFinal diverged:\nsliced\n%s\nrun\n%s", policy, got, want)
 		}
 	})
 }

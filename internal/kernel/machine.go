@@ -1018,7 +1018,9 @@ func (m *Machine) chargedAdvance(d sim.Cycles, md cpu.Mode, t *task) {
 // the per-chunk trip through the step dispatcher. Each chunk still
 // counts against MaxSteps (one iteration ≈ one pre-batching step),
 // so the runaway guard keeps its calibration; on budget exhaustion
-// the loop returns and the next driveStep reports the error.
+// the loop returns and the next driveStep reports the error. A
+// compute that nothing can split never gets here: burnPosted burns
+// it as this loop's single chunk.
 func (m *Machine) burnCompute(t *task) {
 	for {
 		if m.cfg.MaxSteps > 0 && m.steps >= m.cfg.MaxSteps {
@@ -1035,16 +1037,8 @@ func (m *Machine) burnCompute(t *task) {
 			}
 		}
 		if chunk > 0 {
-			m.cpu.SetMode(cpu.User)
-			m.cpu.Run(chunk)
-			m.acct.OnRun(t.p, cpu.User, chunk)
-			m.sched.Charge(t.p, chunk)
+			m.runUser(t, chunk)
 			t.pendingUser -= chunk
-			if chunk >= t.quantumLeft {
-				t.quantumLeft = 0
-			} else {
-				t.quantumLeft -= chunk
-			}
 		}
 
 		if t.pendingUser == 0 && t.cur != nil && t.cur.kind == rqCompute {
@@ -1071,6 +1065,44 @@ func (m *Machine) burnCompute(t *task) {
 	}
 }
 
+// runUser burns d cycles of t's user-mode computation and charges
+// them: the CPU's mode and clock, the accountants, the scheduler and
+// t's quantum.
+func (m *Machine) runUser(t *task, d sim.Cycles) {
+	m.cpu.SetMode(cpu.User)
+	m.cpu.Run(d)
+	m.acct.OnRun(t.p, cpu.User, d)
+	m.sched.Charge(t.p, d)
+	if d >= t.quantumLeft {
+		t.quantumLeft = 0
+	} else {
+		t.quantumLeft -= d
+	}
+}
+
+// burnPosted burns a compute of d cycles that t has just posted, on
+// the spot, when nothing could split it: t holds the CPU with no
+// reschedule or barrier pending, the MaxSteps budget has the three
+// steps beginPosted and burnCompute would count, no event falls due
+// before the compute ends, and the quantum covers it (0 means no
+// cap). The general path would fire nothing, burn the compute as one
+// chunk and grant it, so burnPosted makes the same charges and grants
+// t without setting t.cur. It reports whether it burned.
+func (m *Machine) burnPosted(t *task, d sim.Cycles) bool {
+	if m.current != t || m.needResched || m.pauseReq ||
+		m.cfg.MaxSteps > 0 && m.steps+3 > m.cfg.MaxSteps ||
+		t.quantumLeft > 0 && t.quantumLeft < d {
+		return false
+	}
+	if at, ok := m.queue.PeekTime(); ok && at < m.clock.Now()+d {
+		return false
+	}
+	m.steps += 3
+	m.runUser(t, d)
+	t.granted = true
+	return true
+}
+
 // grantNow completes t's request. The guest resumes in the activation
 // loop: inline if t posted it there, otherwise at the end of the
 // driveStep that granted it.
@@ -1090,7 +1122,8 @@ func (m *Machine) grantNow(t *task) {
 // request stays posted for service at t's next dispatch. A compute is
 // also burned here, as the next driveStep would burn it, so a guest
 // whose compute completes on the CPU continues without leaving the
-// activation.
+// activation. post offers each compute to burnPosted first, which
+// burns it when nothing can split it; every other request comes here.
 func (m *Machine) beginPosted(t *task) {
 	t.begun = false
 	if m.current != t {

@@ -14,7 +14,11 @@ import (
 // engine runs one activation per granted request on the goroutine
 // driving the machine, and an activation posts its next request
 // through beginPosted, which services it inline while the task keeps
-// the CPU. A guest is written one of two ways:
+// the CPU. Most posts are computes that nothing can split (no event,
+// reschedule, barrier or quantum end falls inside), and post burns
+// those itself through burnPosted, with the same charges and grant as
+// the general path and none of its bookkeeping. A guest is written
+// one of two ways:
 //
 //   - SpawnConfig.Step: a resumable state machine (guest.Step) with no
 //     goroutine and no parked stack. An activation is one call of its
@@ -50,10 +54,13 @@ var noReply request
 
 // post offers the request already written into c.r to the engine.
 // Callers assign c.r with a full struct literal first, which clears
-// stale replies and keeps a post to a single struct copy. A Step task
-// returns to whoever drives the engine, so its post returns noReply at
-// once. A Body task's post returns c.r once granted: inline, or after
-// its coroutine yields to the activation loop until the grant.
+// stale replies and keeps a post to a single struct copy. A compute
+// that nothing can split is burned and granted on the spot
+// (burnPosted); any other request goes through beginPosted. A Step
+// task returns to whoever drives the engine, so its post returns
+// noReply at once. A Body task's post returns c.r once granted:
+// inline, or after its coroutine yields to the activation loop until
+// the grant.
 func (c *stepCtx) post() *request {
 	if c.posted {
 		panic(fmt.Sprintf("kernel: flyweight task %v posted two requests in one activation (a kernel request must be the activation's last action)", c.t.p))
@@ -64,8 +71,10 @@ func (c *stepCtx) post() *request {
 	// mid-request, doExit clears t.co, and the killed guest must still
 	// yield here rather than run on and post again.
 	co := t.co
-	t.cur = &c.r
-	t.m.beginPosted(t)
+	if c.r.kind != rqCompute || !t.m.burnPosted(t, c.r.cycles) {
+		t.cur = &c.r
+		t.m.beginPosted(t)
+	}
 	if co == nil {
 		return &noReply
 	}

@@ -195,7 +195,9 @@ func TestFlyweightBarrierSlices(t *testing.T) {
 // silently diverge from the request sequence it means. It also pins
 // that a Step guest's posting methods return zero values, even for a
 // request the kernel grants inline: the reply arrives in the next
-// Resume only.
+// Resume only. A compute that post burns on the spot follows every
+// reply-carrying probe, and its Resume must carry no reply at all:
+// none left over from the request before it.
 func TestFlyweightContractViolations(t *testing.T) {
 	mustPanic := func(name, want string, step guest.Step) {
 		t.Helper()
@@ -237,15 +239,28 @@ func TestFlyweightContractViolations(t *testing.T) {
 	m := New(Config{Seed: 1, CPUHz: 1_000_000_000, MaxSteps: 50_000_000,
 		Faults: &FaultSpec{Syscalls: []SyscallFault{{Name: "read", Errno: guest.EAGAIN, ProbPPM: 1_000_000}}}})
 	m.NIC().InjectRx(1000)
-	probes := []struct {
+	type probeCase struct {
 		name  string
 		post  func(guest.Context) bool // posts; reports a zero return
-		reply func(guest.Resume) bool  // reports the kernel's nonzero reply
-	}{
+		reply func(guest.Resume) bool  // reports the reply the kernel owes
+	}
+	const burn = 1_000
+	compute := probeCase{"Compute", func(c guest.Context) bool {
+		if at, _ := m.queue.PeekTime(); at-m.Clock().Now() < burn {
+			t.Errorf("an event falls due inside the probe's compute; the probe pins nothing")
+		}
+		c.Compute(burn)
+		return true
+	}, func(r guest.Resume) bool { return !r.OK && r.Ret == 0 && r.Err == nil && r.User == 0 && r.Sys == 0 }}
+	probes := []probeCase{
 		{"ClockNow", func(c guest.Context) bool { return c.ClockNow() == 0 }, func(r guest.Resume) bool { return r.Ret != 0 }},
+		compute,
 		{"NetRx", func(c guest.Context) bool { return c.NetRx() == 0 }, func(r guest.Resume) bool { return r.Ret == 1 }},
+		compute,
 		{"Usage", func(c guest.Context) bool { u, s := c.Usage(); return u == 0 && s == 0 }, func(r guest.Resume) bool { return r.User != 0 }},
+		compute,
 		{"Syscall", func(c guest.Context) bool { return c.Syscall("read") == nil }, func(r guest.Resume) bool { return r.Err == guest.EAGAIN }},
+		compute,
 	}
 	i := -1
 	var probe guest.Step
@@ -257,7 +272,7 @@ func TestFlyweightContractViolations(t *testing.T) {
 			return probe
 		}
 		if i > 0 && !probes[i-1].reply(r) {
-			t.Errorf("%s: Resume %+v carries no reply", probes[i-1].name, r)
+			t.Errorf("%s: Resume %+v is not the reply the kernel owes", probes[i-1].name, r)
 		}
 		if i == len(probes) {
 			return nil

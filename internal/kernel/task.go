@@ -140,7 +140,13 @@ type taskState struct {
 	imageDigest string
 	linkMap     *lib.LinkMap
 
-	// quantumLeft is the remaining timeslice granted at dispatch.
+	// quantumLeft is the remaining timeslice granted at dispatch; 0
+	// means no cap. The scheduler acts on expiry only in burnCompute,
+	// while a compute is still pending, so a quantum that runs out in
+	// chargedAdvance, or exactly as a compute ends, is left at 0 and
+	// the task's later computes burn uncapped until an event splits
+	// one. That is a known fault, kept because fixing it moves the
+	// goldens; burnPosted keeps it too.
 	quantumLeft sim.Cycles
 
 	// waitingChild marks a task blocked in Wait.
