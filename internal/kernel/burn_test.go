@@ -267,3 +267,80 @@ func TestComputeBoundaries(t *testing.T) {
 		}
 	}
 }
+
+// TestBoundCallsAllocateNothing pins that a Body guest's Compute +
+// Call1 loop allocates nothing per RunUntil slice once its symbols are
+// bound: the binding lookup, the PLT compute and every post reuse the
+// task's own state.
+func TestBoundCallsAllocateNothing(t *testing.T) {
+	m := New(Config{Seed: 1, CPUHz: 1_000_000_000})
+	if _, err := m.Spawn(SpawnConfig{Name: "caller", Body: func(ctx guest.Context) {
+		for i := uint64(0); ; i++ {
+			ctx.Compute(1_000)
+			ctx.Call1("sqrt", i)
+		}
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	defer m.Shutdown()
+	const slice = 1_000_000
+	limit := sim.Cycles(0)
+	next := func() {
+		limit += slice
+		if _, err := m.RunUntil(limit); err != nil {
+			t.Fatal(err)
+		}
+	}
+	next() // binds sqrt, starts the coroutine and fills the event free list
+	if n := testing.AllocsPerRun(100, next); n != 0 {
+		t.Fatalf("a bound Compute + Call1 loop allocated %v times per slice", n)
+	}
+}
+
+// BenchmarkComputePost times one posted 1,000-cycle compute from a
+// lone guest written as a Body and as a Step, and one Call1("sqrt")
+// from a lone Body guest: the binding lookup, the PLT compute and
+// sqrt's own compute. Nothing splits most of these computes, so post
+// burns them itself. Compare runs at -cpu 1.
+func BenchmarkComputePost(b *testing.B) {
+	run := func(b *testing.B, sc SpawnConfig) {
+		m := New(Config{Seed: 1, CPUHz: 1_000_000_000})
+		if _, err := m.Spawn(sc); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		if err := m.Run(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.Run("body", func(b *testing.B) {
+		n := b.N
+		run(b, SpawnConfig{Name: "body", Body: func(ctx guest.Context) {
+			for range n {
+				ctx.Compute(1_000)
+			}
+		}})
+	})
+	b.Run("step", func(b *testing.B) {
+		n := b.N
+		var step guest.Step
+		step = func(ctx guest.Context, _ guest.Resume) guest.Step {
+			if n == 0 {
+				return nil
+			}
+			n--
+			ctx.Compute(1_000)
+			return step
+		}
+		run(b, SpawnConfig{Name: "step", Step: step})
+	})
+	b.Run("call1-sqrt", func(b *testing.B) {
+		n := b.N
+		run(b, SpawnConfig{Name: "call1", Body: func(ctx guest.Context) {
+			for i := range n {
+				ctx.Call1("sqrt", uint64(i))
+			}
+		}})
+	})
+}

@@ -132,12 +132,29 @@ func (c *stepCtx) Call1(fn string, a0 uint64) uint64 {
 	return c.callSym(fn, c.argbuf[:1])
 }
 
-// callSym resolves fn through the link map and runs it in this
-// context, charging the PLT indirection. A Step task cannot: library
-// code is Routine code, which has no resumable form.
+// callSym runs library symbol fn in this context, charging the PLT
+// indirection.
 func (c *stepCtx) callSym(fn string, args []uint64) uint64 {
-	if c.t.body == nil {
+	f := c.bind(fn)
+	// PLT indirection cost, then the callee runs in this context.
+	c.Compute(pltCost)
+	return f(c, args)
+}
+
+// bind returns the task's binding of fn, resolving it through the
+// link map at fn's first call, the way ld.so's lazy PLT binding does.
+// The bindings live on the task's coroutine (coro.syms). A Step task
+// has none and cannot call library code: it is Routine code, which
+// has no resumable form.
+func (c *stepCtx) bind(fn string) guest.LibFunc {
+	co := c.t.co
+	if co == nil {
 		panic(fmt.Sprintf("kernel: flyweight task %v called %q (library code has no resumable form; spawn with Body)", c.t.p, fn))
+	}
+	for _, s := range co.syms {
+		if s.name == fn {
+			return s.f
+		}
 	}
 	lm := c.t.linkMap
 	if lm == nil {
@@ -147,9 +164,8 @@ func (c *stepCtx) callSym(fn string, args []uint64) uint64 {
 	if !ok {
 		panic(fmt.Sprintf("kernel: undefined symbol %q in %v", fn, c.t.p))
 	}
-	// PLT indirection cost, then the callee runs in this context.
-	c.Compute(pltCost)
-	return f(c, args)
+	co.syms = append(co.syms, boundSym{name: fn, f: f})
+	return f
 }
 
 func (c *stepCtx) Syscall(name string) error {
@@ -362,6 +378,7 @@ func (m *Machine) bindCoro(t *task) *coro {
 		m.coros = append(m.coros, co)
 	}
 	co.t = t
+	co.syms = co.syms[:0]
 	return co
 }
 

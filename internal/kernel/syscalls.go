@@ -364,6 +364,7 @@ func (m *Machine) doExec(t *task, prog *guest.Program) error {
 	m.chargedAdvance(c.Execve, cpu.Kernel, t)
 	m.chargedAdvance(c.DynamicLink*sim.Cycles(1+len(lm.Libraries())), cpu.Kernel, t)
 	t.linkMap = lm
+	t.co.syms = t.co.syms[:0]
 	t.image = prog
 	t.imageDigest = ProgramDigest(prog.Name, prog.Content)
 	t.billable = true

@@ -204,6 +204,19 @@ type coro struct {
 	// Exit with code) and the coroutine is parked for reuse.
 	ended bool
 	code  int
+	// syms are the library symbols the bound task has called, in
+	// first-call order (see stepCtx.bind). Binding a task and exec
+	// clear them, so a fork child starts with none. They live here
+	// rather than in the task so that a task keeps its allocation size
+	// class and a fork storm's children reuse the storage with the
+	// coroutine.
+	syms []boundSym
+}
+
+// boundSym is one library symbol a task has bound.
+type boundSym struct {
+	name string
+	f    guest.LibFunc
 }
 
 // run is the coroutine's body: run the bound task's guest code, report
