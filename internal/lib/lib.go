@@ -29,11 +29,23 @@ type Library struct {
 	Destructor guest.Routine
 	// Funcs are the exported symbols.
 	Funcs map[string]guest.LibFunc
+
+	// digest is the Digest that Install recorded.
+	digest string
 }
 
 // Digest returns the measurement of the library's identity, the
-// value a TPM-backed integrity log would record at load time.
+// value a TPM-backed integrity log would record at load time. An
+// installed library returns the digest Install recorded, so a changed
+// library must be installed anew, as an attack's substitute is.
 func (l *Library) Digest() string {
+	if l.digest != "" {
+		return l.digest
+	}
+	return digestOf(l)
+}
+
+func digestOf(l *Library) string {
 	h := sha256.Sum256([]byte("lib\x00" + l.Name + "\x00" + l.Content))
 	return hex.EncodeToString(h[:])
 }
@@ -49,8 +61,12 @@ func NewRegistry() *Registry {
 	return &Registry{libs: make(map[string]*Library)}
 }
 
-// Install adds or replaces a library by name.
-func (r *Registry) Install(l *Library) { r.libs[l.Name] = l }
+// Install adds or replaces a library by name and records its digest, so
+// each process that links it is measured without hashing it again.
+func (r *Registry) Install(l *Library) {
+	l.digest = digestOf(l)
+	r.libs[l.Name] = l
+}
 
 // Get looks up a library by name.
 func (r *Registry) Get(name string) (*Library, bool) {
