@@ -1,8 +1,9 @@
 // Package syscallname defines the simlint analyzer that closes the
 // stringly-typed syscall namespace. Syscall classes are identified by
 // string everywhere — guest.Context.Syscall("read"), fault tables,
-// the kernel's cost map — and a typo ("sendot") does not fail: the
-// cost lookup silently falls back to the default service time, and a
+// the kernel's cost map and the service times it resolves from it per
+// machine — and a typo ("sendot") does not fail: the cost lookup
+// silently falls back to the default service time, and a
 // typo'd fault entry injects nothing while the chaos run reports a
 // healthy bill. This analyzer checks every string literal (or
 // constant) flowing into those positions against the closed set
@@ -78,8 +79,8 @@ func run(pass *analysis.Pass) (any, error) {
 					check(n.Args[0], "guest.Context.Syscall")
 				case guestapi.IsGuestFunc(fn, "SyscallRetry") && len(n.Args) > 1:
 					check(n.Args[1], "guest.SyscallRetry")
-				case fn != nil && guestapi.InKernelPackage(fn) && fn.Name() == "syscallCost" && len(n.Args) > 0:
-					check(n.Args[0], "syscallCost")
+				case fn != nil && guestapi.InKernelPackage(fn) && fn.Name() == "serviceTime" && len(n.Args) > 0:
+					check(n.Args[0], "serviceTime")
 				case fn != nil && guestapi.InKernelPackage(fn) && fn.Name() == "injectFault" && len(n.Args) > 0:
 					check(n.Args[0], "injectFault")
 				}

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/guest"
 	"repro/internal/mem"
+	"repro/internal/metering"
 	"repro/internal/proc"
 	"repro/internal/sim"
 )
@@ -47,15 +48,19 @@ func decodeFuzzOps(data []byte) []fuzzOp {
 	return ops
 }
 
-// fuzzMachine has 24 pages of RAM and fails a quarter of read
-// syscalls with EAGAIN.
-func fuzzMachine(policy string) *Machine {
+// fuzzMachine has 24 pages of RAM, fails a quarter of read syscalls
+// with EAGAIN and bills with jiffy, tsc or process-aware (billing 0, 1
+// or 2), the scheme a guest's Usage reads.
+func fuzzMachine(policy string, billing int) *Machine {
+	accts := []metering.Accountant{metering.NewJiffy(1_000_000_000 / DefaultHZ), metering.NewTSC(), metering.NewProcessAware()}
+	accts[0], accts[billing] = accts[billing], accts[0]
 	return New(Config{
 		Seed:            5,
 		CPUHz:           1_000_000_000,
 		MaxSteps:        50_000_000,
 		SchedulerPolicy: policy,
 		PhysMemBytes:    fuzzPages / 2 * mem.DefaultPageSize,
+		Accountants:     accts,
 		Faults: &FaultSpec{Syscalls: []SyscallFault{
 			{Name: "read", Errno: guest.EAGAIN, ProbPPM: 250_000},
 		}},
@@ -146,7 +151,7 @@ func (g *fuzzStep) run(ctx guest.Context, r guest.Resume) guest.Step {
 // and returns the reply log with the machine and the guest's pid.
 func fuzzRun(t *testing.T, ops []fuzzOp, asStep bool) ([]uint64, *Machine, proc.PID) {
 	t.Helper()
-	m := fuzzMachine("")
+	m := fuzzMachine("", 0)
 	var log []uint64
 	g := &fuzzStep{ops: ops}
 	sc := SpawnConfig{Name: "fuzz"}
@@ -235,9 +240,9 @@ func FuzzStepMatchesBody(f *testing.F) {
 // fuzzMachine. A zero slice drives it with Run; otherwise with RunUntil
 // in slices of that width. It returns each guest's reply log, with the
 // ClockNow reply after every op, and renderFinal.
-func slicedRun(t *testing.T, policy string, ops []fuzzOp, slice sim.Cycles) ([2][]uint64, string) {
+func slicedRun(t *testing.T, policy string, billing int, ops []fuzzOp, slice sim.Cycles) ([2][]uint64, string) {
 	t.Helper()
-	m := fuzzMachine(policy)
+	m := fuzzMachine(policy, billing)
 	var logs [2][]uint64
 	var pids []proc.PID
 	spawn := func(name string, nice int, body guest.Routine) {
@@ -280,14 +285,20 @@ func slicedRun(t *testing.T, policy string, ops []fuzzOp, slice sim.Cycles) ([2]
 }
 
 // FuzzSlicedRunMatchesRun pins RunUntil's contract across the inline
-// compute burn: two fuzzed Body guests and a compute hog, on O1 or CFS
-// (the first byte), get the same replies, clocks and renderFinal when
-// driven by Run and in RunUntil slices of 10,000 + 97·w cycles (w the
-// second byte). A barrier inside a compute forces the general path, so
-// the two runs burn different computes inline.
+// compute burn and the billing flushes: two fuzzed Body guests and a
+// compute hog, on O1 or CFS (the first byte's low bit), billed by
+// jiffy, tsc or process-aware (the rest of it, mod 3), get the same
+// replies, clocks and renderFinal when driven by Run and in RunUntil
+// slices of 10,000 + 97·w cycles (w the second byte). A barrier inside
+// a compute forces the general path, so the two runs burn different
+// computes inline. Every slice ends in a flush, so a Usage reply read
+// before a missing flush differs between the two under tsc and
+// process-aware.
 func FuzzSlicedRunMatchesRun(f *testing.F) {
 	f.Add([]byte{0, 0, fuzzCompute, 0x10, 0x27, fuzzCompute, 0x20, 0x4e, fuzzClock, 0, 0, fuzzSyscall, 0, 0, fuzzCompute, 0xff, 0x03, fuzzCompute, 0x40, 0x01})
 	f.Add([]byte{1, 40, fuzzCompute, 0x10, 0x27, fuzzSleep, 0x00, 0x10, fuzzCompute, 0x20, 0x4e, fuzzYield, 0, 0, fuzzCompute, 0x88, 0x13, fuzzUsage, 0, 0})
+	f.Add([]byte{2, 40, fuzzCompute, 0x10, 0x27, fuzzUsage, 0, 0, fuzzSleep, 0x00, 0x10, fuzzCompute, 0x20, 0x4e, fuzzUsage, 0, 0})
+	f.Add([]byte{5, 7, fuzzCompute, 0x88, 0x13, fuzzUsage, 0, 0, fuzzCompute, 0xff, 0x03, fuzzYield, 0, 0, fuzzUsage, 0, 0})
 	f.Add([]byte{
 		0, 200, fuzzStore, 0, 0, fuzzCompute, 0x00, 0x20, fuzzStore, 30, 0, fuzzCompute, 0xe8, 0x03,
 		fuzzLoad, 1, 0, fuzzNice, 10, 0, fuzzCompute, 0xff, 0xff, fuzzSleep, 0x50, 0x00, fuzzClock, 0, 0,
@@ -300,19 +311,20 @@ func FuzzSlicedRunMatchesRun(f *testing.F) {
 		if data[0]&1 == 1 {
 			policy = "cfs"
 		}
+		billing := int(data[0]>>1) % 3
 		ops := decodeFuzzOps(data[2:])
 		if len(ops) == 0 {
 			return
 		}
-		wantLogs, want := slicedRun(t, policy, ops, 0)
-		gotLogs, got := slicedRun(t, policy, ops, 10_000+97*sim.Cycles(data[1]))
+		wantLogs, want := slicedRun(t, policy, billing, ops, 0)
+		gotLogs, got := slicedRun(t, policy, billing, ops, 10_000+97*sim.Cycles(data[1]))
 		for g := range wantLogs {
 			if !slices.Equal(gotLogs[g], wantLogs[g]) {
-				t.Fatalf("%s: guest %d replies diverged:\nsliced %v\nrun    %v", policy, g, gotLogs[g], wantLogs[g])
+				t.Fatalf("%s, billing %d: guest %d replies diverged:\nsliced %v\nrun    %v", policy, billing, g, gotLogs[g], wantLogs[g])
 			}
 		}
 		if got != want {
-			t.Fatalf("%s: renderFinal diverged:\nsliced\n%s\nrun\n%s", policy, got, want)
+			t.Fatalf("%s, billing %d: renderFinal diverged:\nsliced\n%s\nrun\n%s", policy, billing, got, want)
 		}
 	})
 }

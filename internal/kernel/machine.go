@@ -58,11 +58,6 @@ type Config struct {
 	// jiffy + tsc + process-aware. The first is the billing scheme
 	// (what getrusage-alike reads).
 	Accountants []metering.Accountant
-	// WakeLatencyBase scales the wakeup-to-runnable latency. The
-	// latency for a task of nice n is Base*(n-MinNice+1)/41, so
-	// high-priority tasks become runnable (and preempt) sooner.
-	// Zero selects 1 ms worth of cycles.
-	WakeLatencyBase sim.Cycles
 	// MaxSteps bounds the event loop as a runaway guard; zero means
 	// unlimited.
 	MaxSteps uint64
@@ -100,6 +95,14 @@ type Machine struct {
 	sched sched.Scheduler
 	acct  *metering.Multi
 	reg   *lib.Registry
+
+	// unbilled lists the tasks that have run since the accountants last
+	// heard of them, in first-run order; flushRun reports and empties it.
+	unbilled []*task
+
+	// svc holds the service times of the syscalls the kernel charges on
+	// its own behalf.
+	svc serviceTimes
 
 	tickCycles sim.Cycles
 	nextTickAt sim.Cycles
@@ -199,9 +202,6 @@ func New(cfg Config) *Machine {
 	if cfg.Registry == nil {
 		cfg.Registry = lib.StandardRegistry()
 	}
-	if cfg.WakeLatencyBase == 0 {
-		cfg.WakeLatencyBase = sim.Cycles(uint64(cfg.CPUHz) / 1000) // 1 ms
-	}
 	m := newShell(cfg.Seed)
 	m.cfg, m.reg = cfg, cfg.Registry
 	m.cpu = cpu.New(cfg.CPUHz)
@@ -209,6 +209,7 @@ func New(cfg Config) *Machine {
 	m.mem = mem.New(cfg.PhysMemBytes, 0)
 	m.table = proc.NewTable()
 	m.tickCycles = sim.Cycles(uint64(cfg.CPUHz) / cfg.HZ)
+	m.svc = m.resolveServiceTimes()
 
 	cyclesPerMs := sim.Cycles(uint64(cfg.CPUHz) / 1000)
 	if cfg.SchedulerPolicy == "cfs" {
@@ -285,7 +286,8 @@ func (m *Machine) Registry() *lib.Registry { return m.reg }
 // Scheduler exposes the active policy.
 func (m *Machine) Scheduler() sched.Scheduler { return m.sched }
 
-// Accountants exposes the accounting fan-out.
+// Accountants exposes the accounting fan-out. Its ledgers hold every
+// cycle run once Run or RunUntil has returned (see flushRun).
 func (m *Machine) Accountants() *metering.Multi { return m.acct }
 
 // TickCycles returns the jiffy length in cycles.
@@ -437,6 +439,7 @@ func (m *Machine) newTask(p *proc.Proc, body guest.Routine) *task {
 		body: body,
 	}
 	t.stepCtx.t = t
+	p.KernelData = t
 	t.wakeFire = func() {
 		t.wakePending = false
 		m.wakeNow(t)
@@ -526,8 +529,10 @@ func (m *Machine) RunUntil(limit sim.Cycles) (done bool, err error) {
 }
 
 // drive steps the engine until every task has exited (done), a
-// RunUntil barrier fires, or the run fails.
+// RunUntil barrier fires, or the run fails. However it returns, it
+// reports every cycle run to the accountants first.
 func (m *Machine) drive() (done bool, err error) {
+	defer m.flushRun()
 	for m.live > 0 {
 		if m.pauseReq {
 			m.pauseReq = false
@@ -712,7 +717,7 @@ func (m *Machine) dispatch() bool {
 	if p == nil {
 		return false
 	}
-	t := m.tasks[p.PID]
+	t := p.KernelData.(*task)
 	p.State = proc.Running
 	m.current = t
 	t.quantumLeft = m.sched.Quantum(p)
@@ -837,8 +842,7 @@ func (m *Machine) schedulePreempt(nice int) {
 // wakeLatency returns the wakeup-to-runnable delay: a small fixed
 // cost (~1/128 jiffy, ≈30 µs at HZ=250) modelling the wake-up path
 // and runqueue placement.
-func (m *Machine) wakeLatency(nice int) sim.Cycles {
-	_ = nice
+func (m *Machine) wakeLatency() sim.Cycles {
 	l := m.tickCycles / 128
 	if l == 0 {
 		l = 1
@@ -846,14 +850,14 @@ func (m *Machine) wakeLatency(nice int) sim.Cycles {
 	return l
 }
 
-// wakeAfterLatency schedules a wake at now+latency(nice). Duplicate
+// wakeAfterLatency schedules a wake after the wakeup latency. Duplicate
 // requests while one is pending are coalesced.
 func (m *Machine) wakeAfterLatency(t *task) {
 	if t.wakePending {
 		return
 	}
 	t.wakePending = true
-	at := m.clock.Now() + m.wakeLatency(t.p.Nice())
+	at := m.clock.Now() + m.wakeLatency()
 	m.queue.ScheduleTagged(at, "wake", uint64(t.p.PID), t.wakeFire)
 }
 
@@ -973,8 +977,8 @@ func (m *Machine) irqWork(irq device.IRQ, cost sim.Cycles) {
 
 // advance moves virtual time forward by d cycles in the given mode,
 // splitting at event boundaries so interleaved interrupts observe the
-// true machine state. owner, when non-nil, receives OnRun charges.
-func (m *Machine) advance(d sim.Cycles, md cpu.Mode, owner *proc.Proc) {
+// true machine state. owner, when non-nil, accrues the cycles.
+func (m *Machine) advance(d sim.Cycles, md cpu.Mode, owner *task) {
 	for d > 0 {
 		chunk := d
 		if at, ok := m.queue.PeekTime(); ok {
@@ -991,7 +995,7 @@ func (m *Machine) advance(d sim.Cycles, md cpu.Mode, owner *proc.Proc) {
 		m.cpu.SetMode(md)
 		m.cpu.Run(chunk)
 		if owner != nil {
-			m.acct.OnRun(owner, md, chunk)
+			m.accrue(owner, md, chunk)
 		}
 		d -= chunk
 	}
@@ -1000,7 +1004,7 @@ func (m *Machine) advance(d sim.Cycles, md cpu.Mode, owner *proc.Proc) {
 // chargedAdvance is advance plus scheduler timeslice consumption for
 // the task being served.
 func (m *Machine) chargedAdvance(d sim.Cycles, md cpu.Mode, t *task) {
-	m.advance(d, md, t.p)
+	m.advance(d, md, t)
 	m.sched.Charge(t.p, d)
 	if d >= t.quantumLeft {
 		t.quantumLeft = 0
@@ -1066,12 +1070,12 @@ func (m *Machine) burnCompute(t *task) {
 }
 
 // runUser burns d cycles of t's user-mode computation and charges
-// them: the CPU's mode and clock, the accountants, the scheduler and
-// t's quantum.
+// them: the CPU's mode and clock, t's unbilled cycles, the scheduler
+// and t's quantum.
 func (m *Machine) runUser(t *task, d sim.Cycles) {
 	m.cpu.SetMode(cpu.User)
 	m.cpu.Run(d)
-	m.acct.OnRun(t.p, cpu.User, d)
+	m.accrue(t, cpu.User, d)
 	m.sched.Charge(t.p, d)
 	if d >= t.quantumLeft {
 		t.quantumLeft = 0
@@ -1156,4 +1160,41 @@ func (m *Machine) beginPosted(t *task) {
 	}
 	m.steps++
 	m.burnCompute(t)
+}
+
+// accrue adds d cycles that t ran in mode md to its unbilled cycles,
+// putting t on the unbilled list at its first. The accountants hear of
+// them at the next flushRun, as Linux's native vtime accounting accrues
+// CPU time in the task and flushes it when it is read
+// (kernel/sched/cputime.c). Every scheme's ledger is a sum, so a batched
+// report bills exactly what one report per chunk would.
+func (m *Machine) accrue(t *task, md cpu.Mode, d sim.Cycles) {
+	if t.unbilledUser == 0 && t.unbilledSys == 0 {
+		m.unbilled = append(m.unbilled, t)
+	}
+	if md == cpu.User {
+		t.unbilledUser += d
+	} else {
+		t.unbilledSys += d
+	}
+}
+
+// flushRun reports every unbilled task's cycles to the accountants, in
+// at most one user and one system OnRun each, and empties the list. It
+// runs wherever a ledger is read or folded: before a guest's usage read
+// and a reap, when a thread group's final usage is kept, in Snapshot,
+// and whenever drive returns, so a caller of Run or RunUntil reads
+// exact sums.
+func (m *Machine) flushRun() {
+	for _, t := range m.unbilled {
+		if t.unbilledUser > 0 {
+			m.acct.OnRun(t.p, cpu.User, t.unbilledUser)
+		}
+		if t.unbilledSys > 0 {
+			m.acct.OnRun(t.p, cpu.Kernel, t.unbilledSys)
+		}
+		t.unbilledUser, t.unbilledSys = 0, 0
+	}
+	clear(m.unbilled)
+	m.unbilled = m.unbilled[:0]
 }

@@ -87,6 +87,7 @@ func (m *Machine) Snapshot() (*MachineImage, error) {
 	case m.pauseReq:
 		return nil, fmt.Errorf("%w: machine is mid-drive; snapshot between Run/RunUntil calls", ErrNotSnapshottable)
 	}
+	m.flushRun()
 	frozen, err := m.clone(nil, frozenFire)
 	if err != nil {
 		return nil, err
@@ -161,6 +162,8 @@ func (m *Machine) Fork() (*Machine, error) {
 // one, and every restore clones a frozen machine into a live one. clone
 // only reads m, so several goroutines may restore one image at once.
 // ext resolves pending events of the kinds the kernel does not own.
+// The copy starts with no unbilled cycles: Snapshot flushes m's first,
+// and a frozen machine never runs.
 func (m *Machine) clone(shell *Machine, ext RestoreResolver) (*Machine, error) {
 	c := shell
 	if c == nil {
@@ -185,7 +188,7 @@ func (m *Machine) clone(shell *Machine, ext RestoreResolver) (*Machine, error) {
 	c.cpu = m.cpu.Clone()
 	c.clock = c.cpu.Clock()
 	c.rng.SetState(m.rng.State())
-	c.tickCycles, c.nextTickAt = m.tickCycles, m.nextTickAt
+	c.tickCycles, c.nextTickAt, c.svc = m.tickCycles, m.nextTickAt, m.svc
 	c.live, c.steps, c.needResched = m.live, m.steps, m.needResched
 	// The armed fault table is never written after New, so copies share it.
 	c.faults, c.faultRNG, c.faultsInjected = m.faults, nil, m.faultsInjected

@@ -23,7 +23,7 @@ var (
 )
 
 // syscallServiceUs maps generic syscall classes to service time in
-// microseconds of kernel work.
+// microseconds of kernel work. A class off the table takes 1 µs.
 var syscallServiceUs = map[string]sim.Cycles{
 	"read":      2,
 	"write":     2,
@@ -37,14 +37,40 @@ var syscallServiceUs = map[string]sim.Cycles{
 	"brk":       2,
 }
 
-func (m *Machine) syscallCost(name string) sim.Cycles {
+// serviceTimes are the service times, in cycles, of the syscall
+// classes the kernel charges on its own behalf (sleep, nice and clock
+// reads, usage reads, process lookup, networking and ptrace), resolved
+// once per machine so those charges look nothing up by name.
+type serviceTimes struct {
+	gettime, getrusage, stat, sendto, read, futex sim.Cycles
+}
+
+func (m *Machine) resolveServiceTimes() serviceTimes {
+	return serviceTimes{
+		gettime:   m.serviceTime("gettime"),
+		getrusage: m.serviceTime("getrusage"),
+		stat:      m.serviceTime("stat"),
+		sendto:    m.serviceTime("sendto"),
+		read:      m.serviceTime("read"),
+		futex:     m.serviceTime("futex"),
+	}
+}
+
+// serviceTime returns the named syscall class's service time in cycles.
+func (m *Machine) serviceTime(name string) sim.Cycles {
 	us := syscallServiceUs[name]
 	if us == 0 {
 		us = 1
 	}
-	perUs := sim.Cycles(uint64(m.cfg.CPUHz) / 1_000_000)
+	return us * sim.Cycles(uint64(m.cfg.CPUHz)/1_000_000)
+}
+
+// syscallCost returns the cost of a syscall with the given service
+// time: entry, service and exit. Entry and exit are read per call, so
+// CPU.SetCosts reprices them.
+func (m *Machine) syscallCost(service sim.Cycles) sim.Cycles {
 	c := m.cpu.Costs()
-	return c.SyscallEntry + us*perUs + c.SyscallExit
+	return c.SyscallEntry + service + c.SyscallExit
 }
 
 // beginRequest services one guest request. Kernel services are
@@ -63,7 +89,7 @@ func (m *Machine) beginRequest(t *task, r *request) {
 
 	case rqSyscall:
 		st.Syscalls++
-		m.chargedAdvance(m.syscallCost(r.name), cpu.Kernel, t)
+		m.chargedAdvance(m.syscallCost(m.serviceTime(r.name)), cpu.Kernel, t)
 		// An injected fault fails the request after the full
 		// entry/service/exit path — the kernel did the work and then
 		// the device said no, so the billing is identical either way.
@@ -122,7 +148,7 @@ func (m *Machine) beginRequest(t *task, r *request) {
 
 	case rqSleep:
 		st.Syscalls++
-		m.chargedAdvance(m.syscallCost("gettime"), cpu.Kernel, t)
+		m.chargedAdvance(m.syscallCost(m.svc.gettime), cpu.Kernel, t)
 		wakeAt := m.clock.Now() + r.cycles
 		t.blockedAt = m.clock.Now()
 		m.blockCurrent(proc.Blocked)
@@ -130,7 +156,7 @@ func (m *Machine) beginRequest(t *task, r *request) {
 
 	case rqNice:
 		st.Syscalls++
-		m.chargedAdvance(m.syscallCost("gettime"), cpu.Kernel, t)
+		m.chargedAdvance(m.syscallCost(m.svc.gettime), cpu.Kernel, t)
 		t.p.SetNice(r.nice)
 		m.grantNow(t)
 
@@ -141,7 +167,8 @@ func (m *Machine) beginRequest(t *task, r *request) {
 
 	case rqUsage:
 		st.Syscalls++
-		m.chargedAdvance(m.syscallCost("getrusage"), cpu.Kernel, t)
+		m.chargedAdvance(m.syscallCost(m.svc.getrusage), cpu.Kernel, t)
+		m.flushRun()
 		u := m.acct.Usage(t.p.TGID)
 		r.u, r.s = u.User, u.System
 		m.grantNow(t)
@@ -153,7 +180,7 @@ func (m *Machine) beginRequest(t *task, r *request) {
 
 	case rqFind:
 		st.Syscalls++
-		m.chargedAdvance(m.syscallCost("stat"), cpu.Kernel, t)
+		m.chargedAdvance(m.syscallCost(m.svc.stat), cpu.Kernel, t)
 		for _, p := range m.table.All() {
 			if p.Name == r.name && p.Alive() {
 				r.ret, r.wok = uint64(p.PID), true
@@ -167,7 +194,7 @@ func (m *Machine) beginRequest(t *task, r *request) {
 		// clock_gettime(CLOCK_MONOTONIC): the read itself is the
 		// syscall service; the returned instant is the clock after the
 		// service, the moment control returns to the guest.
-		m.chargedAdvance(m.syscallCost("gettime"), cpu.Kernel, t)
+		m.chargedAdvance(m.syscallCost(m.svc.gettime), cpu.Kernel, t)
 		r.ret = uint64(m.clock.Now())
 		m.grantNow(t)
 
@@ -177,14 +204,14 @@ func (m *Machine) beginRequest(t *task, r *request) {
 			// The syscall fails before reaching the driver: entry/
 			// service/exit are billed but not the tx path, and the NIC
 			// never sees the frame.
-			m.chargedAdvance(m.syscallCost("sendto"), cpu.Kernel, t)
+			m.chargedAdvance(m.syscallCost(m.svc.sendto), cpu.Kernel, t)
 			r.err = e
 			m.grantNow(t)
 			break
 		}
 		// sendto entry/service/exit, then the driver's tx path — ring
 		// descriptor fill and doorbell — all system time of the sender.
-		m.chargedAdvance(m.syscallCost("sendto")+c.NICTx, cpu.Kernel, t)
+		m.chargedAdvance(m.syscallCost(m.svc.sendto)+c.NICTx, cpu.Kernel, t)
 		f := r.frame
 		f.Src = m.nic.Addr()
 		r.wok = m.nic.TransmitTo(f)
@@ -193,20 +220,20 @@ func (m *Machine) beginRequest(t *task, r *request) {
 	case rqNetForward:
 		st.Syscalls++
 		if e, hit := m.injectFault("sendto"); hit {
-			m.chargedAdvance(m.syscallCost("sendto"), cpu.Kernel, t)
+			m.chargedAdvance(m.syscallCost(m.svc.sendto), cpu.Kernel, t)
 			r.err = e
 			m.grantNow(t)
 			break
 		}
 		// Same driver path as a send; the frame's Src is preserved so
 		// the next hop still sees the original sender.
-		m.chargedAdvance(m.syscallCost("sendto")+c.NICTx, cpu.Kernel, t)
+		m.chargedAdvance(m.syscallCost(m.svc.sendto)+c.NICTx, cpu.Kernel, t)
 		r.wok = m.nic.TransmitTo(r.frame)
 		m.grantNow(t)
 
 	case rqNetRecv:
 		st.Syscalls++
-		m.chargedAdvance(m.syscallCost("read"), cpu.Kernel, t)
+		m.chargedAdvance(m.syscallCost(m.svc.read), cpu.Kernel, t)
 		if e, hit := m.injectFault("read"); hit {
 			// The read fails after the billed service; any buffered
 			// frame stays queued for the retry.
@@ -219,13 +246,13 @@ func (m *Machine) beginRequest(t *task, r *request) {
 
 	case rqNetRx:
 		st.Syscalls++
-		m.chargedAdvance(m.syscallCost("read"), cpu.Kernel, t)
+		m.chargedAdvance(m.syscallCost(m.svc.read), cpu.Kernel, t)
 		r.ret = m.nic.Received()
 		m.grantNow(t)
 
 	case rqNetRxWait:
 		st.Syscalls++
-		m.chargedAdvance(m.syscallCost("read"), cpu.Kernel, t)
+		m.chargedAdvance(m.syscallCost(m.svc.read), cpu.Kernel, t)
 		if n := m.nic.Received(); n > r.addr {
 			r.ret = n
 			m.grantNow(t)
@@ -441,6 +468,7 @@ func (m *Machine) doExit(t *task, code int) {
 // snapshotFinalUsage preserves a thread group's accounted time and
 // children rollup across all schemes before reaping can fold it away.
 func (m *Machine) snapshotFinalUsage(tgid proc.PID) {
+	m.flushRun()
 	for _, a := range m.acct.Accountants() {
 		name := a.Name()
 		if m.finalUsage[name] == nil {
@@ -463,6 +491,7 @@ func (m *Machine) reapCleanup(reaper, child *proc.Proc) {
 		reaperTGID = reaper.TGID
 	}
 	if !child.IsThread() {
+		m.flushRun()
 		m.acct.OnReap(reaperTGID, child.TGID)
 		if cs := m.stats[child.TGID]; cs != nil {
 			billableChild := false
@@ -594,7 +623,7 @@ func (m *Machine) doPtrace(t *task, r *request) error {
 		if target.p.Tracer != nil {
 			return ErrPtraceAlreadyTraced
 		}
-		m.chargedAdvance(m.syscallCost("futex"), cpu.Kernel, t)
+		m.chargedAdvance(m.syscallCost(m.svc.futex), cpu.Kernel, t)
 		target.p.Tracer = t.p
 		t.tracees = append(t.tracees, target)
 		// SIGSTOP: stop the target. Kernel-side stop bookkeeping is
@@ -603,8 +632,7 @@ func (m *Machine) doPtrace(t *task, r *request) error {
 		tst := target.st
 		tst.SignalsReceived++
 		tst.TraceStops++
-		m.advance(c.SignalDeliver+c.PtraceStop, cpu.Kernel, nil)
-		m.acct.OnRun(target.p, cpu.Kernel, c.SignalDeliver+c.PtraceStop)
+		m.advance(c.SignalDeliver+c.PtraceStop, cpu.Kernel, target)
 		switch target.p.State {
 		case proc.Ready:
 			m.sched.Remove(target.p)
@@ -629,7 +657,7 @@ func (m *Machine) doPtrace(t *task, r *request) error {
 		if target.p.State != proc.Stopped {
 			return ErrPtraceNotStopped
 		}
-		m.chargedAdvance(m.syscallCost("futex"), cpu.Kernel, t)
+		m.chargedAdvance(m.syscallCost(m.svc.futex), cpu.Kernel, t)
 		switch r.ptAddr {
 		case guest.DR0:
 			target.p.Debug.DR0 = r.ptData
@@ -660,7 +688,7 @@ func (m *Machine) doPtrace(t *task, r *request) error {
 		if target.p.Tracer != t.p {
 			return ErrPtraceNotTracer
 		}
-		m.chargedAdvance(m.syscallCost("futex"), cpu.Kernel, t)
+		m.chargedAdvance(m.syscallCost(m.svc.futex), cpu.Kernel, t)
 		target.p.Tracer = nil
 		target.p.Debug = proc.DebugRegs{}
 		target.stopPending = false

@@ -179,6 +179,11 @@ type taskState struct {
 	// program. Anonymous fork children (the scheduling attack's
 	// storm) are not billable; their time folds into the parent.
 	billable bool
+
+	// unbilledUser and unbilledSys are the user and system cycles the
+	// task has run since the accountants last heard of it (see accrue
+	// and flushRun). A task with either nonzero is on m.unbilled.
+	unbilledUser, unbilledSys sim.Cycles
 }
 
 // exitPanic unwinds a guest's code on Exit.

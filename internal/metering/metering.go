@@ -8,10 +8,9 @@
 //     Every attack in the paper inflates the numbers this scheme
 //     reports.
 //   - TSCAccountant charges the exact cycle count of every execution
-//     slice at context-switch granularity using the time-stamp
-//     counter, eliminating the sampling error the scheduling attack
-//     exploits — but it still bills interrupt-handler time to the
-//     current task, as Linux does.
+//     slice using the time-stamp counter, eliminating the sampling
+//     error the scheduling attack exploits — but it still bills
+//     interrupt-handler time to the current task, as Linux does.
 //   - ProcessAwareAccountant additionally attributes interrupt
 //     handler time to a dedicated system account (after Zhang & West,
 //     "Process-aware interrupt scheduling and accounting", RTSS'06,
@@ -20,7 +19,13 @@
 //
 // The kernel drives all registered accountants in parallel, so an
 // experiment can report "billed by the vulnerable scheme" next to
-// "ground truth" for the same run.
+// "ground truth" for the same run. Ticks and interrupts are reported
+// as they happen. Execution is reported in batches, the way Linux's
+// native vtime accounting accrues CPU time in the task and flushes it
+// when it is read: the kernel sums each task's user and system cycles
+// and reports them at flush points, before anything reads or folds a
+// ledger. Every scheme's ledger is a sum, so every read sees exact
+// totals; no scheme may count on one report per execution slice.
 package metering
 
 import (
@@ -79,8 +84,11 @@ type Accountant interface {
 	// current when the interrupt arrived (nil if the CPU was idle)
 	// and mode is the privilege mode it was executing in.
 	OnTick(cur *proc.Proc, mode cpu.Mode)
-	// OnRun reports that task p executed for d cycles in mode m.
-	// The kernel emits one call per uninterrupted execution slice.
+	// OnRun reports that task p executed for d cycles in mode m. One
+	// call may sum many execution slices, reported at a flush point
+	// (see the package comment) with cpu.User for user time and
+	// cpu.Kernel for system time, so an accountant must only add it
+	// up.
 	OnRun(p *proc.Proc, m cpu.Mode, d sim.Cycles)
 	// OnInterrupt reports d cycles of handler time for irq taken
 	// while cur (possibly nil) was current.
@@ -106,11 +114,11 @@ type Accountant interface {
 
 // ledger accumulates usage keyed by TGID, plus a children bucket fed
 // by reaping. Each scheme embeds one, which answers its Usage, OnReap,
-// ChildrenUsage and Snapshot. The charge path is hot — every execution slice and
-// every timer tick land here for every scheme — so the last-charged
-// entry is cached: consecutive charges to the same thread group (the
-// overwhelmingly common case, since the current task absorbs runs of
-// slices) skip the map lookup entirely.
+// ChildrenUsage and Snapshot. Every timer tick, every interrupt and
+// every flushed OnRun report lands here for every scheme, so the
+// last-charged entry is cached: consecutive charges to the same thread
+// group (the common case, since the current task absorbs runs of ticks
+// and interrupts) skip the map lookup entirely.
 type ledger struct {
 	byTGID   map[proc.PID]*Usage
 	children map[proc.PID]*Usage

@@ -150,18 +150,14 @@ type Proc struct {
 	Tracer *Proc
 	Debug  DebugRegs
 
-	// SchedData and AcctData are opaque per-task slots owned by the
-	// scheduler and the accounting layer respectively.
-	SchedData any
-	AcctData  any
+	// SchedData and KernelData are opaque per-task slots owned by the
+	// scheduler and the kernel respectively.
+	SchedData  any
+	KernelData any
 
 	// Env is the per-process environment. The library attacks use
 	// LD_PRELOAD exactly as the paper does.
 	Env map[string]string
-
-	// KernelStack marks that the task is currently executing in
-	// kernel context (syscall or fault service) for accounting.
-	InKernel bool
 }
 
 // New creates a task in the Embryo state.
@@ -285,7 +281,7 @@ func (t *Table) Remove(pid PID) {
 // Clone returns an independent deep copy of the table and every
 // registered task, plus the old→new task mapping so callers can
 // re-point their own references (scheduler queues, ptrace links,
-// address spaces). SchedData/AcctData slots are copied by reference
+// address spaces). SchedData/KernelData slots are copied by reference
 // value only when nil; non-nil slots are left nil for their owning
 // subsystem's clone to rebuild, since proc cannot deep-copy opaque
 // state.
@@ -302,7 +298,6 @@ func (t *Table) Clone() (*Table, map[*Proc]*Proc) {
 			ExitCode: p.ExitCode,
 			nice:     p.nice,
 			Debug:    p.Debug,
-			InKernel: p.InKernel,
 		}
 		if p.Pending != nil {
 			cp.Pending = append([]Signal(nil), p.Pending...)
