@@ -6,7 +6,10 @@
 // are provided so the ablation benches can compare them:
 //
 //   - O1: an O(1)-style priority scheduler with active/expired arrays
-//     and nice-scaled timeslices (the 2.6.8–2.6.22 design).
+//     and nice-scaled timeslices (the 2.6.8–2.6.22 design). Each array
+//     is built like 2.6's prio_array: a bitmap of non-empty levels and
+//     one FIFO run list per level, linked through the tasks, so a pick
+//     is a find-first-bit and a list pop, and an idle pick is free.
 //   - CFS: a virtual-runtime fair scheduler with the kernel's
 //     prio_to_weight table (2.6.23+), for the paper's remark that CFS
 //     changes the time composition but is still tick-sampled.
@@ -14,6 +17,7 @@ package sched
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/proc"
 	"repro/internal/sim"
@@ -55,79 +59,99 @@ func niceIndex(nice int) int { return nice - proc.MinNice }
 // --- O(1)-style scheduler ---
 
 // o1Data is the per-task slot the O(1) policy keeps in SchedData.
+// While queued, prev and next link the task into a circular run list
+// (the head's prev is the tail), and array and level record which
+// list, so Remove unlinks without searching.
 type o1Data struct {
-	queued    bool
-	remaining sim.Cycles // unused timeslice
-	exhausted bool       // slice ran out while running (→ expired array)
+	prev, next *proc.Proc
+	remaining  sim.Cycles // unused timeslice
+	array      uint8      // index into O1.arrays of the list p is linked into
+	level      uint8      // nice index of that list
+	queued     bool
+	exhausted  bool // slice ran out while running (→ expired array)
 }
 
-// prioArray is one of the O(1) scheduler's two priority arrays. The
-// bucket storage grows lazily to the highest nice index ever queued
-// instead of inlining all 40 slice headers, so an idle machine's
-// scheduler is a few words rather than ~2 KB — which dominates both
-// resident memory and checkpoint image size when thousands of
-// machines are resident (see BenchmarkResidentMachines).
+func o1Of(p *proc.Proc) *o1Data { return p.SchedData.(*o1Data) }
+
+// prioArray is one of the O(1) scheduler's two priority arrays, built
+// like Linux 2.6's prio_array: a bitmap of the non-empty levels and
+// one FIFO run list per level, linked through the tasks themselves.
+// heads grows lazily to the highest nice index ever queued instead of
+// inlining all 40 list heads, so an idle machine's scheduler is a few
+// words — which dominates both resident memory and checkpoint image
+// size when thousands of machines are resident (see
+// BenchmarkResidentMachines).
 type prioArray struct {
-	buckets [][]*proc.Proc
+	bitmap uint64       // bit i set iff heads[i] != nil; 40 levels fit
+	heads  []*proc.Proc // first task of each level's run list
 }
 
-func (a *prioArray) push(idx int, p *proc.Proc) {
-	for len(a.buckets) <= idx {
-		a.buckets = append(a.buckets, nil)
+// push links p at the tail of level idx's run list.
+func (a *prioArray) push(idx int, p *proc.Proc, d *o1Data) {
+	if idx >= len(a.heads) {
+		a.heads = append(a.heads, make([]*proc.Proc, idx+1-len(a.heads))...)
 	}
-	a.buckets[idx] = append(a.buckets[idx], p)
+	d.level = uint8(idx)
+	head := a.heads[idx]
+	if head == nil {
+		a.heads[idx] = p
+		a.bitmap |= 1 << idx
+		d.prev, d.next = p, p
+		return
+	}
+	hd := o1Of(head)
+	tail := hd.prev
+	o1Of(tail).next = p
+	d.prev, d.next = tail, head
+	hd.prev = p
 }
 
-// remove deletes p from bucket idx, reporting whether it was present.
-func (a *prioArray) remove(idx int, p *proc.Proc) bool {
-	if idx >= len(a.buckets) {
-		return false
-	}
-	for i, t := range a.buckets[idx] {
-		if t == p {
-			a.cut(idx, i)
-			return true
+// unlink takes p out of level idx's run list.
+func (a *prioArray) unlink(idx int, p *proc.Proc, d *o1Data) {
+	if d.next == p {
+		a.heads[idx] = nil
+		a.bitmap &^= 1 << idx
+	} else {
+		o1Of(d.prev).next = d.next
+		o1Of(d.next).prev = d.prev
+		if a.heads[idx] == p {
+			a.heads[idx] = d.next
 		}
 	}
-	return false
+	d.prev, d.next = nil, nil
 }
 
-// cut deletes entry i of bucket idx by shifting the rest down in
-// place, so the bucket keeps its capacity and the next push does not
-// reallocate. FIFO order is preserved.
-func (a *prioArray) cut(idx, i int) {
-	q := a.buckets[idx]
-	copy(q[i:], q[i+1:])
-	q[len(q)-1] = nil
-	a.buckets[idx] = q[:len(q)-1]
-}
-
-// clone deep-copies the array, re-pointing entries through pmap.
-// Bucket order is preserved exactly: it is the FIFO order within a
-// priority level.
+// clone returns a copy of the array whose lists hold pmap's images of
+// a's tasks, each list relinked in its original (FIFO) order. The
+// cloned tasks' SchedData slots must already exist.
 func (a *prioArray) clone(pmap map[*proc.Proc]*proc.Proc) prioArray {
-	if len(a.buckets) == 0 {
+	if len(a.heads) == 0 {
 		return prioArray{}
 	}
-	c := prioArray{buckets: make([][]*proc.Proc, len(a.buckets))}
-	for i, q := range a.buckets {
-		if len(q) == 0 {
+	c := prioArray{heads: make([]*proc.Proc, len(a.heads))}
+	for idx, head := range a.heads {
+		if head == nil {
 			continue
 		}
-		cq := make([]*proc.Proc, len(q))
-		for j, p := range q {
-			cq[j] = pmap[p]
+		p := head
+		for {
+			cp := pmap[p]
+			c.push(idx, cp, o1Of(cp))
+			if p = o1Of(p).next; p == head {
+				break
+			}
 		}
-		c.buckets[i] = cq
 	}
 	return c
 }
 
-// O1 is the active/expired priority-array scheduler.
+// O1 is the active/expired priority-array scheduler. The two arrays
+// are addressed by index, and the epoch swap flips active, as Linux
+// swaps rq->active and rq->expired.
 type O1 struct {
 	cyclesPerMs sim.Cycles
-	active      prioArray
-	expired     prioArray
+	arrays      [2]prioArray
+	active      uint8 // arrays[active] is active, arrays[active^1] expired
 	n           int
 }
 
@@ -180,54 +204,54 @@ func (s *O1) Enqueue(p *proc.Proc) {
 		return
 	}
 	d.queued = true
-	idx := niceIndex(p.Nice())
-	toExpired := false
+	d.array = s.active
 	if d.remaining == 0 {
 		d.remaining = s.Timeslice(p.Nice())
-		toExpired = d.exhausted
+		if d.exhausted {
+			d.array ^= 1
+		}
 		d.exhausted = false
 	}
-	if toExpired {
-		s.expired.push(idx, p)
-	} else {
-		s.active.push(idx, p)
-	}
+	s.arrays[d.array].push(niceIndex(p.Nice()), p, d)
 	s.n++
 }
 
-// Remove implements Scheduler.
+// Remove implements Scheduler: it unlinks p from the list it was
+// queued on, whatever p's nice value is now. A task flagged queued
+// but linked into no list is a corrupted runqueue, and Remove panics
+// rather than miscount.
 func (s *O1) Remove(p *proc.Proc) {
 	d := s.data(p)
 	if !d.queued {
 		return
 	}
-	idx := niceIndex(p.Nice())
-	if !s.active.remove(idx, p) && !s.expired.remove(idx, p) {
-		panic(fmt.Sprintf("sched: O1.Remove: pid %d is flagged queued but absent from both arrays at nice index %d", p.PID, idx))
+	if d.next == nil || s.arrays[d.array].bitmap&(1<<d.level) == 0 {
+		panic(fmt.Sprintf("sched: O1.Remove: pid %d is flagged queued but linked into no run list (nice index %d)", p.PID, niceIndex(p.Nice())))
 	}
+	s.arrays[d.array].unlink(int(d.level), p, d)
 	d.queued = false
 	s.n--
 }
 
-// PickNext implements Scheduler: highest priority first; when the
-// active arrays drain, swap with expired (a scheduling epoch).
+// PickNext implements Scheduler: the head of the lowest non-empty
+// level of the active array; when the active array has drained, the
+// arrays swap first (a scheduling epoch).
 func (s *O1) PickNext() *proc.Proc {
-	for round := 0; round < 2; round++ {
-		for idx := 0; idx < len(s.active.buckets); idx++ {
-			q := s.active.buckets[idx]
-			if len(q) == 0 {
-				continue
-			}
-			p := q[0]
-			s.active.cut(idx, 0)
-			s.data(p).queued = false
-			s.n--
-			return p
-		}
-		// Epoch boundary: expired becomes active.
-		s.active, s.expired = s.expired, s.active
+	if s.n == 0 {
+		return nil
 	}
-	return nil
+	a := &s.arrays[s.active]
+	if a.bitmap == 0 {
+		s.active ^= 1
+		a = &s.arrays[s.active]
+	}
+	idx := bits.TrailingZeros64(a.bitmap)
+	p := a.heads[idx]
+	d := o1Of(p)
+	a.unlink(idx, p, d)
+	d.queued = false
+	s.n--
+	return p
 }
 
 // Quantum implements Scheduler: the task's remaining slice.
@@ -267,9 +291,9 @@ func (s *O1) Runnable() int { return s.n }
 // Clone implements Scheduler. Every cloned task whose original holds
 // an o1Data slot gets a fresh copy (remaining timeslice and the
 // exhausted flag persist across blocks, so non-queued tasks carry
-// state too); both priority arrays are rebuilt in identical order.
+// state too); both priority arrays are relinked in identical order.
 func (s *O1) Clone(pmap map[*proc.Proc]*proc.Proc) Scheduler {
-	c := &O1{cyclesPerMs: s.cyclesPerMs, n: s.n}
+	c := &O1{cyclesPerMs: s.cyclesPerMs, active: s.active, n: s.n}
 	//simlint:unordered-ok each task's SchedData slot is rebuilt independently; no cross-task state depends on visit order
 	for p, cp := range pmap {
 		if d, ok := p.SchedData.(*o1Data); ok {
@@ -277,8 +301,9 @@ func (s *O1) Clone(pmap map[*proc.Proc]*proc.Proc) Scheduler {
 			cp.SchedData = &dd
 		}
 	}
-	c.active = s.active.clone(pmap)
-	c.expired = s.expired.clone(pmap)
+	for i := range s.arrays {
+		c.arrays[i] = s.arrays[i].clone(pmap)
+	}
 	return c
 }
 
