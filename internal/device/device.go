@@ -85,7 +85,9 @@ type NIC struct {
 	deliver func() // kernel's IRQ entry for IRQNIC
 
 	rate     uint64 // packets per second
-	rateFrac uint64 // Freq%rate accumulator carried across packets
+	period   uint64 // Freq/rate, the whole cycles between packets
+	rem      uint64 // Freq%rate, the fraction rateFrac accumulates
+	rateFrac uint64 // rem accumulator carried across packets
 	jitter   bool
 	active   bool
 	pending  *sim.Event
@@ -339,7 +341,8 @@ func (n *NIC) StartFlood(packetsPerSecond uint64) {
 	if packetsPerSecond == 0 {
 		return
 	}
-	n.rate = packetsPerSecond
+	freq := uint64(n.clock.Freq())
+	n.rate, n.period, n.rem = packetsPerSecond, freq/packetsPerSecond, freq%packetsPerSecond
 	n.jitter = true
 	n.active = true
 	n.scheduleNext()
@@ -355,7 +358,7 @@ func (n *NIC) StopFlood() {
 		n.pending = nil
 	}
 	n.active = false
-	n.rate = 0
+	n.rate, n.period, n.rem = 0, 0, 0
 	n.rateFrac = 0
 	n.jitter = false
 }
@@ -364,9 +367,8 @@ func (n *NIC) scheduleNext() {
 	// Freq/rate truncates; carry the remainder across packets so the
 	// achieved rate matches the requested one over any horizon instead
 	// of drifting high by up to rate/Freq packets per second.
-	freq := uint64(n.clock.Freq())
-	interval := sim.Cycles(freq / n.rate)
-	n.rateFrac += freq % n.rate
+	interval := sim.Cycles(n.period)
+	n.rateFrac += n.rem
 	if n.rateFrac >= n.rate {
 		n.rateFrac -= n.rate
 		interval++
@@ -392,7 +394,8 @@ func (n *NIC) scheduleNext() {
 // order resolves identically.
 func (n *NIC) Clone(queue *sim.EventQueue, clock *sim.Clock, rng *sim.Rand, deliver func()) *NIC {
 	c := NewNIC(queue, clock, rng, deliver)
-	c.rate, c.rateFrac, c.jitter, c.active = n.rate, n.rateFrac, n.jitter, n.active
+	c.rate, c.period, c.rem, c.rateFrac = n.rate, n.period, n.rem, n.rateFrac
+	c.jitter, c.active = n.jitter, n.active
 	c.received = n.received
 	if len(n.frameQ) > 0 {
 		c.frameQ = append([]pendingFrame(nil), n.frameQ...)

@@ -176,6 +176,45 @@ func TestNICRestartReplacesRate(t *testing.T) {
 	}
 }
 
+// TestNICCloneMidFloodReplays pins the flood state a checkpoint
+// carries: a NIC cloned mid-flood, at a rate that does not divide the
+// clock, delivers every later packet at the original's arrival times,
+// and StopFlood on the clone cancels its adopted pending delivery.
+func TestNICCloneMidFloodReplays(t *testing.T) {
+	const rate, warm, compare = 7_777, 40, 200
+	q, c, rng := sim.NewEventQueue(), sim.NewClock(1_000_003), sim.NewRand(5)
+	var got []sim.Cycles
+	nic := NewNIC(q, c, rng, func() { got = append(got, c.Now()) })
+	nic.StartFlood(rate)
+	drain(t, q, c, warm)
+
+	qC, cC, rngC := sim.NewEventQueue(), c.Clone(), rng.Clone()
+	var cloned []sim.Cycles
+	nc := nic.Clone(qC, cC, rngC, func() { cloned = append(cloned, cC.Now()) })
+	for _, e := range qC.RestoreInto(q.Snapshot(), func(kind string, tag uint64) func() {
+		fn, ok := nc.RestoreFire(tag)
+		if kind != "nic-rx" || !ok {
+			t.Fatalf("no restore callback for %s tag %d", kind, tag)
+		}
+		return fn
+	}) {
+		if FloodTag(e.Tag) {
+			nc.AdoptPending(e)
+		}
+	}
+
+	got = got[:0]
+	drain(t, q, c, compare)
+	drain(t, qC, cC, compare)
+	if len(got) != compare || !slices.Equal(cloned, got) {
+		t.Fatalf("clone delivered %d packets at\n%v\nthe original %d at\n%v", len(cloned), cloned, len(got), got)
+	}
+	nc.StopFlood()
+	if qC.Len() != 0 {
+		t.Fatalf("clone's StopFlood left %d events queued", qC.Len())
+	}
+}
+
 func TestDiskSerialises(t *testing.T) {
 	q := sim.NewEventQueue()
 	c := sim.NewClock(1_000_000)
