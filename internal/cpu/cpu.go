@@ -120,6 +120,7 @@ type CPU struct {
 	userCycles      sim.Cycles
 	kernelCycles    sim.Cycles
 	interruptCycles sim.Cycles
+	idleCycles      sim.Cycles
 }
 
 // New returns a CPU at the given frequency with the default cost
@@ -182,12 +183,17 @@ func (c *CPU) Run(d sim.Cycles) sim.Cycles {
 }
 
 // Idle advances virtual time without charging any mode, used when no
-// process is runnable and the core halts until the next event.
+// process is runnable and the core halts until the next event. The
+// halted cycles are counted apart, so the per-mode totals and the
+// idle total always sum to the clock.
 func (c *CPU) Idle(until sim.Cycles) {
+	from := c.clock.Now()
 	c.clock.AdvanceTo(until)
+	c.idleCycles += until - from
 }
 
-// Utilization reports the total cycles spent per mode since boot.
-func (c *CPU) Utilization() (user, kernel, interrupt sim.Cycles) {
-	return c.userCycles, c.kernelCycles, c.interruptCycles
+// Utilization reports the total cycles spent per mode since boot and
+// the cycles spent halted; the four sum to the clock.
+func (c *CPU) Utilization() (user, kernel, interrupt, idle sim.Cycles) {
+	return c.userCycles, c.kernelCycles, c.interruptCycles, c.idleCycles
 }

@@ -24,9 +24,9 @@ func TestRunChargesMode(t *testing.T) {
 	c.Run(50)
 	c.SetMode(Interrupt)
 	c.Run(25)
-	u, k, i := c.Utilization()
-	if u != 100 || k != 50 || i != 25 {
-		t.Fatalf("utilization = %d/%d/%d, want 100/50/25", u, k, i)
+	u, k, i, idle := c.Utilization()
+	if u != 100 || k != 50 || i != 25 || idle != 0 {
+		t.Fatalf("utilization = %d/%d/%d idle %d, want 100/50/25 idle 0", u, k, i, idle)
 	}
 	if c.TSC() != 175 {
 		t.Fatalf("TSC = %d, want 175", c.TSC())
@@ -36,12 +36,17 @@ func TestRunChargesMode(t *testing.T) {
 func TestIdleAdvancesWithoutCharge(t *testing.T) {
 	c := New(1_000_000)
 	c.Idle(500)
-	u, k, i := c.Utilization()
-	if u != 0 || k != 0 || i != 0 {
+	c.Run(30)
+	c.Idle(600)
+	u, k, i, idle := c.Utilization()
+	if u != 0 || k != 30 || i != 0 {
 		t.Fatalf("idle charged cycles: %d/%d/%d", u, k, i)
 	}
-	if c.TSC() != 500 {
-		t.Fatalf("TSC = %d, want 500", c.TSC())
+	if idle != 570 {
+		t.Fatalf("idle = %d, want 570", idle)
+	}
+	if c.TSC() != 600 {
+		t.Fatalf("TSC = %d, want 600", c.TSC())
 	}
 }
 

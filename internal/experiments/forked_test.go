@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -72,6 +73,75 @@ func TestForkedCampaignWarmupPastEnd(t *testing.T) {
 	_, err := RunForkLabCampaign(ForkLabSpec{Seed: 5}, 1<<40, []uint64{40_000}, 1)
 	if err == nil || !strings.Contains(err.Error(), "warmup finished before") {
 		t.Fatalf("campaign with a past-end warmup = %v, want a warmup-finished error", err)
+	}
+}
+
+// TestForkLabClockIdentity checks the clock identity on the fork lab,
+// whose dispatches almost always find nothing runnable: user, kernel,
+// interrupt and idle cycles sum to the clock after Run, after every
+// RunUntil slice, and on a machine restored from a mid-run image, and
+// the sliced and restored runs end with the plain run's four totals.
+func TestForkLabClockIdentity(t *testing.T) {
+	totals := func(t *testing.T, where string, m *kernel.Machine) [4]sim.Cycles {
+		t.Helper()
+		u, k, i, idle := m.CPU().Utilization()
+		if sum := u + k + i + idle; sum != m.Clock().Now() {
+			t.Fatalf("%s: user %d + kernel %d + interrupt %d + idle %d = %d, clock %d",
+				where, u, k, i, idle, sum, m.Clock().Now())
+		}
+		return [4]sim.Cycles{u, k, i, idle}
+	}
+	build := func() *kernel.Machine {
+		m, err := BuildForkLab(ForkLabSpec{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+
+	m := build()
+	if err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := totals(t, "run", m)
+	if idle := want[3]; idle <= m.Clock().Now()/2 {
+		t.Fatalf("idle %d of %d cycles: the fork lab should idle most of its run", idle, m.Clock().Now())
+	}
+
+	sliced := build()
+	var got [4]sim.Cycles
+	for barrier := sim.Cycles(1_000_000); ; barrier += 1_000_000 {
+		done, err := sliced.RunUntil(barrier)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = totals(t, fmt.Sprintf("slice ending %d", barrier), sliced)
+		if done {
+			break
+		}
+	}
+	if got != want {
+		t.Fatalf("sliced run ended with user/kernel/interrupt/idle %v, the plain run %v", got, want)
+	}
+
+	warm := build()
+	if done, err := warm.RunUntil(DefaultForkLabWarmup); err != nil || done {
+		t.Fatalf("warmup: done=%v err=%v", done, err)
+	}
+	img, err := warm.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := kernel.Restore(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	totals(t, "restore", r)
+	if err := r.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := totals(t, "restored run", r); got != want {
+		t.Fatalf("restored run ended with user/kernel/interrupt/idle %v, the plain run %v", got, want)
 	}
 }
 

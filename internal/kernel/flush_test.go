@@ -125,7 +125,7 @@ func TestRunSliceFlushesOncePerTask(t *testing.T) {
 			}
 		}
 		clear(rc.calls)
-		user, kernel, _ := m.CPU().Utilization()
+		user, kernel, _, _ := m.CPU().Utilization()
 		if rc.run.User != user || rc.run.System != kernel {
 			t.Fatalf("slice %d: OnRun reported %+v, the CPU ran user %d kernel %d", slice, rc.run, user, kernel)
 		}
