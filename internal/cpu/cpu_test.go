@@ -93,17 +93,14 @@ func TestCostRelationships(t *testing.T) {
 
 func TestCostsPointsIntoCPU(t *testing.T) {
 	c := New(0)
-	costs := c.Costs()
-	m := *costs
-	m.ContextSwitch = 7
-	c.SetCosts(m)
-	if costs.ContextSwitch != 7 {
-		t.Fatalf("Costs() pointer sees ContextSwitch %d after SetCosts, want 7", costs.ContextSwitch)
+	if c.Costs() != c.Costs() {
+		t.Fatal("Costs() returned a copy, want a pointer into the CPU")
 	}
 	cl := c.Clone()
-	m.ContextSwitch = 9
-	c.SetCosts(m)
-	if got := cl.Costs().ContextSwitch; got != 7 {
-		t.Fatalf("clone's ContextSwitch = %d after SetCosts on the original, want 7", got)
+	if cl.Costs() == c.Costs() {
+		t.Fatal("clone shares the original's cost model")
+	}
+	if *cl.Costs() != *c.Costs() {
+		t.Fatal("clone's cost model differs from the original's")
 	}
 }

@@ -48,7 +48,7 @@ func (s *FaultSpec) Validate() error {
 	}
 	for _, sf := range s.Syscalls {
 		if !IsKnownSyscall(sf.Name) {
-			return fmt.Errorf("fault %q: unknown syscall (known: %s)", sf.Name, strings.Join(knownSyscallNames, ", "))
+			return fmt.Errorf("fault %q: unknown syscall (known: %s)", sf.Name, strings.Join(KnownSyscallNames(), ", "))
 		}
 		if sf.ProbPPM > PPMScale {
 			return fmt.Errorf("fault %q: probability %d ppm exceeds %d", sf.Name, sf.ProbPPM, PPMScale)
@@ -62,7 +62,8 @@ func (s *FaultSpec) Validate() error {
 	return nil
 }
 
-// initFaults installs the live entries of a spec New has validated.
+// initFaults arms the live entries of a spec New has validated, each
+// at its class number. A machine with none carries no fault table.
 func (m *Machine) initFaults(spec *FaultSpec) {
 	if spec == nil {
 		return
@@ -72,9 +73,10 @@ func (m *Machine) initFaults(spec *FaultSpec) {
 			continue
 		}
 		if m.faults == nil {
-			m.faults = make(map[string]SyscallFault, len(spec.Syscalls))
+			m.faults = new([numSysClasses]SyscallFault)
 		}
-		m.faults[sf.Name] = sf
+		sys, _ := lookupSyscall(sf.Name)
+		m.faults[sys] = sf
 	}
 	if m.faults == nil {
 		return
@@ -88,15 +90,15 @@ func (m *Machine) initFaults(spec *FaultSpec) {
 	m.faultRNG = sim.NewRand(seed)
 }
 
-// injectFault rolls the fault die for one request of the named
-// syscall class. Classes with no armed entry draw nothing, so an
-// unfaulted machine's histories are untouched.
-func (m *Machine) injectFault(name string) (guest.Errno, bool) {
+// injectFault rolls the fault die for one request of syscall class
+// sys. Classes with no armed entry draw nothing, so an unfaulted
+// machine's histories are untouched.
+func (m *Machine) injectFault(sys sysClass) (guest.Errno, bool) {
 	if m.faults == nil {
 		return 0, false
 	}
-	sf, ok := m.faults[name]
-	if !ok {
+	sf := &m.faults[sys]
+	if sf.ProbPPM == 0 {
 		return 0, false
 	}
 	if uint32(m.faultRNG.Int63n(PPMScale)) >= sf.ProbPPM {

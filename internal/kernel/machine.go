@@ -100,9 +100,9 @@ type Machine struct {
 	// heard of them, in first-run order; flushRun reports and empties it.
 	unbilled []*task
 
-	// svc holds the service times of the syscalls the kernel charges on
-	// its own behalf.
-	svc serviceTimes
+	// sysCost is each syscall class's full charge (entry, service and
+	// exit), resolved once in New.
+	sysCost [numSysClasses]sim.Cycles
 
 	tickCycles sim.Cycles
 	nextTickAt sim.Cycles
@@ -126,9 +126,10 @@ type Machine struct {
 	rxLen     int
 	rxDropped uint64
 
-	// Fault injection (Config.Faults): armed entries by syscall class,
-	// the dedicated draw stream, and the injected-failure count.
-	faults         map[string]SyscallFault
+	// Fault injection (Config.Faults): the armed entry of each syscall
+	// class (nil when none is armed), the dedicated draw stream, and
+	// the injected-failure count.
+	faults         *[numSysClasses]SyscallFault
 	faultRNG       *sim.Rand
 	faultsInjected uint64
 
@@ -209,7 +210,10 @@ func New(cfg Config) *Machine {
 	m.mem = mem.New(cfg.PhysMemBytes, 0)
 	m.table = proc.NewTable()
 	m.tickCycles = sim.Cycles(uint64(cfg.CPUHz) / cfg.HZ)
-	m.svc = m.resolveServiceTimes()
+	c, perUs := m.cpu.Costs(), sim.Cycles(uint64(cfg.CPUHz)/1_000_000)
+	for i, sc := range syscallTable {
+		m.sysCost[i] = c.SyscallEntry + sc.us*perUs + c.SyscallExit
+	}
 
 	cyclesPerMs := sim.Cycles(uint64(cfg.CPUHz) / 1000)
 	if cfg.SchedulerPolicy == "cfs" {
@@ -939,7 +943,7 @@ func (m *Machine) nicRx() {
 			continue // stale entry: drop
 		}
 		if n > t.cur.addr {
-			t.cur.ret = n
+			t.cur.Ret = n
 			t.completed = true
 			m.wakeAfterLatency(t)
 			continue

@@ -1,35 +1,76 @@
 package kernel
 
-import "sort"
+import "repro/internal/sim"
 
-// The syscall-class namespace is closed: every name a guest, a fault
-// spec, or a cost lookup may use is a key of syscallServiceUs. The
-// set is exported so upper layers (CLI flag validation, the simlint
-// syscallname analyzer) can reject a typo'd name — "sendot" —
-// up front instead of letting it ride as a silently inert fault or a
-// silently default-priced syscall.
+// The syscall namespace is one closed table, numbered as a real
+// kernel's syscall table is: the kernel charges a class and rolls its
+// fault by number, and a name is parsed once, where it enters — a
+// guest's Syscall when it posts, a FaultSpec entry when New arms it.
+// A name outside the table fails loudly: Syscall panics and
+// FaultSpec.Validate returns an error, so a typo'd "sendot" is never
+// a silently default-priced syscall or a silently inert fault. The
+// names are exported so upper layers (CLI flag validation, the simlint
+// syscallname analyzer) can reject such a typo up front.
 
-// knownSyscallNames is the sorted snapshot of the namespace, built
-// once at init.
-var knownSyscallNames = func() []string {
-	names := make([]string, 0, len(syscallServiceUs))
-	//simlint:unordered-ok building a sorted snapshot: sort.Strings below re-establishes a total order
-	for name := range syscallServiceUs {
-		names = append(names, name)
+// sysClass numbers a syscall class: its index in syscallTable.
+type sysClass uint8
+
+// The syscall classes, in name order.
+const (
+	sysBrk sysClass = iota
+	sysClose
+	sysFutex
+	sysGetrusage
+	sysGettime
+	sysOpen
+	sysRead
+	sysSendto
+	sysStat
+	sysWrite
+	numSysClasses
+)
+
+// syscallTable holds each class's name and its service time in
+// microseconds of kernel work.
+var syscallTable = [numSysClasses]struct {
+	name string
+	us   sim.Cycles
+}{
+	sysBrk:       {"brk", 2},
+	sysClose:     {"close", 1},
+	sysFutex:     {"futex", 1},
+	sysGetrusage: {"getrusage", 1},
+	sysGettime:   {"gettime", 1},
+	sysOpen:      {"open", 3},
+	sysRead:      {"read", 2},
+	sysSendto:    {"sendto", 2},
+	sysStat:      {"stat", 2},
+	sysWrite:     {"write", 2},
+}
+
+// lookupSyscall parses a class name.
+func lookupSyscall(name string) (sysClass, bool) {
+	for i := range syscallTable {
+		if syscallTable[i].name == name {
+			return sysClass(i), true
+		}
 	}
-	sort.Strings(names)
-	return names
-}()
+	return 0, false
+}
 
 // KnownSyscallNames returns the closed set of syscall-class names in
 // sorted order. The caller owns the returned slice.
 func KnownSyscallNames() []string {
-	return append([]string(nil), knownSyscallNames...)
+	names := make([]string, numSysClasses)
+	for i := range syscallTable {
+		names[i] = syscallTable[i].name
+	}
+	return names
 }
 
 // IsKnownSyscall reports whether name is a member of the syscall
 // namespace.
 func IsKnownSyscall(name string) bool {
-	_, ok := syscallServiceUs[name]
+	_, ok := lookupSyscall(name)
 	return ok
 }

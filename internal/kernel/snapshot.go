@@ -188,7 +188,7 @@ func (m *Machine) clone(shell *Machine, ext RestoreResolver) (*Machine, error) {
 	c.cpu = m.cpu.Clone()
 	c.clock = c.cpu.Clock()
 	c.rng.SetState(m.rng.State())
-	c.tickCycles, c.nextTickAt, c.svc = m.tickCycles, m.nextTickAt, m.svc
+	c.tickCycles, c.nextTickAt, c.sysCost = m.tickCycles, m.nextTickAt, m.sysCost
 	c.live, c.steps, c.needResched = m.live, m.steps, m.needResched
 	// The armed fault table is never written after New, so copies share it.
 	c.faults, c.faultRNG, c.faultsInjected = m.faults, nil, m.faultsInjected

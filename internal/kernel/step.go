@@ -35,7 +35,7 @@ import (
 
 // stepCtx is a task's guest.Context and holds its single reusable
 // request. A posting method writes the request into r, posts it, and
-// returns the reply fields of the request post returns.
+// returns the reply of the request post returns.
 type stepCtx struct {
 	t *task
 	r request
@@ -84,20 +84,6 @@ func (c *stepCtx) post() *request {
 	t.granted = false
 	c.posted = false
 	return &c.r
-}
-
-// takeResume harvests the serviced request's reply fields.
-func (c *stepCtx) takeResume() guest.Resume {
-	r := &c.r
-	return guest.Resume{
-		OK:    r.wok,
-		Ret:   r.ret,
-		Err:   r.err,
-		Frame: r.frame,
-		Wres:  r.wres,
-		User:  r.u,
-		Sys:   r.s,
-	}
 }
 
 func (c *stepCtx) PID() proc.PID { return c.t.p.PID }
@@ -168,25 +154,31 @@ func (c *stepCtx) bind(fn string) guest.LibFunc {
 	return f
 }
 
+// Syscall parses name once, as it posts; a name outside the syscall
+// table is a guest bug and panics.
 func (c *stepCtx) Syscall(name string) error {
-	c.r = request{kind: rqSyscall, name: name}
-	return c.post().err
+	sys, ok := lookupSyscall(name)
+	if !ok {
+		panic(fmt.Sprintf("kernel: unknown syscall %q in %v", name, c.t.p))
+	}
+	c.r = request{kind: rqSyscall, sys: sys}
+	return c.post().Err
 }
 
 func (c *stepCtx) Fork(name string, body guest.Routine) proc.PID {
 	c.r = request{kind: rqFork, name: name, body: body}
-	return proc.PID(c.post().ret)
+	return proc.PID(c.post().Ret)
 }
 
 func (c *stepCtx) SpawnThread(name string, body guest.Routine) proc.PID {
 	c.r = request{kind: rqThread, name: name, body: body}
-	return proc.PID(c.post().ret)
+	return proc.PID(c.post().Ret)
 }
 
 func (c *stepCtx) Wait() (guest.WaitResult, bool) {
 	c.r = request{kind: rqWait}
 	r := c.post()
-	return r.wres, r.wok
+	return r.Wres, r.OK
 }
 
 func (c *stepCtx) Exit(code int) {
@@ -227,7 +219,7 @@ func (c *stepCtx) Setenv(key, value string) {
 func (c *stepCtx) FindProcess(name string) (proc.PID, bool) {
 	c.r = request{kind: rqFind, name: name}
 	r := c.post()
-	return proc.PID(r.ret), r.wok
+	return proc.PID(r.Ret), r.OK
 }
 
 func (c *stepCtx) Rand() *sim.Rand {
@@ -236,36 +228,36 @@ func (c *stepCtx) Rand() *sim.Rand {
 
 func (c *stepCtx) Ptrace(req guest.PtraceRequest, pid proc.PID, addr, data uint64) error {
 	c.r = request{kind: rqPtrace, ptReq: req, ptPid: pid, ptAddr: addr, ptData: data}
-	return c.post().err
+	return c.post().Err
 }
 
 func (c *stepCtx) Usage() (user, system sim.Cycles) {
 	c.r = request{kind: rqUsage}
 	r := c.post()
-	return r.u, r.s
+	return r.User, r.Sys
 }
 
 func (c *stepCtx) ClockNow() sim.Cycles {
 	c.r = request{kind: rqClock}
-	return sim.Cycles(c.post().ret)
+	return sim.Cycles(c.post().Ret)
 }
 
 func (c *stepCtx) NetSend(f guest.Frame) (bool, error) {
-	c.r = request{kind: rqNetSend, frame: f}
+	c.r = request{kind: rqNetSend, Resume: guest.Resume{Frame: f}}
 	r := c.post()
-	return r.wok, r.err
+	return r.OK, r.Err
 }
 
 func (c *stepCtx) NetForward(f guest.Frame) (bool, error) {
-	c.r = request{kind: rqNetForward, frame: f}
+	c.r = request{kind: rqNetForward, Resume: guest.Resume{Frame: f}}
 	r := c.post()
-	return r.wok, r.err
+	return r.OK, r.Err
 }
 
 func (c *stepCtx) NetRecv() (guest.Frame, bool, error) {
 	c.r = request{kind: rqNetRecv}
 	r := c.post()
-	return r.frame, r.wok, r.err
+	return r.Frame, r.OK, r.Err
 }
 
 func (c *stepCtx) NetAddr() guest.Addr {
@@ -274,12 +266,12 @@ func (c *stepCtx) NetAddr() guest.Addr {
 
 func (c *stepCtx) NetRx() uint64 {
 	c.r = request{kind: rqNetRx}
-	return c.post().ret
+	return c.post().Ret
 }
 
 func (c *stepCtx) NetRxWait(seen uint64) uint64 {
 	c.r = request{kind: rqNetRxWait, addr: seen}
-	return c.post().ret
+	return c.post().Ret
 }
 
 // Exec loads a program image: the kernel charges execve and dynamic
@@ -291,7 +283,7 @@ func (c *stepCtx) Exec(prog *guest.Program) {
 		panic(fmt.Sprintf("kernel: flyweight task %v used Exec (program images run Routine code; spawn with Body)", c.t.p))
 	}
 	c.r = request{kind: rqExec, prog: prog}
-	if err := c.post().err; err != nil {
+	if err := c.post().Err; err != nil {
 		panic(fmt.Sprintf("kernel: exec %q: %v", prog.Name, err))
 	}
 	libs := c.t.linkMap.Libraries()
@@ -406,10 +398,7 @@ func (m *Machine) stepLoop(t *task) (exited bool, code int) {
 			next = t.stepFn(c, guest.Resume{})
 		} else if t.granted {
 			t.granted = false
-			// takeResume in the argument position lets the inlined
-			// literal build directly in the callee's frame — one Resume
-			// copy per activation, not three.
-			next = t.stepFn(c, c.takeResume())
+			next = t.stepFn(c, c.r.Resume)
 		} else {
 			return false, 0
 		}

@@ -22,57 +22,6 @@ var (
 	ErrPtraceBadRegister   = errors.New("ptrace: unsupported user offset")
 )
 
-// syscallServiceUs maps generic syscall classes to service time in
-// microseconds of kernel work. A class off the table takes 1 µs.
-var syscallServiceUs = map[string]sim.Cycles{
-	"read":      2,
-	"write":     2,
-	"sendto":    2,
-	"open":      3,
-	"close":     1,
-	"stat":      2,
-	"getrusage": 1,
-	"gettime":   1,
-	"futex":     1,
-	"brk":       2,
-}
-
-// serviceTimes are the service times, in cycles, of the syscall
-// classes the kernel charges on its own behalf (sleep, nice and clock
-// reads, usage reads, process lookup, networking and ptrace), resolved
-// once per machine so those charges look nothing up by name.
-type serviceTimes struct {
-	gettime, getrusage, stat, sendto, read, futex sim.Cycles
-}
-
-func (m *Machine) resolveServiceTimes() serviceTimes {
-	return serviceTimes{
-		gettime:   m.serviceTime("gettime"),
-		getrusage: m.serviceTime("getrusage"),
-		stat:      m.serviceTime("stat"),
-		sendto:    m.serviceTime("sendto"),
-		read:      m.serviceTime("read"),
-		futex:     m.serviceTime("futex"),
-	}
-}
-
-// serviceTime returns the named syscall class's service time in cycles.
-func (m *Machine) serviceTime(name string) sim.Cycles {
-	us := syscallServiceUs[name]
-	if us == 0 {
-		us = 1
-	}
-	return us * sim.Cycles(uint64(m.cfg.CPUHz)/1_000_000)
-}
-
-// syscallCost returns the cost of a syscall with the given service
-// time: entry, service and exit. Entry and exit are read per call, so
-// CPU.SetCosts reprices them.
-func (m *Machine) syscallCost(service sim.Cycles) sim.Cycles {
-	c := m.cpu.Costs()
-	return c.SyscallEntry + service + c.SyscallExit
-}
-
 // beginRequest services one guest request. Kernel services are
 // non-preemptible lumps (the 2.6-era server configuration); only
 // rqCompute burns preemptibly.
@@ -89,12 +38,12 @@ func (m *Machine) beginRequest(t *task, r *request) {
 
 	case rqSyscall:
 		st.Syscalls++
-		m.chargedAdvance(m.syscallCost(m.serviceTime(r.name)), cpu.Kernel, t)
+		m.chargedAdvance(m.sysCost[r.sys], cpu.Kernel, t)
 		// An injected fault fails the request after the full
 		// entry/service/exit path — the kernel did the work and then
 		// the device said no, so the billing is identical either way.
-		if e, hit := m.injectFault(r.name); hit {
-			r.err = e
+		if e, hit := m.injectFault(r.sys); hit {
+			r.Err = e
 		}
 		m.grantNow(t)
 
@@ -103,7 +52,7 @@ func (m *Machine) beginRequest(t *task, r *request) {
 		st.Syscalls++
 		m.chargedAdvance(c.Fork, cpu.Kernel, t)
 		child := m.doFork(t, r.name, r.body, false)
-		r.ret = uint64(child.PID)
+		r.Ret = uint64(child.PID)
 		m.grantNow(t)
 
 	case rqThread:
@@ -111,7 +60,7 @@ func (m *Machine) beginRequest(t *task, r *request) {
 		st.Syscalls++
 		m.chargedAdvance(c.Fork/2, cpu.Kernel, t) // clone with shared mm is cheaper
 		child := m.doFork(t, r.name, r.body, true)
-		r.ret = uint64(child.PID)
+		r.Ret = uint64(child.PID)
 		m.grantNow(t)
 
 	case rqWait:
@@ -120,10 +69,10 @@ func (m *Machine) beginRequest(t *task, r *request) {
 		res, found, has := m.waitScan(t)
 		switch {
 		case found:
-			r.wres, r.wok = res, true
+			r.Wres, r.OK = res, true
 			m.grantNow(t)
 		case !has:
-			r.wok = false
+			r.OK = false
 			m.grantNow(t)
 		default:
 			t.waitingChild = true
@@ -148,7 +97,7 @@ func (m *Machine) beginRequest(t *task, r *request) {
 
 	case rqSleep:
 		st.Syscalls++
-		m.chargedAdvance(m.syscallCost(m.svc.gettime), cpu.Kernel, t)
+		m.chargedAdvance(m.sysCost[sysGettime], cpu.Kernel, t)
 		wakeAt := m.clock.Now() + r.cycles
 		t.blockedAt = m.clock.Now()
 		m.blockCurrent(proc.Blocked)
@@ -156,34 +105,34 @@ func (m *Machine) beginRequest(t *task, r *request) {
 
 	case rqNice:
 		st.Syscalls++
-		m.chargedAdvance(m.syscallCost(m.svc.gettime), cpu.Kernel, t)
+		m.chargedAdvance(m.sysCost[sysGettime], cpu.Kernel, t)
 		t.p.SetNice(r.nice)
 		m.grantNow(t)
 
 	case rqPtrace:
 		st.Syscalls++
-		r.err = m.doPtrace(t, r)
+		r.Err = m.doPtrace(t, r)
 		m.grantNow(t)
 
 	case rqUsage:
 		st.Syscalls++
-		m.chargedAdvance(m.syscallCost(m.svc.getrusage), cpu.Kernel, t)
+		m.chargedAdvance(m.sysCost[sysGetrusage], cpu.Kernel, t)
 		m.flushRun()
 		u := m.acct.Usage(t.p.TGID)
-		r.u, r.s = u.User, u.System
+		r.User, r.Sys = u.User, u.System
 		m.grantNow(t)
 
 	case rqExec:
 		st.Syscalls++
-		r.err = m.doExec(t, r.prog)
+		r.Err = m.doExec(t, r.prog)
 		m.grantNow(t)
 
 	case rqFind:
 		st.Syscalls++
-		m.chargedAdvance(m.syscallCost(m.svc.stat), cpu.Kernel, t)
+		m.chargedAdvance(m.sysCost[sysStat], cpu.Kernel, t)
 		for _, p := range m.table.All() {
 			if p.Name == r.name && p.Alive() {
-				r.ret, r.wok = uint64(p.PID), true
+				r.Ret, r.OK = uint64(p.PID), true
 				break
 			}
 		}
@@ -194,67 +143,67 @@ func (m *Machine) beginRequest(t *task, r *request) {
 		// clock_gettime(CLOCK_MONOTONIC): the read itself is the
 		// syscall service; the returned instant is the clock after the
 		// service, the moment control returns to the guest.
-		m.chargedAdvance(m.syscallCost(m.svc.gettime), cpu.Kernel, t)
-		r.ret = uint64(m.clock.Now())
+		m.chargedAdvance(m.sysCost[sysGettime], cpu.Kernel, t)
+		r.Ret = uint64(m.clock.Now())
 		m.grantNow(t)
 
 	case rqNetSend:
 		st.Syscalls++
-		if e, hit := m.injectFault("sendto"); hit {
+		if e, hit := m.injectFault(sysSendto); hit {
 			// The syscall fails before reaching the driver: entry/
 			// service/exit are billed but not the tx path, and the NIC
 			// never sees the frame.
-			m.chargedAdvance(m.syscallCost(m.svc.sendto), cpu.Kernel, t)
-			r.err = e
+			m.chargedAdvance(m.sysCost[sysSendto], cpu.Kernel, t)
+			r.Err = e
 			m.grantNow(t)
 			break
 		}
 		// sendto entry/service/exit, then the driver's tx path — ring
 		// descriptor fill and doorbell — all system time of the sender.
-		m.chargedAdvance(m.syscallCost(m.svc.sendto)+c.NICTx, cpu.Kernel, t)
-		f := r.frame
+		m.chargedAdvance(m.sysCost[sysSendto]+c.NICTx, cpu.Kernel, t)
+		f := r.Frame
 		f.Src = m.nic.Addr()
-		r.wok = m.nic.TransmitTo(f)
+		r.OK = m.nic.TransmitTo(f)
 		m.grantNow(t)
 
 	case rqNetForward:
 		st.Syscalls++
-		if e, hit := m.injectFault("sendto"); hit {
-			m.chargedAdvance(m.syscallCost(m.svc.sendto), cpu.Kernel, t)
-			r.err = e
+		if e, hit := m.injectFault(sysSendto); hit {
+			m.chargedAdvance(m.sysCost[sysSendto], cpu.Kernel, t)
+			r.Err = e
 			m.grantNow(t)
 			break
 		}
 		// Same driver path as a send; the frame's Src is preserved so
 		// the next hop still sees the original sender.
-		m.chargedAdvance(m.syscallCost(m.svc.sendto)+c.NICTx, cpu.Kernel, t)
-		r.wok = m.nic.TransmitTo(r.frame)
+		m.chargedAdvance(m.sysCost[sysSendto]+c.NICTx, cpu.Kernel, t)
+		r.OK = m.nic.TransmitTo(r.Frame)
 		m.grantNow(t)
 
 	case rqNetRecv:
 		st.Syscalls++
-		m.chargedAdvance(m.syscallCost(m.svc.read), cpu.Kernel, t)
-		if e, hit := m.injectFault("read"); hit {
+		m.chargedAdvance(m.sysCost[sysRead], cpu.Kernel, t)
+		if e, hit := m.injectFault(sysRead); hit {
 			// The read fails after the billed service; any buffered
 			// frame stays queued for the retry.
-			r.err = e
+			r.Err = e
 			m.grantNow(t)
 			break
 		}
-		r.frame, r.wok = m.popRxFrame()
+		r.Frame, r.OK = m.popRxFrame()
 		m.grantNow(t)
 
 	case rqNetRx:
 		st.Syscalls++
-		m.chargedAdvance(m.syscallCost(m.svc.read), cpu.Kernel, t)
-		r.ret = m.nic.Received()
+		m.chargedAdvance(m.sysCost[sysRead], cpu.Kernel, t)
+		r.Ret = m.nic.Received()
 		m.grantNow(t)
 
 	case rqNetRxWait:
 		st.Syscalls++
-		m.chargedAdvance(m.syscallCost(m.svc.read), cpu.Kernel, t)
+		m.chargedAdvance(m.sysCost[sysRead], cpu.Kernel, t)
 		if n := m.nic.Received(); n > r.addr {
-			r.ret = n
+			r.Ret = n
 			m.grantNow(t)
 			break
 		}
@@ -532,7 +481,7 @@ func (m *Machine) notifyWaiters(subject *task) {
 		if !found {
 			continue
 		}
-		wt.cur.wres, wt.cur.wok = res, true
+		wt.cur.Wres, wt.cur.OK = res, true
 		wt.completed = true
 		wt.waitingChild = false
 		m.wakeAfterLatency(wt)
@@ -623,7 +572,7 @@ func (m *Machine) doPtrace(t *task, r *request) error {
 		if target.p.Tracer != nil {
 			return ErrPtraceAlreadyTraced
 		}
-		m.chargedAdvance(m.syscallCost(m.svc.futex), cpu.Kernel, t)
+		m.chargedAdvance(m.sysCost[sysFutex], cpu.Kernel, t)
 		target.p.Tracer = t.p
 		t.tracees = append(t.tracees, target)
 		// SIGSTOP: stop the target. Kernel-side stop bookkeeping is
@@ -657,7 +606,7 @@ func (m *Machine) doPtrace(t *task, r *request) error {
 		if target.p.State != proc.Stopped {
 			return ErrPtraceNotStopped
 		}
-		m.chargedAdvance(m.syscallCost(m.svc.futex), cpu.Kernel, t)
+		m.chargedAdvance(m.sysCost[sysFutex], cpu.Kernel, t)
 		switch r.ptAddr {
 		case guest.DR0:
 			target.p.Debug.DR0 = r.ptData
@@ -688,7 +637,7 @@ func (m *Machine) doPtrace(t *task, r *request) error {
 		if target.p.Tracer != t.p {
 			return ErrPtraceNotTracer
 		}
-		m.chargedAdvance(m.syscallCost(m.svc.futex), cpu.Kernel, t)
+		m.chargedAdvance(m.sysCost[sysFutex], cpu.Kernel, t)
 		target.p.Tracer = nil
 		target.p.Debug = proc.DebugRegs{}
 		target.stopPending = false

@@ -1,7 +1,6 @@
 package kernel
 
 import (
-	"repro/internal/device"
 	"repro/internal/guest"
 	"repro/internal/lib"
 	"repro/internal/proc"
@@ -41,16 +40,16 @@ const (
 
 // request is one guest action awaiting kernel service. Every request
 // lives in its task's stepCtx: the guest fills the input fields and
-// posts it, and the engine fills the reply fields before granting it.
+// posts it, and the engine fills the reply before granting it.
 type request struct {
 	kind reqKind
 
 	// Inputs.
 	cycles sim.Cycles     // rqCompute, rqSleep
 	addr   uint64         // rqAccess; seen for rqNetRxWait
-	frame  device.Frame   // rqNetSend, rqNetForward input; rqNetRecv reply
 	write  bool           // rqAccess
-	name   string         // rqSyscall, rqFork, rqThread
+	sys    sysClass       // rqSyscall
+	name   string         // rqFork, rqThread, rqFind
 	body   guest.Routine  // rqFork, rqThread
 	prog   *guest.Program // rqExec
 	nice   int            // rqNice
@@ -60,12 +59,9 @@ type request struct {
 	ptData uint64
 	code   int // rqExit
 
-	// Replies.
-	ret  uint64
-	err  error
-	wres guest.WaitResult
-	wok  bool
-	u, s sim.Cycles
+	// The reply, which a Step guest's next activation receives as is.
+	// Its Frame is also the input of rqNetSend and rqNetForward.
+	guest.Resume
 }
 
 // task couples a PCB with its guest and kernel-side execution state.
