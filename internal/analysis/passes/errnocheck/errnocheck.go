@@ -35,10 +35,8 @@ var contextMethods = map[string]bool{
 
 // wrapperFuncs are the error-returning package-level retry wrappers.
 var wrapperFuncs = map[string]bool{
-	"SendRetry":    true,
-	"ForwardRetry": true,
-	"RecvRetry":    true,
-	"SyscallRetry": true,
+	"SendRetry": true,
+	"RecvRetry": true,
 }
 
 // Analyzer flags discarded errors from the guest syscall/net surface.

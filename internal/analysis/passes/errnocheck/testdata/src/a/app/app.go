@@ -12,7 +12,7 @@ func flagged(ctx guest.Context) {
 	go ctx.Syscall("write")                  // want `unobservable error from guest.Context.Syscall`
 	defer ctx.NetForward(guest.Frame{})      // want `unobservable error from guest.Context.NetForward`
 	guest.SendRetry(ctx, guest.Frame{}, 100) // want `discarded error from guest.SendRetry`
-	_ = guest.SyscallRetry(ctx, "read", 100) // want `discarded error from guest.SyscallRetry`
+	_, _, _ = guest.RecvRetry(ctx, 100)      // want `discarded error from guest.RecvRetry`
 }
 
 func handled(ctx guest.Context) error {

@@ -21,6 +21,6 @@ func SendRetry(ctx Context, f Frame, budget int64) error {
 	return err
 }
 
-func SyscallRetry(ctx Context, name string, budget int64) error {
-	return ctx.Syscall(name)
+func RecvRetry(ctx Context, budget int64) (Frame, bool, error) {
+	return ctx.NetRecv()
 }

@@ -63,9 +63,3 @@ func IsGuestFunc(fn *types.Func, name string) bool {
 	sig, ok := fn.Type().(*types.Signature)
 	return ok && sig.Recv() == nil
 }
-
-// InKernelPackage reports whether fn is defined in a kernel package
-// (the simulator kernel or a fixture kernel).
-func InKernelPackage(fn *types.Func) bool {
-	return fn != nil && fn.Pkg() != nil && pathMatches(fn.Pkg().Path(), "kernel")
-}

@@ -202,16 +202,3 @@ func TestIsGuestFunc(t *testing.T) {
 		t.Error("IsGuestFunc(nil) = true")
 	}
 }
-
-func TestInKernelPackage(t *testing.T) {
-	info, calls := load(t)
-	if fn := Callee(info, calls[6]); !InKernelPackage(fn) {
-		t.Errorf("InKernelPackage(kernel.Boot) = false")
-	}
-	if fn := Callee(info, calls[2]); InKernelPackage(fn) {
-		t.Errorf("InKernelPackage(guest.MustSend) = true")
-	}
-	if InKernelPackage(nil) {
-		t.Error("InKernelPackage(nil) = true")
-	}
-}

@@ -1,18 +1,18 @@
-// Package syscallname defines the simlint analyzer that closes the
-// stringly-typed syscall namespace. Syscall classes are identified by
-// string everywhere — guest.Context.Syscall("read"), fault tables,
-// the kernel's cost map and the service times it resolves from it per
-// machine — and a typo ("sendot") does not fail: the cost lookup
-// silently falls back to the default service time, and a
-// typo'd fault entry injects nothing while the chaos run reports a
-// healthy bill. This analyzer checks every string literal (or
-// constant) flowing into those positions against the closed set
-// exported by internal/kernel and flags the ones outside it.
+// Package syscallname defines the simlint analyzer that checks the
+// syscall names guest code and fault specs still spell as strings.
+// The kernel names each syscall class once, in its syscall table, and
+// charges and rolls faults by class number; but a guest posts
+// guest.Context.Syscall("read") by name, and a SyscallFault names its
+// class. A typo there ("sendot") fails only at run time: the kernel
+// panics on the post, and kernel.Config.Validate rejects the fault
+// spec. This analyzer moves both failures to lint time, checking every
+// string literal (or constant) in those two positions against the
+// closed set exported by internal/kernel.
 //
-// A deliberate out-of-namespace name (a test probing the unknown-name
-// fallback itself) carries a justified annotation:
+// A deliberate out-of-namespace name (a test probing the rejection
+// itself) carries a justified annotation:
 //
-//	//simlint:syscall-ok probing the default-cost fallback
+//	//simlint:syscall-ok the rejection of this typo is the property under test
 //	ctx.Syscall("frobnicate")
 package syscallname
 
@@ -37,10 +37,9 @@ const Key = "syscall-ok"
 var Analyzer = &analysis.Analyzer{
 	Name: "syscallname",
 	Doc: "flag syscall-name strings outside the kernel's known set\n\n" +
-		"Names passed to guest.Context.Syscall, guest.SyscallRetry, the\n" +
-		"kernel's cost and fault tables, and SyscallFault.Name must be\n" +
-		"members of kernel.KnownSyscallNames(); a typo is otherwise a\n" +
-		"silently inert fault or a silently default-priced syscall.",
+		"Names passed to guest.Context.Syscall and SyscallFault.Name must\n" +
+		"be members of kernel.KnownSyscallNames(); a typo otherwise fails\n" +
+		"only at run time, as a kernel panic or a rejected fault spec.",
 	Run: run,
 }
 
@@ -74,35 +73,12 @@ func run(pass *analysis.Pass) (any, error) {
 			switch n := n.(type) {
 			case *ast.CallExpr:
 				fn := guestapi.Callee(pass.TypesInfo, n)
-				switch {
-				case guestapi.IsContextMethod(fn, "Syscall") && len(n.Args) > 0:
+				if guestapi.IsContextMethod(fn, "Syscall") && len(n.Args) > 0 {
 					check(n.Args[0], "guest.Context.Syscall")
-				case guestapi.IsGuestFunc(fn, "SyscallRetry") && len(n.Args) > 1:
-					check(n.Args[1], "guest.SyscallRetry")
-				case fn != nil && guestapi.InKernelPackage(fn) && fn.Name() == "serviceTime" && len(n.Args) > 0:
-					check(n.Args[0], "serviceTime")
-				case fn != nil && guestapi.InKernelPackage(fn) && fn.Name() == "injectFault" && len(n.Args) > 0:
-					check(n.Args[0], "injectFault")
 				}
 			case *ast.CompositeLit:
 				if isSyscallFault(pass.TypesInfo, n) {
 					check(faultNameField(n), "SyscallFault.Name")
-				}
-			case *ast.ValueSpec:
-				// The kernel cost table itself (and any fixture twin):
-				// its keys define prices, so a typo'd key is dead weight
-				// that silently never matches a request.
-				for i, name := range n.Names {
-					if name.Name != "syscallServiceUs" || i >= len(n.Values) {
-						continue
-					}
-					if lit, ok := n.Values[i].(*ast.CompositeLit); ok {
-						for _, elt := range lit.Elts {
-							if kv, ok := elt.(*ast.KeyValueExpr); ok {
-								check(kv.Key, "the syscall cost table")
-							}
-						}
-					}
 				}
 			}
 			return true

@@ -19,9 +19,6 @@ func probe(ctx guest.Context, dynamic string) error {
 	if err := ctx.Syscall(dynamic); err != nil { // dynamic: left to runtime validation
 		return err
 	}
-	//simlint:syscall-ok probing the unknown-name default-cost fallback
-	if err := ctx.Syscall("frobnicate"); err != nil {
-		return err
-	}
-	return guest.SyscallRetry(ctx, "gettiem", 100) // want `unknown syscall name "gettiem" in guest.SyscallRetry`
+	//simlint:syscall-ok probing the kernel's unknown-name panic
+	return ctx.Syscall("frobnicate")
 }

@@ -6,7 +6,3 @@ package guest
 type Context interface {
 	Syscall(name string) error
 }
-
-func SyscallRetry(ctx Context, name string, budget int64) error {
-	return ctx.Syscall(name)
-}

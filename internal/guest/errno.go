@@ -91,17 +91,6 @@ func SendRetry(ctx Context, f Frame, budget sim.Cycles) (carried bool, err error
 	return carried, err
 }
 
-// ForwardRetry is NetForward with the same retry contract as
-// SendRetry.
-func ForwardRetry(ctx Context, f Frame, budget sim.Cycles) (carried bool, err error) {
-	err = retryBackoff(ctx, budget, func() error {
-		var e error
-		carried, e = ctx.NetForward(f)
-		return e
-	})
-	return carried, err
-}
-
 // RecvRetry is NetRecv with the same retry contract: an injected read
 // fault is retried within budget, so a frame sitting in the receive
 // buffer is eventually drained instead of stranded. ok is false only
@@ -113,11 +102,4 @@ func RecvRetry(ctx Context, budget sim.Cycles) (f Frame, ok bool, err error) {
 		return e
 	})
 	return f, ok, err
-}
-
-// SyscallRetry is Syscall with the same retry contract.
-func SyscallRetry(ctx Context, name string, budget sim.Cycles) error {
-	return retryBackoff(ctx, budget, func() error {
-		return ctx.Syscall(name)
-	})
 }

@@ -80,23 +80,14 @@ func (s *RetryStep) ForkInto(dst *RetryStep, op RetryOp, done RetryDone) {
 // clone's loop.
 func (s *RetryStep) Self() Step { return s.self }
 
-// Op and Done expose the engine's bound hooks so a ForkFunc can
-// match them against the guest's known closures and install the
-// clone's equivalents via ForkInto.
-func (s *RetryStep) Op() RetryOp     { return s.op }
-func (s *RetryStep) Done() RetryDone { return s.done }
+// Op exposes the engine's bound attempt hook so a ForkFunc can match
+// it against the guest's known closures and install the clone's
+// equivalent via ForkInto.
+func (s *RetryStep) Op() RetryOp { return s.op }
 
 // SameOp reports whether two attempt hooks are the same bound
 // closure (code-pointer identity, as RebindStep uses for Steps).
 func SameOp(a, b RetryOp) bool {
-	if a == nil || b == nil {
-		return a == nil && b == nil
-	}
-	return reflect.ValueOf(a).Pointer() == reflect.ValueOf(b).Pointer()
-}
-
-// SameDone is SameOp for completion hooks.
-func SameDone(a, b RetryDone) bool {
 	if a == nil || b == nil {
 		return a == nil && b == nil
 	}

@@ -355,14 +355,6 @@ func NewMulti(accts ...Accountant) *Multi {
 	return m
 }
 
-// Add registers another accountant.
-func (m *Multi) Add(a Accountant) {
-	if _, dup := m.indexOf[a.Name()]; !dup {
-		m.indexOf[a.Name()] = len(m.accts)
-	}
-	m.accts = append(m.accts, a)
-}
-
 // Accountants returns the registered schemes in registration order.
 func (m *Multi) Accountants() []Accountant {
 	out := make([]Accountant, len(m.accts))

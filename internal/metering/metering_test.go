@@ -126,10 +126,6 @@ func TestMultiFansOut(t *testing.T) {
 	if m.Usage(3) != j.Usage(3) {
 		t.Fatal("Multi.Usage should delegate to first accountant")
 	}
-	m.Add(NewProcessAware())
-	if len(m.Accountants()) != 3 {
-		t.Fatal("Add did not register")
-	}
 }
 
 func TestEmptyMulti(t *testing.T) {
