@@ -58,6 +58,24 @@ func (r *Rand) Clone() *Rand {
 	return c
 }
 
+// Int63n returns a value in [0, n) and panics if n <= 0. It is
+// math/rand's algorithm drawing straight from the splitmix64 source,
+// so every draw matches rand.Rand.Int63n's without its interface call.
+func (r *Rand) Int63n(n int64) int64 {
+	if n <= 0 {
+		panic("invalid argument to Int63n")
+	}
+	if n&(n-1) == 0 { // n is a power of two, can mask
+		return r.src.Int63() & (n - 1)
+	}
+	limit := int64((1 << 63) - 1 - (1<<63)%uint64(n))
+	v := r.src.Int63()
+	for v > limit {
+		v = r.src.Int63()
+	}
+	return v % n
+}
+
 // Jitter returns a value in [base - spread/2, base + spread/2),
 // clamped at zero. It is used for event inter-arrival perturbation.
 func (r *Rand) Jitter(base, spread Cycles) Cycles {
