@@ -1557,9 +1557,9 @@ func (c *Cluster) Incarnations(i int) []*kernel.Machine {
 	return append(out, c.machines[i])
 }
 
-// Shutdown tears down every machine's guest goroutines. Run calls it
-// on failure; callers abandoning a cluster early must call it to
-// avoid leaking parked goroutines. It is idempotent.
+// Shutdown stops every machine's guest coroutines. Run calls it on
+// failure; callers abandoning a cluster early must call it to avoid
+// leaking suspended Body guests. It is idempotent.
 func (c *Cluster) Shutdown() {
 	for _, m := range c.machines {
 		if m != nil {

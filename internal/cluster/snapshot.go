@@ -113,10 +113,10 @@ func applyDir(l *Link, di linkDirImage) {
 // barrier). Every machine must be live and individually
 // snapshottable; a finished, crashed, or reboot-pending member makes
 // the cluster unsnapshottable (errors.Is kernel.ErrNotSnapshottable),
-// as does any machine hosting goroutine-driver guests or forkless
-// step guests. A still-pending CrashAt schedule is plain data and is
-// carried: the restored cluster takes the crash, reboot, and
-// incarnation split identically.
+// as does any machine hosting a started Body guest or a Step guest
+// spawned without a Fork function. A still-pending CrashAt schedule
+// is plain data and is carried: the restored cluster takes the crash,
+// reboot, and incarnation split identically.
 func (c *Cluster) Snapshot() (*ClusterImage, error) {
 	for i := range c.machines {
 		if c.done[i] || c.crashed[i] || c.restartAt[i] > 0 || len(c.prior[i]) > 0 {

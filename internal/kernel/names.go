@@ -4,13 +4,11 @@ import "repro/internal/sim"
 
 // The syscall namespace is one closed table, numbered as a real
 // kernel's syscall table is: the kernel charges a class and rolls its
-// fault by number, and a name is parsed once, where it enters — a
+// fault by number, and a name is parsed once where it enters — a
 // guest's Syscall when it posts, a FaultSpec entry when New arms it.
-// A name outside the table fails loudly: Syscall panics and
-// FaultSpec.Validate returns an error, so a typo'd "sendot" is never
-// a silently default-priced syscall or a silently inert fault. The
-// names are exported so upper layers (CLI flag validation, the simlint
-// syscallname analyzer) can reject such a typo up front.
+// An unknown name fails loudly (Syscall panics, FaultSpec.Validate
+// returns an error), and KnownSyscallNames lets upper layers (CLI flag
+// validation, the simlint syscallname analyzer) reject it up front.
 
 // sysClass numbers a syscall class: its index in syscallTable.
 type sysClass uint8
