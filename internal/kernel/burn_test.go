@@ -8,11 +8,12 @@ import (
 	"testing"
 
 	"repro/internal/guest"
+	"repro/internal/mem"
 	"repro/internal/proc"
 	"repro/internal/sim"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/compute_boundary.golden from the current tree")
+var update = flag.Bool("update", false, "rewrite the boundary goldens in testdata from the current tree")
 
 // boundaryGolden holds TestComputeBoundaries' expected output, one
 // "== <case>/<policy> ==" section per run. It was recorded at the
@@ -78,6 +79,8 @@ func (b *boundaryRun) unsplit(ctx guest.Context, name string, d sim.Cycles) {
 type boundaryCase struct {
 	name    string
 	waker   bool       // also spawn a nice -20 sleeper whose wakes preempt
+	tracer  bool       // also spawn a nice -5 tracer that watches watchAddr in the probe
+	pages   uint64     // when set, the machine's RAM in pages
 	barrier sim.Cycles // when set, pause at a RunUntil barrier there first
 	probe   func(b *boundaryRun, ctx guest.Context)
 }
@@ -176,7 +179,8 @@ func (b *boundaryRun) probeSteps(ctx guest.Context, left uint64) {
 // sleeper. It returns the run's error text, the guests' log and
 // renderFinal.
 func runBoundary(t *testing.T, policy string, c boundaryCase) string {
-	b := &boundaryRun{t: t, m: New(Config{Seed: 1, CPUHz: 1_000_000_000, MaxSteps: 50_000_000, SchedulerPolicy: policy})}
+	b := &boundaryRun{t: t, m: New(Config{Seed: 1, CPUHz: 1_000_000_000, MaxSteps: 50_000_000, SchedulerPolicy: policy,
+		PhysMemBytes: c.pages * mem.DefaultPageSize})}
 	spawn := func(name string, nice int, body guest.Routine) proc.PID {
 		p, err := b.m.Spawn(SpawnConfig{Name: name, Content: name + " v1", Nice: nice, Body: body})
 		if err != nil {
@@ -205,6 +209,9 @@ func runBoundary(t *testing.T, policy string, c boundaryCase) string {
 			}
 		}))
 	}
+	if c.tracer {
+		pids = append(pids, spawn("tracer", -5, func(ctx guest.Context) { b.trace(ctx, pids[0]) }))
+	}
 	if c.barrier > 0 {
 		if _, err := b.m.RunUntil(c.barrier); err != nil {
 			t.Fatal(err)
@@ -231,19 +238,25 @@ func runBoundary(t *testing.T, policy string, c boundaryCase) string {
 // text, guest log and renderFinal must equal what the general path
 // produced.
 func TestComputeBoundaries(t *testing.T) {
+	checkBoundaries(t, boundaryGolden, computeBoundaries)
+}
+
+// checkBoundaries runs every case on O1 and on CFS and compares the
+// output with the golden file, section by section.
+func checkBoundaries(t *testing.T, golden string, cases []boundaryCase) {
 	var got strings.Builder
-	for _, c := range computeBoundaries {
+	for _, c := range cases {
 		for _, policy := range []string{"o1", "cfs"} {
 			got.WriteString(runBoundary(t, policy, c))
 		}
 	}
 	if *update {
-		if err := os.WriteFile(boundaryGolden, []byte(got.String()), 0o644); err != nil {
+		if err := os.WriteFile(golden, []byte(got.String()), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
 	}
-	want, err := os.ReadFile(boundaryGolden)
+	want, err := os.ReadFile(golden)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -204,6 +204,17 @@ func FuzzStepMatchesBody(f *testing.F) {
 		paging = append(paging, code, byte(i%fuzzPages), 0)
 	}
 	f.Add(paging)
+	// Store to and load from three pages, over and over: after the
+	// first touches, every access is a resident hit.
+	var hits []byte
+	for i := 0; i < fuzzMaxOps; i++ {
+		code := byte(fuzzStore)
+		if i%2 == 1 {
+			code = fuzzLoad
+		}
+		hits = append(hits, code, byte(i%3), 0)
+	}
+	f.Add(hits)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ops := decodeFuzzOps(data)
 		if len(ops) == 0 {
