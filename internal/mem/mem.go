@@ -83,6 +83,18 @@ const (
 // inline, so touching a page never allocates once its leaf exists.
 type leaf [1 << leafBits]pageState
 
+// recentLeaves is how many of its most recently used leaves a space
+// serves ahead of its page-table map, the way a TLB serves recent
+// translations ahead of a page walk.
+const recentLeaves = 4
+
+// leafSlot is one of a space's recently used leaves, keyed as in the
+// map.
+type leafSlot struct {
+	key uint64
+	l   *leaf
+}
+
 // Space is a per-process virtual address space.
 type Space struct {
 	mem   *Memory
@@ -93,6 +105,10 @@ type Space struct {
 	// nil until the first touch and after Release.
 	leaves  map[uint64]*leaf
 	touched int // pages ever touched (resident or swapped)
+	// recent holds the most recently used leaves, most recent first,
+	// up to the first nil slot. Release empties it, and a clone starts
+	// with it empty.
+	recent [recentLeaves]leafSlot
 
 	resident   int
 	minor      uint64
@@ -171,15 +187,70 @@ func (s *Space) FootprintPages() int { return s.touched }
 // first use.
 func (s *Space) page(vpage uint64) *pageState {
 	key := vpage >> leafBits
-	l := s.leaves[key]
+	l := s.leafAt(key)
 	if l == nil {
 		if s.leaves == nil {
 			s.leaves = make(map[uint64]*leaf)
 		}
 		l = new(leaf)
 		s.leaves[key] = l
+		s.remember(key, l)
 	}
 	return &l[vpage&leafMask]
+}
+
+// leafAt returns the leaf at key, or nil when it has none, and moves it
+// to the front of the recently used leaves. Only a leaf missing from
+// those costs a map lookup.
+func (s *Space) leafAt(key uint64) *leaf {
+	for i := range s.recent {
+		r := s.recent[i]
+		if r.l == nil {
+			break
+		}
+		if r.key == key {
+			for ; i > 0; i-- {
+				s.recent[i] = s.recent[i-1]
+			}
+			s.recent[0] = r
+			return r.l
+		}
+	}
+	l := s.leaves[key]
+	if l != nil {
+		s.remember(key, l)
+	}
+	return l
+}
+
+// remember puts the leaf at key in front of the recently used leaves,
+// dropping the least recently used when all slots are full.
+func (s *Space) remember(key uint64, l *leaf) {
+	for i := recentLeaves - 1; i > 0; i-- {
+		s.recent[i] = s.recent[i-1]
+	}
+	s.recent[0] = leafSlot{key: key, l: l}
+}
+
+// Hit serves an access at addr whose page is resident as Touch serves
+// it: it moves the page to the LRU tail, marks it dirty on a write, and
+// reports true. When the page is not resident it reports false and
+// changes nothing, so the caller can take the fault through Touch.
+func (s *Space) Hit(addr uint64, write bool) bool {
+	vpage := addr / s.mem.pageSize
+	l := s.leafAt(vpage >> leafBits)
+	if l == nil {
+		return false
+	}
+	p := &l[vpage&leafMask]
+	if !p.present {
+		return false
+	}
+	s.mem.lruMoveToTail(p)
+	if write {
+		p.dirty = true
+	}
+	return true
 }
 
 // Touch performs one memory access at byte address addr. write marks
@@ -250,6 +321,7 @@ func (s *Space) Release() {
 		}
 	}
 	s.leaves = nil
+	s.recent = [recentLeaves]leafSlot{}
 	s.touched = 0
 	s.resident = 0
 	s.released = true
@@ -320,7 +392,8 @@ func DiskLatency(freq sim.Hz) sim.Cycles {
 // callers can re-point their Space references. The intrusive LRU list
 // is rebuilt by walking head→tail, so future eviction order is
 // identical to the original's; each page's copy is found by leaf
-// arithmetic from its space index and vpage.
+// arithmetic from its space index and vpage, straight from the copied
+// map, so every copy starts with no recently used leaves.
 func (m *Memory) Clone() (*Memory, map[*Space]*Space) {
 	cm := &Memory{
 		pageSize:    m.pageSize,
@@ -358,7 +431,8 @@ func (m *Memory) Clone() (*Memory, map[*Space]*Space) {
 		smap[s] = cs
 	}
 	for p := m.lruHead; p != nil; p = p.next {
-		cm.lruPushTail(cm.spaces[p.space].page(p.vpage))
+		cl := cm.spaces[p.space].leaves[p.vpage>>leafBits]
+		cm.lruPushTail(&cl[p.vpage&leafMask])
 	}
 	return cm, smap
 }

@@ -190,7 +190,7 @@ func diffState(m *Memory, ref *refMemory) string {
 }
 
 // TestPageTableMatchesReference drives the two-level page table and the
-// map-based reference through seeded random Touch/Release/Clone/NewSpace
+// map-based reference through seeded random Touch/Hit/Release/Clone/NewSpace
 // sequences over spaces that together touch several times more pages
 // than there are frames, comparing every result and observable.
 func TestPageTableMatchesReference(t *testing.T) {
@@ -235,7 +235,12 @@ func TestPageTableMatchesReference(t *testing.T) {
 				}
 				write := r.Intn(3) == 0
 				addr := vpage*DefaultPageSize + uint64(r.Intn(DefaultPageSize))
-				got := m.spaces[i].Touch(addr, write)
+				// Half the accesses try Hit first, as the kernel does,
+				// and take the fault through Touch only on a miss.
+				got := FaultResult{Kind: NoFault}
+				if r.Intn(2) == 0 || !m.spaces[i].Hit(addr, write) {
+					got = m.spaces[i].Touch(addr, write)
+				}
 				if want := ref.spaces[i].touch(vpage, write); got != want {
 					t.Fatalf("seed %d op %d: space %d touch page %d = %+v, want %+v", seed, op, i, vpage, got, want)
 				}
@@ -249,6 +254,70 @@ func TestPageTableMatchesReference(t *testing.T) {
 				t.Fatalf("seed %d: parked clone drifted: %s", seed, d)
 			}
 		}
+	}
+}
+
+// TestRecentLeavesForgetReleasedSpace pins that Release empties the
+// recently used leaves, so a released space serves no hit from the
+// leaves it held, and a space made later gets leaves of its own.
+func TestRecentLeavesForgetReleasedSpace(t *testing.T) {
+	m := New(64*DefaultPageSize, 0)
+	s := m.NewSpace("a")
+	for key := uint64(0); key < recentLeaves; key++ {
+		s.Touch(key<<leafBits*DefaultPageSize, true)
+	}
+	held := s.recent
+	s.Release()
+	if s.recent != ([recentLeaves]leafSlot{}) {
+		t.Fatalf("released space still holds recent leaves %+v", s.recent)
+	}
+	for key := uint64(0); key < recentLeaves; key++ {
+		if s.Hit(key<<leafBits*DefaultPageSize, false) {
+			t.Fatalf("released space hit page %d", key<<leafBits)
+		}
+	}
+	if m.UsedFrames() != 0 || m.lruHead != nil {
+		t.Fatalf("released space left %d frames in use", m.UsedFrames())
+	}
+	later := m.NewSpace("b")
+	later.Touch(0, false)
+	for _, r := range held {
+		if later.recent[0].l == r.l {
+			t.Fatal("a new space was served a released space's leaf")
+		}
+	}
+}
+
+// TestRecentLeavesNotSharedByClone pins that a cloned space starts with
+// no recently used leaves and serves hits from its own copies: a store
+// hit in the clone dirties and moves the clone's page, never the
+// original's.
+func TestRecentLeavesNotSharedByClone(t *testing.T) {
+	m := New(256*DefaultPageSize, 0)
+	s := m.NewSpace("a")
+	sweep(s, 3*64, false) // three resident leaves, all recently used
+	cm, smap := m.Clone()
+	cs := smap[s]
+	if cs.recent != ([recentLeaves]leafSlot{}) {
+		t.Fatalf("clone starts with recent leaves %+v", cs.recent)
+	}
+	before := lruOrder(m)
+	for _, vp := range []uint64{0, 64, 128, 1} {
+		if !cs.Hit(vp*DefaultPageSize, true) {
+			t.Fatalf("clone missed resident page %d", vp)
+		}
+		if l := cs.recent[0].l; l != cs.leaves[vp>>leafBits] || l == s.leaves[vp>>leafBits] {
+			t.Fatalf("clone served page %d from a leaf that is not its own", vp)
+		}
+		if cm.lruTail != &cs.leaves[vp>>leafBits][vp&leafMask] {
+			t.Fatalf("clone's hit on page %d did not move the clone's page to its LRU tail", vp)
+		}
+		if s.page(vp).dirty {
+			t.Fatalf("clone's store hit dirtied the original's page %d", vp)
+		}
+	}
+	if after := lruOrder(m); after != before {
+		t.Fatalf("clone's hits moved the original's LRU:\nbefore %s\nafter  %s", before, after)
 	}
 }
 
