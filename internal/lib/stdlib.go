@@ -47,7 +47,15 @@ const HeapBase uint64 = 0x0060_0000
 // install a fresh copy.
 func NewLibc() *Library {
 	heaps := make(map[proc.PID]*heap)
+	// The last heap served, by pid: a process's malloc and free calls
+	// come in runs, which then skip the map lookup. PIDs are never
+	// reused and heaps never dropped, so the pair cannot go stale.
+	var lastPID proc.PID
+	var last *heap
 	heapOf := func(pid proc.PID) *heap {
+		if last != nil && lastPID == pid {
+			return last
+		}
 		h := heaps[pid]
 		if h == nil {
 			h = &heap{
@@ -58,6 +66,7 @@ func NewLibc() *Library {
 			}
 			heaps[pid] = h
 		}
+		lastPID, last = pid, h
 		return h
 	}
 	alloc := func(pid proc.PID, size uint64) uint64 {
