@@ -157,7 +157,10 @@ type Machine struct {
 	preemptFire   func()
 	writebackFire func()
 
-	stats        map[proc.PID]*Stats
+	stats map[proc.PID]*Stats
+	// freeStats holds reaped thread groups' records that nothing holds
+	// any more (see reapCleanup), for statOf to reuse.
+	freeStats    []*Stats
 	measurements []Measurement
 	measuredKeys map[measureKey]bool
 
@@ -400,7 +403,7 @@ func (m *Machine) Spawn(sc SpawnConfig) (*proc.Proc, error) {
 	p.SetNice(sc.Nice)
 	//simlint:unordered-ok map-to-map copy; insertion order cannot be observed
 	for k, v := range sc.Env {
-		p.Env[k] = v
+		p.Setenv(k, v)
 	}
 	p.Space = m.mem.NewSpace(sc.Name)
 	linked := sc.Libs
@@ -444,20 +447,6 @@ func (m *Machine) newTask(p *proc.Proc, body guest.Routine) *task {
 	}
 	t.stepCtx.t = t
 	p.KernelData = t
-	t.wakeFire = func() {
-		t.wakePending = false
-		m.wakeNow(t)
-	}
-	t.sleepFire = func() {
-		t.completed = true
-		m.wakeNow(t)
-	}
-	t.swapInFire = func() {
-		m.diskIRQ()
-		t.st.DiskWaitCycles += m.clock.Now() - t.blockedAt
-		t.completed = true
-		m.wakeNow(t)
-	}
 	m.tasks[p.PID] = t
 	return t
 }
@@ -465,7 +454,13 @@ func (m *Machine) newTask(p *proc.Proc, body guest.Routine) *task {
 func (m *Machine) statOf(tgid proc.PID) *Stats {
 	s := m.stats[tgid]
 	if s == nil {
-		s = &Stats{}
+		if n := len(m.freeStats); n > 0 {
+			s = m.freeStats[n-1]
+			m.freeStats = m.freeStats[:n-1]
+			*s = Stats{}
+		} else {
+			s = &Stats{}
+		}
 		m.stats[tgid] = s
 	}
 	return s
@@ -862,7 +857,7 @@ func (m *Machine) wakeAfterLatency(t *task) {
 	}
 	t.wakePending = true
 	at := m.clock.Now() + m.wakeLatency()
-	m.queue.ScheduleTagged(at, "wake", uint64(t.p.PID), t.wakeFire)
+	m.queue.ScheduleTagged(at, "wake", uint64(t.p.PID), t.wakeFn())
 }
 
 // timerTick is the periodic timer interrupt: sample-charge the
@@ -1094,8 +1089,9 @@ func (m *Machine) runUser(t *task, d sim.Cycles) {
 // steps beginPosted and burnCompute would count, no event falls due
 // before the compute ends, and the quantum covers it (0 means no
 // cap). The general path would fire nothing, burn the compute as one
-// chunk and grant it, so burnPosted makes the same charges and grants
-// t without setting t.cur. It reports whether it burned.
+// chunk and grant it, so burnPosted makes the same charges, without
+// setting t.cur. It reports whether it burned; the compute is then
+// complete, and a Step task's post grants it.
 func (m *Machine) burnPosted(t *task, d sim.Cycles) bool {
 	if m.current != t || m.needResched || m.pauseReq ||
 		m.cfg.MaxSteps > 0 && m.steps+3 > m.cfg.MaxSteps ||
@@ -1107,7 +1103,34 @@ func (m *Machine) burnPosted(t *task, d sim.Cycles) bool {
 	}
 	m.steps += 3
 	m.runUser(t, d)
-	t.granted = true
+	return true
+}
+
+// hitPosted serves an access to addr that t has just posted, on the
+// spot, the way an MMU serves a TLB hit without entering the kernel,
+// when it hits a resident page and nothing could split or hold it
+// back: t holds the CPU with no reschedule or barrier pending, the
+// MaxSteps budget has the step beginPosted would count, no event falls
+// due before the access ends, and no armed watchpoint of a tracer
+// matches it. The general path would fire nothing and make
+// serviceAccess's hit charges, so hitPosted makes the same ones, one
+// budget step and accessCost user cycles, without setting t.cur. It
+// reports whether it served the access; when it did not, nothing has
+// changed.
+func (m *Machine) hitPosted(t *task, addr uint64, write bool) bool {
+	if m.current != t || m.needResched || m.pauseReq ||
+		m.cfg.MaxSteps > 0 && m.steps >= m.cfg.MaxSteps ||
+		t.p.Tracer != nil && t.p.Debug.Matches(addr, write) {
+		return false
+	}
+	if at, ok := m.queue.PeekTime(); ok && at < m.clock.Now()+accessCost {
+		return false
+	}
+	if !t.p.Space.Hit(addr, write) {
+		return false
+	}
+	m.steps++
+	m.runUser(t, accessCost)
 	return true
 }
 
@@ -1130,8 +1153,9 @@ func (m *Machine) grantNow(t *task) {
 // request stays posted for service at t's next dispatch. A compute is
 // also burned here, as the next driveStep would burn it, so a guest
 // whose compute completes on the CPU continues without leaving the
-// activation. post offers each compute to burnPosted first, which
-// burns it when nothing can split it; every other request comes here.
+// activation. Computes that nothing can split and a Body guest's
+// resident hits are served where they are posted (burnPosted,
+// hitPosted); every other request comes here.
 func (m *Machine) beginPosted(t *task) {
 	t.begun = false
 	if m.current != t {

@@ -179,6 +179,7 @@ func (m *Machine) clone(shell *Machine, ext RestoreResolver) (*Machine, error) {
 		c.queue.Reset()
 		c.measurements = c.measurements[:0]
 		c.netWaiters = c.netWaiters[:0]
+		c.freeStats = c.freeStats[:0]
 		c.pauseReq, c.closed = false, false
 	}
 	// The accountants listed in cfg were consumed at construction; the
@@ -340,11 +341,11 @@ func (m *Machine) resolveFire(kind string, tag uint64, ext RestoreResolver) (fun
 	case "barrier":
 		return nop, fmt.Errorf("%w: a RunUntil barrier event is pending", ErrNotSnapshottable)
 	case "wake":
-		return taskFire(func(t *task) func() { return t.wakeFire })
+		return taskFire((*task).wakeFn)
 	case "sleep-wake":
-		return taskFire(func(t *task) func() { return t.sleepFire })
+		return taskFire((*task).sleepFn)
 	case "disk-read":
-		return taskFire(func(t *task) func() { return t.swapInFire })
+		return taskFire((*task).swapInFn)
 	case "nic-rx":
 		if fn, ok := m.nic.RestoreFire(tag); ok {
 			return fn, nil

@@ -15,10 +15,13 @@ import (
 // driving the machine, and an activation posts its next request
 // through beginPosted, which services it inline while the task keeps
 // the CPU. Most posts are computes that nothing can split (no event,
-// reschedule, barrier or quantum end falls inside), and post burns
-// those itself through burnPosted, with the same charges and grant as
-// the general path and none of its bookkeeping. A guest is written
-// one of two ways:
+// reschedule, barrier or quantum end falls inside) and accesses that
+// hit a resident page. Those are served where they are posted, with
+// the same charges as the general path and none of its bookkeeping:
+// computes through burnPosted, and a Body guest's hits through
+// hitPosted. A Body guest's compute or hit has no reply, so it is
+// served before its request is written. A guest is written one of two
+// ways:
 //
 //   - SpawnConfig.Step: a resumable state machine (guest.Step) with no
 //     goroutine and no parked stack. An activation is one call of its
@@ -54,10 +57,10 @@ var noReply request
 
 // post offers the request already written into c.r to the engine.
 // Callers assign c.r with a full struct literal first, which clears
-// stale replies and keeps a post to a single struct copy. A compute
-// that nothing can split is burned and granted on the spot
-// (burnPosted); any other request goes through beginPosted. A Step
-// task returns to whoever drives the engine, so its post returns
+// stale replies and keeps a post to a single struct copy. A Step
+// task's compute that nothing can split is burned and granted on the
+// spot (burnPosted); any other request goes through beginPosted. A
+// Step task returns to whoever drives the engine, so its post returns
 // noReply at once. A Body task's post returns c.r once granted:
 // inline, or after its coroutine yields to the activation loop until
 // the grant.
@@ -71,7 +74,9 @@ func (c *stepCtx) post() *request {
 	// mid-request, doExit clears t.co, and the killed guest must still
 	// yield here rather than run on and post again.
 	co := t.co
-	if c.r.kind != rqCompute || !t.m.burnPosted(t, c.r.cycles) {
+	if co == nil && c.r.kind == rqCompute && t.m.burnPosted(t, c.r.cycles) {
+		t.granted = true
+	} else {
 		t.cur = &c.r
 		t.m.beginPosted(t)
 	}
@@ -92,17 +97,26 @@ func (c *stepCtx) Compute(d sim.Cycles) {
 	if d == 0 {
 		return
 	}
+	if t := c.t; t.co != nil && t.m.burnPosted(t, d) {
+		return
+	}
 	c.r = request{kind: rqCompute, cycles: d}
 	c.post()
 }
 
-func (c *stepCtx) Load(addr uint64) {
-	c.r = request{kind: rqAccess, addr: addr}
-	c.post()
-}
+func (c *stepCtx) Load(addr uint64) { c.access(addr, false) }
 
-func (c *stepCtx) Store(addr uint64) {
-	c.r = request{kind: rqAccess, addr: addr, write: true}
+func (c *stepCtx) Store(addr uint64) { c.access(addr, true) }
+
+// access posts a memory access. A Body guest's access that hits a
+// resident page with nothing to split or hold it back is served on the
+// spot (hitPosted). A Step guest's always takes the general path, so
+// FuzzStepMatchesBody checks the one against the other.
+func (c *stepCtx) access(addr uint64, write bool) {
+	if t := c.t; t.co != nil && t.m.hitPosted(t, addr, write) {
+		return
+	}
+	c.r = request{kind: rqAccess, addr: addr, write: write}
 	c.post()
 }
 
@@ -213,7 +227,7 @@ func (c *stepCtx) Getenv(key string) string {
 }
 
 func (c *stepCtx) Setenv(key, value string) {
-	c.t.p.Env[key] = value
+	c.t.p.Setenv(key, value)
 }
 
 func (c *stepCtx) FindProcess(name string) (proc.PID, bool) {

@@ -101,7 +101,7 @@ func (m *Machine) beginRequest(t *task, r *request) {
 		wakeAt := m.clock.Now() + r.cycles
 		t.blockedAt = m.clock.Now()
 		m.blockCurrent(proc.Blocked)
-		m.queue.ScheduleTagged(wakeAt, "sleep-wake", uint64(t.p.PID), t.sleepFire)
+		m.queue.ScheduleTagged(wakeAt, "sleep-wake", uint64(t.p.PID), t.sleepFn())
 
 	case rqNice:
 		st.Syscalls++
@@ -130,11 +130,8 @@ func (m *Machine) beginRequest(t *task, r *request) {
 	case rqFind:
 		st.Syscalls++
 		m.chargedAdvance(m.sysCost[sysStat], cpu.Kernel, t)
-		for _, p := range m.table.All() {
-			if p.Name == r.name && p.Alive() {
-				r.Ret, r.OK = uint64(p.PID), true
-				break
-			}
+		if p, ok := m.table.Find(r.name); ok {
+			r.Ret, r.OK = uint64(p.PID), true
 		}
 		m.grantNow(t)
 
@@ -268,7 +265,7 @@ func (m *Machine) serviceAccess(t *task, r *request, skipWatch bool) {
 		// Block until the swap-in completes (IRQ first, then wake).
 		t.blockedAt = m.clock.Now()
 		m.blockCurrent(proc.Blocked)
-		m.disk.SubmitTagged(uint64(t.p.PID), t.swapInFire)
+		m.disk.SubmitTagged(uint64(t.p.PID), t.swapInFn())
 		return
 	}
 	m.grantNow(t)
@@ -442,16 +439,18 @@ func (m *Machine) reapCleanup(reaper, child *proc.Proc) {
 	if !child.IsThread() {
 		m.flushRun()
 		m.acct.OnReap(reaperTGID, child.TGID)
-		if cs := m.stats[child.TGID]; cs != nil {
-			billableChild := false
-			if ct := m.tasks[child.PID]; ct != nil {
-				billableChild = ct.billable
+		ct := m.tasks[child.PID]
+		if cs := m.stats[child.TGID]; cs != nil && (ct == nil || !ct.billable) {
+			if reaper != nil {
+				m.statOf(reaperTGID).absorb(cs)
 			}
-			if !billableChild {
-				if reaper != nil {
-					m.statOf(reaperTGID).absorb(cs)
-				}
-				delete(m.stats, child.TGID)
+			delete(m.stats, child.TGID)
+			// A group that never spawned a thread had one task, reaped
+			// here, and no pending event or list reaches a reaped task's
+			// record: recycle it, and unlink it so a stray use fails.
+			if ct != nil && cs.ThreadsSpawned == 0 {
+				ct.st = nil
+				m.freeStats = append(m.freeStats, cs)
 			}
 		}
 	}

@@ -102,15 +102,54 @@ type task struct {
 	// tracees are the tasks this one has ptrace-attached to.
 	tracees []*task
 
-	// wakeFire is the reusable callback for delayed wake events, built
-	// once in newTask so the wake path does not allocate a closure per
-	// wakeup. sleepFire and swapInFire are the same idea for sleep
-	// expiry and blocking swap-in completion: a task has at most one of
-	// each in flight, so the steady-state sleep/fault loops of the
-	// runtime attacks allocate nothing.
+	// wakeFire is the reusable callback for delayed wake events, so the
+	// wake path does not allocate a closure per wakeup. sleepFire and
+	// swapInFire are the same idea for sleep expiry and blocking
+	// swap-in completion: a task has at most one of each in flight, so
+	// the steady-state sleep/fault loops of the runtime attacks allocate
+	// nothing. Each is built at its first use (wakeFn, sleepFn,
+	// swapInFn): a fork storm's child never sleeps, never blocks on swap
+	// and is never woken, so it builds none.
 	wakeFire   func()
 	sleepFire  func()
 	swapInFire func()
+}
+
+// wakeFn returns t's delayed-wake callback.
+func (t *task) wakeFn() func() {
+	if t.wakeFire == nil {
+		t.wakeFire = func() {
+			t.wakePending = false
+			t.m.wakeNow(t)
+		}
+	}
+	return t.wakeFire
+}
+
+// sleepFn returns t's sleep-expiry callback.
+func (t *task) sleepFn() func() {
+	if t.sleepFire == nil {
+		t.sleepFire = func() {
+			t.completed = true
+			t.m.wakeNow(t)
+		}
+	}
+	return t.sleepFire
+}
+
+// swapInFn returns t's swap-in completion callback: the disk interrupt,
+// then the wake of t, blocked since blockedAt.
+func (t *task) swapInFn() func() {
+	if t.swapInFire == nil {
+		t.swapInFire = func() {
+			m := t.m
+			m.diskIRQ()
+			t.st.DiskWaitCycles += m.clock.Now() - t.blockedAt
+			t.completed = true
+			m.wakeNow(t)
+		}
+	}
+	return t.swapInFire
 }
 
 // taskState is a task's plain-data state: flags, cycle counts and the

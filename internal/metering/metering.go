@@ -125,6 +125,11 @@ type ledger struct {
 
 	lastTGID proc.PID
 	last     *Usage
+
+	// free holds entries OnReap dropped, for the next new entry: a fork
+	// storm's children then charge recycled entries. A dropped entry is
+	// in neither map and is not last, so nothing else holds it.
+	free []*Usage
 }
 
 func newLedger() ledger {
@@ -140,9 +145,11 @@ func (l *ledger) OnReap(parent, child proc.PID) {
 	var folded Usage
 	if u := l.byTGID[child]; u != nil {
 		folded = folded.Add(*u)
+		l.free = append(l.free, u)
 	}
 	if cu := l.children[child]; cu != nil {
 		folded = folded.Add(*cu)
+		l.free = append(l.free, cu)
 	}
 	delete(l.byTGID, child)
 	delete(l.children, child)
@@ -154,10 +161,23 @@ func (l *ledger) OnReap(parent, child proc.PID) {
 	}
 	pc := l.children[parent]
 	if pc == nil {
-		pc = &Usage{}
+		pc = l.newEntry()
 		l.children[parent] = pc
 	}
 	*pc = pc.Add(folded)
+}
+
+// newEntry returns a zero entry, recycled from free when it can.
+func (l *ledger) newEntry() *Usage {
+	n := len(l.free)
+	if n == 0 {
+		return &Usage{}
+	}
+	u := l.free[n-1]
+	l.free[n-1] = nil
+	l.free = l.free[:n-1]
+	*u = Usage{}
+	return u
 }
 
 // ChildrenUsage implements Accountant.
@@ -174,7 +194,7 @@ func (l *ledger) entry(pid proc.PID) *Usage {
 	}
 	u := l.byTGID[pid]
 	if u == nil {
-		u = &Usage{}
+		u = l.newEntry()
 		l.byTGID[pid] = u
 	}
 	l.lastTGID, l.last = pid, u
@@ -203,7 +223,8 @@ func (l *ledger) Usage(pid proc.PID) Usage {
 
 // clone deep-copies both ledgers. The last-charged cache is carried
 // over (re-pointed at the cloned entry) so the clone's lookup
-// behaviour matches the original's from the first charge.
+// behaviour matches the original's from the first charge; the clone
+// starts with no free entries.
 func (l *ledger) clone() ledger {
 	c := ledger{
 		byTGID:   make(map[proc.PID]*Usage, len(l.byTGID)),

@@ -8,6 +8,7 @@ package proc
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 
 	"repro/internal/mem"
@@ -156,7 +157,8 @@ type Proc struct {
 	KernelData any
 
 	// Env is the per-process environment. The library attacks use
-	// LD_PRELOAD exactly as the paper does.
+	// LD_PRELOAD exactly as the paper does. It is nil until a variable
+	// is set, so read it directly and write it through Setenv.
 	Env map[string]string
 }
 
@@ -167,18 +169,26 @@ func New(pid PID, name string, parent *Proc) *Proc {
 		TGID:  pid,
 		Name:  name,
 		State: Embryo,
-		Env:   map[string]string{},
 	}
 	if parent != nil {
 		p.Parent = parent
 		parent.Children = append(parent.Children, p)
 		// Children inherit the parent's environment (copied, so a
 		// per-victim LD_PRELOAD does not leak to siblings).
-		for k, v := range parent.Env {
-			p.Env[k] = v
+		if len(parent.Env) > 0 {
+			p.Env = maps.Clone(parent.Env)
 		}
 	}
 	return p
+}
+
+// Setenv sets an environment variable, making the environment at the
+// first.
+func (p *Proc) Setenv(key, value string) {
+	if p.Env == nil {
+		p.Env = make(map[string]string)
+	}
+	p.Env[key] = value
 }
 
 // IsThread reports whether the task is a non-leader thread.
@@ -268,6 +278,19 @@ func (t *Table) All() []*Proc {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].PID < out[j].PID })
 	return out
+}
+
+// Find returns the live task named name with the lowest PID, the one
+// a walk of All would meet first, without building that list.
+func (t *Table) Find(name string) (*Proc, bool) {
+	var found *Proc
+	//simlint:unordered-ok a minimum by PID; the visit order cannot change it
+	for _, p := range t.tasks {
+		if p.Name == name && p.Alive() && (found == nil || p.PID < found.PID) {
+			found = p
+		}
+	}
+	return found, found != nil
 }
 
 // Len reports the number of registered tasks.

@@ -36,12 +36,12 @@ func TestParentChildLinkage(t *testing.T) {
 func TestEnvInheritanceIsCopied(t *testing.T) {
 	tbl := NewTable()
 	parent := tbl.Create("shell", nil)
-	parent.Env["LD_PRELOAD"] = "/tmp/evil.so"
+	parent.Setenv("LD_PRELOAD", "/tmp/evil.so")
 	child := tbl.Create("job", parent)
 	if child.Env["LD_PRELOAD"] != "/tmp/evil.so" {
 		t.Fatal("env not inherited")
 	}
-	child.Env["LD_PRELOAD"] = "other"
+	child.Setenv("LD_PRELOAD", "other")
 	if parent.Env["LD_PRELOAD"] != "/tmp/evil.so" {
 		t.Fatal("child env mutation leaked to parent")
 	}
