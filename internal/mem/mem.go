@@ -184,25 +184,28 @@ func (s *Space) EvictedOut() uint64 { return s.evictedOut }
 func (s *Space) FootprintPages() int { return s.touched }
 
 // page returns vpage's slot in the page table, creating its leaf on
-// first use.
+// first use. Only a leaf missing from the recently used ones costs a
+// map lookup.
 func (s *Space) page(vpage uint64) *pageState {
 	key := vpage >> leafBits
-	l := s.leafAt(key)
+	l := s.recentLeaf(key)
 	if l == nil {
-		if s.leaves == nil {
-			s.leaves = make(map[uint64]*leaf)
+		l = s.leaves[key]
+		if l == nil {
+			if s.leaves == nil {
+				s.leaves = make(map[uint64]*leaf)
+			}
+			l = new(leaf)
+			s.leaves[key] = l
 		}
-		l = new(leaf)
-		s.leaves[key] = l
 		s.remember(key, l)
 	}
 	return &l[vpage&leafMask]
 }
 
-// leafAt returns the leaf at key, or nil when it has none, and moves it
-// to the front of the recently used leaves. Only a leaf missing from
-// those costs a map lookup.
-func (s *Space) leafAt(key uint64) *leaf {
+// recentLeaf returns the leaf at key, moved to the front, when it is
+// one of the recently used leaves, and nil otherwise.
+func (s *Space) recentLeaf(key uint64) *leaf {
 	for i := range s.recent {
 		r := s.recent[i]
 		if r.l == nil {
@@ -216,11 +219,7 @@ func (s *Space) leafAt(key uint64) *leaf {
 			return r.l
 		}
 	}
-	l := s.leaves[key]
-	if l != nil {
-		s.remember(key, l)
-	}
-	return l
+	return nil
 }
 
 // remember puts the leaf at key in front of the recently used leaves,
@@ -232,13 +231,15 @@ func (s *Space) remember(key uint64, l *leaf) {
 	s.recent[0] = leafSlot{key: key, l: l}
 }
 
-// Hit serves an access at addr whose page is resident as Touch serves
-// it: it moves the page to the LRU tail, marks it dirty on a write, and
-// reports true. When the page is not resident it reports false and
-// changes nothing, so the caller can take the fault through Touch.
+// Hit serves an access at addr the way an MMU serves a TLB hit: when
+// addr's page is resident in one of the recently used leaves, it moves
+// the page to the LRU tail, marks it dirty on a write, as Touch does
+// for a hit, and reports true. Otherwise it reports false and changes
+// no page, and the caller takes the access through Touch, which walks
+// the map and faults as needed.
 func (s *Space) Hit(addr uint64, write bool) bool {
 	vpage := addr / s.mem.pageSize
-	l := s.leafAt(vpage >> leafBits)
+	l := s.recentLeaf(vpage >> leafBits)
 	if l == nil {
 		return false
 	}

@@ -290,7 +290,7 @@ func TestRecentLeavesForgetReleasedSpace(t *testing.T) {
 
 // TestRecentLeavesNotSharedByClone pins that a cloned space starts with
 // no recently used leaves and serves hits from its own copies: a store
-// hit in the clone dirties and moves the clone's page, never the
+// in the clone dirties and moves the clone's page, never the
 // original's.
 func TestRecentLeavesNotSharedByClone(t *testing.T) {
 	m := New(256*DefaultPageSize, 0)
@@ -302,9 +302,12 @@ func TestRecentLeavesNotSharedByClone(t *testing.T) {
 		t.Fatalf("clone starts with recent leaves %+v", cs.recent)
 	}
 	before := lruOrder(m)
+	if cs.Hit(0, true) {
+		t.Fatal("clone hit before touching a leaf of its own")
+	}
 	for _, vp := range []uint64{0, 64, 128, 1} {
-		if !cs.Hit(vp*DefaultPageSize, true) {
-			t.Fatalf("clone missed resident page %d", vp)
+		if addr := vp * DefaultPageSize; !cs.Hit(addr, true) && cs.Touch(addr, true).Kind != NoFault {
+			t.Fatalf("clone faulted on resident page %d", vp)
 		}
 		if l := cs.recent[0].l; l != cs.leaves[vp>>leafBits] || l == s.leaves[vp>>leafBits] {
 			t.Fatalf("clone served page %d from a leaf that is not its own", vp)
