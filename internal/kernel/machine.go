@@ -1083,22 +1083,30 @@ func (m *Machine) runUser(t *task, d sim.Cycles) {
 	}
 }
 
-// burnPosted burns a compute of d cycles that t has just posted, on
-// the spot, when nothing could split it: t holds the CPU with no
-// reschedule or barrier pending, the MaxSteps budget has the three
-// steps beginPosted and burnCompute would count, no event falls due
-// before the compute ends, and the quantum covers it (0 means no
-// cap). The general path would fire nothing, burn the compute as one
-// chunk and grant it, so burnPosted makes the same charges, without
-// setting t.cur. It reports whether it burned; the compute is then
-// complete, and a Step task's post grants it.
-func (m *Machine) burnPosted(t *task, d sim.Cycles) bool {
+// servable reports whether a request that t has just posted, needing
+// steps of the MaxSteps budget and d cycles, can be served where it
+// was posted: t holds the CPU with no reschedule or barrier pending,
+// the budget has the steps the general path would count, and no event
+// falls due before the request's d cycles end. The general path would
+// then fire nothing before or during it.
+func (m *Machine) servable(t *task, steps uint64, d sim.Cycles) bool {
 	if m.current != t || m.needResched || m.pauseReq ||
-		m.cfg.MaxSteps > 0 && m.steps+3 > m.cfg.MaxSteps ||
-		t.quantumLeft > 0 && t.quantumLeft < d {
+		m.cfg.MaxSteps > 0 && m.steps+steps > m.cfg.MaxSteps {
 		return false
 	}
-	if at, ok := m.queue.PeekTime(); ok && at < m.clock.Now()+d {
+	at, ok := m.queue.PeekTime()
+	return !ok || at >= m.clock.Now()+d
+}
+
+// burnPosted burns a compute of d cycles that t has just posted, on
+// the spot, when nothing could split it: it is servable with the three
+// steps beginPosted and burnCompute would count, and the quantum
+// covers it (0 means no cap). The general path would burn the compute
+// as one chunk and grant it, so burnPosted makes the same charges,
+// without setting t.cur. It reports whether it burned; the compute is
+// then complete, and a Step task's post grants it.
+func (m *Machine) burnPosted(t *task, d sim.Cycles) bool {
+	if !m.servable(t, 3, d) || t.quantumLeft > 0 && t.quantumLeft < d {
 		return false
 	}
 	m.steps += 3
@@ -1107,26 +1115,17 @@ func (m *Machine) burnPosted(t *task, d sim.Cycles) bool {
 }
 
 // hitPosted serves an access to addr that t has just posted, on the
-// spot, the way an MMU serves a TLB hit without entering the kernel,
-// when it hits a resident page and nothing could split or hold it
-// back: t holds the CPU with no reschedule or barrier pending, the
-// MaxSteps budget has the step beginPosted would count, no event falls
-// due before the access ends, and no armed watchpoint of a tracer
-// matches it. The general path would fire nothing and make
-// serviceAccess's hit charges, so hitPosted makes the same ones, one
-// budget step and accessCost user cycles, without setting t.cur. It
-// reports whether it served the access; when it did not, nothing has
-// changed.
+// spot, the way an MMU serves a TLB hit without entering the kernel:
+// when it is servable with the one step beginPosted would count, no
+// armed watchpoint of a tracer matches it, and mem.Space.Hit finds its
+// page resident. The general path would make serviceAccess's hit
+// charges, so hitPosted makes the same ones, one budget step and
+// accessCost user cycles, without setting t.cur. It reports whether it
+// served the access; when it did not, nothing has changed.
 func (m *Machine) hitPosted(t *task, addr uint64, write bool) bool {
-	if m.current != t || m.needResched || m.pauseReq ||
-		m.cfg.MaxSteps > 0 && m.steps >= m.cfg.MaxSteps ||
-		t.p.Tracer != nil && t.p.Debug.Matches(addr, write) {
-		return false
-	}
-	if at, ok := m.queue.PeekTime(); ok && at < m.clock.Now()+accessCost {
-		return false
-	}
-	if !t.p.Space.Hit(addr, write) {
+	if !m.servable(t, 1, accessCost) ||
+		t.p.Tracer != nil && t.p.Debug.Matches(addr, write) ||
+		!t.p.Space.Hit(addr, write) {
 		return false
 	}
 	m.steps++
