@@ -187,20 +187,26 @@ func (s *Space) FootprintPages() int { return s.touched }
 // first use. Only a leaf missing from the recently used ones costs a
 // map lookup.
 func (s *Space) page(vpage uint64) *pageState {
-	key := vpage >> leafBits
-	l := s.recentLeaf(key)
+	l := s.recentLeaf(vpage >> leafBits)
 	if l == nil {
-		l = s.leaves[key]
-		if l == nil {
-			if s.leaves == nil {
-				s.leaves = make(map[uint64]*leaf)
-			}
-			l = new(leaf)
-			s.leaves[key] = l
-		}
-		s.remember(key, l)
+		l = s.walk(vpage >> leafBits)
 	}
 	return &l[vpage&leafMask]
+}
+
+// walk returns the leaf at key from the map, creating it at first use,
+// and puts it in front of the recently used leaves.
+func (s *Space) walk(key uint64) *leaf {
+	l := s.leaves[key]
+	if l == nil {
+		if s.leaves == nil {
+			s.leaves = make(map[uint64]*leaf)
+		}
+		l = new(leaf)
+		s.leaves[key] = l
+	}
+	s.remember(key, l)
+	return l
 }
 
 // recentLeaf returns the leaf at key, moved to the front, when it is

@@ -188,10 +188,20 @@ func (l *ledger) ChildrenUsage(pid proc.PID) Usage {
 	return Usage{}
 }
 
+// entry returns pid's ledger entry. It inlines into every accountant's
+// charge, so a charge to the last-charged group makes no call.
 func (l *ledger) entry(pid proc.PID) *Usage {
 	if l.last != nil && l.lastTGID == pid {
 		return l.last
 	}
+	return l.lookup(pid)
+}
+
+// lookup is entry past the last-charged cache, kept out of line so
+// that entry stays small enough to inline.
+//
+//go:noinline
+func (l *ledger) lookup(pid proc.PID) *Usage {
 	u := l.byTGID[pid]
 	if u == nil {
 		u = l.newEntry()
@@ -201,11 +211,9 @@ func (l *ledger) entry(pid proc.PID) *Usage {
 	return u
 }
 
-func (l *ledger) chargeTask(p *proc.Proc, m cpu.Mode, d sim.Cycles) {
-	if p == nil {
-		return
-	}
-	u := l.entry(p.TGID)
+// charge adds d cycles run in mode m: user time in cpu.User, system
+// time in any other mode.
+func (u *Usage) charge(m cpu.Mode, d sim.Cycles) {
 	if m == cpu.User {
 		u.User += d
 	} else {
@@ -278,7 +286,9 @@ func (a *JiffyAccountant) TickCycles() sim.Cycles { return a.tick }
 
 // OnTick charges one full tick to the current task.
 func (a *JiffyAccountant) OnTick(cur *proc.Proc, mode cpu.Mode) {
-	a.chargeTask(cur, mode, a.tick)
+	if cur != nil {
+		a.entry(cur.TGID).charge(mode, a.tick)
+	}
 }
 
 // OnRun is ignored: the jiffy scheme only samples at ticks.
@@ -311,13 +321,17 @@ func (a *TSCAccountant) OnTick(*proc.Proc, cpu.Mode) {}
 
 // OnRun charges the exact slice.
 func (a *TSCAccountant) OnRun(p *proc.Proc, m cpu.Mode, d sim.Cycles) {
-	a.chargeTask(p, m, d)
+	if p != nil {
+		a.entry(p.TGID).charge(m, d)
+	}
 }
 
 // OnInterrupt bills handler time to the interrupted task's system
 // time, preserving Linux's attribution flaw at cycle precision.
 func (a *TSCAccountant) OnInterrupt(_ device.IRQ, cur *proc.Proc, d sim.Cycles) {
-	a.chargeTask(cur, cpu.Kernel, d)
+	if cur != nil {
+		a.entry(cur.TGID).System += d
+	}
 }
 
 // Clone implements Accountant.
@@ -342,7 +356,9 @@ func (a *ProcessAwareAccountant) OnTick(*proc.Proc, cpu.Mode) {}
 
 // OnRun charges the exact slice.
 func (a *ProcessAwareAccountant) OnRun(p *proc.Proc, m cpu.Mode, d sim.Cycles) {
-	a.chargeTask(p, m, d)
+	if p != nil {
+		a.entry(p.TGID).charge(m, d)
+	}
 }
 
 // OnInterrupt bills handler time to the system account, not the
