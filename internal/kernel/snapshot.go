@@ -179,7 +179,6 @@ func (m *Machine) clone(shell *Machine, ext RestoreResolver) (*Machine, error) {
 		c.queue.Reset()
 		c.measurements = c.measurements[:0]
 		c.netWaiters = c.netWaiters[:0]
-		c.freeStats = c.freeStats[:0]
 		c.pauseReq, c.closed = false, false
 	}
 	// The accountants listed in cfg were consumed at construction; the
