@@ -195,7 +195,8 @@ func (s *Space) page(vpage uint64) *pageState {
 }
 
 // walk returns the leaf at key from the map, creating it at first use,
-// and puts it in front of the recently used leaves.
+// and puts it in front of the recently used leaves, dropping the least
+// recently used when all slots are full.
 func (s *Space) walk(key uint64) *leaf {
 	l := s.leaves[key]
 	if l == nil {
@@ -205,7 +206,10 @@ func (s *Space) walk(key uint64) *leaf {
 		l = new(leaf)
 		s.leaves[key] = l
 	}
-	s.remember(key, l)
+	for i := recentLeaves - 1; i > 0; i-- {
+		s.recent[i] = s.recent[i-1]
+	}
+	s.recent[0] = leafSlot{key: key, l: l}
 	return l
 }
 
@@ -226,15 +230,6 @@ func (s *Space) recentLeaf(key uint64) *leaf {
 		}
 	}
 	return nil
-}
-
-// remember puts the leaf at key in front of the recently used leaves,
-// dropping the least recently used when all slots are full.
-func (s *Space) remember(key uint64, l *leaf) {
-	for i := recentLeaves - 1; i > 0; i-- {
-		s.recent[i] = s.recent[i-1]
-	}
-	s.recent[0] = leafSlot{key: key, l: l}
 }
 
 // Hit serves an access at addr the way an MMU serves a TLB hit: when
