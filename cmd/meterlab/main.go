@@ -30,9 +30,8 @@
 //	-hz n         timer ticks per second (default 250)
 //	-sched s      scheduler policy: o1 or cfs (default o1)
 //	-parallel n   campaign worker-pool size (0 = all cores, 1 = sequential);
-//	              'all' applies it at both fan-out levels — across artifacts
-//	              and across each artifact's machines — so up to n*n machines
-//	              may be live at once
+//	              'all' runs every artifact's distinct runs on one pool, so
+//	              at most n machines or clusters are live at once
 //	-attack k     (meter only) arm one attack: shell ctor subst sched thrash irqflood excflood
 //	-pps n        (cluster/chaos) flood rate per victim link — per attacker in
 //	              chaos mode (default 40000; 0 = silent attackers)
@@ -110,7 +109,7 @@ func run(args []string) error {
 	seed := fs.Int64("seed", 2010, "simulation seed")
 	hz := fs.Uint64("hz", 250, "timer ticks per second")
 	sched := fs.String("sched", "o1", "scheduler policy: o1 or cfs")
-	parallel := fs.Int("parallel", 0, "campaign worker-pool size; 'all' fans out across artifacts and machines, up to n*n live machines (0 = all cores, 1 = sequential)")
+	parallel := fs.Int("parallel", 0, "campaign worker-pool size; 'all' runs every artifact's distinct runs on one pool of n (0 = all cores, 1 = sequential)")
 	attackKey := fs.String("attack", "", "attack to arm for 'meter'")
 	pps := fs.Int64("pps", 40_000, "flood rate per victim link for 'cluster' (0 = silent attacker)")
 	latencyUs := fs.Int64("latency-us", 500, "one-way link latency for 'cluster', microseconds (> 0)")

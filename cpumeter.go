@@ -12,7 +12,7 @@
 //   - the trustworthy metering layer of Section VI-B: TPM-attested
 //     code-identity measurement, interference counters, and a
 //     customer-side auditor;
-//   - experiment runners that regenerate every figure of the paper's
+//   - experiment plans that regenerate every figure of the paper's
 //     evaluation.
 //
 // Quick start:
@@ -24,7 +24,6 @@ package cpumeter
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/attacks"
@@ -255,65 +254,38 @@ func WorkloadKeys() []string {
 	return keys
 }
 
-// experimentRunners maps artifact ids to their runners.
-var experimentRunners = map[string]func(Options) (*Figure, error){
-	"figure4":     experiments.Figure4,
-	"figure5":     experiments.Figure5,
-	"figure6":     experiments.Figure6,
-	"figure7":     experiments.Figure7,
-	"figure8":     experiments.Figure8,
-	"figure9":     experiments.Figure9,
-	"figure10":    experiments.Figure10,
-	"figure11":    experiments.Figure11,
-	"comparison":  experiments.ComparisonTable,
-	"mitigation":  experiments.TrustedMitigation,
-	"ablation1":   experiments.AblationTickRate,
-	"ablation2":   experiments.AblationScheduler,
-	"ablation3":   experiments.AblationIRQAccounting,
-	"ablation4":   experiments.AblationDetector,
-	"cluster":     experiments.ClusterFlood,
-	"multiflood":  experiments.MultiAttackerFlood,
-	"swapflood":   experiments.CrossMachineExceptionFlood,
-	"routerflood": experiments.RouterFlood,
-	"fairflood":   experiments.FairFlood,
-	"chaosflood":  experiments.ChaosFlood,
-}
-
 // Experiments lists the regenerable artifact ids in a stable order.
-func Experiments() []string {
-	out := make([]string, 0, len(experimentRunners))
-	for id := range experimentRunners {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
-}
+func Experiments() []string { return experiments.Artifacts() }
 
 // Reproduce regenerates one evaluation artifact ("figure4" ...
 // "figure11", "comparison", "mitigation", the ablations, or the
 // cross-machine "cluster" flood scenario).
 func Reproduce(id string, o Options) (*Figure, error) {
-	run, ok := experimentRunners[id]
-	if !ok {
-		return nil, fmt.Errorf("cpumeter: unknown experiment %q (have %v)", id, Experiments())
+	runs, err := ReproduceAllTimed([]string{id}, o)
+	if err != nil {
+		return nil, err
 	}
-	return run(o)
+	return runs[0].Figure, nil
 }
 
 // ArtifactRun is one regenerated artifact plus its host-side cost.
 type ArtifactRun struct {
-	ID      string
-	Figure  *Figure
+	ID     string
+	Figure *Figure
+	// Elapsed is the host time of the runs the artifact was first to
+	// declare, plus its render. A run that several artifacts declare
+	// runs once and counts for the first of them.
 	Elapsed time.Duration
 }
 
 // ReproduceAll regenerates the given artifacts (nil or empty = every
-// artifact), parallelizing across artifacts on top of each runner's
-// own machine-level fan-out, both governed by o.Parallelism (zero =
-// all cores; worst-case concurrent machines is the product of the two
-// levels). Results are in input order and byte-identical to running
-// each artifact sequentially, since every machine is seeded and
-// self-contained.
+// artifact). It declares every artifact's runs before running any,
+// runs each distinct run once on one pool of o.Parallelism workers
+// (zero = all cores), so at most that many machines or clusters are
+// live at once, and then renders the artifacts in input order. A
+// single-machine run that several artifacts declare with equal specs
+// runs once. Results are byte-identical to running each artifact
+// sequentially, since every machine is seeded and self-contained.
 func ReproduceAll(ids []string, o Options) ([]*Figure, error) {
 	runs, err := ReproduceAllTimed(ids, o)
 	if err != nil {
@@ -327,35 +299,39 @@ func ReproduceAll(ids []string, o Options) ([]*Figure, error) {
 }
 
 // ReproduceAllTimed is ReproduceAll, additionally reporting each
-// artifact's host wall-clock regeneration time (measured inside the
-// worker, so it is meaningful even when artifacts run concurrently).
+// artifact's host wall-clock regeneration time (each run is timed
+// inside its worker, so it is meaningful even when runs overlap).
 func ReproduceAllTimed(ids []string, o Options) ([]ArtifactRun, error) {
 	if len(ids) == 0 {
 		ids = Experiments()
 	}
-	// Validate up front so an unknown id fails fast and
-	// deterministically, before any machine spins up.
-	for _, id := range ids {
-		if _, ok := experimentRunners[id]; !ok {
-			return nil, fmt.Errorf("cpumeter: unknown experiment %q (have %v)", id, Experiments())
-		}
+	// An unknown id fails here, deterministically, before any machine
+	// spins up.
+	c, err := experiments.NewCampaign(ids, o)
+	if err != nil {
+		return nil, fmt.Errorf("cpumeter: %w", err)
 	}
-
-	runs := make([]ArtifactRun, len(ids))
-	errs := make([]error, len(ids))
-	experiments.RunIndexed(len(ids), o.Parallelism, func(i int) {
+	took := make([]time.Duration, c.Runs())
+	first := make([]int, c.Runs())
+	experiments.RunIndexed(c.Runs(), o.Parallelism, func(i int) {
 		start := time.Now()
-		fig, err := Reproduce(ids[i], o)
-		runs[i] = ArtifactRun{ID: ids[i], Figure: fig, Elapsed: time.Since(start)}
-		errs[i] = err
+		first[i] = c.Run(i)
+		took[i] = time.Since(start)
 	})
-
-	// Report the earliest-declared failure, keeping error output as
-	// deterministic as success output.
-	for i, err := range errs {
+	runs := make([]ArtifactRun, len(ids))
+	for i, d := range took {
+		runs[first[i]].Elapsed += d
+	}
+	// Render in input order and report the earliest-declared failure,
+	// keeping error output as deterministic as success output.
+	for k, id := range ids {
+		start := time.Now()
+		fig, err := c.Render(k)
 		if err != nil {
-			return nil, fmt.Errorf("reproduce %s: %w", ids[i], err)
+			return nil, fmt.Errorf("reproduce %s: %w", id, err)
 		}
+		runs[k].ID, runs[k].Figure = id, fig
+		runs[k].Elapsed += time.Since(start)
 	}
 	return runs, nil
 }

@@ -87,17 +87,17 @@ type ShellAttack struct {
 }
 
 // NewShellAttack returns the paper-strength shell attack (~34 s).
-func NewShellAttack(freq sim.Hz) *ShellAttack {
-	return &ShellAttack{PayloadCycles: attackLoopCycles(freq)}
+func NewShellAttack(freq sim.Hz) ShellAttack {
+	return ShellAttack{PayloadCycles: attackLoopCycles(freq)}
 }
 
-func (a *ShellAttack) Key() string     { return "shell" }
-func (a *ShellAttack) Name() string    { return "Shell Attack" }
-func (a *ShellAttack) Phase() string   { return "launch" }
-func (a *ShellAttack) Targets() string { return "utime" }
+func (a ShellAttack) Key() string     { return "shell" }
+func (a ShellAttack) Name() string    { return "Shell Attack" }
+func (a ShellAttack) Phase() string   { return "launch" }
+func (a ShellAttack) Targets() string { return "utime" }
 
 // Arm implements Attack.
-func (a *ShellAttack) Arm(s *Setup) error {
+func (a ShellAttack) Arm(s *Setup) error {
 	s.Shell.Content = shell.StockContent + " PATCHED:execute_disk_command 2^34-loop"
 	s.Shell.Inject = func(c guest.Context) {
 		c.Compute(a.PayloadCycles)
@@ -121,17 +121,17 @@ type LibraryCtorAttack struct {
 }
 
 // NewLibraryCtorAttack returns the paper-strength constructor attack.
-func NewLibraryCtorAttack(freq sim.Hz) *LibraryCtorAttack {
-	return &LibraryCtorAttack{PayloadCycles: attackLoopCycles(freq)}
+func NewLibraryCtorAttack(freq sim.Hz) LibraryCtorAttack {
+	return LibraryCtorAttack{PayloadCycles: attackLoopCycles(freq)}
 }
 
-func (a *LibraryCtorAttack) Key() string     { return "ctor" }
-func (a *LibraryCtorAttack) Name() string    { return "Shared Library Constructor Attack" }
-func (a *LibraryCtorAttack) Phase() string   { return "launch" }
-func (a *LibraryCtorAttack) Targets() string { return "utime" }
+func (a LibraryCtorAttack) Key() string     { return "ctor" }
+func (a LibraryCtorAttack) Name() string    { return "Shared Library Constructor Attack" }
+func (a LibraryCtorAttack) Phase() string   { return "launch" }
+func (a LibraryCtorAttack) Targets() string { return "utime" }
 
 // Arm implements Attack.
-func (a *LibraryCtorAttack) Arm(s *Setup) error {
+func (a LibraryCtorAttack) Arm(s *Setup) error {
 	evil := &lib.Library{
 		Name:    EvilLibName,
 		Content: "attack ctor/dtor payload v1",
@@ -163,17 +163,17 @@ type LibrarySubstitutionAttack struct {
 // NewLibrarySubstitutionAttack returns the default-strength
 // substitution attack: ~0.5 ms of attack code per call, so a
 // libm-heavy victim like Whetstone inflates by tens of seconds.
-func NewLibrarySubstitutionAttack(freq sim.Hz) *LibrarySubstitutionAttack {
-	return &LibrarySubstitutionAttack{PerCallCycles: sim.Cycles(uint64(freq) / 2000)}
+func NewLibrarySubstitutionAttack(freq sim.Hz) LibrarySubstitutionAttack {
+	return LibrarySubstitutionAttack{PerCallCycles: sim.Cycles(uint64(freq) / 2000)}
 }
 
-func (a *LibrarySubstitutionAttack) Key() string     { return "subst" }
-func (a *LibrarySubstitutionAttack) Name() string    { return "Library Function Substitution Attack" }
-func (a *LibrarySubstitutionAttack) Phase() string   { return "launch" }
-func (a *LibrarySubstitutionAttack) Targets() string { return "utime" }
+func (a LibrarySubstitutionAttack) Key() string     { return "subst" }
+func (a LibrarySubstitutionAttack) Name() string    { return "Library Function Substitution Attack" }
+func (a LibrarySubstitutionAttack) Phase() string   { return "launch" }
+func (a LibrarySubstitutionAttack) Targets() string { return "utime" }
 
 // Arm implements Attack.
-func (a *LibrarySubstitutionAttack) Arm(s *Setup) error {
+func (a LibrarySubstitutionAttack) Arm(s *Setup) error {
 	reg := s.M.Registry()
 	libc, ok := reg.Get(lib.LibcName)
 	if !ok {

@@ -49,17 +49,17 @@ const DefaultSchedulingForks = 1 << 19
 
 // NewSchedulingAttack builds the fork-storm attack at the given nice
 // value. forks == 0 selects the default count.
-func NewSchedulingAttack(nice int, forks uint64) *SchedulingAttack {
+func NewSchedulingAttack(nice int, forks uint64) SchedulingAttack {
 	if forks == 0 {
 		forks = DefaultSchedulingForks
 	}
-	return &SchedulingAttack{Nice: nice, Forks: forks}
+	return SchedulingAttack{Nice: nice, Forks: forks}
 }
 
-func (a *SchedulingAttack) Key() string     { return "sched" }
-func (a *SchedulingAttack) Name() string    { return "Process Scheduling Attack" }
-func (a *SchedulingAttack) Phase() string   { return "runtime" }
-func (a *SchedulingAttack) Targets() string { return "utime" }
+func (a SchedulingAttack) Key() string     { return "sched" }
+func (a SchedulingAttack) Name() string    { return "Process Scheduling Attack" }
+func (a SchedulingAttack) Phase() string   { return "runtime" }
+func (a SchedulingAttack) Targets() string { return "utime" }
 
 // AttackerProcName is the storm process's name (the paper calls the
 // program "Fork").
@@ -68,7 +68,7 @@ const AttackerProcName = "Fork"
 // Arm implements Attack: it spawns the Fork process, which waits for
 // the victim, raises its own priority, and runs the storm until its
 // fork budget is spent or the victim exits.
-func (a *SchedulingAttack) Arm(s *Setup) error {
+func (a SchedulingAttack) Arm(s *Setup) error {
 	freq := s.M.Clock().Freq()
 	victim := s.VictimName
 	nice := a.Nice
@@ -126,17 +126,17 @@ type ThrashingAttack struct {
 
 // NewThrashingAttack builds the thrashing attack; addr == 0 watches
 // the victim's hot variable.
-func NewThrashingAttack(addr uint64) *ThrashingAttack {
-	return &ThrashingAttack{WatchAddr: addr}
+func NewThrashingAttack(addr uint64) ThrashingAttack {
+	return ThrashingAttack{WatchAddr: addr}
 }
 
-func (a *ThrashingAttack) Key() string     { return "thrash" }
-func (a *ThrashingAttack) Name() string    { return "Execution Thrashing Attack" }
-func (a *ThrashingAttack) Phase() string   { return "runtime" }
-func (a *ThrashingAttack) Targets() string { return "stime" }
+func (a ThrashingAttack) Key() string     { return "thrash" }
+func (a ThrashingAttack) Name() string    { return "Execution Thrashing Attack" }
+func (a ThrashingAttack) Phase() string   { return "runtime" }
+func (a ThrashingAttack) Targets() string { return "stime" }
 
 // Arm implements Attack.
-func (a *ThrashingAttack) Arm(s *Setup) error {
+func (a ThrashingAttack) Arm(s *Setup) error {
 	freq := s.M.Clock().Freq()
 	victim := s.VictimName
 	addr := a.WatchAddr
@@ -205,21 +205,21 @@ type InterruptFloodAttack struct {
 }
 
 // NewInterruptFloodAttack builds the flood at the given rate.
-func NewInterruptFloodAttack(pps uint64) *InterruptFloodAttack {
+func NewInterruptFloodAttack(pps uint64) InterruptFloodAttack {
 	if pps == 0 {
 		pps = 40_000
 	}
-	return &InterruptFloodAttack{PacketsPerSecond: pps}
+	return InterruptFloodAttack{PacketsPerSecond: pps}
 }
 
-func (a *InterruptFloodAttack) Key() string     { return "irqflood" }
-func (a *InterruptFloodAttack) Name() string    { return "Interrupt Flooding Attack" }
-func (a *InterruptFloodAttack) Phase() string   { return "runtime" }
-func (a *InterruptFloodAttack) Targets() string { return "stime" }
+func (a InterruptFloodAttack) Key() string     { return "irqflood" }
+func (a InterruptFloodAttack) Name() string    { return "Interrupt Flooding Attack" }
+func (a InterruptFloodAttack) Phase() string   { return "runtime" }
+func (a InterruptFloodAttack) Targets() string { return "stime" }
 
 // Arm implements Attack: the flood source is outside the host, so it
 // simply starts at boot and runs for the whole experiment.
-func (a *InterruptFloodAttack) Arm(s *Setup) error {
+func (a InterruptFloodAttack) Arm(s *Setup) error {
 	s.M.NIC().StartFlood(a.PacketsPerSecond)
 	return nil
 }
@@ -238,20 +238,20 @@ type ExceptionFloodAttack struct {
 
 // NewExceptionFloodAttack builds the hog; footprint == 0 selects the
 // paper's >2 GiB request.
-func NewExceptionFloodAttack(footprint uint64) *ExceptionFloodAttack {
+func NewExceptionFloodAttack(footprint uint64) ExceptionFloodAttack {
 	if footprint == 0 {
 		footprint = 2 << 30
 	}
-	return &ExceptionFloodAttack{FootprintBytes: footprint}
+	return ExceptionFloodAttack{FootprintBytes: footprint}
 }
 
-func (a *ExceptionFloodAttack) Key() string     { return "excflood" }
-func (a *ExceptionFloodAttack) Name() string    { return "Exception Flooding Attack" }
-func (a *ExceptionFloodAttack) Phase() string   { return "runtime" }
-func (a *ExceptionFloodAttack) Targets() string { return "stime" }
+func (a ExceptionFloodAttack) Key() string     { return "excflood" }
+func (a ExceptionFloodAttack) Name() string    { return "Exception Flooding Attack" }
+func (a ExceptionFloodAttack) Phase() string   { return "runtime" }
+func (a ExceptionFloodAttack) Targets() string { return "stime" }
 
 // Arm implements Attack.
-func (a *ExceptionFloodAttack) Arm(s *Setup) error {
+func (a ExceptionFloodAttack) Arm(s *Setup) error {
 	freq := s.M.Clock().Freq()
 	victim := s.VictimName
 	pages := a.FootprintBytes / mem.DefaultPageSize

@@ -1,16 +1,21 @@
-// Campaign execution: figure, table, and ablation runners declare
-// their full run matrix up front as a []RunSpec, and a worker pool
-// executes the independent machines concurrently. Each RunSpec builds
-// a fresh, fully self-contained machine from its own seed, so runs
-// share no state and the pool can schedule them in any order; results
-// are returned in declaration order, which keeps every aggregation —
-// and therefore every rendered artifact — byte-identical to
-// sequential execution.
+// Campaign execution: every artifact is a plan, the runs it needs
+// declared before any of them runs plus a render that builds its
+// figure from their results. A campaign gathers the plans of the
+// requested artifacts and keeps each distinct run once: a run is a
+// pure function of its spec, so single-machine runs declared with
+// equal RunSpecs, by one artifact or several, share one execution.
+// Every run builds a fresh, fully self-contained machine (or cluster)
+// from its own seed, so runs share no state and a worker pool may
+// execute them in any order; each render reads its results in
+// declaration order, which keeps every rendered artifact
+// byte-identical to sequential execution.
 package experiments
 
 import (
 	"fmt"
+	"maps"
 	"runtime"
+	"slices"
 	"sync"
 )
 
@@ -33,7 +38,7 @@ func resolveParallelism(parallelism, n int) int {
 // pool of the given size (zero = all cores, clamped to n). fn must
 // write its result into its own slot of a caller-owned slice; slots
 // are disjoint, so no further synchronization is needed. This is the
-// one pool implementation behind Campaign and cpumeter.ReproduceAll.
+// one pool implementation behind cpumeter.ReproduceAll.
 func RunIndexed(n, parallelism int, fn func(i int)) {
 	RunIndexedWorkers(n, parallelism, func(_, i int) { fn(i) })
 }
@@ -75,51 +80,160 @@ func RunIndexedWorkers(n, parallelism int, fn func(worker, i int)) {
 	wg.Wait()   //simlint:gotime-ok campaign pool; runs are independent seeded machines merged in index order
 }
 
-// Campaign is the one fan-out runner behind every figure's run
-// matrix: it executes run(spec) for every spec on the worker pool
-// (parallelism zero = all cores) and returns the results in
-// declaration order. On failure it reports the error of the
-// earliest-declared failing spec — "<kind> run <i> (<desc(spec)>):
-// <cause>" — so error output is as deterministic as success output.
-// kind names the campaign family in that message; desc renders one
-// spec for it.
-func Campaign[Spec, Out any](kind string, specs []Spec, parallelism int,
-	run func(Spec) (Out, error), desc func(Spec) string) ([]Out, error) {
-	outs := make([]Out, len(specs))
-	errs := make([]error, len(specs))
-	RunIndexed(len(specs), parallelism, func(i int) {
-		outs[i], errs[i] = run(specs[i])
-	})
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("%s run %d (%s): %w", kind, i, desc(specs[i]), err)
+// run is one declared machine or cluster run.
+type run struct {
+	// spec is what exec runs. A RunSpec is also the key under which
+	// equal single-machine runs share one execution; cluster specs
+	// hold slices and pointers, so their runs are never shared.
+	spec any
+	exec func(any) (any, error)
+	// name describes spec in an error message.
+	name func(any) string
+}
+
+// plan is one artifact: the runs it needs, in declaration order, and
+// the render that builds its figure from their results. A render only
+// reads its results, which other plans may share.
+type plan struct {
+	runs   []run
+	render func(outs []any) (*Figure, error)
+}
+
+// declare plans exec of every spec, rendered from the typed results.
+func declare[S, O any](specs []S, exec func(S) (O, error), name func(S) string, render func([]O) (*Figure, error)) plan {
+	r := run{
+		exec: func(s any) (any, error) { return exec(s.(S)) },
+		name: func(s any) string { return name(s.(S)) },
+	}
+	p := plan{runs: make([]run, len(specs))}
+	for i, s := range specs {
+		r.spec = s
+		p.runs[i] = r
+	}
+	p.render = func(outs []any) (*Figure, error) {
+		typed := make([]O, len(outs))
+		for i, out := range outs {
+			typed[i] = out.(O)
+		}
+		return render(typed)
+	}
+	return p
+}
+
+// solo plans one single-machine run per spec.
+func solo(specs []RunSpec, render func([]*RunOut) (*Figure, error)) plan {
+	return declare(specs, Run, func(s RunSpec) string { return s.Workload + "/" + key(s.Attack) }, render)
+}
+
+// artifacts maps each artifact id to its plan, given normalized
+// options.
+var artifacts = map[string]func(Options) plan{
+	"figure4":     figure4,
+	"figure5":     figure5,
+	"figure6":     figure6,
+	"figure7":     figure7,
+	"figure8":     figure8,
+	"figure9":     figure9,
+	"figure10":    figure10,
+	"figure11":    figure11,
+	"comparison":  comparison,
+	"mitigation":  mitigation,
+	"ablation1":   ablationTickRate,
+	"ablation2":   ablationScheduler,
+	"ablation3":   ablationIRQAccounting,
+	"ablation4":   ablationDetector,
+	"cluster":     clusterFlood,
+	"multiflood":  multiAttackerFlood,
+	"swapflood":   crossMachineExceptionFlood,
+	"routerflood": routerFlood,
+	"fairflood":   fairFlood,
+	"chaosflood":  chaosFlood,
+}
+
+// Artifacts lists the regenerable artifact ids in sorted order.
+func Artifacts() []string { return slices.Sorted(maps.Keys(artifacts)) }
+
+// Campaign holds the distinct runs of a list of artifacts, each kept
+// once, and renders the artifacts from their results. Its runs share
+// no state, so a pool may execute any number of them at once; every
+// render then reads only results.
+type Campaign struct {
+	plans []plan
+	// runs holds each distinct run once, in first-declaration order;
+	// first[i] indexes the artifact that declared runs[i] first, and
+	// outs[i] and errs[i] hold its result.
+	runs  []run
+	first []int
+	outs  []any
+	errs  []error
+	// slots[k][j] indexes in runs artifact k's j-th declared run.
+	slots [][]int
+}
+
+// NewCampaign declares the runs of the artifacts ids, in order,
+// keeping each distinct run once. Nothing runs until Run.
+func NewCampaign(ids []string, o Options) (*Campaign, error) {
+	o = o.norm()
+	plans := make([]plan, len(ids))
+	for k, id := range ids {
+		mk, ok := artifacts[id]
+		if !ok {
+			return nil, fmt.Errorf("unknown experiment %q (have %v)", id, Artifacts())
+		}
+		plans[k] = mk(o)
+	}
+	return newCampaign(plans), nil
+}
+
+func newCampaign(plans []plan) *Campaign {
+	c := &Campaign{plans: plans, slots: make([][]int, len(plans))}
+	seen := map[RunSpec]int{}
+	for k, p := range plans {
+		c.slots[k] = make([]int, len(p.runs))
+		for j, r := range p.runs {
+			i := len(c.runs)
+			if spec, ok := r.spec.(RunSpec); ok {
+				if prev, dup := seen[spec]; dup {
+					i = prev
+				} else {
+					seen[spec] = i
+				}
+			}
+			if i == len(c.runs) {
+				c.runs = append(c.runs, r)
+				c.first = append(c.first, k)
+			}
+			c.slots[k][j] = i
 		}
 	}
-	return outs, nil
+	c.outs = make([]any, len(c.runs))
+	c.errs = make([]error, len(c.runs))
+	return c
 }
 
-// Matrix accumulates a campaign's run declarations. Runners Add every
-// spec first, Run the whole matrix once, and read results back by the
-// handle Add returned — separating the declaration of work from its
-// (possibly concurrent) execution.
-type Matrix struct {
-	specs []RunSpec
+// Runs reports how many distinct runs the campaign holds.
+func (c *Campaign) Runs() int { return len(c.runs) }
+
+// Run executes distinct run i and returns the index of the artifact
+// that declared it first, whose host time it is.
+func (c *Campaign) Run(i int) int {
+	r := c.runs[i]
+	c.outs[i], c.errs[i] = r.exec(r.spec)
+	return c.first[i]
 }
 
-// Add declares one run and returns its handle into Run's result
-// slice.
-func (mx *Matrix) Add(s RunSpec) int {
-	mx.specs = append(mx.specs, s)
-	return len(mx.specs) - 1
-}
-
-// Len reports the number of declared runs.
-func (mx *Matrix) Len() int { return len(mx.specs) }
-
-// Run executes the declared matrix with the given parallelism, each
-// spec on its own fresh machine.
-func (mx *Matrix) Run(parallelism int) ([]*RunOut, error) {
-	return Campaign("campaign", mx.specs, parallelism, Run, func(s RunSpec) string {
-		return fmt.Sprintf("%s/%s", s.Workload, key(s.Attack))
-	})
+// Render builds artifact k's figure once all its runs have run. On
+// failure it reports the artifact's earliest-declared failing run —
+// "run <j> (<spec>): <cause>" — so error output is as deterministic as
+// success output.
+func (c *Campaign) Render(k int) (*Figure, error) {
+	p := c.plans[k]
+	outs := make([]any, len(p.runs))
+	for j, i := range c.slots[k] {
+		if err := c.errs[i]; err != nil {
+			return nil, fmt.Errorf("run %d (%s): %w", j, p.runs[j].name(p.runs[j].spec), err)
+		}
+		outs[j] = c.outs[i]
+	}
+	return p.render(outs)
 }

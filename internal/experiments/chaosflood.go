@@ -210,20 +210,16 @@ func chaosFloodBase(o Options) RouterFloodSpec {
 	}
 }
 
-// ChaosFlood regenerates the billing-integrity-under-faults artifact:
+// chaosFlood regenerates the billing-integrity-under-faults artifact:
 // the routed flood run healthy, under 2% transient syscall faults,
 // with the router killed mid-flood, and with crash+reboot plus a
 // flapping victim egress. Every scenario's per-link conservation
 // identity and the router's cumulative per-scheme bill are rendered;
 // an unbalanced ledger anywhere is an error in the fabric, not a
 // rendering choice.
-func ChaosFlood(o Options) (*Figure, error) {
-	o = o.norm()
+func chaosFlood(o Options) plan {
 	base := chaosFloodBase(o)
-	floodSec, err := floodSeconds(o, base.FloodSeconds, base.Victim)
-	if err != nil {
-		return nil, err
-	}
+	floodSec, _ := floodSeconds(o, base.FloodSeconds, base.Victim) // the base victim is a known program
 	flap := &cluster.FlapSpec{
 		FirstDownUs: uint64(floodSec * 0.2 * 1e6),
 		DownUs:      uint64(floodSec * 0.05 * 1e6),
@@ -247,40 +243,37 @@ func ChaosFlood(o Options) (*Figure, error) {
 	for i, sc := range scenarios {
 		specs[i] = ChaosFloodSpec{Flood: base, Chaos: sc.chaos}
 	}
-	outs, err := Campaign("chaosflood", specs, o.Parallelism, RunChaosFlood, chaosFloodKey)
-	if err != nil {
-		return nil, fmt.Errorf("chaos flood: %w", err)
-	}
-
-	fig := &Figure{
-		ID:    "Chaos Flood",
-		Title: "Billing Integrity Under Faults (routed flood with syscall faults, router crash/reboot, link flap)",
-		Unit:  "CPU seconds (jiffy-billed on each owning machine, summed across incarnations)",
-	}
-	for i, sc := range scenarios {
-		out := outs[i]
-		fig.Bars = append(fig.Bars,
-			textplot.Bar{Group: "router-fwd", Label: sc.label, Segments: []textplot.Segment{
-				{Name: "user", Value: out.Router.User["jiffy"]},
-				{Name: "system", Value: out.Router.Sys["jiffy"]},
-			}},
-			textplot.Bar{Group: "victim-host", Label: sc.label, Segments: []textplot.Segment{
-				{Name: "user", Value: out.Victim.Run.Victim.User["jiffy"]},
-				{Name: "system", Value: out.Victim.Run.Victim.Sys["jiffy"]},
-			}},
-		)
-		ledger := "every link ledger balanced (Sent = Delivered + Dropped + Queued)"
-		if bad := out.Unbalanced(); len(bad) > 0 {
-			ledger = fmt.Sprintf("LEDGER VIOLATION on %v", bad)
+	return declare(specs, RunChaosFlood, chaosFloodKey, func(outs []*ChaosFloodOut) (*Figure, error) {
+		fig := &Figure{
+			ID:    "Chaos Flood",
+			Title: "Billing Integrity Under Faults (routed flood with syscall faults, router crash/reboot, link flap)",
+			Unit:  "CPU seconds (jiffy-billed on each owning machine, summed across incarnations)",
 		}
-		fig.Notes = append(fig.Notes, fmt.Sprintf(
-			"%s: %d faults injected, router incarnations %d (crashed %v), forwarded %d; flow acked %d/%d (gave up %v, send errs %d); %s",
-			sc.label, out.FaultsInjected, out.RouterIncarnations, out.RouterCrashed,
-			out.RouterForwarded, out.Flow.Acked, routerFloodFlowFrames, out.Flow.GaveUp,
-			out.Flow.SendErrors, ledger))
-	}
-	fig.Notes = append(fig.Notes,
-		"expectation: killing the router mid-flood truncates its bill (the crashed incarnation's ledger survives) without breaking any link's conservation identity; injected faults shift work between retries and drops but never un-account a frame",
-	)
-	return fig, nil
+		for i, sc := range scenarios {
+			out := outs[i]
+			fig.Bars = append(fig.Bars,
+				textplot.Bar{Group: "router-fwd", Label: sc.label, Segments: []textplot.Segment{
+					{Name: "user", Value: out.Router.User["jiffy"]},
+					{Name: "system", Value: out.Router.Sys["jiffy"]},
+				}},
+				textplot.Bar{Group: "victim-host", Label: sc.label, Segments: []textplot.Segment{
+					{Name: "user", Value: out.Victim.Run.Victim.User["jiffy"]},
+					{Name: "system", Value: out.Victim.Run.Victim.Sys["jiffy"]},
+				}},
+			)
+			ledger := "every link ledger balanced (Sent = Delivered + Dropped + Queued)"
+			if bad := out.Unbalanced(); len(bad) > 0 {
+				ledger = fmt.Sprintf("LEDGER VIOLATION on %v", bad)
+			}
+			fig.Notes = append(fig.Notes, fmt.Sprintf(
+				"%s: %d faults injected, router incarnations %d (crashed %v), forwarded %d; flow acked %d/%d (gave up %v, send errs %d); %s",
+				sc.label, out.FaultsInjected, out.RouterIncarnations, out.RouterCrashed,
+				out.RouterForwarded, out.Flow.Acked, routerFloodFlowFrames, out.Flow.GaveUp,
+				out.Flow.SendErrors, ledger))
+		}
+		fig.Notes = append(fig.Notes,
+			"expectation: killing the router mid-flood truncates its bill (the crashed incarnation's ledger survives) without breaking any link's conservation identity; injected faults shift work between retries and drops but never un-account a frame",
+		)
+		return fig, nil
+	})
 }

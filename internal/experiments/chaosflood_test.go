@@ -185,11 +185,11 @@ func TestChaosFloodParallelDeterminism(t *testing.T) {
 		o.Parallelism = par
 		return o
 	}
-	seq, err := ChaosFlood(opts(1))
+	seq, err := reproduce("chaosflood", opts(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := ChaosFlood(opts(4))
+	par, err := reproduce("chaosflood", opts(4))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,10 +7,10 @@
 // scheme, so one scenario shows the commodity-billed victim's bill
 // inflating while the process-aware-billed victim's stays put.
 //
-// Cluster runs are RunSpec-shaped work for the campaign engine: a
-// figure declares its whole []ClusterRunSpec matrix and Campaign
-// shards the independent clusters across the same worker pool
-// Matrix.Run uses, with the same declaration-order,
+// Cluster runs are RunSpec-shaped work for the campaign engine: an
+// artifact declares its whole []ClusterRunSpec list, and the
+// campaign runs the independent clusters on the same worker pool as
+// single-machine runs, with the same declaration-order,
 // byte-identical-results contract.
 package experiments
 
@@ -347,23 +347,22 @@ func victimBillSeconds(v ClusterVictimOut) (user, sys float64) {
 	return v.Run.Victim.User[v.Billing], v.Run.Victim.Sys[v.Billing]
 }
 
-// ClusterFlood regenerates the cross-machine interrupt-flood
+// clusterFlood regenerates the cross-machine interrupt-flood
 // scenario: one attacker machine floods two victim machines running
 // the same job, one billed by the commodity jiffy scheme and one by
 // the process-aware scheme, at increasing flood rates. The commodity
 // bill inflates with the rate; the process-aware bill does not,
 // because handler time lands on the system account.
-func ClusterFlood(o Options) (*Figure, error) {
+func clusterFlood(o Options) plan {
 	return clusterFloodWith(o, 0, 0)
 }
 
-// clusterFloodWith is ClusterFlood with explicit wire parameters: the
+// clusterFloodWith is clusterFlood with explicit wire parameters: the
 // lossless-replay regression test renders the artifact under an
 // idealised infinite-rate link and demands byte-identity with the
 // default finite-capacity wire (whose queue never binds at these
 // offered rates).
-func clusterFloodWith(o Options, linkPPS, queueDepth uint64) (*Figure, error) {
-	o = o.norm()
+func clusterFloodWith(o Options, linkPPS, queueDepth uint64) plan {
 	rates := []uint64{0, 10_000, 40_000}
 	victims := []ClusterVictim{
 		{Workload: "O", Billing: "jiffy"},
@@ -373,40 +372,37 @@ func clusterFloodWith(o Options, linkPPS, queueDepth uint64) (*Figure, error) {
 	for i, pps := range rates {
 		specs[i] = ClusterRunSpec{Opts: o, Victims: victims, FloodPPS: pps, LinkPPS: linkPPS, LinkQueueDepth: queueDepth}
 	}
-	outs, err := Campaign("cluster", specs, o.Parallelism, RunCluster, clusterKey)
-	if err != nil {
-		return nil, fmt.Errorf("cluster flood: %w", err)
-	}
-
-	fig := &Figure{
-		ID:    "Cluster Flood",
-		Title: "Cross-Machine Interrupt Flooding (one attacker PC, two victim hosts)",
-		Unit:  "CPU seconds (billed by each victim host's own scheme)",
-	}
-	groups := []string{"jiffy-host", "procaware-host"}
-	for vi, group := range groups {
-		for ri, pps := range rates {
-			label := "no flood"
-			if pps > 0 {
-				label = fmt.Sprintf("%dk pps", pps/1000)
-			}
-			user, sys := victimBillSeconds(outs[ri].Victims[vi])
-			fig.Bars = append(fig.Bars, textplot.Bar{
-				Group: group,
-				Label: label,
-				Segments: []textplot.Segment{
-					{Name: "user", Value: user},
-					{Name: "system", Value: sys},
-				},
-			})
+	return declare(specs, RunCluster, clusterKey, func(outs []*ClusterOut) (*Figure, error) {
+		fig := &Figure{
+			ID:    "Cluster Flood",
+			Title: "Cross-Machine Interrupt Flooding (one attacker PC, two victim hosts)",
+			Unit:  "CPU seconds (billed by each victim host's own scheme)",
 		}
-	}
-	last := outs[len(outs)-1]
-	fig.Notes = append(fig.Notes,
-		fmt.Sprintf("attacker machine's pktgen sent %d frames per victim link; victims received %d and %d",
-			last.PacketsSent[0], last.Victims[0].PacketsReceived, last.Victims[1].PacketsReceived),
-		"expectation: jiffy-billed host's system time grows with flood rate; process-aware host's bill is flat (handler time lands on the system account)",
-		fmt.Sprintf("system account on the process-aware host at 40k pps: %.2f s", last.Victims[1].Run.SystemAccountSec),
-	)
-	return fig, nil
+		groups := []string{"jiffy-host", "procaware-host"}
+		for vi, group := range groups {
+			for ri, pps := range rates {
+				label := "no flood"
+				if pps > 0 {
+					label = fmt.Sprintf("%dk pps", pps/1000)
+				}
+				user, sys := victimBillSeconds(outs[ri].Victims[vi])
+				fig.Bars = append(fig.Bars, textplot.Bar{
+					Group: group,
+					Label: label,
+					Segments: []textplot.Segment{
+						{Name: "user", Value: user},
+						{Name: "system", Value: sys},
+					},
+				})
+			}
+		}
+		last := outs[len(outs)-1]
+		fig.Notes = append(fig.Notes,
+			fmt.Sprintf("attacker machine's pktgen sent %d frames per victim link; victims received %d and %d",
+				last.PacketsSent[0], last.Victims[0].PacketsReceived, last.Victims[1].PacketsReceived),
+			"expectation: jiffy-billed host's system time grows with flood rate; process-aware host's bill is flat (handler time lands on the system account)",
+			fmt.Sprintf("system account on the process-aware host at 40k pps: %.2f s", last.Victims[1].Run.SystemAccountSec),
+		)
+		return fig, nil
+	})
 }

@@ -93,11 +93,11 @@ func TestClusterFloodParallelDeterminism(t *testing.T) {
 		o.Parallelism = par
 		return o
 	}
-	seq, err := ClusterFlood(opts(1))
+	seq, err := reproduce("cluster", opts(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := ClusterFlood(opts(8))
+	par, err := reproduce("cluster", opts(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,12 +112,12 @@ func TestClusterFloodParallelDeterminism(t *testing.T) {
 // identical to the default finite-capacity wire, whose serialisation
 // floor and queue never bind at the artifact's offered rates.
 func TestLosslessInfiniteRateReplaysClusterArtifact(t *testing.T) {
-	o := quick()
-	def, err := clusterFloodWith(o, 0, 0)
+	o := quick().norm()
+	def, err := render(clusterFloodWith(o, 0, 0), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ideal, err := clusterFloodWith(o, cluster.UnlimitedPPS, 0)
+	ideal, err := render(clusterFloodWith(o, cluster.UnlimitedPPS, 0), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,17 +126,20 @@ func TestLosslessInfiniteRateReplaysClusterArtifact(t *testing.T) {
 	}
 }
 
-// TestRunAllClustersReportsEarliestError mirrors Matrix.Run's
-// deterministic error contract one level up, on a Campaign of whole
-// clusters.
+// TestRunAllClustersReportsEarliestError pins the campaign's
+// deterministic error contract on a plan of whole clusters: the
+// earliest-declared failing run is reported with its index and spec,
+// whatever order the pool finished in.
 func TestRunAllClustersReportsEarliestError(t *testing.T) {
 	bad := quickClusterSpec(1000)
 	bad.Victims = []ClusterVictim{{Workload: "bogus"}}
-	_, err := Campaign("cluster", []ClusterRunSpec{quickClusterSpec(1000), bad, bad}, 3, RunCluster, clusterKey)
+	p := declare([]ClusterRunSpec{quickClusterSpec(1000), bad, bad}, RunCluster, clusterKey,
+		func([]*ClusterOut) (*Figure, error) { return &Figure{}, nil })
+	_, err := render(p, 3)
 	if err == nil {
 		t.Fatal("want error")
 	}
-	if got := err.Error(); !strings.Contains(got, "cluster run 1") {
+	if got := err.Error(); !strings.Contains(got, "run 1 (1-victims/1000pps)") {
 		t.Fatalf("error %q does not name the earliest failing spec", got)
 	}
 }

@@ -4,14 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/attacks"
-	"repro/internal/workloads"
 )
-
-// workloadSpec is a small indirection so figures.go can read thrash
-// touch counts without re-importing workloads everywhere.
-func workloadSpec(key string) (workloads.Spec, error) {
-	return workloads.SpecByKey(key)
-}
 
 // sideEffects records Section V-C's qualitative side-effect notes.
 var sideEffects = map[string]string{
@@ -35,79 +28,72 @@ var vulnerability = map[string]string{
 	"excflood": "fault handling billed to the faulting victim",
 }
 
-// ComparisonTable reproduces Section V-C: every attack run against
+// attackRuns lists the seven attacks against Whetstone, in the
+// paper's order, at the strengths of the comparison and mitigation
+// tables; the thrashing run carries its scaled touch count.
+func attackRuns(o Options) []RunSpec {
+	specs := []RunSpec{
+		{Attack: attacks.ShellAttack{PayloadCycles: payloadCycles(o)}},
+		{Attack: attacks.LibraryCtorAttack{PayloadCycles: payloadCycles(o)}},
+		{Attack: attacks.NewLibrarySubstitutionAttack(o.Freq)},
+		{Attack: attacks.NewSchedulingAttack(-20, schedulingForks(o))},
+		{Attack: attacks.NewThrashingAttack(0), Touches: thrashTouches(o, "W")},
+		{Attack: attacks.NewInterruptFloodAttack(0)},
+		{Attack: attacks.NewExceptionFloodAttack(2 * physMem(o))},
+	}
+	for i := range specs {
+		specs[i].Opts, specs[i].Workload = o, "W"
+	}
+	return specs
+}
+
+// comparison reproduces Section V-C: every attack run against
 // Whetstone once, reporting measured billed inflation next to the
 // paper's qualitative assessment.
-func ComparisonTable(o Options) (*Figure, error) {
-	o = o.norm()
-	fig := &Figure{
-		ID:     "Table V-C",
-		Title:  "Attack comparison on Whetstone (billed by jiffy accounting)",
-		Header: []string{"attack", "phase", "inflates", "billed s", "baseline s", "inflation", "vulnerability exploited", "side effects"},
-	}
-	forks := uint64(float64(attacks.DefaultSchedulingForks) * o.Scale)
-	if forks < 512 {
-		forks = 512
-	}
-	spec, _ := workloadSpec("W")
-	thrashTouches := uint64(float64(spec.DefaultThrashTouches) * o.Scale)
-	if thrashTouches < 100 {
-		thrashTouches = 100
-	}
-
-	cases := []struct {
-		attack  attacks.Attack
-		touches uint64
-	}{
-		{&attacks.ShellAttack{PayloadCycles: payloadCycles(o)}, 0},
-		{&attacks.LibraryCtorAttack{PayloadCycles: payloadCycles(o)}, 0},
-		{attacks.NewLibrarySubstitutionAttack(o.Freq), 0},
-		{attacks.NewSchedulingAttack(-20, forks), 0},
-		{attacks.NewThrashingAttack(0), thrashTouches},
-		{attacks.NewInterruptFloodAttack(0), 0},
-		{attacks.NewExceptionFloodAttack(2 * physMem(o)), 0},
-	}
-	// Declare the whole matrix: the shared baseline, then per attack
-	// an optional touch-matched baseline plus the attacked run.
-	var mx Matrix
-	baseline := mx.Add(RunSpec{Opts: o, Workload: "W"})
-	type handles struct{ ref, attacked int }
-	rows := make([]handles, 0, len(cases))
-	for _, tc := range cases {
-		h := handles{ref: baseline}
-		if tc.touches != 0 {
+func comparison(o Options) plan {
+	// The shared baseline, then per attack an optional touch-matched
+	// baseline plus the attacked run.
+	attacked := attackRuns(o)
+	specs := []RunSpec{{Opts: o, Workload: "W"}}
+	refs := make([]int, len(attacked))
+	rows := make([]int, len(attacked))
+	for i, s := range attacked {
+		if s.Touches != 0 {
 			// The thrashing row needs a baseline with matching
 			// touch counts.
-			h.ref = mx.Add(RunSpec{Opts: o, Workload: "W", Touches: tc.touches})
+			refs[i] = len(specs)
+			specs = append(specs, RunSpec{Opts: o, Workload: "W", Touches: s.Touches})
 		}
-		h.attacked = mx.Add(RunSpec{Opts: o, Workload: "W", Attack: tc.attack, Touches: tc.touches})
-		rows = append(rows, h)
+		rows[i] = len(specs)
+		specs = append(specs, s)
 	}
-	outs, err := mx.Run(o.Parallelism)
-	if err != nil {
-		return nil, fmt.Errorf("comparison: %w", err)
-	}
-
-	for i, tc := range cases {
-		ref := outs[rows[i].ref].Victim.Total("jiffy")
-		out := outs[rows[i].attacked]
-		billed := out.Victim.Total("jiffy")
-		infl := 0.0
-		if ref > 0 {
-			infl = (billed - ref) / ref * 100
+	return solo(specs, func(outs []*RunOut) (*Figure, error) {
+		fig := &Figure{
+			ID:     "Table V-C",
+			Title:  "Attack comparison on Whetstone (billed by jiffy accounting)",
+			Header: []string{"attack", "phase", "inflates", "billed s", "baseline s", "inflation", "vulnerability exploited", "side effects"},
 		}
-		fig.Rows = append(fig.Rows, []string{
-			tc.attack.Name(),
-			tc.attack.Phase(),
-			tc.attack.Targets(),
-			fmt.Sprintf("%.1f", billed),
-			fmt.Sprintf("%.1f", ref),
-			fmt.Sprintf("%+.1f%%", infl),
-			vulnerability[tc.attack.Key()],
-			sideEffects[tc.attack.Key()],
-		})
-	}
-	fig.Notes = append(fig.Notes,
-		"strength per paper: shell/library unbounded; thrashing tunable via hit count; scheduling depends on runtime factors; flooding weakest")
-	return fig, nil
+		for i, s := range attacked {
+			ref := outs[refs[i]].Victim.Total("jiffy")
+			billed := outs[rows[i]].Victim.Total("jiffy")
+			infl := 0.0
+			if ref > 0 {
+				infl = (billed - ref) / ref * 100
+			}
+			a := s.Attack
+			fig.Rows = append(fig.Rows, []string{
+				a.Name(),
+				a.Phase(),
+				a.Targets(),
+				fmt.Sprintf("%.1f", billed),
+				fmt.Sprintf("%.1f", ref),
+				fmt.Sprintf("%+.1f%%", infl),
+				vulnerability[a.Key()],
+				sideEffects[a.Key()],
+			})
+		}
+		fig.Notes = append(fig.Notes,
+			"strength per paper: shell/library unbounded; thrashing tunable via hit count; scheduling depends on runtime factors; flooding weakest")
+		return fig, nil
+	})
 }

@@ -257,15 +257,14 @@ func fairFloodRED() *cluster.REDSpec {
 	return &cluster.REDSpec{MinDepth: 8, MaxDepth: 32, MaxPct: 50, Weight: 6}
 }
 
-// FairFlood regenerates the qdisc-fairness artifact: the same
+// fairFlood regenerates the qdisc-fairness artifact: the same
 // attacker-vs-flow shared-egress scenario under FIFO (quiet and
 // flooded) and under DRR (flooded). FIFO lets the flood starve the
 // flow — its completion time explodes against the quiet baseline —
 // while DRR's per-flow round robin bounds the flow's latency on the
 // very same wire, and the victim host's bill for the junk it never
 // asked for shrinks with the junk the fair queue refuses to carry.
-func FairFlood(o Options) (*Figure, error) {
-	o = o.norm()
+func fairFlood(o Options) plan {
 	// FIFO runs bare tail-drop (the commodity wire); the DRR run is
 	// the managed configuration — per-flow fairness plus EWMA RED/ECN.
 	specs := []FairFloodSpec{
@@ -280,40 +279,37 @@ func FairFlood(o Options) (*Figure, error) {
 		specs[i].FlowFrames = fairFloodFlowFrames
 		specs[i].EgressPPS = fairFloodEgressPPS
 	}
-	outs, err := Campaign("fairflood", specs, o.Parallelism, RunFairFlood, fairFloodKey)
-	if err != nil {
-		return nil, fmt.Errorf("fair flood: %w", err)
-	}
-
-	fig := &Figure{
-		ID:    "Fair Flood",
-		Title: "Per-Flow Fairness on a Congested Egress (FIFO vs DRR, byte-accurate wire, EWMA RED)",
-		Unit:  "virtual seconds (flow completion) / CPU seconds (victim bill)",
-	}
-	for i, out := range outs {
-		status := "done"
-		if out.Flow.GaveUp {
-			status = "gave up"
+	return declare(specs, RunFairFlood, fairFloodKey, func(outs []*FairFloodOut) (*Figure, error) {
+		fig := &Figure{
+			ID:    "Fair Flood",
+			Title: "Per-Flow Fairness on a Congested Egress (FIFO vs DRR, byte-accurate wire, EWMA RED)",
+			Unit:  "virtual seconds (flow completion) / CPU seconds (victim bill)",
 		}
-		fig.Bars = append(fig.Bars,
-			textplot.Bar{Group: "flow-done", Label: labels[i], Segments: []textplot.Segment{
-				{Name: status, Value: out.FlowDoneSec},
-			}},
-			textplot.Bar{Group: "victim-bill", Label: labels[i], Segments: []textplot.Segment{
-				{Name: "user", Value: out.Victim.Run.Victim.User["jiffy"]},
-				{Name: "system", Value: out.Victim.Run.Victim.Sys["jiffy"]},
-			}},
+		for i, out := range outs {
+			status := "done"
+			if out.Flow.GaveUp {
+				status = "gave up"
+			}
+			fig.Bars = append(fig.Bars,
+				textplot.Bar{Group: "flow-done", Label: labels[i], Segments: []textplot.Segment{
+					{Name: status, Value: out.FlowDoneSec},
+				}},
+				textplot.Bar{Group: "victim-bill", Label: labels[i], Segments: []textplot.Segment{
+					{Name: "user", Value: out.Victim.Run.Victim.User["jiffy"]},
+					{Name: "system", Value: out.Victim.Run.Victim.Sys["jiffy"]},
+				}},
+			)
+		}
+		fifo, drr := outs[1], outs[2]
+		fig.Notes = append(fig.Notes,
+			fmt.Sprintf("fifo flood: flow sent %d for %d acks (%d timeouts, %d written off, gave up: %v); junk %d offered / %d delivered / %d dropped",
+				fifo.Flow.Sent, fifo.Flow.Acked, fifo.Flow.Timeouts, fifo.Flow.Lost, fifo.Flow.GaveUp,
+				fifo.JunkOffered, fifo.JunkDelivered, fifo.JunkDropped),
+			fmt.Sprintf("drr flood: flow sent %d for %d acks (%d timeouts, %d written off); junk %d offered / %d delivered / %d dropped; egress RED marked %d, early-dropped %d",
+				drr.Flow.Sent, drr.Flow.Acked, drr.Flow.Timeouts, drr.Flow.Lost,
+				drr.JunkOffered, drr.JunkDelivered, drr.JunkDropped, drr.EgressMarked, drr.EgressEarlyDropped),
+			"expectation: FIFO lets MTU junk starve the 300-frame ECN flow (completion blows up); DRR bounds the flow's completion on the same wire while the junk absorbs the drops",
 		)
-	}
-	fifo, drr := outs[1], outs[2]
-	fig.Notes = append(fig.Notes,
-		fmt.Sprintf("fifo flood: flow sent %d for %d acks (%d timeouts, %d written off, gave up: %v); junk %d offered / %d delivered / %d dropped",
-			fifo.Flow.Sent, fifo.Flow.Acked, fifo.Flow.Timeouts, fifo.Flow.Lost, fifo.Flow.GaveUp,
-			fifo.JunkOffered, fifo.JunkDelivered, fifo.JunkDropped),
-		fmt.Sprintf("drr flood: flow sent %d for %d acks (%d timeouts, %d written off); junk %d offered / %d delivered / %d dropped; egress RED marked %d, early-dropped %d",
-			drr.Flow.Sent, drr.Flow.Acked, drr.Flow.Timeouts, drr.Flow.Lost,
-			drr.JunkOffered, drr.JunkDelivered, drr.JunkDropped, drr.EgressMarked, drr.EgressEarlyDropped),
-		"expectation: FIFO lets MTU junk starve the 300-frame ECN flow (completion blows up); DRR bounds the flow's completion on the same wire while the junk absorbs the drops",
-	)
-	return fig, nil
+		return fig, nil
+	})
 }

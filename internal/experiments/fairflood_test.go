@@ -76,11 +76,11 @@ func TestFairFloodParallelDeterminism(t *testing.T) {
 		o.Parallelism = par
 		return o
 	}
-	seq, err := FairFlood(opts(1))
+	seq, err := reproduce("fairflood", opts(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := FairFlood(opts(8))
+	par, err := reproduce("fairflood", opts(8))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,7 +28,7 @@ func barPairsRise(t *testing.T, fig *Figure, minGain float64) {
 }
 
 func TestFigure5Shape(t *testing.T) {
-	fig, err := Figure5(tiny())
+	fig, err := reproduce("figure5", tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestFigure5Shape(t *testing.T) {
 }
 
 func TestFigure6Shape(t *testing.T) {
-	fig, err := Figure6(tiny())
+	fig, err := reproduce("figure6", tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestFigure6Shape(t *testing.T) {
 func TestFigure7Shape(t *testing.T) {
 	o := tiny()
 	o.Scale = 0.02 // storms need some room
-	fig, err := Figure7(o)
+	fig, err := reproduce("figure7", o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,11 +90,11 @@ func TestFigure7Shape(t *testing.T) {
 func TestFigure8ThreadedVictimResists(t *testing.T) {
 	o := tiny()
 	o.Scale = 0.02
-	fig7, err := Figure7(o)
+	fig7, err := reproduce("figure7", o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fig8, err := Figure8(o)
+	fig8, err := reproduce("figure8", o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestFigure9SystemTimeRises(t *testing.T) {
 	// tracer attaches, which needs a bit of scale.
 	o := tiny()
 	o.Scale = 0.02
-	fig, err := Figure9(o)
+	fig, err := reproduce("figure9", o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestFigure9SystemTimeRises(t *testing.T) {
 }
 
 func TestFigure10SlightSystemRise(t *testing.T) {
-	fig, err := Figure10(tiny())
+	fig, err := reproduce("figure10", tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestFigure10SlightSystemRise(t *testing.T) {
 }
 
 func TestComparisonTableShape(t *testing.T) {
-	fig, err := ComparisonTable(tiny())
+	fig, err := reproduce("comparison", tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestTrustedMitigationRejectsAllAttacks(t *testing.T) {
 	// auditor's 0.25 s absolute noise floor.
 	o := tiny()
 	o.Scale = 0.02
-	fig, err := TrustedMitigation(o)
+	fig, err := reproduce("mitigation", o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,21 +196,13 @@ func TestTrustedMitigationRejectsAllAttacks(t *testing.T) {
 func TestAblationsRun(t *testing.T) {
 	o := tiny()
 	o.Scale = 0.02
-	for _, tc := range []struct {
-		name string
-		fn   func(Options) (*Figure, error)
-	}{
-		{"tickrate", AblationTickRate},
-		{"sched", AblationScheduler},
-		{"irq", AblationIRQAccounting},
-		{"detector", AblationDetector},
-	} {
-		fig, err := tc.fn(o)
+	for _, id := range []string{"ablation1", "ablation2", "ablation3", "ablation4"} {
+		fig, err := reproduce(id, o)
 		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
+			t.Fatalf("%s: %v", id, err)
 		}
 		if len(fig.Rows) < 2 {
-			t.Fatalf("%s: rows = %d", tc.name, len(fig.Rows))
+			t.Fatalf("%s: rows = %d", id, len(fig.Rows))
 		}
 	}
 }

@@ -14,28 +14,27 @@ import (
 	"testing"
 
 	"repro/internal/attacks"
-	"repro/internal/cluster"
 	"repro/internal/kernel"
 	"repro/internal/workloads"
 )
 
 var update = flag.Bool("update", false, "rewrite the artifact goldens under testdata/ from the current tree")
 
-// harvestDigests holds one SHA-256 per spec the table runs, as
-// "<hex>  <id>/<spec index>" lines in table order.
+// harvestDigests holds one SHA-256 per run TestClusterGoldens
+// digests, as "<hex>  <id>/<run index>" lines in id order.
 const harvestDigests = "testdata/harvest.sha256"
 
-// clusterGoldens pins every registered artifact at quick() options:
-// its rendered figure (testdata/<id>.golden) and, for the cluster
-// family, a digest of each spec its figure runs, taken over the
-// spec's full-precision harvest (harvestDigests), because a render
-// rounds bills to 0.1 s. The "run" entry renders nothing: it digests
-// Run for every workload under no attack and under each attack, which
-// pins the single-machine artifacts' per-scheme seconds, victim
-// counters and measurement logs below render precision. The table is
-// sorted by id; TestClusterGoldenTableIsPinned keeps it so. Each
-// harvest function declares the specs its figure declares, in the
-// figure's order.
+// TestClusterGoldens pins every artifact at quick() options: its
+// rendered figure (testdata/<id>.golden) and, for the cluster family,
+// a digest of each run its plan declares, in declaration order, taken
+// over the run's full-precision harvest (harvestDigests), because a
+// render rounds bills to 0.1 s. The "run" entry renders nothing: it
+// digests Run for every workload under no attack and under each
+// attack, which pins the single-machine artifacts' per-scheme seconds,
+// victim counters and measurement logs below render precision. All
+// entries share one campaign, and every artifact renders twice from
+// its results to the same bytes: renders only read the results they
+// share.
 //
 // Provenance: the cluster, multiflood and swapflood renders were
 // captured before links carried addressed frames, routing tables and
@@ -50,99 +49,20 @@ const harvestDigests = "testdata/harvest.sha256"
 // Regenerate the goldens only to move that bar on purpose:
 //
 //	go test ./internal/experiments -run TestClusterGoldens -update
-var clusterGoldens = []struct {
-	id      string
-	render  func(Options) (*Figure, error)
-	harvest func(t *testing.T, o Options) []any
-}{
-	{"ablation1", AblationTickRate, nil},
-	{"ablation2", AblationScheduler, nil},
-	{"ablation3", AblationIRQAccounting, nil},
-	{"ablation4", AblationDetector, nil},
-	{"chaosflood", ChaosFlood, func(t *testing.T, o Options) []any {
-		base := chaosFloodBase(o)
-		floodSec := chaosFloodSec(t)
-		flap := &cluster.FlapSpec{
-			FirstDownUs: uint64(floodSec * 0.2 * 1e6),
-			DownUs:      uint64(floodSec * 0.05 * 1e6),
-			UpUs:        uint64(floodSec * 0.2 * 1e6),
+func TestClusterGoldens(t *testing.T) {
+	want := map[string]string{}
+	if !*update {
+		want = readHarvestDigests(t)
+	}
+	o := quick().norm()
+	ids := append(Artifacts(), "run")
+	sort.Strings(ids)
+	plans := make([]plan, len(ids))
+	for k, id := range ids {
+		if mk, ok := artifacts[id]; ok {
+			plans[k] = mk(o)
+			continue
 		}
-		var specs []ChaosFloodSpec
-		for _, cs := range []ChaosSpec{
-			{},
-			{FaultPPM: 20_000},
-			{RouterCrashSec: floodSec * 0.45},
-			{FaultPPM: 20_000, RouterCrashSec: floodSec * 0.3, RouterRestartSec: floodSec * 0.15, VictimFlap: flap},
-		} {
-			specs = append(specs, ChaosFloodSpec{Flood: base, Chaos: cs})
-		}
-		return runEach(t, specs, RunChaosFlood)
-	}},
-	{"cluster", ClusterFlood, func(t *testing.T, o Options) []any {
-		var specs []ClusterRunSpec
-		for _, pps := range []uint64{0, 10_000, 40_000} {
-			specs = append(specs, ClusterRunSpec{Opts: o, FloodPPS: pps, Victims: []ClusterVictim{
-				{Workload: "O", Billing: "jiffy"},
-				{Workload: "O", Billing: "process-aware"},
-			}})
-		}
-		return runEach(t, specs, RunCluster)
-	}},
-	{"comparison", ComparisonTable, nil},
-	{"fairflood", FairFlood, func(t *testing.T, o Options) []any {
-		specs := []FairFloodSpec{
-			{Qdisc: cluster.QdiscFIFO, AttackerPPS: 0},
-			{Qdisc: cluster.QdiscFIFO, AttackerPPS: fairFloodAttackerPPS},
-			{Qdisc: cluster.QdiscDRR, AttackerPPS: fairFloodAttackerPPS, RED: fairFloodRED()},
-		}
-		for i := range specs {
-			specs[i].Opts = o
-			specs[i].Victim = ClusterVictim{Workload: "O", Billing: "jiffy"}
-			specs[i].FlowFrames = fairFloodFlowFrames
-			specs[i].EgressPPS = fairFloodEgressPPS
-		}
-		return runEach(t, specs, RunFairFlood)
-	}},
-	{"figure10", Figure10, nil},
-	{"figure11", Figure11, nil},
-	{"figure4", Figure4, nil},
-	{"figure5", Figure5, nil},
-	{"figure6", Figure6, nil},
-	{"figure7", Figure7, nil},
-	{"figure8", Figure8, nil},
-	{"figure9", Figure9, nil},
-	{"mitigation", TrustedMitigation, nil},
-	{"multiflood", MultiAttackerFlood, func(t *testing.T, o Options) []any {
-		var specs []MultiFloodSpec
-		for _, billing := range []string{"jiffy", "process-aware"} {
-			for _, n := range []int{1, 2, 4} {
-				specs = append(specs, MultiFloodSpec{
-					Opts:           o,
-					Attackers:      n,
-					PerAttackerPPS: multiFloodPerAttackerPPS,
-					Victim:         ClusterVictim{Workload: "O", Billing: billing},
-					BottleneckPPS:  multiFloodBottleneckPPS,
-				})
-			}
-		}
-		return runEach(t, specs, RunMultiFlood)
-	}},
-	{"routerflood", RouterFlood, func(t *testing.T, o Options) []any {
-		var specs []RouterFloodSpec
-		for _, pps := range []uint64{0, 10_000, 20_000} {
-			specs = append(specs, RouterFloodSpec{
-				Opts:           o,
-				Attackers:      routerFloodAttackers,
-				PerAttackerPPS: pps,
-				Victim:         ClusterVictim{Workload: "O", Billing: "jiffy"},
-				EgressPPS:      routerFloodEgressPPS,
-				RED:            routerFloodRED(),
-				FlowFrames:     routerFloodFlowFrames,
-			})
-		}
-		return runEach(t, specs, RunRouterFlood)
-	}},
-	{"run", nil, func(t *testing.T, o Options) []any {
 		var specs []RunSpec
 		for _, w := range workloads.Specs() {
 			specs = append(specs, RunSpec{Opts: o, Workload: w.Key})
@@ -150,54 +70,29 @@ var clusterGoldens = []struct {
 				specs = append(specs, RunSpec{Opts: o, Workload: w.Key, Attack: a})
 			}
 		}
-		return runEach(t, specs, Run)
-	}},
-	{"swapflood", CrossMachineExceptionFlood, func(t *testing.T, o Options) []any {
-		var specs []SwapFloodSpec
-		for _, billing := range []string{"jiffy", "process-aware"} {
-			for _, hog := range []bool{false, true} {
-				specs = append(specs, SwapFloodSpec{Opts: o, Victim: ClusterVictim{Workload: "O", Billing: billing}, Hog: hog})
-			}
-		}
-		return runEach(t, specs, RunSwapFlood)
-	}},
-}
-
-func runEach[S, O any](t *testing.T, specs []S, run func(S) (O, error)) []any {
-	t.Helper()
-	outs := make([]any, len(specs))
-	for i, s := range specs {
-		out, err := run(s)
-		if err != nil {
-			t.Fatalf("spec %d: %v", i, err)
-		}
-		outs[i] = out
+		plans[k] = solo(specs, nil)
 	}
-	return outs
-}
+	c := newCampaign(plans)
+	RunIndexed(c.Runs(), 0, func(i int) { c.Run(i) })
 
-// TestClusterGoldens replays every artifact against its render golden
-// and every spec the table runs against its harvest digest.
-func TestClusterGoldens(t *testing.T) {
-	want := map[string]string{}
-	if !*update {
-		want = readHarvestDigests(t)
-	}
-	o := quick().norm()
 	var lines []string
-	for _, g := range clusterGoldens {
-		t.Run(g.id, func(t *testing.T) {
-			if g.render != nil {
-				checkRender(t, g.id, g.render, o)
+	for k, id := range ids {
+		t.Run(id, func(t *testing.T) {
+			if _, single := plans[k].runs[0].spec.(RunSpec); id != "run" {
+				checkRender(t, id, c, k)
+				if single {
+					return
+				}
 			}
-			if g.harvest == nil {
-				return
-			}
-			for i, out := range g.harvest(t, o) {
+			for j, i := range c.slots[k] {
+				out, err := c.outs[i], c.errs[i]
+				if err != nil {
+					t.Fatalf("run %d: %v", j, err)
+				}
 				var b strings.Builder
 				dumpHarvest(&b, reflect.TypeOf(out).Elem().Name(), reflect.ValueOf(out))
 				sum := sha256.Sum256([]byte(b.String()))
-				got, name := hex.EncodeToString(sum[:]), fmt.Sprintf("%s/%d", g.id, i)
+				got, name := hex.EncodeToString(sum[:]), fmt.Sprintf("%s/%d", id, j)
 				lines = append(lines, got+"  "+name+"\n")
 				if !*update && got != want[name] {
 					t.Errorf("harvest %s digest %s, want %q; dump:\n%s", name, got, want[name], b.String())
@@ -217,11 +112,12 @@ func TestClusterGoldens(t *testing.T) {
 	}
 }
 
-// checkRender compares the artifact's render with testdata/<id>.golden,
-// or rewrites the golden under -update.
-func checkRender(t *testing.T, id string, render func(Options) (*Figure, error), o Options) {
+// checkRender compares campaign c's render of artifact k with
+// testdata/<id>.golden, or rewrites the golden under -update, and
+// renders it again from the same results to the same bytes.
+func checkRender(t *testing.T, id string, c *Campaign, k int) {
 	t.Helper()
-	fig, err := render(o)
+	fig, err := c.Render(k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,6 +130,13 @@ func checkRender(t *testing.T, id string, render func(Options) (*Figure, error),
 		t.Fatal(err)
 	} else if got := fig.Render(); got != string(golden) {
 		t.Errorf("render diverged from %s\n--- got ---\n%s--- want ---\n%s", file, got, golden)
+	}
+	again, err := c.Render(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, b := fig.Render(), again.Render(); a != b {
+		t.Errorf("second render from the same results diverged\n--- first ---\n%s--- second ---\n%s", a, b)
 	}
 }
 
@@ -308,28 +211,10 @@ func dumpHarvest(b *strings.Builder, path string, v reflect.Value) {
 	}
 }
 
-// TestClusterGoldenTableIsPinned keeps clusterGoldens sorted and
-// duplicate-free and makes its render entries cover exactly the
-// render goldens under testdata/, so a rename or an addition cannot
-// leave a golden unreplayed or make -update write files in a
-// churning order.
+// TestClusterGoldenTableIsPinned makes the render goldens under
+// testdata/ cover exactly the registered artifacts, so a rename or an
+// addition cannot leave a golden unreplayed.
 func TestClusterGoldenTableIsPinned(t *testing.T) {
-	ids := make([]string, len(clusterGoldens))
-	var rendered []string
-	for i, g := range clusterGoldens {
-		ids[i] = g.id
-		if g.render != nil {
-			rendered = append(rendered, g.id)
-		}
-	}
-	if !sort.StringsAreSorted(ids) {
-		t.Errorf("clusterGoldens ids %v are not sorted", ids)
-	}
-	for i := 1; i < len(ids); i++ {
-		if ids[i] == ids[i-1] {
-			t.Errorf("clusterGoldens has duplicate id %q", ids[i])
-		}
-	}
 	goldens, err := filepath.Glob("testdata/*.golden")
 	if err != nil {
 		t.Fatal(err)
@@ -339,7 +224,7 @@ func TestClusterGoldenTableIsPinned(t *testing.T) {
 		onDisk = append(onDisk, strings.TrimSuffix(filepath.Base(g), ".golden"))
 	}
 	sort.Strings(onDisk)
-	if strings.Join(onDisk, ",") != strings.Join(rendered, ",") {
-		t.Fatalf("testdata has goldens for %v, table renders %v", onDisk, rendered)
+	if ids := Artifacts(); strings.Join(onDisk, ",") != strings.Join(ids, ",") {
+		t.Fatalf("testdata has goldens for %v, artifacts are %v", onDisk, ids)
 	}
 }

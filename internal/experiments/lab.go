@@ -1,8 +1,8 @@
 // Package experiments regenerates every figure of the paper's
-// evaluation (Section V): one runner per figure plus the qualitative
+// evaluation (Section V): one plan per figure plus the qualitative
 // comparison of Section V-C and a mitigation study for the trusted
-// metering scheme of Section VI-B. Each runner builds a fresh
-// simulated machine, launches the victim through the (possibly
+// metering scheme of Section VI-B. Each run a plan declares builds a
+// fresh simulated machine, launches the victim through the (possibly
 // tampered) shell, arms one attack, runs to completion, and reports
 // the billed CPU time next to ground truth.
 package experiments
@@ -42,12 +42,13 @@ type Options struct {
 	// MaxSteps bounds each machine run (default 400M) so a modelling
 	// regression surfaces as an error instead of a hang.
 	MaxSteps uint64
-	// Parallelism caps how many independent simulated machines a
-	// campaign executes concurrently (Campaign's worker pool, and the
-	// cross-artifact fan-out of cpumeter.ReproduceAll). Zero selects
-	// runtime.GOMAXPROCS(0); 1 forces sequential execution. Every
-	// machine is seeded and self-contained, so results — and
-	// rendered artifacts — are byte-identical at any setting.
+	// Parallelism caps how many independent simulated machines or
+	// clusters a campaign executes concurrently: the size of the one
+	// worker pool on which cpumeter.ReproduceAll runs every requested
+	// artifact's distinct runs. Zero selects runtime.GOMAXPROCS(0); 1
+	// forces sequential execution. Every machine is seeded and
+	// self-contained, so results — and rendered artifacts — are
+	// byte-identical at any setting.
 	Parallelism int
 }
 

@@ -145,14 +145,13 @@ const multiFloodBottleneckPPS = 100_000
 // artifact.
 const multiFloodPerAttackerPPS = 40_000
 
-// MultiAttackerFlood regenerates the converging-flood scenario: 1, 2,
+// multiAttackerFlood regenerates the converging-flood scenario: 1, 2,
 // and 4 attacker machines flood one victim through a shared 100k-pps
 // bottleneck, once against a jiffy-billed host and once against a
 // process-aware host. The commodity bill inflates with the delivered
 // rate, which the bottleneck caps: beyond saturation, extra attackers
 // only raise the drop count, not the victim's bill.
-func MultiAttackerFlood(o Options) (*Figure, error) {
-	o = o.norm()
+func multiAttackerFlood(o Options) plan {
 	attackerCounts := []int{1, 2, 4}
 	billings := []string{"jiffy", "process-aware"}
 	specs := make([]MultiFloodSpec, 0, len(attackerCounts)*len(billings))
@@ -167,38 +166,35 @@ func MultiAttackerFlood(o Options) (*Figure, error) {
 			})
 		}
 	}
-	outs, err := Campaign("multiflood", specs, o.Parallelism, RunMultiFlood, multiFloodKey)
-	if err != nil {
-		return nil, fmt.Errorf("multi-attacker flood: %w", err)
-	}
-
-	fig := &Figure{
-		ID:    "Multi-Attacker Flood",
-		Title: "Converging Interrupt Flood (N attacker PCs, one victim host, shared 100k-pps bottleneck)",
-		Unit:  "CPU seconds (billed by the victim host's own scheme)",
-	}
-	groups := []string{"jiffy-host", "procaware-host"}
-	for bi, group := range groups {
-		for ni, n := range attackerCounts {
-			out := outs[bi*len(attackerCounts)+ni]
-			user, sys := victimBillSeconds(out.Victim)
-			fig.Bars = append(fig.Bars, textplot.Bar{
-				Group: group,
-				Label: fmt.Sprintf("%d attacker(s)", n),
-				Segments: []textplot.Segment{
-					{Name: "user", Value: user},
-					{Name: "system", Value: sys},
-				},
-			})
+	return declare(specs, RunMultiFlood, multiFloodKey, func(outs []*MultiFloodOut) (*Figure, error) {
+		fig := &Figure{
+			ID:    "Multi-Attacker Flood",
+			Title: "Converging Interrupt Flood (N attacker PCs, one victim host, shared 100k-pps bottleneck)",
+			Unit:  "CPU seconds (billed by the victim host's own scheme)",
 		}
-	}
-	worst := outs[len(attackerCounts)-1] // jiffy host, 4 attackers
-	fig.Notes = append(fig.Notes,
-		fmt.Sprintf("4 attackers offered %d frames, wire carried %d, dropped %d (tail-drop at the shared %dk-pps, %d-deep ingress queue, plus frames offered after the victim finished)",
-			worst.Offered, worst.Carried, worst.Dropped, multiFloodBottleneckPPS/1000, cluster.DefaultQueueDepth),
-		"expectation: jiffy-billed host's system time grows with the delivered rate and saturates at the bottleneck capacity; extra attackers past saturation only raise drops",
-		fmt.Sprintf("process-aware host's bill stays flat; its system account at 4 attackers: %.2f s",
-			outs[2*len(attackerCounts)-1].Victim.Run.SystemAccountSec),
-	)
-	return fig, nil
+		groups := []string{"jiffy-host", "procaware-host"}
+		for bi, group := range groups {
+			for ni, n := range attackerCounts {
+				out := outs[bi*len(attackerCounts)+ni]
+				user, sys := victimBillSeconds(out.Victim)
+				fig.Bars = append(fig.Bars, textplot.Bar{
+					Group: group,
+					Label: fmt.Sprintf("%d attacker(s)", n),
+					Segments: []textplot.Segment{
+						{Name: "user", Value: user},
+						{Name: "system", Value: sys},
+					},
+				})
+			}
+		}
+		worst := outs[len(attackerCounts)-1] // jiffy host, 4 attackers
+		fig.Notes = append(fig.Notes,
+			fmt.Sprintf("4 attackers offered %d frames, wire carried %d, dropped %d (tail-drop at the shared %dk-pps, %d-deep ingress queue, plus frames offered after the victim finished)",
+				worst.Offered, worst.Carried, worst.Dropped, multiFloodBottleneckPPS/1000, cluster.DefaultQueueDepth),
+			"expectation: jiffy-billed host's system time grows with the delivered rate and saturates at the bottleneck capacity; extra attackers past saturation only raise drops",
+			fmt.Sprintf("process-aware host's bill stays flat; its system account at 4 attackers: %.2f s",
+				outs[2*len(attackerCounts)-1].Victim.Run.SystemAccountSec),
+		)
+		return fig, nil
+	})
 }

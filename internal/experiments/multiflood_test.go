@@ -91,11 +91,11 @@ func TestMultiFloodParallelDeterminism(t *testing.T) {
 		o.Parallelism = par
 		return o
 	}
-	seq, err := MultiAttackerFlood(opts(1))
+	seq, err := reproduce("multiflood", opts(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := MultiAttackerFlood(opts(8))
+	par, err := reproduce("multiflood", opts(8))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -332,15 +332,14 @@ func routerFloodRED() *cluster.REDSpec {
 	return &cluster.REDSpec{MinDepth: 8, MaxDepth: 24, MaxPct: 50}
 }
 
-// RouterFlood regenerates the routed-fabric scenario: two attacker
+// routerFlood regenerates the routed-fabric scenario: two attacker
 // machines flood a victim host through a shared router machine at
 // increasing rates while an ack-paced ECN flow shares the router's
 // RED-managed egress. The router's own jiffy bill — a machine the
 // attackers never touch — grows with the offered rate; the ECN flow
 // completes by backing off under marks while the junk absorbs the
 // early drops.
-func RouterFlood(o Options) (*Figure, error) {
-	o = o.norm()
+func routerFlood(o Options) plan {
 	rates := []uint64{0, 10_000, 20_000}
 	specs := make([]RouterFloodSpec, len(rates))
 	for i, pps := range rates {
@@ -354,40 +353,37 @@ func RouterFlood(o Options) (*Figure, error) {
 			FlowFrames:     routerFloodFlowFrames,
 		}
 	}
-	outs, err := Campaign("routerflood", specs, o.Parallelism, RunRouterFlood, routerFloodKey)
-	if err != nil {
-		return nil, fmt.Errorf("router flood: %w", err)
-	}
-
-	fig := &Figure{
-		ID:    "Router Flood",
-		Title: "Routed Interrupt Flood (2 attacker PCs through a shared billed router, RED/ECN egress)",
-		Unit:  "CPU seconds (jiffy-billed on each owning machine)",
-	}
-	for ri, pps := range rates {
-		out := outs[ri]
-		label := "no flood"
-		if pps > 0 {
-			label = fmt.Sprintf("%dk pps x2", pps/1000)
+	return declare(specs, RunRouterFlood, routerFloodKey, func(outs []*RouterFloodOut) (*Figure, error) {
+		fig := &Figure{
+			ID:    "Router Flood",
+			Title: "Routed Interrupt Flood (2 attacker PCs through a shared billed router, RED/ECN egress)",
+			Unit:  "CPU seconds (jiffy-billed on each owning machine)",
 		}
-		fig.Bars = append(fig.Bars,
-			textplot.Bar{Group: "router-fwd", Label: label, Segments: []textplot.Segment{
-				{Name: "user", Value: out.Router.User["jiffy"]},
-				{Name: "system", Value: out.Router.Sys["jiffy"]},
-			}},
-			textplot.Bar{Group: "victim-host", Label: label, Segments: []textplot.Segment{
-				{Name: "user", Value: out.Victim.Run.Victim.User["jiffy"]},
-				{Name: "system", Value: out.Victim.Run.Victim.Sys["jiffy"]},
-			}},
+		for ri, pps := range rates {
+			out := outs[ri]
+			label := "no flood"
+			if pps > 0 {
+				label = fmt.Sprintf("%dk pps x2", pps/1000)
+			}
+			fig.Bars = append(fig.Bars,
+				textplot.Bar{Group: "router-fwd", Label: label, Segments: []textplot.Segment{
+					{Name: "user", Value: out.Router.User["jiffy"]},
+					{Name: "system", Value: out.Router.Sys["jiffy"]},
+				}},
+				textplot.Bar{Group: "victim-host", Label: label, Segments: []textplot.Segment{
+					{Name: "user", Value: out.Victim.Run.Victim.User["jiffy"]},
+					{Name: "system", Value: out.Victim.Run.Victim.Sys["jiffy"]},
+				}},
+			)
+		}
+		quiet, worst := outs[0], outs[len(outs)-1]
+		fig.Notes = append(fig.Notes,
+			fmt.Sprintf("attackers offered %d frames; router forwarded %d and overflowed %d at its input queue; egress RED marked %d ECN frames and early-dropped %d junk frames (total egress drops %d)",
+				worst.Offered, worst.RouterForwarded, worst.RouterRxDropped, worst.EgressMarked, worst.EgressEarlyDropped, worst.EgressDropped),
+			fmt.Sprintf("ECN flow (%d frames): completed with %d acks, %d ECE backoffs, %d write-offs under flood; %d acks and %d backoffs with no flood (acks past the frame count are retransmission duplicates)",
+				routerFloodFlowFrames, worst.Flow.Acked, worst.Flow.Backoffs, worst.Flow.Lost, quiet.Flow.Acked, quiet.Flow.Backoffs),
+			"expectation: the router's bill — a machine the attackers never run on — grows with offered rate; the ECN flow backs off under marks instead of tail-dropping",
 		)
-	}
-	quiet, worst := outs[0], outs[len(outs)-1]
-	fig.Notes = append(fig.Notes,
-		fmt.Sprintf("attackers offered %d frames; router forwarded %d and overflowed %d at its input queue; egress RED marked %d ECN frames and early-dropped %d junk frames (total egress drops %d)",
-			worst.Offered, worst.RouterForwarded, worst.RouterRxDropped, worst.EgressMarked, worst.EgressEarlyDropped, worst.EgressDropped),
-		fmt.Sprintf("ECN flow (%d frames): completed with %d acks, %d ECE backoffs, %d write-offs under flood; %d acks and %d backoffs with no flood (acks past the frame count are retransmission duplicates)",
-			routerFloodFlowFrames, worst.Flow.Acked, worst.Flow.Backoffs, worst.Flow.Lost, quiet.Flow.Acked, quiet.Flow.Backoffs),
-		"expectation: the router's bill — a machine the attackers never run on — grows with offered rate; the ECN flow backs off under marks instead of tail-dropping",
-	)
-	return fig, nil
+		return fig, nil
+	})
 }

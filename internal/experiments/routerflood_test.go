@@ -114,11 +114,11 @@ func TestRouterFloodParallelDeterminism(t *testing.T) {
 		o.Parallelism = par
 		return o
 	}
-	seq, err := RouterFlood(opts(1))
+	seq, err := reproduce("routerflood", opts(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := RouterFlood(opts(8))
+	par, err := reproduce("routerflood", opts(8))
 	if err != nil {
 		t.Fatal(err)
 	}

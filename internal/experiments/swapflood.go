@@ -170,14 +170,13 @@ func swapFloodKey(spec SwapFloodSpec) string {
 	return fmt.Sprintf("%s/%s", hog, spec.Victim.Billing)
 }
 
-// CrossMachineExceptionFlood regenerates the cluster-level exception
+// crossMachineExceptionFlood regenerates the cluster-level exception
 // flood: a neighbor machine's memory hog pressures the swap device
 // the victim host exports, once against a jiffy-billed host and once
 // against a process-aware host. The commodity bill absorbs the remote
 // swap service; the process-aware host diverts it to the system
 // account.
-func CrossMachineExceptionFlood(o Options) (*Figure, error) {
-	o = o.norm()
+func crossMachineExceptionFlood(o Options) plan {
 	billings := []string{"jiffy", "process-aware"}
 	specs := make([]SwapFloodSpec, 0, 2*len(billings))
 	for _, billing := range billings {
@@ -189,38 +188,35 @@ func CrossMachineExceptionFlood(o Options) (*Figure, error) {
 			})
 		}
 	}
-	outs, err := Campaign("swapflood", specs, o.Parallelism, RunSwapFlood, swapFloodKey)
-	if err != nil {
-		return nil, fmt.Errorf("cross-machine exception flood: %w", err)
-	}
-
-	fig := &Figure{
-		ID:    "Cluster Exception Flood",
-		Title: "Cross-Machine Exception Flooding (memory-hog neighbor vs. shared-swap host)",
-		Unit:  "CPU seconds (billed by the victim host's own scheme)",
-	}
-	groups := []string{"jiffy-host", "procaware-host"}
-	labels := []string{"no hog", "memhog neighbor"}
-	for bi, group := range groups {
-		for hi, label := range labels {
-			out := outs[bi*2+hi]
-			user, sys := victimBillSeconds(out.Victim)
-			fig.Bars = append(fig.Bars, textplot.Bar{
-				Group: group,
-				Label: label,
-				Segments: []textplot.Segment{
-					{Name: "user", Value: user},
-					{Name: "system", Value: sys},
-				},
-			})
+	return declare(specs, RunSwapFlood, swapFloodKey, func(outs []*SwapFloodOut) (*Figure, error) {
+		fig := &Figure{
+			ID:    "Cluster Exception Flood",
+			Title: "Cross-Machine Exception Flooding (memory-hog neighbor vs. shared-swap host)",
+			Unit:  "CPU seconds (billed by the victim host's own scheme)",
 		}
-	}
-	hogged := outs[1] // jiffy host under pressure
-	fig.Notes = append(fig.Notes,
-		fmt.Sprintf("neighbor hog took %d major faults, issuing %d remote reads + %d remote writebacks against the host's swap (%d request frames at the host NIC)",
-			hogged.HogMajorFaults, hogged.RemoteReads, hogged.RemoteWrites, hogged.HostRxPackets),
-		"expectation: jiffy-billed host's system time grows with remote swap service (rx interrupts + block-layer work land on the current task); process-aware host's bill is flat",
-		fmt.Sprintf("system account on the process-aware host under pressure: %.2f s", outs[3].Victim.Run.SystemAccountSec),
-	)
-	return fig, nil
+		groups := []string{"jiffy-host", "procaware-host"}
+		labels := []string{"no hog", "memhog neighbor"}
+		for bi, group := range groups {
+			for hi, label := range labels {
+				out := outs[bi*2+hi]
+				user, sys := victimBillSeconds(out.Victim)
+				fig.Bars = append(fig.Bars, textplot.Bar{
+					Group: group,
+					Label: label,
+					Segments: []textplot.Segment{
+						{Name: "user", Value: user},
+						{Name: "system", Value: sys},
+					},
+				})
+			}
+		}
+		hogged := outs[1] // jiffy host under pressure
+		fig.Notes = append(fig.Notes,
+			fmt.Sprintf("neighbor hog took %d major faults, issuing %d remote reads + %d remote writebacks against the host's swap (%d request frames at the host NIC)",
+				hogged.HogMajorFaults, hogged.RemoteReads, hogged.RemoteWrites, hogged.HostRxPackets),
+			"expectation: jiffy-billed host's system time grows with remote swap service (rx interrupts + block-layer work land on the current task); process-aware host's bill is flat",
+			fmt.Sprintf("system account on the process-aware host under pressure: %.2f s", outs[3].Victim.Run.SystemAccountSec),
+		)
+		return fig, nil
+	})
 }

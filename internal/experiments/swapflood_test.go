@@ -94,11 +94,11 @@ func TestSwapFloodParallelDeterminism(t *testing.T) {
 		o.Parallelism = par
 		return o
 	}
-	seq, err := CrossMachineExceptionFlood(opts(1))
+	seq, err := reproduce("swapflood", opts(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := CrossMachineExceptionFlood(opts(8))
+	par, err := reproduce("swapflood", opts(8))
 	if err != nil {
 		t.Fatal(err)
 	}

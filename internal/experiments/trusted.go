@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/attacks"
 	"repro/internal/core"
 	"repro/internal/integrity"
 )
@@ -16,131 +15,98 @@ const auditNonce = "audit-nonce-1"
 // via a certificate chain in a real deployment).
 const aikSeed = "platform-aik"
 
-// TrustedMitigation is the extension experiment for Section VI-B: it
+// mitigation is the extension experiment for Section VI-B: it
 // replays every attack against Whetstone and shows that (a) billing
 // from the process-aware TSC scheme removes the inflation the jiffy
 // scheme suffered, and (b) the customer-side auditor detects every
 // attack from the attested evidence.
-func TrustedMitigation(o Options) (*Figure, error) {
-	o = o.norm()
-	fig := &Figure{
-		ID:    "Mitigation",
-		Title: "Trusted metering vs all attacks (victim: Whetstone)",
-		Header: []string{
-			"attack", "billed(jiffy) s", "billed(trusted) s", "truth s",
-			"jiffy infl.", "trusted infl.", "audit verdict", "violated property",
-		},
-	}
-
-	forks := uint64(float64(attacks.DefaultSchedulingForks) * o.Scale)
-	if forks < 512 {
-		forks = 512
-	}
-	spec, _ := workloadSpec("W")
-	thrashTouches := uint64(float64(spec.DefaultThrashTouches) * o.Scale)
-	if thrashTouches < 100 {
-		thrashTouches = 100
-	}
-
-	cases := []struct {
-		label   string
-		attack  attacks.Attack
-		touches uint64
-	}{
-		{"none (baseline)", nil, 0},
-		{"shell", &attacks.ShellAttack{PayloadCycles: payloadCycles(o)}, 0},
-		{"library ctor", &attacks.LibraryCtorAttack{PayloadCycles: payloadCycles(o)}, 0},
-		{"substitution", attacks.NewLibrarySubstitutionAttack(o.Freq), 0},
-		{"scheduling", attacks.NewSchedulingAttack(-20, forks), 0},
-		{"thrashing", attacks.NewThrashingAttack(0), thrashTouches},
-		{"interrupt flood", attacks.NewInterruptFloodAttack(0), 0},
-		{"exception flood", attacks.NewExceptionFloodAttack(2 * physMem(o)), 0},
-	}
-
-	// Declare the whole matrix: the customer's reference run (she
-	// profiles the job on her own platform, same spec) plus one run
-	// per attack case.
-	var mx Matrix
-	refIdx := mx.Add(RunSpec{Opts: o, Workload: "W"})
-	caseIdx := make([]int, len(cases))
-	for i, tc := range cases {
-		caseIdx[i] = mx.Add(RunSpec{Opts: o, Workload: "W", Attack: tc.attack, Touches: tc.touches})
-	}
-	outs, err := mx.Run(o.Parallelism)
-	if err != nil {
-		return nil, fmt.Errorf("mitigation: %w", err)
-	}
-
-	// Harvest the manifest and usage profile from the reference run.
-	ref := outs[refIdx]
-	refReport, err := core.BuildReport(ref.Machine, ref.VictimPID, "whetstone",
-		core.LegacyBillingScheme, aikSeed, auditNonce)
-	if err != nil {
-		return nil, err
-	}
-	pairs := map[string]string{}
-	for _, e := range refReport.Measurements {
-		pairs[e.Name] = e.Digest
-	}
-	manifest := integrity.NewManifest(pairs)
-	tsRef, _ := refReport.Scheme("tsc")
-	profile := &core.Profile{UserSec: tsRef.UserSec, SysSec: tsRef.SysSec}
-
-	truthBase := tsRef.Total()
-	for i, tc := range cases {
-		out := outs[caseIdx[i]]
-		// The provider reports under the legacy scheme; the trusted
-		// meter bills from the process-aware scheme of the same run.
-		rep, err := core.BuildReport(out.Machine, out.VictimPID, "whetstone",
+func mitigation(o Options) plan {
+	// The customer's reference run (she profiles the job on her own
+	// platform, same spec), then one row per case: no attack, then
+	// each attack.
+	baseline := RunSpec{Opts: o, Workload: "W"}
+	specs := append([]RunSpec{baseline, baseline}, attackRuns(o)...)
+	labels := []string{"none (baseline)", "shell", "library ctor", "substitution", "scheduling", "thrashing", "interrupt flood", "exception flood"}
+	return solo(specs, func(outs []*RunOut) (*Figure, error) {
+		fig := &Figure{
+			ID:    "Mitigation",
+			Title: "Trusted metering vs all attacks (victim: Whetstone)",
+			Header: []string{
+				"attack", "billed(jiffy) s", "billed(trusted) s", "truth s",
+				"jiffy infl.", "trusted infl.", "audit verdict", "violated property",
+			},
+		}
+		// Harvest the manifest and usage profile from the reference run.
+		ref := outs[0]
+		refReport, err := core.BuildReport(ref.Machine, ref.VictimPID, "whetstone",
 			core.LegacyBillingScheme, aikSeed, auditNonce)
 		if err != nil {
 			return nil, err
 		}
-		aud := &core.Auditor{
-			Manifest:  manifest,
-			Reference: profile,
-			AIKSeed:   aikSeed,
-			Nonce:     auditNonce,
+		pairs := map[string]string{}
+		for _, e := range refReport.Measurements {
+			pairs[e.Name] = e.Digest
 		}
-		verdict := aud.Audit(rep)
+		manifest := integrity.NewManifest(pairs)
+		tsRef, _ := refReport.Scheme("tsc")
+		profile := &core.Profile{UserSec: tsRef.UserSec, SysSec: tsRef.SysSec}
 
-		jiffy := out.Victim.Total("jiffy")
-		trusted := out.Victim.Total("process-aware")
-		truth := out.Victim.Total("tsc")
-		verdictStr := "TRUSTED"
-		prop := "-"
-		if !verdict.Trustworthy {
-			verdictStr = "REJECTED"
-			seen := map[string]bool{}
-			prop = ""
-			for _, f := range verdict.Violations() {
-				name := f.Property.String()
-				if !seen[name] {
-					seen[name] = true
-					if prop != "" {
-						prop += "+"
+		truthBase := tsRef.Total()
+		for i, label := range labels {
+			out := outs[1+i]
+			// The provider reports under the legacy scheme; the trusted
+			// meter bills from the process-aware scheme of the same run.
+			rep, err := core.BuildReport(out.Machine, out.VictimPID, "whetstone",
+				core.LegacyBillingScheme, aikSeed, auditNonce)
+			if err != nil {
+				return nil, err
+			}
+			aud := &core.Auditor{
+				Manifest:  manifest,
+				Reference: profile,
+				AIKSeed:   aikSeed,
+				Nonce:     auditNonce,
+			}
+			verdict := aud.Audit(rep)
+
+			jiffy := out.Victim.Total("jiffy")
+			trusted := out.Victim.Total("process-aware")
+			truth := out.Victim.Total("tsc")
+			verdictStr := "TRUSTED"
+			prop := "-"
+			if !verdict.Trustworthy {
+				verdictStr = "REJECTED"
+				seen := map[string]bool{}
+				prop = ""
+				for _, f := range verdict.Violations() {
+					name := f.Property.String()
+					if !seen[name] {
+						seen[name] = true
+						if prop != "" {
+							prop += "+"
+						}
+						prop += name
 					}
-					prop += name
 				}
 			}
+			fig.Rows = append(fig.Rows, []string{
+				label,
+				fmt.Sprintf("%.1f", jiffy),
+				fmt.Sprintf("%.1f", trusted),
+				fmt.Sprintf("%.1f", truth),
+				fmt.Sprintf("%+.1f%%", pctOver(jiffy, truthBase)),
+				fmt.Sprintf("%+.1f%%", pctOver(trusted, truthBase)),
+				verdictStr,
+				prop,
+			})
 		}
-		fig.Rows = append(fig.Rows, []string{
-			tc.label,
-			fmt.Sprintf("%.1f", jiffy),
-			fmt.Sprintf("%.1f", trusted),
-			fmt.Sprintf("%.1f", truth),
-			fmt.Sprintf("%+.1f%%", pctOver(jiffy, truthBase)),
-			fmt.Sprintf("%+.1f%%", pctOver(trusted, truthBase)),
-			verdictStr,
-			prop,
-		})
-	}
-	fig.Notes = append(fig.Notes,
-		"trusted billing = process-aware TSC attribution of the same run",
-		"inflation measured against the reference run's TSC truth",
-		"launch attacks still consume real cycles in the job's context; the auditor rejects them via source integrity rather than the meter hiding them",
-		"thrashing consumes real victim-context kernel time; detection is via execution-integrity counters")
-	return fig, nil
+		fig.Notes = append(fig.Notes,
+			"trusted billing = process-aware TSC attribution of the same run",
+			"inflation measured against the reference run's TSC truth",
+			"launch attacks still consume real cycles in the job's context; the auditor rejects them via source integrity rather than the meter hiding them",
+			"thrashing consumes real victim-context kernel time; detection is via execution-integrity counters")
+		return fig, nil
+	})
 }
 
 // pctOver is the percentage by which a exceeds base.
