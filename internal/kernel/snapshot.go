@@ -196,8 +196,8 @@ func (m *Machine) clone(shell *Machine, ext RestoreResolver) (*Machine, error) {
 		c.faultRNG = m.faultRNG.Clone()
 	}
 
-	var smap map[*mem.Space]*mem.Space
-	c.mem, smap = m.mem.Clone()
+	var twin func(*mem.Space) *mem.Space
+	c.mem, twin = m.mem.Clone()
 	var pmap map[*proc.Proc]*proc.Proc
 	c.table, pmap = m.table.Clone()
 	c.sched = m.sched.Clone(pmap)
@@ -225,7 +225,7 @@ func (m *Machine) clone(shell *Machine, ext RestoreResolver) (*Machine, error) {
 	// Tasks in PID order, so a refusal names the lowest refused PID.
 	for _, p := range m.table.All() {
 		cp := pmap[p]
-		cp.Space = smap[p.Space]
+		cp.Space = twin(p.Space)
 		if err := c.cloneTask(m.tasks[p.PID], cp); err != nil {
 			return nil, err
 		}

@@ -127,7 +127,11 @@ type Memory struct {
 	// used, tail is most recently used.
 	lruHead, lruTail *pageState
 
+	// spaces holds the live address spaces by index. Release frees a
+	// space's slot for NewSpace to reuse: a released space owns no
+	// page, so nothing indexes it.
 	spaces   []*Space
+	free     []int32
 	swapIns  uint64
 	swapOuts uint64
 }
@@ -162,7 +166,12 @@ func (m *Memory) SwapTraffic() (ins, outs uint64) { return m.swapIns, m.swapOuts
 // NewSpace creates an address space labelled name for diagnostics.
 func (m *Memory) NewSpace(name string) *Space {
 	s := &Space{mem: m, name: name, index: int32(len(m.spaces))}
-	m.spaces = append(m.spaces, s)
+	if n := len(m.free); n > 0 {
+		s.index, m.free = m.free[n-1], m.free[:n-1]
+		m.spaces[s.index] = s
+	} else {
+		m.spaces = append(m.spaces, s)
+	}
 	return s
 }
 
@@ -307,8 +316,8 @@ func (s *Space) Touch(addr uint64, write bool) FaultResult {
 	return res
 }
 
-// Release frees every frame the space holds and forgets its pages,
-// modelling process exit.
+// Release frees every frame the space holds, forgets its pages and
+// drops the space from its Memory, modelling process exit.
 func (s *Space) Release() {
 	if s.released {
 		return
@@ -327,6 +336,8 @@ func (s *Space) Release() {
 	s.touched = 0
 	s.resident = 0
 	s.released = true
+	s.mem.spaces[s.index] = nil
+	s.mem.free = append(s.mem.free, s.index)
 }
 
 // evict reclaims the frame backing p, swapping it out if dirty. It
@@ -390,23 +401,26 @@ func DiskLatency(freq sim.Hz) sim.Cycles {
 }
 
 // Clone returns an independent deep copy of the whole memory
-// subsystem for checkpoint restore, plus the old→new Space mapping so
-// callers can re-point their Space references. The intrusive LRU list
-// is rebuilt by walking head→tail, so future eviction order is
-// identical to the original's; each page's copy is found by leaf
+// subsystem for checkpoint restore, plus twin, which maps each of m's
+// spaces to its copy so callers can re-point their Space references.
+// A released space is no longer part of m: its twin is a released
+// space of the copy with the same name and counters. The intrusive
+// LRU list is rebuilt by walking head→tail, so future eviction order
+// is identical to the original's; each page's copy is found by leaf
 // arithmetic from its space index and vpage, straight from the copied
 // map, so every copy starts with no recently used leaves.
-func (m *Memory) Clone() (*Memory, map[*Space]*Space) {
+func (m *Memory) Clone() (*Memory, func(*Space) *Space) {
 	cm := &Memory{
 		pageSize:    m.pageSize,
 		totalFrames: m.totalFrames,
 		usedFrames:  m.usedFrames,
+		spaces:      make([]*Space, len(m.spaces)),
+		free:        append([]int32(nil), m.free...),
 		swapIns:     m.swapIns,
 		swapOuts:    m.swapOuts,
 	}
 	smap := make(map[*Space]*Space, len(m.spaces))
-	cm.spaces = make([]*Space, len(m.spaces))
-	for i, s := range m.spaces {
+	copySpace := func(s *Space) *Space {
 		cs := &Space{
 			mem:        cm,
 			name:       s.name,
@@ -418,6 +432,14 @@ func (m *Memory) Clone() (*Memory, map[*Space]*Space) {
 			evictedOut: s.evictedOut,
 			released:   s.released,
 		}
+		smap[s] = cs
+		return cs
+	}
+	for i, s := range m.spaces {
+		if s == nil {
+			continue
+		}
+		cs := copySpace(s)
 		if s.leaves != nil {
 			cs.leaves = make(map[uint64]*leaf, len(s.leaves))
 			//simlint:unordered-ok deep copy into a map keyed identically; no iteration-order-dependent state is produced
@@ -430,11 +452,15 @@ func (m *Memory) Clone() (*Memory, map[*Space]*Space) {
 			}
 		}
 		cm.spaces[i] = cs
-		smap[s] = cs
 	}
 	for p := m.lruHead; p != nil; p = p.next {
 		cl := cm.spaces[p.space].leaves[p.vpage>>leafBits]
 		cm.lruPushTail(&cl[p.vpage&leafMask])
 	}
-	return cm, smap
+	return cm, func(s *Space) *Space {
+		if cs, ok := smap[s]; ok || s == nil {
+			return cs
+		}
+		return copySpace(s)
+	}
 }

@@ -139,11 +139,16 @@ func (m *refMemory) clone() *refMemory {
 }
 
 // lruOrder renders the recency list head→tail as "space:vpage" items,
-// which fixes the future eviction order.
-func lruOrder(m *Memory) string {
+// naming each space by its position in spaces, which fixes the future
+// eviction order.
+func lruOrder(m *Memory, spaces []*Space) string {
+	idx := map[*Space]int{}
+	for i, s := range spaces {
+		idx[s] = i
+	}
 	out := ""
 	for p := m.lruHead; p != nil; p = p.next {
-		out += fmt.Sprintf("%d:%d ", p.space, p.vpage)
+		out += fmt.Sprintf("%d:%d ", idx[m.spaces[p.space]], p.vpage)
 	}
 	return out
 }
@@ -161,19 +166,24 @@ func refLRUOrder(m *refMemory) string {
 }
 
 // diffState reports the first observable difference between the
-// table-backed memory and the reference, or "".
-func diffState(m *Memory, ref *refMemory) string {
-	if len(m.spaces) != len(ref.spaces) {
-		return fmt.Sprintf("spaces %d vs %d", len(m.spaces), len(ref.spaces))
-	}
+// table-backed memory, whose spaces the test holds in the reference's
+// order, and the reference, or "". Memory keeps only live spaces.
+func diffState(m *Memory, spaces []*Space, ref *refMemory) string {
+	live := len(m.spaces) - len(m.free)
 	if ins, outs := m.SwapTraffic(); ins != ref.swapIns || outs != ref.swapOuts {
 		return fmt.Sprintf("swap traffic %d/%d vs %d/%d", ins, outs, ref.swapIns, ref.swapOuts)
 	}
 	if m.UsedFrames() != ref.usedFrames {
 		return fmt.Sprintf("used frames %d vs %d", m.UsedFrames(), ref.usedFrames)
 	}
-	for i, s := range m.spaces {
+	for i, s := range spaces {
 		r := ref.spaces[i]
+		if !r.released {
+			live--
+		}
+		if s.released != r.released || !r.released && m.spaces[s.index] != s {
+			return fmt.Sprintf("space %d released %v vs %v, or not in its slot", i, s.released, r.released)
+		}
 		minor, major := s.Faults()
 		if minor != r.minor || major != r.major {
 			return fmt.Sprintf("space %d faults %d/%d vs %d/%d", i, minor, major, r.minor, r.major)
@@ -183,7 +193,10 @@ func diffState(m *Memory, ref *refMemory) string {
 				s.Resident(), s.EvictedOut(), s.FootprintPages(), r.resident, r.evictedOut, len(r.pages))
 		}
 	}
-	if got, want := lruOrder(m), refLRUOrder(ref); got != want {
+	if live != 0 {
+		return fmt.Sprintf("memory holds %d spaces the reference has released", live)
+	}
+	if got, want := lruOrder(m, spaces), refLRUOrder(ref); got != want {
 		return fmt.Sprintf("LRU order\n got %s\nwant %s", got, want)
 	}
 	return ""
@@ -192,38 +205,47 @@ func diffState(m *Memory, ref *refMemory) string {
 // TestPageTableMatchesReference drives the two-level page table and the
 // map-based reference through seeded random Touch/Hit/Release/Clone/NewSpace
 // sequences over spaces that together touch several times more pages
-// than there are frames, comparing every result and observable.
+// than there are frames, comparing every result and observable. The
+// test holds its spaces in the reference's order, because Memory drops
+// released spaces and reuses their slots.
 func TestPageTableMatchesReference(t *testing.T) {
 	const frames = 48
 	for seed := int64(1); seed <= 12; seed++ {
 		r := sim.NewRand(seed)
 		m := New(frames*DefaultPageSize, 0)
 		ref := &refMemory{totalFrames: frames}
+		var spaces []*Space
 		for i := 0; i < 3; i++ {
-			m.NewSpace(fmt.Sprint("s", i))
+			spaces = append(spaces, m.NewSpace(fmt.Sprint("s", i)))
 			ref.newSpace()
 		}
 		// On Clone the original pair is parked and work goes on in the
 		// copies; switching back later proves they share no state.
 		var parked *Memory
+		var parkedSpaces []*Space
 		var parkedRef *refMemory
 		for op := 0; op < 4000; op++ {
 			switch k := r.Intn(1000); {
 			case k < 4:
-				parked, parkedRef = m, ref
-				m, _ = m.Clone()
+				parked, parkedSpaces, parkedRef = m, spaces, ref
+				var twin func(*Space) *Space
+				m, twin = m.Clone()
+				spaces = make([]*Space, len(parkedSpaces))
+				for i, s := range parkedSpaces {
+					spaces[i] = twin(s)
+				}
 				ref = ref.clone()
 			case k < 6 && parked != nil:
-				m, ref, parked, parkedRef = parked, parkedRef, nil, nil
+				m, spaces, ref, parked, parkedSpaces, parkedRef = parked, parkedSpaces, parkedRef, nil, nil, nil
 			case k < 9:
-				i := r.Intn(len(m.spaces))
-				m.spaces[i].Release()
+				i := r.Intn(len(spaces))
+				spaces[i].Release()
 				ref.spaces[i].release()
 			case k < 12:
-				m.NewSpace("late")
+				spaces = append(spaces, m.NewSpace("late"))
 				ref.newSpace()
 			default:
-				i := r.Intn(len(m.spaces))
+				i := r.Intn(len(spaces))
 				if ref.spaces[i].released {
 					continue
 				}
@@ -238,19 +260,19 @@ func TestPageTableMatchesReference(t *testing.T) {
 				// Half the accesses try Hit first, as the kernel does,
 				// and take the fault through Touch only on a miss.
 				got := FaultResult{Kind: NoFault}
-				if r.Intn(2) == 0 || !m.spaces[i].Hit(addr, write) {
-					got = m.spaces[i].Touch(addr, write)
+				if r.Intn(2) == 0 || !spaces[i].Hit(addr, write) {
+					got = spaces[i].Touch(addr, write)
 				}
 				if want := ref.spaces[i].touch(vpage, write); got != want {
 					t.Fatalf("seed %d op %d: space %d touch page %d = %+v, want %+v", seed, op, i, vpage, got, want)
 				}
 			}
-			if d := diffState(m, ref); d != "" {
+			if d := diffState(m, spaces, ref); d != "" {
 				t.Fatalf("seed %d op %d: %s", seed, op, d)
 			}
 		}
 		if parked != nil {
-			if d := diffState(parked, parkedRef); d != "" {
+			if d := diffState(parked, parkedSpaces, parkedRef); d != "" {
 				t.Fatalf("seed %d: parked clone drifted: %s", seed, d)
 			}
 		}
@@ -296,12 +318,12 @@ func TestRecentLeavesNotSharedByClone(t *testing.T) {
 	m := New(256*DefaultPageSize, 0)
 	s := m.NewSpace("a")
 	sweep(s, 3*64, false) // three resident leaves, all recently used
-	cm, smap := m.Clone()
-	cs := smap[s]
+	cm, twin := m.Clone()
+	cs := twin(s)
 	if cs.recent != ([recentLeaves]leafSlot{}) {
 		t.Fatalf("clone starts with recent leaves %+v", cs.recent)
 	}
-	before := lruOrder(m)
+	before := lruOrder(m, []*Space{s})
 	if cs.Hit(0, true) {
 		t.Fatal("clone hit before touching a leaf of its own")
 	}
@@ -319,7 +341,7 @@ func TestRecentLeavesNotSharedByClone(t *testing.T) {
 			t.Fatalf("clone's store hit dirtied the original's page %d", vp)
 		}
 	}
-	if after := lruOrder(m); after != before {
+	if after := lruOrder(m, []*Space{s}); after != before {
 		t.Fatalf("clone's hits moved the original's LRU:\nbefore %s\nafter  %s", before, after)
 	}
 }
