@@ -101,7 +101,8 @@ type AckFlowConfig struct {
 	// frames and silently drains everything else.
 	Flow uint32
 	// Frames is the transfer length: the sender runs until this many
-	// acks arrive (or it gives up).
+	// acks arrive (or it gives up), sending at most 4x Frames data
+	// frames, retransmissions included.
 	Frames uint64
 	// Window is the initial and maximum congestion window in frames;
 	// zero selects 8.
@@ -110,16 +111,8 @@ type AckFlowConfig struct {
 	// while the window is closed. Required (the guest has no clock
 	// scale of its own).
 	PaceCycles sim.Cycles
-	// Budget caps total data frames sent (retransmission headroom);
-	// zero selects 4x Frames.
-	Budget uint64
-	// IdleTicks is how many silent poll ticks the sender waits before
-	// declaring outstanding frames lost (go-back) — or, with the send
-	// budget exhausted, giving up. Zero selects 128. Ignored when
-	// TimeoutCycles arms the clock-driven timeout instead.
-	IdleTicks int
 	// TimeoutCycles, when nonzero, replaces the idle-tick heuristic
-	// with a real retransmission timeout on the guest-visible
+	// (ackIdleTicks) with a real retransmission timeout on the guest-visible
 	// monotonic clock (Context.ClockNow): outstanding frames are
 	// written off — or, with the budget spent, the transfer abandoned
 	// — once that long passes with no ack progress, independent of
@@ -164,6 +157,12 @@ type AckFlowStats struct {
 	RecvErrors uint64
 }
 
+// ackIdleTicks is how many silent poll ticks the sender waits before
+// declaring outstanding frames lost (go-back) — or, with its send
+// budget of 4x Frames spent, giving up — unless TimeoutCycles arms the
+// clock-driven timeout instead.
+const ackIdleTicks = 128
+
 // ackSender is the resumable sending guest. One activation runs from
 // resume to the next kernel request; the transfer's whole position —
 // window, counters, timeout clocks — lives in this struct, not a
@@ -174,7 +173,6 @@ type ackSender struct {
 	stats *AckFlowStats
 
 	maxW, budget uint64
-	idleLimit    int
 	useClock     bool
 	data         guest.Frame
 
@@ -301,7 +299,7 @@ func (g *ackSender) afterSend(ctx guest.Context, r guest.Resume) guest.Step {
 		// injection) abandons the transfer instead of spinning forever.
 		g.stats.SendErrors++
 		g.sendFails++
-		if g.sendFails >= g.idleLimit {
+		if g.sendFails >= ackIdleTicks {
 			g.stats.GaveUp = true
 			return g.finish(ctx)
 		}
@@ -324,7 +322,7 @@ func (g *ackSender) afterPollSleep(ctx guest.Context, _ guest.Resume) guest.Step
 		return g.timeoutClock
 	}
 	g.idle++
-	return g.timeoutDecide(ctx, g.idle >= g.idleLimit)
+	return g.timeoutDecide(ctx, g.idle >= ackIdleTicks)
 }
 
 func (g *ackSender) afterTimeoutClock(ctx guest.Context, r guest.Resume) guest.Step {
@@ -380,14 +378,7 @@ func AckPacedSenderStep(cfg AckFlowConfig, stats *AckFlowStats) guest.Step {
 	if g.maxW == 0 {
 		g.maxW = 8
 	}
-	g.budget = cfg.Budget
-	if g.budget == 0 {
-		g.budget = 4 * cfg.Frames
-	}
-	g.idleLimit = cfg.IdleTicks
-	if g.idleLimit == 0 {
-		g.idleLimit = 128
-	}
+	g.budget = 4 * cfg.Frames
 	g.useClock = cfg.TimeoutCycles > 0
 	g.data = guest.Frame{Dst: cfg.Peer, Flow: cfg.Flow, ECN: true, Bytes: cfg.FrameBytes}
 	return g.start

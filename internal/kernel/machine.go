@@ -51,9 +51,6 @@ type Config struct {
 	PhysMemBytes uint64
 	// SchedulerPolicy is "o1" (default) or "cfs".
 	SchedulerPolicy string
-	// Registry is the shared-library store; nil selects the genuine
-	// libc/libm set.
-	Registry *lib.Registry
 	// Accountants to run in parallel. Empty selects
 	// jiffy + tsc + process-aware. The first is the billing scheme
 	// (what getrusage-alike reads).
@@ -203,11 +200,8 @@ func New(cfg Config) *Machine {
 	if cfg.HZ == 0 {
 		cfg.HZ = DefaultHZ
 	}
-	if cfg.Registry == nil {
-		cfg.Registry = lib.StandardRegistry()
-	}
 	m := newShell(cfg.Seed)
-	m.cfg, m.reg = cfg, cfg.Registry
+	m.cfg, m.reg = cfg, lib.StandardRegistry()
 	m.cpu = cpu.New(cfg.CPUHz)
 	m.clock = m.cpu.Clock()
 	m.mem = mem.New(cfg.PhysMemBytes, 0)
