@@ -62,7 +62,7 @@ func All(freq sim.Hz) []Attack {
 		NewLibraryCtorAttack(freq),
 		NewLibrarySubstitutionAttack(freq),
 		NewSchedulingAttack(-20, 0),
-		NewThrashingAttack(0),
+		NewThrashingAttack(),
 		NewInterruptFloodAttack(0),
 		NewExceptionFloodAttack(0),
 	}

@@ -183,7 +183,7 @@ func TestSubstitutionPreservesResults(t *testing.T) {
 }
 
 func TestThrashingStopsVictim(t *testing.T) {
-	_, _, m := launch(t, NewThrashingAttack(0))
+	_, _, m := launch(t, NewThrashingAttack())
 	var found bool
 	for pid := proc.PID(1); pid <= 5; pid++ {
 		st := m.Stats(pid)
@@ -202,7 +202,7 @@ func TestThrashingStopsVictim(t *testing.T) {
 func TestThrashingNeedsWatchAddress(t *testing.T) {
 	m := machine(t)
 	setup := &Setup{M: m, Shell: &shell.Config{}, JobEnv: map[string]string{}, VictimName: "x"}
-	if err := NewThrashingAttack(0).Arm(setup); err == nil {
+	if err := NewThrashingAttack().Arm(setup); err == nil {
 		t.Fatal("thrashing without a watch address should fail to arm")
 	}
 }

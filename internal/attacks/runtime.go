@@ -116,19 +116,11 @@ func (a SchedulingAttack) Arm(s *Setup) error {
 // resumes the victim and waits for the next watchpoint stop. Every
 // hit costs the victim a debug exception, signal handling, and two
 // context switches — system time billed to the victim.
-type ThrashingAttack struct {
-	// WatchAddr overrides the watched address; zero uses the
-	// victim's published hot address from the Setup.
-	WatchAddr uint64
-	// OnWrite restricts the watchpoint to stores.
-	OnWrite bool
-}
+type ThrashingAttack struct{}
 
-// NewThrashingAttack builds the thrashing attack; addr == 0 watches
-// the victim's hot variable.
-func NewThrashingAttack(addr uint64) ThrashingAttack {
-	return ThrashingAttack{WatchAddr: addr}
-}
+// NewThrashingAttack builds the thrashing attack, which watches the
+// victim's published hot variable.
+func NewThrashingAttack() ThrashingAttack { return ThrashingAttack{} }
 
 func (a ThrashingAttack) Key() string     { return "thrash" }
 func (a ThrashingAttack) Name() string    { return "Execution Thrashing Attack" }
@@ -139,14 +131,10 @@ func (a ThrashingAttack) Targets() string { return "stime" }
 func (a ThrashingAttack) Arm(s *Setup) error {
 	freq := s.M.Clock().Freq()
 	victim := s.VictimName
-	addr := a.WatchAddr
-	if addr == 0 {
-		addr = s.VictimHotAddr
-	}
+	addr := s.VictimHotAddr
 	if addr == 0 {
 		return fmt.Errorf("thrashing attack: no watch address for victim %q", victim)
 	}
-	onWrite := a.OnWrite
 	p, err := s.M.Spawn(kernel.SpawnConfig{
 		Name:    "tracer",
 		Content: "ptrace thrash attack v1",
@@ -163,12 +151,8 @@ func (a ThrashingAttack) Arm(s *Setup) error {
 			}
 			// Consume the attach stop, then arm DR0/DR7.
 			ctx.Wait()
-			var dr7 uint64 = 1
-			if onWrite {
-				dr7 |= 1 << 16
-			}
 			ctx.Ptrace(guest.PtracePokeUser, pid, guest.DR0, addr)
-			ctx.Ptrace(guest.PtracePokeUser, pid, guest.DR7, dr7)
+			ctx.Ptrace(guest.PtracePokeUser, pid, guest.DR7, 1)
 			if err := ctx.Ptrace(guest.PtraceCont, pid, 0, 0); err != nil {
 				return
 			}

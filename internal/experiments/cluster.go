@@ -35,8 +35,6 @@ type ClusterVictim struct {
 	// "jiffy" (default, the commodity scheme), "tsc", or
 	// "process-aware". All three schemes still record in parallel.
 	Billing string
-	// Nice sets the victim job's priority.
-	Nice int
 }
 
 // ClusterRunSpec describes one attacker-machine → victim-machines
@@ -47,10 +45,6 @@ type ClusterRunSpec struct {
 	// FloodPPS is the attacker's transmit rate per victim link; zero
 	// means the attacker machine stays silent (baseline cluster).
 	FloodPPS uint64
-	// FloodSeconds is the attacker's transmit duration in virtual
-	// seconds; zero derives 1.5x the longest victim baseline (so the
-	// flood outlives every victim).
-	FloodSeconds float64
 	// LinkLatencyUs is the one-way link latency; zero selects
 	// cluster.DefaultLatencyUs.
 	LinkLatencyUs uint64
@@ -170,7 +164,7 @@ func (h *victimHost) machine(o Options, v ClusterVictim, idx int, daemons func(*
 					return err
 				}
 			}
-			l, err := launchSpec(m, RunSpec{Opts: o, Workload: v.Workload, VictimNice: v.Nice})
+			l, err := launchSpec(m, RunSpec{Opts: o, Workload: v.Workload})
 			if err != nil {
 				return err
 			}
@@ -223,7 +217,7 @@ func RunCluster(spec ClusterRunSpec) (*ClusterOut, error) {
 	if len(spec.Victims) == 0 {
 		return nil, fmt.Errorf("cluster: no victim machines in spec")
 	}
-	floodSec, err := floodSeconds(o, spec.FloodSeconds, spec.Victims...)
+	floodSec, err := floodSeconds(o, 0, spec.Victims...)
 	if err != nil {
 		return nil, err
 	}

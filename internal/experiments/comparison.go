@@ -37,7 +37,7 @@ func attackRuns(o Options) []RunSpec {
 		{Attack: attacks.LibraryCtorAttack{PayloadCycles: payloadCycles(o)}},
 		{Attack: attacks.NewLibrarySubstitutionAttack(o.Freq)},
 		{Attack: attacks.NewSchedulingAttack(-20, schedulingForks(o))},
-		{Attack: attacks.NewThrashingAttack(0), Touches: thrashTouches(o, "W")},
+		{Attack: attacks.NewThrashingAttack(), Touches: thrashTouches(o, "W")},
 		{Attack: attacks.NewInterruptFloodAttack(0)},
 		{Attack: attacks.NewExceptionFloodAttack(2 * physMem(o))},
 	}

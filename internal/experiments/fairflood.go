@@ -37,37 +37,17 @@ type FairFloodSpec struct {
 	QuantumBytes uint64
 	// AttackerPPS is the junk rate; zero keeps the attacker silent.
 	AttackerPPS uint64
-	// AttackerBytes sizes the junk frames; zero selects 1500 (MTU
-	// frames, ~18 serialisation slots each).
-	AttackerBytes uint32
-	// FloodSeconds is the attacker's transmit duration; zero derives
-	// 1.5x the victim workload's baseline.
-	FloodSeconds float64
 	// Victim is the billed job on the victim host.
 	Victim ClusterVictim
 	// FlowFrames sizes the well-behaved ack-paced ECN transfer
 	// (required, ≥ 1 — the flow is the scenario's point).
 	FlowFrames uint64
-	// FlowBytes sizes the flow's data frames; zero selects 256.
-	FlowBytes uint32
-	// FlowWindow is the flow's initial/max congestion window; zero
-	// selects 8.
-	FlowWindow uint64
-	// FlowTimeoutUs is the sender's clock-driven retransmission
-	// timeout in virtual microseconds; zero selects 20000 (20 ms).
-	FlowTimeoutUs uint64
 	// EgressPPS is the shared egress wire's capacity in minimum-frame
 	// slots per second; zero selects 30000.
 	EgressPPS uint64
-	// EgressQueueDepth bounds the egress queue in slots; zero selects
-	// cluster.DefaultQueueDepth.
-	EgressQueueDepth uint64
 	// RED, when non-nil, arms RED/ECN on the egress (set Weight for
 	// the EWMA estimate).
 	RED *cluster.REDSpec
-	// LinkLatencyUs is every link's one-way latency; zero selects
-	// cluster.DefaultLatencyUs.
-	LinkLatencyUs uint64
 }
 
 // FairFloodOut is one shared-egress scenario's harvest.
@@ -102,7 +82,7 @@ func RunFairFlood(spec FairFloodSpec) (*FairFloodOut, error) {
 	if spec.FlowFrames == 0 {
 		return nil, fmt.Errorf("fairflood: FlowFrames must be ≥ 1 (the flow is what fairness is measured on)")
 	}
-	floodSec, err := floodSeconds(o, spec.FloodSeconds, spec.Victim)
+	floodSec, err := floodSeconds(o, 0, spec.Victim)
 	if err != nil {
 		return nil, err
 	}
@@ -124,18 +104,6 @@ func RunFairFlood(spec FairFloodSpec) (*FairFloodOut, error) {
 	victim.Service = true // the echo daemon never exits
 
 	perUs := sim.Cycles(uint64(o.Freq) / 1_000_000)
-	junkBytes := spec.AttackerBytes
-	if junkBytes == 0 {
-		junkBytes = 1500
-	}
-	flowBytes := spec.FlowBytes
-	if flowBytes == 0 {
-		flowBytes = 256
-	}
-	timeoutUs := spec.FlowTimeoutUs
-	if timeoutUs == 0 {
-		timeoutUs = 20_000
-	}
 	egressPPS := spec.EgressPPS
 	if egressPPS == 0 {
 		egressPPS = 30_000
@@ -158,8 +126,9 @@ func RunFairFlood(spec FairFloodSpec) (*FairFloodOut, error) {
 				packets := uint64(floodSec * float64(spec.AttackerPPS))
 				_, err := m.Spawn(kernel.SpawnConfig{
 					Name: "pktgen", Content: "junk-ip packet generator v4 (mtu frames)",
+					// MTU frames, ~18 serialisation slots each.
 					Step: floodBodyStep(o.Freq, spec.AttackerPPS, packets,
-						guest.Frame{Dst: c.AddrOf(victimIdx), Bytes: junkBytes}),
+						guest.Frame{Dst: c.AddrOf(victimIdx), Bytes: 1500}),
 				})
 				return err
 			},
@@ -174,10 +143,9 @@ func RunFairFlood(spec FairFloodSpec) (*FairFloodOut, error) {
 						Peer:          c.AddrOf(victimIdx),
 						Flow:          fairFloodFlowID,
 						Frames:        spec.FlowFrames,
-						Window:        spec.FlowWindow,
-						PaceCycles:    500 * perUs, // ≤2k pps offered
-						TimeoutCycles: sim.Cycles(timeoutUs) * perUs,
-						FrameBytes:    flowBytes,
+						PaceCycles:    500 * perUs,    // ≤2k pps offered
+						TimeoutCycles: 20_000 * perUs, // 20 ms retransmission timeout
+						FrameBytes:    256,
 					}, flowStats),
 				})
 				return err
@@ -190,9 +158,7 @@ func RunFairFlood(spec FairFloodSpec) (*FairFloodOut, error) {
 	// discipline under test.
 	egress := cluster.LinkSpec{
 		To:               victimIdx,
-		LatencyUs:        spec.LinkLatencyUs,
 		PacketsPerSecond: egressPPS,
-		QueueDepth:       spec.EgressQueueDepth,
 		RED:              spec.RED,
 		Qdisc:            spec.Qdisc,
 		QuantumBytes:     spec.QuantumBytes,

@@ -201,7 +201,7 @@ func figure8(o Options) plan {
 // storms inflate mostly system time, proportional to hit counts
 // (paper: O/P ~10^7 scaled to 10^6, W 2x10^5, B ~8.95x10^5).
 func figure9(o Options) plan {
-	return perProgramFigure(o, "Figure 9", "Execution Thrashing Attack", thrashTouches, attacks.NewThrashingAttack(0),
+	return perProgramFigure(o, "Figure 9", "Execution Thrashing Attack", thrashTouches, attacks.NewThrashingAttack(),
 		"watchpoints on each program's hot variable (O: loop counter, P: y, W: T1, B: count)",
 		"expectation: system time rises sharply; ordering follows watchpoint hit counts")
 }

@@ -39,9 +39,6 @@ type Options struct {
 	// Scale multiplies victim baselines and attack magnitudes;
 	// 1.0 (default) is paper scale, tests use ~0.01 for speed.
 	Scale float64
-	// MaxSteps bounds each machine run (default 400M) so a modelling
-	// regression surfaces as an error instead of a hang.
-	MaxSteps uint64
 	// Parallelism caps how many independent simulated machines or
 	// clusters a campaign executes concurrently: the size of the one
 	// worker pool on which cpumeter.ReproduceAll runs every requested
@@ -65,11 +62,12 @@ func (o Options) norm() Options {
 	if o.Scale == 0 {
 		o.Scale = 1.0
 	}
-	if o.MaxSteps == 0 {
-		o.MaxSteps = 400_000_000
-	}
 	return o
 }
+
+// maxSteps bounds each machine run, so a modelling regression
+// surfaces as an error instead of a hang.
+const maxSteps = 400_000_000
 
 // machineConfig builds the kernel config for one run.
 func (o Options) machineConfig() kernel.Config {
@@ -79,7 +77,7 @@ func (o Options) machineConfig() kernel.Config {
 		HZ:              o.HZ,
 		SchedulerPolicy: o.SchedulerPolicy,
 		PhysMemBytes:    o.PhysMemBytes,
-		MaxSteps:        o.MaxSteps,
+		MaxSteps:        maxSteps,
 	}
 }
 
@@ -93,8 +91,6 @@ type RunSpec struct {
 	Attack attacks.Attack
 	// Touches overrides the victim's hot-variable access count.
 	Touches uint64
-	// VictimNice sets the victim's priority.
-	VictimNice int
 }
 
 // PartyUsage is one process's accounted time across schemes, in
@@ -199,7 +195,7 @@ func launchSpec(m *kernel.Machine, spec RunSpec) (*launched, error) {
 		}
 		p, res := wspec.Build(params)
 		l.prog = res
-		job = &shell.Job{Prog: p, Env: l.setup.JobEnv, Nice: spec.VictimNice}
+		job = &shell.Job{Prog: p, Env: l.setup.JobEnv}
 		l.setup.VictimName = p.Name
 		l.setup.VictimHotAddr = wspec.HotAddr
 	} else if spec.Attack != nil {

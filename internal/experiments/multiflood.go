@@ -30,15 +30,9 @@ type MultiFloodSpec struct {
 	// BottleneckPPS is the shared ingress wire's capacity; zero
 	// selects cluster.DefaultLinkPPS.
 	BottleneckPPS uint64
-	// QueueDepth bounds the shared wire's tail-drop queue; zero
-	// selects cluster.DefaultQueueDepth.
-	QueueDepth uint64
 	// FloodSeconds is each attacker's transmit duration; zero derives
 	// 1.5x the victim's baseline so the flood outlives it.
 	FloodSeconds float64
-	// LinkLatencyUs is the one-way latency of every link; zero
-	// selects cluster.DefaultLatencyUs.
-	LinkLatencyUs uint64
 }
 
 // MultiFloodOut is one multi-attacker scenario's harvest.
@@ -102,9 +96,7 @@ func RunMultiFlood(spec MultiFloodSpec) (*MultiFloodOut, error) {
 	for a := 0; a < spec.Attackers; a++ {
 		links[a] = cluster.LinkSpec{
 			From: a, To: spec.Attackers,
-			LatencyUs:        spec.LinkLatencyUs,
 			PacketsPerSecond: spec.BottleneckPPS,
-			QueueDepth:       spec.QueueDepth,
 			Bottleneck:       "victim-ingress",
 		}
 	}

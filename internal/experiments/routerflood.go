@@ -32,28 +32,16 @@ type RouterFloodSpec struct {
 	// PerAttackerPPS is each attacker's offered rate; zero keeps the
 	// attackers silent.
 	PerAttackerPPS uint64
-	// FloodSeconds is each attacker's transmit duration; zero derives
-	// 1.5x the victim's baseline.
-	FloodSeconds float64
 	// Victim is the billed job on the machine behind the router.
 	Victim ClusterVictim
-	// RouterLookupUs is the router's per-frame user-mode lookup work;
-	// zero selects cluster.DefaultForwardUs.
-	RouterLookupUs uint64
 	// EgressPPS is the router→victim wire's capacity — the congested
 	// hop; zero selects cluster.DefaultLinkPPS.
 	EgressPPS uint64
-	// EgressQueueDepth bounds the egress queue; zero selects
-	// cluster.DefaultQueueDepth.
-	EgressQueueDepth uint64
 	// RED, when non-nil, arms RED/ECN on the egress wire.
 	RED *cluster.REDSpec
 	// FlowFrames sizes the well-behaved ack-paced ECN transfer
 	// sharing the egress; zero runs no flow.
 	FlowFrames uint64
-	// FlowWindow is the flow's initial/max congestion window; zero
-	// selects 8.
-	FlowWindow uint64
 	// LinkLatencyUs is every link's one-way latency; zero selects
 	// cluster.DefaultLatencyUs.
 	LinkLatencyUs uint64
@@ -124,7 +112,7 @@ func runRoutedFlood(who string, fl RouterFloodSpec, cs ChaosSpec, flowTimeoutUs 
 	if err != nil {
 		return nil, err
 	}
-	floodSec, err := floodSeconds(o, fl.FloodSeconds, fl.Victim)
+	floodSec, err := floodSeconds(o, 0, fl.Victim)
 	if err != nil {
 		return nil, err
 	}
@@ -153,10 +141,6 @@ func runRoutedFlood(who string, fl RouterFloodSpec, cs ChaosSpec, flowTimeoutUs 
 	// flow the workload keeps exact stall detection.
 	victim.Service = fl.FlowFrames > 0
 
-	lookupUs := fl.RouterLookupUs
-	if lookupUs == 0 {
-		lookupUs = cluster.DefaultForwardUs
-	}
 	perUs := sim.Cycles(uint64(o.Freq) / 1_000_000)
 	member := func(name string, idx int) cluster.MachineSpec {
 		cfg := o.machineConfig()
@@ -198,7 +182,6 @@ func runRoutedFlood(who string, fl RouterFloodSpec, cs ChaosSpec, flowTimeoutUs 
 				Peer:          c.AddrOf(victimIdx),
 				Flow:          routerFloodFlowID,
 				Frames:        fl.FlowFrames,
-				Window:        fl.FlowWindow,
 				PaceCycles:    500 * perUs, // ≤2k pps offered
 				TimeoutCycles: sim.Cycles(flowTimeoutUs) * perUs,
 			}, flow),
@@ -217,7 +200,7 @@ func runRoutedFlood(who string, fl RouterFloodSpec, cs ChaosSpec, flowTimeoutUs 
 	router.Boot = func(_ *cluster.Cluster, m *kernel.Machine) error {
 		p, err := m.Spawn(kernel.SpawnConfig{
 			Name: "fwd", Content: "store-and-forward router daemon v1",
-			Step: cluster.ForwarderStep(sim.Cycles(lookupUs) * perUs),
+			Step: cluster.ForwarderStep(cluster.DefaultForwardUs * perUs),
 		})
 		if p != nil {
 			routerPIDs = append(routerPIDs, p.PID)
@@ -240,7 +223,6 @@ func runRoutedFlood(who string, fl RouterFloodSpec, cs ChaosSpec, flowTimeoutUs 
 		From: routerIdx, To: victimIdx,
 		LatencyUs:        fl.LinkLatencyUs,
 		PacketsPerSecond: fl.EgressPPS,
-		QueueDepth:       fl.EgressQueueDepth,
 		RED:              fl.RED,
 		Flap:             cs.VictimFlap,
 	})

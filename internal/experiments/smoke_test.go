@@ -114,7 +114,7 @@ func TestThrashingInflatesSystemTime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	att, err := Run(RunSpec{Opts: o, Workload: "P", Touches: touches, Attack: attacks.NewThrashingAttack(0)})
+	att, err := Run(RunSpec{Opts: o, Workload: "P", Touches: touches, Attack: attacks.NewThrashingAttack()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,19 +30,6 @@ type SwapFloodSpec struct {
 	Victim ClusterVictim
 	// Hog arms the neighbor's memory hog; false is the baseline.
 	Hog bool
-	// NeighborMemBytes sizes the neighbor machine's RAM; zero selects
-	// 1/8 of the victim host's (small enough that the hog pages
-	// constantly without needing a paper-scale footprint).
-	NeighborMemBytes uint64
-	// HogSeconds bounds the hog's pressure window; zero derives 1.5x
-	// the victim's baseline so the pressure outlives the victim.
-	HogSeconds float64
-	// ServiceUs is the host-side service per remote page; zero
-	// selects cluster.DefaultSwapServiceUs.
-	ServiceUs uint64
-	// LinkLatencyUs is the host↔neighbor link latency; zero selects
-	// cluster.DefaultLatencyUs.
-	LinkLatencyUs uint64
 }
 
 // SwapFloodOut is one shared-swap scenario's harvest.
@@ -78,14 +65,14 @@ func RunSwapFlood(spec SwapFloodSpec) (*SwapFloodOut, error) {
 	if err != nil {
 		return nil, err
 	}
-	hogSec, err := floodSeconds(o, spec.HogSeconds, spec.Victim)
+	// The hog's pressure window outlives the victim.
+	hogSec, err := floodSeconds(o, 0, spec.Victim)
 	if err != nil {
 		return nil, err
 	}
-	neighborMem := spec.NeighborMemBytes
-	if neighborMem == 0 {
-		neighborMem = physMem(o) / 8
-	}
+	// An eighth of the host's RAM: small enough that the hog pages
+	// constantly without needing a paper-scale footprint.
+	neighborMem := physMem(o) / 8
 	neighborCfg := o.machineConfig()
 	neighborCfg.Seed = clusterSeed(o.Seed, 1)
 	neighborCfg.PhysMemBytes = neighborMem
@@ -129,11 +116,10 @@ func RunSwapFlood(spec SwapFloodSpec) (*SwapFloodOut, error) {
 
 	cl, err := cluster.New(cluster.Config{
 		Machines: machines,
-		Links:    []cluster.LinkSpec{{From: 1, To: 0, LatencyUs: spec.LinkLatencyUs}},
+		Links:    []cluster.LinkSpec{{From: 1, To: 0}},
 		SharedSwap: &cluster.SharedSwapSpec{
-			Host:      0,
-			Clients:   []int{1},
-			ServiceUs: spec.ServiceUs,
+			Host:    0,
+			Clients: []int{1},
 		},
 	})
 	if err != nil {
