@@ -219,7 +219,7 @@ func chaosFloodBase(o Options) RouterFloodSpec {
 // rendering choice.
 func chaosFlood(o Options) plan {
 	base := chaosFloodBase(o)
-	floodSec, _ := floodSeconds(o, 0, base.Victim) // the base victim is a known program
+	floodSec, _ := floodSeconds(o, base.Victim) // the base victim is a known program
 	flap := &cluster.FlapSpec{
 		FirstDownUs: uint64(floodSec * 0.2 * 1e6),
 		DownUs:      uint64(floodSec * 0.05 * 1e6),

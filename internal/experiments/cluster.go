@@ -188,13 +188,9 @@ func (h *victimHost) harvest(m *kernel.Machine) (ClusterVictimOut, error) {
 	return ClusterVictimOut{Billing: billing, Run: h.launch.harvest(m), PacketsReceived: m.NIC().Received()}, nil
 }
 
-// floodSeconds resolves an attack's transmit duration: given when
-// positive, otherwise 1.5x the longest victim baseline, so the attack
-// outlives every victim.
-func floodSeconds(o Options, given float64, victims ...ClusterVictim) (float64, error) {
-	if given > 0 {
-		return given, nil
-	}
+// floodSeconds is an attack's transmit duration: 1.5x the longest
+// victim baseline, so the attack outlives every victim.
+func floodSeconds(o Options, victims ...ClusterVictim) (float64, error) {
 	var longest float64
 	for _, v := range victims {
 		w, err := workloads.SpecByKey(v.Workload)
@@ -217,7 +213,7 @@ func RunCluster(spec ClusterRunSpec) (*ClusterOut, error) {
 	if len(spec.Victims) == 0 {
 		return nil, fmt.Errorf("cluster: no victim machines in spec")
 	}
-	floodSec, err := floodSeconds(o, 0, spec.Victims...)
+	floodSec, err := floodSeconds(o, spec.Victims...)
 	if err != nil {
 		return nil, err
 	}

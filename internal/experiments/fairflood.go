@@ -82,7 +82,7 @@ func RunFairFlood(spec FairFloodSpec) (*FairFloodOut, error) {
 	if spec.FlowFrames == 0 {
 		return nil, fmt.Errorf("fairflood: FlowFrames must be ≥ 1 (the flow is what fairness is measured on)")
 	}
-	floodSec, err := floodSeconds(o, 0, spec.Victim)
+	floodSec, err := floodSeconds(o, spec.Victim)
 	if err != nil {
 		return nil, err
 	}

@@ -57,9 +57,12 @@ func RunMultiFlood(spec MultiFloodSpec) (*MultiFloodOut, error) {
 	if spec.PerAttackerPPS == 0 {
 		return nil, fmt.Errorf("multiflood: zero per-attacker rate")
 	}
-	floodSec, err := floodSeconds(o, spec.FloodSeconds, spec.Victim)
-	if err != nil {
-		return nil, err
+	floodSec := spec.FloodSeconds
+	if floodSec <= 0 {
+		var err error
+		if floodSec, err = floodSeconds(o, spec.Victim); err != nil {
+			return nil, err
+		}
 	}
 	var host victimHost
 	victim, err := host.machine(o, spec.Victim, spec.Attackers, nil)

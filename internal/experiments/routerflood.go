@@ -112,7 +112,7 @@ func runRoutedFlood(who string, fl RouterFloodSpec, cs ChaosSpec, flowTimeoutUs 
 	if err != nil {
 		return nil, err
 	}
-	floodSec, err := floodSeconds(o, 0, fl.Victim)
+	floodSec, err := floodSeconds(o, fl.Victim)
 	if err != nil {
 		return nil, err
 	}

@@ -66,7 +66,7 @@ func RunSwapFlood(spec SwapFloodSpec) (*SwapFloodOut, error) {
 		return nil, err
 	}
 	// The hog's pressure window outlives the victim.
-	hogSec, err := floodSeconds(o, 0, spec.Victim)
+	hogSec, err := floodSeconds(o, spec.Victim)
 	if err != nil {
 		return nil, err
 	}
