@@ -318,9 +318,6 @@ type Config struct {
 	// SharedSwap, when non-nil, couples machines' swap devices into
 	// one physically shared device hosted by one machine.
 	SharedSwap *SharedSwapSpec
-	// MaxCycles bounds total virtual time as a runaway guard; zero
-	// selects one virtual hour.
-	MaxCycles sim.Cycles
 }
 
 // ErrStalled is returned by Run when unfinished machines remain but
@@ -834,7 +831,6 @@ func shellFrom(cfg Config) (c *Cluster, freq sim.Hz, perUs sim.Cycles, err error
 		names:     make([]string, len(cfg.Machines)),
 		service:   make([]bool, len(cfg.Machines)),
 		done:      make([]bool, len(cfg.Machines)),
-		maxCycles: cfg.MaxCycles,
 		specs:     cfg.Machines,
 		txRoutes:  make([][]func(Frame) bool, len(cfg.Machines)),
 		routeTab:  make([]map[Addr]int, len(cfg.Machines)),
@@ -848,9 +844,7 @@ func shellFrom(cfg Config) (c *Cluster, freq sim.Hz, perUs sim.Cycles, err error
 	if freq == 0 {
 		freq = sim.DefaultCPUHz
 	}
-	if c.maxCycles == 0 {
-		c.maxCycles = sim.Cycles(freq) * 3600
-	}
+	c.maxCycles = sim.Cycles(freq) * 3600 // one virtual hour: a runaway guard
 	seenNames := make(map[string]int)
 	for i, ms := range cfg.Machines {
 		f := ms.Config.CPUHz

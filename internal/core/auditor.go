@@ -79,16 +79,21 @@ func (v Verdict) Violations() []Finding {
 type Profile struct {
 	UserSec float64
 	SysSec  float64
-	// TolerancePct allows for run-to-run variation (default 5%).
-	TolerancePct float64
 }
 
-func (p Profile) tolerance() float64 {
-	if p.TolerancePct <= 0 {
-		return 5
-	}
-	return p.TolerancePct
-}
+// The auditor's thresholds.
+const (
+	// profileTolerancePct allows a bill to differ from the reference
+	// profile by run-to-run variation.
+	profileTolerancePct = 5
+	// schemeDivergencePct flags fine-grained divergence between the
+	// billed figure and the ground-truth scheme.
+	schemeDivergencePct = 3
+	// minOverchargeSec is the absolute floor under which divergence
+	// is treated as sampling noise rather than an attack (~60
+	// jiffies).
+	minOverchargeSec = 0.25
+)
 
 // Auditor verifies provider reports on the customer's behalf.
 type Auditor struct {
@@ -104,29 +109,6 @@ type Auditor struct {
 	AIKSeed string
 	// Nonce must match the challenge the customer sent.
 	Nonce string
-	// SchemeDivergencePct flags fine-grained divergence between the
-	// billed figure and the ground-truth scheme (default 3%).
-	SchemeDivergencePct float64
-	// MinOverchargeSec is the absolute floor under which divergence
-	// is treated as sampling noise rather than an attack (default
-	// 0.25 s, ~60 jiffies).
-	MinOverchargeSec float64
-	// MaxTraceStops tolerated before execution integrity fails.
-	MaxTraceStops uint64
-}
-
-func (a *Auditor) divergence() float64 {
-	if a.SchemeDivergencePct <= 0 {
-		return 3
-	}
-	return a.SchemeDivergencePct
-}
-
-func (a *Auditor) minOvercharge() float64 {
-	if a.MinOverchargeSec <= 0 {
-		return 0.25
-	}
-	return a.MinOverchargeSec
 }
 
 // Audit checks one report and returns the verdict.
@@ -157,7 +139,8 @@ func (a *Auditor) Audit(r *Report) Verdict {
 	}
 
 	// --- Execution integrity: interference counters. ---
-	if r.Counters.TraceStops > a.MaxTraceStops {
+	// A single trace stop fails it.
+	if r.Counters.TraceStops > 0 {
 		v.Findings = append(v.Findings, Finding{ExecutionIntegrity, true,
 			fmt.Sprintf("job was trace-stopped %d times (debug exceptions: %d): execution thrashing",
 				r.Counters.TraceStops, r.Counters.DebugExceptions)})
@@ -171,13 +154,13 @@ func (a *Auditor) Audit(r *Report) Verdict {
 	truth := billed
 	if pa, ok := r.Scheme(TrustedBillingScheme); ok {
 		truth = pa.Total()
-		if diffPct(billed, truth) > a.divergence() && billed-truth > a.minOvercharge() {
+		if diffPct(billed, truth) > schemeDivergencePct && billed-truth > minOverchargeSec {
 			v.OverchargeSec = billed - truth
 			v.Findings = append(v.Findings, Finding{FineGrainedMetering, true,
 				fmt.Sprintf("billed %.2fs but exact attribution is %.2fs (+%.1f%%): tick sampling or interrupt misattribution exploited",
 					billed, truth, diffPct(billed, truth))})
 		}
-		if ts, ok := r.Scheme("tsc"); ok && diffPct(ts.SysSec, pa.SysSec) > a.divergence() && ts.SysSec-pa.SysSec > a.minOvercharge() {
+		if ts, ok := r.Scheme("tsc"); ok && diffPct(ts.SysSec, pa.SysSec) > schemeDivergencePct && ts.SysSec-pa.SysSec > minOverchargeSec {
 			v.Findings = append(v.Findings, Finding{FineGrainedMetering, true,
 				fmt.Sprintf("%.2fs of interrupt-handler time was attributed to the job (process-aware: %.2fs): interrupt flooding",
 					ts.SysSec, pa.SysSec)})
@@ -187,8 +170,8 @@ func (a *Auditor) Audit(r *Report) Verdict {
 	// --- Reference profile comparison (the trust definition). ---
 	if a.Reference != nil {
 		wantTotal := a.Reference.UserSec + a.Reference.SysSec
-		if wantTotal > 0 && diffPct(billed, wantTotal) > a.Reference.tolerance() &&
-			math.Abs(billed-wantTotal) > a.minOvercharge() {
+		if wantTotal > 0 && diffPct(billed, wantTotal) > profileTolerancePct &&
+			math.Abs(billed-wantTotal) > minOverchargeSec {
 			if v.OverchargeSec == 0 {
 				v.OverchargeSec = billed - wantTotal
 			}

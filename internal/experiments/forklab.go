@@ -25,9 +25,6 @@ import (
 type ForkLabSpec struct {
 	// Seed drives every random stream; zero selects 2010.
 	Seed int64
-	// Freq is the CPU frequency; zero selects the paper testbed's
-	// 2.53 GHz.
-	Freq sim.Hz
 	// Rounds is the churn guest's loop count — the knob that scales
 	// total run length; zero selects 60.
 	Rounds int
@@ -39,9 +36,6 @@ type ForkLabSpec struct {
 func (s ForkLabSpec) norm() ForkLabSpec {
 	if s.Seed == 0 {
 		s.Seed = 2010
-	}
-	if s.Freq == 0 {
-		s.Freq = sim.DefaultCPUHz
 	}
 	if s.Rounds == 0 {
 		s.Rounds = 60
@@ -170,7 +164,7 @@ func BuildForkLab(spec ForkLabSpec) (*kernel.Machine, error) {
 	s := spec.norm()
 	m := kernel.New(kernel.Config{
 		Seed:         s.Seed,
-		CPUHz:        s.Freq,
+		CPUHz:        sim.DefaultCPUHz,
 		PhysMemBytes: 24 * mem.DefaultPageSize,
 		Faults: &kernel.FaultSpec{Syscalls: []kernel.SyscallFault{
 			{Name: "sendto", Errno: guest.EAGAIN, ProbPPM: 200_000},

@@ -40,8 +40,6 @@ type Config struct {
 	// execute_disk_command() between make_child() and
 	// shell_execve().
 	Inject guest.Routine
-	// Nice is the shell's own nice value.
-	Nice int
 	// Env is the shell's login environment, inherited by jobs.
 	Env map[string]string
 }
@@ -97,7 +95,6 @@ func Launch(m *kernel.Machine, cfg Config, jobs ...Job) (*Session, error) {
 	p, err := m.Spawn(kernel.SpawnConfig{
 		Name:    "shell",
 		Content: content,
-		Nice:    cfg.Nice,
 		Env:     cfg.Env,
 		Body:    body,
 	})
