@@ -211,10 +211,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) { return cluster.New(cfg) }
 // finished run. scheme is "jiffy" (commodity billing) or
 // cpumeter.TrustedScheme.
 func BuildReport(out *RunOut, scheme, aikSeed, nonce string) (*Report, error) {
-	if out.Machine == nil || out.VictimPID == 0 {
-		return nil, fmt.Errorf("cpumeter: run carried no billed job")
-	}
-	return core.BuildReport(out.Machine, out.VictimPID, out.Spec.Workload, scheme, aikSeed, nonce)
+	return out.Report(out.Spec.Workload, scheme, aikSeed, nonce)
 }
 
 // TrustedScheme is the billing scheme of the paper's proposed

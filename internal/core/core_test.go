@@ -7,7 +7,32 @@ import (
 	"repro/internal/guest"
 	"repro/internal/integrity"
 	"repro/internal/kernel"
+	"repro/internal/metering"
+	"repro/internal/proc"
 )
+
+// evidence reads one job's evidence from a finished machine: its
+// usage under every accountant, in the machine's order, its
+// counters, the measurement log, the clock and the system account.
+func evidence(m *kernel.Machine, job proc.PID, jobName string) Report {
+	freq := m.Clock().Freq()
+	ev := Report{
+		JobName:      jobName,
+		JobPID:       job,
+		FreqHz:       freq,
+		Counters:     m.Stats(job),
+		Measurements: m.Measurements(),
+		ElapsedSec:   m.Clock().Seconds(m.Clock().Now()),
+	}
+	for _, acct := range m.Accountants().Accountants() {
+		u, _ := m.UsageBy(acct.Name(), job)
+		us, ss := u.Seconds(freq)
+		ev.Schemes = append(ev.Schemes, SchemeUsage{Scheme: acct.Name(), UserSec: us, SysSec: ss})
+	}
+	sys, _ := m.UsageBy(TrustedBillingScheme, metering.SystemPID)
+	_, ev.SystemAccountSec = sys.Seconds(freq)
+	return ev
+}
 
 // runJob executes a tiny job and returns the machine and job pid.
 func runJob(t *testing.T, tamper func(m *kernel.Machine)) (*kernel.Machine, *Report) {
@@ -34,7 +59,7 @@ func runJob(t *testing.T, tamper func(m *kernel.Machine)) (*kernel.Machine, *Rep
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := BuildReport(m, p.PID, "job", LegacyBillingScheme, "aik", "nonce-1")
+	rep, err := BuildReport(evidence(m, p.PID, "job"), LegacyBillingScheme, "aik", "nonce-1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +99,7 @@ func TestBuildReportUnknownScheme(t *testing.T) {
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := BuildReport(m, p.PID, "j", "bogus", "aik", "n"); err == nil {
+	if _, err := BuildReport(evidence(m, p.PID, "j"), "bogus", "aik", "n"); err == nil {
 		t.Fatal("unknown billing scheme accepted")
 	}
 }

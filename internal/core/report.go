@@ -26,7 +26,6 @@ import (
 
 	"repro/internal/integrity"
 	"repro/internal/kernel"
-	"repro/internal/metering"
 	"repro/internal/proc"
 	"repro/internal/sim"
 )
@@ -73,43 +72,19 @@ const TrustedBillingScheme = "process-aware"
 // LegacyBillingScheme is the commodity tick-sampled scheme.
 const LegacyBillingScheme = "jiffy"
 
-// BuildReport assembles an attested usage report for one job from a
-// finished machine. scheme selects the billing figure ("jiffy" for a
-// commodity provider, TrustedBillingScheme for the paper's proposal).
-func BuildReport(m *kernel.Machine, job proc.PID, jobName, scheme, aikSeed, nonce string) (*Report, error) {
-	freq := m.Clock().Freq()
-	rep := &Report{
-		JobName:          jobName,
-		JobPID:           job,
-		FreqHz:           freq,
-		BillingScheme:    scheme,
-		Counters:         m.Stats(job),
-		Measurements:     m.Measurements(),
-		ElapsedSec:       m.Clock().Seconds(m.Clock().Now()),
-		SystemAccountSec: 0,
+// BuildReport completes an attested usage report from one job's
+// evidence: ev with Billed, BillingScheme and Quote unset. scheme
+// selects the billing figure from ev.Schemes ("jiffy" for a commodity
+// provider, TrustedBillingScheme for the paper's proposal), and the
+// quote seals ev's measurement log.
+func BuildReport(ev Report, scheme, aikSeed, nonce string) (*Report, error) {
+	billed, ok := ev.Scheme(scheme)
+	if !ok {
+		return nil, fmt.Errorf("core: billing scheme %q not among the job's schemes", scheme)
 	}
-	for _, acct := range m.Accountants().Accountants() {
-		u, ok := m.UsageBy(acct.Name(), job)
-		if !ok {
-			continue
-		}
-		us, ss := u.Seconds(freq)
-		su := SchemeUsage{Scheme: acct.Name(), UserSec: us, SysSec: ss}
-		rep.Schemes = append(rep.Schemes, su)
-		if acct.Name() == scheme {
-			rep.Billed = su
-		}
-	}
-	if rep.Billed.Scheme == "" {
-		return nil, fmt.Errorf("core: billing scheme %q not active on machine", scheme)
-	}
-	if sys, ok := m.UsageBy(TrustedBillingScheme, metering.SystemPID); ok {
-		_, s := sys.Seconds(freq)
-		rep.SystemAccountSec = s
-	}
-	log := integrity.BuildLog(rep.Measurements, aikSeed)
-	rep.Quote = log.Quote(nonce)
-	return rep, nil
+	ev.Billed, ev.BillingScheme = billed, scheme
+	ev.Quote = integrity.BuildLog(ev.Measurements, aikSeed).Quote(nonce)
+	return &ev, nil
 }
 
 // Scheme returns a named scheme's usage from the report.

@@ -14,7 +14,6 @@ import (
 	"testing"
 
 	"repro/internal/attacks"
-	"repro/internal/kernel"
 	"repro/internal/workloads"
 )
 
@@ -161,21 +160,16 @@ func readHarvestDigests(t *testing.T) map[string]string {
 	return digests
 }
 
-var machineType = reflect.TypeOf((*kernel.Machine)(nil))
-
 // dumpHarvest writes v canonically, one "path=value" line per leaf:
 // every exported field, floats at round-trip precision, map entries
-// in sorted key order. Pointers are followed, except *kernel.Machine
-// handles, whose state the other fields already report.
+// in sorted key order. Pointers are followed.
 func dumpHarvest(b *strings.Builder, path string, v reflect.Value) {
 	leaf := func(s string) { fmt.Fprintf(b, "%s=%s\n", path, s) }
 	switch v.Kind() {
 	case reflect.Pointer, reflect.Interface:
-		switch {
-		case v.Type() == machineType:
-		case v.IsNil():
+		if v.IsNil() {
 			leaf("nil")
-		default:
+		} else {
 			dumpHarvest(b, path, v.Elem())
 		}
 	case reflect.Struct:

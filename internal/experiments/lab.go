@@ -8,9 +8,12 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/attacks"
+	"repro/internal/core"
 	"repro/internal/kernel"
 	"repro/internal/metering"
 	"repro/internal/proc"
@@ -127,9 +130,6 @@ type RunOut struct {
 	Measurements []kernel.Measurement
 	// ElapsedSec is total virtual wall time.
 	ElapsedSec float64
-	// Machine is the finished machine, retained so the trusted-
-	// metering layer can build attested reports post-run.
-	Machine *kernel.Machine
 	// VictimPID is the billed job's pid (zero if no workload ran).
 	VictimPID proc.PID
 }
@@ -227,7 +227,6 @@ func (l *launched) harvest(m *kernel.Machine) *RunOut {
 		Result:       l.prog,
 		Measurements: m.Measurements(),
 		ElapsedSec:   m.Clock().Seconds(m.Clock().Now()),
-		Machine:      m,
 	}
 	if l.sess != nil && len(l.sess.JobPIDs) > 0 {
 		vpid := l.sess.JobPIDs[0]
@@ -279,12 +278,26 @@ func key(a attacks.Attack) string {
 	return a.Key()
 }
 
-// AttackerTotal sums all attacker parties' billed seconds under a
-// scheme.
-func (r *RunOut) AttackerTotal(scheme string) float64 {
-	var t float64
-	for _, a := range r.Attackers {
-		t += a.Total(scheme)
+// Report is the attested usage report for the run's billed job,
+// named jobName and billed under scheme, built from the harvest with
+// its schemes in Schemes order, a Run machine's accountant order. The
+// victim never forks, so its harvested usage, own plus reaped
+// children, is its own.
+func (r *RunOut) Report(jobName, scheme, aikSeed, nonce string) (*core.Report, error) {
+	if r.VictimPID == 0 {
+		return nil, errors.New("run carried no billed job")
 	}
-	return t
+	ev := core.Report{
+		JobName:          jobName,
+		JobPID:           r.VictimPID,
+		FreqHz:           r.Spec.Opts.norm().Freq,
+		SystemAccountSec: r.SystemAccountSec,
+		Counters:         r.VictimStats,
+		Measurements:     slices.Clone(r.Measurements),
+		ElapsedSec:       r.ElapsedSec,
+	}
+	for _, s := range Schemes {
+		ev.Schemes = append(ev.Schemes, core.SchemeUsage{Scheme: s, UserSec: r.Victim.User[s], SysSec: r.Victim.Sys[s]})
+	}
+	return core.BuildReport(ev, scheme, aikSeed, nonce)
 }

@@ -38,8 +38,7 @@ func mitigation(o Options) plan {
 		}
 		// Harvest the manifest and usage profile from the reference run.
 		ref := outs[0]
-		refReport, err := core.BuildReport(ref.Machine, ref.VictimPID, "whetstone",
-			core.LegacyBillingScheme, aikSeed, auditNonce)
+		refReport, err := ref.Report("whetstone", core.LegacyBillingScheme, aikSeed, auditNonce)
 		if err != nil {
 			return nil, err
 		}
@@ -56,8 +55,7 @@ func mitigation(o Options) plan {
 			out := outs[1+i]
 			// The provider reports under the legacy scheme; the trusted
 			// meter bills from the process-aware scheme of the same run.
-			rep, err := core.BuildReport(out.Machine, out.VictimPID, "whetstone",
-				core.LegacyBillingScheme, aikSeed, auditNonce)
+			rep, err := out.Report("whetstone", core.LegacyBillingScheme, aikSeed, auditNonce)
 			if err != nil {
 				return nil, err
 			}
