@@ -521,9 +521,6 @@ func (l *Link) Marked() uint64 { return l.marked }
 // before the hard tail-drop bound (non-ECN frames under congestion).
 func (l *Link) EarlyDropped() uint64 { return l.earlyDrop }
 
-// Latency reports the one-way propagation delay in cycles.
-func (l *Link) Latency() sim.Cycles { return l.latency }
-
 // Reverse returns the opposite direction of this link.
 func (l *Link) Reverse() *Link { return l.rev }
 

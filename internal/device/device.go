@@ -248,18 +248,14 @@ func (n *NIC) Received() uint64 { return n.received }
 // timer lives on this machine samples it when the timer fires.
 func (n *NIC) Now() sim.Cycles { return n.clock.Now() }
 
-// ScheduleEgress schedules fn at virtual time at on this NIC's
+// ScheduleEgressTagged schedules fn at virtual time at on this NIC's
 // machine event queue: the service timer a queueing-discipline pipe
 // arms so backlogged frames still drain after the last sender goes
 // quiet. The event counts as pending non-timer work, so a cluster
 // does not mistake a machine waiting on queued frames for a stall.
-func (n *NIC) ScheduleEgress(at sim.Cycles, fn func()) {
-	n.queue.Schedule(at, "pipe-service", fn)
-}
-
-// ScheduleEgressTagged is ScheduleEgress with a caller-chosen restore
-// tag (a cluster passes the pipe's id, so a checkpoint restore can
-// rebuild the service timer's Fire closure from the event image).
+// tag is the restore tag (a cluster passes the pipe's id, so a
+// checkpoint restore can rebuild the service timer's Fire closure
+// from the event image).
 func (n *NIC) ScheduleEgressTagged(at sim.Cycles, tag uint64, fn func()) {
 	n.queue.ScheduleTagged(at, "pipe-service", tag, fn)
 }
@@ -295,9 +291,6 @@ func (n *NIC) RouteTo(dst Addr) (int, bool) {
 	route, ok := n.table[dst]
 	return route, ok
 }
-
-// TxRoutes reports the number of registered transmit routes.
-func (n *NIC) TxRoutes() int { return len(n.routes) }
 
 // Transmit pushes one frame out the given route. It reports whether
 // the frame was carried; frames to an unknown route (a machine with

@@ -272,9 +272,6 @@ func (m *Machine) Clock() *sim.Clock { return m.clock }
 // CPU exposes the simulated core.
 func (m *Machine) CPU() *cpu.CPU { return m.cpu }
 
-// Mem exposes the memory subsystem.
-func (m *Machine) Mem() *mem.Memory { return m.mem }
-
 // NIC exposes the network device (attacks start floods on it).
 func (m *Machine) NIC() *device.NIC { return m.nic }
 
@@ -580,14 +577,6 @@ func (m *Machine) IRQWork(irq device.IRQ, cost sim.Cycles) func() {
 // partition this machine exports).
 func (m *Machine) ScheduleIRQWork(at sim.Cycles, work func()) {
 	m.queue.Schedule(at, "irq-work", work)
-}
-
-// ScheduleIRQWorkTagged is ScheduleIRQWork with a caller-chosen
-// restore tag, so a cluster snapshot can re-resolve the pending work
-// to the equivalent callback on a restored machine (kernel restore
-// alone rejects "irq-work" events; see Restore).
-func (m *Machine) ScheduleIRQWorkTagged(at sim.Cycles, tag uint64, work func()) {
-	m.queue.ScheduleTagged(at, "irq-work", tag, work)
 }
 
 // Shutdown stops the machine's guest coroutines without running to

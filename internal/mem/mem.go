@@ -151,9 +151,6 @@ func New(physBytes, pageSize uint64) *Memory {
 	}
 }
 
-// PageSize returns the page size in bytes.
-func (m *Memory) PageSize() uint64 { return m.pageSize }
-
 // TotalFrames returns the number of physical frames.
 func (m *Memory) TotalFrames() int { return m.totalFrames }
 

@@ -81,6 +81,3 @@ func (c *Clock) Duration(d Cycles) time.Duration {
 func (c *Clock) CyclesOf(d time.Duration) Cycles {
 	return Cycles(d.Seconds() * float64(c.freq))
 }
-
-// CyclesPerSecond returns the number of cycles in one virtual second.
-func (c *Clock) CyclesPerSecond() Cycles { return Cycles(c.freq) }
