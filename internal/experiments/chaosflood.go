@@ -16,7 +16,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/guest"
 	"repro/internal/kernel"
-	"repro/internal/textplot"
 )
 
 // ChaosSpec is the fault-injection overlay on a routed-flood
@@ -252,14 +251,8 @@ func chaosFlood(o Options) plan {
 		for i, sc := range scenarios {
 			out := outs[i]
 			fig.Bars = append(fig.Bars,
-				textplot.Bar{Group: "router-fwd", Label: sc.label, Segments: []textplot.Segment{
-					{Name: "user", Value: out.Router.User["jiffy"]},
-					{Name: "system", Value: out.Router.Sys["jiffy"]},
-				}},
-				textplot.Bar{Group: "victim-host", Label: sc.label, Segments: []textplot.Segment{
-					{Name: "user", Value: out.Victim.Run.Victim.User["jiffy"]},
-					{Name: "system", Value: out.Victim.Run.Victim.Sys["jiffy"]},
-				}},
+				billBar("router-fwd", sc.label, out.Router.User["jiffy"], out.Router.Sys["jiffy"]),
+				billBar("victim-host", sc.label, out.Victim.Run.Victim.User["jiffy"], out.Victim.Run.Victim.Sys["jiffy"]),
 			)
 			ledger := "every link ledger balanced (Sent = Delivered + Dropped + Queued)"
 			if bad := out.Unbalanced(); len(bad) > 0 {

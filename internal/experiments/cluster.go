@@ -23,7 +23,6 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/metering"
 	"repro/internal/sim"
-	"repro/internal/textplot"
 	"repro/internal/workloads"
 )
 
@@ -376,14 +375,7 @@ func clusterFloodWith(o Options, linkPPS, queueDepth uint64) plan {
 					label = fmt.Sprintf("%dk pps", pps/1000)
 				}
 				user, sys := victimBillSeconds(outs[ri].Victims[vi])
-				fig.Bars = append(fig.Bars, textplot.Bar{
-					Group: group,
-					Label: label,
-					Segments: []textplot.Segment{
-						{Name: "user", Value: user},
-						{Name: "system", Value: sys},
-					},
-				})
+				fig.Bars = append(fig.Bars, billBar(group, label, user, sys))
 			}
 		}
 		last := outs[len(outs)-1]

@@ -260,10 +260,7 @@ func fairFlood(o Options) plan {
 				textplot.Bar{Group: "flow-done", Label: labels[i], Segments: []textplot.Segment{
 					{Name: status, Value: out.FlowDoneSec},
 				}},
-				textplot.Bar{Group: "victim-bill", Label: labels[i], Segments: []textplot.Segment{
-					{Name: "user", Value: out.Victim.Run.Victim.User["jiffy"]},
-					{Name: "system", Value: out.Victim.Run.Victim.Sys["jiffy"]},
-				}},
+				billBar("victim-bill", labels[i], out.Victim.Run.Victim.User["jiffy"], out.Victim.Run.Victim.Sys["jiffy"]),
 			)
 		}
 		fifo, drr := outs[1], outs[2]

@@ -37,18 +37,20 @@ func (f *Figure) Render() string {
 	return sb.String()
 }
 
+// billBar renders one bill as a bar of user then system seconds.
+func billBar(group, label string, user, sys float64) textplot.Bar {
+	return textplot.Bar{Group: group, Label: label, Segments: []textplot.Segment{
+		{Name: "user", Value: user},
+		{Name: "system", Value: sys},
+	}}
+}
+
 // victimBars renders one workload's normal-vs-attack pair using the
 // billed (jiffy) numbers, as the paper's getrusage does.
 func victimBars(group string, normal, attacked *RunOut) []textplot.Bar {
 	return []textplot.Bar{
-		{Group: group, Label: "normal", Segments: []textplot.Segment{
-			{Name: "user", Value: normal.Victim.User["jiffy"]},
-			{Name: "system", Value: normal.Victim.Sys["jiffy"]},
-		}},
-		{Group: group, Label: "attack", Segments: []textplot.Segment{
-			{Name: "user", Value: attacked.Victim.User["jiffy"]},
-			{Name: "system", Value: attacked.Victim.Sys["jiffy"]},
-		}},
+		billBar(group, "normal", normal.Victim.User["jiffy"], normal.Victim.Sys["jiffy"]),
+		billBar(group, "attack", attacked.Victim.User["jiffy"], attacked.Victim.Sys["jiffy"]),
 	}
 }
 
@@ -144,14 +146,8 @@ func schedulingSweep(o Options, id, victim string, notes ...string) plan {
 		}
 		addPair := func(group string, v, f *RunOut) {
 			fig.Bars = append(fig.Bars,
-				textplot.Bar{Group: group, Label: victim, Segments: []textplot.Segment{
-					{Name: "user", Value: v.Victim.User["jiffy"]},
-					{Name: "system", Value: v.Victim.Sys["jiffy"]},
-				}},
-				textplot.Bar{Group: group, Label: "Fork", Segments: []textplot.Segment{
-					{Name: "user", Value: f.AttackerUser("jiffy")},
-					{Name: "system", Value: f.AttackerSys("jiffy")},
-				}},
+				billBar(group, victim, v.Victim.User["jiffy"], v.Victim.Sys["jiffy"]),
+				billBar(group, "Fork", f.AttackerUser("jiffy"), f.AttackerSys("jiffy")),
 			)
 		}
 		addPair("no attack", outs[0], outs[1])

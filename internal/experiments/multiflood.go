@@ -14,7 +14,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/guest"
 	"repro/internal/kernel"
-	"repro/internal/textplot"
 )
 
 // MultiFloodSpec describes one N-attackers → one-victim scenario
@@ -172,14 +171,7 @@ func multiAttackerFlood(o Options) plan {
 			for ni, n := range attackerCounts {
 				out := outs[bi*len(attackerCounts)+ni]
 				user, sys := victimBillSeconds(out.Victim)
-				fig.Bars = append(fig.Bars, textplot.Bar{
-					Group: group,
-					Label: fmt.Sprintf("%d attacker(s)", n),
-					Segments: []textplot.Segment{
-						{Name: "user", Value: user},
-						{Name: "system", Value: sys},
-					},
-				})
+				fig.Bars = append(fig.Bars, billBar(group, fmt.Sprintf("%d attacker(s)", n), user, sys))
 			}
 		}
 		worst := outs[len(attackerCounts)-1] // jiffy host, 4 attackers

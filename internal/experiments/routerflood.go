@@ -19,7 +19,6 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/proc"
 	"repro/internal/sim"
-	"repro/internal/textplot"
 )
 
 // RouterFloodSpec describes one attackers → router → victim scenario
@@ -348,14 +347,8 @@ func routerFlood(o Options) plan {
 				label = fmt.Sprintf("%dk pps x2", pps/1000)
 			}
 			fig.Bars = append(fig.Bars,
-				textplot.Bar{Group: "router-fwd", Label: label, Segments: []textplot.Segment{
-					{Name: "user", Value: out.Router.User["jiffy"]},
-					{Name: "system", Value: out.Router.Sys["jiffy"]},
-				}},
-				textplot.Bar{Group: "victim-host", Label: label, Segments: []textplot.Segment{
-					{Name: "user", Value: out.Victim.Run.Victim.User["jiffy"]},
-					{Name: "system", Value: out.Victim.Run.Victim.Sys["jiffy"]},
-				}},
+				billBar("router-fwd", label, out.Router.User["jiffy"], out.Router.Sys["jiffy"]),
+				billBar("victim-host", label, out.Victim.Run.Victim.User["jiffy"], out.Victim.Run.Victim.Sys["jiffy"]),
 			)
 		}
 		quiet, worst := outs[0], outs[len(outs)-1]

@@ -18,7 +18,6 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/mem"
 	"repro/internal/proc"
-	"repro/internal/textplot"
 )
 
 // SwapFloodSpec describes one shared-swap pressure scenario: machine
@@ -186,14 +185,7 @@ func crossMachineExceptionFlood(o Options) plan {
 			for hi, label := range labels {
 				out := outs[bi*2+hi]
 				user, sys := victimBillSeconds(out.Victim)
-				fig.Bars = append(fig.Bars, textplot.Bar{
-					Group: group,
-					Label: label,
-					Segments: []textplot.Segment{
-						{Name: "user", Value: user},
-						{Name: "system", Value: sys},
-					},
-				})
+				fig.Bars = append(fig.Bars, billBar(group, label, user, sys))
 			}
 		}
 		hogged := outs[1] // jiffy host under pressure
