@@ -62,14 +62,7 @@ func TestClusterGoldens(t *testing.T) {
 			plans[k] = mk(o)
 			continue
 		}
-		var specs []RunSpec
-		for _, w := range workloads.Specs() {
-			specs = append(specs, RunSpec{Opts: o, Workload: w.Key})
-			for _, a := range attacks.All(o.Freq) {
-				specs = append(specs, RunSpec{Opts: o, Workload: w.Key, Attack: a})
-			}
-		}
-		plans[k] = solo(specs, nil)
+		plans[k] = solo(runTable(o), nil)
 	}
 	c := newCampaign(plans)
 	RunIndexed(c.Runs(), 0, func(i int) { c.Run(i) })
@@ -109,6 +102,19 @@ func TestClusterGoldens(t *testing.T) {
 	case len(want) > 0:
 		t.Errorf("%s has digests for specs no figure runs: %v", harvestDigests, want)
 	}
+}
+
+// runTable is Run's spec for every workload under no attack and under
+// each attack, in that order.
+func runTable(o Options) []RunSpec {
+	var specs []RunSpec
+	for _, w := range workloads.Specs() {
+		specs = append(specs, RunSpec{Opts: o, Workload: w.Key})
+		for _, a := range attacks.All(o.Freq) {
+			specs = append(specs, RunSpec{Opts: o, Workload: w.Key, Attack: a})
+		}
+	}
+	return specs
 }
 
 // checkRender compares campaign c's render of artifact k with
