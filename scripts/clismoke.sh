@@ -75,6 +75,29 @@ say "chaos crash+reboot+flap"
 "$BIN" chaos -pps 10000 -fault-ppm 20000 -crash-at 0.15 -restart-after 0.08 \
     -flap 0.1:0.03:0.1 -scale "$SCALE" >/dev/null
 
+# The examples: outside tests, the only callers of BuildReport,
+# ManifestFromReference, Auditor and Profile. Each must exit 0, and
+# the billing audit must accept the honest run and reject all four
+# attacked ones.
+for ex in quickstart attack-gallery trusted-billing; do
+    say "example $ex"
+    go run "./examples/$ex" >/dev/null
+done
+say "example billing-audit"
+AUDIT="$(dirname "$BIN")/audit.out"
+go run ./examples/billing-audit >"$AUDIT"
+if ! grep -q '^honest run .* -> ACCEPT' "$AUDIT"; then
+    say "billing-audit did not accept the honest run:"
+    cat "$AUDIT" >&2
+    exit 1
+fi
+rejects="$(grep -c -- '-> REJECT' "$AUDIT" || true)"
+if [ "$rejects" -ne 4 ]; then
+    say "billing-audit rejected $rejects runs (want 4):"
+    cat "$AUDIT" >&2
+    exit 1
+fi
+
 # The parallel campaign engine end to end (every artifact, all cores).
 say "all"
 "$BIN" all -scale "$SCALE" >/dev/null
