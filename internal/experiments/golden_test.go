@@ -43,8 +43,9 @@ const harvestDigests = "testdata/harvest.sha256"
 // victim host were each built in one place; the single-machine renders
 // while the paper's guests still ran on a goroutine per task. All of
 // them still pass byte for byte. The harvest digests were last
-// rewritten when Options lost its driver-selection field, which took
-// exactly that field's line out of each dump's Opts.
+// rewritten when 23 spec fields that nothing set were deleted, which
+// took exactly those fields' lines out of the dumps: each at its zero
+// value, or Opts.MaxSteps=400000000.
 // Regenerate the goldens only to move that bar on purpose:
 //
 //	go test ./internal/experiments -run TestClusterGoldens -update
