@@ -405,8 +405,7 @@ func (m *Machine) doExit(t *task, code int) {
 		return
 	}
 	if hasParent {
-		parent.PushSignal(proc.SIGCHLD)
-		m.statOf(parent.TGID).SignalsReceived++
+		m.statOf(parent.TGID).SignalsReceived++ // SIGCHLD
 	}
 	m.notifyWaiters(t)
 }
@@ -576,7 +575,6 @@ func (m *Machine) doPtrace(t *task, r *request) error {
 		t.tracees = append(t.tracees, target)
 		// SIGSTOP: stop the target. Kernel-side stop bookkeeping is
 		// the target's system time.
-		target.p.PushSignal(proc.SIGSTOP)
 		tst := target.st
 		tst.SignalsReceived++
 		tst.TraceStops++

@@ -62,37 +62,6 @@ func (s State) String() string {
 	}
 }
 
-// Signal numbers used by the simulation.
-type Signal int
-
-const (
-	SIGCHLD Signal = 17
-	SIGCONT Signal = 18
-	SIGSTOP Signal = 19
-	SIGTRAP Signal = 5
-	SIGKILL Signal = 9
-	SIGSEGV Signal = 11
-)
-
-func (s Signal) String() string {
-	switch s {
-	case SIGCHLD:
-		return "SIGCHLD"
-	case SIGCONT:
-		return "SIGCONT"
-	case SIGSTOP:
-		return "SIGSTOP"
-	case SIGTRAP:
-		return "SIGTRAP"
-	case SIGKILL:
-		return "SIGKILL"
-	case SIGSEGV:
-		return "SIGSEGV"
-	default:
-		return fmt.Sprintf("SIG(%d)", int(s))
-	}
-}
-
 // MinNice and MaxNice bound the nice range (Linux convention:
 // -20 is the highest priority, 19 the lowest).
 const (
@@ -141,9 +110,6 @@ type Proc struct {
 
 	// Space is the task's address space. Threads share the leader's.
 	Space *mem.Space
-
-	// Pending is the FIFO of undelivered signals.
-	Pending []Signal
 
 	// Ptrace linkage: Tracer is the attached tracing task; debug
 	// registers belong to the tracee and are programmed by the
@@ -214,19 +180,6 @@ func (p *Proc) Runnable() bool { return p.State == Ready }
 // Alive reports whether the task has not yet exited.
 func (p *Proc) Alive() bool {
 	return p.State != Zombie && p.State != Reaped
-}
-
-// PushSignal queues a signal for delivery.
-func (p *Proc) PushSignal(s Signal) { p.Pending = append(p.Pending, s) }
-
-// PopSignal dequeues the oldest pending signal.
-func (p *Proc) PopSignal() (Signal, bool) {
-	if len(p.Pending) == 0 {
-		return 0, false
-	}
-	s := p.Pending[0]
-	p.Pending = p.Pending[1:]
-	return s, true
 }
 
 // String implements fmt.Stringer for diagnostics.
@@ -321,9 +274,6 @@ func (t *Table) Clone() (*Table, map[*Proc]*Proc) {
 			ExitCode: p.ExitCode,
 			nice:     p.nice,
 			Debug:    p.Debug,
-		}
-		if p.Pending != nil {
-			cp.Pending = append([]Signal(nil), p.Pending...)
 		}
 		if p.Env != nil {
 			cp.Env = make(map[string]string, len(p.Env))

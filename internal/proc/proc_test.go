@@ -63,21 +63,6 @@ func TestNiceClamping(t *testing.T) {
 	}
 }
 
-func TestSignalFIFO(t *testing.T) {
-	p := New(1, "p", nil)
-	p.PushSignal(SIGSTOP)
-	p.PushSignal(SIGCONT)
-	s1, ok1 := p.PopSignal()
-	s2, ok2 := p.PopSignal()
-	_, ok3 := p.PopSignal()
-	if !ok1 || !ok2 || ok3 {
-		t.Fatal("pop availability wrong")
-	}
-	if s1 != SIGSTOP || s2 != SIGCONT {
-		t.Fatalf("order = %v,%v want STOP,CONT", s1, s2)
-	}
-}
-
 func TestDebugRegsMatch(t *testing.T) {
 	d := DebugRegs{DR0: 0x1000, DR7: 1}
 	if !d.Matches(0x1000, false) || !d.Matches(0x1000, true) {
@@ -152,9 +137,6 @@ func TestStateStrings(t *testing.T) {
 		if got := s.String(); got != want {
 			t.Errorf("State(%d) = %q want %q", int(s), got, want)
 		}
-	}
-	if SIGSTOP.String() != "SIGSTOP" || Signal(40).String() != "SIG(40)" {
-		t.Error("signal strings wrong")
 	}
 }
 
