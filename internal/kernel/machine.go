@@ -162,13 +162,8 @@ type Machine struct {
 	measuredKeys map[measureKey]bool
 
 	// groupCount tracks live tasks per thread group; the last exit
-	// releases the address space and snapshots final usage.
+	// releases the address space.
 	groupCount map[proc.PID]int
-	// finalUsage/finalChildren preserve the accounted time of
-	// billable thread groups (spawned or exec'd programs) past their
-	// reaping, since reaping folds and drops live ledger entries.
-	finalUsage    map[string]map[proc.PID]metering.Usage
-	finalChildren map[string]map[proc.PID]metering.Usage
 
 	steps uint64
 }
@@ -250,14 +245,12 @@ func New(cfg Config) *Machine {
 // callbacks.
 func newShell(seed int64) *Machine {
 	m := &Machine{
-		queue:         sim.NewEventQueue(),
-		rng:           sim.NewRand(seed),
-		tasks:         make(map[proc.PID]*task),
-		stats:         make(map[proc.PID]*Stats),
-		measuredKeys:  make(map[measureKey]bool),
-		groupCount:    make(map[proc.PID]int),
-		finalUsage:    make(map[string]map[proc.PID]metering.Usage),
-		finalChildren: make(map[string]map[proc.PID]metering.Usage),
+		queue:        sim.NewEventQueue(),
+		rng:          sim.NewRand(seed),
+		tasks:        make(map[proc.PID]*task),
+		stats:        make(map[proc.PID]*Stats),
+		measuredKeys: make(map[measureKey]bool),
+		groupCount:   make(map[proc.PID]int),
 	}
 	m.timerFire = m.timerTick
 	m.preemptFire = func() { m.needResched = true }
@@ -332,30 +325,23 @@ func (m *Machine) Usage(tgid proc.PID) metering.Usage {
 	return u
 }
 
-// UsageBy returns a named scheme's view of a thread group. For
-// groups that have fully exited it returns the preserved final
-// snapshot (reaping folds live entries into the parent).
+// UsageBy returns a named scheme's view of a thread group. A billable
+// group's view survives its reaping; a reaped fork child's is zero.
 func (m *Machine) UsageBy(scheme string, tgid proc.PID) (metering.Usage, bool) {
 	a, ok := m.acct.ByName(scheme)
 	if !ok {
 		return metering.Usage{}, false
-	}
-	if fin, ok := m.finalUsage[scheme][tgid]; ok {
-		return fin, true
 	}
 	return a.Usage(tgid), true
 }
 
 // ChildrenUsageBy returns a scheme's accumulated reaped-children
 // usage for a thread group (getrusage(RUSAGE_CHILDREN)), surviving
-// the group's own reaping.
+// a billable group's own reaping.
 func (m *Machine) ChildrenUsageBy(scheme string, tgid proc.PID) (metering.Usage, bool) {
 	a, ok := m.acct.ByName(scheme)
 	if !ok {
 		return metering.Usage{}, false
-	}
-	if fin, ok := m.finalChildren[scheme][tgid]; ok {
-		return fin, true
 	}
 	return a.ChildrenUsage(tgid), true
 }

@@ -35,7 +35,7 @@ func (r *irqRecorder) Name() string                           { return "irq-reco
 func (r *irqRecorder) OnTick(*proc.Proc, cpu.Mode)            {}
 func (r *irqRecorder) OnRun(*proc.Proc, cpu.Mode, sim.Cycles) {}
 func (r *irqRecorder) Usage(proc.PID) metering.Usage          { return metering.Usage{} }
-func (r *irqRecorder) OnReap(parent, child proc.PID)          {}
+func (r *irqRecorder) OnReap(proc.PID, proc.PID, bool)        {}
 func (r *irqRecorder) ChildrenUsage(proc.PID) metering.Usage  { return metering.Usage{} }
 func (r *irqRecorder) Snapshot() map[proc.PID]metering.Usage  { return nil }
 func (r *irqRecorder) Clone() metering.Accountant             { return r }

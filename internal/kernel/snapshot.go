@@ -112,18 +112,6 @@ func describeTask(t *task) string {
 	return fmt.Sprintf("%s (pid %d, %s)", t.p.Name, t.p.PID, t.p.State)
 }
 
-func copyFinalInto(dst, src map[string]map[proc.PID]metering.Usage) {
-	//simlint:unordered-ok nested map-to-map copy
-	for scheme, inner := range src {
-		ci := make(map[proc.PID]metering.Usage, len(inner))
-		//simlint:unordered-ok nested map-to-map copy
-		for pid, u := range inner {
-			ci[pid] = u
-		}
-		dst[scheme] = ci
-	}
-}
-
 // RestoreResolver supplies Fire callbacks for event kinds the kernel
 // does not own ("pipe-service", "irq-work"): the cluster layer passes
 // one to RestoreWith so its wiring-held events survive a checkpoint.
@@ -173,8 +161,6 @@ func (m *Machine) clone(shell *Machine, ext RestoreResolver) (*Machine, error) {
 		clear(c.stats)
 		clear(c.measuredKeys)
 		clear(c.groupCount)
-		clear(c.finalUsage)
-		clear(c.finalChildren)
 		clear(c.rxBuf)
 		c.queue.Reset()
 		c.measurements = c.measurements[:0]
@@ -219,8 +205,6 @@ func (m *Machine) clone(shell *Machine, ext RestoreResolver) (*Machine, error) {
 	for k, v := range m.groupCount {
 		c.groupCount[k] = v
 	}
-	copyFinalInto(c.finalUsage, m.finalUsage)
-	copyFinalInto(c.finalChildren, m.finalChildren)
 
 	// Tasks in PID order, so a refusal names the lowest refused PID.
 	for _, p := range m.table.All() {

@@ -375,8 +375,7 @@ func (m *Machine) doExit(t *task, code int) {
 	}
 	t.tracees = nil
 
-	// Last task of the thread group: release the address space and
-	// preserve the group's final accounting if it is billable.
+	// Last task of the thread group: release the address space.
 	m.groupCount[t.p.TGID]--
 	if m.groupCount[t.p.TGID] <= 0 {
 		delete(m.groupCount, t.p.TGID)
@@ -384,9 +383,6 @@ func (m *Machine) doExit(t *task, code int) {
 			t.p.Space.Release()
 		}
 		leader := m.tasks[t.p.TGID]
-		if t.billable || (leader != nil && leader.billable) {
-			m.snapshotFinalUsage(t.p.TGID)
-		}
 		// A zombie leader becomes reapable once its last thread
 		// exits; re-notify whoever waits on it.
 		if t.p.IsThread() && leader != nil && leader.p.State == proc.Zombie {
@@ -410,26 +406,12 @@ func (m *Machine) doExit(t *task, code int) {
 	m.notifyWaiters(t)
 }
 
-// snapshotFinalUsage preserves a thread group's accounted time and
-// children rollup across all schemes before reaping can fold it away.
-func (m *Machine) snapshotFinalUsage(tgid proc.PID) {
-	m.flushRun()
-	for _, a := range m.acct.Accountants() {
-		name := a.Name()
-		if m.finalUsage[name] == nil {
-			m.finalUsage[name] = make(map[proc.PID]metering.Usage)
-			m.finalChildren[name] = make(map[proc.PID]metering.Usage)
-		}
-		m.finalUsage[name][tgid] = a.Usage(tgid)
-		m.finalChildren[name][tgid] = a.ChildrenUsage(tgid)
-	}
-}
-
 // reapCleanup retires a reaped task: folds its accounting and stats
 // into the reaper (or the system bucket when reaper is nil), unlinks
 // it from its parent, and drops it from the tables. Thread-group
 // accounting folds only when the group leader is reaped, since
-// threads share the leader's TGID ledger.
+// threads share the leader's TGID ledger. A billable group keeps its
+// ledger entries and stats, so its bill can still be read.
 func (m *Machine) reapCleanup(reaper, child *proc.Proc) {
 	reaperTGID := metering.SystemPID
 	if reaper != nil {
@@ -437,9 +419,10 @@ func (m *Machine) reapCleanup(reaper, child *proc.Proc) {
 	}
 	if !child.IsThread() {
 		m.flushRun()
-		m.acct.OnReap(reaperTGID, child.TGID)
 		ct := m.tasks[child.PID]
-		if cs := m.stats[child.TGID]; cs != nil && (ct == nil || !ct.billable) {
+		billable := ct != nil && ct.billable
+		m.acct.OnReap(reaperTGID, child.TGID, billable)
+		if cs := m.stats[child.TGID]; cs != nil && !billable {
 			if reaper != nil {
 				m.statOf(reaperTGID).absorb(cs)
 			}

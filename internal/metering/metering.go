@@ -99,9 +99,10 @@ type Accountant interface {
 	Usage(pid proc.PID) Usage
 	// OnReap folds a reaped child's own and accumulated-children
 	// usage into the parent's children bucket (cutime/cstime, as
-	// wait4 does) and drops the child's ledger entries, bounding
-	// memory for fork-storm workloads.
-	OnReap(parent, child proc.PID)
+	// wait4 does). Unless keep is set it then drops the child's
+	// ledger entries, bounding memory for fork-storm workloads; a kept
+	// child's Usage and ChildrenUsage still read its final bill.
+	OnReap(parent, child proc.PID, keep bool)
 	// ChildrenUsage returns the accumulated usage of the entity's
 	// reaped descendants (getrusage(RUSAGE_CHILDREN)).
 	ChildrenUsage(pid proc.PID) Usage
@@ -140,21 +141,28 @@ func newLedger() ledger {
 }
 
 // OnReap implements Accountant: it folds child (own + its accumulated
-// children) into parent's children bucket and forgets the child.
-func (l *ledger) OnReap(parent, child proc.PID) {
+// children) into parent's children bucket and, unless keep is set,
+// forgets the child.
+func (l *ledger) OnReap(parent, child proc.PID, keep bool) {
 	var folded Usage
-	if u := l.byTGID[child]; u != nil {
+	u, cu := l.byTGID[child], l.children[child]
+	if u != nil {
 		folded = folded.Add(*u)
-		l.free = append(l.free, u)
 	}
-	if cu := l.children[child]; cu != nil {
+	if cu != nil {
 		folded = folded.Add(*cu)
-		l.free = append(l.free, cu)
 	}
-	delete(l.byTGID, child)
-	delete(l.children, child)
-	if l.lastTGID == child {
-		l.last = nil
+	if !keep {
+		for _, e := range [2]*Usage{u, cu} {
+			if e != nil {
+				l.free = append(l.free, e)
+			}
+		}
+		delete(l.byTGID, child)
+		delete(l.children, child)
+		if l.lastTGID == child {
+			l.last = nil
+		}
 	}
 	if folded == (Usage{}) {
 		return
@@ -441,9 +449,9 @@ func (m *Multi) Usage(pid proc.PID) Usage {
 }
 
 // OnReap implements Accountant.
-func (m *Multi) OnReap(parent, child proc.PID) {
+func (m *Multi) OnReap(parent, child proc.PID, keep bool) {
 	for _, a := range m.accts {
-		a.OnReap(parent, child)
+		a.OnReap(parent, child, keep)
 	}
 }
 

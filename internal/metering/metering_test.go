@@ -158,11 +158,11 @@ func TestReapFoldsIntoChildrenBucket(t *testing.T) {
 	a.OnRun(grandchild, cpu.Kernel, 40)
 	// Child reaps grandchild, then parent reaps child: the
 	// grandchild's time must cascade into the parent's bucket.
-	a.OnReap(child.PID, grandchild.PID)
+	a.OnReap(child.PID, grandchild.PID, false)
 	if got := a.ChildrenUsage(child.PID); got.System != 40 {
 		t.Fatalf("child's children bucket = %+v, want system=40", got)
 	}
-	a.OnReap(parent.PID, child.PID)
+	a.OnReap(parent.PID, child.PID, false)
 	got := a.ChildrenUsage(parent.PID)
 	if got.User != 100 || got.System != 40 {
 		t.Fatalf("parent children bucket = %+v, want 100/40", got)
@@ -172,7 +172,23 @@ func TestReapFoldsIntoChildrenBucket(t *testing.T) {
 		t.Fatal("reaped child ledger entries not dropped")
 	}
 	// Reaping a task with no usage is a no-op.
-	a.OnReap(parent.PID, proc.PID(99))
+	a.OnReap(parent.PID, proc.PID(99), false)
+}
+
+func TestReapKeepsBillableEntries(t *testing.T) {
+	a := NewTSC()
+	child, grandchild := mkProc(2), mkProc(3)
+	a.OnRun(child, cpu.User, 100)
+	a.OnRun(grandchild, cpu.Kernel, 40)
+	a.OnReap(child.PID, grandchild.PID, false)
+	a.OnReap(1, child.PID, true)
+	if got := a.ChildrenUsage(1); got.User != 100 || got.System != 40 {
+		t.Fatalf("parent children bucket = %+v, want 100/40", got)
+	}
+	if a.Usage(child.PID).User != 100 || a.ChildrenUsage(child.PID).System != 40 {
+		t.Fatalf("kept child reads %+v own, %+v children; want 100 user, 40 system",
+			a.Usage(child.PID), a.ChildrenUsage(child.PID))
+	}
 }
 
 func TestMultiReapFansOut(t *testing.T) {
@@ -182,7 +198,7 @@ func TestMultiReapFansOut(t *testing.T) {
 	child := mkProc(5)
 	m.OnTick(child, cpu.User)
 	m.OnRun(child, cpu.User, 70)
-	m.OnReap(1, 5)
+	m.OnReap(1, 5, false)
 	if j.ChildrenUsage(1).User != 100 || ts.ChildrenUsage(1).User != 70 {
 		t.Fatalf("fan-out reap: jiffy=%+v tsc=%+v", j.ChildrenUsage(1), ts.ChildrenUsage(1))
 	}
