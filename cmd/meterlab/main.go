@@ -488,14 +488,14 @@ func runChaos(f chaosFlags, opts cpumeter.Options) error {
 	fmt.Printf("  flow: acked %d/%d, gave up %v, send errs %d, recv errs %d\n",
 		out.Flow.Acked, flowFrames, out.Flow.GaveUp, out.Flow.SendErrors, out.Flow.RecvErrors)
 	fmt.Println("  router daemon bill (summed across incarnations):")
-	for _, scheme := range []string{"jiffy", "tsc", "process-aware"} {
+	for _, scheme := range cpumeter.Schemes {
 		fmt.Printf("    %-14s user %8.2fs  system %7.2fs  total %8.2fs\n",
 			scheme, out.Router.User[scheme], out.Router.Sys[scheme], out.Router.Total(scheme))
 	}
 	v := out.Victim
 	fmt.Printf("  victim (%s, bills %s): received %d frames\n",
 		v.Run.Spec.Workload, v.Billing, v.PacketsReceived)
-	for _, scheme := range []string{"jiffy", "tsc", "process-aware"} {
+	for _, scheme := range cpumeter.Schemes {
 		marker := " "
 		if scheme == v.Billing {
 			marker = "*"
@@ -753,7 +753,7 @@ func runCluster(f clusterFlags, opts cpumeter.Options) error {
 	for i, v := range out.Victims {
 		fmt.Printf("  victim %d (%s, bills %s): sent %d frames, received %d, dropped %d\n",
 			i+1, v.Run.Spec.Workload, v.Billing, out.PacketsSent[i], v.PacketsReceived, out.PacketsDropped[i])
-		for _, scheme := range []string{"jiffy", "tsc", "process-aware"} {
+		for _, scheme := range cpumeter.Schemes {
 			marker := " "
 			if scheme == v.Billing {
 				marker = "*"
@@ -825,7 +825,7 @@ func meterJob(workload, attackKey string, opts cpumeter.Options) error {
 		fmt.Printf(" under %s", attack.Name())
 	}
 	fmt.Printf(" (elapsed %.1f virtual s)\n", out.ElapsedSec)
-	for _, scheme := range []string{"jiffy", "tsc", "process-aware"} {
+	for _, scheme := range cpumeter.Schemes {
 		fmt.Printf("  %-14s user %8.2fs  system %7.2fs  total %8.2fs\n",
 			scheme, out.Victim.User[scheme], out.Victim.Sys[scheme], out.Victim.Total(scheme))
 	}

@@ -221,6 +221,10 @@ const TrustedScheme = core.TrustedBillingScheme
 // LegacyScheme is the commodity tick-sampled billing scheme.
 const LegacyScheme = core.LegacyBillingScheme
 
+// Schemes lists the accounting schemes every run records, in billing
+// order (the keys of RunOut.Victim's maps).
+var Schemes = experiments.Schemes
+
 // ManifestFromReference harvests a code-identity allow-list from a
 // clean reference run (trust-on-first-use on the customer's own
 // platform).

@@ -26,7 +26,7 @@ func main() {
 		out.Spec.Workload, out.ElapsedSec, out.Result.Output)
 
 	fmt.Println("scheme          user(s)  system(s)  total(s)")
-	for _, scheme := range []string{"jiffy", "tsc", "process-aware"} {
+	for _, scheme := range cpumeter.Schemes {
 		fmt.Printf("%-14s %8.3f  %9.3f  %8.3f\n",
 			scheme, out.Victim.User[scheme], out.Victim.Sys[scheme], out.Victim.Total(scheme))
 	}

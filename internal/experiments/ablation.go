@@ -88,7 +88,7 @@ func ablationIRQAccounting(o Options) plan {
 			Header: []string{"scheme", "victim system s", "system-account s"},
 		}
 		out := outs[0]
-		for _, scheme := range []string{"jiffy", "tsc", "process-aware"} {
+		for _, scheme := range Schemes {
 			fig.Rows = append(fig.Rows, []string{
 				scheme,
 				fmt.Sprintf("%.3f", out.Victim.Sys[scheme]),

@@ -209,7 +209,7 @@ func HarvestForkLab(m *kernel.Machine) *ForkLabOut {
 		m.NIC().Received(), m.Disk().IOs(), m.Disk().Writes())
 	for _, ms := range m.Measurements() {
 		fmt.Fprintf(&b, "task=%s pid=%d digest=%s stats=%+v\n", ms.Name, ms.PID, ms.Digest, m.Stats(ms.PID))
-		for _, scheme := range []string{"jiffy", "tsc", "process-aware"} {
+		for _, scheme := range Schemes {
 			u, ok := m.UsageBy(scheme, ms.PID)
 			fmt.Fprintf(&b, "task=%s %s ok=%v usage=%+v\n", ms.Name, scheme, ok, u)
 		}

@@ -15,6 +15,7 @@ import (
 	"repro/internal/attacks"
 	"repro/internal/core"
 	"repro/internal/kernel"
+	"repro/internal/mem"
 	"repro/internal/metering"
 	"repro/internal/proc"
 	"repro/internal/shell"
@@ -263,12 +264,13 @@ func Run(spec RunSpec) (*RunOut, error) {
 	return l.harvest(m), nil
 }
 
-// physMem resolves the configured RAM size (default 1 GiB).
+// physMem resolves the configured RAM size (default
+// mem.DefaultPhysBytes).
 func physMem(o Options) uint64 {
 	if o.PhysMemBytes > 0 {
 		return o.PhysMemBytes
 	}
-	return 1 << 30
+	return mem.DefaultPhysBytes
 }
 
 func key(a attacks.Attack) string {
