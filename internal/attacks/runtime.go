@@ -40,7 +40,7 @@ type SchedulingAttack struct {
 	// paper's sweep).
 	Nice int
 	// Forks is the total fork count; the paper uses 2^21, we default
-	// to 2^19 to keep host run time reasonable (see EXPERIMENTS.md).
+	// to 2^19 to keep host run time reasonable.
 	Forks uint64
 }
 

@@ -166,8 +166,9 @@ const ackIdleTicks = 128
 // ackSender is the resumable sending guest. One activation runs from
 // resume to the next kernel request; the transfer's whole position —
 // window, counters, timeout clocks — lives in this struct, not a
-// goroutine stack. Control flow mirrors the original blocking loop
-// statement for statement so both drivers replay identically.
+// coroutine stack, so a snapshot copies it. Control flow mirrors the
+// original blocking loop statement for statement, so the sender makes
+// the requests that loop made.
 type ackSender struct {
 	cfg   AckFlowConfig
 	stats *AckFlowStats

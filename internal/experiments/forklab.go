@@ -2,13 +2,13 @@
 // shared-warmup campaign path. Every guest is a forkable flyweight
 // state machine, so a fork-lab machine can be paused at any
 // virtual-time barrier, snapshotted, and forked into variants —
-// unlike the shell-launched workload scenarios, whose goroutine
-// guests pin them to fresh-build campaigns. The scenario is dense in
-// kernel mechanisms on purpose: a memory-churning compute loop (timer
-// ticks, preemption, page faults, swap I/O), a paced sender drawing
-// syscall-fault rolls, a blocked receiver consuming a background NIC
-// flood. It backs the meterlab snapshot/resume verbs and the
-// forked-campaign benchmark.
+// unlike the shell-launched workload scenarios, whose Body guests
+// keep their state on coroutine stacks that a snapshot cannot copy.
+// The scenario is dense in kernel mechanisms on purpose: a
+// memory-churning compute loop (timer ticks, preemption, page faults,
+// swap I/O), a paced sender drawing syscall-fault rolls, a blocked
+// receiver consuming a background NIC flood. It backs the meterlab
+// snapshot/resume verbs and the forked-campaign benchmark.
 package experiments
 
 import (

@@ -15,7 +15,7 @@
 // priority-dependent latency, reflecting a non-preemptible kernel
 // where a user-mode task keeps the CPU until the next scheduling
 // point. That latency model is what reproduces Fig. 7's priority
-// gradient; see DESIGN.md §2 and EXPERIMENTS.md.
+// gradient.
 package kernel
 
 import (

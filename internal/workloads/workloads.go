@@ -77,8 +77,7 @@ type Spec struct {
 	// parameters; experiments scale from it.
 	BaselineSeconds float64
 	// DefaultThrashTouches is the hot-variable access count the
-	// thrashing experiment uses (paper counts, P scaled 10x down;
-	// see EXPERIMENTS.md).
+	// thrashing experiment uses (paper counts, P scaled 10x down).
 	DefaultThrashTouches uint64
 	// Build constructs the program; the returned Result is filled
 	// in as the program runs inside the simulation.
