@@ -1,17 +1,14 @@
-// Benchmarks regenerate every evaluation artifact of the paper, one
-// testing.B per figure/table, and report the artifact's headline
-// metric (inflation percentages, billed seconds) via ReportMetric so
-// `go test -bench=.` doubles as the reproduction harness.
-//
-// Benchmarks run at BenchScale (1% of paper scale) so the full suite
-// completes in minutes; `meterlab all -scale 1` produces the
-// full-length numbers recorded in EXPERIMENTS.md.
+// These benchmarks measure what the bench module (bench/, see the
+// README's Benchmarks section) does not: the two guest forms side by
+// side, resident bytes per machine, the forked/fresh campaign ratio
+// and bytes per image, one metered job's allocations, and the
+// bidirectional link path. The artifacts' host time is bench/'s
+// paper-artifacts and fabric-floods workloads, and their headline
+// metrics are pinned by the render goldens.
 package cpumeter
 
 import (
 	"runtime"
-	"strconv"
-	"strings"
 	"testing"
 
 	"repro/internal/cluster"
@@ -19,178 +16,6 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/sim"
 )
-
-// BenchScale is the victim/attack scale benchmarks run at.
-const BenchScale = 0.01
-
-func benchOpts() Options {
-	return Options{Seed: 2010, Scale: BenchScale}
-}
-
-// inflationOf extracts victim billed inflation (attack vs normal)
-// from a per-program bar figure, averaged over the four programs.
-func inflationOf(fig *Figure) float64 {
-	var sum float64
-	var n int
-	for i := 0; i+1 < len(fig.Bars); i += 2 {
-		normal := fig.Bars[i].Total()
-		attack := fig.Bars[i+1].Total()
-		if normal > 0 {
-			sum += (attack - normal) / normal * 100
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
-}
-
-func benchFigure(b *testing.B, id string, metric func(*Figure) float64, unit string) {
-	b.Helper()
-	var last float64
-	for i := 0; i < b.N; i++ {
-		fig, err := Reproduce(id, benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = metric(fig)
-	}
-	b.ReportMetric(last, unit)
-}
-
-func BenchmarkFigure4ShellAttack(b *testing.B) {
-	benchFigure(b, "figure4", inflationOf, "mean-inflation-%")
-}
-
-func BenchmarkFigure5CtorAttack(b *testing.B) {
-	benchFigure(b, "figure5", inflationOf, "mean-inflation-%")
-}
-
-func BenchmarkFigure6Substitution(b *testing.B) {
-	benchFigure(b, "figure6", inflationOf, "mean-inflation-%")
-}
-
-// schedulingGradient reports the victim's billed growth from the
-// no-attack pair to the nice -20 pair.
-func schedulingGradient(fig *Figure) float64 {
-	// Bars alternate victim/Fork per group; first group is the
-	// independent baseline.
-	if len(fig.Bars) < 2 {
-		return 0
-	}
-	base := fig.Bars[0].Total()
-	last := fig.Bars[len(fig.Bars)-2].Total()
-	if base == 0 {
-		return 0
-	}
-	return (last - base) / base * 100
-}
-
-func BenchmarkFigure7SchedulingOnW(b *testing.B) {
-	benchFigure(b, "figure7", schedulingGradient, "nice-20-inflation-%")
-}
-
-func BenchmarkFigure8SchedulingOnB(b *testing.B) {
-	benchFigure(b, "figure8", schedulingGradient, "nice-20-inflation-%")
-}
-
-func BenchmarkFigure9Thrashing(b *testing.B) {
-	benchFigure(b, "figure9", inflationOf, "mean-inflation-%")
-}
-
-func BenchmarkFigure10InterruptFlood(b *testing.B) {
-	benchFigure(b, "figure10", inflationOf, "mean-inflation-%")
-}
-
-func BenchmarkFigure11ExceptionFlood(b *testing.B) {
-	benchFigure(b, "figure11", inflationOf, "mean-inflation-%")
-}
-
-// rejectedCount counts REJECTED rows in a table artifact.
-func rejectedCount(fig *Figure) float64 {
-	var n float64
-	for _, row := range fig.Rows {
-		for _, cell := range row {
-			if cell == "REJECTED" {
-				n++
-			}
-		}
-	}
-	return n
-}
-
-func BenchmarkComparisonTable(b *testing.B) {
-	benchFigure(b, "comparison", func(fig *Figure) float64 {
-		return float64(len(fig.Rows))
-	}, "attacks-compared")
-}
-
-func BenchmarkMitigationTable(b *testing.B) {
-	benchFigure(b, "mitigation", rejectedCount, "attacks-rejected")
-}
-
-// lastColumnPct parses the last percentage column of a table.
-func lastColumnPct(fig *Figure) float64 {
-	if len(fig.Rows) == 0 {
-		return 0
-	}
-	row := fig.Rows[len(fig.Rows)-1]
-	for i := len(row) - 1; i >= 0; i-- {
-		cell := strings.TrimSuffix(strings.TrimPrefix(row[i], "+"), "%")
-		if v, err := strconv.ParseFloat(cell, 64); err == nil {
-			return v
-		}
-	}
-	return 0
-}
-
-func BenchmarkAblationTickRate(b *testing.B) {
-	benchFigure(b, "ablation1", lastColumnPct, "hz1000-inflation-%")
-}
-
-func BenchmarkAblationScheduler(b *testing.B) {
-	benchFigure(b, "ablation2", lastColumnPct, "cfs-inflation-%")
-}
-
-func BenchmarkAblationIRQAccounting(b *testing.B) {
-	benchFigure(b, "ablation3", func(fig *Figure) float64 {
-		return float64(len(fig.Rows))
-	}, "schemes-compared")
-}
-
-func BenchmarkAblationDetector(b *testing.B) {
-	benchFigure(b, "ablation4", func(fig *Figure) float64 {
-		return float64(len(fig.Rows))
-	}, "strengths-swept")
-}
-
-// BenchmarkMachineSteps measures raw simulator throughput: virtual
-// seconds of a CPU-bound victim simulated per host second.
-func BenchmarkMachineSteps(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		out, err := Meter(JobSpec{Workload: "O", Options: benchOpts()})
-		if err != nil {
-			b.Fatal(err)
-		}
-		_ = out
-	}
-}
-
-// BenchmarkClusterFlood regenerates the cross-machine flood artifact:
-// three 3-machine clusters (baseline, 10k, 40k pps) advanced in
-// deterministic lockstep, sharded across the worker pool. The metric
-// is the commodity-billed host's inflation at 40k pps relative to its
-// own no-flood bill.
-func BenchmarkClusterFlood(b *testing.B) {
-	benchFigure(b, "cluster", func(fig *Figure) float64 {
-		// Bars: per host, [no flood, 10k, 40k]; the jiffy host leads.
-		if len(fig.Bars) < 3 || fig.Bars[0].Total() == 0 {
-			return 0
-		}
-		return (fig.Bars[2].Total() - fig.Bars[0].Total()) / fig.Bars[0].Total() * 100
-	}, "40kpps-inflation-%")
-}
 
 // BenchmarkClusterBidirectional measures the bidirectional link
 // machinery end to end: an ack-paced sender pushes a fixed transfer
@@ -261,56 +86,6 @@ func BenchmarkClusterBidirectional(b *testing.B) {
 		achieved = frames / elapsed
 	}
 	b.ReportMetric(achieved, "acked-frames/vsec")
-}
-
-// BenchmarkRouterFlood regenerates the routed-fabric artifact: three
-// 5-machine clusters (silent, 10k, 20k pps per attacker) where every
-// victim-bound frame crosses a billed router machine and the egress
-// wire runs RED/ECN. The metric is the router forwarding daemon's
-// jiffy bill at the top rate — the cross-machine distortion the
-// scenario exists to show.
-func BenchmarkRouterFlood(b *testing.B) {
-	benchFigure(b, "routerflood", func(fig *Figure) float64 {
-		// Bars alternate router-fwd/victim-host per rate; the last
-		// router-fwd bar is the top-rate bill.
-		if len(fig.Bars) < 2 {
-			return 0
-		}
-		return fig.Bars[len(fig.Bars)-2].Total()
-	}, "router-bill-sec")
-}
-
-// BenchmarkFairFlood regenerates the qdisc-fairness artifact: three
-// 3-machine clusters (FIFO quiet, FIFO flooded, DRR flooded) sharing
-// one byte-accurate egress pipe. The metric is the ECN flow's
-// completion time under DRR while MTU junk floods the same wire —
-// the bounded latency the fair queue exists to provide.
-func BenchmarkFairFlood(b *testing.B) {
-	benchFigure(b, "fairflood", func(fig *Figure) float64 {
-		// Bars alternate flow-done/victim-bill per config; the last
-		// flow-done bar is the DRR-under-flood completion time.
-		if len(fig.Bars) < 2 {
-			return 0
-		}
-		return fig.Bars[len(fig.Bars)-2].Total()
-	}, "drr-flow-done-sec")
-}
-
-// BenchmarkChaosFlood regenerates the billing-integrity artifact:
-// four 5-machine clusters (healthy, 2% syscall faults, router crash,
-// crash+reboot+flap) whose every run must keep each link's
-// conservation ledger balanced. The metric is the router's cumulative
-// jiffy bill in the crash+reboot scenario — the last router-fwd bar —
-// the number the crash machinery must keep monotone.
-func BenchmarkChaosFlood(b *testing.B) {
-	benchFigure(b, "chaosflood", func(fig *Figure) float64 {
-		// Bars alternate router-fwd/victim-host per scenario; the last
-		// router-fwd bar is the crash+reboot+flap cumulative bill.
-		if len(fig.Bars) < 2 {
-			return 0
-		}
-		return fig.Bars[len(fig.Bars)-2].Total()
-	}, "router-bill-sec")
 }
 
 // BenchmarkMachineStepsDriver races the two ways to write a guest on
@@ -430,7 +205,7 @@ func BenchmarkResidentMachines(b *testing.B) {
 	b.Run("body", fleet(false))
 }
 
-// BenchmarkMeterAllocs pins the allocation footprint of one metered
+// BenchmarkMeterAllocs reports the allocation footprint of one metered
 // job: machine construction plus the whole steady-state loop. The
 // loop itself (compute slices, ticks, library calls, malloc/free,
 // page touches, sleeps, disk completions) is designed to allocate
@@ -441,28 +216,13 @@ func BenchmarkResidentMachines(b *testing.B) {
 func BenchmarkMeterAllocs(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := Meter(JobSpec{Workload: "O", Options: benchOpts()}); err != nil {
+		if _, err := Meter(JobSpec{Workload: "O", Options: Options{Seed: 2010, Scale: 0.01}}); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkCampaignAll regenerates every artifact through the
-// parallel campaign engine at BenchScale — the whole-suite wall-time
-// figure the per-figure benchmarks cannot show.
-func BenchmarkCampaignAll(b *testing.B) {
-	var artifacts float64
-	for i := 0; i < b.N; i++ {
-		runs, err := ReproduceAllTimed(nil, benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		artifacts = float64(len(runs))
-	}
-	b.ReportMetric(artifacts, "artifacts")
-}
-
-// BenchmarkForkedCampaign pins the shared-warmup campaign path: one
+// BenchmarkForkedCampaign times the shared-warmup campaign path: one
 // fork-lab warmup checkpointed and forked into every variant, against
 // building and warming each variant's machine from scratch. Both
 // paths produce byte-identical results (TestForkedCampaignMatches-
