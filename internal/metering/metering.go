@@ -145,19 +145,15 @@ func newLedger() ledger {
 // forgets the child.
 func (l *ledger) OnReap(parent, child proc.PID, keep bool) {
 	var folded Usage
-	u, cu := l.byTGID[child], l.children[child]
-	if u != nil {
-		folded = folded.Add(*u)
-	}
-	if cu != nil {
-		folded = folded.Add(*cu)
-	}
-	if !keep {
-		for _, e := range [2]*Usage{u, cu} {
-			if e != nil {
-				l.free = append(l.free, e)
+	for _, u := range [2]*Usage{l.byTGID[child], l.children[child]} {
+		if u != nil {
+			folded = folded.Add(*u)
+			if !keep {
+				l.free = append(l.free, u)
 			}
 		}
+	}
+	if !keep {
 		delete(l.byTGID, child)
 		delete(l.children, child)
 		if l.lastTGID == child {
