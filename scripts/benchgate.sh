@@ -19,8 +19,8 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 # PAIRS base/new pairs of RUN_SECONDS each per workload: medians over
-# five pairs absorb one slow reference stretch, and the 40 runs of the
-# four workloads take about 9 minutes on a 2-vCPU host.
+# five pairs absorb one slow reference stretch, and the gate, builds
+# included, takes about 8 minutes on a 2-vCPU host.
 PAIRS=5
 RUN_SECONDS=10
 SEED=2010
