@@ -216,49 +216,8 @@ func TestCrashRestartRunsSecondIncarnation(t *testing.T) {
 // the reboot sees none of the pre-crash frames, and the conservation
 // identity holds at every instant.
 func TestRestartExpiresStrandedDRRBacklog(t *testing.T) {
-	perUs := sim.Cycles(testHz / 1_000_000)
 	const frames = 100
-	burstThenLinger := func(c *Cluster, m *kernel.Machine) error {
-		dst := c.AddrOf(1)
-		_, err := m.Spawn(kernel.SpawnConfig{
-			Name:    "burst",
-			Content: "burst sender v1",
-			Body: func(ctx guest.Context) {
-				// 100 frames at 50 µs apart: 2x the wire's 10k pps, so a
-				// deep backlog stands when the receiver dies at 7 ms —
-				// after the sender went quiet at 5 ms, which is what
-				// leaves the strand to the kick timer alone.
-				for i := 0; i < frames; i++ {
-					//simlint:errno-ok the chaos harness asserts on billing invariants, not per-send errno
-					ctx.NetSend(guest.Frame{Dst: dst, Flow: uint32(i % 4)})
-					ctx.Sleep(50 * perUs)
-				}
-				// Outlive the 12 ms reboot so the restart actually fires
-				// and any stale frame would have time to leak.
-				ctx.Sleep(25_000 * perUs)
-			},
-		})
-		return err
-	}
-	cl, err := New(Config{
-		Machines: []MachineSpec{
-			{
-				Config: kernel.Config{Seed: 231, CPUHz: testHz},
-				Boot:   burstThenLinger,
-			},
-			{
-				Config:       kernel.Config{Seed: 232, CPUHz: testHz},
-				Service:      true,
-				CrashAt:      sim.Cycles(testHz * 7 / 1_000), // down at 7 ms, backlog standing
-				RestartAfter: sim.Cycles(testHz * 5 / 1_000), // back at 12 ms
-				Boot:         drainDaemon,
-			},
-		},
-		Links: []LinkSpec{{
-			From: 0, To: 1, LatencyUs: 200,
-			PacketsPerSecond: 10_000, QueueDepth: 96, Qdisc: QdiscDRR,
-		}},
-	})
+	cl, err := New(strandedDRRCfg(frames))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,6 +251,57 @@ func TestRestartExpiresStrandedDRRBacklog(t *testing.T) {
 		t.Errorf("Sent = %d, want %d", l.Sent(), frames)
 	}
 	checkBalanced(t, cl)
+}
+
+// strandedDRRCfg is TestRestartExpiresStrandedDRRBacklog's fabric: a
+// sender bursts frames into a DRR link at twice its rate, goes quiet,
+// and lingers while the receiver dies with the backlog standing and
+// reboots.
+func strandedDRRCfg(frames int) Config {
+	perUs := sim.Cycles(testHz / 1_000_000)
+	burstThenLinger := func(c *Cluster, m *kernel.Machine) error {
+		dst := c.AddrOf(1)
+		_, err := m.Spawn(kernel.SpawnConfig{
+			Name:    "burst",
+			Content: "burst sender v1",
+			Body: func(ctx guest.Context) {
+				// 100 frames at 50 µs apart: 2x the wire's 10k pps, so a
+				// deep backlog stands when the receiver dies at 7 ms —
+				// after the sender went quiet at 5 ms, which is what
+				// leaves the strand to the kick timer alone.
+				for i := 0; i < frames; i++ {
+					//simlint:errno-ok the chaos harness asserts on billing invariants, not per-send errno
+					ctx.NetSend(guest.Frame{Dst: dst, Flow: uint32(i % 4)})
+					ctx.Sleep(50 * perUs)
+				}
+				// Outlive the 12 ms reboot so the restart actually fires
+				// and any stale frame would have time to leak.
+				ctx.Sleep(25_000 * perUs)
+			},
+		})
+		return err
+	}
+	return Config{
+		Machines: []MachineSpec{
+			{
+				Name:   "sender",
+				Config: kernel.Config{Seed: 231, CPUHz: testHz},
+				Boot:   burstThenLinger,
+			},
+			{
+				Name:         "receiver",
+				Config:       kernel.Config{Seed: 232, CPUHz: testHz},
+				Service:      true,
+				CrashAt:      sim.Cycles(testHz * 7 / 1_000), // down at 7 ms, backlog standing
+				RestartAfter: sim.Cycles(testHz * 5 / 1_000), // back at 12 ms
+				Boot:         drainDaemon,
+			},
+		},
+		Links: []LinkSpec{{
+			From: 0, To: 1, LatencyUs: 200,
+			PacketsPerSecond: 10_000, QueueDepth: 96, Qdisc: QdiscDRR,
+		}},
+	}
 }
 
 // TestFlapWindowDropsThenResumes pins FIFO flap semantics: offers

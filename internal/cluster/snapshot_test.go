@@ -16,6 +16,7 @@ import (
 // cluster restore preserves) with jittered pacing off the machine rng.
 type snapSender struct {
 	dst    guest.Addr
+	flow   uint32
 	frames int
 	gap    sim.Cycles
 	i      int
@@ -28,7 +29,7 @@ func (g *snapSender) run(ctx guest.Context, _ guest.Resume) guest.Step {
 	}
 	g.i++
 	//simlint:errno-ok resumable post: the outcome arrives in afterSend's Resume
-	ctx.NetSend(guest.Frame{Dst: g.dst, Flow: 5})
+	ctx.NetSend(guest.Frame{Dst: g.dst, Flow: g.flow})
 	return g.afterSend
 }
 
@@ -90,7 +91,7 @@ func snapClusterCfg(seed int64, frames int, crashAt, restartAfter sim.Cycles) Co
 				Name:   "sender",
 				Config: kernel.Config{Seed: seed, CPUHz: testHz},
 				Boot: func(c *Cluster, m *kernel.Machine) error {
-					g := &snapSender{dst: c.AddrOf(2), frames: frames, gap: 40_000}
+					g := &snapSender{dst: c.AddrOf(2), flow: 5, frames: frames, gap: 40_000}
 					_, err := m.Spawn(kernel.SpawnConfig{
 						Name: "pktgen", Content: "pktgen v1", Step: g.run, Fork: g.fork,
 					})
