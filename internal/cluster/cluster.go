@@ -11,10 +11,10 @@
 // direction (To→From, via Link.Reverse); each direction serialises
 // frames at the wire's packet rate through a bounded queue with
 // deterministic tail-drop, counted in Sent/Delivered/Dropped. Both
-// directions are registered as NIC transmit routes on their sending
-// machines, so guests transmit through the billed kernel tx path
-// (guest.Context.NetSend) and receivers can reply — ack-paced flows
-// whose rate is shaped by the receiver's responsiveness.
+// directions enter their sending member's forwarding table, so guests
+// transmit through the billed kernel tx path (guest.Context.NetSend)
+// and receivers can reply — ack-paced flows whose rate is shaped by
+// the receiver's responsiveness.
 //
 // Serialisation is byte-accurate: a frame occupies the wire for
 // Frame.Bytes at the link's byte rate (PacketsPerSecond minimum-size
@@ -142,11 +142,11 @@ type MachineSpec struct {
 	// RestartAfter, when nonzero, reboots the crashed machine that
 	// many cycles after CrashAt: a fresh kernel.Machine built from
 	// this spec (clock fast-forwarded to the reboot instant, first
-	// timer tick one jiffy later), rewired identically — same fabric
-	// address, routes, links — with Boot run again. Task state is
-	// fresh; ledgers are per-incarnation and survive only as the sum
-	// over Cluster.Incarnations. Frames offered while the machine was
-	// down stay dropped. Requires CrashAt.
+	// timer tick one jiffy later), plugged in like the original — same
+	// fabric address, forwarding table and links — with Boot run
+	// again. Task state is fresh; ledgers are per-incarnation and
+	// survive only as the sum over Cluster.Incarnations. Frames offered
+	// while the machine was down stay dropped. Requires CrashAt.
 	RestartAfter sim.Cycles
 }
 
@@ -277,9 +277,9 @@ func (r *REDSpec) validate(depth uint64) error {
 	return nil
 }
 
-// RouteSpec installs one static routing-table entry: on machine On,
-// frames addressed to machine Dst leave through On's link to the
-// directly connected neighbor Via. Direct-neighbor routes are
+// RouteSpec installs one static forwarding-table entry: on machine
+// On, frames addressed to machine Dst leave through On's link to the
+// directly connected neighbor Via. Direct-neighbor entries are
 // installed automatically from Links; RouteSpecs express the
 // multi-hop paths behind routers.
 type RouteSpec struct {
@@ -340,7 +340,7 @@ var ErrStalled = errors.New("cluster: unfinished machines but no machine has pen
 // per-flow backlog (drr non-nil): offered frames park in
 // deficit-round-robin queues and depart as the wire serves them, one
 // service-time event at a time, with the kick timer on the home
-// machine draining whatever the senders' own offers do not.
+// member draining whatever the senders' own offers do not.
 type pipe struct {
 	gap         sim.Cycles // serialisation spacing per minimum-frame slot at wire capacity; 0 = infinite rate
 	depth       uint64     // queue bound in minimum-frame slots
@@ -358,10 +358,10 @@ type pipe struct {
 	// DRR engine state (nil drr selects the FIFO horizon above).
 	drr         *device.DRR
 	quantum     uint64
-	home        *device.NIC // machine whose event queue runs the kick timer
-	byTag       []*Link     // queued-entry tag -> owning link
-	busyUntil   sim.Cycles  // wire committed through here
-	commitClock sim.Cycles  // monotone max of observed offer/kick times
+	home        int        // member whose event queue runs the kick timer
+	byTag       []*Link    // queued-entry tag -> owning link
+	busyUntil   sim.Cycles // wire committed through here
+	commitClock sim.Cycles // monotone max of observed offer/kick times
 	kickArmed   bool
 	kickFire    func()
 
@@ -468,12 +468,14 @@ func (p *pipe) register(l *Link) uint32 {
 	return uint32(len(p.byTag) - 1)
 }
 
-// Link is one direction of a network path between two machines' NICs.
-// Send is only safe from code that runs while the cluster advances
-// the sending machine (guest routines, event callbacks) or between
-// rounds — the same single-driver discipline every machine API has.
+// Link is one direction of a network path between two members' NICs,
+// named by member index, so a reboot needs no re-pointing. Send is
+// only safe from code that runs while the cluster advances the sending
+// machine (guest routines, event callbacks) or between rounds — the
+// same single-driver discipline every machine API has.
 type Link struct {
-	from, to *kernel.Machine
+	c        *Cluster
+	from, to int // sending and receiving member
 	latency  sim.Cycles
 	pipe     *pipe
 	rev      *Link
@@ -547,14 +549,14 @@ func (l *Link) Reverse() *Link { return l.rev }
 // flow is the hog, in which case it is the drop.
 func (l *Link) Send(f Frame) bool {
 	l.sent++
-	if l.to.Closed() {
+	if l.c.machines[l.to].Closed() {
 		l.dropped++
 		return false
 	}
 	if l.pipe.drr != nil {
 		return l.pipe.sendDRR(l, f)
 	}
-	now := l.from.Clock().Now()
+	now := l.c.machines[l.from].Clock().Now()
 	if l.pipe.flapDefer(now) > now {
 		// The wire is in a flap-down window: a FIFO direction has no
 		// backlog to hold the frame in, so the offer is a loss.
@@ -617,12 +619,13 @@ func (l *Link) redAdmit(queued uint64, f *Frame) bool {
 // destination's scheduled crash (it occupied the wire but lands on a
 // dead machine).
 func (l *Link) land(arrive sim.Cycles, f Frame) bool {
-	if l.to.Closed() || (l.downAt > 0 && arrive >= l.downAt) {
+	to := l.c.machines[l.to]
+	if to.Closed() || (l.downAt > 0 && arrive >= l.downAt) {
 		l.dropped++
 		return false
 	}
 	l.delivered++
-	l.to.NIC().InjectRxFrame(arrive, f)
+	to.NIC().InjectRxFrame(arrive, f)
 	return true
 }
 
@@ -633,16 +636,14 @@ func (l *Link) land(arrive sim.Cycles, f Frame) bool {
 // observed offer times and a frame offered "in the past" (bounded by
 // one lookahead window) queues as if it arrived at the frontier.
 func (p *pipe) sendDRR(l *Link, f Frame) bool {
-	if now := l.from.Clock().Now(); now > p.commitClock {
+	now := l.c.machines[l.from].Clock().Now()
+	if now > p.commitClock {
 		p.commitClock = now
 	}
 	p.drain()
 	wb := device.WireBytes(f)
 	if p.drr.Len() == 0 && p.busyUntil <= p.commitClock {
-		start := p.busyUntil
-		if now := l.from.Clock().Now(); now > start {
-			start = now
-		}
+		start := max(p.busyUntil, now)
 		if p.flapDefer(start) == start {
 			// Wire idle and up: store-and-forward the frame
 			// immediately. The EWMA estimator still observes the empty
@@ -678,7 +679,7 @@ func (p *pipe) sendDRR(l *Link, f Frame) bool {
 	}
 	p.drr.Enqueue(device.QdiscEntry{F: f, Cost: wb, Tag: l.tag})
 	l.queued++
-	p.armKick()
+	l.c.armKick(p)
 	return true
 }
 
@@ -704,23 +705,27 @@ func (p *pipe) drain() {
 	}
 }
 
-// armKick schedules the pipe's service timer at the wire's committed
-// horizon on the home machine (the first declared link's receiver),
-// so backlog keeps draining — one frame per firing — after the
-// senders go quiet. Without it, queued frames would wait for the
+// armKick schedules a DRR pipe's service timer at the wire's
+// committed horizon on its home member (the first declared link's
+// receiver), so backlog keeps draining — one frame per firing — after
+// the senders go quiet. Without it, queued frames would wait for the
 // next offer that may never come.
-func (p *pipe) armKick() {
+func (c *Cluster) armKick(p *pipe) {
 	if p.kickArmed || p.drr.Len() == 0 {
 		return
 	}
 	p.kickArmed = true
 	// A flap-down window pushes the kick to the window's end: the
 	// timer is what revives a parked backlog once senders go quiet.
-	p.home.ScheduleEgressTagged(p.flapDefer(p.busyUntil), p.id, p.kickFire)
+	c.machines[p.home].NIC().ScheduleEgressTagged(p.flapDefer(p.busyUntil), p.id, p.kickFire)
 }
 
 // Cluster is a set of machines advancing in lockstep plus the links
-// between them.
+// between them. It alone knows how the fabric is wired: links and
+// pipe homes name members by index, and each member's forwarding
+// table maps destination addresses to the link direction a frame
+// leaves on. A member's NIC holds only its address and a transmit
+// function into that table, which plug sets on every incarnation.
 type Cluster struct {
 	machines  []*kernel.Machine
 	names     []string
@@ -730,15 +735,15 @@ type Cluster struct {
 	lookahead sim.Cycles
 	maxCycles sim.Cycles
 
+	// fwd is each member's forwarding table, built once by wire from
+	// Links and Routes and fixed from then on.
+	fwd []map[Addr]*Link
+
 	// Crash/restart state. specs keeps the original declarations so a
-	// restart can rebuild its machine; txRoutes and routeTab record
-	// the wiring (transmit routes in registration order, the
-	// post-wiring routing table) so a fresh incarnation is rewired
-	// identically. crashAt/restartAt are the pending schedule (zero:
-	// none); prior holds retired incarnations, oldest first.
+	// restart can rebuild its machine; crashAt/restartAt are the
+	// pending schedule (zero: none); prior holds retired incarnations,
+	// oldest first.
 	specs     []MachineSpec
-	txRoutes  [][]func(Frame) bool
-	routeTab  []map[Addr]int
 	crashAt   []sim.Cycles
 	restartAt []sim.Cycles
 	crashed   []bool
@@ -757,8 +762,8 @@ type Cluster struct {
 // newPipe builds one direction's serialisation state from a spec.
 // seed drives the pipe's service-time perturbation and RED coin
 // flips; qdisc/quantum select the queue engine, and home is the
-// machine whose event queue runs a DRR pipe's service timer.
-func newPipe(freq sim.Hz, pps, depth uint64, red *REDSpec, seed int64, qdisc string, quantum uint64, home *device.NIC) *pipe {
+// member whose event queue runs a DRR pipe's service timer.
+func (c *Cluster) newPipe(freq sim.Hz, pps, depth uint64, red *REDSpec, seed int64, qdisc string, quantum uint64, home int) *pipe {
 	if pps == 0 {
 		pps = DefaultLinkPPS
 	}
@@ -782,11 +787,11 @@ func newPipe(freq sim.Hz, pps, depth uint64, red *REDSpec, seed int64, qdisc str
 		p.home = home
 		p.kickFire = func() {
 			p.kickArmed = false
-			if now := p.home.Now(); now > p.commitClock {
+			if now := c.machines[p.home].Clock().Now(); now > p.commitClock {
 				p.commitClock = now
 			}
 			p.drain()
-			p.armKick()
+			c.armKick(p)
 		}
 	}
 	return p
@@ -828,9 +833,8 @@ func shellFrom(cfg Config) (c *Cluster, freq sim.Hz, perUs sim.Cycles, err error
 		names:     make([]string, len(cfg.Machines)),
 		service:   make([]bool, len(cfg.Machines)),
 		done:      make([]bool, len(cfg.Machines)),
+		fwd:       make([]map[Addr]*Link, len(cfg.Machines)),
 		specs:     cfg.Machines,
-		txRoutes:  make([][]func(Frame) bool, len(cfg.Machines)),
-		routeTab:  make([]map[Addr]int, len(cfg.Machines)),
 		crashAt:   make([]sim.Cycles, len(cfg.Machines)),
 		restartAt: make([]sim.Cycles, len(cfg.Machines)),
 		crashed:   make([]bool, len(cfg.Machines)),
@@ -866,6 +870,7 @@ func shellFrom(cfg Config) (c *Cluster, freq sim.Hz, perUs sim.Cycles, err error
 		if err := ms.Config.Validate(); err != nil {
 			return nil, 0, 0, fmt.Errorf("cluster: machine %d: %w", i, err)
 		}
+		c.fwd[i] = make(map[Addr]*Link)
 		c.crashAt[i] = ms.CrashAt
 		c.names[i] = ms.Name
 		c.service[i] = ms.Service
@@ -877,14 +882,10 @@ func shellFrom(cfg Config) (c *Cluster, freq sim.Hz, perUs sim.Cycles, err error
 	return c, freq, perUs, nil
 }
 
-// New builds the machines, assigns each a fabric address (machine i
-// gets Addr(i+1)), wires the links (registering both directions as
-// NIC transmit routes on their sending machines, in Config.Links
-// order: each link contributes its forward direction to From's route
-// list, then its reverse direction to To's, installing
-// direct-neighbor routing-table entries as it goes), applies static
-// Routes, couples any shared swap, and runs every Boot routine. On
-// any error the already-built machines are shut down.
+// New builds the machines, wires the links and forwarding tables,
+// couples any shared swap, plugs each machine in as its member, and
+// runs every Boot routine. On any error the already-built machines are
+// shut down.
 func New(cfg Config) (*Cluster, error) {
 	c, freq, perUs, err := shellFrom(cfg)
 	if err != nil {
@@ -892,10 +893,12 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	for i, ms := range c.cfg.Machines {
 		c.machines[i] = kernel.New(ms.Config)
-		c.machines[i].NIC().SetAddr(Addr(i + 1))
 	}
 	if err := c.wire(freq, perUs, false); err != nil {
 		return nil, err
+	}
+	for i, m := range c.machines {
+		c.plug(i, m)
 	}
 	for i, ms := range c.cfg.Machines {
 		if ms.Boot == nil {
@@ -909,15 +912,15 @@ func New(cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
-// wire builds every link, pipe, and route from the stored Config onto
-// the current machine set, snapshots the routing table, computes the
-// lookahead, and couples any shared swap. It is the common back half
-// of New and the checkpoint Restore path: on the restore path
-// (restored true) the machines already carry their addresses, tables,
-// and disk-channel horizons, so wiring only re-registers the transmit
-// closures (in the identical order, preserving route indices) and
+// wire builds every link, pipe, and forwarding table from the stored
+// Config, computes the lookahead, and couples any shared swap onto the
+// current machine set. It is the common back half of New and the
+// checkpoint Restore path: on the restore path (restored true) the
+// machines already carry their disk-channel horizons, so wiring
 // re-points the shared swap channel instead of creating a fresh one.
-// On any error the already-built machines are shut down.
+// Each member's table maps a neighbor's address to the first link
+// that reaches it, plus one entry per static route. On any error the
+// already-built machines are shut down.
 func (c *Cluster) wire(freq sim.Hz, perUs sim.Cycles, restored bool) error {
 	cfg := c.cfg
 	shared := make(map[string]*pipe)
@@ -933,22 +936,6 @@ func (c *Cluster) wire(freq sim.Hz, perUs sim.Cycles, restored bool) error {
 		seenPipes[p] = true
 		p.id = uint64(len(c.pipes))
 		c.pipes = append(c.pipes, p)
-	}
-	// nbrRoute[on] maps a directly connected neighbor index to the
-	// first route on machine `on` that reaches it — what static
-	// RouteSpecs resolve Via through.
-	nbrRoute := make([]map[int]int, len(c.machines))
-	addRoute := func(on, neighbor, route int) {
-		if nbrRoute[on] == nil {
-			nbrRoute[on] = make(map[int]int)
-		}
-		if _, ok := nbrRoute[on][neighbor]; !ok {
-			nbrRoute[on][neighbor] = route
-		}
-		nic := c.machines[on].NIC()
-		if _, ok := nic.RouteTo(Addr(neighbor + 1)); !ok {
-			nic.SetRoute(Addr(neighbor+1), route)
-		}
 	}
 	for li, ls := range cfg.Links {
 		if ls.From < 0 || ls.From >= len(c.machines) || ls.To < 0 || ls.To >= len(c.machines) {
@@ -991,7 +978,7 @@ func (c *Cluster) wire(freq sim.Hz, perUs sim.Cycles, restored bool) error {
 			latUs = DefaultLatencyUs
 		}
 		pipeSeed := cfg.Machines[0].Config.Seed*1_000_003 + int64(li)*2
-		fwdPipe := newPipe(freq, ls.PacketsPerSecond, ls.QueueDepth, ls.RED, pipeSeed, qdisc, ls.QuantumBytes, c.machines[ls.To].NIC())
+		fwdPipe := c.newPipe(freq, ls.PacketsPerSecond, ls.QueueDepth, ls.RED, pipeSeed, qdisc, ls.QuantumBytes, ls.To)
 		if ls.RED != nil {
 			if err := ls.RED.validate(fwdPipe.depth); err != nil {
 				c.Shutdown()
@@ -1015,16 +1002,18 @@ func (c *Cluster) wire(freq sim.Hz, perUs sim.Cycles, restored bool) error {
 			}
 		}
 		fwd := &Link{
-			from:    c.machines[ls.From],
-			to:      c.machines[ls.To],
+			c:       c,
+			from:    ls.From,
+			to:      ls.To,
 			latency: sim.Cycles(latUs) * perUs,
 			pipe:    fwdPipe,
 		}
 		rev := &Link{
-			from:    c.machines[ls.To],
-			to:      c.machines[ls.From],
+			c:       c,
+			from:    ls.To,
+			to:      ls.From,
 			latency: fwd.latency,
-			pipe:    newPipe(freq, ls.PacketsPerSecond, ls.QueueDepth, ls.RED, pipeSeed+1, qdisc, ls.QuantumBytes, c.machines[ls.From].NIC()),
+			pipe:    c.newPipe(freq, ls.PacketsPerSecond, ls.QueueDepth, ls.RED, pipeSeed+1, qdisc, ls.QuantumBytes, ls.From),
 		}
 		fwd.rev, rev.rev = rev, fwd
 		fwd.pipe.applyFlap(ls.Flap, perUs)
@@ -1039,26 +1028,18 @@ func (c *Cluster) wire(freq sim.Hz, perUs sim.Cycles, restored bool) error {
 		if rev.pipe.drr != nil {
 			rev.tag = rev.pipe.register(rev)
 		}
-		addRoute(ls.From, ls.To, c.addTxRoute(ls.From, fwd.Send))
-		addRoute(ls.To, ls.From, c.addTxRoute(ls.To, rev.Send))
+		for _, d := range [2]*Link{fwd, rev} {
+			if _, ok := c.fwd[d.from][c.AddrOf(d.to)]; !ok {
+				c.fwd[d.from][c.AddrOf(d.to)] = d
+			}
+		}
 		c.links = append(c.links, fwd)
 	}
 	for ri, rs := range cfg.Routes {
-		if err := c.installRoute(rs, nbrRoute); err != nil {
+		if err := c.installRoute(rs); err != nil {
 			c.Shutdown()
 			return fmt.Errorf("cluster: route %d: %w", ri, err)
 		}
-	}
-	// Snapshot every machine's post-wiring routing table so a
-	// restarted incarnation can be rewired identically.
-	for i, m := range c.machines {
-		tab := make(map[Addr]int)
-		for j := range c.machines {
-			if r, ok := m.NIC().RouteTo(Addr(j + 1)); ok {
-				tab[Addr(j+1)] = r
-			}
-		}
-		c.routeTab[i] = tab
 	}
 	// The lookahead is the shortest cross-machine signal flight time:
 	// one round may only span a window narrower than it. With no
@@ -1082,13 +1063,18 @@ func (c *Cluster) wire(freq sim.Hz, perUs sim.Cycles, restored bool) error {
 	return nil
 }
 
-// addTxRoute registers a link direction's Send as a transmit route on
-// machine on's NIC, recording it so a restarted incarnation can replay
-// the registrations in the same order (route indices must survive a
-// reboot: the routing-table snapshot refers to them).
-func (c *Cluster) addTxRoute(on int, send func(Frame) bool) int {
-	c.txRoutes[on] = append(c.txRoutes[on], send)
-	return c.machines[on].NIC().AddTxRoute(send)
+// plug connects machine m as member i: its NIC takes the member's
+// fabric address and a transmit function that sends each frame on the
+// link direction the member's forwarding table maps its destination
+// to (no entry: the NIC counts a drop). New, Restore and a reboot all
+// plug a machine in this way.
+func (c *Cluster) plug(i int, m *kernel.Machine) {
+	tab := c.fwd[i]
+	m.NIC().SetAddr(c.AddrOf(i))
+	m.NIC().SetTx(func(f Frame) bool {
+		l, ok := tab[f.Dst]
+		return ok && l.Send(f)
+	})
 }
 
 // redEqual compares two RED resolutions for bottleneck agreement.
@@ -1099,9 +1085,10 @@ func redEqual(a, b *REDSpec) bool {
 	return *a == *b
 }
 
-// installRoute validates one static route and writes the routing-
-// table entry on its machine.
-func (c *Cluster) installRoute(rs RouteSpec, nbrRoute []map[int]int) error {
+// installRoute validates one static route and writes the forwarding-
+// table entry on its machine. Via must be a neighbor: the table's
+// entry for Via's address is then the first link that reaches it.
+func (c *Cluster) installRoute(rs RouteSpec) error {
 	n := len(c.machines)
 	if rs.On < 0 || rs.On >= n || rs.Dst < 0 || rs.Dst >= n || rs.Via < 0 || rs.Via >= n {
 		return fmt.Errorf("{On:%d Dst:%d Via:%d} references machines outside 0..%d", rs.On, rs.Dst, rs.Via, n-1)
@@ -1109,15 +1096,15 @@ func (c *Cluster) installRoute(rs RouteSpec, nbrRoute []map[int]int) error {
 	if rs.Dst == rs.On {
 		return fmt.Errorf("%s routes to itself", c.machineDesc(rs.On))
 	}
-	route, ok := nbrRoute[rs.On][rs.Via]
-	if !ok {
+	tab := c.fwd[rs.On]
+	l, ok := tab[c.AddrOf(rs.Via)]
+	if !ok || l.to != rs.Via {
 		return fmt.Errorf("%s has no link to via-%s", c.machineDesc(rs.On), c.machineDesc(rs.Via))
 	}
-	nic := c.machines[rs.On].NIC()
-	if existing, ok := nic.RouteTo(Addr(rs.Dst + 1)); ok && existing != route {
+	if existing, ok := tab[c.AddrOf(rs.Dst)]; ok && existing != l {
 		return fmt.Errorf("%s already routes to %s via a different next hop", c.machineDesc(rs.On), c.machineDesc(rs.Dst))
 	}
-	nic.SetRoute(Addr(rs.Dst+1), route)
+	tab[c.AddrOf(rs.Dst)] = l
 	return nil
 }
 
@@ -1436,87 +1423,61 @@ func (c *Cluster) crash(i int) {
 // restart boots a fresh incarnation of crashed machine i at virtual
 // time at: a new kernel.Machine from the original spec, its clock
 // fast-forwarded to the reboot instant via Config.BootAt (first timer
-// tick one jiffy later), rewired exactly like the original — same
-// fabric address, transmit routes replayed in registration order,
-// routing table restored from the post-wiring snapshot — with every
-// link re-pointed at it and any DRR pipe whose service timer lived on
-// the dead incarnation re-homed. Residual DRR backlog addressed to
-// the dead incarnation is expired into the drop ledger first — the
-// fresh machine takes new traffic only. Task state is fresh (the
-// spec's Boot
-// runs again); ledgers are per-incarnation, so cumulative accounting
-// sums over Incarnations.
+// tick one jiffy later), plugged in as member i like the original.
+// Residual DRR backlog addressed to the dead incarnation is expired
+// into the drop ledger — the fresh machine takes new traffic only —
+// and every DRR pipe homed on the member gets its kick timer back.
+// Task state is fresh (the spec's Boot runs again); ledgers are
+// per-incarnation, so cumulative accounting sums over Incarnations.
 func (c *Cluster) restart(i int, at sim.Cycles) error {
-	old := c.machines[i]
-	c.prior[i] = append(c.prior[i], old)
+	c.prior[i] = append(c.prior[i], c.machines[i])
 	mcfg := c.specs[i].Config
 	mcfg.BootAt = at
 	m := kernel.New(mcfg)
-	m.NIC().SetAddr(Addr(i + 1))
-	for _, send := range c.txRoutes[i] {
-		m.NIC().AddTxRoute(send)
-	}
-	for j := range c.machines {
-		if r, ok := c.routeTab[i][Addr(j+1)]; ok {
-			m.NIC().SetRoute(Addr(j+1), r)
-		}
-	}
-	oldNIC := old.NIC()
-	// Expire the dead incarnation's residual backlog before any link is
-	// re-pointed: frames still parked in a DRR pipe for a link into the
-	// crashed machine were accepted by the wire but addressed to an
-	// incarnation that no longer exists — serving them after the reboot
-	// would deliver stale traffic into the fresh machine. They become
-	// counted drops on the link that offered them, so Queued drains to
-	// Dropped and Sent = Delivered + Dropped + Queued holds across the
-	// reboot.
-	purged := make(map[*pipe]bool)
+	c.plug(i, m)
+	c.machines[i] = m
+	c.done[i] = false
+	c.restartAt[i] = 0
 	for _, l := range c.links {
 		for _, d := range [2]*Link{l, l.rev} {
-			p := d.pipe
-			if p.drr == nil || d.to != old || purged[p] {
-				continue
-			}
-			purged[p] = true
-			p.drr.Expire(
-				func(e device.QdiscEntry) bool { return p.byTag[e.Tag].to == old },
-				func(e device.QdiscEntry) {
-					el := p.byTag[e.Tag]
-					el.queued--
-					el.dropped++
-				})
-		}
-	}
-	for _, l := range c.links {
-		for _, d := range [2]*Link{l, l.rev} {
-			if d.from == old {
-				d.from = m
-			}
-			if d.to == old {
-				d.to = m
+			if d.to == i {
 				// Frames written off while the machine was down stay
 				// dropped; the revived machine takes new traffic.
 				d.downAt = 0
 			}
-			if p := d.pipe; p.drr != nil && p.home == oldNIC {
-				// The pipe's kick timer died with the old incarnation:
-				// re-home it and pick the backlog back up. Nobody
-				// served the wire while the home was dead, so the
-				// committed horizon resumes no earlier than the reboot
-				// instant (also keeping the fresh event queue free of
-				// past-time events).
-				p.home = m.NIC()
-				p.kickArmed = false
-				if p.busyUntil < at {
-					p.busyUntil = at
-				}
-				p.armKick()
-			}
 		}
 	}
-	c.machines[i] = m
-	c.done[i] = false
-	c.restartAt[i] = 0
+	// c.pipes holds each pipe once, in wiring order, so a Bottleneck
+	// pipe shared by several links is re-armed exactly once.
+	for _, p := range c.pipes {
+		if p.drr == nil {
+			continue
+		}
+		// Frames still parked for a link into the crashed member were
+		// accepted by the wire but addressed to an incarnation that no
+		// longer exists — serving them after the reboot would deliver
+		// stale traffic into the fresh machine. They become counted
+		// drops on the link that offered them, so Queued drains to
+		// Dropped and Sent = Delivered + Dropped + Queued holds across
+		// the reboot.
+		p.drr.Expire(
+			func(e device.QdiscEntry) bool { return p.byTag[e.Tag].to == i },
+			func(e device.QdiscEntry) {
+				el := p.byTag[e.Tag]
+				el.queued--
+				el.dropped++
+			})
+		if p.home == i {
+			// The pipe's kick timer died with the old incarnation: pick
+			// the backlog back up. Nobody served the wire while the home
+			// was dead, so the committed horizon resumes no earlier than
+			// the reboot instant (also keeping the fresh event queue free
+			// of past-time events).
+			p.kickArmed = false
+			p.busyUntil = max(p.busyUntil, at)
+			c.armKick(p)
+		}
+	}
 	if boot := c.specs[i].Boot; boot != nil {
 		if err := boot(c, m); err != nil {
 			return fmt.Errorf("cluster: reboot machine %d at cycle %d: %w", i, at, err)

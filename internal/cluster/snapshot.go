@@ -13,8 +13,9 @@
 // before the failure instead — a snapshot taken with CrashAt still
 // pending replays the crash, the restart, and the per-incarnation
 // ledgers identically on both sides. Guests that transmit host-side
-// on captured *Link handles (rather than through the kernel routing
-// table via NetSend/NetForward) do not survive a cluster restore:
+// on captured *Link handles (rather than through the member's
+// forwarding table via NetSend/NetForward) do not survive a cluster
+// restore:
 // the restored fabric has its own links, so such guests must be
 // declared forkless and checkpointed before they spawn.
 package cluster
@@ -39,8 +40,8 @@ type linkDirImage struct {
 }
 
 // pipeImage is one pipe's serialisable dynamic state. The static
-// shape (rate, depth, RED policy, qdisc, flap schedule) is rebuilt
-// from the Config; only what the run mutated is carried.
+// shape (rate, depth, RED policy, qdisc, flap schedule, home member)
+// is rebuilt from the Config; only what the run mutated is carried.
 type pipeImage struct {
 	lastArrival sim.Cycles
 	rngState    uint64
@@ -49,7 +50,6 @@ type pipeImage struct {
 	commitClock sim.Cycles
 	kickArmed   bool
 	drr         *device.DRR // frozen backlog clone; nil on FIFO pipes
-	homeIdx     int         // machine whose queue runs the kick timer; -1 on FIFO pipes
 }
 
 // ClusterImage is a Cluster's full checkpoint: the declaration it was
@@ -147,20 +147,9 @@ func (c *Cluster) Snapshot() (*ClusterImage, error) {
 			busyUntil:   p.busyUntil,
 			commitClock: p.commitClock,
 			kickArmed:   p.kickArmed,
-			homeIdx:     -1,
 		}
 		if p.drr != nil {
 			pi.drr = p.drr.Clone()
-			for i, m := range c.machines {
-				if m.NIC() == p.home {
-					pi.homeIdx = i
-					break
-				}
-			}
-			if pi.homeIdx < 0 {
-				return nil, fmt.Errorf("cluster: pipe %d's kick timer is homed on a retired machine: %w",
-					p.id, kernel.ErrNotSnapshottable)
-			}
 		}
 		img.pipes = append(img.pipes, pi)
 	}
@@ -170,8 +159,9 @@ func (c *Cluster) Snapshot() (*ClusterImage, error) {
 // Restore rebuilds an independent cluster from an image: machines are
 // restored from their kernel images (pending cluster-owned events —
 // DRR kick timers, shared-swap service work — are re-pointed at the
-// rebuilt wiring), links and pipes are rewired from the declaration
-// in the identical order, and the wire state is overlaid. Boot
+// rebuilt wiring), links, pipes and forwarding tables are rewired from
+// the declaration in the identical order, each machine is plugged in
+// as its member, and the wire state is overlaid. Boot
 // routines do NOT run again: the tasks they spawned are part of the
 // machine images. The restored cluster continues the image's history
 // under the same barrier sequence; the image remains valid for
@@ -204,6 +194,9 @@ func Restore(img *ClusterImage) (*Cluster, error) {
 	if err := c.wire(freq, perUs, true); err != nil {
 		return nil, err
 	}
+	for i, m := range c.machines {
+		c.plug(i, m)
+	}
 	copy(c.crashAt, img.crashAt)
 	if len(img.links) != 2*len(c.links) || len(img.pipes) != len(c.pipes) {
 		c.Shutdown()
@@ -225,7 +218,6 @@ func Restore(img *ClusterImage) (*Cluster, error) {
 		if pi.drr != nil {
 			// Clone again: the image's backlog stays frozen for reuse.
 			p.drr = pi.drr.Clone()
-			p.home = c.machines[pi.homeIdx].NIC()
 		}
 	}
 	return c, nil

@@ -105,14 +105,12 @@ type NIC struct {
 	lastFrame Frame
 	hasFrame  bool
 
-	// Transmit path: routes are the wires this NIC can push frames
-	// onto (a cluster registers one per outgoing link direction); each
-	// reports whether the frame was carried or dropped downstream.
-	// table maps destination fabric addresses to route indices, so
-	// transmits are resolved by address instead of hard-wired route.
+	// Transmit path: tx is the fabric's side of the wire (a cluster
+	// sets it when it plugs the machine in); it resolves each frame's
+	// destination and reports whether the frame was carried. The NIC
+	// keeps only the counters.
 	addr      Addr
-	table     map[Addr]int
-	routes    []func(Frame) bool
+	tx        func(Frame) bool
 	txCarried uint64
 	txDropped uint64
 }
@@ -244,10 +242,6 @@ func frameLess(a, b pendingFrame) bool {
 // Received reports total packets delivered since construction.
 func (n *NIC) Received() uint64 { return n.received }
 
-// Now reads this NIC's machine clock. An egress pipe whose service
-// timer lives on this machine samples it when the timer fires.
-func (n *NIC) Now() sim.Cycles { return n.clock.Now() }
-
 // ScheduleEgressTagged schedules fn at virtual time at on this NIC's
 // machine event queue: the service timer a queueing-discipline pipe
 // arms so backlogged frames still drain after the last sender goes
@@ -268,53 +262,25 @@ func (n *NIC) SetAddr(a Addr) { n.addr = a }
 // Addr reports the NIC's fabric address (zero outside any fabric).
 func (n *NIC) Addr() Addr { return n.addr }
 
-// AddTxRoute registers an outgoing wire and returns its route index.
-// send is invoked once per transmitted frame in the sender's context
-// and reports whether the frame was carried (false: dropped at the
+// SetTx sets the function each transmitted frame is handed to (a
+// cluster does this when it plugs the machine in). tx is invoked once
+// per frame in the sender's context and reports whether the frame was
+// carried (false: no route to its destination, or dropped at the
 // wire's queue or by a dead destination).
-func (n *NIC) AddTxRoute(send func(Frame) bool) int {
-	n.routes = append(n.routes, send)
-	return len(n.routes) - 1
-}
+func (n *NIC) SetTx(tx func(Frame) bool) { n.tx = tx }
 
-// SetRoute points frames addressed to dst at the given route index.
-// The table is allocated lazily so solo machines carry none.
-func (n *NIC) SetRoute(dst Addr, route int) {
-	if n.table == nil {
-		n.table = make(map[Addr]int)
-	}
-	n.table[dst] = route
-}
-
-// RouteTo resolves a destination address to a route index.
-func (n *NIC) RouteTo(dst Addr) (int, bool) {
-	route, ok := n.table[dst]
-	return route, ok
-}
-
-// Transmit pushes one frame out the given route. It reports whether
-// the frame was carried; frames to an unknown route (a machine with
-// no uplink) or refused by the wire count as transmit drops. The
-// kernel charges the tx-path CPU time around this call.
-func (n *NIC) Transmit(route int, f Frame) bool {
-	if route < 0 || route >= len(n.routes) || !n.routes[route](f) {
+// Transmit hands one frame to the transmit function. It reports
+// whether the frame was carried; a frame refused downstream, or sent
+// by a NIC with no transmit function (a machine outside any fabric),
+// counts as a transmit drop. The kernel charges the tx-path CPU time
+// around this call.
+func (n *NIC) Transmit(f Frame) bool {
+	if n.tx == nil || !n.tx(f) {
 		n.txDropped++
 		return false
 	}
 	n.txCarried++
 	return true
-}
-
-// TransmitTo resolves f.Dst through the routing table and pushes the
-// frame out the resolved route. Frames to destinations with no route
-// count as transmit drops, mirroring a missing FIB entry.
-func (n *NIC) TransmitTo(f Frame) bool {
-	route, ok := n.table[f.Dst]
-	if !ok {
-		n.txDropped++
-		return false
-	}
-	return n.Transmit(route, f)
 }
 
 // Transmitted reports frames successfully handed to a wire.
@@ -380,11 +346,9 @@ func (n *NIC) scheduleNext() {
 
 // Clone returns a NIC for a restored machine, wired to the new
 // machine's queue, clock, rng, and IRQ-delivery sink, carrying over
-// all generator, receive-path, and counter state. Transmit routes are
-// deliberately NOT cloned — they are closures into external wiring
-// (cluster link pipes) that the owner re-registers after restore; the
-// address→route table is carried so re-registration in the original
-// order resolves identically.
+// all generator, receive-path, and counter state. The transmit
+// function is deliberately NOT cloned: it is a closure into external
+// wiring that the owner sets again after restore.
 func (n *NIC) Clone(queue *sim.EventQueue, clock *sim.Clock, rng *sim.Rand, deliver func()) *NIC {
 	c := NewNIC(queue, clock, rng, deliver)
 	c.rate, c.period, c.rem, c.rateFrac = n.rate, n.period, n.rem, n.rateFrac
@@ -396,13 +360,6 @@ func (n *NIC) Clone(queue *sim.EventQueue, clock *sim.Clock, rng *sim.Rand, deli
 	c.frameSeq = n.frameSeq
 	c.lastFrame, c.hasFrame = n.lastFrame, n.hasFrame
 	c.addr = n.addr
-	if n.table != nil {
-		c.table = make(map[Addr]int, len(n.table))
-		//simlint:unordered-ok deep copy into a map keyed identically
-		for a, r := range n.table {
-			c.table[a] = r
-		}
-	}
 	c.txCarried, c.txDropped = n.txCarried, n.txDropped
 	return c
 }

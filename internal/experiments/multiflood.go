@@ -79,8 +79,8 @@ func RunMultiFlood(spec MultiFloodSpec) (*MultiFloodOut, error) {
 			Config: cfg,
 			Boot: func(c *cluster.Cluster, m *kernel.Machine) error {
 				// Every attacker addresses the victim machine directly;
-				// the NIC's routing table resolves the frame onto the
-				// attacker's link into the bottleneck. Transmitting
+				// the attacker's forwarding table resolves the frame onto
+				// its link into the bottleneck. Transmitting
 				// through NetSend (floodBodyStep) bills the tx path and
 				// observes the wire's drop feedback; Offered counts
 				// what was actually sent.

@@ -150,7 +150,7 @@ func runRoutedFlood(who string, fl RouterFloodSpec, cs ChaosSpec, flowTimeoutUs 
 	machines := make([]cluster.MachineSpec, 0, victimIdx+1)
 
 	// Attackers: non-ECN junk addressed to the victim, resolved onto
-	// each attacker's uplink into the router by the routing table.
+	// each attacker's uplink into the router by its forwarding table.
 	pps := fl.PerAttackerPPS
 	for a := 0; a < fl.Attackers; a++ {
 		attacker := member(fmt.Sprintf("attacker-%d", a), a)

@@ -146,8 +146,9 @@ type Context interface {
 
 	// NetSend transmits one addressed frame on the machine's NIC: the
 	// kernel stamps f.Src with the machine's own fabric address and
-	// resolves f.Dst through the NIC's routing table (a cluster
-	// installs one entry per reachable machine). The kernel charges
+	// hands the frame to the NIC's transmit function (a cluster's
+	// forwarding table for the machine, one entry per reachable
+	// machine, resolves f.Dst onto a link). The kernel charges
 	// the sendto syscall plus the driver tx path as system time. It
 	// reports whether the frame was carried: false models
 	// ENOBUFS/EHOSTUNREACH-style local drop feedback — no route, a

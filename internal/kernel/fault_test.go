@@ -77,10 +77,10 @@ func probeMachine(t *testing.T, faults *FaultSpec) *Machine {
 	m := New(Config{Seed: 42, CPUHz: 1_000_000_000, MaxSteps: 50_000_000, Faults: faults})
 	const peer = device.Addr(2)
 	tick := m.TickCycles()
-	m.NIC().SetRoute(peer, m.NIC().AddTxRoute(func(f device.Frame) bool {
+	routeOnly(m, peer, func(f device.Frame) bool {
 		m.NIC().InjectRxFrame(m.Clock().Now()+tick, f)
 		return true
-	}))
+	})
 	if _, err := m.Spawn(SpawnConfig{Name: "probe", Body: faultProbeBody(peer, 50)}); err != nil {
 		t.Fatal(err)
 	}
@@ -131,10 +131,10 @@ func TestFullPPMInjectsEveryCall(t *testing.T) {
 	defer m.Shutdown()
 	const peer = device.Addr(2)
 	var carried int
-	m.NIC().SetRoute(peer, m.NIC().AddTxRoute(func(device.Frame) bool {
+	routeOnly(m, peer, func(device.Frame) bool {
 		carried++
 		return true
-	}))
+	})
 	const attempts = 8
 	var sendErrs, recvErrs, wrongErrno int
 	if _, err := m.Spawn(SpawnConfig{Name: "victim", Body: func(ctx guest.Context) {
@@ -215,10 +215,10 @@ func TestRetryWrappersRideOutTransients(t *testing.T) {
 		}}})
 	const peer = device.Addr(2)
 	var carried int
-	m.NIC().SetRoute(peer, m.NIC().AddTxRoute(func(device.Frame) bool {
+	routeOnly(m, peer, func(device.Frame) bool {
 		carried++
 		return true
-	}))
+	})
 	const frames = 40
 	const budget = sim.Cycles(1_000_000) // 1 ms of virtual retry time
 	var hardFails int

@@ -9,10 +9,17 @@ import (
 	"repro/internal/sim"
 )
 
+// routeOnly sets m's transmit function to a one-entry forwarding
+// table: frames addressed to dst go to send, and every other frame is
+// refused as having no route.
+func routeOnly(m *Machine, dst device.Addr, send func(device.Frame) bool) {
+	m.NIC().SetTx(func(f device.Frame) bool { return f.Dst == dst && send(f) })
+}
+
 // TestNetSendRoutesAndCounters pins the addressed guest tx entry
-// point: frames are resolved through the NIC's routing table, stamped
-// with the machine's own source address, carry/drop feedback reaches
-// the guest, and frames to an unrouted destination count as transmit
+// point: frames go through the NIC's transmit function, stamped with
+// the machine's own source address, carry/drop feedback reaches the
+// guest, and frames to an unrouted destination count as transmit
 // drops.
 func TestNetSendRoutesAndCounters(t *testing.T) {
 	m := testMachine(t)
@@ -21,12 +28,11 @@ func TestNetSendRoutesAndCounters(t *testing.T) {
 	m.NIC().SetAddr(self)
 	var carried int
 	var lastSrc device.Addr
-	route := m.NIC().AddTxRoute(func(f device.Frame) bool {
+	routeOnly(m, peer, func(f device.Frame) bool {
 		carried++
 		lastSrc = f.Src
 		return carried%2 == 1 // wire drops every second frame
 	})
-	m.NIC().SetRoute(peer, route)
 	var acks, nacks int
 	if _, err := m.Spawn(SpawnConfig{Name: "sender", Body: func(ctx guest.Context) {
 		for i := 0; i < 4; i++ {
@@ -67,7 +73,7 @@ func TestNetSendRoutesAndCounters(t *testing.T) {
 func TestNetSendBillsSystemTime(t *testing.T) {
 	m := testMachine(t)
 	const peer = device.Addr(2)
-	m.NIC().SetRoute(peer, m.NIC().AddTxRoute(func(device.Frame) bool { return true }))
+	routeOnly(m, peer, func(device.Frame) bool { return true })
 	p, _ := m.Spawn(SpawnConfig{Name: "sender", Body: func(ctx guest.Context) {
 		for i := 0; i < 1000; i++ {
 			//simlint:errno-ok backpressure test; drops are counted by the NIC ledger, not the guest
@@ -136,10 +142,10 @@ func TestNetForwardPreservesSource(t *testing.T) {
 	const self, origin, dst = device.Addr(3), device.Addr(1), device.Addr(2)
 	m.NIC().SetAddr(self)
 	var out []device.Frame
-	m.NIC().SetRoute(dst, m.NIC().AddTxRoute(func(f device.Frame) bool {
+	routeOnly(m, dst, func(f device.Frame) bool {
 		out = append(out, f)
 		return true
-	}))
+	})
 	if _, err := m.Spawn(SpawnConfig{Name: "fwd", Body: func(ctx guest.Context) {
 		//simlint:errno-ok carried bool is the assertion; this fixture injects no faults
 		if ok, _ := ctx.NetForward(guest.Frame{Src: origin, Dst: dst, Flow: 9}); !ok {

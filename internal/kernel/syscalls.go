@@ -160,7 +160,7 @@ func (m *Machine) beginRequest(t *task, r *request) {
 		m.chargedAdvance(m.sysCost[sysSendto]+c.NICTx, cpu.Kernel, t)
 		f := r.Frame
 		f.Src = m.nic.Addr()
-		r.OK = m.nic.TransmitTo(f)
+		r.OK = m.nic.Transmit(f)
 		m.grantNow(t)
 
 	case rqNetForward:
@@ -174,7 +174,7 @@ func (m *Machine) beginRequest(t *task, r *request) {
 		// Same driver path as a send; the frame's Src is preserved so
 		// the next hop still sees the original sender.
 		m.chargedAdvance(m.sysCost[sysSendto]+c.NICTx, cpu.Kernel, t)
-		r.OK = m.nic.TransmitTo(r.Frame)
+		r.OK = m.nic.Transmit(r.Frame)
 		m.grantNow(t)
 
 	case rqNetRecv:
