@@ -54,10 +54,12 @@ func TestForwarderRoutesAcrossHops(t *testing.T) {
 				Config:  kernel.Config{Seed: 102, CPUHz: testHz},
 				Service: true,
 				Boot: func(_ *Cluster, m *kernel.Machine) error {
+					step, fork := ForwarderGuest(3000)
 					_, err := m.Spawn(kernel.SpawnConfig{
 						Name:    "fwd",
 						Content: "fwd v1",
-						Step:    ForwarderStep(3000),
+						Step:    step,
+						Fork:    fork,
 					})
 					return err
 				},

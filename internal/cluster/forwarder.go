@@ -147,26 +147,19 @@ func (g *forwarderStep) fork(cur guest.Step) (guest.Forked, error) {
 	return guest.Forked{Step: s, Fork: c.fork}, nil
 }
 
-// ForwarderStep returns the forwarding guest a router machine runs: it
-// blocks for traffic, then drains the kernel's receive buffer,
-// spending lookup cycles of user-mode table work per frame before
-// retransmitting it — Src preserved — toward its destination via
-// NetForward. Every step is billed on the router machine like any
-// guest's work (the receive interrupts, the read and sendto
-// syscalls, the lookup cycles), so the router's own bill is a
-// first-class observable: an attacker flooding through a shared
-// router inflates the router's metered time without ever running an
-// instruction there. Spawn it as SpawnConfig.Step on a MachineSpec
-// with Service set — the daemon never exits; the cluster retires it
-// when the fabric quiesces.
-func ForwarderStep(lookup sim.Cycles) guest.Step {
-	step, _ := ForwarderGuest(lookup)
-	return step
-}
-
-// ForwarderGuest returns the forwarding daemon's first activation
-// plus its fork hook, for spawn sites that want the router
-// checkpointable (kernel.SpawnConfig{Step: step, Fork: fork}).
+// ForwarderGuest returns the forwarding guest a router machine runs,
+// as its first activation plus its fork hook: it blocks for traffic,
+// then drains the kernel's receive buffer, spending lookup cycles of
+// user-mode table work per frame before retransmitting it — Src
+// preserved — toward its destination via NetForward. Every step is
+// billed on the router machine like any guest's work (the receive
+// interrupts, the read and sendto syscalls, the lookup cycles), so the
+// router's own bill is a first-class observable: an attacker flooding
+// through a shared router inflates the router's metered time without
+// ever running an instruction there. Spawn it as
+// kernel.SpawnConfig{Step: step, Fork: fork} on a MachineSpec with
+// Service set — the daemon never exits; the cluster retires it when
+// the fabric quiesces — and the router stays checkpointable.
 func ForwarderGuest(lookup sim.Cycles) (guest.Step, guest.ForkFunc) {
 	g := &forwarderStep{lookup: lookup, budget: forwarderBudget(lookup)}
 	return g.start, g.fork

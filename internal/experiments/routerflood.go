@@ -197,9 +197,10 @@ func runRoutedFlood(who string, fl RouterFloodSpec, cs ChaosSpec, flowTimeoutUs 
 	router.CrashAt = sim.Cycles(cs.RouterCrashSec * float64(o.Freq))
 	router.RestartAfter = sim.Cycles(cs.RouterRestartSec * float64(o.Freq))
 	router.Boot = func(_ *cluster.Cluster, m *kernel.Machine) error {
+		step, fork := cluster.ForwarderGuest(cluster.DefaultForwardUs * perUs)
 		p, err := m.Spawn(kernel.SpawnConfig{
 			Name: "fwd", Content: "store-and-forward router daemon v1",
-			Step: cluster.ForwarderStep(cluster.DefaultForwardUs * perUs),
+			Step: step, Fork: fork,
 		})
 		if p != nil {
 			routerPIDs = append(routerPIDs, p.PID)
