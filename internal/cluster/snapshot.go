@@ -15,9 +15,8 @@
 // ledgers identically on both sides. Guests that transmit host-side
 // on captured *Link handles (rather than through the member's
 // forwarding table via NetSend/NetForward) do not survive a cluster
-// restore:
-// the restored fabric has its own links, so such guests must be
-// declared forkless and checkpointed before they spawn.
+// restore: the restored fabric has its own links, so such guests must
+// be declared forkless and checkpointed before they spawn.
 package cluster
 
 import (

@@ -77,7 +77,10 @@ type Frame struct {
 // NIC is the simulated network adapter. When flooding is active it
 // raises one receive interrupt per arriving packet. The paper floods
 // the victim host with junk IP packets from a second PC; Rate models
-// that sender's packet rate.
+// that sender's packet rate. On the transmit side the NIC knows no
+// wiring: it keeps its fabric address, hands each frame to the one
+// transmit function its owner sets, and counts what was carried and
+// what was dropped.
 type NIC struct {
 	queue   *sim.EventQueue
 	clock   *sim.Clock
@@ -105,10 +108,9 @@ type NIC struct {
 	lastFrame Frame
 	hasFrame  bool
 
-	// Transmit path: tx is the fabric's side of the wire (a cluster
-	// sets it when it plugs the machine in); it resolves each frame's
-	// destination and reports whether the frame was carried. The NIC
-	// keeps only the counters.
+	// Transmit path: tx is the owner's side of the wire (a cluster
+	// sets it when it plugs the machine in) and resolves each frame's
+	// destination.
 	addr      Addr
 	tx        func(Frame) bool
 	txCarried uint64

@@ -215,6 +215,37 @@ func TestNICCloneMidFloodReplays(t *testing.T) {
 	}
 }
 
+// TestNICTransmitCounts pins the transmit ledger: a NIC with no
+// transmit function (a machine outside any fabric) drops every frame,
+// and once its owner sets one, each frame counts as carried or dropped
+// by that function's verdict. A clone carries the counters and the
+// address but not the function, which is the owner's to set again.
+func TestNICTransmitCounts(t *testing.T) {
+	nic := NewNIC(sim.NewEventQueue(), sim.NewClock(1_000_000), sim.NewRand(1), func() {})
+	if nic.Transmit(Frame{Dst: 2}) {
+		t.Fatal("a NIC with no transmit function carried a frame")
+	}
+	var seen []Addr
+	nic.SetAddr(1)
+	nic.SetTx(func(f Frame) bool {
+		seen = append(seen, f.Dst)
+		return f.Dst == 2
+	})
+	for _, dst := range []Addr{2, 3, 2} {
+		nic.Transmit(Frame{Dst: dst})
+	}
+	if nic.Transmitted() != 2 || nic.TxDropped() != 2 || !slices.Equal(seen, []Addr{2, 3, 2}) {
+		t.Fatalf("carried %d, dropped %d, handed %v; want 2, 2, [2 3 2]", nic.Transmitted(), nic.TxDropped(), seen)
+	}
+	c := nic.Clone(sim.NewEventQueue(), sim.NewClock(1_000_000), sim.NewRand(1), func() {})
+	if c.Transmit(Frame{Dst: 2}) || c.Addr() != 1 || c.Transmitted() != 2 || c.TxDropped() != 3 {
+		t.Fatalf("clone: addr %d, carried %d, dropped %d; want 1, 2, 3 with no transmit function", c.Addr(), c.Transmitted(), c.TxDropped())
+	}
+	if len(seen) != 3 {
+		t.Fatalf("the clone's frame reached the original's transmit function")
+	}
+}
+
 func TestDiskSerialises(t *testing.T) {
 	q := sim.NewEventQueue()
 	c := sim.NewClock(1_000_000)
