@@ -5,9 +5,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"repro/internal/guest"
 	"repro/internal/kernel"
+	"repro/internal/metering"
 	"repro/internal/sim"
 )
 
@@ -61,15 +64,145 @@ func homeRebootCfg() Config {
 	}
 }
 
-// TestFabricGoldens pins three fabric histories that no artifact
+// swapHog is a forkable flyweight memory hog: it stores to one page
+// after another of a footprint larger than its machine's RAM, so past
+// the first sweep every store faults a page in and evicts a dirty one,
+// a read and a write against the shared swap device.
+type swapHog struct {
+	pages, touches uint64
+	n              uint64
+}
+
+func (g *swapHog) run(ctx guest.Context, _ guest.Resume) guest.Step {
+	if g.n >= g.touches {
+		return nil
+	}
+	ctx.Store(0x400000 + g.n%g.pages*4096)
+	return g.afterStore
+}
+
+func (g *swapHog) afterStore(ctx guest.Context, _ guest.Resume) guest.Step {
+	g.n++
+	ctx.Compute(2_000)
+	return g.run
+}
+
+func (g *swapHog) fork(cur guest.Step) (guest.Forked, error) {
+	c := *g
+	s, ok := guest.RebindStep(cur,
+		[]guest.Step{g.run, g.afterStore},
+		[]guest.Step{c.run, c.afterStore})
+	if !ok {
+		return guest.Forked{}, fmt.Errorf("swapHog: unknown continuation")
+	}
+	return guest.Forked{Step: s, Fork: c.fork}, nil
+}
+
+// swapVictim is a forkable flyweight job on the swap host: compute
+// bursts with short sleeps between them, so remote I/O completions land
+// both while it runs (billed to it) and while the host idles.
+type swapVictim struct {
+	rounds int
+	i      int
+}
+
+func (g *swapVictim) run(ctx guest.Context, _ guest.Resume) guest.Step {
+	if g.i >= g.rounds {
+		return nil
+	}
+	ctx.Compute(1_500_000)
+	return g.afterCompute
+}
+
+func (g *swapVictim) afterCompute(ctx guest.Context, _ guest.Resume) guest.Step {
+	g.i++
+	ctx.Sleep(500_000)
+	return g.run
+}
+
+func (g *swapVictim) fork(cur guest.Step) (guest.Forked, error) {
+	c := *g
+	s, ok := guest.RebindStep(cur,
+		[]guest.Step{g.run, g.afterCompute},
+		[]guest.Step{c.run, c.afterCompute})
+	if !ok {
+		return guest.Forked{}, fmt.Errorf("swapVictim: unknown continuation")
+	}
+	return guest.Forked{Step: s, Fork: c.fork}, nil
+}
+
+// sharedSwapCfg is two memory hogs (members 0 and 1) mounting the swap
+// device that member 2 exports while a victim job runs there. Both
+// clients share one device channel, so one client's completions can
+// fall before the other's queued ones, and every read lands ahead of
+// the writes queued before it.
+func sharedSwapCfg() Config {
+	client := func(name string, seed int64) MachineSpec {
+		return MachineSpec{
+			Name:   name,
+			Config: kernel.Config{Seed: seed, CPUHz: testHz, PhysMemBytes: 32 * 4096},
+			Boot: func(_ *Cluster, m *kernel.Machine) error {
+				g := &swapHog{pages: 64, touches: 64 + 70}
+				_, err := m.Spawn(kernel.SpawnConfig{
+					Name: "memhog", Content: "memhog v1", Step: g.run, Fork: g.fork,
+				})
+				return err
+			},
+		}
+	}
+	return Config{
+		Machines: []MachineSpec{
+			client("hogA", 501),
+			client("hogB", 502),
+			{
+				Name:   "host",
+				Config: kernel.Config{Seed: 503, CPUHz: testHz},
+				Boot: func(_ *Cluster, m *kernel.Machine) error {
+					g := &swapVictim{rounds: 400}
+					_, err := m.Spawn(kernel.SpawnConfig{
+						Name: "victim", Content: "victim v1", Step: g.run, Fork: g.fork,
+					})
+					return err
+				},
+			},
+		},
+		SharedSwap: &SharedSwapSpec{Host: 2, Clients: []int{0, 1}},
+	}
+}
+
+// renderSwap adds what renderCluster leaves out of a shared-swap
+// history: the host's bill under every scheme, its system account, and
+// each client's page I/O against the shared device.
+func renderSwap(c *Cluster) string {
+	var b strings.Builder
+	ss := c.cfg.SharedSwap
+	host := c.Machine(ss.Host)
+	for _, scheme := range []string{"jiffy", "tsc", "process-aware"} {
+		sys, _ := host.UsageBy(scheme, metering.SystemPID)
+		fmt.Fprintf(&b, "%s %s system=%+v\n", c.Name(ss.Host), scheme, sys)
+		for _, ms := range host.Measurements() {
+			u, _ := host.UsageBy(scheme, ms.PID)
+			fmt.Fprintf(&b, "%s %s %s=%+v\n", c.Name(ss.Host), scheme, ms.Name, u)
+		}
+	}
+	for _, ci := range ss.Clients {
+		d := c.Machine(ci).Disk()
+		fmt.Fprintf(&b, "%s disk reads=%d writes=%d\n", c.Name(ci), d.IOs(), d.Writes())
+	}
+	return b.String()
+}
+
+// TestFabricGoldens pins four fabric histories that no artifact
 // golden covers, as renderCluster's text in testdata/<name>.golden:
 // the snapshot fabric whose receiver crashes and reboots behind a DRR
-// hop, TestRestartExpiresStrandedDRRBacklog's fabric, and
-// homeRebootCfg, whose render also counts the rebooted home's pending
-// events at a barrier just after the reboot, so a second kick timer
-// would show. The goldens were recorded before the cluster named link
-// endpoints and pipe homes by member index. Regenerate them only to
-// move that bar on purpose:
+// hop, TestRestartExpiresStrandedDRRBacklog's fabric, homeRebootCfg,
+// whose render also counts the rebooted home's pending events at a
+// barrier just after the reboot, so a second kick timer would show,
+// and sharedSwapCfg, whose render counts the swap host's pending
+// events mid-backlog and adds renderSwap. The first three goldens were
+// recorded before the cluster named link endpoints and pipe homes by
+// member index, and shared_swap before the swap host kept its remote
+// I/O in a backlog. Regenerate them only to move that bar on purpose:
 //
 //	go test ./internal/cluster -run TestFabricGoldens -update
 func TestFabricGoldens(t *testing.T) {
@@ -81,6 +214,7 @@ func TestFabricGoldens(t *testing.T) {
 		{"crash_restart", snapClusterCfg(307, 160, 4_000_000, 500_000), 0},
 		{"stranded_drr", strandedDRRCfg(100), 0},
 		{"drr_home_reboot", homeRebootCfg(), 4_100_000},
+		{"shared_swap", sharedSwapCfg(), sharedSwapBarriers[1]},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c, err := New(tc.cfg)
@@ -103,6 +237,9 @@ func TestFabricGoldens(t *testing.T) {
 				t.Fatal(err)
 			}
 			got := pending + renderCluster(c)
+			if tc.cfg.SharedSwap != nil {
+				got += renderSwap(c)
+			}
 			file := filepath.Join("testdata", tc.name+".golden")
 			if *update {
 				if err := os.MkdirAll("testdata", 0o755); err != nil {
@@ -121,5 +258,52 @@ func TestFabricGoldens(t *testing.T) {
 				t.Errorf("render diverged from %s\n--- got ---\n%s--- want ---\n%s", file, got, want)
 			}
 		})
+	}
+}
+
+// sharedSwapBarriers are instants at which sharedSwapCfg's host holds
+// a deep backlog of remote I/O completions: early in the hogs' first
+// sweep, and twice in their steady state. A cluster snapshots only
+// while every member is live, so none falls after the hogs exit.
+var sharedSwapBarriers = []sim.Cycles{60_000_000, 250_000_000, 600_000_000}
+
+// TestSharedSwapRestoresMidBacklog snapshots sharedSwapCfg at each of
+// sharedSwapBarriers, where the host holds at least 100 pending events,
+// restores the image and runs the copy to the end. The copy's render
+// must match testdata/shared_swap.golden, so every remote I/O the host
+// had pending at the barrier survives the checkpoint in order.
+func TestSharedSwapRestoresMidBacklog(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "shared_swap.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The golden's first line is the pending count at its own barrier.
+	_, want, _ := strings.Cut(string(golden), "\n")
+	for _, at := range sharedSwapBarriers {
+		c, err := New(sharedSwapCfg())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if done, err := c.RunUntil(at); err != nil || done {
+			t.Fatalf("RunUntil(%d) = %v, %v; want a live fabric at the barrier", at, done, err)
+		}
+		img, err := c.Snapshot()
+		c.Shutdown()
+		if err != nil {
+			t.Fatalf("snapshot at %d: %v", at, err)
+		}
+		if n := img.machines[2].PendingEvents(); n < 100 {
+			t.Fatalf("host holds %d pending events at %d, want at least 100", n, at)
+		}
+		r, err := Restore(img)
+		if err != nil {
+			t.Fatalf("restore at %d: %v", at, err)
+		}
+		if err := r.Run(); err != nil {
+			t.Fatalf("run restored at %d: %v", at, err)
+		}
+		if got := renderCluster(r) + renderSwap(r); got != want {
+			t.Errorf("restored at %d: render diverged from the golden\n--- got ---\n%s--- want ---\n%s", at, got, want)
+		}
 	}
 }
