@@ -751,12 +751,9 @@ type Cluster struct {
 
 	// Checkpoint support. cfg keeps the whole declaration (a restore
 	// rebuilds the wiring from it); pipes is every distinct pipe in
-	// wiring order, indexed by pipe.id; swapFire is the shared-swap
-	// host's reusable IRQ-work callback, late-bound so a restored
-	// machine's pending "irq-work" events can resolve to it.
-	cfg      Config
-	pipes    []*pipe
-	swapFire func()
+	// wiring order, indexed by pipe.id.
+	cfg   Config
+	pipes []*pipe
 }
 
 // newPipe builds one direction's serialisation state from a spec.
@@ -1109,11 +1106,14 @@ func (c *Cluster) installRoute(rs RouteSpec) error {
 }
 
 // wireSharedSwap couples the spec'd machines' disks through one
-// shared occupancy channel and bills the host for every client I/O.
-// On the checkpoint-restore path (restored true) the host's disk
-// already carries the shared channel's horizons from the image (every
-// sharer held the same channel, so the host's clone is authoritative);
-// the clients are re-pointed at it instead of a fresh idle channel.
+// shared occupancy channel and bills the host for every client I/O:
+// each client's OnIO hook books the I/O in the host's remote I/O
+// backlog (kernel.Machine.RemoteIO). On the checkpoint-restore path
+// (restored true) the host's disk already carries the shared channel's
+// horizons from the image (every sharer held the same channel, so the
+// host's clone is authoritative), and the host's image carries its
+// backlog; the clients are re-pointed at the channel instead of a
+// fresh idle one.
 func (c *Cluster) wireSharedSwap(ss *SharedSwapSpec, freq sim.Hz, perUs sim.Cycles, restored bool) error {
 	if ss.Host < 0 || ss.Host >= len(c.machines) {
 		return fmt.Errorf("cluster: shared swap host %d out of range (%d machines)", ss.Host, len(c.machines))
@@ -1132,13 +1132,7 @@ func (c *Cluster) wireSharedSwap(ss *SharedSwapSpec, freq sim.Hz, perUs sim.Cycl
 	if svcUs == 0 {
 		svcUs = DefaultSwapServiceUs
 	}
-	svc := sim.Cycles(svcUs) * perUs
-	// One reusable service callback per cluster: the per-I/O path
-	// allocates nothing. It is also recorded on the cluster so a
-	// checkpoint restore can re-point the host's pending "irq-work"
-	// events at it.
-	svcFire := host.IRQWork(device.IRQDisk, svc)
-	c.swapFire = svcFire
+	host.ServeRemoteIO(sim.Cycles(svcUs) * perUs)
 	for _, ci := range ss.Clients {
 		if ci < 0 || ci >= len(c.machines) {
 			return fmt.Errorf("cluster: shared swap client %d out of range (%d machines)", ci, len(c.machines))
@@ -1149,21 +1143,14 @@ func (c *Cluster) wireSharedSwap(ss *SharedSwapSpec, freq sim.Hz, perUs sim.Cycl
 		seen[ci] = true
 		cm := c.machines[ci]
 		cm.Disk().Share(ch)
-		cm.Disk().OnIO(func(complete sim.Cycles) {
-			if host.Closed() {
-				return
-			}
-			// The request frame's rx interrupt plus the swap server's
-			// block-layer/copy/reply work land on the host at the
-			// I/O's completion, billed to whichever task is current.
-			// (Modeling simplification: swap request frames are
-			// injected directly rather than traversing a Link, so
-			// they see no wire serialisation, queue drops, or
-			// sender-side tx billing — the device-occupancy channel
-			// below is what gates swap throughput.)
-			host.NIC().InjectRx(complete)
-			host.ScheduleIRQWork(complete, svcFire)
-		})
+		// The request frame's rx interrupt plus the swap server's
+		// block-layer/copy/reply work land on the host at the I/O's
+		// completion, billed to whichever task is current.
+		// (Modeling simplification: swap request frames are injected
+		// directly rather than traversing a Link, so they see no wire
+		// serialisation, queue drops, or sender-side tx billing — the
+		// device-occupancy channel is what gates swap throughput.)
+		cm.Disk().OnIO(host.RemoteIO)
 	}
 	// Swap notifications fly one disk latency ahead at minimum; keep
 	// the lockstep window comfortably inside that horizon.

@@ -157,8 +157,9 @@ func (c *Cluster) Snapshot() (*ClusterImage, error) {
 
 // Restore rebuilds an independent cluster from an image: machines are
 // restored from their kernel images (pending cluster-owned events —
-// DRR kick timers, shared-swap service work — are re-pointed at the
-// rebuilt wiring), links, pipes and forwarding tables are rewired from
+// DRR kick timers — are re-pointed at the rebuilt wiring; a swap
+// host's image carries its own remote I/O backlog), links, pipes and
+// forwarding tables are rewired from
 // the declaration in the identical order, each machine is plugged in
 // as its member, and the wire state is overlaid. Boot
 // routines do NOT run again: the tasks they spawned are part of the
@@ -171,14 +172,11 @@ func Restore(img *ClusterImage) (*Cluster, error) {
 		return nil, err
 	}
 	// Cluster-owned events restore through late-bound lookups: the
-	// pipes and the shared-swap callback are wired after the machines,
-	// but nothing fires until the cluster advances.
+	// pipes are wired after the machines, but nothing fires until the
+	// cluster advances.
 	ext := func(kind string, tag uint64) (func(), bool) {
-		switch kind {
-		case "pipe-service":
+		if kind == "pipe-service" {
 			return func() { c.pipes[tag].kickFire() }, true
-		case "irq-work":
-			return func() { c.swapFire() }, true
 		}
 		return nil, false
 	}

@@ -7,11 +7,7 @@
 // the kernel, which charges handler time per the active accountant.
 package device
 
-import (
-	"math/bits"
-
-	"repro/internal/sim"
-)
+import "repro/internal/sim"
 
 // IRQ identifies an interrupt line.
 type IRQ int
@@ -148,10 +144,7 @@ func NewNIC(queue *sim.EventQueue, clock *sim.Clock, rng *sim.Rand, deliver func
 			n.scheduleNext()
 		}
 	}
-	n.extFire = func() {
-		n.received++
-		n.deliver()
-	}
+	n.extFire = n.DeliverRx
 	n.frameFire = func() {
 		n.lastFrame = n.popFrame()
 		n.hasFrame = true
@@ -169,6 +162,16 @@ func NewNIC(queue *sim.EventQueue, clock *sim.Clock, rng *sim.Rand, deliver func
 // which drive the local flood generator only.
 func (n *NIC) InjectRx(at sim.Cycles) {
 	n.queue.ScheduleTagged(at, "nic-rx", nicRxExt, n.extFire)
+}
+
+// DeliverRx delivers one externally generated packet with no frame
+// payload now, in event context: the receive interrupt an InjectRx
+// event raises when it fires. A machine that keeps its own backlog of
+// such packets (a swap host's remote I/O) calls it from the backlog's
+// head event.
+func (n *NIC) DeliverRx() {
+	n.received++
+	n.deliver()
 }
 
 // InjectRxFrame schedules delivery of one addressed frame (arriving
@@ -416,11 +419,8 @@ func (ch *DiskChannel) Clone() *DiskChannel {
 // kernel's background writeback, so a dirty-page storm cannot starve
 // demand paging. Both channels have the same per-page latency.
 //
-// Pending writebacks wait in a FIFO, and only its head is in the
-// event queue. Each write reserves its queue sequence number when it
-// is submitted, and the head enters the queue at its own (time, seq),
-// so every completion fires exactly where a separately scheduled
-// event would. On a private channel completion times never decrease,
+// Pending writebacks wait in a Backlog, and only its head is in the
+// event queue. On a private channel completion times never decrease,
 // so FIFO order is firing order. A shared channel can complete a
 // write before this disk's FIFO tail (another machine's clock capped
 // the channel lower); such a write is scheduled straight into the
@@ -437,20 +437,10 @@ type Disk struct {
 
 	// writeback is the one completion callback every write fires;
 	// headFire pops the FIFO head, enters the next head in the queue,
-	// then calls it. wq is a ring of power-of-two capacity holding
-	// wqLen pending writes from index wqHead on.
+	// then calls it.
 	writeback func()
 	headFire  func()
-	wq        []pendingWrite
-	wqHead    int
-	wqLen     int
-}
-
-// pendingWrite is one FIFO-held writeback: its completion time and
-// the queue sequence number it reserved at submission.
-type pendingWrite struct {
-	at  sim.Cycles
-	seq uint64
+	wq        Backlog
 }
 
 // Restore tags for "disk-write" events (sim.Event.Tag): a write
@@ -467,13 +457,12 @@ const (
 func NewDisk(queue *sim.EventQueue, clock *sim.Clock, latency sim.Cycles, writeback func()) *Disk {
 	d := &Disk{queue: queue, clock: clock, latency: latency, ch: &DiskChannel{}, writeback: writeback}
 	d.headFire = func() {
-		d.wqHead = (d.wqHead + 1) & (len(d.wq) - 1)
-		d.wqLen--
+		d.wq.Pop()
 		// Enter the next head before the callback runs: the kernel's
 		// completion interrupt advances time and fires due events.
-		if d.wqLen > 0 {
-			next := d.wq[d.wqHead]
-			d.queue.ScheduleReserved(next.at, next.seq, "disk-write", diskWriteHead, d.headFire)
+		if d.wq.Len() > 0 {
+			next := d.wq.Head()
+			d.queue.ScheduleReserved(next.At, next.Seq, "disk-write", diskWriteHead, d.headFire)
 		}
 		d.writeback()
 	}
@@ -498,26 +487,8 @@ func (d *Disk) Clone(queue *sim.EventQueue, clock *sim.Clock, writeback func()) 
 	c := NewDisk(queue, clock, d.latency, writeback)
 	c.ch = d.ch.Clone()
 	c.ios, c.writes = d.ios, d.writes
-	if d.wqLen > 0 {
-		// relayout copies out of the shared ring into the clone's own.
-		c.wq, c.wqHead, c.wqLen = d.wq, d.wqHead, d.wqLen
-		c.relayout(ringCap(d.wqLen))
-	}
+	c.wq = d.wq.Clone()
 	return c
-}
-
-// ringCap returns the FIFO capacity for n writes: the least power of
-// two that is at least n.
-func ringCap(n int) int { return 1 << bits.Len(uint(n-1)) }
-
-// relayout moves the FIFO's entries into a new ring of capacity n,
-// starting at index 0.
-func (d *Disk) relayout(n int) {
-	buf := make([]pendingWrite, n)
-	for i := range d.wqLen {
-		buf[i] = d.wq[(d.wqHead+i)&(len(d.wq)-1)]
-	}
-	d.wq, d.wqHead = buf, 0
 }
 
 // OnIO registers a per-submission hook invoked with each I/O's
@@ -534,7 +505,7 @@ func (d *Disk) Writes() uint64 { return d.writes }
 // PendingWrites reports the writebacks waiting in the disk's FIFO,
 // its head included. A shared-channel write scheduled straight into
 // the event queue is not counted.
-func (d *Disk) PendingWrites() int { return d.wqLen }
+func (d *Disk) PendingWrites() int { return d.wq.Len() }
 
 // RestoreFire resolves a pending "disk-write" event's restore tag to
 // the matching callback on this (restored) disk.
@@ -595,11 +566,11 @@ func (d *Disk) SubmitWrite() {
 	d.writes++
 	seq := d.queue.Reserve()
 	switch {
-	case d.wqLen == 0:
-		d.pushWrite(complete, seq)
+	case d.wq.Len() == 0:
+		d.wq.Push(Pending{At: complete, Seq: seq})
 		d.queue.ScheduleReserved(complete, seq, "disk-write", diskWriteHead, d.headFire)
-	case complete >= d.wq[(d.wqHead+d.wqLen-1)&(len(d.wq)-1)].at:
-		d.pushWrite(complete, seq)
+	case complete >= d.wq.Tail().At:
+		d.wq.Push(Pending{At: complete, Seq: seq})
 	default:
 		// Earlier than the FIFO's tail: only a shared channel does this.
 		d.queue.ScheduleReserved(complete, seq, "disk-write", diskWriteDirect, d.writeback)
@@ -607,13 +578,4 @@ func (d *Disk) SubmitWrite() {
 	if d.notify != nil {
 		d.notify(complete)
 	}
-}
-
-// pushWrite appends a write to the FIFO, doubling the ring when full.
-func (d *Disk) pushWrite(at sim.Cycles, seq uint64) {
-	if d.wqLen == len(d.wq) {
-		d.relayout(ringCap(d.wqLen + 1))
-	}
-	d.wq[(d.wqHead+d.wqLen)&(len(d.wq)-1)] = pendingWrite{at: at, seq: seq}
-	d.wqLen++
 }

@@ -154,6 +154,10 @@ type Machine struct {
 	preemptFire   func()
 	writebackFire func()
 
+	// rio is the backlog of remote I/O this machine serves as the host
+	// of a device other machines mount (see remoteio.go).
+	rio remoteIO
+
 	stats map[proc.PID]*Stats
 	// freeStats holds reaped thread groups' records that nothing holds
 	// any more (see reapCleanup), for statOf to reuse.
@@ -546,24 +550,6 @@ func (m *Machine) NextWorkAt() (at sim.Cycles, ok bool) {
 // torn down); a closed machine can never deliver another event, so a
 // cluster link counts frames sent to it as drops.
 func (m *Machine) Closed() bool { return m.closed }
-
-// IRQWork builds a reusable event callback performing cost cycles of
-// interrupt-context work on the given line, billed to whichever task
-// is current when it fires. Build it once and pass it to
-// ScheduleIRQWork per occurrence, so recurring injected work (a
-// cluster's remote-device service, fired per client I/O) does not
-// allocate a closure per event.
-func (m *Machine) IRQWork(irq device.IRQ, cost sim.Cycles) func() {
-	return func() { m.irqWork(irq, cost) }
-}
-
-// ScheduleIRQWork schedules a callback built by IRQWork at virtual
-// time at. A cluster uses it for the host-side service of remotely
-// mounted devices (e.g. a neighbor machine's swap I/O against a swap
-// partition this machine exports).
-func (m *Machine) ScheduleIRQWork(at sim.Cycles, work func()) {
-	m.queue.Schedule(at, "irq-work", work)
-}
 
 // Shutdown stops the machine's guest coroutines without running to
 // completion. A cluster uses it to tear down remaining machines after

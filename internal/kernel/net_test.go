@@ -277,14 +277,15 @@ func TestNextWorkAtIgnoresTimerOnlyQueues(t *testing.T) {
 	}
 }
 
-// TestScheduleIRQWorkBillsCurrentTask pins the remote-service hook:
-// injected interrupt-context work lands on whichever task is current,
+// TestRemoteIOBillsCurrentTask pins the remote-service hook: a
+// remote I/O's service work lands on whichever task is current,
 // exactly like a device IRQ.
-func TestScheduleIRQWorkBillsCurrentTask(t *testing.T) {
+func TestRemoteIOBillsCurrentTask(t *testing.T) {
 	m := testMachine(t)
 	tick := m.TickCycles()
 	const svc = 40_000 // 40 µs at 1 GHz
-	m.ScheduleIRQWork(tick, m.IRQWork(2, svc))
+	m.ServeRemoteIO(svc)
+	m.RemoteIO(tick)
 	p, _ := m.Spawn(SpawnConfig{Name: "job", Body: func(ctx guest.Context) {
 		ctx.Compute(3 * sim.Cycles(tick))
 	}})

@@ -15,7 +15,9 @@
 // its LRU chain, the process table, scheduler runqueues, every
 // metering ledger, NIC and disk device state (the disk's writeback
 // FIFO included, whose head is the one queued event among its
-// writes), the kernel receive ring,
+// writes), the backlog of remote I/O the machine serves and its
+// service cost (again with only the head queued), the kernel receive
+// ring,
 // and each task's kernel-side execution state plus — for flyweight
 // guests — a cloned guest continuation obtained through the guest's
 // ForkFunc. Each copy rebuilds every pending event's callback from the
@@ -26,9 +28,9 @@
 // simulator cannot serialise — and flyweight guests spawned without a
 // Fork function. Snapshot reports both as ErrNotSnapshottable, naming
 // the task and its state. Events owned by a
-// cluster ("pipe-service", "irq-work" scheduled by cluster wiring)
-// snapshot fine but only restore through the cluster layer, which
-// supplies the resolver for them.
+// cluster ("pipe-service", a DRR pipe's service timer) snapshot fine
+// but only restore through the cluster layer, which supplies the
+// resolver for them.
 package kernel
 
 import (
@@ -63,11 +65,15 @@ type MachineImage struct {
 func (img *MachineImage) At() sim.Cycles { return img.m.clock.Now() }
 
 // PendingEvents reports how many events the image carries, counting
-// each writeback the disk's FIFO holds behind its queued head.
+// each writeback the disk's FIFO holds behind its queued head, and the
+// two events of each remote I/O the backlog holds behind its head.
 func (img *MachineImage) PendingEvents() int {
 	n := img.m.queue.Len()
 	if w := img.m.disk.PendingWrites(); w > 0 {
 		n += w - 1
+	}
+	if r := img.m.rio.pending(); r > 0 {
+		n += r - 1
 	}
 	return n
 }
@@ -95,12 +101,11 @@ func (m *Machine) Snapshot() (*MachineImage, error) {
 	return &MachineImage{m: frozen}, nil
 }
 
-// frozenFire resolves the cluster-owned event kinds on a frozen
+// frozenFire resolves the cluster-owned event kind on a frozen
 // machine to a callback that must never run: the frozen machine is
 // only copied, and each restore re-resolves its events.
 func frozenFire(kind string, _ uint64) (func(), bool) {
-	switch kind {
-	case "pipe-service", "irq-work":
+	if kind == "pipe-service" {
 		return func() { panic("kernel: a frozen machine image fired a " + kind + " event") }, true
 	}
 	return nil, false
@@ -113,8 +118,8 @@ func describeTask(t *task) string {
 }
 
 // RestoreResolver supplies Fire callbacks for event kinds the kernel
-// does not own ("pipe-service", "irq-work"): the cluster layer passes
-// one to RestoreWith so its wiring-held events survive a checkpoint.
+// does not own ("pipe-service"): the cluster layer passes one to
+// RestoreWith so its wiring-held events survive a checkpoint.
 type RestoreResolver func(kind string, tag uint64) (func(), bool)
 
 // Restore builds a new machine from an image. The image is not
@@ -190,6 +195,7 @@ func (m *Machine) clone(shell *Machine, ext RestoreResolver) (*Machine, error) {
 	c.acct = m.acct.Clone().(*metering.Multi)
 	c.nic = m.nic.Clone(c.queue, c.clock, c.rng, c.nicRx)
 	c.disk = m.disk.Clone(c.queue, c.clock, c.writebackFire)
+	m.rio.copyTo(&c.rio)
 
 	//simlint:unordered-ok deep copy into a map keyed identically
 	for pid, s := range m.stats {
@@ -334,6 +340,11 @@ func (m *Machine) resolveFire(kind string, tag uint64, ext RestoreResolver) (fun
 			return fn, nil
 		}
 		return nop, fmt.Errorf("kernel: restore: unknown nic-rx tag %d", tag)
+	case "remote-io":
+		if tag <= rioHeadSvc {
+			return m.rioFire(tag), nil
+		}
+		return nop, fmt.Errorf("kernel: restore: unknown remote-io tag %d", tag)
 	default:
 		if ext != nil {
 			if fn, ok := ext(kind, tag); ok {
