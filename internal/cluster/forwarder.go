@@ -51,6 +51,7 @@ type forwarderStep struct {
 	fwdOp    guest.RetryOp
 	fwdDone  guest.RetryDone
 	wait     guest.Step
+	lookedUp guest.Step
 }
 
 // start is the first activation: bind the continuations, learn the
@@ -68,6 +69,7 @@ func (g *forwarderStep) start(ctx guest.Context, _ guest.Resume) guest.Step {
 	}
 	g.fwdDone = g.afterForward
 	g.wait = g.afterWait
+	g.lookedUp = g.afterLookup
 	ctx.NetRxWait(g.seen)
 	return g.wait
 }
@@ -90,7 +92,7 @@ func (g *forwarderStep) afterRecv(ctx guest.Context, r guest.Resume) guest.Step 
 	g.frame = r.Frame
 	if g.lookup > 0 {
 		ctx.Compute(g.lookup)
-		return g.afterLookup
+		return g.lookedUp
 	}
 	return g.route(ctx)
 }
@@ -129,6 +131,7 @@ func (g *forwarderStep) fork(cur guest.Step) (guest.Forked, error) {
 	}
 	c.fwdDone = c.afterForward
 	c.wait = c.afterWait
+	c.lookedUp = c.afterLookup
 	var op guest.RetryOp
 	var done guest.RetryDone
 	switch {
@@ -139,8 +142,8 @@ func (g *forwarderStep) fork(cur guest.Step) (guest.Forked, error) {
 	}
 	g.retry.ForkInto(&c.retry, op, done)
 	s, ok := guest.RebindStep(cur,
-		[]guest.Step{g.start, g.afterWait, g.afterLookup, g.retry.Self()},
-		[]guest.Step{c.start, c.afterWait, c.afterLookup, c.retry.Self()})
+		[]guest.Step{g.start, g.wait, g.lookedUp, g.retry.Self()},
+		[]guest.Step{c.start, c.wait, c.lookedUp, c.retry.Self()})
 	if !ok {
 		return guest.Forked{}, fmt.Errorf("cluster: forwarder holds an unrecognised continuation")
 	}

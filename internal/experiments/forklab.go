@@ -50,6 +50,10 @@ func (s ForkLabSpec) norm() ForkLabSpec {
 // default spec: every guest is live and mid-loop there.
 const DefaultForkLabWarmup = sim.Cycles(3_000_000)
 
+// Each fork-lab guest binds its continuations once, when it is built
+// and again on a fork clone, so an activation allocates nothing: a
+// method value returned per activation would allocate each time.
+
 // forkChurn alternates compute bursts, hot-page stores, and sleeps —
 // the loop that drives timer ticks, preemption, faults, and swap.
 type forkChurn struct {
@@ -58,6 +62,12 @@ type forkChurn struct {
 	sleep  sim.Cycles
 	pages  uint64
 	i      int
+
+	loop, computed, stored guest.Step
+}
+
+func (g *forkChurn) bind() {
+	g.loop, g.computed, g.stored = g.run, g.afterCompute, g.afterStore
 }
 
 func (g *forkChurn) run(ctx guest.Context, _ guest.Resume) guest.Step {
@@ -65,25 +75,26 @@ func (g *forkChurn) run(ctx guest.Context, _ guest.Resume) guest.Step {
 		return nil
 	}
 	ctx.Compute(g.burst)
-	return g.afterCompute
+	return g.computed
 }
 
 func (g *forkChurn) afterCompute(ctx guest.Context, _ guest.Resume) guest.Step {
 	ctx.Store(0x400000 + uint64(g.i)%g.pages*mem.DefaultPageSize)
-	return g.afterStore
+	return g.stored
 }
 
 func (g *forkChurn) afterStore(ctx guest.Context, _ guest.Resume) guest.Step {
 	g.i++
 	ctx.Sleep(g.sleep)
-	return g.run
+	return g.loop
 }
 
 func (g *forkChurn) fork(cur guest.Step) (guest.Forked, error) {
 	c := *g
+	c.bind()
 	s, ok := guest.RebindStep(cur,
-		[]guest.Step{g.run, g.afterCompute, g.afterStore},
-		[]guest.Step{c.run, c.afterCompute, c.afterStore})
+		[]guest.Step{g.loop, g.computed, g.stored},
+		[]guest.Step{c.loop, c.computed, c.stored})
 	if !ok {
 		return guest.Forked{}, fmt.Errorf("forklab churn: unknown continuation")
 	}
@@ -97,7 +108,11 @@ type forkSender struct {
 	gap    sim.Cycles
 	i      int
 	fails  int
+
+	loop, sent guest.Step
 }
+
+func (g *forkSender) bind() { g.loop, g.sent = g.run, g.afterSend }
 
 func (g *forkSender) run(ctx guest.Context, _ guest.Resume) guest.Step {
 	if g.i >= g.rounds {
@@ -106,7 +121,7 @@ func (g *forkSender) run(ctx guest.Context, _ guest.Resume) guest.Step {
 	g.i++
 	//simlint:errno-ok resumable post: the errno arrives in afterSend's Resume
 	ctx.NetSend(guest.Frame{Dst: 9, Flow: 7})
-	return g.afterSend
+	return g.sent
 }
 
 func (g *forkSender) afterSend(ctx guest.Context, r guest.Resume) guest.Step {
@@ -114,14 +129,15 @@ func (g *forkSender) afterSend(ctx guest.Context, r guest.Resume) guest.Step {
 		g.fails++
 	}
 	ctx.Sleep(ctx.Rand().Jitter(g.gap, g.gap/4+1))
-	return g.run
+	return g.loop
 }
 
 func (g *forkSender) fork(cur guest.Step) (guest.Forked, error) {
 	c := *g
+	c.bind()
 	s, ok := guest.RebindStep(cur,
-		[]guest.Step{g.run, g.afterSend},
-		[]guest.Step{c.run, c.afterSend})
+		[]guest.Step{g.loop, g.sent},
+		[]guest.Step{c.loop, c.sent})
 	if !ok {
 		return guest.Forked{}, fmt.Errorf("forklab sender: unknown continuation")
 	}
@@ -133,7 +149,11 @@ type forkWatcher struct {
 	rounds int
 	seen   uint64
 	i      int
+
+	loop guest.Step
 }
+
+func (w *forkWatcher) bind() { w.loop = w.run }
 
 func (w *forkWatcher) run(ctx guest.Context, r guest.Resume) guest.Step {
 	if w.i > 0 {
@@ -144,12 +164,13 @@ func (w *forkWatcher) run(ctx guest.Context, r guest.Resume) guest.Step {
 	}
 	w.i++
 	ctx.NetRxWait(w.seen)
-	return w.run
+	return w.loop
 }
 
 func (w *forkWatcher) fork(cur guest.Step) (guest.Forked, error) {
 	c := *w
-	s, ok := guest.RebindStep(cur, []guest.Step{w.run}, []guest.Step{c.run})
+	c.bind()
+	s, ok := guest.RebindStep(cur, []guest.Step{w.loop}, []guest.Step{c.loop})
 	if !ok {
 		return guest.Forked{}, fmt.Errorf("forklab watcher: unknown continuation")
 	}
@@ -173,10 +194,13 @@ func BuildForkLab(spec ForkLabSpec) (*kernel.Machine, error) {
 	churn := &forkChurn{rounds: s.Rounds, burst: 150_000, sleep: 90_000, pages: 40}
 	sender := &forkSender{rounds: 50, gap: 120_000}
 	watcher := &forkWatcher{rounds: 30}
+	churn.bind()
+	sender.bind()
+	watcher.bind()
 	specs := []kernel.SpawnConfig{
-		{Name: "churn", Content: "forklab churn v1", Step: churn.run, Fork: churn.fork},
-		{Name: "sender", Content: "forklab sender v1", Nice: -5, Step: sender.run, Fork: sender.fork},
-		{Name: "watcher", Content: "forklab watcher v1", Step: watcher.run, Fork: watcher.fork},
+		{Name: "churn", Content: "forklab churn v1", Step: churn.loop, Fork: churn.fork},
+		{Name: "sender", Content: "forklab sender v1", Nice: -5, Step: sender.loop, Fork: sender.fork},
+		{Name: "watcher", Content: "forklab watcher v1", Step: watcher.loop, Fork: watcher.fork},
 	}
 	for _, sc := range specs {
 		if _, err := m.Spawn(sc); err != nil {

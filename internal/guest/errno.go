@@ -37,6 +37,16 @@ func (e Errno) Transient() bool {
 	return e == EAGAIN || e == ENOMEM
 }
 
+// transient is the one retry rule of both retry paths, retryBackoff
+// and RetryStep: an error is worth retrying only when it is an Errno
+// that clears itself. Any other error, nil included, is final. The
+// kernel's fault layer surfaces bare Errno values, so a type assertion
+// classifies them without the allocation errors.As would make.
+func transient(err error) bool {
+	e, ok := err.(Errno)
+	return ok && e.Transient()
+}
+
 // retryBackoff blocks the caller through an exponential backoff
 // sequence bounded by budget cycles of virtual time, re-invoking
 // attempt until it reports success, a non-transient error, or the
@@ -46,10 +56,7 @@ func (e Errno) Transient() bool {
 // syscalls it performed before the fault layer existed.
 func retryBackoff(ctx Context, budget sim.Cycles, attempt func() error) error {
 	err := attempt()
-	if err == nil || budget == 0 {
-		return err
-	}
-	if e, ok := err.(Errno); ok && !e.Transient() {
+	if budget == 0 || !transient(err) {
 		return err
 	}
 	deadline := ctx.ClockNow() + budget
@@ -60,10 +67,7 @@ func retryBackoff(ctx Context, budget sim.Cycles, attempt func() error) error {
 	for {
 		ctx.Sleep(step)
 		err = attempt()
-		if err == nil {
-			return nil
-		}
-		if e, ok := err.(Errno); ok && !e.Transient() {
+		if !transient(err) {
 			return err
 		}
 		if ctx.ClockNow() >= deadline {

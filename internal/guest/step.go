@@ -1,10 +1,6 @@
 package guest
 
-import (
-	"errors"
-
-	"repro/internal/sim"
-)
+import "repro/internal/sim"
 
 // This file defines the resumable (flyweight) guest form: a guest
 // written as an explicit state machine instead of blocking code. A
@@ -39,6 +35,10 @@ import (
 //   - Call/Call1/Exec are unavailable: library functions and program
 //     images run arbitrary Routine code mid-call, which has no
 //     resumable form. Guests that need them are written as Routines.
+//   - Return a continuation bound once: keep each method value in a
+//     field of the guest's state struct, set at start and again on a
+//     fork clone. `return g.afterX` makes a new method value, and so
+//     allocates, on every activation.
 
 // Resume carries the kernel's reply to the request posted by the
 // previous activation. Which fields are meaningful depends on what
@@ -124,7 +124,7 @@ func (s *RetryStep) Begin(ctx Context, op RetryOp, budget sim.Cycles, done Retry
 func (s *RetryStep) run(ctx Context, r Resume) Step {
 	switch s.pc {
 	case rsFirst:
-		if r.Err == nil || s.budget == 0 || !transientErr(r.Err) {
+		if s.budget == 0 || !transient(r.Err) {
 			return s.done(ctx, r)
 		}
 		s.last = r
@@ -145,7 +145,7 @@ func (s *RetryStep) run(ctx Context, r Resume) Step {
 		s.op(ctx)
 		return s.self
 	case rsRetry:
-		if r.Err == nil || !transientErr(r.Err) {
+		if !transient(r.Err) {
 			return s.done(ctx, r)
 		}
 		s.last = r
@@ -164,11 +164,4 @@ func (s *RetryStep) run(ctx Context, r Resume) Step {
 		return s.self
 	}
 	panic("guest: RetryStep continuation in invalid state")
-}
-
-// transientErr reports whether err is a retryable injected Errno,
-// with the same classification retryBackoff uses.
-func transientErr(err error) bool {
-	var e Errno
-	return errors.As(err, &e) && e.Transient()
 }
