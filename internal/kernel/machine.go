@@ -154,10 +154,6 @@ type Machine struct {
 	preemptFire   func()
 	writebackFire func()
 
-	// rio is the backlog of remote I/O this machine serves as the host
-	// of a device other machines mount (see remoteio.go).
-	rio remoteIO
-
 	stats map[proc.PID]*Stats
 	// freeStats holds reaped thread groups' records that nothing holds
 	// any more (see reapCleanup), for statOf to reuse.
@@ -170,6 +166,10 @@ type Machine struct {
 	groupCount map[proc.PID]int
 
 	steps uint64
+
+	// rio is the backlog of remote I/O this machine serves as the host
+	// of a device other machines mount (see remoteio.go).
+	rio remoteIO
 }
 
 // ErrDeadlock is returned by Run when live tasks remain but nothing
