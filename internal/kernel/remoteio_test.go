@@ -206,13 +206,15 @@ func renderIOHost(m *Machine) string {
 //	      backlog's tail
 //	2:    w%16+1 I/Os, 40 µs apart, from w·50 cycles from now
 //	3:    a RunUntil slice of w·100+1 cycles
-//	4:    fork the backlog machine and go on with the copy
+//	4:    snapshot the backlog machine and go on with a restored copy,
+//	      in a new machine (w even) or, as Pool.Get does, in the old
+//	      machine's recycled shell (w odd)
 //
 // The clock, the NIC count, both tasks' stats and every bill must be
 // equal after every slice and after a last 200 ms slice.
 func FuzzRemoteIOMatchesDirect(f *testing.F) {
 	f.Add([]byte{0, 0x10, 0x27, 0, 0x20, 0x4e, 0, 0x00, 0x10, 3, 0x50, 0xc3, 0, 0xff, 0x01, 3, 0xff, 0xff})
-	f.Add([]byte{2, 0x0f, 0x10, 2, 0x07, 0x20, 0, 0x10, 0x00, 3, 0x10, 0x27, 4, 0, 0, 3, 0xff, 0xff, 1, 0x01, 0x00})
+	f.Add([]byte{2, 0x0f, 0x10, 2, 0x07, 0x20, 0, 0x10, 0x00, 3, 0x10, 0x27, 4, 0, 0, 3, 0xff, 0xff, 1, 0x01, 0x00, 4, 1, 0, 3, 0x00, 0x80})
 	f.Add([]byte{2, 0xff, 0xff, 0, 0x00, 0x00, 3, 0x88, 0x13, 4, 0, 0, 2, 0x03, 0x00, 3, 0x40, 0x9c})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		backlog, direct := watchedIOHost(t), watchedIOHost(t)
@@ -248,12 +250,20 @@ func FuzzRemoteIOMatchesDirect(f *testing.F) {
 			case 3:
 				slice(now + w*100 + 1)
 			case 4:
-				fk, err := backlog.Fork()
+				img, err := backlog.Snapshot()
 				if err != nil {
 					t.Fatal(err)
 				}
-				backlog.Shutdown()
-				backlog = fk
+				var pool Pool
+				pool.Put(backlog)
+				if w%2 == 0 {
+					backlog, err = Restore(img)
+				} else {
+					backlog, err = pool.Get(img)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
 			}
 			data = data[3:]
 		}
