@@ -29,6 +29,8 @@ const (
 	fuzzLoad
 	fuzzUsage
 	fuzzNice
+	fuzzFork
+	fuzzWait
 	fuzzOpCount
 
 	// fuzzPages is the span Store and Load touch, twice the machine's
@@ -69,7 +71,9 @@ func fuzzMachine(policy string, billing int) *Machine {
 
 // post issues op through ctx. Compute and Sleep take at least one
 // cycle, so every op posts exactly one request. It returns the
-// method's return values as log words.
+// method's return values as log words. A forked child computes
+// 1+arg·100 cycles and exits; one that outlives its parent is reaped
+// as an orphan.
 func (op fuzzOp) post(ctx guest.Context) []uint64 {
 	switch op.code {
 	case fuzzCompute:
@@ -91,6 +95,11 @@ func (op fuzzOp) post(ctx guest.Context) []uint64 {
 		return []uint64{uint64(u), uint64(s)}
 	case fuzzNice:
 		ctx.SetNice(int(op.arg%40) - 20)
+	case fuzzFork:
+		d := 1 + sim.Cycles(op.arg)*100
+		return []uint64{uint64(ctx.Fork("child", func(c guest.Context) { c.Compute(d) }))}
+	case fuzzWait:
+		return waitWords(ctx.Wait())
 	}
 	return nil
 }
@@ -105,9 +114,35 @@ func (op fuzzOp) reply(r guest.Resume) []uint64 {
 		return []uint64{errnoWord(r.Err)}
 	case fuzzUsage:
 		return []uint64{uint64(r.User), uint64(r.Sys)}
+	case fuzzFork:
+		return []uint64{r.Ret}
+	case fuzzWait:
+		return waitWords(r.Wres, r.OK)
 	}
 	return nil
 }
+
+// waitWords encodes a Wait reply as log words: the pid, the exit code,
+// and the stopped and ok flags as 0 or 1.
+func waitWords(res guest.WaitResult, ok bool) []uint64 {
+	w := []uint64{uint64(res.PID), uint64(res.ExitCode), 0, 0}
+	if res.Stopped {
+		w[2] = 1
+	}
+	if ok {
+		w[3] = 1
+	}
+	return w
+}
+
+// fuzzStorm and fuzzOrphans are fork seeds: a storm that forks a child
+// and waits for it, over and over, so every child after the first runs
+// on a reaped one's shells, and a guest that exits while its children
+// still compute, so they are reaped as orphans.
+var (
+	fuzzStorm   = slices.Repeat([]byte{fuzzFork, 0x10, 0, fuzzWait, 0, 0}, 10)
+	fuzzOrphans = []byte{fuzzFork, 0xff, 0xff, fuzzFork, 0x10, 0x27, fuzzWait, 0, 0, fuzzFork, 0x20, 0x4e, fuzzCompute, 0x10, 0x27}
+)
 
 // errnoWord encodes a syscall's error reply: 0 for success, the errno
 // otherwise, and all ones for an error that is no errno.
@@ -182,9 +217,10 @@ func fuzzRun(t *testing.T, ops []fuzzOp, asStep bool) ([]uint64, *Machine, proc.
 
 // FuzzStepMatchesBody pins TestStepGuestMatchesBodyGuest's invariant
 // over arbitrary request sequences that page, draw injected faults,
-// read usage and renice: the same sequence written as a Step and as
-// blocking Body code gets the same replies, the same final clock, the
-// same kernel counters and the same bills under every scheme.
+// read usage, renice, fork and wait: the same sequence written as a
+// Step and as blocking Body code gets the same replies, the same final
+// clock, the same kernel counters and the same bills under every
+// scheme, while reaped children's shells are reused.
 func FuzzStepMatchesBody(f *testing.F) {
 	f.Add([]byte{fuzzCompute, 0x10, 0x27, fuzzClock, 0, 0, fuzzUsage, 0, 0})
 	f.Add([]byte{fuzzSyscall, 0, 0, fuzzSyscall, 0, 0, fuzzSyscall, 0, 0, fuzzSyscall, 0, 0, fuzzSyscall, 0, 0})
@@ -215,6 +251,8 @@ func FuzzStepMatchesBody(f *testing.F) {
 		hits = append(hits, code, byte(i%3), 0)
 	}
 	f.Add(hits)
+	f.Add(fuzzStorm)
+	f.Add(fuzzOrphans)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ops := decodeFuzzOps(data)
 		if len(ops) == 0 {
@@ -296,11 +334,12 @@ func slicedRun(t *testing.T, policy string, billing int, ops []fuzzOp, slice sim
 }
 
 // FuzzSlicedRunMatchesRun pins RunUntil's contract across the inline
-// compute burn and the billing flushes: two fuzzed Body guests and a
-// compute hog, on O1 or CFS (the first byte's low bit), billed by
-// jiffy, tsc or process-aware (the rest of it, mod 3), get the same
-// replies, clocks and renderFinal when driven by Run and in RunUntil
-// slices of 10,000 + 97·w cycles (w the second byte). A barrier inside
+// compute burn, the billing flushes and fork, reap and shell reuse:
+// two fuzzed Body guests and a compute hog, on O1 or CFS (the first
+// byte's low bit), billed by jiffy, tsc or process-aware (the rest of
+// it, mod 3), get the same replies, clocks and renderFinal when driven
+// by Run and in RunUntil slices of 10,000 + 97·w cycles (w the second
+// byte). A barrier inside
 // a compute forces the general path, so the two runs burn different
 // computes inline. Every slice ends in a flush, so a Usage reply read
 // before a missing flush differs between the two under tsc and
@@ -314,6 +353,8 @@ func FuzzSlicedRunMatchesRun(f *testing.F) {
 		0, 200, fuzzStore, 0, 0, fuzzCompute, 0x00, 0x20, fuzzStore, 30, 0, fuzzCompute, 0xe8, 0x03,
 		fuzzLoad, 1, 0, fuzzNice, 10, 0, fuzzCompute, 0xff, 0xff, fuzzSleep, 0x50, 0x00, fuzzClock, 0, 0,
 	})
+	f.Add(append([]byte{0, 40}, fuzzStorm...))
+	f.Add(append([]byte{3, 7}, fuzzOrphans...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
 			return

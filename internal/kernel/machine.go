@@ -170,6 +170,31 @@ type Machine struct {
 	// rio is the backlog of remote I/O this machine serves as the host
 	// of a device other machines mount (see remoteio.go).
 	rio remoteIO
+
+	// spare holds the shells of reaped fork children (see recycle),
+	// made at the first recycle. It is scratch, not machine state:
+	// clone copies none of it, so an image keeps its size and parallel
+	// restores of one image share no shell.
+	spare *shells
+}
+
+// shells are the free lists behind newProc, newSpace and newTask, which
+// take a shell from them before they allocate: tasks, PCBs (each with
+// its scheduler record, which sched resets on recycle) and released
+// address spaces.
+type shells struct {
+	tasks  []*task
+	procs  []*proc.Proc
+	spaces []*mem.Space
+}
+
+// take pops the most recently recycled shell off a non-empty list.
+func take[T any](list *[]*T) *T {
+	l := *list
+	x := l[len(l)-1]
+	l[len(l)-1] = nil
+	*list = l[:len(l)-1]
+	return x
 }
 
 // ErrDeadlock is returned by Run when live tasks remain but nothing
@@ -380,13 +405,13 @@ func (m *Machine) Spawn(sc SpawnConfig) (*proc.Proc, error) {
 	if (sc.Body == nil) == (sc.Step == nil) {
 		return nil, fmt.Errorf("spawn %s: exactly one of Body (blocking code) and Step (a resumable state machine) must be set", sc.Name)
 	}
-	p := m.table.Create(sc.Name, nil)
+	p := m.newProc(sc.Name, nil)
 	p.SetNice(sc.Nice)
 	//simlint:unordered-ok map-to-map copy; insertion order cannot be observed
 	for k, v := range sc.Env {
 		p.Setenv(k, v)
 	}
-	p.Space = m.mem.NewSpace(sc.Name)
+	p.Space = m.newSpace(sc.Name)
 	linked := sc.Libs
 	if linked == nil {
 		for _, name := range []string{lib.LibcName, lib.LibmName} {
@@ -419,13 +444,33 @@ func (m *Machine) Spawn(sc SpawnConfig) (*proc.Proc, error) {
 	return p, nil
 }
 
-func (m *Machine) newTask(p *proc.Proc, body guest.Routine) *task {
-	t := &task{
-		p:    p,
-		m:    m,
-		st:   m.statOf(p.TGID),
-		body: body,
+// newProc registers a new process, on a recycled PCB when one is free.
+func (m *Machine) newProc(name string, parent *proc.Proc) *proc.Proc {
+	if m.spare != nil && len(m.spare.procs) > 0 {
+		return m.table.Reuse(take(&m.spare.procs), name, parent)
 	}
+	return m.table.Create(name, parent)
+}
+
+// newSpace makes an address space, on a recycled one when one is free.
+func (m *Machine) newSpace(name string) *mem.Space {
+	if m.spare != nil && len(m.spare.spaces) > 0 {
+		return m.mem.Reuse(take(&m.spare.spaces), name)
+	}
+	return m.mem.NewSpace(name)
+}
+
+// newTask makes the task that runs p, on a recycled task when one is
+// free. A recycled task keeps only its callbacks, which are bound to it.
+func (m *Machine) newTask(p *proc.Proc, body guest.Routine) *task {
+	var t *task
+	if m.spare != nil && len(m.spare.tasks) > 0 {
+		t = take(&m.spare.tasks)
+		*t = task{wakeFire: t.wakeFire, sleepFire: t.sleepFire, swapInFire: t.swapInFire}
+	} else {
+		t = new(task)
+	}
+	t.p, t.m, t.st, t.body = p, m, m.statOf(p.TGID), body
 	t.stepCtx.t = t
 	p.KernelData = t
 	m.tasks[p.PID] = t
@@ -500,7 +545,8 @@ func (m *Machine) RunUntil(limit sim.Cycles) (done bool, err error) {
 	if limit <= m.clock.Now() {
 		return false, nil
 	}
-	m.queue.Schedule(limit, "barrier", m.barrierFire)
+	// The barrier's tag is its time, which a snapshot refusal names.
+	m.queue.ScheduleTagged(limit, "barrier", uint64(limit), m.barrierFire)
 	done, err = m.drive()
 	if done || err != nil {
 		m.shutdown()

@@ -91,7 +91,11 @@ func (m *Machine) Snapshot() (*MachineImage, error) {
 	case m.closed:
 		return nil, fmt.Errorf("%w: machine is shut down", ErrNotSnapshottable)
 	case m.pauseReq:
-		return nil, fmt.Errorf("%w: machine is mid-drive; snapshot between Run/RunUntil calls", ErrNotSnapshottable)
+		running := "no task"
+		if m.current != nil {
+			running = describeTask(m.current)
+		}
+		return nil, fmt.Errorf("%w: machine is mid-drive at t=%d with %s on the CPU; snapshot between Run/RunUntil calls", ErrNotSnapshottable, m.clock.Now(), running)
 	}
 	m.flushRun()
 	frozen, err := m.clone(nil, frozenFire)
@@ -170,6 +174,7 @@ func (m *Machine) clone(shell *Machine, ext RestoreResolver) (*Machine, error) {
 		c.queue.Reset()
 		c.measurements = c.measurements[:0]
 		c.netWaiters = c.netWaiters[:0]
+		c.spare = nil
 		c.pauseReq, c.closed = false, false
 	}
 	// The accountants listed in cfg were consumed at construction; the
@@ -328,7 +333,7 @@ func (m *Machine) resolveFire(kind string, tag uint64, ext RestoreResolver) (fun
 		}
 		return nop, fmt.Errorf("kernel: restore: unknown disk-write tag %d", tag)
 	case "barrier":
-		return nop, fmt.Errorf("%w: a RunUntil barrier event is pending", ErrNotSnapshottable)
+		return nop, fmt.Errorf("%w: a RunUntil barrier at t=%d is pending", ErrNotSnapshottable, tag)
 	case "wake":
 		return taskFire((*task).wakeFn)
 	case "sleep-wake":

@@ -601,3 +601,68 @@ func TestSnapshotTracedTask(t *testing.T) {
 	}
 	t.Logf("%d of %d barriers caught the victim stopped at its watchpoint", caught, slices-1)
 }
+
+// refusalProbe snapshots its own machine from inside its activations:
+// first while a RunUntil barrier is pending, then right after a post
+// of its fired that barrier, while the engine is still mid-drive.
+type refusalProbe struct {
+	m                 *Machine
+	barrier           sim.Cycles
+	pending, midDrive error
+}
+
+func (g *refusalProbe) run(ctx guest.Context, _ guest.Resume) guest.Step {
+	_, g.pending = g.m.Snapshot()
+	ctx.Compute(g.barrier - g.m.Clock().Now()) // ends at the barrier
+	return g.atBarrier
+}
+
+func (g *refusalProbe) atBarrier(ctx guest.Context, _ guest.Resume) guest.Step {
+	ctx.Compute(1) // the barrier, due now, fires before this is served
+	_, g.midDrive = g.m.Snapshot()
+	return g.done
+}
+
+func (g *refusalProbe) done(guest.Context, guest.Resume) guest.Step { return nil }
+
+func (g *refusalProbe) fork(cur guest.Step) (guest.Forked, error) {
+	c := *g
+	s, ok := guest.RebindStep(cur,
+		[]guest.Step{g.run, g.atBarrier, g.done},
+		[]guest.Step{c.run, c.atBarrier, c.done})
+	if !ok {
+		return guest.Forked{}, fmt.Errorf("refusalProbe: unknown continuation")
+	}
+	return guest.Forked{Step: s, Fork: c.fork}, nil
+}
+
+// TestSnapshotRefusalsNameWhatIsPending pins the texts of the two
+// refusals that are about the machine rather than a task: a pending
+// RunUntil barrier is named by its virtual time, and a snapshot taken
+// mid-drive names the clock and the task on the CPU.
+func TestSnapshotRefusalsNameWhatIsPending(t *testing.T) {
+	m := New(Config{Seed: 1, CPUHz: 1_000_000_000})
+	g := &refusalProbe{m: m, barrier: 1_000_000}
+	p, err := m.Spawn(SpawnConfig{Name: "probe", Content: "probe v1", Step: g.run, Fork: g.fork})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if done, err := m.RunUntil(g.barrier); done || err != nil {
+		t.Fatalf("RunUntil = %v, %v", done, err)
+	}
+	for _, c := range []struct {
+		what string
+		err  error
+		want string
+	}{
+		{"pending barrier", g.pending, "a RunUntil barrier at t=1000000 is pending"},
+		{"mid-drive", g.midDrive, fmt.Sprintf("machine is mid-drive at t=1000000 with probe (pid %d, running) on the CPU", p.PID)},
+	} {
+		if !errors.Is(c.err, ErrNotSnapshottable) || !strings.Contains(c.err.Error(), c.want) {
+			t.Errorf("%s snapshot: err = %v, want ErrNotSnapshottable naming %q", c.what, c.err, c.want)
+		}
+	}
+	if err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+}

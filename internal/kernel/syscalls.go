@@ -3,6 +3,7 @@ package kernel
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/cpu"
 	"repro/internal/guest"
@@ -297,15 +298,16 @@ func (m *Machine) debugTrap(t *task) {
 // doFork creates a child task. thread selects CLONE_VM|CLONE_THREAD
 // semantics: shared address space and thread group.
 func (m *Machine) doFork(t *task, name string, body guest.Routine, thread bool) *proc.Proc {
-	child := m.table.Create(name, t.p)
+	child := m.newProc(name, t.p)
 	child.SetNice(t.p.Nice())
 	if thread {
 		child.TGID = t.p.TGID
 		child.Space = t.p.Space
 	} else {
-		child.Space = m.mem.NewSpace(name)
+		child.Space = m.newSpace(name)
 	}
 	ct := m.newTask(child, body)
+	ct.recyclable = true
 	ct.linkMap = t.linkMap
 	ct.image, ct.imageDigest = t.image, t.imageDigest
 	m.groupCount[child.TGID]++
@@ -354,7 +356,11 @@ func (m *Machine) doExit(t *task, code int) {
 	t.p.ExitCode = code
 	t.cur = nil
 	// A Body guest killed mid-request never resumes; its coroutine
-	// stays suspended until shutdown stops it.
+	// stays suspended in post, holding &t.stepCtx, until shutdown stops
+	// it, so its shells are never recycled.
+	if t.co != nil {
+		t.recyclable = false
+	}
 	t.co = nil
 	m.blockCurrent(proc.Zombie)
 	m.sched.Remove(t.p)
@@ -408,18 +414,19 @@ func (m *Machine) doExit(t *task, code int) {
 
 // reapCleanup retires a reaped task: folds its accounting and stats
 // into the reaper (or the system bucket when reaper is nil), unlinks
-// it from its parent, and drops it from the tables. Thread-group
-// accounting folds only when the group leader is reaped, since
-// threads share the leader's TGID ledger. A billable group keeps its
-// ledger entries and stats, so its bill can still be read.
+// it from its parent, drops it from the tables, and recycles its
+// shells. Thread-group accounting folds only when the group leader is
+// reaped, since threads share the leader's TGID ledger. A billable
+// group keeps its ledger entries and stats, so its bill can still be
+// read.
 func (m *Machine) reapCleanup(reaper, child *proc.Proc) {
 	reaperTGID := metering.SystemPID
 	if reaper != nil {
 		reaperTGID = reaper.TGID
 	}
+	ct := m.tasks[child.PID]
 	if !child.IsThread() {
 		m.flushRun()
-		ct := m.tasks[child.PID]
 		billable := ct != nil && ct.billable
 		m.acct.OnReap(reaperTGID, child.TGID, billable)
 		if cs := m.stats[child.TGID]; cs != nil && !billable {
@@ -441,6 +448,50 @@ func (m *Machine) reapCleanup(reaper, child *proc.Proc) {
 	}
 	delete(m.tasks, child.PID)
 	m.table.Remove(child.PID)
+	if ct != nil {
+		m.recycle(ct)
+	}
+}
+
+// recycle puts the shells of t, a task just reaped, on the machine's
+// free lists, where Spawn and doFork take them before they allocate:
+// the task, its PCB with its scheduler record, and its address space
+// once released. A shell goes back only when nothing can reach it any
+// more, so a reused shell replays the history a fresh one would.
+// recycle keeps all of t's shells when
+//   - doFork did not make t (recyclable is false): Spawn hands its PCB
+//     to the caller, and a Body guest killed mid-request stays parked
+//     in post, holding &t.stepCtx, until shutdown;
+//   - t has cycles still to flush (a reaped thread, since reapCleanup
+//     flushes only for a group leader): flushRun would bill them to the
+//     shell's next owner;
+//   - t is on netWaiters: nicRx drops a stale entry only while its task
+//     is dead;
+//   - t's PCB still has children: it is their Parent, and an orphan
+//     whose parent's shell were reused would have a live parent again.
+//
+// A tracee's Tracer never points at a dead task (doExit detaches every
+// tracee of an exiting tracer), and recycle forgets lastRun, so the
+// shell's next owner still pays its context switch at dispatch.
+func (m *Machine) recycle(t *task) {
+	p := t.p
+	if !t.recyclable || t.unbilledUser != 0 || t.unbilledSys != 0 ||
+		len(p.Children) > 0 || slices.Contains(m.netWaiters, t) {
+		return
+	}
+	if m.lastRun == t {
+		m.lastRun = nil
+	}
+	if m.spare == nil {
+		m.spare = new(shells)
+	}
+	s := m.spare
+	if !p.IsThread() && p.Space.Released() {
+		s.spaces = append(s.spaces, p.Space)
+	}
+	m.sched.Recycle(p)
+	s.procs = append(s.procs, p)
+	s.tasks = append(s.tasks, t)
 }
 
 // notifyWaiters completes a pending Wait in the parent and/or tracer

@@ -213,7 +213,10 @@ type taskState struct {
 	// reaping: directly spawned processes and anything that exec'd a
 	// program. Anonymous fork children (the scheduling attack's
 	// storm) are not billable; their time folds into the parent.
-	billable bool
+	// recyclable marks a task doFork made, whose shells its reap may
+	// put on the machine's free lists (see recycle). doExit clears it
+	// for a Body guest killed mid-request.
+	billable, recyclable bool
 
 	// unbilledUser and unbilledSys are the user and system cycles the
 	// task has run since the accountants last heard of it (see accrue

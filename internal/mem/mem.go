@@ -162,7 +162,22 @@ func (m *Memory) SwapTraffic() (ins, outs uint64) { return m.swapIns, m.swapOuts
 
 // NewSpace creates an address space labelled name for diagnostics.
 func (m *Memory) NewSpace(name string) *Space {
-	s := &Space{mem: m, name: name, index: int32(len(m.spaces))}
+	return m.place(new(Space), name)
+}
+
+// Reuse makes s, a released space that nothing refers to any more, a
+// new address space, as NewSpace does.
+func (m *Memory) Reuse(s *Space, name string) *Space {
+	if !s.released {
+		panic(fmt.Sprintf("mem: reuse of live space %q", s.name))
+	}
+	*s = Space{}
+	return m.place(s, name)
+}
+
+// place labels the empty space s and gives it a slot in m.
+func (m *Memory) place(s *Space, name string) *Space {
+	s.mem, s.name, s.index = m, name, int32(len(m.spaces))
 	if n := len(m.free); n > 0 {
 		s.index, m.free = m.free[n-1], m.free[:n-1]
 		m.spaces[s.index] = s
@@ -174,6 +189,9 @@ func (m *Memory) NewSpace(name string) *Space {
 
 // Name returns the diagnostic label.
 func (s *Space) Name() string { return s.name }
+
+// Released reports whether Release has freed the space.
+func (s *Space) Released() bool { return s.released }
 
 // Resident returns the number of this space's pages currently in RAM.
 func (s *Space) Resident() int { return s.resident }

@@ -9,6 +9,7 @@ package proc
 import (
 	"fmt"
 	"maps"
+	"slices"
 	"sort"
 
 	"repro/internal/mem"
@@ -130,11 +131,22 @@ type Proc struct {
 
 // New creates a task in the Embryo state.
 func New(pid PID, name string, parent *Proc) *Proc {
-	p := &Proc{
-		PID:   pid,
-		TGID:  pid,
-		Name:  name,
-		State: Embryo,
+	p := new(Proc)
+	p.reset(pid, name, parent)
+	return p
+}
+
+// reset makes p a new task in the Embryo state. A reused PCB keeps its
+// Children array, emptied, and its SchedData record, which the
+// scheduler reset when the PCB's task was recycled.
+func (p *Proc) reset(pid PID, name string, parent *Proc) {
+	*p = Proc{
+		PID:       pid,
+		TGID:      pid,
+		Name:      name,
+		State:     Embryo,
+		Children:  p.Children[:0],
+		SchedData: p.SchedData,
 	}
 	if parent != nil {
 		p.Parent = parent
@@ -145,7 +157,6 @@ func New(pid PID, name string, parent *Proc) *Proc {
 			p.Env = maps.Clone(parent.Env)
 		}
 	}
-	return p
 }
 
 // Setenv sets an environment variable, making the environment at the
@@ -188,13 +199,17 @@ func (p *Proc) String() string {
 }
 
 // RemoveChild unlinks a reaped child from this task's Children list.
-// Keeping the list pruned bounds wait-scan cost under fork storms.
+// Keeping the list pruned bounds wait-scan cost under fork storms. It
+// removes the child in place, keeping the others' order and the
+// array's capacity, and nils the vacated slot, so a fork storm's
+// parent appends its next child without growing the array. Its one
+// caller, the kernel's reap, runs either from a wait scan that ranges
+// over this same slice and returns right after the call, or from an
+// exiting orphan's auto-reap: no caller goes on ranging over the
+// shifted slice.
 func (p *Proc) RemoveChild(c *Proc) {
-	for i, q := range p.Children {
-		if q == c {
-			p.Children = append(p.Children[:i:i], p.Children[i+1:]...)
-			return
-		}
+	if i := slices.Index(p.Children, c); i >= 0 {
+		p.Children = slices.Delete(p.Children, i, i+1)
 	}
 }
 
@@ -211,7 +226,14 @@ func NewTable() *Table {
 
 // Create allocates the next PID and registers a new task.
 func (t *Table) Create(name string, parent *Proc) *Proc {
-	p := New(t.next, name, parent)
+	return t.Reuse(new(Proc), name, parent)
+}
+
+// Reuse registers p as a new task, as Create does, on the PCB of a
+// removed task. Nothing may refer to p any more: no caller keeps it, no
+// task has it as its Parent or Tracer, and its Children list is empty.
+func (t *Table) Reuse(p *Proc, name string, parent *Proc) *Proc {
+	p.reset(t.next, name, parent)
 	t.tasks[p.PID] = p
 	t.next++
 	return p

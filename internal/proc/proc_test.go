@@ -33,6 +33,63 @@ func TestParentChildLinkage(t *testing.T) {
 	}
 }
 
+// TestRemoveChildInPlace pins RemoveChild's in-place removal: the other
+// children keep their order, the array keeps its capacity, and the
+// vacated slot is nil, so a fork storm's parent appends without
+// growing the array.
+func TestRemoveChildInPlace(t *testing.T) {
+	tbl := NewTable()
+	parent := tbl.Create("parent", nil)
+	a, b, c := tbl.Create("a", parent), tbl.Create("b", parent), tbl.Create("c", parent)
+	before := cap(parent.Children)
+	parent.RemoveChild(b)
+	if len(parent.Children) != 2 || parent.Children[0] != a || parent.Children[1] != c {
+		t.Fatalf("children after removing b = %v, want [a c]", parent.Children)
+	}
+	if cap(parent.Children) != before {
+		t.Fatalf("capacity %d after the removal, want %d", cap(parent.Children), before)
+	}
+	if slot := parent.Children[:3][2]; slot != nil {
+		t.Fatalf("the vacated slot holds %v, want nil", slot)
+	}
+	parent.RemoveChild(b) // not a child any more: a no-op
+	if len(parent.Children) != 2 {
+		t.Fatal("removing a non-child changed the list")
+	}
+	tbl.Create("d", parent)
+	if cap(parent.Children) != before {
+		t.Fatal("appending after the removal grew the array")
+	}
+}
+
+// TestReuseResetsPCB registers a removed task's PCB again and checks
+// that it comes back as a new task that keeps only its (emptied)
+// Children array and its SchedData record.
+func TestReuseResetsPCB(t *testing.T) {
+	tbl := NewTable()
+	parent := tbl.Create("parent", nil)
+	old := tbl.Create("old", parent)
+	old.Setenv("K", "v")
+	old.SetNice(7)
+	old.SchedData = "record"
+	tbl.Create("grandchild", old)
+	old.Children = old.Children[:0]
+	old.State, old.ExitCode = Reaped, 3
+	parent.RemoveChild(old)
+	tbl.Remove(old.PID)
+	p := tbl.Reuse(old, "new", parent)
+	if p != old {
+		t.Fatal("Reuse did not register the PCB it was given")
+	}
+	if p.PID != 4 || p.TGID != 4 || p.Name != "new" || p.State != Embryo || p.ExitCode != 0 ||
+		p.Nice() != 0 || p.Env != nil || len(p.Children) != 0 || p.Parent != parent || p.SchedData != "record" {
+		t.Fatalf("reused PCB = %+v, want a fresh task 4 under parent that keeps its SchedData", p)
+	}
+	if got, _ := tbl.Get(4); got != p {
+		t.Fatal("the reused PCB is not registered under its new PID")
+	}
+}
+
 func TestEnvInheritanceIsCopied(t *testing.T) {
 	tbl := NewTable()
 	parent := tbl.Create("shell", nil)

@@ -45,6 +45,11 @@ type Scheduler interface {
 	ShouldPreempt(cur, woken *proc.Proc) bool
 	// Runnable reports the number of queued tasks.
 	Runnable() int
+	// Recycle resets the per-task record of p, an exited task that no
+	// queue holds, for the next task on p's PCB (see proc.Table.Reuse):
+	// that task starts with a fresh timeslice or a fresh placement, as
+	// a new record would.
+	Recycle(p *proc.Proc)
 	// Clone returns an independent copy of the scheduler for
 	// checkpoint restore. pmap maps each original task to its clone;
 	// Clone re-points queue entries through it and rebuilds the
@@ -174,6 +179,16 @@ func (s *O1) data(p *proc.Proc) *o1Data {
 		p.SchedData = d
 	}
 	return d
+}
+
+// Recycle implements Scheduler.
+func (s *O1) Recycle(p *proc.Proc) {
+	if d, ok := p.SchedData.(*o1Data); ok {
+		if d.queued {
+			panic(fmt.Sprintf("sched: O1.Recycle: pid %d is still queued", p.PID))
+		}
+		*d = o1Data{}
+	}
 }
 
 // Timeslice computes the Linux O(1) nice-to-timeslice mapping:
@@ -361,6 +376,16 @@ func (s *CFS) data(p *proc.Proc) *cfsData {
 		p.SchedData = d
 	}
 	return d
+}
+
+// Recycle implements Scheduler.
+func (s *CFS) Recycle(p *proc.Proc) {
+	if d, ok := p.SchedData.(*cfsData); ok {
+		if d.queued {
+			panic(fmt.Sprintf("sched: CFS.Recycle: pid %d is still queued", p.PID))
+		}
+		*d = cfsData{index: -1}
+	}
 }
 
 // Enqueue implements Scheduler. Arrivals are placed just behind the
