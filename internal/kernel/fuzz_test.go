@@ -355,6 +355,12 @@ func FuzzSlicedRunMatchesRun(f *testing.F) {
 	})
 	f.Add(append([]byte{0, 40}, fuzzStorm...))
 	f.Add(append([]byte{3, 7}, fuzzOrphans...))
+	// Two inputs this fuzzer found: under CFS a nice-3 guest and the
+	// child it forks tie on vruntime, and while CFS.Charge dropped each
+	// charge's remainder, the slices' extra charges left one a few units
+	// behind and flipped the pick.
+	f.Add([]byte("17000a0\xe5a0\xe570\xe5a000000"))
+	f.Add([]byte("18100a0\xf6110000000000800a0\xd7000000000A00"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
 			return

@@ -346,8 +346,11 @@ const nice0Weight = 1024
 type cfsData struct {
 	vruntime uint64 // weighted nanCycles; see Charge
 	queued   bool
-	seq      uint64
-	index    int
+	// rem is what Charge's division left over, carried into the next
+	// charge (it fits beside queued, so the record stays 32 bytes).
+	rem   uint32
+	seq   uint64
+	index int
 }
 
 // CFS is the virtual-runtime fair scheduler.
@@ -458,10 +461,16 @@ func (s *CFS) Quantum(p *proc.Proc) sim.Cycles {
 }
 
 // Charge implements Scheduler: vruntime advances by actual cycles
-// scaled inversely with weight.
+// scaled inversely with weight. The division's remainder carries into
+// the next charge, so a run cut into more charges, as RunUntil's
+// barriers cut a compute, advances vruntime exactly as one charge of
+// the same cycles would.
 func (s *CFS) Charge(p *proc.Proc, d sim.Cycles) {
 	sd := s.data(p)
-	sd.vruntime += uint64(d) * nice0Weight / WeightOf(p.Nice())
+	w := WeightOf(p.Nice())
+	n := uint64(d)*nice0Weight + uint64(sd.rem)
+	sd.vruntime += n / w
+	sd.rem = uint32(n % w)
 }
 
 // ShouldPreempt implements Scheduler: a woken task preempts when its

@@ -234,6 +234,26 @@ func TestCFSWeightedCharge(t *testing.T) {
 	}
 }
 
+// TestCFSChargeIsSplitInvariant charges the same cycles once and cut
+// into many charges, at every nice value: vruntime must come out the
+// same, since RunUntil's barriers cut a compute into more charges than
+// a plain Run makes and slices must replay the Run exactly.
+func TestCFSChargeIsSplitInvariant(t *testing.T) {
+	s := NewCFS(1000)
+	for nice := proc.MinNice; nice <= proc.MaxNice; nice++ {
+		whole, cut := mk(1, nice), mk(2, nice)
+		var total sim.Cycles
+		for d := sim.Cycles(1); d < 5_000; d = d*3 + 7 {
+			s.Charge(cut, d)
+			total += d
+		}
+		s.Charge(whole, total)
+		if w, c := whole.SchedData.(*cfsData).vruntime, cut.SchedData.(*cfsData).vruntime; w != c {
+			t.Fatalf("nice %d: %d cycles charged at once give vruntime %d, cut into charges %d", nice, total, w, c)
+		}
+	}
+}
+
 func TestCFSQuantumSharesLatency(t *testing.T) {
 	s := NewCFS(1000)
 	solo := mk(1, 0)
