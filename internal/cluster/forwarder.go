@@ -1,18 +1,15 @@
 package cluster
 
 import (
-	"fmt"
-
 	"repro/internal/guest"
 	"repro/internal/sim"
 )
 
 // The forwarding daemon is the cluster's hottest guest — every frame
-// crossing a router activates it — so it is written as a Step guest:
-// forwarderStep below is an explicit resumable state machine
-// (guest.Step) holding its loop position in a few words of struct
-// state instead of a coroutine stack, which also makes a router
-// checkpointable.
+// crossing a router activates it — so it is written as a resumable
+// guest: forwarder below is a plain value holding its loop position in
+// a few words instead of a coroutine stack, which also makes a router
+// checkpointable, by copying the value.
 
 // DefaultForwardUs is a software router's per-frame lookup/queue
 // service when a forwarder leaves it unset: ~3 µs of FIB lookup,
@@ -32,122 +29,103 @@ func forwarderBudget(lookup sim.Cycles) sim.Cycles {
 	return budget
 }
 
-// forwarderStep is the resumable forwarding daemon. Its activation
-// cycle mirrors the original blocking loop exactly: block for traffic
+// forwarder is the resumable forwarding daemon. Its activation cycle
+// mirrors the original blocking loop exactly: block for traffic
 // (NetRxWait), drain the receive buffer via retried reads, spend
 // lookup cycles per frame, and retransmit via retried forwards.
-type forwarderStep struct {
+type forwarder struct {
 	lookup sim.Cycles
 	budget sim.Cycles
 	self   guest.Addr
 	seen   uint64
 	frame  guest.Frame
 	retry  guest.RetryStep
-
-	// Bound once at start so steady-state activations allocate
-	// nothing: the whole daemon is this struct plus the closures.
-	recvOp   guest.RetryOp
-	recvDone guest.RetryDone
-	fwdOp    guest.RetryOp
-	fwdDone  guest.RetryDone
-	wait     guest.Step
-	lookedUp guest.Step
+	pc     uint8
 }
 
-// start is the first activation: bind the continuations, learn the
-// machine's address, and block for the first delivery.
-func (g *forwarderStep) start(ctx guest.Context, _ guest.Resume) guest.Step {
-	g.self = ctx.NetAddr()
-	g.recvOp = func(ctx guest.Context) {
-		//simlint:errno-ok resumable post: the errno arrives in the next activation's Resume
-		ctx.NetRecv()
+// forwarder program counter: which reply the next activation carries.
+const (
+	fwStart   = iota // none: the first activation
+	fwWait           // NetRxWait's delivery count
+	fwRecv           // a retried read's
+	fwLookup         // the lookup compute's
+	fwForward        // a retried forward's
+)
+
+// Activate runs the daemon from one reply to its next request. It
+// never exits; the cluster retires it when the fabric quiesces.
+func (g *forwarder) Activate(ctx guest.Context, r guest.Resume) bool {
+	switch g.pc {
+	case fwStart:
+		g.self = ctx.NetAddr()
+		g.wait(ctx)
+	case fwWait:
+		g.seen = r.Ret
+		g.recv(ctx)
+	case fwRecv:
+		switch g.retry.Next(ctx, &r) {
+		case guest.RetryAgain:
+			//simlint:errno-ok resumable post: the errno arrives in the next activation's Resume
+			ctx.NetRecv()
+		case guest.RetryFinal:
+			if r.Err != nil || !r.OK {
+				// A persistent read fault leaves the frame buffered
+				// (err, not ok, distinguishes it from a drained
+				// queue); the next delivery wakes the daemon to try
+				// again.
+				g.wait(ctx)
+				break
+			}
+			g.frame = r.Frame
+			if g.lookup > 0 {
+				g.pc = fwLookup
+				ctx.Compute(g.lookup)
+				break
+			}
+			g.route(ctx)
+		}
+	case fwLookup:
+		g.route(ctx)
+	case fwForward:
+		// A forward still failing after the budget is this router's
+		// drop, so its error is dropped too: recovery belongs to the
+		// end hosts.
+		switch g.retry.Next(ctx, &r) {
+		case guest.RetryAgain:
+			//simlint:errno-ok resumable post: the errno arrives in the next activation's Resume
+			ctx.NetForward(g.frame)
+		case guest.RetryFinal:
+			g.recv(ctx)
+		}
 	}
-	g.recvDone = g.afterRecv
-	g.fwdOp = func(ctx guest.Context) {
-		//simlint:errno-ok resumable post: the errno arrives in the next activation's Resume
-		ctx.NetForward(g.frame)
-	}
-	g.fwdDone = g.afterForward
-	g.wait = g.afterWait
-	g.lookedUp = g.afterLookup
+	return true
+}
+
+// wait blocks for the next delivery.
+func (g *forwarder) wait(ctx guest.Context) {
+	g.pc = fwWait
 	ctx.NetRxWait(g.seen)
-	return g.wait
 }
 
-// afterWait resumes with the delivery count and begins draining.
-func (g *forwarderStep) afterWait(ctx guest.Context, r guest.Resume) guest.Step {
-	g.seen = r.Ret
-	return g.retry.Begin(ctx, g.recvOp, g.budget, g.recvDone)
+// recv drains the next frame with a retried read.
+func (g *forwarder) recv(ctx guest.Context) {
+	g.pc = fwRecv
+	g.retry.Arm(g.budget)
+	//simlint:errno-ok resumable post: the errno arrives in the next activation's Resume
+	ctx.NetRecv()
 }
 
-// afterRecv resumes with a retried read's outcome.
-func (g *forwarderStep) afterRecv(ctx guest.Context, r guest.Resume) guest.Step {
-	if r.Err != nil || !r.OK {
-		// A persistent read fault leaves the frame buffered (err, not
-		// ok, distinguishes it from a drained queue); the next
-		// delivery wakes the daemon to try again.
-		ctx.NetRxWait(g.seen)
-		return g.wait
-	}
-	g.frame = r.Frame
-	if g.lookup > 0 {
-		ctx.Compute(g.lookup)
-		return g.lookedUp
-	}
-	return g.route(ctx)
-}
-
-// afterLookup resumes once the per-frame table work is billed.
-func (g *forwarderStep) afterLookup(ctx guest.Context, _ guest.Resume) guest.Step {
-	return g.route(ctx)
-}
-
-// route consumes or retransmits the held frame.
-func (g *forwarderStep) route(ctx guest.Context) guest.Step {
+// route consumes the held frame when it is addressed to the router
+// itself, and retransmits it otherwise.
+func (g *forwarder) route(ctx guest.Context) {
 	if g.frame.Dst == g.self {
-		// Addressed to the router itself: consumed; drain the next.
-		return g.retry.Begin(ctx, g.recvOp, g.budget, g.recvDone)
+		g.recv(ctx)
+		return
 	}
-	return g.retry.Begin(ctx, g.fwdOp, g.budget, g.fwdDone)
-}
-
-// afterForward drops any error — a forward still failing after the
-// budget is this router's drop; recovery belongs to the end hosts —
-// and drains the next frame.
-func (g *forwarderStep) afterForward(ctx guest.Context, _ guest.Resume) guest.Step {
-	return g.retry.Begin(ctx, g.recvOp, g.budget, g.recvDone)
-}
-
-// fork clones the daemon for a checkpoint: the copy's continuations
-// and retry are rebound onto the clone, so both daemons resume the
-// same activation against their own machines. recvOp captures nothing
-// and is shared; fwdOp closes over the held frame and is rebuilt.
-func (g *forwarderStep) fork(cur guest.Step) (guest.Forked, error) {
-	c := *g
-	c.recvDone = c.afterRecv
-	c.fwdOp = func(ctx guest.Context) {
-		//simlint:errno-ok resumable post: the errno arrives in the next activation's Resume
-		ctx.NetForward(c.frame)
-	}
-	c.fwdDone = c.afterForward
-	c.wait = c.afterWait
-	c.lookedUp = c.afterLookup
-	var op guest.RetryOp
-	var done guest.RetryDone
-	switch {
-	case guest.SameOp(g.retry.Op(), g.recvOp):
-		op, done = c.recvOp, c.recvDone
-	case guest.SameOp(g.retry.Op(), g.fwdOp):
-		op, done = c.fwdOp, c.fwdDone
-	}
-	g.retry.ForkInto(&c.retry, op, done)
-	s, ok := guest.RebindStep(cur,
-		[]guest.Step{g.start, g.wait, g.lookedUp, g.retry.Self()},
-		[]guest.Step{c.start, c.wait, c.lookedUp, c.retry.Self()})
-	if !ok {
-		return guest.Forked{}, fmt.Errorf("cluster: forwarder holds an unrecognised continuation")
-	}
-	return guest.Forked{Step: s, Fork: c.fork}, nil
+	g.pc = fwForward
+	g.retry.Arm(g.budget)
+	//simlint:errno-ok resumable post: the errno arrives in the next activation's Resume
+	ctx.NetForward(g.frame)
 }
 
 // ForwarderGuest returns the forwarding guest a router machine runs,
@@ -164,6 +142,5 @@ func (g *forwarderStep) fork(cur guest.Step) (guest.Forked, error) {
 // Service set — the daemon never exits; the cluster retires it when
 // the fabric quiesces — and the router stays checkpointable.
 func ForwarderGuest(lookup sim.Cycles) (guest.Step, guest.ForkFunc) {
-	g := &forwarderStep{lookup: lookup, budget: forwarderBudget(lookup)}
-	return g.start, g.fork
+	return guest.Resumable(forwarder{lookup: lookup, budget: forwarderBudget(lookup)})
 }

@@ -28,9 +28,9 @@ func homeRebootCfg() Config {
 		return MachineSpec{
 			Config: kernel.Config{Seed: seed, CPUHz: testHz},
 			Boot: func(c *Cluster, m *kernel.Machine) error {
-				g := &snapSender{dst: c.AddrOf(dst), flow: flow, frames: 160, gap: 40_000}
+				step, fork := guest.Resumable(snapSender{dst: c.AddrOf(dst), flow: flow, frames: 160, gap: 40_000})
 				_, err := m.Spawn(kernel.SpawnConfig{
-					Name: "pktgen", Content: "pktgen v1", Step: g.run, Fork: g.fork,
+					Name: "pktgen", Content: "pktgen v1", Step: step, Fork: fork,
 				})
 				return err
 			},
@@ -44,9 +44,9 @@ func homeRebootCfg() Config {
 			CrashAt:      crashAt,
 			RestartAfter: restartAfter,
 			Boot: func(_ *Cluster, m *kernel.Machine) error {
-				w := &snapWatcher{}
+				step, fork := guest.Resumable(snapWatcher{})
 				_, err := m.Spawn(kernel.SpawnConfig{
-					Name: "sink", Content: "sink v1", Step: w.run, Fork: w.fork,
+					Name: "sink", Content: "sink v1", Step: step, Fork: fork,
 				})
 				return err
 			},
@@ -71,64 +71,46 @@ func homeRebootCfg() Config {
 type swapHog struct {
 	pages, touches uint64
 	n              uint64
+	stored         bool // the last post was the store, not the compute
 }
 
-func (g *swapHog) run(ctx guest.Context, _ guest.Resume) guest.Step {
+func (g *swapHog) Activate(ctx guest.Context, _ guest.Resume) bool {
+	if g.stored {
+		g.n++
+		g.stored = false
+		ctx.Compute(2_000)
+		return true
+	}
 	if g.n >= g.touches {
-		return nil
+		return false
 	}
+	g.stored = true
 	ctx.Store(0x400000 + g.n%g.pages*4096)
-	return g.afterStore
-}
-
-func (g *swapHog) afterStore(ctx guest.Context, _ guest.Resume) guest.Step {
-	g.n++
-	ctx.Compute(2_000)
-	return g.run
-}
-
-func (g *swapHog) fork(cur guest.Step) (guest.Forked, error) {
-	c := *g
-	s, ok := guest.RebindStep(cur,
-		[]guest.Step{g.run, g.afterStore},
-		[]guest.Step{c.run, c.afterStore})
-	if !ok {
-		return guest.Forked{}, fmt.Errorf("swapHog: unknown continuation")
-	}
-	return guest.Forked{Step: s, Fork: c.fork}, nil
+	return true
 }
 
 // swapVictim is a forkable flyweight job on the swap host: compute
 // bursts with short sleeps between them, so remote I/O completions land
 // both while it runs (billed to it) and while the host idles.
 type swapVictim struct {
-	rounds int
-	i      int
+	rounds   int
+	i        int
+	computed bool // the last post was the compute, not the sleep
 }
 
-func (g *swapVictim) run(ctx guest.Context, _ guest.Resume) guest.Step {
+func (g *swapVictim) Activate(ctx guest.Context, _ guest.Resume) bool {
+	if g.computed {
+		g.i++
+		g.computed = false
+		ctx.Sleep(500_000)
+		return true
+	}
 	if g.i >= g.rounds {
-		return nil
+		return false
 	}
+	g.computed = true
 	ctx.Compute(1_500_000)
-	return g.afterCompute
-}
-
-func (g *swapVictim) afterCompute(ctx guest.Context, _ guest.Resume) guest.Step {
-	g.i++
-	ctx.Sleep(500_000)
-	return g.run
-}
-
-func (g *swapVictim) fork(cur guest.Step) (guest.Forked, error) {
-	c := *g
-	s, ok := guest.RebindStep(cur,
-		[]guest.Step{g.run, g.afterCompute},
-		[]guest.Step{c.run, c.afterCompute})
-	if !ok {
-		return guest.Forked{}, fmt.Errorf("swapVictim: unknown continuation")
-	}
-	return guest.Forked{Step: s, Fork: c.fork}, nil
+	return true
 }
 
 // sharedSwapCfg is two memory hogs (members 0 and 1) mounting the swap
@@ -142,9 +124,9 @@ func sharedSwapCfg() Config {
 			Name:   name,
 			Config: kernel.Config{Seed: seed, CPUHz: testHz, PhysMemBytes: 32 * 4096},
 			Boot: func(_ *Cluster, m *kernel.Machine) error {
-				g := &swapHog{pages: 64, touches: 64 + 70}
+				step, fork := guest.Resumable(swapHog{pages: 64, touches: 64 + 70})
 				_, err := m.Spawn(kernel.SpawnConfig{
-					Name: "memhog", Content: "memhog v1", Step: g.run, Fork: g.fork,
+					Name: "memhog", Content: "memhog v1", Step: step, Fork: fork,
 				})
 				return err
 			},
@@ -158,9 +140,9 @@ func sharedSwapCfg() Config {
 				Name:   "host",
 				Config: kernel.Config{Seed: 503, CPUHz: testHz},
 				Boot: func(_ *Cluster, m *kernel.Machine) error {
-					g := &swapVictim{rounds: 400}
+					step, fork := guest.Resumable(swapVictim{rounds: 400})
 					_, err := m.Spawn(kernel.SpawnConfig{
-						Name: "victim", Content: "victim v1", Step: g.run, Fork: g.fork,
+						Name: "victim", Content: "victim v1", Step: step, Fork: fork,
 					})
 					return err
 				},

@@ -21,35 +21,26 @@ type snapSender struct {
 	gap    sim.Cycles
 	i      int
 	drops  int
+	sent   bool // the last post was a send, not a sleep
 }
 
-func (g *snapSender) run(ctx guest.Context, _ guest.Resume) guest.Step {
+func (g *snapSender) Activate(ctx guest.Context, r guest.Resume) bool {
+	if g.sent {
+		if r.Err != nil || !r.OK {
+			g.drops++
+		}
+		g.sent = false
+		ctx.Sleep(ctx.Rand().Jitter(g.gap, g.gap/4+1))
+		return true
+	}
 	if g.i >= g.frames {
-		return nil
+		return false
 	}
 	g.i++
-	//simlint:errno-ok resumable post: the outcome arrives in afterSend's Resume
+	g.sent = true
+	//simlint:errno-ok resumable post: the outcome arrives in the next activation's Resume
 	ctx.NetSend(guest.Frame{Dst: g.dst, Flow: g.flow})
-	return g.afterSend
-}
-
-func (g *snapSender) afterSend(ctx guest.Context, r guest.Resume) guest.Step {
-	if r.Err != nil || !r.OK {
-		g.drops++
-	}
-	ctx.Sleep(ctx.Rand().Jitter(g.gap, g.gap/4+1))
-	return g.run
-}
-
-func (g *snapSender) fork(cur guest.Step) (guest.Forked, error) {
-	c := *g
-	s, ok := guest.RebindStep(cur,
-		[]guest.Step{g.run, g.afterSend},
-		[]guest.Step{c.run, c.afterSend})
-	if !ok {
-		return guest.Forked{}, fmt.Errorf("snapSender: unknown continuation")
-	}
-	return guest.Forked{Step: s, Fork: c.fork}, nil
+	return true
 }
 
 // snapWatcher is a forkable infinite sink: it blocks in NetRxWait
@@ -60,22 +51,13 @@ type snapWatcher struct {
 	started bool
 }
 
-func (w *snapWatcher) run(ctx guest.Context, r guest.Resume) guest.Step {
+func (w *snapWatcher) Activate(ctx guest.Context, r guest.Resume) bool {
 	if w.started {
 		w.seen = r.Ret
 	}
 	w.started = true
 	ctx.NetRxWait(w.seen)
-	return w.run
-}
-
-func (w *snapWatcher) fork(cur guest.Step) (guest.Forked, error) {
-	c := *w
-	s, ok := guest.RebindStep(cur, []guest.Step{w.run}, []guest.Step{c.run})
-	if !ok {
-		return guest.Forked{}, fmt.Errorf("snapWatcher: unknown continuation")
-	}
-	return guest.Forked{Step: s, Fork: c.fork}, nil
+	return true
 }
 
 // snapClusterCfg builds a three-machine fabric dense in cluster
@@ -91,9 +73,9 @@ func snapClusterCfg(seed int64, frames int, crashAt, restartAfter sim.Cycles) Co
 				Name:   "sender",
 				Config: kernel.Config{Seed: seed, CPUHz: testHz},
 				Boot: func(c *Cluster, m *kernel.Machine) error {
-					g := &snapSender{dst: c.AddrOf(2), flow: 5, frames: frames, gap: 40_000}
+					step, fork := guest.Resumable(snapSender{dst: c.AddrOf(2), flow: 5, frames: frames, gap: 40_000})
 					_, err := m.Spawn(kernel.SpawnConfig{
-						Name: "pktgen", Content: "pktgen v1", Step: g.run, Fork: g.fork,
+						Name: "pktgen", Content: "pktgen v1", Step: step, Fork: fork,
 					})
 					return err
 				},
@@ -123,9 +105,9 @@ func snapClusterCfg(seed int64, frames int, crashAt, restartAfter sim.Cycles) Co
 				CrashAt:      crashAt,
 				RestartAfter: restartAfter,
 				Boot: func(_ *Cluster, m *kernel.Machine) error {
-					w := &snapWatcher{}
+					step, fork := guest.Resumable(snapWatcher{})
 					_, err := m.Spawn(kernel.SpawnConfig{
-						Name: "sink", Content: "sink v1", Step: w.run, Fork: w.fork,
+						Name: "sink", Content: "sink v1", Step: step, Fork: fork,
 					})
 					return err
 				},

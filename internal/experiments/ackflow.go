@@ -8,9 +8,10 @@
 // on a clean ack, so an ECN-capable flow backs off under congestion
 // instead of bleeding tail-drops.
 //
-// All three guests here are written as resumable state machines
-// (guest.Step), spawned as SpawnConfig.Step, so a fleet of them costs
-// a few words of struct state per guest instead of a coroutine stack.
+// All three guests here are resumable guests — plain values that
+// guest.Resumable binds, spawned as SpawnConfig.Step — so a fleet of
+// them costs a few words of state per guest instead of a coroutine
+// stack.
 package experiments
 
 import (
@@ -30,48 +31,47 @@ type floodGen struct {
 	frame    guest.Frame
 	n, frac  uint64
 	retry    guest.RetryStep
-	sendOp   guest.RetryOp
-	sendDone guest.RetryDone
-	wake     guest.Step
+	pc       uint8 // 0: first activation; 1: a retried send's reply; 2: slot slept
 }
 
-func (g *floodGen) start(ctx guest.Context, _ guest.Resume) guest.Step {
-	g.sendOp = func(ctx guest.Context) {
-		//simlint:errno-ok resumable post: the errno arrives in the next activation's Resume
-		ctx.NetSend(g.frame)
+func (g *floodGen) Activate(ctx guest.Context, r guest.Resume) bool {
+	switch g.pc {
+	case 1:
+		// Any send error is dropped — a transient injected fault is
+		// retried within half a period; a hard fault (or exhausted
+		// budget) forfeits this slot, and an attacker's lost packet is
+		// nobody's problem — then the slot is slept out.
+		switch g.retry.Next(ctx, &r) {
+		case guest.RetryAgain:
+			//simlint:errno-ok resumable post: the errno arrives in the next activation's Resume
+			ctx.NetSend(g.frame)
+			return true
+		case guest.RetryPosted:
+			return true
+		}
+		interval := g.base
+		g.frac += g.rem
+		if g.frac >= g.pps {
+			g.frac -= g.pps
+			interval++
+		}
+		if interval == 0 {
+			interval = 1
+		}
+		g.pc = 2
+		ctx.Sleep(ctx.Rand().Jitter(interval, interval/4+1))
+		return true
+	case 2:
+		g.n++
 	}
-	g.sendDone = g.afterSend
-	g.wake = g.afterSleep
 	if g.n >= g.packets {
-		return nil
+		return false
 	}
-	return g.retry.Begin(ctx, g.sendOp, g.base/2, g.sendDone)
-}
-
-// afterSend drops any send error — a transient injected fault retried
-// within half a period; a hard fault (or exhausted budget) forfeits
-// this slot, and an attacker's lost packet is nobody's problem — then
-// sleeps out the slot.
-func (g *floodGen) afterSend(ctx guest.Context, _ guest.Resume) guest.Step {
-	interval := g.base
-	g.frac += g.rem
-	if g.frac >= g.pps {
-		g.frac -= g.pps
-		interval++
-	}
-	if interval == 0 {
-		interval = 1
-	}
-	ctx.Sleep(ctx.Rand().Jitter(interval, interval/4+1))
-	return g.wake
-}
-
-func (g *floodGen) afterSleep(ctx guest.Context, _ guest.Resume) guest.Step {
-	g.n++
-	if g.n >= g.packets {
-		return nil
-	}
-	return g.retry.Begin(ctx, g.sendOp, g.base/2, g.sendDone)
+	g.pc = 1
+	g.retry.Arm(g.base / 2)
+	//simlint:errno-ok resumable post: the errno arrives in the next activation's Resume
+	ctx.NetSend(g.frame)
+	return true
 }
 
 // floodBodyStep returns the packet generator as a resumable state
@@ -83,14 +83,14 @@ func (g *floodGen) afterSleep(ctx guest.Context, _ guest.Resume) guest.Step {
 // somewhat below nominal — the sending link's Sent counter records
 // what actually went out.
 func floodBodyStep(freq sim.Hz, pps, packets uint64, frame guest.Frame) guest.Step {
-	g := &floodGen{
+	step, _ := guest.Resumable(floodGen{
 		base:    sim.Cycles(uint64(freq) / pps),
 		rem:     uint64(freq) % pps,
 		pps:     pps,
 		packets: packets,
 		frame:   frame,
-	}
-	return g.start
+	})
+	return step
 }
 
 // AckFlowConfig parameterises one ack-paced transfer.
@@ -165,10 +165,11 @@ const ackIdleTicks = 128
 
 // ackSender is the resumable sending guest. One activation runs from
 // resume to the next kernel request; the transfer's whole position —
-// window, counters, timeout clocks — lives in this struct, not a
-// coroutine stack, so a snapshot copies it. Control flow mirrors the
-// original blocking loop statement for statement, so the sender makes
-// the requests that loop made.
+// window, counters, timeout clocks — lives in this value, not a
+// coroutine stack. Control flow mirrors the original blocking loop
+// statement for statement, so the sender makes the requests that loop
+// made. It fills stats, a host pointer, so it is spawned without a
+// fork.
 type ackSender struct {
 	cfg   AckFlowConfig
 	stats *AckFlowStats
@@ -182,55 +183,81 @@ type ackSender struct {
 	lastProgress              sim.Cycles
 	progress                  bool
 
-	retry    guest.RetryStep
-	sendOp   guest.RetryOp
-	sendDone guest.RetryDone
-
-	initClock, drain, progressClock, sendSlept,
-	pollSlept, timeoutClock, resetClock, doneClock guest.Step
+	retry guest.RetryStep
+	pc    uint8
 }
 
-func (g *ackSender) start(ctx guest.Context, _ guest.Resume) guest.Step {
-	g.window = g.maxW
-	g.sendOp = func(ctx guest.Context) {
-		//simlint:errno-ok resumable post: the errno arrives in the next activation's Resume
-		ctx.NetSend(g.data)
-	}
-	g.sendDone = g.afterSend
-	g.initClock = g.afterInitClock
-	g.drain = g.afterRecv
-	g.progressClock = g.afterProgressClock
-	g.sendSlept = g.afterSendSleep
-	g.pollSlept = g.afterPollSleep
-	g.timeoutClock = g.afterTimeoutClock
-	g.resetClock = g.afterResetClock
-	g.doneClock = g.afterDoneClock
-	if g.useClock {
-		ctx.ClockNow()
-		return g.initClock
+// ackSender program counter: which reply the next activation carries.
+const (
+	asStart         = iota // none: the first activation
+	asInitClock            // the clock read at the start
+	asRecv                 // an ack poll's read
+	asProgressClock        // the clock read after ack progress
+	asSend                 // a retried data send's
+	asSendSlept            // the pacing sleep after a send
+	asPollSlept            // the poll sleep while the window is closed
+	asTimeoutClock         // the clock read of a timeout check
+	asResetClock           // the clock read after a go-back
+	asDoneClock            // the clock read at the end of the transfer
+)
+
+func (g *ackSender) Activate(ctx guest.Context, r guest.Resume) bool {
+	switch g.pc {
+	case asStart:
+		g.window = g.maxW
+		if g.useClock {
+			return g.readClock(ctx, asInitClock)
+		}
+	case asInitClock, asProgressClock, asResetClock:
+		g.lastProgress = sim.Cycles(r.Ret)
+	case asRecv:
+		return g.afterRecv(ctx, r)
+	case asSend:
+		return g.afterSend(ctx, r)
+	case asPollSlept:
+		if g.useClock {
+			return g.readClock(ctx, asTimeoutClock)
+		}
+		g.idle++
+		return g.timeoutDecide(ctx, g.idle >= ackIdleTicks)
+	case asTimeoutClock:
+		return g.timeoutDecide(ctx, sim.Cycles(r.Ret)-g.lastProgress >= g.cfg.TimeoutCycles)
+	case asDoneClock:
+		g.stats.DoneAt = sim.Cycles(r.Ret)
+		return false
 	}
 	return g.outer(ctx)
 }
 
-func (g *ackSender) afterInitClock(ctx guest.Context, r guest.Resume) guest.Step {
-	g.lastProgress = sim.Cycles(r.Ret)
-	return g.outer(ctx)
+// readClock posts a clock read whose reply pc handles.
+func (g *ackSender) readClock(ctx guest.Context, pc uint8) bool {
+	g.pc = pc
+	ctx.ClockNow()
+	return true
+}
+
+// pace posts a pacing sleep whose end pc handles.
+func (g *ackSender) pace(ctx guest.Context, pc uint8) bool {
+	g.pc = pc
+	ctx.Sleep(g.cfg.PaceCycles)
+	return true
 }
 
 // outer is the transfer's top-of-loop: done check, then a fresh drain
 // of the ack queue. Not an activation boundary — it runs inline
 // inside whichever activation reached it.
-func (g *ackSender) outer(ctx guest.Context) guest.Step {
+func (g *ackSender) outer(ctx guest.Context) bool {
 	if g.acked >= g.cfg.Frames {
 		return g.finish(ctx)
 	}
 	g.progress = false
+	g.pc = asRecv
 	//simlint:errno-ok resumable post: the errno arrives in the next activation's Resume
 	ctx.NetRecv()
-	return g.drain
+	return true
 }
 
-func (g *ackSender) afterRecv(ctx guest.Context, r guest.Resume) guest.Step {
+func (g *ackSender) afterRecv(ctx guest.Context, r guest.Resume) bool {
 	if r.Err != nil {
 		// Injected read fault: the acks stay buffered, so surface the
 		// error and re-poll after a pace tick instead of mistaking the
@@ -259,15 +286,14 @@ func (g *ackSender) afterRecv(ctx guest.Context, r guest.Resume) guest.Step {
 	}
 	//simlint:errno-ok resumable post: the errno arrives in the next activation's Resume
 	ctx.NetRecv()
-	return g.drain
+	return true
 }
 
-func (g *ackSender) afterDrain(ctx guest.Context) guest.Step {
+func (g *ackSender) afterDrain(ctx guest.Context) bool {
 	if g.progress {
 		g.idle = 0
 		if g.useClock {
-			ctx.ClockNow()
-			return g.progressClock
+			return g.readClock(ctx, asProgressClock)
 		}
 		return g.outer(ctx)
 	}
@@ -278,22 +304,28 @@ func (g *ackSender) afterDrain(ctx guest.Context) guest.Step {
 		outstanding = 0
 	}
 	if g.sent < g.budget && uint64(outstanding) < g.window {
-		return g.retry.Begin(ctx, g.sendOp, 4*g.cfg.PaceCycles, g.sendDone)
+		g.pc = asSend
+		g.retry.Arm(4 * g.cfg.PaceCycles)
+		//simlint:errno-ok resumable post: the errno arrives in the next activation's Resume
+		ctx.NetSend(g.data)
+		return true
 	}
 	// Window closed or budget spent: poll for acks. The
 	// retransmission decision is clock-driven when TimeoutCycles is
 	// armed — real elapsed virtual time since the last ack, whatever
 	// the poll cadence — and the old idle-tick count otherwise.
-	ctx.Sleep(g.cfg.PaceCycles)
-	return g.pollSlept
+	return g.pace(ctx, asPollSlept)
 }
 
-func (g *ackSender) afterProgressClock(ctx guest.Context, r guest.Resume) guest.Step {
-	g.lastProgress = sim.Cycles(r.Ret)
-	return g.outer(ctx)
-}
-
-func (g *ackSender) afterSend(ctx guest.Context, r guest.Resume) guest.Step {
+func (g *ackSender) afterSend(ctx guest.Context, r guest.Resume) bool {
+	switch g.retry.Next(ctx, &r) {
+	case guest.RetryAgain:
+		//simlint:errno-ok resumable post: the errno arrives in the next activation's Resume
+		ctx.NetSend(g.data)
+		return true
+	case guest.RetryPosted:
+		return true
+	}
 	if r.Err != nil {
 		// The frame never left: it is not outstanding, so do not count
 		// it sent. Persistent failure (a hard EIO device, or 100%
@@ -304,33 +336,14 @@ func (g *ackSender) afterSend(ctx guest.Context, r guest.Resume) guest.Step {
 			g.stats.GaveUp = true
 			return g.finish(ctx)
 		}
-		ctx.Sleep(g.cfg.PaceCycles)
-		return g.sendSlept
+		return g.pace(ctx, asSendSlept)
 	}
 	g.sendFails = 0
 	g.sent++
-	ctx.Sleep(g.cfg.PaceCycles)
-	return g.sendSlept
+	return g.pace(ctx, asSendSlept)
 }
 
-func (g *ackSender) afterSendSleep(ctx guest.Context, _ guest.Resume) guest.Step {
-	return g.outer(ctx)
-}
-
-func (g *ackSender) afterPollSleep(ctx guest.Context, _ guest.Resume) guest.Step {
-	if g.useClock {
-		ctx.ClockNow()
-		return g.timeoutClock
-	}
-	g.idle++
-	return g.timeoutDecide(ctx, g.idle >= ackIdleTicks)
-}
-
-func (g *ackSender) afterTimeoutClock(ctx guest.Context, r guest.Resume) guest.Step {
-	return g.timeoutDecide(ctx, sim.Cycles(r.Ret)-g.lastProgress >= g.cfg.TimeoutCycles)
-}
-
-func (g *ackSender) timeoutDecide(ctx guest.Context, timedOut bool) guest.Step {
+func (g *ackSender) timeoutDecide(ctx guest.Context, timedOut bool) bool {
 	if !timedOut {
 		return g.outer(ctx)
 	}
@@ -345,103 +358,109 @@ func (g *ackSender) timeoutDecide(ctx guest.Context, timedOut bool) guest.Step {
 	g.lost = g.sent - g.acked
 	g.idle = 0
 	if g.useClock {
-		ctx.ClockNow()
-		return g.resetClock
+		return g.readClock(ctx, asResetClock)
 	}
 	return g.outer(ctx)
 }
 
-func (g *ackSender) afterResetClock(ctx guest.Context, r guest.Resume) guest.Step {
-	g.lastProgress = sim.Cycles(r.Ret)
-	return g.outer(ctx)
-}
-
-func (g *ackSender) finish(ctx guest.Context) guest.Step {
+func (g *ackSender) finish(ctx guest.Context) bool {
 	g.stats.Sent, g.stats.Acked = g.sent, g.acked
 	if g.useClock {
-		ctx.ClockNow()
-		return g.doneClock
+		return g.readClock(ctx, asDoneClock)
 	}
-	return nil
-}
-
-func (g *ackSender) afterDoneClock(ctx guest.Context, r guest.Resume) guest.Step {
-	g.stats.DoneAt = sim.Cycles(r.Ret)
-	return nil
+	return false
 }
 
 // AckPacedSenderStep returns the flow's sending guest as a resumable
 // state machine, to spawn as SpawnConfig.Step. stats must outlive the
 // run; the guest fills it as its last action.
 func AckPacedSenderStep(cfg AckFlowConfig, stats *AckFlowStats) guest.Step {
-	g := &ackSender{cfg: cfg, stats: stats}
-	g.maxW = cfg.Window
+	g := ackSender{cfg: cfg, stats: stats, maxW: cfg.Window}
 	if g.maxW == 0 {
 		g.maxW = 8
 	}
 	g.budget = 4 * cfg.Frames
 	g.useClock = cfg.TimeoutCycles > 0
 	g.data = guest.Frame{Dst: cfg.Peer, Flow: cfg.Flow, ECN: true, Bytes: cfg.FrameBytes}
-	return g.start
+	step, _ := guest.Resumable(g)
+	return step
 }
 
 // ackEchoGen is the resumable echo daemon: block for traffic, drain
 // the receive buffer with briefly-retried reads, and ack each
 // matching data frame back to its own source.
 type ackEchoGen struct {
-	flow uint32
-	seen uint64
-	ack  guest.Frame
-
-	retry    guest.RetryStep
-	recvOp   guest.RetryOp
-	recvDone guest.RetryDone
-	sendOp   guest.RetryOp
-	sendDone guest.RetryDone
-	wake     guest.Step
+	flow  uint32
+	seen  uint64
+	ack   guest.Frame
+	retry guest.RetryStep
+	pc    uint8
 }
 
-func (g *ackEchoGen) start(ctx guest.Context, _ guest.Resume) guest.Step {
-	g.recvOp = func(ctx guest.Context) {
-		//simlint:errno-ok resumable post: the errno arrives in the next activation's Resume
-		ctx.NetRecv()
+// ackEchoGen program counter: which reply the next activation carries.
+const (
+	aeStart = iota // none: the first activation
+	aeWait         // NetRxWait's delivery count
+	aeRecv         // a retried read's
+	aeSend         // a retried ack send's
+)
+
+func (g *ackEchoGen) Activate(ctx guest.Context, r guest.Resume) bool {
+	switch g.pc {
+	case aeStart:
+		g.wait(ctx)
+	case aeWait:
+		g.seen = r.Ret
+		g.recv(ctx)
+	case aeRecv:
+		switch g.retry.Next(ctx, &r) {
+		case guest.RetryAgain:
+			//simlint:errno-ok resumable post: the errno arrives in the next activation's Resume
+			ctx.NetRecv()
+		case guest.RetryFinal:
+			if r.Err != nil || !r.OK {
+				g.wait(ctx)
+				break
+			}
+			f := r.Frame
+			if f.Flow != g.flow {
+				g.recv(ctx)
+				break
+			}
+			g.ack = guest.Frame{Dst: f.Src, Flow: f.Flow, ECN: true, ECE: f.CE}
+			g.pc = aeSend
+			g.retry.Arm(ackEchoRetryCycles)
+			//simlint:errno-ok resumable post: the errno arrives in the next activation's Resume
+			ctx.NetSend(g.ack)
+		}
+	case aeSend:
+		// A persistently failing ack send is the sender's
+		// retransmission timeout's problem, so its error is dropped.
+		switch g.retry.Next(ctx, &r) {
+		case guest.RetryAgain:
+			//simlint:errno-ok resumable post: the errno arrives in the next activation's Resume
+			ctx.NetSend(g.ack)
+		case guest.RetryFinal:
+			g.recv(ctx)
+		}
 	}
-	g.recvDone = g.afterRecv
-	g.sendOp = func(ctx guest.Context) {
-		//simlint:errno-ok resumable post: the errno arrives in the next activation's Resume
-		ctx.NetSend(g.ack)
-	}
-	g.sendDone = g.afterSendAck
-	g.wake = g.afterWait
+	return true
+}
+
+// wait blocks for the next delivery.
+func (g *ackEchoGen) wait(ctx guest.Context) {
+	g.pc = aeWait
 	ctx.NetRxWait(g.seen)
-	return g.wake
 }
 
-func (g *ackEchoGen) afterWait(ctx guest.Context, r guest.Resume) guest.Step {
-	g.seen = r.Ret
-	// Retry transient injected faults briefly so a buffered data frame
-	// is not stranded behind a fault until the next delivery wakes the
-	// daemon.
-	return g.retry.Begin(ctx, g.recvOp, ackEchoRetryCycles, g.recvDone)
-}
-
-func (g *ackEchoGen) afterRecv(ctx guest.Context, r guest.Resume) guest.Step {
-	if r.Err != nil || !r.OK {
-		ctx.NetRxWait(g.seen)
-		return g.wake
-	}
-	f := r.Frame
-	if f.Flow != g.flow {
-		return g.retry.Begin(ctx, g.recvOp, ackEchoRetryCycles, g.recvDone)
-	}
-	g.ack = guest.Frame{Dst: f.Src, Flow: f.Flow, ECN: true, ECE: f.CE}
-	return g.retry.Begin(ctx, g.sendOp, ackEchoRetryCycles, g.sendDone)
-}
-
-// afterSendAck drops any error — a persistently failing ack send is
-// the sender's retransmission timeout's problem — and drains on.
-func (g *ackEchoGen) afterSendAck(ctx guest.Context, _ guest.Resume) guest.Step {
-	return g.retry.Begin(ctx, g.recvOp, ackEchoRetryCycles, g.recvDone)
+// recv drains the next frame with a read retried briefly, so a
+// buffered data frame is not stranded behind a transient fault until
+// the next delivery wakes the daemon.
+func (g *ackEchoGen) recv(ctx guest.Context) {
+	g.pc = aeRecv
+	g.retry.Arm(ackEchoRetryCycles)
+	//simlint:errno-ok resumable post: the errno arrives in the next activation's Resume
+	ctx.NetRecv()
 }
 
 // AckEchoStep returns the receive-side echo daemon as a resumable
@@ -451,8 +470,8 @@ func (g *ackEchoGen) afterSendAck(ctx guest.Context, _ guest.Resume) guest.Step 
 // are drained and ignored. The daemon never exits — run it on a
 // cluster machine marked Service.
 func AckEchoStep(flow uint32) guest.Step {
-	g := &ackEchoGen{flow: flow}
-	return g.start
+	step, _ := guest.Resumable(ackEchoGen{flow: flow})
+	return step
 }
 
 // ackEchoRetryCycles bounds the echo daemon's backoff on an injected

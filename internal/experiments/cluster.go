@@ -203,6 +203,47 @@ func floodSeconds(o Options, victims ...ClusterVictim) (float64, error) {
 	return longest * 1.5, nil
 }
 
+// pktgen is the attacker machine's packet generator: inject this
+// slot's frames onto every victim link (host-side calls, fine
+// mid-activation), bill one sendto, sleep out the jittered slot,
+// repeat. It drives links, host pointers its copies would share, so
+// it is spawned without a fork.
+type pktgen struct {
+	targets  []pktTarget
+	interval sim.Cycles
+	packets  uint64
+	n        uint64
+	pc       uint8 // 0: top of a slot; 1: sendto billed; 2: slot slept
+}
+
+// pktTarget is one victim link and the frame pktgen injects on it.
+type pktTarget struct {
+	link  *cluster.Link
+	frame cluster.Frame
+}
+
+func (g *pktgen) Activate(ctx guest.Context, _ guest.Resume) bool {
+	switch g.pc {
+	case 1:
+		g.pc = 2
+		ctx.Sleep(ctx.Rand().Jitter(g.interval, g.interval/4+1))
+		return true
+	case 2:
+		g.n++
+		g.pc = 0
+	}
+	if g.n >= g.packets {
+		return false
+	}
+	for _, tg := range g.targets {
+		tg.link.Send(tg.frame)
+	}
+	g.pc = 1
+	//simlint:errno-ok modeled flood binary never checks errno; the bill charges the attempt
+	ctx.Syscall("sendto")
+	return true
+}
+
 // RunCluster executes one flood scenario: machine 0 is the attacker,
 // machines 1..N are the victims, one attacker→victim link each. The
 // whole cluster advances in lockstep, so the run is a pure function
@@ -232,51 +273,19 @@ func RunCluster(spec ClusterRunSpec) (*ClusterOut, error) {
 			if spec.FloodPPS == 0 {
 				return nil // silent attacker: machine finishes at boot
 			}
-			type target struct {
-				link  *cluster.Link
-				frame cluster.Frame
-			}
-			targets := make([]target, len(spec.Victims))
+			g := pktgen{targets: make([]pktTarget, len(spec.Victims))}
 			for i := range spec.Victims {
-				targets[i] = target{
+				g.targets[i] = pktTarget{
 					link:  c.Link(i),
 					frame: cluster.Frame{Src: c.AddrOf(0), Dst: c.AddrOf(i + 1)},
 				}
 			}
-			interval := sim.Cycles(uint64(o.Freq) / spec.FloodPPS)
-			if interval == 0 {
-				interval = 1
+			g.interval = sim.Cycles(uint64(o.Freq) / spec.FloodPPS)
+			if g.interval == 0 {
+				g.interval = 1
 			}
-			packets := uint64(floodSec * float64(spec.FloodPPS))
-			// The generator as a resumable state machine: inject this
-			// slot's frames onto every victim link (host-side calls,
-			// fine mid-activation), bill one sendto, sleep out the
-			// jittered slot, repeat. pc tracks which request the last
-			// activation posted.
-			var pc int
-			var n uint64
-			var step guest.Step
-			step = func(ctx guest.Context, _ guest.Resume) guest.Step {
-				switch pc {
-				case 1: // sendto billed; sleep out the slot
-					pc = 2
-					ctx.Sleep(ctx.Rand().Jitter(interval, interval/4+1))
-					return step
-				case 2: // slot done
-					n++
-					pc = 0
-				}
-				if n >= packets {
-					return nil
-				}
-				for _, tg := range targets {
-					tg.link.Send(tg.frame)
-				}
-				pc = 1
-				//simlint:errno-ok modeled flood binary never checks errno; the bill charges the attempt
-				ctx.Syscall("sendto")
-				return step
-			}
+			g.packets = uint64(floodSec * float64(spec.FloodPPS))
+			step, _ := guest.Resumable(g)
 			_, err := m.Spawn(kernel.SpawnConfig{
 				Name: "pktgen", Content: "junk-ip packet generator v1", Step: step,
 			})

@@ -50,9 +50,8 @@ func (s ForkLabSpec) norm() ForkLabSpec {
 // default spec: every guest is live and mid-loop there.
 const DefaultForkLabWarmup = sim.Cycles(3_000_000)
 
-// Each fork-lab guest binds its continuations once, when it is built
-// and again on a fork clone, so an activation allocates nothing: a
-// method value returned per activation would allocate each time.
+// Each fork-lab guest is a plain value that guest.Resumable binds: a
+// snapshot copies it, and its activations allocate nothing.
 
 // forkChurn alternates compute bursts, hot-page stores, and sleeps —
 // the loop that drives timer ticks, preemption, faults, and swap.
@@ -62,43 +61,26 @@ type forkChurn struct {
 	sleep  sim.Cycles
 	pages  uint64
 	i      int
-
-	loop, computed, stored guest.Step
+	pc     uint8 // 0: top of the loop; 1: computed; 2: stored
 }
 
-func (g *forkChurn) bind() {
-	g.loop, g.computed, g.stored = g.run, g.afterCompute, g.afterStore
-}
-
-func (g *forkChurn) run(ctx guest.Context, _ guest.Resume) guest.Step {
-	if g.i >= g.rounds {
-		return nil
+func (g *forkChurn) Activate(ctx guest.Context, _ guest.Resume) bool {
+	switch g.pc {
+	case 0:
+		if g.i >= g.rounds {
+			return false
+		}
+		g.pc = 1
+		ctx.Compute(g.burst)
+	case 1:
+		g.pc = 2
+		ctx.Store(0x400000 + uint64(g.i)%g.pages*mem.DefaultPageSize)
+	case 2:
+		g.i++
+		g.pc = 0
+		ctx.Sleep(g.sleep)
 	}
-	ctx.Compute(g.burst)
-	return g.computed
-}
-
-func (g *forkChurn) afterCompute(ctx guest.Context, _ guest.Resume) guest.Step {
-	ctx.Store(0x400000 + uint64(g.i)%g.pages*mem.DefaultPageSize)
-	return g.stored
-}
-
-func (g *forkChurn) afterStore(ctx guest.Context, _ guest.Resume) guest.Step {
-	g.i++
-	ctx.Sleep(g.sleep)
-	return g.loop
-}
-
-func (g *forkChurn) fork(cur guest.Step) (guest.Forked, error) {
-	c := *g
-	c.bind()
-	s, ok := guest.RebindStep(cur,
-		[]guest.Step{g.loop, g.computed, g.stored},
-		[]guest.Step{c.loop, c.computed, c.stored})
-	if !ok {
-		return guest.Forked{}, fmt.Errorf("forklab churn: unknown continuation")
-	}
-	return guest.Forked{Step: s, Fork: c.fork}, nil
+	return true
 }
 
 // forkSender transmits flow frames — drawing "sendto" fault rolls —
@@ -108,40 +90,26 @@ type forkSender struct {
 	gap    sim.Cycles
 	i      int
 	fails  int
-
-	loop, sent guest.Step
+	sent   bool // the last post was a send, not a sleep
 }
 
-func (g *forkSender) bind() { g.loop, g.sent = g.run, g.afterSend }
-
-func (g *forkSender) run(ctx guest.Context, _ guest.Resume) guest.Step {
+func (g *forkSender) Activate(ctx guest.Context, r guest.Resume) bool {
+	if g.sent {
+		if r.Err != nil {
+			g.fails++
+		}
+		g.sent = false
+		ctx.Sleep(ctx.Rand().Jitter(g.gap, g.gap/4+1))
+		return true
+	}
 	if g.i >= g.rounds {
-		return nil
+		return false
 	}
 	g.i++
-	//simlint:errno-ok resumable post: the errno arrives in afterSend's Resume
+	g.sent = true
+	//simlint:errno-ok resumable post: the errno arrives in the next activation's Resume
 	ctx.NetSend(guest.Frame{Dst: 9, Flow: 7})
-	return g.sent
-}
-
-func (g *forkSender) afterSend(ctx guest.Context, r guest.Resume) guest.Step {
-	if r.Err != nil {
-		g.fails++
-	}
-	ctx.Sleep(ctx.Rand().Jitter(g.gap, g.gap/4+1))
-	return g.loop
-}
-
-func (g *forkSender) fork(cur guest.Step) (guest.Forked, error) {
-	c := *g
-	c.bind()
-	s, ok := guest.RebindStep(cur,
-		[]guest.Step{g.loop, g.sent},
-		[]guest.Step{c.loop, c.sent})
-	if !ok {
-		return guest.Forked{}, fmt.Errorf("forklab sender: unknown continuation")
-	}
-	return guest.Forked{Step: s, Fork: c.fork}, nil
+	return true
 }
 
 // forkWatcher blocks in NetRxWait consuming the NIC flood.
@@ -149,32 +117,18 @@ type forkWatcher struct {
 	rounds int
 	seen   uint64
 	i      int
-
-	loop guest.Step
 }
 
-func (w *forkWatcher) bind() { w.loop = w.run }
-
-func (w *forkWatcher) run(ctx guest.Context, r guest.Resume) guest.Step {
+func (w *forkWatcher) Activate(ctx guest.Context, r guest.Resume) bool {
 	if w.i > 0 {
 		w.seen = r.Ret
 	}
 	if w.i >= w.rounds {
-		return nil
+		return false
 	}
 	w.i++
 	ctx.NetRxWait(w.seen)
-	return w.loop
-}
-
-func (w *forkWatcher) fork(cur guest.Step) (guest.Forked, error) {
-	c := *w
-	c.bind()
-	s, ok := guest.RebindStep(cur, []guest.Step{w.loop}, []guest.Step{c.loop})
-	if !ok {
-		return guest.Forked{}, fmt.Errorf("forklab watcher: unknown continuation")
-	}
-	return guest.Forked{Step: s, Fork: c.fork}, nil
+	return true
 }
 
 // BuildForkLab constructs the fork-lab machine: tight physical memory
@@ -191,16 +145,13 @@ func BuildForkLab(spec ForkLabSpec) (*kernel.Machine, error) {
 			{Name: "sendto", Errno: guest.EAGAIN, ProbPPM: 200_000},
 		}},
 	})
-	churn := &forkChurn{rounds: s.Rounds, burst: 150_000, sleep: 90_000, pages: 40}
-	sender := &forkSender{rounds: 50, gap: 120_000}
-	watcher := &forkWatcher{rounds: 30}
-	churn.bind()
-	sender.bind()
-	watcher.bind()
+	churn, churnFork := guest.Resumable(forkChurn{rounds: s.Rounds, burst: 150_000, sleep: 90_000, pages: 40})
+	sender, senderFork := guest.Resumable(forkSender{rounds: 50, gap: 120_000})
+	watcher, watcherFork := guest.Resumable(forkWatcher{rounds: 30})
 	specs := []kernel.SpawnConfig{
-		{Name: "churn", Content: "forklab churn v1", Step: churn.loop, Fork: churn.fork},
-		{Name: "sender", Content: "forklab sender v1", Nice: -5, Step: sender.loop, Fork: sender.fork},
-		{Name: "watcher", Content: "forklab watcher v1", Step: watcher.loop, Fork: watcher.fork},
+		{Name: "churn", Content: "forklab churn v1", Step: churn, Fork: churnFork},
+		{Name: "sender", Content: "forklab sender v1", Nice: -5, Step: sender, Fork: senderFork},
+		{Name: "watcher", Content: "forklab watcher v1", Step: watcher, Fork: watcherFork},
 	}
 	for _, sc := range specs {
 		if _, err := m.Spawn(sc); err != nil {

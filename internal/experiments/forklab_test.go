@@ -15,60 +15,93 @@ type idleCtx struct {
 	rng *sim.Rand
 }
 
-func (*idleCtx) Compute(sim.Cycles)                {}
-func (*idleCtx) Store(uint64)                      {}
-func (*idleCtx) Sleep(sim.Cycles)                  {}
-func (*idleCtx) NetSend(guest.Frame) (bool, error) { return false, nil }
-func (*idleCtx) NetRxWait(uint64) uint64           { return 0 }
-func (c *idleCtx) Rand() *sim.Rand                 { return c.rng }
+func (*idleCtx) Compute(sim.Cycles)                         {}
+func (*idleCtx) Store(uint64)                               {}
+func (*idleCtx) Sleep(sim.Cycles)                           {}
+func (*idleCtx) ClockNow() sim.Cycles                       { return 0 }
+func (*idleCtx) NetSend(guest.Frame) (bool, error)          { return false, nil }
+func (*idleCtx) NetRecv() (f guest.Frame, ok bool, e error) { return }
+func (*idleCtx) NetRxWait(uint64) uint64                    { return 0 }
+func (c *idleCtx) Rand() *sim.Rand                          { return c.rng }
+
+// activations returns a function that runs six activations of *s, a
+// live guest, with zero replies, counting them in *n. Six activations
+// cover whole loops of every guest below (one to three activations
+// long), so one allocating activation shows as at least one
+// allocation per run.
+func activations(t *testing.T, ctx guest.Context, s *guest.Step, n *int) func() {
+	return func() {
+		for range 6 {
+			if *s = (*s)(ctx, guest.Resume{}); *s == nil {
+				t.Fatal("the guest exited")
+			}
+			*n++
+		}
+	}
+}
 
 // TestForkLabActivationsAllocateNothing runs each fork-lab guest's
 // activations by hand, as BuildForkLab binds it and again on a fork
-// clone: every guest returns continuations bound once, so no
-// activation allocates, and the clone's continuations advance the
-// clone, not the original.
+// clone: no activation allocates, and the clone's activations advance
+// the clone, not the original, which then runs as many activations to
+// its exit as the clone did from the fork.
 func TestForkLabActivationsAllocateNothing(t *testing.T) {
-	const rounds = 1 << 20
-	churn := &forkChurn{rounds: rounds, burst: 150_000, sleep: 90_000, pages: 40}
-	sender := &forkSender{rounds: rounds, gap: 120_000}
-	watcher := &forkWatcher{rounds: rounds}
-	churn.bind()
-	sender.bind()
-	watcher.bind()
-	var ctx guest.Context = &idleCtx{rng: sim.NewRand(1)}
+	const rounds = 4096
+	ctx := &idleCtx{rng: sim.NewRand(1)}
+	churn, churnFork := guest.Resumable(forkChurn{rounds: rounds, burst: 150_000, sleep: 90_000, pages: 40})
+	sender, senderFork := guest.Resumable(forkSender{rounds: rounds, gap: 120_000})
+	watcher, watcherFork := guest.Resumable(forkWatcher{rounds: rounds})
 	for _, g := range []struct {
 		name string
 		step guest.Step
 		fork guest.ForkFunc
-		i    *int // the original's loop count
 	}{
-		{"churn", churn.loop, churn.fork, &churn.i},
-		{"sender", sender.loop, sender.fork, &sender.i},
-		{"watcher", watcher.loop, watcher.fork, &watcher.i},
+		{"churn", churn, churnFork},
+		{"sender", sender, senderFork},
+		{"watcher", watcher, watcherFork},
 	} {
-		// Six activations cover whole loops of all three guests (three,
-		// two and one activations long), so one allocating continuation
-		// shows as at least one allocation per run.
-		s := g.step
-		activate := func() {
-			for range 6 {
-				s = s(ctx, guest.Resume{})
-			}
+		s, n := g.step, 0
+		if allocs := testing.AllocsPerRun(100, activations(t, ctx, &s, &n)); allocs != 0 {
+			t.Errorf("%s: six activations allocated %v times, want 0", g.name, allocs)
 		}
-		if n := testing.AllocsPerRun(100, activate); n != 0 {
-			t.Errorf("%s: six activations allocated %v times, want 0", g.name, n)
+		orig := s
+		s, _ = g.fork()
+		n = 0
+		if allocs := testing.AllocsPerRun(100, activations(t, ctx, &s, &n)); allocs != 0 {
+			t.Errorf("%s: six of a fork clone's activations allocated %v times, want 0", g.name, allocs)
 		}
-		fk, err := g.fork(s)
-		if err != nil {
-			t.Fatalf("%s: fork: %v", g.name, err)
+		if got, want := toExit(ctx, orig), n+toExit(ctx, s); got != want {
+			t.Errorf("%s: after the fork the original ran %d activations to its exit, the clone %d: the clone's activations moved the original", g.name, got, want)
 		}
-		s = fk.Step
-		i := *g.i
-		if n := testing.AllocsPerRun(100, activate); n != 0 {
-			t.Errorf("%s: six of a fork clone's activations allocated %v times, want 0", g.name, n)
-		}
-		if *g.i != i {
-			t.Errorf("%s: the fork clone's activations moved the original from round %d to %d", g.name, i, *g.i)
+	}
+}
+
+// toExit runs s with zero replies until it exits and returns how many
+// activations that took.
+func toExit(ctx guest.Context, s guest.Step) (n int) {
+	for ; s != nil; n++ {
+		s = s(ctx, guest.Resume{})
+	}
+	return n
+}
+
+// TestAckFlowGuestsAllocateNothing runs the ack-paced sender, the echo
+// daemon and the flood generator by hand, as AckPacedSenderStep,
+// AckEchoStep and floodBodyStep bind them: no activation allocates.
+func TestAckFlowGuestsAllocateNothing(t *testing.T) {
+	var stats AckFlowStats
+	ctx := &idleCtx{rng: sim.NewRand(1)}
+	for _, g := range []struct {
+		name string
+		step guest.Step
+	}{
+		{"ack sender", AckPacedSenderStep(AckFlowConfig{Peer: 2, Flow: 1, Frames: 1 << 20, PaceCycles: 1_000, TimeoutCycles: 50_000}, &stats)},
+		{"echo daemon", AckEchoStep(1)},
+		{"flood generator", floodBodyStep(sim.DefaultCPUHz, 40_000, 1<<20, guest.Frame{Dst: 2})},
+	} {
+		s, n := g.step, 0
+		if allocs := testing.AllocsPerRun(100, activations(t, ctx, &s, &n)); allocs != 0 {
+			t.Errorf("%s: six activations allocated %v times, want 0", g.name, allocs)
 		}
 	}
 }

@@ -36,14 +36,10 @@ func TestRetryPathsShareOneRule(t *testing.T) {
 			t.Errorf("retryBackoff on %v: %v after %d attempts, want the error after 1", tc.err, err, attempts)
 		}
 		var s RetryStep
-		var last Resume
-		finished := false
-		next := s.Begin(nil, func(Context) {}, 1<<16, func(_ Context, r Resume) Step {
-			last, finished = r, true
-			return nil
-		})
-		if next(nil, Resume{Err: tc.err}) != nil || !finished || last.Err != tc.err {
-			t.Errorf("RetryStep on %v: finished %v with %v, want it finished with the error", tc.err, finished, last.Err)
+		s.Arm(1 << 16)
+		r := Resume{Err: tc.err}
+		if got := s.Next(nil, &r); got != RetryFinal || r.Err != tc.err {
+			t.Errorf("RetryStep on %v: Next = %v with %v, want RetryFinal with the error", tc.err, got, r.Err)
 		}
 	}
 	var err error = EAGAIN

@@ -7,6 +7,13 @@
 // the kernel. The kernel charges virtual time for each action, so a
 // program's accounted CPU usage is a deterministic function of the
 // work it actually performs.
+//
+// A guest is written one of two ways: as blocking code (a Routine),
+// or as a resumable guest, a plain value whose Activate method runs it
+// from one reply to its next request and which Resumable binds into a
+// Step (see step.go). A resumable guest's whole state is its value, so
+// a machine checkpoint forks it by copying the value, and RetryStep,
+// the resumable form of the retry wrappers, is plain data inside it.
 package guest
 
 import (

@@ -3,21 +3,20 @@ package guest
 import "repro/internal/sim"
 
 // This file defines the resumable (flyweight) guest form: a guest
-// written as an explicit state machine instead of blocking code. A
-// resumable guest is a Step function that, given its Context and the
-// kernel's reply to its previous request, runs until it posts its
-// next request and returns the continuation that will receive that
-// request's reply. No goroutine, no parked stack: the guest's entire
-// execution state is the continuation value plus whatever state the
-// continuation closes over, which is what makes tasks cheap enough
-// for 10k+ resident machines and serialisable for checkpoint/fork
-// (see ForkFunc).
+// written as a plain value instead of blocking code. The value holds
+// the guest's whole execution state, with a program-counter field
+// that records which request it posted last, and one method,
+// Activate, runs it from one reply to its next request. Resumable
+// binds a value's continuation once; the kernel calls that Step once
+// per granted request. No goroutine, no parked stack: that is what
+// makes tasks cheap enough for 10k+ resident machines, and a fork is
+// a copy of the value.
 //
 // The kernel runs both guest forms — a Step and a blocking Routine —
 // on one activation loop, so a Step and a Routine that issue the same
 // request sequence produce byte-identical machine histories.
 //
-// The contract for a Step activation:
+// The contract for an activation:
 //
 //   - At most one request-posting Context call per activation, and it
 //     must be the activation's last action. A posting method only
@@ -29,20 +28,16 @@ import "repro/internal/sim"
 //     post and may be used anywhere in an activation — but a Rand
 //     draw after a post would reorder against the machine's own
 //     draws on a blocking request, so keep those before the post too.
-//   - Returning nil exits the task with code 0; Exit(code) works as
-//     in a Routine. A guest must not exit with a request already
-//     posted in the same activation.
+//   - Returning false (a nil Step) exits the task with code 0;
+//     Exit(code) works as in a Routine. A guest must not exit with a
+//     request already posted in the same activation.
 //   - Call/Call1/Exec are unavailable: library functions and program
 //     images run arbitrary Routine code mid-call, which has no
 //     resumable form. Guests that need them are written as Routines.
-//   - Return a continuation bound once: keep each method value in a
-//     field of the guest's state struct, set at start and again on a
-//     fork clone. `return g.afterX` makes a new method value, and so
-//     allocates, on every activation.
 
 // Resume carries the kernel's reply to the request posted by the
 // previous activation. Which fields are meaningful depends on what
-// was posted; the continuation knows, because it posted it.
+// was posted; the guest knows, because it posted it.
 type Resume struct {
 	// OK is the request's boolean reply: carried for NetSend and
 	// NetForward, frame presence for NetRecv, child presence for Wait
@@ -65,40 +60,82 @@ type Resume struct {
 
 // Step is one activation of a resumable guest: run until the next
 // kernel request is posted and return the continuation that receives
-// its reply, or return nil to exit with code 0.
+// its reply, or return nil to exit with code 0. Resumable makes one.
 type Step func(ctx Context, r Resume) Step
 
-// RetryOp posts one attempt of a retried request. It must make
-// exactly one posting Context call (the activation's last action).
-type RetryOp func(Context)
+// ForkFunc clones a resumable guest between activations, when no
+// request is being posted: it returns an independent copy's
+// continuation and the copy's own ForkFunc, so a clone can be forked
+// again.
+type ForkFunc func() (Step, ForkFunc)
 
-// RetryDone receives the final attempt's Resume — success, a
-// non-transient error, or the last transient error once the budget's
-// deadline passed — and continues the guest.
-type RetryDone func(Context, Resume) Step
+// Resumable binds the continuation of g, a guest written as a plain
+// value whose Activate runs one activation and returns false to exit.
+// The Step and ForkFunc are bound once, so an activation allocates
+// nothing of its own. The ForkFunc copies the value as it stands and
+// binds the copy's continuation; a value that holds host pointers
+// (stats to fill, a link to drive) shares them with its copies, so
+// spawn such a guest without its ForkFunc.
+func Resumable[T any, P interface {
+	*T
+	Activate(ctx Context, r Resume) bool
+}](g T) (Step, ForkFunc) {
+	v := &resumable[T, P]{g: g}
+	v.self = v.step
+	return v.self, v.fork
+}
 
-// RetryStep is the resumable form of retryBackoff: it re-issues a
-// transiently failing request with doubling virtual-time backoff
-// until it succeeds or a deadline `budget` cycles out passes. Embed
-// one in a guest's state struct and reuse it; Begin resets it. The
-// zero-fault fast path posts exactly one request and reads no clock,
-// matching the blocking wrappers cycle for cycle.
-type RetryStep struct {
-	op     RetryOp
-	budget sim.Cycles
-	done   RetryDone
-
-	// self is the bound continuation, created once so steady-state
-	// retries allocate nothing.
+// resumable holds a guest value and its bound continuation.
+type resumable[T any, P interface {
+	*T
+	Activate(ctx Context, r Resume) bool
+}] struct {
+	g    T
 	self Step
+}
 
-	pc       int
+func (v *resumable[T, P]) step(ctx Context, r Resume) Step {
+	if P(&v.g).Activate(ctx, r) {
+		return v.self
+	}
+	return nil
+}
+
+func (v *resumable[T, P]) fork() (Step, ForkFunc) { return Resumable[T, P](v.g) }
+
+// Retry is what RetryStep.Next tells the guest to do.
+type Retry uint8
+
+const (
+	// RetryFinal ends the retry: Next left the final reply in *r —
+	// success, a non-transient error, or the last transient error
+	// once the deadline passed — and the guest goes on with it.
+	RetryFinal Retry = iota
+	// RetryPosted means Next posted a clock read or a backoff sleep
+	// itself; the activation ends.
+	RetryPosted
+	// RetryAgain means the backoff is over: the guest posts its
+	// attempt again, and the activation ends.
+	RetryAgain
+)
+
+// RetryStep is the resumable form of retryBackoff, as plain data in a
+// guest's value: it re-issues a transiently failing request with
+// doubling virtual-time backoff until it succeeds or a deadline
+// budget cycles out passes. The guest posts an attempt and calls Arm,
+// then hands each later reply to Next until Next returns RetryFinal.
+// Copying the guest copies the retry where it stands. The zero-fault
+// fast path posts exactly one request and reads no clock, matching
+// the blocking wrappers cycle for cycle.
+type RetryStep struct {
+	budget   sim.Cycles
 	deadline sim.Cycles
 	step     sim.Cycles
 	last     Resume
+	pc       uint8
 }
 
-// RetryStep program counter: which reply the next activation carries.
+// RetryStep program counter: which reply the next Next carries.
 const (
 	rsFirst = iota // the initial attempt's reply
 	rsArm          // ClockNow reply; arm the deadline
@@ -107,61 +144,49 @@ const (
 	rsClock        // ClockNow reply; deadline check
 )
 
-// Begin posts the first attempt and returns the continuation that
-// runs the retry loop. Call it in tail position of an activation. op
-// and done should be bound once by the caller (not fresh closures per
-// Begin) to keep the hot path allocation-free.
-func (s *RetryStep) Begin(ctx Context, op RetryOp, budget sim.Cycles, done RetryDone) Step {
-	if s.self == nil {
-		s.self = s.run
-	}
-	s.op, s.budget, s.done = op, budget, done
-	s.pc = rsFirst
-	op(ctx)
-	return s.self
+// Arm starts a retry of the attempt the guest posts in this
+// activation, bounded by budget cycles; budget 0 never retries.
+func (s *RetryStep) Arm(budget sim.Cycles) {
+	s.budget, s.pc = budget, rsFirst
 }
 
-func (s *RetryStep) run(ctx Context, r Resume) Step {
+// Next advances the retry with the reply to its last post and says
+// what the guest must do. On RetryFinal, *r holds the final reply.
+func (s *RetryStep) Next(ctx Context, r *Resume) Retry {
 	switch s.pc {
-	case rsFirst:
+	case rsFirst, rsRetry:
 		if s.budget == 0 || !transient(r.Err) {
-			return s.done(ctx, r)
+			return RetryFinal
 		}
-		s.last = r
-		s.pc = rsArm
+		s.last = *r
+		if s.pc == rsFirst {
+			s.pc = rsArm
+		} else {
+			s.pc = rsClock
+		}
 		ctx.ClockNow()
-		return s.self
+		return RetryPosted
 	case rsArm:
 		s.deadline = sim.Cycles(r.Ret) + s.budget
 		s.step = s.budget / 16
 		if s.step == 0 {
 			s.step = 1
 		}
-		s.pc = rsSleep
-		ctx.Sleep(s.step)
-		return s.self
 	case rsSleep:
 		s.pc = rsRetry
-		s.op(ctx)
-		return s.self
-	case rsRetry:
-		if !transient(r.Err) {
-			return s.done(ctx, r)
-		}
-		s.last = r
-		s.pc = rsClock
-		ctx.ClockNow()
-		return s.self
+		return RetryAgain
 	case rsClock:
 		if sim.Cycles(r.Ret) >= s.deadline {
-			return s.done(ctx, s.last)
+			*r = s.last
+			return RetryFinal
 		}
 		if s.step < s.budget/2 {
 			s.step *= 2
 		}
-		s.pc = rsSleep
-		ctx.Sleep(s.step)
-		return s.self
+	default:
+		panic("guest: RetryStep in invalid state")
 	}
-	panic("guest: RetryStep continuation in invalid state")
+	s.pc = rsSleep
+	ctx.Sleep(s.step)
+	return RetryPosted
 }

@@ -394,9 +394,10 @@ type SpawnConfig struct {
 	// and no parked stack (see guest.Step).
 	Step guest.Step
 	// Fork, when set on a Step task, makes the guest checkpointable:
-	// Snapshot calls it to clone the guest's continuation and state
-	// (see guest.ForkFunc). A Step task without Fork — and any started
-	// Body task — makes the machine return ErrNotSnapshottable.
+	// Snapshot calls it to copy the guest's value and bind the copy's
+	// continuation (guest.Resumable returns both). A Step task without
+	// Fork — and any started Body task — makes the machine return
+	// ErrNotSnapshottable.
 	Fork guest.ForkFunc
 }
 

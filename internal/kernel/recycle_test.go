@@ -1,7 +1,6 @@
 package kernel
 
 import (
-	"fmt"
 	"slices"
 	"testing"
 
@@ -251,38 +250,26 @@ type stormGuest struct {
 	body   guest.Routine
 	gap    sim.Cycles
 	forked int
-	reaped int
+	pc     uint8 // 0: top of the loop; 1: forked; 2: reaped
 }
 
-func (g *stormGuest) run(ctx guest.Context, _ guest.Resume) guest.Step {
-	if g.forked == g.kids {
-		return nil
+func (g *stormGuest) Activate(ctx guest.Context, _ guest.Resume) bool {
+	switch g.pc {
+	case 0:
+		if g.forked == g.kids {
+			return false
+		}
+		g.forked++
+		g.pc = 1
+		ctx.Fork("kid", g.body)
+	case 1:
+		g.pc = 2
+		ctx.Wait()
+	case 2:
+		g.pc = 0
+		ctx.Sleep(g.gap)
 	}
-	g.forked++
-	ctx.Fork("kid", g.body)
-	return g.wait
-}
-
-func (g *stormGuest) wait(ctx guest.Context, _ guest.Resume) guest.Step {
-	ctx.Wait()
-	return g.rest
-}
-
-func (g *stormGuest) rest(ctx guest.Context, _ guest.Resume) guest.Step {
-	g.reaped++
-	ctx.Sleep(g.gap)
-	return g.run
-}
-
-func (g *stormGuest) fork(cur guest.Step) (guest.Forked, error) {
-	c := *g
-	s, ok := guest.RebindStep(cur,
-		[]guest.Step{g.run, g.wait, g.rest},
-		[]guest.Step{c.run, c.wait, c.rest})
-	if !ok {
-		return guest.Forked{}, fmt.Errorf("stormGuest: unknown continuation")
-	}
-	return guest.Forked{Step: s, Fork: c.fork}, nil
+	return true
 }
 
 // TestReusedShellsReplayFreshOnes snapshots a fork storm right after
@@ -297,7 +284,7 @@ func TestReusedShellsReplayFreshOnes(t *testing.T) {
 	for _, policy := range []string{"o1", "cfs"} {
 		t.Run(policy, func(t *testing.T) {
 			m := New(Config{Seed: 3, CPUHz: 1_000_000_000, SchedulerPolicy: policy, PhysMemBytes: 24 * mem.DefaultPageSize})
-			g := &stormGuest{kids: 3, gap: 2_000_000, body: func(c guest.Context) {
+			storm, stormFork := guest.Resumable(stormGuest{kids: 3, gap: 2_000_000, body: func(c guest.Context) {
 				// At nice 19 a child's vruntime runs far ahead of the
 				// hog's, and it exhausts many 5 ms O1 timeslices.
 				c.SetNice(19)
@@ -306,23 +293,24 @@ func TestReusedShellsReplayFreshOnes(t *testing.T) {
 					c.Store(0x400000 + i*mem.DefaultPageSize)
 				}
 				c.Compute(30_000_000)
-			}}
-			parent, err := m.Spawn(SpawnConfig{Name: "parent", Content: "parent v1", Step: g.run, Fork: g.fork})
+			}})
+			parent, err := m.Spawn(SpawnConfig{Name: "parent", Content: "parent v1", Step: storm, Fork: stormFork})
 			if err != nil {
 				t.Fatal(err)
 			}
-			hg := &churnGuest{rounds: 40, burst: 40_000_000, sleep: 10_000_000, pages: 12}
-			hog, err := m.Spawn(SpawnConfig{Name: "hog", Content: "hog v1", Step: hg.run, Fork: hg.fork})
+			hogStep, hogFork := guest.Resumable(churnGuest{rounds: 40, burst: 40_000_000, sleep: 10_000_000, pages: 12})
+			hog, err := m.Spawn(SpawnConfig{Name: "hog", Content: "hog v1", Step: hogStep, Fork: hogFork})
 			if err != nil {
 				t.Fatal(err)
 			}
-			for limit := sim.Cycles(1_000_000); g.reaped == 0; limit += 1_000_000 {
+			// The first reap puts the first child's shells on the lists.
+			for limit := sim.Cycles(1_000_000); freeTasks(m) == 0; limit += 1_000_000 {
 				if done, err := m.RunUntil(limit); done || err != nil {
 					t.Fatalf("RunUntil(%d) = %v, %v", limit, done, err)
 				}
 			}
-			if g.forked != 1 || freeTasks(m) != 1 {
-				t.Fatalf("at the snapshot %d children were forked and %d tasks are free, want 1 and 1", g.forked, freeTasks(m))
+			if forks := m.Stats(parent.PID).Forks; forks != 1 || freeTasks(m) != 1 {
+				t.Fatalf("at the snapshot %d children were forked and %d tasks are free, want 1 and 1", forks, freeTasks(m))
 			}
 			img, err := m.Snapshot()
 			if err != nil {
@@ -378,3 +366,4 @@ func TestOOMKilledShellIsNeverReused(t *testing.T) {
 		t.Fatalf("the killed hog unwound as pid %d, want its own pid %d", unwoundAs, victim)
 	}
 }
+

@@ -12,46 +12,27 @@ import (
 
 // ioVictim is a forkable Step job for a machine that serves remote
 // I/O: compute bursts with sleeps between them, so completions land
-// both on a running task and on an idle machine. Its continuations are
-// bound once, so an activation allocates nothing.
+// both on a running task and on an idle machine.
 type ioVictim struct {
 	rounds       int
 	burst, sleep sim.Cycles
 	i            int
-
-	loop, computed guest.Step
+	computed     bool // the last post was the compute, not the sleep
 }
 
-func newIOVictim(rounds int, burst, sleep sim.Cycles) *ioVictim {
-	g := &ioVictim{rounds: rounds, burst: burst, sleep: sleep}
-	g.bind()
-	return g
-}
-
-func (g *ioVictim) bind() { g.loop, g.computed = g.run, g.afterCompute }
-
-func (g *ioVictim) run(ctx guest.Context, _ guest.Resume) guest.Step {
+func (g *ioVictim) Activate(ctx guest.Context, _ guest.Resume) bool {
+	if g.computed {
+		g.i++
+		g.computed = false
+		ctx.Sleep(g.sleep)
+		return true
+	}
 	if g.i >= g.rounds {
-		return nil
+		return false
 	}
+	g.computed = true
 	ctx.Compute(g.burst)
-	return g.computed
-}
-
-func (g *ioVictim) afterCompute(ctx guest.Context, _ guest.Resume) guest.Step {
-	g.i++
-	ctx.Sleep(g.sleep)
-	return g.loop
-}
-
-func (g *ioVictim) fork(cur guest.Step) (guest.Forked, error) {
-	c := *g
-	c.bind()
-	s, ok := guest.RebindStep(cur, []guest.Step{g.loop, g.computed}, []guest.Step{c.loop, c.computed})
-	if !ok {
-		return guest.Forked{}, fmt.Errorf("ioVictim: unknown continuation")
-	}
-	return guest.Forked{Step: s, Fork: c.fork}, nil
+	return true
 }
 
 // ioWatcher is a forkable Step daemon that blocks in NetRxWait for
@@ -59,23 +40,12 @@ func (g *ioVictim) fork(cur guest.Step) (guest.Forked, error) {
 // handler ends, so its schedule shows where that lump fell.
 type ioWatcher struct {
 	seen uint64
-	loop guest.Step
 }
 
-func (w *ioWatcher) run(ctx guest.Context, r guest.Resume) guest.Step {
+func (w *ioWatcher) Activate(ctx guest.Context, r guest.Resume) bool {
 	w.seen = r.Ret
 	ctx.NetRxWait(w.seen)
-	return w.loop
-}
-
-func (w *ioWatcher) fork(cur guest.Step) (guest.Forked, error) {
-	c := *w
-	c.loop = c.run
-	s, ok := guest.RebindStep(cur, []guest.Step{w.loop}, []guest.Step{c.loop})
-	if !ok {
-		return guest.Forked{}, fmt.Errorf("ioWatcher: unknown continuation")
-	}
-	return guest.Forked{Step: s, Fork: c.fork}, nil
+	return true
 }
 
 // ioHost is a 1 GHz machine serving remote I/O at 10 µs of service
@@ -83,8 +53,8 @@ func (w *ioWatcher) fork(cur guest.Step) (guest.Forked, error) {
 func ioHost(t testing.TB, rounds int, burst, sleep sim.Cycles) *Machine {
 	m := New(Config{Seed: 7, CPUHz: 1_000_000_000, MaxSteps: 50_000_000})
 	m.ServeRemoteIO(10_000)
-	g := newIOVictim(rounds, burst, sleep)
-	if _, err := m.Spawn(SpawnConfig{Name: "victim", Content: "victim v1", Step: g.loop, Fork: g.fork}); err != nil {
+	victim, fork := guest.Resumable(ioVictim{rounds: rounds, burst: burst, sleep: sleep})
+	if _, err := m.Spawn(SpawnConfig{Name: "victim", Content: "victim v1", Step: victim, Fork: fork}); err != nil {
 		t.Fatal(err)
 	}
 	return m
@@ -168,9 +138,8 @@ func TestRemoteIOAllocatesNothing(t *testing.T) {
 // watcher never exits, so the machine runs only in RunUntil slices.
 func watchedIOHost(t testing.TB) *Machine {
 	m := ioHost(t, 300, 300_000, 100_000)
-	w := &ioWatcher{}
-	w.loop = w.run
-	if _, err := m.Spawn(SpawnConfig{Name: "watcher", Content: "watcher v1", Step: w.loop, Fork: w.fork}); err != nil {
+	watcher, fork := guest.Resumable(ioWatcher{})
+	if _, err := m.Spawn(SpawnConfig{Name: "watcher", Content: "watcher v1", Step: watcher, Fork: fork}); err != nil {
 		t.Fatal(err)
 	}
 	return m

@@ -19,18 +19,19 @@
 // service cost (again with only the head queued), the kernel receive
 // ring,
 // and each task's kernel-side execution state plus — for flyweight
-// guests — a cloned guest continuation obtained through the guest's
-// ForkFunc. Each copy rebuilds every pending event's callback from the
-// event's (kind, tag).
+// guests — a copy of the guest's value, made by its ForkFunc. Each
+// copy rebuilds every pending event's callback from the event's
+// (kind, tag).
 //
 // What cannot be checkpointed: a Body guest (SpawnConfig.Body) that
 // has started — its state lives on a suspended coroutine stack the
 // simulator cannot serialise — and flyweight guests spawned without a
-// Fork function. Snapshot reports both as ErrNotSnapshottable, naming
-// the task and its state. Events owned by a
-// cluster ("pipe-service", a DRR pipe's service timer) snapshot fine
-// but only restore through the cluster layer, which supplies the
-// resolver for them.
+// Fork function (a guest whose value holds host pointers, which its
+// copies would share). Snapshot reports both as ErrNotSnapshottable,
+// naming the task and its state. Events owned by a cluster
+// ("pipe-service", a DRR pipe's service timer) snapshot fine but only
+// restore through the cluster layer, which supplies the resolver for
+// them.
 package kernel
 
 import (
@@ -46,8 +47,9 @@ import (
 
 // ErrNotSnapshottable marks machine state that cannot be frozen: a
 // started Body guest (its continuation is a suspended coroutine
-// stack), a flyweight guest without a Fork function, a pending
-// RunUntil barrier, or a machine that is shut down or mid-drive.
+// stack), a flyweight guest spawned without a Fork function (so its
+// value cannot be copied), a pending RunUntil barrier, or a machine
+// that is shut down or mid-drive.
 // Callers branch on it with errors.Is to fall back to re-running setup
 // from scratch.
 var ErrNotSnapshottable = errors.New("kernel: machine state is not snapshottable")
@@ -269,9 +271,9 @@ func (m *Machine) clone(shell *Machine, ext RestoreResolver) (*Machine, error) {
 }
 
 // cloneTask copies t, a task of the machine c is cloned from, onto p,
-// the copy of t's process. A flyweight guest is forked through its
-// ForkFunc, so the source keeps its own continuation. Started Body
-// guests are refused; every refusal names the task and its state.
+// the copy of t's process. A flyweight guest's value is copied through
+// its ForkFunc, so the source keeps its own. Started Body guests are
+// refused; every refusal names the task and its state.
 func (c *Machine) cloneTask(t *task, p *proc.Proc) error {
 	switch {
 	case t.granted:
@@ -288,17 +290,9 @@ func (c *Machine) cloneTask(t *task, p *proc.Proc) error {
 		ct.cur = &ct.stepCtx.r
 	}
 	// An exited Step task keeps its forkFn, so fork only a running guest.
-	if t.stepFn == nil {
-		return nil
+	if t.stepFn != nil {
+		ct.stepFn, ct.forkFn = t.forkFn()
 	}
-	fk, err := t.forkFn(t.stepFn)
-	if err != nil {
-		return fmt.Errorf("kernel: copy task %s: fork guest: %w", describeTask(t), err)
-	}
-	if fk.Step == nil || fk.Fork == nil {
-		return fmt.Errorf("kernel: copy task %s: guest fork returned an incomplete clone", describeTask(t))
-	}
-	ct.stepFn, ct.forkFn = fk.Step, fk.Fork
 	return nil
 }
 

@@ -21,36 +21,26 @@ type churnGuest struct {
 	sleep  sim.Cycles
 	pages  uint64
 	i      int
+	pc     uint8 // 0: top of the loop; 1: computed; 2: stored
 }
 
-func (g *churnGuest) run(ctx guest.Context, _ guest.Resume) guest.Step {
-	if g.i >= g.rounds {
-		return nil
+func (g *churnGuest) Activate(ctx guest.Context, _ guest.Resume) bool {
+	switch g.pc {
+	case 0:
+		if g.i >= g.rounds {
+			return false
+		}
+		g.pc = 1
+		ctx.Compute(g.burst)
+	case 1:
+		g.pc = 2
+		ctx.Store(0x400000 + uint64(g.i)%g.pages*mem.DefaultPageSize)
+	case 2:
+		g.i++
+		g.pc = 0
+		ctx.Sleep(g.sleep)
 	}
-	ctx.Compute(g.burst)
-	return g.afterCompute
-}
-
-func (g *churnGuest) afterCompute(ctx guest.Context, _ guest.Resume) guest.Step {
-	ctx.Store(0x400000 + uint64(g.i)%g.pages*mem.DefaultPageSize)
-	return g.afterStore
-}
-
-func (g *churnGuest) afterStore(ctx guest.Context, _ guest.Resume) guest.Step {
-	g.i++
-	ctx.Sleep(g.sleep)
-	return g.run
-}
-
-func (g *churnGuest) fork(cur guest.Step) (guest.Forked, error) {
-	c := *g
-	s, ok := guest.RebindStep(cur,
-		[]guest.Step{g.run, g.afterCompute, g.afterStore},
-		[]guest.Step{c.run, c.afterCompute, c.afterStore})
-	if !ok {
-		return guest.Forked{}, fmt.Errorf("churnGuest: unknown continuation")
-	}
-	return guest.Forked{Step: s, Fork: c.fork}, nil
+	return true
 }
 
 // senderGuest transmits flow frames (drawing "sendto" fault rolls)
@@ -60,35 +50,26 @@ type senderGuest struct {
 	gap    sim.Cycles
 	i      int
 	fails  int
+	sent   bool // the last post was a send, not a sleep
 }
 
-func (g *senderGuest) run(ctx guest.Context, _ guest.Resume) guest.Step {
+func (g *senderGuest) Activate(ctx guest.Context, r guest.Resume) bool {
+	if g.sent {
+		if r.Err != nil {
+			g.fails++
+		}
+		g.sent = false
+		ctx.Sleep(ctx.Rand().Jitter(g.gap, g.gap/4+1))
+		return true
+	}
 	if g.i >= g.rounds {
-		return nil
+		return false
 	}
 	g.i++
+	g.sent = true
 	//simlint:errno-ok resumable post: the errno arrives in the next activation's Resume and is counted in fails there
 	ctx.NetSend(guest.Frame{Dst: 9, Flow: 7})
-	return g.afterSend
-}
-
-func (g *senderGuest) afterSend(ctx guest.Context, r guest.Resume) guest.Step {
-	if r.Err != nil {
-		g.fails++
-	}
-	ctx.Sleep(ctx.Rand().Jitter(g.gap, g.gap/4+1))
-	return g.run
-}
-
-func (g *senderGuest) fork(cur guest.Step) (guest.Forked, error) {
-	c := *g
-	s, ok := guest.RebindStep(cur,
-		[]guest.Step{g.run, g.afterSend},
-		[]guest.Step{c.run, c.afterSend})
-	if !ok {
-		return guest.Forked{}, fmt.Errorf("senderGuest: unknown continuation")
-	}
-	return guest.Forked{Step: s, Fork: c.fork}, nil
+	return true
 }
 
 // rxWatcher blocks in NetRxWait consuming the NIC flood, exercising
@@ -99,25 +80,16 @@ type rxWatcher struct {
 	i      int
 }
 
-func (w *rxWatcher) run(ctx guest.Context, r guest.Resume) guest.Step {
+func (w *rxWatcher) Activate(ctx guest.Context, r guest.Resume) bool {
 	if w.i > 0 {
 		w.seen = r.Ret
 	}
 	if w.i >= w.rounds {
-		return nil
+		return false
 	}
 	w.i++
 	ctx.NetRxWait(w.seen)
-	return w.run
-}
-
-func (w *rxWatcher) fork(cur guest.Step) (guest.Forked, error) {
-	c := *w
-	s, ok := guest.RebindStep(cur, []guest.Step{w.run}, []guest.Step{c.run})
-	if !ok {
-		return guest.Forked{}, fmt.Errorf("rxWatcher: unknown continuation")
-	}
-	return guest.Forked{Step: s, Fork: c.fork}, nil
+	return true
 }
 
 // snapCfg is a machine config dense in mechanisms: tight RAM for
@@ -136,43 +108,14 @@ func snapCfg(seed int64) Config {
 
 func spawnSnapWorkload(t *testing.T, m *Machine) (pids []proc.PID) {
 	t.Helper()
-	specs := []SpawnConfig{
-		{Name: "churn", Content: "churn v1"},
-		{Name: "sender", Content: "sender v1", Nice: -5},
-		{Name: "watcher", Content: "watcher v1"},
-	}
-	guests := []struct {
-		step guest.Step
-		fork guest.ForkFunc
-	}{
-		func() (s struct {
-			step guest.Step
-			fork guest.ForkFunc
-		}) {
-			g := &churnGuest{rounds: 60, burst: 150_000, sleep: 90_000, pages: 40}
-			s.step, s.fork = g.run, g.fork
-			return
-		}(),
-		func() (s struct {
-			step guest.Step
-			fork guest.ForkFunc
-		}) {
-			g := &senderGuest{rounds: 50, gap: 120_000}
-			s.step, s.fork = g.run, g.fork
-			return
-		}(),
-		func() (s struct {
-			step guest.Step
-			fork guest.ForkFunc
-		}) {
-			g := &rxWatcher{rounds: 30}
-			s.step, s.fork = g.run, g.fork
-			return
-		}(),
-	}
-	for i, sc := range specs {
-		sc.Step = guests[i].step
-		sc.Fork = guests[i].fork
+	churn, churnFork := guest.Resumable(churnGuest{rounds: 60, burst: 150_000, sleep: 90_000, pages: 40})
+	sender, senderFork := guest.Resumable(senderGuest{rounds: 50, gap: 120_000})
+	watcher, watcherFork := guest.Resumable(rxWatcher{rounds: 30})
+	for _, sc := range []SpawnConfig{
+		{Name: "churn", Content: "churn v1", Step: churn, Fork: churnFork},
+		{Name: "sender", Content: "sender v1", Nice: -5, Step: sender, Fork: senderFork},
+		{Name: "watcher", Content: "watcher v1", Step: watcher, Fork: watcherFork},
+	} {
 		p, err := m.Spawn(sc)
 		if err != nil {
 			t.Fatal(err)
@@ -373,8 +316,8 @@ func TestSnapshotNotSnapshottable(t *testing.T) {
 
 	// Step guest without Fork.
 	m2 := New(Config{Seed: 1, CPUHz: 1_000_000_000})
-	g := &churnGuest{rounds: 10, burst: 100_000, sleep: 50_000, pages: 4}
-	if _, err := m2.Spawn(SpawnConfig{Name: "nofork", Content: "nofork v1", Step: g.run}); err != nil {
+	nofork, _ := guest.Resumable(churnGuest{rounds: 10, burst: 100_000, sleep: 50_000, pages: 4})
+	if _, err := m2.Spawn(SpawnConfig{Name: "nofork", Content: "nofork v1", Step: nofork}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := m2.RunUntil(500_000); err != nil {
@@ -459,46 +402,40 @@ const tracedHotAddr = 0x4000
 
 // tracedVictim computes and stores to one hot address in a loop.
 type tracedVictim struct {
-	rounds int
-	i      int
+	rounds   int
+	i        int
+	computed bool // the last post was the compute, not the store
 }
 
-func (v *tracedVictim) run(ctx guest.Context, _ guest.Resume) guest.Step {
+func (v *tracedVictim) Activate(ctx guest.Context, _ guest.Resume) bool {
+	if v.computed {
+		v.computed = false
+		ctx.Store(tracedHotAddr)
+		return true
+	}
 	if v.i >= v.rounds {
-		return nil
+		return false
 	}
 	v.i++
+	v.computed = true
 	ctx.Compute(30_000)
-	return v.store
-}
-
-func (v *tracedVictim) store(ctx guest.Context, _ guest.Resume) guest.Step {
-	ctx.Store(tracedHotAddr)
-	return v.run
-}
-
-func (v *tracedVictim) fork(cur guest.Step) (guest.Forked, error) {
-	c := *v
-	s, ok := guest.RebindStep(cur, []guest.Step{v.run, v.store}, []guest.Step{c.run, c.store})
-	if !ok {
-		return guest.Forked{}, fmt.Errorf("tracedVictim: unknown continuation")
-	}
-	return guest.Forked{Step: s, Fork: c.fork}, nil
+	return true
 }
 
 // watchTracer attaches to the victim, arms a watchpoint on its hot
 // address, and resumes it at every stop until it exits. Each
-// activation posts the request its phase names.
+// activation posts the request its phase names. A failed request ends
+// it with the error in *err.
 type watchTracer struct {
 	victim proc.PID
 	phase  int
-	err    error
+	err    *error
 }
 
-func (w *watchTracer) run(ctx guest.Context, r guest.Resume) guest.Step {
+func (w *watchTracer) Activate(ctx guest.Context, r guest.Resume) bool {
 	if r.Err != nil {
-		w.err = r.Err
-		return nil
+		*w.err = r.Err
+		return false
 	}
 	w.phase++
 	switch w.phase {
@@ -518,21 +455,12 @@ func (w *watchTracer) run(ctx guest.Context, r guest.Resume) guest.Step {
 		ctx.Wait()
 	default:
 		if !r.OK || !r.Wres.Stopped {
-			return nil // the victim exited
+			return false // the victim exited
 		}
 		w.phase = 6 // resume it, then wait again
 		ctx.Ptrace(guest.PtraceCont, w.victim, 0, 0)
 	}
-	return w.run
-}
-
-func (w *watchTracer) fork(cur guest.Step) (guest.Forked, error) {
-	c := *w
-	s, ok := guest.RebindStep(cur, []guest.Step{w.run}, []guest.Step{c.run})
-	if !ok {
-		return guest.Forked{}, fmt.Errorf("watchTracer: unknown continuation")
-	}
-	return guest.Forked{Step: s, Fork: c.fork}, nil
+	return true
 }
 
 // TestSnapshotTracedTask checkpoints a ptrace pair — a victim that
@@ -542,24 +470,25 @@ func (w *watchTracer) fork(cur guest.Step) (guest.Forked, error) {
 // stopped at its trap, so the copy of stop, trace and watchpoint state
 // is exercised.
 func TestSnapshotTracedTask(t *testing.T) {
-	build := func() (*Machine, []proc.PID, *watchTracer) {
+	var tracerErr error
+	build := func() (*Machine, []proc.PID) {
 		m := New(Config{Seed: 3, CPUHz: 1_000_000_000})
-		v := &tracedVictim{rounds: 200}
-		vp, err := m.Spawn(SpawnConfig{Name: "victim", Content: "victim v1", Step: v.run, Fork: v.fork})
+		victim, victimFork := guest.Resumable(tracedVictim{rounds: 200})
+		vp, err := m.Spawn(SpawnConfig{Name: "victim", Content: "victim v1", Step: victim, Fork: victimFork})
 		if err != nil {
 			t.Fatal(err)
 		}
-		w := &watchTracer{victim: vp.PID}
-		tp, err := m.Spawn(SpawnConfig{Name: "tracer", Content: "tracer v1", Nice: -5, Step: w.run, Fork: w.fork})
+		tracer, tracerFork := guest.Resumable(watchTracer{victim: vp.PID, err: &tracerErr})
+		tp, err := m.Spawn(SpawnConfig{Name: "tracer", Content: "tracer v1", Nice: -5, Step: tracer, Fork: tracerFork})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return m, []proc.PID{vp.PID, tp.PID}, w
+		return m, []proc.PID{vp.PID, tp.PID}
 	}
-	ref, pids, w := build()
+	ref, pids := build()
 	runToCompletion(t, ref)
-	if w.err != nil {
-		t.Fatalf("tracer: %v", w.err)
+	if tracerErr != nil {
+		t.Fatalf("tracer: %v", tracerErr)
 	}
 	if ref.Stats(pids[0]).DebugExceptions == 0 {
 		t.Fatal("the victim never hit its watchpoint")
@@ -571,7 +500,7 @@ func TestSnapshotTracedTask(t *testing.T) {
 	caught := 0
 	for i := sim.Cycles(1); i < slices; i++ {
 		barrier := end * i / slices
-		m, _, _ := build()
+		m, _ := build()
 		done, err := m.RunUntil(barrier)
 		if err != nil {
 			t.Fatal(err)
@@ -592,6 +521,9 @@ func TestSnapshotTracedTask(t *testing.T) {
 			t.Fatalf("barrier %d: restore: %v", barrier, err)
 		}
 		runToCompletion(t, r)
+		if tracerErr != nil {
+			t.Fatalf("barrier %d: restored tracer: %v", barrier, tracerErr)
+		}
 		if got := renderFinal(r, pids); got != want {
 			t.Fatalf("barrier %d: restored run diverged:\n got: %s\nwant: %s", barrier, got, want)
 		}
@@ -604,36 +536,28 @@ func TestSnapshotTracedTask(t *testing.T) {
 
 // refusalProbe snapshots its own machine from inside its activations:
 // first while a RunUntil barrier is pending, then right after a post
-// of its fired that barrier, while the engine is still mid-drive.
+// of its fired that barrier, while the engine is still mid-drive. It
+// leaves the two refusals in *pending and *midDrive.
 type refusalProbe struct {
 	m                 *Machine
 	barrier           sim.Cycles
-	pending, midDrive error
+	pending, midDrive *error
+	pc                uint8
 }
 
-func (g *refusalProbe) run(ctx guest.Context, _ guest.Resume) guest.Step {
-	_, g.pending = g.m.Snapshot()
-	ctx.Compute(g.barrier - g.m.Clock().Now()) // ends at the barrier
-	return g.atBarrier
-}
-
-func (g *refusalProbe) atBarrier(ctx guest.Context, _ guest.Resume) guest.Step {
-	ctx.Compute(1) // the barrier, due now, fires before this is served
-	_, g.midDrive = g.m.Snapshot()
-	return g.done
-}
-
-func (g *refusalProbe) done(guest.Context, guest.Resume) guest.Step { return nil }
-
-func (g *refusalProbe) fork(cur guest.Step) (guest.Forked, error) {
-	c := *g
-	s, ok := guest.RebindStep(cur,
-		[]guest.Step{g.run, g.atBarrier, g.done},
-		[]guest.Step{c.run, c.atBarrier, c.done})
-	if !ok {
-		return guest.Forked{}, fmt.Errorf("refusalProbe: unknown continuation")
+func (g *refusalProbe) Activate(ctx guest.Context, _ guest.Resume) bool {
+	g.pc++
+	switch g.pc {
+	case 1:
+		_, *g.pending = g.m.Snapshot()
+		ctx.Compute(g.barrier - g.m.Clock().Now()) // ends at the barrier
+	case 2:
+		ctx.Compute(1) // the barrier, due now, fires before this is served
+		_, *g.midDrive = g.m.Snapshot()
+	default:
+		return false
 	}
-	return guest.Forked{Step: s, Fork: c.fork}, nil
+	return true
 }
 
 // TestSnapshotRefusalsNameWhatIsPending pins the texts of the two
@@ -642,12 +566,14 @@ func (g *refusalProbe) fork(cur guest.Step) (guest.Forked, error) {
 // mid-drive names the clock and the task on the CPU.
 func TestSnapshotRefusalsNameWhatIsPending(t *testing.T) {
 	m := New(Config{Seed: 1, CPUHz: 1_000_000_000})
-	g := &refusalProbe{m: m, barrier: 1_000_000}
-	p, err := m.Spawn(SpawnConfig{Name: "probe", Content: "probe v1", Step: g.run, Fork: g.fork})
+	const barrier = 1_000_000
+	var pending, midDrive error
+	probe, probeFork := guest.Resumable(refusalProbe{m: m, barrier: barrier, pending: &pending, midDrive: &midDrive})
+	p, err := m.Spawn(SpawnConfig{Name: "probe", Content: "probe v1", Step: probe, Fork: probeFork})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if done, err := m.RunUntil(g.barrier); done || err != nil {
+	if done, err := m.RunUntil(barrier); done || err != nil {
 		t.Fatalf("RunUntil = %v, %v", done, err)
 	}
 	for _, c := range []struct {
@@ -655,8 +581,8 @@ func TestSnapshotRefusalsNameWhatIsPending(t *testing.T) {
 		err  error
 		want string
 	}{
-		{"pending barrier", g.pending, "a RunUntil barrier at t=1000000 is pending"},
-		{"mid-drive", g.midDrive, fmt.Sprintf("machine is mid-drive at t=1000000 with probe (pid %d, running) on the CPU", p.PID)},
+		{"pending barrier", pending, "a RunUntil barrier at t=1000000 is pending"},
+		{"mid-drive", midDrive, fmt.Sprintf("machine is mid-drive at t=1000000 with probe (pid %d, running) on the CPU", p.PID)},
 	} {
 		if !errors.Is(c.err, ErrNotSnapshottable) || !strings.Contains(c.err.Error(), c.want) {
 			t.Errorf("%s snapshot: err = %v, want ErrNotSnapshottable naming %q", c.what, c.err, c.want)

@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -313,84 +314,162 @@ func TestSpawnRequiresExactlyOneDriver(t *testing.T) {
 	m.Shutdown()
 }
 
-// TestRetryStepMatchesBlockingRetry pins the resumable retry
-// combinator against the blocking wrapper it mirrors: under the same
-// injected fault schedule both must issue the same requests and land
-// on the same final clock.
+// countCtx counts in *n the requests a retry posts through it.
+type countCtx struct {
+	guest.Context
+	n *int
+}
+
+func (c countCtx) NetRecv() (guest.Frame, bool, error) { *c.n++; return c.Context.NetRecv() }
+func (c countCtx) NetSend(f guest.Frame) (bool, error) { *c.n++; return c.Context.NetSend(f) }
+func (c countCtx) ClockNow() sim.Cycles                { *c.n++; return c.Context.ClockNow() }
+func (c countCtx) Sleep(d sim.Cycles)                  { *c.n++; c.Context.Sleep(d) }
+
+// retryAttempts is how many retried requests each side of
+// TestRetryStepMatchesBlockingRetry makes.
+const retryAttempts = 8
+
+// retryFrame is what the send cases send.
+var retryFrame = guest.Frame{Dst: 9, Flow: 7}
+
+// retryPoller makes retryAttempts retried reads, or sends, through a
+// RetryStep. It counts its requests in *n and appends each retry's
+// final error to *errs.
+type retryPoller struct {
+	send    bool
+	budget  sim.Cycles
+	retry   guest.RetryStep
+	started bool
+	n       *int
+	errs    *[]error
+}
+
+func (g *retryPoller) Activate(ctx guest.Context, r guest.Resume) bool {
+	c := countCtx{ctx, g.n}
+	if g.started {
+		switch g.retry.Next(c, &r) {
+		case guest.RetryPosted:
+			return true
+		case guest.RetryAgain:
+			g.attempt(c)
+			return true
+		}
+		if *g.errs = append(*g.errs, r.Err); len(*g.errs) == retryAttempts {
+			return false
+		}
+	}
+	g.started = true
+	g.retry.Arm(g.budget)
+	g.attempt(c)
+	return true
+}
+
+func (g *retryPoller) attempt(ctx guest.Context) {
+	if g.send {
+		//simlint:errno-ok resumable post: the errno arrives in the next activation's Resume
+		ctx.NetSend(retryFrame)
+		return
+	}
+	//simlint:errno-ok resumable post: the errno arrives in the next activation's Resume
+	ctx.NetRecv()
+}
+
+// TestRetryStepMatchesBlockingRetry pins the plain-data retry engine
+// against the blocking wrappers it mirrors, guest.RecvRetry and
+// guest.SendRetry: under the same injected fault schedule both must
+// post the same requests, land on the same final clock and end each
+// retry with the same error. The cases retry reads and sends at 40%
+// EAGAIN, a read class that turns to EIO while the first retry sleeps
+// out a backoff, reads that fail until every budget runs out, and
+// budget 0, which never retries.
 func TestRetryStepMatchesBlockingRetry(t *testing.T) {
-	cfg := func() Config {
-		return Config{
-			Seed:     9,
-			CPUHz:    1_000_000_000,
-			MaxSteps: 50_000_000,
-			Faults: &FaultSpec{Syscalls: []SyscallFault{
-				// Transient failures likely but not certain.
-				{Name: "read", Errno: guest.EAGAIN, ProbPPM: 400_000},
-			}},
-		}
-	}
 	const budget = 1 << 16
-
-	type outcome struct {
-		now    sim.Cycles
-		faults uint64
-		errs   int
-	}
-
-	blocking := func() outcome {
-		m := New(cfg())
-		var errs int
-		m.Spawn(SpawnConfig{Name: "poll", Body: func(ctx guest.Context) {
-			for i := 0; i < 8; i++ {
-				if _, _, err := guest.RecvRetry(ctx, budget); err != nil {
-					errs++
+	for _, tc := range []struct {
+		name   string
+		send   bool
+		ppm    uint32 // EAGAIN probability of the retried class
+		budget sim.Cycles
+		eioAt  sim.Cycles // when nonzero, the class fails with EIO from then on
+	}{
+		{name: "recv", ppm: 400_000, budget: budget},
+		{name: "send", send: true, ppm: 400_000, budget: budget},
+		{name: "EIO mid-backoff", ppm: PPMScale, budget: budget, eioAt: 20_000},
+		{name: "budget runs out", ppm: PPMScale, budget: budget},
+		{name: "budget 0", ppm: 400_000},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			class := "read"
+			if tc.send {
+				class = "sendto"
+			}
+			type outcome struct {
+				requests int
+				now      sim.Cycles
+				faults   uint64
+				errs     []error
+			}
+			// drive runs one guest to the end on a fresh machine, turning
+			// its class to EIO at eioAt.
+			drive := func(sc SpawnConfig, o *outcome) {
+				m := New(Config{
+					Seed:     9,
+					CPUHz:    1_000_000_000,
+					MaxSteps: 50_000_000,
+					Faults: &FaultSpec{Syscalls: []SyscallFault{
+						{Name: class, Errno: guest.EAGAIN, ProbPPM: tc.ppm},
+					}},
+				})
+				p, err := m.Spawn(sc)
+				if err != nil {
+					t.Fatal(err)
 				}
+				if tc.eioAt > 0 {
+					if done, err := m.RunUntil(tc.eioAt); done || err != nil {
+						t.Fatalf("RunUntil(%d) = %v, %v", tc.eioAt, done, err)
+					}
+					if p.State != proc.Blocked || m.FaultsInjected() == 0 {
+						t.Fatalf("at %d the guest is %s after %d faults, want it sleeping out a backoff", tc.eioAt, p.State, m.FaultsInjected())
+					}
+					sys, _ := lookupSyscall(class)
+					m.faults[sys].Errno = guest.EIO
+				}
+				run(t, m)
+				o.now, o.faults = m.Clock().Now(), m.FaultsInjected()
 			}
-		}})
-		run(t, m)
-		return outcome{m.Clock().Now(), m.FaultsInjected(), errs}
-	}
 
-	resumable := func() outcome {
-		m := New(cfg())
-		var errs int
-		type poller struct {
-			i     int
-			retry guest.RetryStep
-			op    guest.RetryOp
-			done  guest.RetryDone
-			self  guest.Step
-		}
-		g := &poller{}
-		g.op = func(ctx guest.Context) {
-			//simlint:errno-ok resumable post: the errno arrives in the next activation's Resume
-			ctx.NetRecv()
-		}
-		g.done = func(ctx guest.Context, r guest.Resume) guest.Step {
-			if r.Err != nil {
-				errs++
-			}
-			g.i++
-			if g.i >= 8 {
-				return nil
-			}
-			return g.retry.Begin(ctx, g.op, budget, g.done)
-		}
-		g.self = func(ctx guest.Context, r guest.Resume) guest.Step {
-			return g.retry.Begin(ctx, g.op, budget, g.done)
-		}
-		m.Spawn(SpawnConfig{Name: "poll", Step: g.self})
-		run(t, m)
-		return outcome{m.Clock().Now(), m.FaultsInjected(), errs}
-	}
+			var want outcome
+			drive(SpawnConfig{Name: "poll", Body: func(ctx guest.Context) {
+				c := countCtx{ctx, &want.requests}
+				for range retryAttempts {
+					var err error
+					if tc.send {
+						_, err = guest.SendRetry(c, retryFrame, tc.budget)
+					} else {
+						_, _, err = guest.RecvRetry(c, tc.budget)
+					}
+					want.errs = append(want.errs, err)
+				}
+			}}, &want)
 
-	want := blocking()
-	got := resumable()
-	if want.faults == 0 {
-		t.Fatal("fault schedule injected nothing; retry loop untested")
-	}
-	if got != want {
-		t.Fatalf("resumable retry diverged: got %+v, want %+v", got, want)
+			var got outcome
+			step, _ := guest.Resumable(retryPoller{send: tc.send, budget: tc.budget, n: &got.requests, errs: &got.errs})
+			drive(SpawnConfig{Name: "poll", Step: step}, &got)
+
+			if want.faults == 0 {
+				t.Fatal("fault schedule injected nothing; retry loop untested")
+			}
+			if got.requests != want.requests || got.now != want.now || got.faults != want.faults || !slices.Equal(got.errs, want.errs) {
+				t.Fatalf("resumable retry diverged: got %+v, want %+v", got, want)
+			}
+			switch {
+			case tc.budget == 0 && want.requests != retryAttempts:
+				t.Fatalf("budget 0 made %d requests, want one per attempt (%d)", want.requests, retryAttempts)
+			case tc.eioAt > 0 && want.errs[0] != guest.EIO:
+				t.Fatalf("the retry running when the class turned to EIO ended with %v, want EIO", want.errs[0])
+			case tc.name == "budget runs out" && slices.ContainsFunc(want.errs, func(err error) bool { return err != guest.EAGAIN }):
+				t.Fatalf("with every attempt failing, the retries ended with %v, want EAGAIN each", want.errs)
+			}
+		})
 	}
 }
 

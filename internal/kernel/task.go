@@ -87,8 +87,8 @@ type task struct {
 	stepFn  guest.Step
 	stepCtx stepCtx
 
-	// forkFn clones the flyweight guest's continuation and state for a
-	// machine checkpoint (see guest.ForkFunc); nil guests are not
+	// forkFn copies the flyweight guest's value for a machine
+	// checkpoint (see guest.ForkFunc); a guest without one is not
 	// snapshottable.
 	forkFn guest.ForkFunc
 
