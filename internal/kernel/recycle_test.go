@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/guest"
 	"repro/internal/mem"
+	"repro/internal/metering"
 	"repro/internal/proc"
 	"repro/internal/sim"
 )
@@ -367,3 +368,138 @@ func TestOOMKilledShellIsNeverReused(t *testing.T) {
 	}
 }
 
+// reapingTracer forks a child and traces it through one stop: it
+// attaches, waits for the attach's stop, continues the child, reaps it
+// when it exits, sleeps, and waits once more, for no child, before it
+// exits itself.
+type reapingTracer struct {
+	kid proc.PID
+	pc  uint8
+}
+
+func (g *reapingTracer) Activate(ctx guest.Context, r guest.Resume) bool {
+	g.pc++
+	switch g.pc {
+	case 1:
+		ctx.Fork("kid", func(c guest.Context) { c.Compute(2_000_000) })
+	case 2:
+		g.kid = proc.PID(r.Ret)
+		ctx.Ptrace(guest.PtraceAttach, g.kid, 0, 0)
+	case 3:
+		ctx.Wait() // the attach's stop
+	case 4:
+		ctx.Ptrace(guest.PtraceCont, g.kid, 0, 0)
+	case 5:
+		ctx.Wait() // the kid's exit: reaped here, by its tracer and parent
+	case 6:
+		ctx.Sleep(5_000_000)
+	case 7:
+		ctx.Wait()
+	default:
+		return false
+	}
+	return true
+}
+
+// TestTracerReapsItsTracee runs a reapingTracer and snapshots it while
+// it sleeps after the reap. The reap must take the kid off the
+// tracer's tracee list: a stale entry has no copy in a checkpoint, and
+// the restored tracer's last Wait would dereference it.
+func TestTracerReapsItsTracee(t *testing.T) {
+	build := func() (*Machine, proc.PID) {
+		m := New(Config{Seed: 1, CPUHz: 1_000_000_000})
+		step, fork := guest.Resumable(reapingTracer{})
+		p, err := m.Spawn(SpawnConfig{Name: "tracer", Content: "tracer v1", Step: step, Fork: fork})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m, p.PID
+	}
+	ref, pid := build()
+	runToCompletion(t, ref)
+	want := renderFinal(ref, []proc.PID{pid})
+	if ref.Stats(pid).Forks != 1 {
+		t.Fatalf("the tracer forked %d children", ref.Stats(pid).Forks)
+	}
+
+	m, _ := build()
+	if done, err := m.RunUntil(4_000_000); done || err != nil {
+		t.Fatalf("RunUntil = %v, %v", done, err)
+	}
+	tracer := m.tasks[pid]
+	if _, ok := m.Table().Get(pid + 1); ok || tracer.p.State != proc.Blocked {
+		t.Fatalf("at 4 ms the tracer is %s and its kid is in the table, want it sleeping after the reap", tracer.p.State)
+	}
+	if len(tracer.tracees) != 0 {
+		t.Fatalf("after the reap the tracer still lists %d tracees", len(tracer.tracees))
+	}
+	img, err := m.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	runToCompletion(t, m)
+	r, err := Restore(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runToCompletion(t, r)
+	for i, got := range []string{renderFinal(m, []proc.PID{pid}), renderFinal(r, []proc.PID{pid})} {
+		if got != want {
+			t.Fatalf("the %s diverged from the uninterrupted run:\n got: %s\nwant: %s", [2]string{"original", "restore"}[i], got, want)
+		}
+	}
+}
+
+// TestOrphanedZombieIsReaped forks a child that exits while its parent
+// sleeps, and the parent exits without waiting for it. The kernel
+// reaps the orphaned zombie as init would: the child leaves the table,
+// and its cycles fold into the system bucket.
+func TestOrphanedZombieIsReaped(t *testing.T) {
+	m := New(Config{Seed: 1, CPUHz: 1_000_000_000})
+	var child proc.PID
+	if _, err := m.Spawn(SpawnConfig{Name: "parent", Content: "parent v1", Body: func(ctx guest.Context) {
+		child = ctx.Fork("child", func(c guest.Context) { c.Compute(1_000_000) })
+		ctx.Sleep(10_000_000)
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if p, ok := m.Table().Get(child); ok {
+		t.Fatalf("the orphaned child %v was never reaped: it is %s", p, p.State)
+	}
+	for _, scheme := range []string{"tsc", "process-aware"} {
+		if u, _ := m.ChildrenUsageBy(scheme, metering.SystemPID); u.User < 1_000_000 {
+			t.Fatalf("%s: the system bucket holds %d user cycles, want the orphan's 1,000,000", scheme, u.User)
+		}
+	}
+}
+
+// TestOrphanedGroupLeaderIsReaped forks a leader that spawns a thread
+// and exits at once; its parent exits before the thread does. The
+// leader stays a zombie while its thread runs, and once the last
+// thread exits, no parent is left to reap it: the kernel does.
+func TestOrphanedGroupLeaderIsReaped(t *testing.T) {
+	m := New(Config{Seed: 1, CPUHz: 1_000_000_000})
+	var leader proc.PID
+	if _, err := m.Spawn(SpawnConfig{Name: "root", Content: "root v1", Body: func(ctx guest.Context) {
+		leader = ctx.Fork("leader", func(c guest.Context) {
+			c.SpawnThread("worker", func(w guest.Context) { w.Compute(3_000_000) })
+		})
+		ctx.Sleep(1_000_000)
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for _, pid := range []proc.PID{leader, leader + 1} {
+		if p, ok := m.Table().Get(pid); ok {
+			t.Fatalf("%v was never reaped: it is %s", p, p.State)
+		}
+	}
+	if u, _ := m.ChildrenUsageBy("tsc", metering.SystemPID); u.User < 3_000_000 {
+		t.Fatalf("the system bucket holds %d user cycles, want the thread's 3,000,000", u.User)
+	}
+}

@@ -390,26 +390,48 @@ func (m *Machine) doExit(t *task, code int) {
 		}
 		leader := m.tasks[t.p.TGID]
 		// A zombie leader becomes reapable once its last thread
-		// exits; re-notify whoever waits on it.
+		// exits; re-notify whoever waits on it, or reap it if no one
+		// will.
 		if t.p.IsThread() && leader != nil && leader.p.State == proc.Zombie {
-			m.notifyWaiters(leader)
+			if unwatched(leader.p) {
+				m.initReap(leader.p)
+			} else {
+				m.notifyWaiters(leader)
+			}
 		}
 	}
 
-	parent := t.p.Parent
-	hasParent := parent != nil && parent.Alive()
-	hasTracer := t.p.Tracer != nil && t.p.Tracer.Alive()
-	if !hasParent && !hasTracer {
-		// No one will reap: auto-reap as init would, folding the
-		// orphan's accounting into the system bucket.
-		t.p.State = proc.Reaped
-		m.reapCleanup(nil, t.p)
+	// Zombie children that no tracer will reap are orphaned now:
+	// reap them as init would. A zombie leader with live threads is
+	// reaped when its last thread exits.
+	for i := len(t.p.Children) - 1; i >= 0; i-- {
+		c := t.p.Children[i]
+		if c.State == proc.Zombie && (c.IsThread() || m.groupCount[c.TGID] == 0) && unwatched(c) {
+			m.initReap(c)
+		}
+	}
+
+	if unwatched(t.p) {
+		m.initReap(t.p)
 		return
 	}
-	if hasParent {
+	if parent := t.p.Parent; parent != nil && parent.Alive() {
 		m.statOf(parent.TGID).SignalsReceived++ // SIGCHLD
 	}
 	m.notifyWaiters(t)
+}
+
+// unwatched reports whether neither a live parent nor a live tracer
+// will reap p.
+func unwatched(p *proc.Proc) bool {
+	return (p.Parent == nil || !p.Parent.Alive()) && (p.Tracer == nil || !p.Tracer.Alive())
+}
+
+// initReap reaps p, which no one else will, as init would, folding its
+// accounting into the system bucket.
+func (m *Machine) initReap(p *proc.Proc) {
+	p.State = proc.Reaped
+	m.reapCleanup(nil, p)
 }
 
 // reapCleanup retires a reaped task: folds its accounting and stats
@@ -445,6 +467,15 @@ func (m *Machine) reapCleanup(reaper, child *proc.Proc) {
 	}
 	if child.Parent != nil {
 		child.Parent.RemoveChild(child)
+	}
+	// A tracer that reaps its own tracee through its children drops
+	// it here: no entry of tracees may outlive its task.
+	if tr := child.Tracer; tr != nil && ct != nil {
+		if tt := m.tasks[tr.PID]; tt != nil {
+			if i := slices.Index(tt.tracees, ct); i >= 0 {
+				tt.tracees = slices.Delete(tt.tracees, i, i+1)
+			}
+		}
 	}
 	delete(m.tasks, child.PID)
 	m.table.Remove(child.PID)
