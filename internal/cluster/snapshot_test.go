@@ -205,6 +205,61 @@ func TestClusterSnapshotRestoreIdentical(t *testing.T) {
 	}
 }
 
+// FuzzClusterSnapshotBarrier checkpoints snapClusterCfg's fabric at a
+// barrier taken from the input, with the router's read (EIO) and
+// sendto (EAGAIN) faults at the input's rates, so a barrier can catch
+// the forwarder anywhere in a retry: mid-attempt, reading the clock or
+// sleeping out a backoff. The barrier is a fraction of the sender's
+// life in a reference run, since a snapshot needs every machine live.
+// The original continued to the end and the restore run to the end
+// must render identically.
+func FuzzClusterSnapshotBarrier(f *testing.F) {
+	f.Add(int64(301), uint16(21845), uint32(60_000), uint32(60_000))
+	f.Add(int64(7), uint16(40000), uint32(0), uint32(kernel.PPMScale)) // every forward retries until its budget runs out
+	f.Add(int64(-3), uint16(9000), uint32(kernel.PPMScale), uint32(500_000))
+	f.Fuzz(func(t *testing.T, seed int64, frac uint16, readPPM, sendtoPPM uint32) {
+		build := func() *Cluster {
+			cfg := snapClusterCfg(seed, 40, 0, 0)
+			cfg.Machines[1].Config.Faults = &kernel.FaultSpec{Seed: seed + 9, Syscalls: []kernel.SyscallFault{
+				{Name: "read", Errno: guest.EIO, ProbPPM: readPPM % (kernel.PPMScale + 1)},
+				{Name: "sendto", Errno: guest.EAGAIN, ProbPPM: sendtoPPM % (kernel.PPMScale + 1)},
+			}}
+			c, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return c
+		}
+		finish := func(c *Cluster) string {
+			t.Helper()
+			if err := c.Run(); err != nil {
+				t.Fatal(err)
+			}
+			return renderCluster(c)
+		}
+		ref := build()
+		finish(ref)
+		barrier := ref.Machine(0).Clock().Now() * sim.Cycles(frac) / (1 << 16)
+
+		orig := build()
+		if _, err := orig.RunUntil(barrier); err != nil {
+			t.Fatal(err)
+		}
+		img, err := orig.Snapshot()
+		if err != nil {
+			t.Fatalf("snapshot at %d: %v", barrier, err)
+		}
+		want := finish(orig)
+		r, err := Restore(img)
+		if err != nil {
+			t.Fatalf("restore at %d: %v", barrier, err)
+		}
+		if got := finish(r); got != want {
+			t.Fatalf("barrier %d: the restore diverged from the original:\n--- original\n%s--- restored\n%s", barrier, want, got)
+		}
+	})
+}
+
 // TestClusterForkDivergence proves forks are independent and diverge
 // only through post-fork inputs: two restores from one image, one
 // perturbed by an extra guest spawned after the fork, run to
