@@ -76,20 +76,20 @@ type ForkFunc func() (Step, ForkFunc)
 // binds the copy's continuation; a value that holds host pointers
 // (stats to fill, a link to drive) shares them with its copies, so
 // spawn such a guest without its ForkFunc.
-func Resumable[T any, P interface {
-	*T
-	Activate(ctx Context, r Resume) bool
-}](g T) (Step, ForkFunc) {
+func Resumable[T any, P activator[T]](g T) (Step, ForkFunc) {
 	v := &resumable[T, P]{g: g}
 	v.self = v.step
 	return v.self, v.fork
 }
 
-// resumable holds a guest value and its bound continuation.
-type resumable[T any, P interface {
+// activator is a pointer to a resumable guest value.
+type activator[T any] interface {
 	*T
 	Activate(ctx Context, r Resume) bool
-}] struct {
+}
+
+// resumable holds a guest value and its bound continuation.
+type resumable[T any, P activator[T]] struct {
 	g    T
 	self Step
 }
