@@ -213,7 +213,7 @@ type pktgen struct {
 	interval sim.Cycles
 	packets  uint64
 	n        uint64
-	pc       uint8 // 0: top of a slot; 1: sendto billed; 2: slot slept
+	pc       uint8 // 0: first activation; 1: sendto billed; 2: slot slept
 }
 
 // pktTarget is one victim link and the frame pktgen injects on it.
@@ -230,7 +230,6 @@ func (g *pktgen) Activate(ctx guest.Context, _ guest.Resume) bool {
 		return true
 	case 2:
 		g.n++
-		g.pc = 0
 	}
 	if g.n >= g.packets {
 		return false
