@@ -161,13 +161,13 @@ func RunChaosFlood(spec ChaosFloodSpec) (*ChaosFloodOut, error) {
 	routerIdx := fl.Attackers + 1
 	out := &ChaosFloodOut{
 		Spec:               spec,
-		Victim:             r.victim,
+		Victim:             r.victims[0],
 		Router:             r.router,
 		RouterIncarnations: len(r.cl.Incarnations(routerIdx)),
 		RouterCrashed:      r.cl.Crashed(routerIdx),
 		RouterForwarded:    r.forwarded,
 		Flow:               r.flow,
-		ElapsedSec:         clusterElapsedSec(r.cl),
+		ElapsedSec:         r.elapsedSec,
 	}
 	for i := 0; i < r.cl.Size(); i++ {
 		for _, inc := range r.cl.Incarnations(i) {
@@ -194,10 +194,10 @@ func chaosFloodKey(spec ChaosFloodSpec) string {
 		spec.Flood.Attackers, spec.Flood.PerAttackerPPS, spec.Chaos.FaultPPM, spec.Chaos.RouterCrashSec)
 }
 
-// chaosFloodBase is the shared flood under every chaos scenario: the
+// ChaosFloodBase is the shared flood under every chaos scenario: the
 // routerflood artifact's worst case (two attackers at 20k pps each
 // through the RED-managed 30k-pps egress, alongside the ECN flow).
-func chaosFloodBase(o Options) RouterFloodSpec {
+func ChaosFloodBase(o Options) RouterFloodSpec {
 	return RouterFloodSpec{
 		Opts:           o,
 		Attackers:      routerFloodAttackers,
@@ -217,7 +217,7 @@ func chaosFloodBase(o Options) RouterFloodSpec {
 // an unbalanced ledger anywhere is an error in the fabric, not a
 // rendering choice.
 func chaosFlood(o Options) plan {
-	base := chaosFloodBase(o)
+	base := ChaosFloodBase(o)
 	floodSec, _ := floodSeconds(o, base.Victim) // the base victim is a known program
 	flap := &cluster.FlapSpec{
 		FirstDownUs: uint64(floodSec * 0.2 * 1e6),

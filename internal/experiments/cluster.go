@@ -101,18 +101,6 @@ func clusterSeed(seed int64, i int) int64 {
 	return seed*1_000_003 + int64(i+1)
 }
 
-// clusterElapsedSec reports the slowest machine's virtual wall time —
-// the shared ElapsedSec semantics of every cluster harvest.
-func clusterElapsedSec(cl *cluster.Cluster) float64 {
-	var sec float64
-	for i := 0; i < cl.Size(); i++ {
-		if s := cl.Machine(i).Clock().Seconds(cl.Machine(i).Clock().Now()); s > sec {
-			sec = s
-		}
-	}
-	return sec
-}
-
 // victimAccountants builds the three schemes with the billing scheme
 // first, so the machine's getrusage-alike reads it.
 func victimAccountants(billing string, tick sim.Cycles) ([]metering.Accountant, error) {
@@ -120,9 +108,6 @@ func victimAccountants(billing string, tick sim.Cycles) ([]metering.Accountant, 
 		"jiffy":         func() metering.Accountant { return metering.NewJiffy(tick) },
 		"tsc":           func() metering.Accountant { return metering.NewTSC() },
 		"process-aware": func() metering.Accountant { return metering.NewProcessAware() },
-	}
-	if billing == "" {
-		billing = "jiffy"
 	}
 	if _, ok := mk[billing]; !ok {
 		return nil, fmt.Errorf("cluster: unknown billing scheme %q (have %v)", billing, Schemes)
@@ -136,41 +121,89 @@ func victimAccountants(billing string, tick sim.Cycles) ([]metering.Accountant, 
 	return accts, nil
 }
 
-// victimHost is a cluster scenario's billed victim machine. machine
-// declares it and harvest collects its bill once the cluster has run.
-type victimHost struct {
-	v      ClusterVictim
-	launch *launched
+// fabric declares one cluster scenario: members in declaration order,
+// each seeded by its index from the campaign seed, the billed victim
+// hosts among them, and the links, routes and shared swap a runner
+// adds to cfg. run builds it, runs it and harvests the victim hosts.
+type fabric struct {
+	o     Options
+	who   string // prefixes the errors of a run and of a harvest
+	cfg   cluster.Config
+	hosts []*victimHost
 }
 
-// machine declares the host as cluster member idx: the billing
-// accountant first, and a Boot that runs daemons (when non-nil) and
-// then launches the victim's job through the shell.
-func (h *victimHost) machine(o Options, v ClusterVictim, idx int, daemons func(*kernel.Machine) error) (cluster.MachineSpec, error) {
-	accts, err := victimAccountants(v.Billing, sim.Cycles(uint64(o.Freq)/o.HZ))
-	if err != nil {
-		return cluster.MachineSpec{}, err
+// member appends member i, seeded clusterSeed(o.Seed, i), with boot
+// (nil: the member boots idle) and returns i.
+func (f *fabric) member(name string, boot func(*cluster.Cluster, *kernel.Machine) error) int {
+	i := len(f.cfg.Machines)
+	cfg := f.o.machineConfig()
+	cfg.Seed = clusterSeed(f.o.Seed, i)
+	f.cfg.Machines = append(f.cfg.Machines, cluster.MachineSpec{Name: name, Config: cfg, Boot: boot})
+	return i
+}
+
+// victim appends a billed victim host and returns its member index:
+// its billing accountant comes first, and its Boot runs daemons (when
+// non-nil) and then launches v's job through the shell.
+func (f *fabric) victim(v ClusterVictim, daemons func(*kernel.Machine) error) (int, error) {
+	if v.Billing == "" {
+		v.Billing = "jiffy"
 	}
-	h.v = v
-	cfg := o.machineConfig()
-	cfg.Seed = clusterSeed(o.Seed, idx)
-	cfg.Accountants = accts
-	return cluster.MachineSpec{
-		Config: cfg,
-		Boot: func(_ *cluster.Cluster, m *kernel.Machine) error {
-			if daemons != nil {
-				if err := daemons(m); err != nil {
-					return err
-				}
-			}
-			l, err := launchSpec(m, RunSpec{Opts: o, Workload: v.Workload})
-			if err != nil {
+	accts, err := victimAccountants(v.Billing, sim.Cycles(uint64(f.o.Freq)/f.o.HZ))
+	if err != nil {
+		return 0, err
+	}
+	h := &victimHost{v: v}
+	h.idx = f.member("", func(_ *cluster.Cluster, m *kernel.Machine) (err error) {
+		if daemons != nil {
+			if err := daemons(m); err != nil {
 				return err
 			}
-			h.launch = l
-			return nil
-		},
-	}, nil
+		}
+		h.launch, err = launchSpec(m, RunSpec{Opts: f.o, Workload: v.Workload})
+		return err
+	})
+	f.cfg.Machines[h.idx].Config.Accountants = accts
+	f.hosts = append(f.hosts, h)
+	return h.idx, nil
+}
+
+// ranFabric is a finished scenario: its cluster, each victim host's
+// harvest in declaration order, and its virtual wall time, the latest
+// member clock.
+type ranFabric struct {
+	cl         *cluster.Cluster
+	victims    []ClusterVictimOut
+	elapsedSec float64
+}
+
+// run builds and runs the declared cluster and harvests every victim
+// host in declaration order.
+func (f *fabric) run() (ranFabric, error) {
+	cl, err := cluster.New(f.cfg)
+	if err != nil {
+		return ranFabric{}, err
+	}
+	if err := cl.Run(); err != nil {
+		return ranFabric{}, fmt.Errorf("%s: %w", f.who, err)
+	}
+	r := ranFabric{cl: cl, elapsedSec: float64(cl.Now()) / float64(f.o.Freq)}
+	for _, h := range f.hosts {
+		v, err := h.harvest(cl.Machine(h.idx))
+		if err != nil {
+			return ranFabric{}, fmt.Errorf("%s: %w", f.who, err)
+		}
+		r.victims = append(r.victims, v)
+	}
+	return r, nil
+}
+
+// victimHost is a fabric's billed victim host: member idx, running v
+// (its billing resolved) and, once booted, the launched job.
+type victimHost struct {
+	v      ClusterVictim
+	idx    int
+	launch *launched
 }
 
 // harvest collects the finished host's bill. A job retired unfinished
@@ -180,11 +213,7 @@ func (h *victimHost) harvest(m *kernel.Machine) (ClusterVictimOut, error) {
 	if h.launch.prog != nil && !h.launch.prog.Done {
 		return ClusterVictimOut{}, errors.New("victim workload retired before completion (stalled behind the service daemon?)")
 	}
-	billing := h.v.Billing
-	if billing == "" {
-		billing = "jiffy"
-	}
-	return ClusterVictimOut{Billing: billing, Run: h.launch.harvest(m), PacketsReceived: m.NIC().Received()}, nil
+	return ClusterVictimOut{Billing: h.v.Billing, Run: h.launch.harvest(m), PacketsReceived: m.NIC().Received()}, nil
 }
 
 // floodSeconds is an attack's transmit duration: 1.5x the longest
@@ -256,80 +285,59 @@ func RunCluster(spec ClusterRunSpec) (*ClusterOut, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	hosts := make([]victimHost, len(spec.Victims))
-	machines := make([]cluster.MachineSpec, 0, len(spec.Victims)+1)
+	f := &fabric{o: o, who: "cluster " + clusterKey(spec)}
 
 	// Machine 0: the attacker. Its packet generator offers FloodPPS
 	// frames per second on every victim link for floodSec, with the
 	// same deterministic inter-send jitter the local flood model
 	// uses, then exits — a finite, replayable transmit schedule.
-	attackerCfg := o.machineConfig()
-	attackerCfg.Seed = clusterSeed(o.Seed, 0)
-	machines = append(machines, cluster.MachineSpec{
-		Config: attackerCfg,
-		Boot: func(c *cluster.Cluster, m *kernel.Machine) error {
-			if spec.FloodPPS == 0 {
-				return nil // silent attacker: machine finishes at boot
+	f.member("", func(c *cluster.Cluster, m *kernel.Machine) error {
+		if spec.FloodPPS == 0 {
+			return nil // silent attacker: machine finishes at boot
+		}
+		g := pktgen{targets: make([]pktTarget, len(spec.Victims))}
+		for i := range spec.Victims {
+			g.targets[i] = pktTarget{
+				link:  c.Link(i),
+				frame: cluster.Frame{Src: c.AddrOf(0), Dst: c.AddrOf(i + 1)},
 			}
-			g := pktgen{targets: make([]pktTarget, len(spec.Victims))}
-			for i := range spec.Victims {
-				g.targets[i] = pktTarget{
-					link:  c.Link(i),
-					frame: cluster.Frame{Src: c.AddrOf(0), Dst: c.AddrOf(i + 1)},
-				}
-			}
-			g.interval = sim.Cycles(uint64(o.Freq) / spec.FloodPPS)
-			if g.interval == 0 {
-				g.interval = 1
-			}
-			g.packets = uint64(floodSec * float64(spec.FloodPPS))
-			step, _ := guest.Resumable(g)
-			_, err := m.Spawn(kernel.SpawnConfig{
-				Name: "pktgen", Content: "junk-ip packet generator v1", Step: step,
-			})
-			return err
-		},
+		}
+		g.interval = sim.Cycles(uint64(o.Freq) / spec.FloodPPS)
+		if g.interval == 0 {
+			g.interval = 1
+		}
+		g.packets = uint64(floodSec * float64(spec.FloodPPS))
+		step, _ := guest.Resumable(g)
+		_, err := m.Spawn(kernel.SpawnConfig{
+			Name: "pktgen", Content: "junk-ip packet generator v1", Step: step,
+		})
+		return err
 	})
 
-	for i, v := range spec.Victims {
-		victim, err := hosts[i].machine(o, v, i+1, nil)
+	for _, v := range spec.Victims {
+		vi, err := f.victim(v, nil)
 		if err != nil {
 			return nil, err
 		}
-		machines = append(machines, victim)
-	}
-
-	links := make([]cluster.LinkSpec, len(spec.Victims))
-	for i := range spec.Victims {
-		links[i] = cluster.LinkSpec{
-			From: 0, To: i + 1,
+		f.cfg.Links = append(f.cfg.Links, cluster.LinkSpec{
+			From: 0, To: vi,
 			LatencyUs:        spec.LinkLatencyUs,
 			PacketsPerSecond: spec.LinkPPS,
 			QueueDepth:       spec.LinkQueueDepth,
 			RED:              spec.LinkRED,
 			Qdisc:            spec.LinkQdisc,
 			QuantumBytes:     spec.LinkQuantumBytes,
-		}
+		})
 	}
 
-	cl, err := cluster.New(cluster.Config{Machines: machines, Links: links})
+	r, err := f.run()
 	if err != nil {
 		return nil, err
 	}
-	if err := cl.Run(); err != nil {
-		return nil, fmt.Errorf("cluster %s: %w", clusterKey(spec), err)
-	}
-
-	out := &ClusterOut{Spec: spec, ElapsedSec: clusterElapsedSec(cl)}
-	for i := range hosts {
-		v, err := hosts[i].harvest(cl.Machine(i + 1))
-		if err != nil {
-			return nil, fmt.Errorf("cluster %s: %w", clusterKey(spec), err)
-		}
-		out.Victims = append(out.Victims, v)
-		out.PacketsSent = append(out.PacketsSent, cl.Link(i).Sent())
-		out.PacketsDropped = append(out.PacketsDropped, cl.Link(i).Dropped())
+	out := &ClusterOut{Spec: spec, Victims: r.victims, ElapsedSec: r.elapsedSec}
+	for i := range r.victims {
+		out.PacketsSent = append(out.PacketsSent, r.cl.Link(i).Sent())
+		out.PacketsDropped = append(out.PacketsDropped, r.cl.Link(i).Dropped())
 	}
 	return out, nil
 }

@@ -151,11 +151,11 @@ func TestRunAllClustersReportsEarliestError(t *testing.T) {
 // to completion harvests under its default jiffy billing.
 func TestVictimHostRefusesUnfinishedJob(t *testing.T) {
 	for _, finish := range []bool{false, true} {
-		var host victimHost
-		spec, err := host.machine(quick().norm(), ClusterVictim{Workload: "O"}, 0, nil)
-		if err != nil {
+		f := &fabric{o: quick().norm(), who: "victim host"}
+		if _, err := f.victim(ClusterVictim{Workload: "O"}, nil); err != nil {
 			t.Fatal(err)
 		}
+		spec, host := f.cfg.Machines[0], f.hosts[0]
 		m := kernel.New(spec.Config)
 		if err := spec.Boot(nil, m); err != nil {
 			t.Fatal(err)

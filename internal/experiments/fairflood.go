@@ -77,7 +77,6 @@ const fairFloodFlowID = 9
 
 // RunFairFlood executes one scenario.
 func RunFairFlood(spec FairFloodSpec) (*FairFloodOut, error) {
-	const attackerIdx, senderIdx, victimIdx = 0, 1, 2
 	o := spec.Opts.norm()
 	if spec.FlowFrames == 0 {
 		return nil, fmt.Errorf("fairflood: FlowFrames must be ≥ 1 (the flow is what fairness is measured on)")
@@ -86,8 +85,43 @@ func RunFairFlood(spec FairFloodSpec) (*FairFloodOut, error) {
 	if err != nil {
 		return nil, err
 	}
-	var host victimHost
-	victim, err := host.machine(o, spec.Victim, victimIdx, func(m *kernel.Machine) error {
+	const victimIdx = 2
+	perUs := sim.Cycles(uint64(o.Freq) / 1_000_000)
+	egressPPS := spec.EgressPPS
+	if egressPPS == 0 {
+		egressPPS = 30_000
+	}
+	f := &fabric{o: o, who: "fairflood " + fairFloodKey(spec)}
+
+	attacker := f.member("attacker", func(c *cluster.Cluster, m *kernel.Machine) error {
+		if spec.AttackerPPS == 0 {
+			return nil // silent baseline
+		}
+		packets := uint64(floodSec * float64(spec.AttackerPPS))
+		_, err := m.Spawn(kernel.SpawnConfig{
+			Name: "pktgen", Content: "junk-ip packet generator v4 (mtu frames)",
+			// MTU frames, ~18 serialisation slots each.
+			Step: floodBodyStep(o.Freq, spec.AttackerPPS, packets,
+				guest.Frame{Dst: c.AddrOf(victimIdx), Bytes: 1500}),
+		})
+		return err
+	})
+	flowStats := &AckFlowStats{}
+	sender := f.member("sender", func(c *cluster.Cluster, m *kernel.Machine) error {
+		_, err := m.Spawn(kernel.SpawnConfig{
+			Name: "flowsend", Content: "ack-paced ecn sender v2 (clock rto)",
+			Step: AckPacedSenderStep(AckFlowConfig{
+				Peer:          c.AddrOf(victimIdx),
+				Flow:          fairFloodFlowID,
+				Frames:        spec.FlowFrames,
+				PaceCycles:    500 * perUs,    // ≤2k pps offered
+				TimeoutCycles: 20_000 * perUs, // 20 ms retransmission timeout
+				FrameBytes:    256,
+			}, flowStats),
+		})
+		return err
+	})
+	if _, err := f.victim(spec.Victim, func(m *kernel.Machine) error {
 		// The echo daemon runs at high priority, like the softirq half
 		// of a real network stack: ack latency then reflects the wire
 		// under test, not the victim workload's timeslice.
@@ -96,99 +130,36 @@ func RunFairFlood(spec FairFloodSpec) (*FairFloodOut, error) {
 			Step: AckEchoStep(fairFloodFlowID), Nice: -15,
 		})
 		return err
-	})
-	if err != nil {
+	}); err != nil {
 		return nil, err
 	}
-	victim.Name = "victim"
-	victim.Service = true // the echo daemon never exits
-
-	perUs := sim.Cycles(uint64(o.Freq) / 1_000_000)
-	egressPPS := spec.EgressPPS
-	if egressPPS == 0 {
-		egressPPS = 30_000
-	}
-
-	attackerCfg := o.machineConfig()
-	attackerCfg.Seed = clusterSeed(o.Seed, attackerIdx)
-	senderCfg := o.machineConfig()
-	senderCfg.Seed = clusterSeed(o.Seed, senderIdx)
-
-	flowStats := &AckFlowStats{}
-	machines := []cluster.MachineSpec{
-		{
-			Name:   "attacker",
-			Config: attackerCfg,
-			Boot: func(c *cluster.Cluster, m *kernel.Machine) error {
-				if spec.AttackerPPS == 0 {
-					return nil // silent baseline
-				}
-				packets := uint64(floodSec * float64(spec.AttackerPPS))
-				_, err := m.Spawn(kernel.SpawnConfig{
-					Name: "pktgen", Content: "junk-ip packet generator v4 (mtu frames)",
-					// MTU frames, ~18 serialisation slots each.
-					Step: floodBodyStep(o.Freq, spec.AttackerPPS, packets,
-						guest.Frame{Dst: c.AddrOf(victimIdx), Bytes: 1500}),
-				})
-				return err
-			},
-		},
-		{
-			Name:   "sender",
-			Config: senderCfg,
-			Boot: func(c *cluster.Cluster, m *kernel.Machine) error {
-				_, err := m.Spawn(kernel.SpawnConfig{
-					Name: "flowsend", Content: "ack-paced ecn sender v2 (clock rto)",
-					Step: AckPacedSenderStep(AckFlowConfig{
-						Peer:          c.AddrOf(victimIdx),
-						Flow:          fairFloodFlowID,
-						Frames:        spec.FlowFrames,
-						PaceCycles:    500 * perUs,    // ≤2k pps offered
-						TimeoutCycles: 20_000 * perUs, // 20 ms retransmission timeout
-						FrameBytes:    256,
-					}, flowStats),
-				})
-				return err
-			},
-		},
-		victim,
-	}
+	f.cfg.Machines[victimIdx].Name = "victim"
+	f.cfg.Machines[victimIdx].Service = true // the echo daemon never exits
 
 	// Both uplinks serialise through one shared egress pipe — the
 	// discipline under test.
-	egress := cluster.LinkSpec{
-		To:               victimIdx,
-		PacketsPerSecond: egressPPS,
-		RED:              spec.RED,
-		Qdisc:            spec.Qdisc,
-		QuantumBytes:     spec.QuantumBytes,
-		Bottleneck:       "egress",
+	for _, from := range []int{attacker, sender} {
+		f.cfg.Links = append(f.cfg.Links, cluster.LinkSpec{
+			From:             from,
+			To:               victimIdx,
+			PacketsPerSecond: egressPPS,
+			RED:              spec.RED,
+			Qdisc:            spec.Qdisc,
+			QuantumBytes:     spec.QuantumBytes,
+			Bottleneck:       "egress",
+		})
 	}
-	junkLink := egress
-	junkLink.From = attackerIdx
-	flowLink := egress
-	flowLink.From = senderIdx
 
-	cl, err := cluster.New(cluster.Config{
-		Machines: machines,
-		Links:    []cluster.LinkSpec{junkLink, flowLink},
-	})
+	r, err := f.run()
 	if err != nil {
 		return nil, err
 	}
-	if err := cl.Run(); err != nil {
-		return nil, fmt.Errorf("fairflood %s: %w", fairFloodKey(spec), err)
-	}
-	v, err := host.harvest(cl.Machine(victimIdx))
-	if err != nil {
-		return nil, fmt.Errorf("fairflood %s: %w", fairFloodKey(spec), err)
-	}
-	junk, flow := cl.Link(0), cl.Link(1)
-	out := &FairFloodOut{
+	junk, flow := r.cl.Link(0), r.cl.Link(1)
+	return &FairFloodOut{
 		Spec:               spec,
-		Victim:             v,
+		Victim:             r.victims[0],
 		Flow:               *flowStats,
-		FlowDoneSec:        cl.Machine(senderIdx).Clock().Seconds(flowStats.DoneAt),
+		FlowDoneSec:        r.cl.Machine(sender).Clock().Seconds(flowStats.DoneAt),
 		JunkOffered:        junk.Sent(),
 		JunkDelivered:      junk.Delivered(),
 		JunkDropped:        junk.Dropped(),
@@ -197,9 +168,8 @@ func RunFairFlood(spec FairFloodSpec) (*FairFloodOut, error) {
 		FlowDropped:        flow.Dropped(),
 		EgressMarked:       junk.Marked() + flow.Marked(),
 		EgressEarlyDropped: junk.EarlyDropped() + flow.EarlyDropped(),
-		ElapsedSec:         clusterElapsedSec(cl),
-	}
-	return out, nil
+		ElapsedSec:         r.elapsedSec,
+	}, nil
 }
 
 func fairFloodKey(spec FairFloodSpec) string {

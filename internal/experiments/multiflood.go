@@ -63,60 +63,40 @@ func RunMultiFlood(spec MultiFloodSpec) (*MultiFloodOut, error) {
 			return nil, err
 		}
 	}
-	var host victimHost
-	victim, err := host.machine(o, spec.Victim, spec.Attackers, nil)
-	if err != nil {
-		return nil, err
-	}
-
-	machines := make([]cluster.MachineSpec, 0, spec.Attackers+1)
+	f := &fabric{o: o, who: "multiflood " + multiFloodKey(spec)}
 	pps := spec.PerAttackerPPS
 	packets := uint64(floodSec * float64(pps))
 	for a := 0; a < spec.Attackers; a++ {
-		cfg := o.machineConfig()
-		cfg.Seed = clusterSeed(o.Seed, a)
-		machines = append(machines, cluster.MachineSpec{
-			Config: cfg,
-			Boot: func(c *cluster.Cluster, m *kernel.Machine) error {
-				// Every attacker addresses the victim machine directly;
-				// the attacker's forwarding table resolves the frame onto
-				// its link into the bottleneck. Transmitting
-				// through NetSend (floodBodyStep) bills the tx path and
-				// observes the wire's drop feedback; Offered counts
-				// what was actually sent.
-				_, err := m.Spawn(kernel.SpawnConfig{
-					Name: "pktgen", Content: "junk-ip packet generator v2 (tx-path)",
-					Step: floodBodyStep(o.Freq, pps, packets, guest.Frame{Dst: c.AddrOf(spec.Attackers)}),
-				})
-				return err
-			},
+		f.member("", func(c *cluster.Cluster, m *kernel.Machine) error {
+			// Every attacker addresses the victim machine directly;
+			// the attacker's forwarding table resolves the frame onto
+			// its link into the bottleneck. Transmitting
+			// through NetSend (floodBodyStep) bills the tx path and
+			// observes the wire's drop feedback; Offered counts
+			// what was actually sent.
+			_, err := m.Spawn(kernel.SpawnConfig{
+				Name: "pktgen", Content: "junk-ip packet generator v2 (tx-path)",
+				Step: floodBodyStep(o.Freq, pps, packets, guest.Frame{Dst: c.AddrOf(spec.Attackers)}),
+			})
+			return err
 		})
-	}
-	machines = append(machines, victim)
-
-	links := make([]cluster.LinkSpec, spec.Attackers)
-	for a := 0; a < spec.Attackers; a++ {
-		links[a] = cluster.LinkSpec{
+		f.cfg.Links = append(f.cfg.Links, cluster.LinkSpec{
 			From: a, To: spec.Attackers,
 			PacketsPerSecond: spec.BottleneckPPS,
 			Bottleneck:       "victim-ingress",
-		}
+		})
+	}
+	if _, err := f.victim(spec.Victim, nil); err != nil {
+		return nil, err
 	}
 
-	cl, err := cluster.New(cluster.Config{Machines: machines, Links: links})
+	r, err := f.run()
 	if err != nil {
 		return nil, err
 	}
-	if err := cl.Run(); err != nil {
-		return nil, fmt.Errorf("multiflood %s: %w", multiFloodKey(spec), err)
-	}
-	v, err := host.harvest(cl.Machine(spec.Attackers))
-	if err != nil {
-		return nil, fmt.Errorf("multiflood %s: %w", multiFloodKey(spec), err)
-	}
-	out := &MultiFloodOut{Spec: spec, Victim: v, ElapsedSec: clusterElapsedSec(cl)}
+	out := &MultiFloodOut{Spec: spec, Victim: r.victims[0], ElapsedSec: r.elapsedSec}
 	for a := 0; a < spec.Attackers; a++ {
-		l := cl.Link(a)
+		l := r.cl.Link(a)
 		out.Offered += l.Sent()
 		out.Carried += l.Delivered()
 		out.Dropped += l.Dropped()

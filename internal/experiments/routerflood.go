@@ -76,8 +76,7 @@ const routerFloodFlowID = 7
 // routedFlood is one routed-flood run, harvested once for both
 // projections: RunRouterFlood and RunChaosFlood.
 type routedFlood struct {
-	cl     *cluster.Cluster
-	victim ClusterVictimOut
+	ranFabric
 	// router sums the forwarding daemon's usage, and forwarded its
 	// retransmitted frames, over every router incarnation.
 	router    PartyUsage
@@ -119,42 +118,14 @@ func runRoutedFlood(who string, fl RouterFloodSpec, cs ChaosSpec, flowTimeoutUs 
 		return nil, fmt.Errorf("%s: RouterCrashSec %gs is past the scenario horizon (~%gs flood): the crash would never land", who, cs.RouterCrashSec, floodSec)
 	}
 	senderIdx, routerIdx, victimIdx := fl.Attackers, fl.Attackers+1, fl.Attackers+2
-
-	// Victim host: the billed workload plus the flow's echo daemon.
-	var host victimHost
-	victim, err := host.machine(o, fl.Victim, victimIdx, func(m *kernel.Machine) error {
-		if fl.FlowFrames == 0 {
-			return nil
-		}
-		_, err := m.Spawn(kernel.SpawnConfig{
-			Name: "echod", Content: "per-flow ack echo daemon v1", Step: AckEchoStep(routerFloodFlowID),
-		})
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	victim.Name = "victim"
-	victim.Config.Faults = faults
-	// Only the echo daemon makes this a service machine; with no
-	// flow the workload keeps exact stall detection.
-	victim.Service = fl.FlowFrames > 0
-
 	perUs := sim.Cycles(uint64(o.Freq) / 1_000_000)
-	member := func(name string, idx int) cluster.MachineSpec {
-		cfg := o.machineConfig()
-		cfg.Seed = clusterSeed(o.Seed, idx)
-		cfg.Faults = faults
-		return cluster.MachineSpec{Name: name, Config: cfg}
-	}
-	machines := make([]cluster.MachineSpec, 0, victimIdx+1)
+	f := &fabric{o: o, who: who}
 
 	// Attackers: non-ECN junk addressed to the victim, resolved onto
 	// each attacker's uplink into the router by its forwarding table.
 	pps := fl.PerAttackerPPS
 	for a := 0; a < fl.Attackers; a++ {
-		attacker := member(fmt.Sprintf("attacker-%d", a), a)
-		attacker.Boot = func(c *cluster.Cluster, m *kernel.Machine) error {
+		f.member(fmt.Sprintf("attacker-%d", a), func(c *cluster.Cluster, m *kernel.Machine) error {
 			if pps == 0 {
 				return nil // silent baseline
 			}
@@ -164,14 +135,12 @@ func runRoutedFlood(who string, fl RouterFloodSpec, cs ChaosSpec, flowTimeoutUs 
 				Step: floodBodyStep(o.Freq, pps, packets, guest.Frame{Dst: c.AddrOf(victimIdx)}),
 			})
 			return err
-		}
-		machines = append(machines, attacker)
+		})
 	}
 
 	// Sender: the well-behaved ECN flow.
 	flow := &AckFlowStats{}
-	sender := member("sender", senderIdx)
-	sender.Boot = func(c *cluster.Cluster, m *kernel.Machine) error {
+	f.member("sender", func(c *cluster.Cluster, m *kernel.Machine) error {
 		if fl.FlowFrames == 0 {
 			return nil
 		}
@@ -186,17 +155,13 @@ func runRoutedFlood(who string, fl RouterFloodSpec, cs ChaosSpec, flowTimeoutUs 
 			}, flow),
 		})
 		return err
-	}
+	})
 
 	// Router: a real billed machine running the forwarding daemon.
 	// Boot runs once per incarnation, so the daemon's PID is recorded
 	// per incarnation for the cumulative harvest.
 	var routerPIDs []proc.PID
-	router := member("router", routerIdx)
-	router.Service = true
-	router.CrashAt = sim.Cycles(cs.RouterCrashSec * float64(o.Freq))
-	router.RestartAfter = sim.Cycles(cs.RouterRestartSec * float64(o.Freq))
-	router.Boot = func(_ *cluster.Cluster, m *kernel.Machine) error {
+	f.member("router", func(_ *cluster.Cluster, m *kernel.Machine) error {
 		step, fork := cluster.ForwarderGuest(cluster.DefaultForwardUs * perUs)
 		p, err := m.Spawn(kernel.SpawnConfig{
 			Name: "fwd", Content: "store-and-forward router daemon v1",
@@ -206,42 +171,56 @@ func runRoutedFlood(who string, fl RouterFloodSpec, cs ChaosSpec, flowTimeoutUs 
 			routerPIDs = append(routerPIDs, p.PID)
 		}
 		return err
+	})
+	router := &f.cfg.Machines[routerIdx]
+	router.Service = true
+	router.CrashAt = sim.Cycles(cs.RouterCrashSec * float64(o.Freq))
+	router.RestartAfter = sim.Cycles(cs.RouterRestartSec * float64(o.Freq))
+
+	// Victim host: the billed workload plus the flow's echo daemon.
+	if _, err := f.victim(fl.Victim, func(m *kernel.Machine) error {
+		if fl.FlowFrames == 0 {
+			return nil
+		}
+		_, err := m.Spawn(kernel.SpawnConfig{
+			Name: "echod", Content: "per-flow ack echo daemon v1", Step: AckEchoStep(routerFloodFlowID),
+		})
+		return err
+	}); err != nil {
+		return nil, err
 	}
-	machines = append(machines, sender, router, victim)
+	victim := &f.cfg.Machines[victimIdx]
+	victim.Name = "victim"
+	// Only the echo daemon makes this a service machine; with no
+	// flow the workload keeps exact stall detection.
+	victim.Service = fl.FlowFrames > 0
+	for i := range f.cfg.Machines {
+		f.cfg.Machines[i].Config.Faults = faults
+	}
 
 	// Star topology around the router; the egress hop carries the
 	// congestion policy and the overlay's flap. Static routes send
 	// victim-bound traffic through the router and the victim's acks
 	// back the same way.
-	links := make([]cluster.LinkSpec, 0, fl.Attackers+2)
-	routes := make([]cluster.RouteSpec, 0, fl.Attackers+2)
 	for a := 0; a <= senderIdx; a++ { // every attacker, then the sender
-		links = append(links, cluster.LinkSpec{From: a, To: routerIdx, LatencyUs: fl.LinkLatencyUs})
-		routes = append(routes, cluster.RouteSpec{On: a, Dst: victimIdx, Via: routerIdx})
+		f.cfg.Links = append(f.cfg.Links, cluster.LinkSpec{From: a, To: routerIdx, LatencyUs: fl.LinkLatencyUs})
+		f.cfg.Routes = append(f.cfg.Routes, cluster.RouteSpec{On: a, Dst: victimIdx, Via: routerIdx})
 	}
-	links = append(links, cluster.LinkSpec{
+	f.cfg.Links = append(f.cfg.Links, cluster.LinkSpec{
 		From: routerIdx, To: victimIdx,
 		LatencyUs:        fl.LinkLatencyUs,
 		PacketsPerSecond: fl.EgressPPS,
 		RED:              fl.RED,
 		Flap:             cs.VictimFlap,
 	})
-	routes = append(routes, cluster.RouteSpec{On: victimIdx, Dst: senderIdx, Via: routerIdx})
+	f.cfg.Routes = append(f.cfg.Routes, cluster.RouteSpec{On: victimIdx, Dst: senderIdx, Via: routerIdx})
 
-	cl, err := cluster.New(cluster.Config{Machines: machines, Links: links, Routes: routes})
+	ran, err := f.run()
 	if err != nil {
 		return nil, err
 	}
-	if err := cl.Run(); err != nil {
-		return nil, fmt.Errorf("%s: %w", who, err)
-	}
-	v, err := host.harvest(cl.Machine(victimIdx))
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", who, err)
-	}
 	r := &routedFlood{
-		cl:     cl,
-		victim: v,
+		ranFabric: ran,
 		router: PartyUsage{
 			Name: "fwd",
 			User: make(map[string]float64, len(Schemes)),
@@ -249,7 +228,7 @@ func runRoutedFlood(who string, fl RouterFloodSpec, cs ChaosSpec, flowTimeoutUs 
 		},
 		flow: *flow,
 	}
-	for k, inc := range cl.Incarnations(routerIdx) {
+	for k, inc := range r.cl.Incarnations(routerIdx) {
 		var pid proc.PID
 		if k < len(routerPIDs) {
 			pid = routerPIDs[k]
@@ -277,12 +256,12 @@ func RunRouterFlood(spec RouterFloodSpec) (*RouterFloodOut, error) {
 	}
 	out := &RouterFloodOut{
 		Spec:            spec,
-		Victim:          r.victim,
+		Victim:          r.victims[0],
 		Router:          r.router,
 		RouterForwarded: r.forwarded,
 		RouterRxDropped: r.cl.Machine(spec.Attackers + 1).RxBufDropped(),
 		Flow:            r.flow,
-		ElapsedSec:      clusterElapsedSec(r.cl),
+		ElapsedSec:      r.elapsedSec,
 	}
 	for a := 0; a < spec.Attackers; a++ {
 		l := r.cl.Link(a)

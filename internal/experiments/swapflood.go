@@ -59,8 +59,8 @@ const swapHogRate = 200
 // lockstep.
 func RunSwapFlood(spec SwapFloodSpec) (*SwapFloodOut, error) {
 	o := spec.Opts.norm()
-	var host victimHost
-	victim, err := host.machine(o, spec.Victim, 0, nil)
+	f := &fabric{o: o, who: "swapflood " + swapFloodKey(spec)}
+	host, err := f.victim(spec.Victim, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -72,9 +72,6 @@ func RunSwapFlood(spec SwapFloodSpec) (*SwapFloodOut, error) {
 	// An eighth of the host's RAM: small enough that the hog pages
 	// constantly without needing a paper-scale footprint.
 	neighborMem := physMem(o) / 8
-	neighborCfg := o.machineConfig()
-	neighborCfg.Seed = clusterSeed(o.Seed, 1)
-	neighborCfg.PhysMemBytes = neighborMem
 
 	// The hog sweeps a footprint of twice the neighbor's RAM, so
 	// after the first pass every store evicts a dirty page and
@@ -86,63 +83,46 @@ func RunSwapFlood(spec SwapFloodSpec) (*SwapFloodOut, error) {
 	touches := pages + uint64(hogSec*swapHogRate)
 
 	var hogPID proc.PID
-	machines := []cluster.MachineSpec{
-		victim,
-		{
-			Config: neighborCfg,
-			Boot: func(_ *cluster.Cluster, m *kernel.Machine) error {
-				if !spec.Hog {
-					return nil // baseline: the neighbor is quiet
+	neighbor := f.member("", func(_ *cluster.Cluster, m *kernel.Machine) error {
+		if !spec.Hog {
+			return nil // baseline: the neighbor is quiet
+		}
+		p, err := m.Spawn(kernel.SpawnConfig{
+			Name:    "memhog",
+			Content: "remote-swap memory exhaustion attack v1",
+			Body: func(ctx guest.Context) {
+				base := ctx.Call1("malloc", footprint)
+				for n := uint64(0); n < touches; n++ {
+					ctx.Store(base + (n%pages)*mem.DefaultPageSize)
+					ctx.Compute(2000)
 				}
-				p, err := m.Spawn(kernel.SpawnConfig{
-					Name:    "memhog",
-					Content: "remote-swap memory exhaustion attack v1",
-					Body: func(ctx guest.Context) {
-						base := ctx.Call1("malloc", footprint)
-						for n := uint64(0); n < touches; n++ {
-							ctx.Store(base + (n%pages)*mem.DefaultPageSize)
-							ctx.Compute(2000)
-						}
-					},
-				})
-				if p != nil {
-					hogPID = p.PID
-				}
-				return err
 			},
-		},
-	}
-
-	cl, err := cluster.New(cluster.Config{
-		Machines: machines,
-		Links:    []cluster.LinkSpec{{From: 1, To: 0}},
-		SharedSwap: &cluster.SharedSwapSpec{
-			Host:    0,
-			Clients: []int{1},
-		},
+		})
+		if p != nil {
+			hogPID = p.PID
+		}
+		return err
 	})
+	f.cfg.Machines[neighbor].Config.PhysMemBytes = neighborMem
+	f.cfg.Links = []cluster.LinkSpec{{From: neighbor, To: host}}
+	f.cfg.SharedSwap = &cluster.SharedSwapSpec{Host: host, Clients: []int{neighbor}}
+
+	r, err := f.run()
 	if err != nil {
 		return nil, err
 	}
-	if err := cl.Run(); err != nil {
-		return nil, fmt.Errorf("swapflood %s: %w", swapFloodKey(spec), err)
-	}
-
-	v, err := host.harvest(cl.Machine(0))
-	if err != nil {
-		return nil, fmt.Errorf("swapflood %s: %w", swapFloodKey(spec), err)
-	}
-	neighbor := cl.Machine(1)
+	v := r.victims[0]
+	nm := r.cl.Machine(neighbor)
 	out := &SwapFloodOut{
 		Spec:          spec,
 		Victim:        v,
-		RemoteReads:   neighbor.Disk().IOs(),
-		RemoteWrites:  neighbor.Disk().Writes(),
+		RemoteReads:   nm.Disk().IOs(),
+		RemoteWrites:  nm.Disk().Writes(),
 		HostRxPackets: v.PacketsReceived,
-		ElapsedSec:    clusterElapsedSec(cl),
+		ElapsedSec:    r.elapsedSec,
 	}
 	if hogPID != 0 {
-		out.HogMajorFaults = neighbor.Stats(hogPID).MajorFaults
+		out.HogMajorFaults = nm.Stats(hogPID).MajorFaults
 	}
 	return out, nil
 }
