@@ -446,9 +446,11 @@ func (f chaosFlags) chaosSpec() (cpumeter.ChaosSpec, error) {
 	}, nil
 }
 
-// runChaos executes the routed flood (two attackers through a
-// RED-managed egress, alongside the well-behaved ECN flow) under the
-// flag-selected chaos overlay and prints the full billing-integrity
+// runChaos executes the chaos flood artifact's routed flood
+// (ChaosFloodBase: two attackers through a RED-managed egress,
+// alongside the well-behaved ECN flow) at the flags' attacker rate and
+// link latency, under the flag-selected chaos overlay, and prints the
+// full billing-integrity
 // harvest: cumulative router bill, victim bill, flow outcome, and
 // every link direction's conservation ledger. An unbalanced ledger is
 // an error — the command exits nonzero so smoke runs catch it.
@@ -463,30 +465,20 @@ func runChaos(f chaosFlags, opts cpumeter.Options) error {
 	if f.latencyUs <= 0 {
 		return fmt.Errorf("chaos: -latency-us %d must be > 0 (signals need flight time for deterministic lockstep)", f.latencyUs)
 	}
-	const flowFrames = 300
+	fl := cpumeter.ChaosFloodBase(opts)
+	fl.PerAttackerPPS = uint64(f.pps)
+	fl.LinkLatencyUs = uint64(f.latencyUs)
 	start := time.Now()
-	out, err := cpumeter.MeterChaosFlood(cpumeter.ChaosFloodSpec{
-		Flood: cpumeter.RouterFloodSpec{
-			Opts:           opts,
-			Attackers:      2,
-			PerAttackerPPS: uint64(f.pps),
-			Victim:         cpumeter.ClusterVictim{Workload: "O", Billing: "jiffy"},
-			EgressPPS:      30_000,
-			RED:            &cpumeter.REDSpec{MinDepth: 8, MaxDepth: 24, MaxPct: 50},
-			FlowFrames:     flowFrames,
-			LinkLatencyUs:  uint64(f.latencyUs),
-		},
-		Chaos: cs,
-	})
+	out, err := cpumeter.MeterChaosFlood(cpumeter.ChaosFloodSpec{Flood: fl, Chaos: cs})
 	if err != nil {
 		return err
 	}
-	fmt.Printf("chaos: 2 attackers + sender + router + victim, %d pps per attacker (elapsed %.1f virtual s)\n",
-		f.pps, out.ElapsedSec)
+	fmt.Printf("chaos: %d attackers + sender + router + victim, %d pps per attacker (elapsed %.1f virtual s)\n",
+		fl.Attackers, f.pps, out.ElapsedSec)
 	fmt.Printf("  faults injected %d; router incarnations %d (crashed %v), forwarded %d frames\n",
 		out.FaultsInjected, out.RouterIncarnations, out.RouterCrashed, out.RouterForwarded)
 	fmt.Printf("  flow: acked %d/%d, gave up %v, send errs %d, recv errs %d\n",
-		out.Flow.Acked, flowFrames, out.Flow.GaveUp, out.Flow.SendErrors, out.Flow.RecvErrors)
+		out.Flow.Acked, fl.FlowFrames, out.Flow.GaveUp, out.Flow.SendErrors, out.Flow.RecvErrors)
 	fmt.Println("  router daemon bill (summed across incarnations):")
 	for _, scheme := range cpumeter.Schemes {
 		fmt.Printf("    %-14s user %8.2fs  system %7.2fs  total %8.2fs\n",

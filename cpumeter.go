@@ -160,6 +160,12 @@ const UnlimitedLinkPPS = cluster.UnlimitedPPS
 // in packets when a spec leaves it zero.
 const DefaultLinkQueueDepth = cluster.DefaultQueueDepth
 
+// ChaosFloodBase is the chaos flood artifact's routed flood under
+// options o: two attackers at 20k pps each through a RED-managed
+// 30k-pps egress, beside a 300-frame ECN flow to a jiffy-billed victim
+// running O.
+func ChaosFloodBase(o Options) RouterFloodSpec { return experiments.ChaosFloodBase(o) }
+
 // MeterChaosFlood executes one routed-flood scenario under a chaos
 // overlay — seeded syscall faults on every machine, a scheduled
 // mid-run router crash (and optional reboot), and egress link flap —
