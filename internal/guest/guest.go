@@ -187,10 +187,6 @@ type Context interface {
 	// addressed to itself instead of re-routing them.
 	NetAddr() Addr
 
-	// NetRx reads the total frames the machine's NIC has delivered
-	// (a packet-socket statistics read, charged as a syscall).
-	NetRx() uint64
-
 	// NetRxWait blocks until the NIC has delivered more than seen
 	// frames, then returns the new total. A responder daemon pairs it
 	// with NetSend to acknowledge traffic, which is what lets a

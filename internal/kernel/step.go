@@ -278,11 +278,6 @@ func (c *stepCtx) NetAddr() guest.Addr {
 	return c.t.m.nic.Addr()
 }
 
-func (c *stepCtx) NetRx() uint64 {
-	c.r = request{kind: rqNetRx}
-	return c.post().Ret
-}
-
 func (c *stepCtx) NetRxWait(seen uint64) uint64 {
 	c.r = request{kind: rqNetRxWait, addr: seen}
 	return c.post().Ret

@@ -256,7 +256,7 @@ func TestFlyweightContractViolations(t *testing.T) {
 	probes := []probeCase{
 		{"ClockNow", func(c guest.Context) bool { return c.ClockNow() == 0 }, func(r guest.Resume) bool { return r.Ret != 0 }},
 		compute,
-		{"NetRx", func(c guest.Context) bool { return c.NetRx() == 0 }, func(r guest.Resume) bool { return r.Ret == 1 }},
+		{"NetRxWait", func(c guest.Context) bool { return c.NetRxWait(0) == 0 }, func(r guest.Resume) bool { return r.Ret == 1 }},
 		compute,
 		{"Usage", func(c guest.Context) bool { u, s := c.Usage(); return u == 0 && s == 0 }, func(r guest.Resume) bool { return r.User != 0 }},
 		compute,

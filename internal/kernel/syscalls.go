@@ -191,12 +191,6 @@ func (m *Machine) beginRequest(t *task, r *request) {
 		r.Frame, r.OK = m.popRxFrame()
 		m.grantNow(t)
 
-	case rqNetRx:
-		st.Syscalls++
-		m.chargedAdvance(m.sysCost[sysRead], cpu.Kernel, t)
-		r.Ret = m.nic.Received()
-		m.grantNow(t)
-
 	case rqNetRxWait:
 		st.Syscalls++
 		m.chargedAdvance(m.sysCost[sysRead], cpu.Kernel, t)

@@ -34,7 +34,6 @@ const (
 	rqNetSend
 	rqNetForward
 	rqNetRecv
-	rqNetRx
 	rqNetRxWait
 )
 
