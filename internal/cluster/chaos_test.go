@@ -304,6 +304,68 @@ func strandedDRRCfg(frames int) Config {
 	}
 }
 
+// TestCrashedDRRHomeHandsOnItsKick runs homeRebootCfg with no reboot:
+// the shared DRR pipe's kick-timer home crashes while frames bound for
+// the peer stand in the backlog and stays down. The kick must move to
+// a live member and drain them; before, it died with the home, and the
+// run ended with the peer's link at sent 160, delivered 46, dropped
+// 82, queued 32.
+func TestCrashedDRRHomeHandsOnItsKick(t *testing.T) {
+	cfg := homeRebootCfg()
+	cfg.Machines[2].RestartAfter = 0
+	checkDrained(t, cfg)
+}
+
+// TestFinishedDRRHomeHandsOnItsKick is the same fabric with no crash:
+// the home's sink exits after 5 deliveries, so the home finishes while
+// the peer's backlog stands. Before, its kick stayed on the finished
+// home and the peer's link ended at sent 160, delivered 52, dropped
+// 76, queued 32.
+func TestFinishedDRRHomeHandsOnItsKick(t *testing.T) {
+	cfg := homeRebootCfg()
+	home := &cfg.Machines[2]
+	home.CrashAt = 0
+	home.RestartAfter = 0
+	home.Boot = func(_ *Cluster, m *kernel.Machine) error {
+		step, fork := guest.Resumable(snapWatcher{limit: 5})
+		_, err := m.Spawn(kernel.SpawnConfig{
+			Name: "sink", Content: "sink v1", Step: step, Fork: fork,
+		})
+		return err
+	}
+	checkDrained(t, cfg)
+}
+
+// checkDrained runs a homeRebootCfg variant whose home goes down for
+// good and requires every link direction to end balanced with nothing
+// queued, and the peer to have received every frame its link
+// delivered.
+func checkDrained(t *testing.T, cfg Config) {
+	t.Helper()
+	cl, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(cl.Incarnations(2)) != 1 {
+		t.Fatalf("home has %d incarnations, want 1", len(cl.Incarnations(2)))
+	}
+	for i := 0; i < cl.Links(); i++ {
+		for d, l := range []*Link{cl.Link(i), cl.Link(i).Reverse()} {
+			if l.Queued() != 0 {
+				t.Errorf("link%d.%d: sent %d, delivered %d, dropped %d, queued %d; want nothing queued after Run",
+					i, d, l.Sent(), l.Delivered(), l.Dropped(), l.Queued())
+			}
+		}
+	}
+	checkBalanced(t, cl)
+	if got, want := cl.Machine(3).NIC().Received(), cl.Link(1).Delivered(); got != want {
+		t.Errorf("peer received %d frames, its link delivered %d", got, want)
+	}
+}
+
 // TestFlapWindowDropsThenResumes pins FIFO flap semantics: offers
 // inside a scheduled outage window are counted drops, offers before
 // and after are carried, and the ledger stays balanced.

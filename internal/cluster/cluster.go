@@ -358,7 +358,7 @@ type pipe struct {
 	// DRR engine state (nil drr selects the FIFO horizon above).
 	drr         *device.DRR
 	quantum     uint64
-	home        int        // member whose event queue runs the kick timer
+	home        int        // member whose event queue runs the kick timer (moved on by down)
 	byTag       []*Link    // queued-entry tag -> owning link
 	busyUntil   sim.Cycles // wire committed through here
 	commitClock sim.Cycles // monotone max of observed offer/kick times
@@ -511,8 +511,8 @@ func (l *Link) Dropped() uint64 { return l.dropped }
 // Queued reports frames currently parked in a DRR pipe's backlog,
 // accepted but not yet served by the wire (always zero on a FIFO
 // direction, which commits every carried frame at offer time). At
-// any instant Sent = Delivered + Dropped + Queued; a run that drains
-// its flows ends with Queued zero and the classic two-term identity.
+// any instant Sent = Delivered + Dropped + Queued; a completed Run
+// ends with Queued zero and the classic two-term identity.
 func (l *Link) Queued() uint64 { return l.queued }
 
 // Marked reports ECN-capable frames this direction carried with a
@@ -707,9 +707,10 @@ func (p *pipe) drain() {
 
 // armKick schedules a DRR pipe's service timer at the wire's
 // committed horizon on its home member (the first declared link's
-// receiver), so backlog keeps draining — one frame per firing — after
-// the senders go quiet. Without it, queued frames would wait for the
-// next offer that may never come.
+// receiver until that member goes down, then a live one), so backlog
+// keeps draining — one frame per firing — after the senders go quiet.
+// Without it, queued frames would wait for the next offer that may
+// never come.
 func (c *Cluster) armKick(p *pipe) {
 	if p.kickArmed || p.drr.Len() == 0 {
 		return
@@ -1381,6 +1382,7 @@ func (c *Cluster) round(stop sim.Cycles) (int, error) {
 				// Finished naturally ahead of any scheduled crash:
 				// nothing left to kill.
 				c.crashAt[i] = 0
+				c.down(i, m.Clock().Now())
 				continue
 			}
 			if ca := c.crashAt[i]; ca > 0 && ca <= limit {
@@ -1398,24 +1400,66 @@ func (c *Cluster) round(stop sim.Cycles) (int, error) {
 // horizon, so Sent = Delivered + Dropped + Queued holds through the
 // failure.
 func (c *Cluster) crash(i int) {
+	at := c.crashAt[i]
 	c.machines[i].Shutdown()
 	c.done[i] = true
 	c.crashed[i] = true
 	if ra := c.specs[i].RestartAfter; ra > 0 {
-		c.restartAt[i] = c.crashAt[i] + ra
+		c.restartAt[i] = at + ra
 	}
 	c.crashAt[i] = 0
+	c.down(i, at)
+}
+
+// down settles the DRR pipes when member i crashes or finishes at
+// virtual time at. Backlog for a link into i can never be delivered
+// (and serving it after a reboot would deliver stale traffic into a
+// fresh machine), so it becomes counted drops on the link that
+// offered it. A pipe whose kick timer died with i hands it to the
+// first live member; nobody served its backlog past at, so the
+// committed horizon resumes no earlier than that. Every queued frame
+// then has a live destination and a live timer, and a completed Run
+// ends with Queued zero on every direction.
+func (c *Cluster) down(i int, at sim.Cycles) {
+	// c.pipes holds each pipe once, in wiring order, so a Bottleneck
+	// pipe shared by several links is settled exactly once.
+	for _, p := range c.pipes {
+		if p.drr == nil {
+			continue
+		}
+		p.drr.Expire(
+			func(e device.QdiscEntry) bool { return p.byTag[e.Tag].to == i },
+			func(e device.QdiscEntry) {
+				el := p.byTag[e.Tag]
+				el.queued--
+				el.dropped++
+			})
+		if p.home != i {
+			continue
+		}
+		p.kickArmed = false
+		for j, done := range c.done {
+			if !done {
+				p.home = j
+				break
+			}
+		}
+		if p.drr.Len() > 0 {
+			p.busyUntil = max(p.busyUntil, at)
+			c.armKick(p)
+		}
+	}
 }
 
 // restart boots a fresh incarnation of crashed machine i at virtual
 // time at: a new kernel.Machine from the original spec, its clock
 // fast-forwarded to the reboot instant via Config.BootAt (first timer
 // tick one jiffy later), plugged in as member i like the original.
-// Residual DRR backlog addressed to the dead incarnation is expired
-// into the drop ledger — the fresh machine takes new traffic only —
-// and every DRR pipe homed on the member gets its kick timer back.
-// Task state is fresh (the spec's Boot runs again); ledgers are
-// per-incarnation, so cumulative accounting sums over Incarnations.
+// The crash already expired the backlog addressed to the dead
+// incarnation and handed its kick timers on (down), so the fresh
+// machine takes new traffic only. Task state is fresh (the spec's
+// Boot runs again); ledgers are per-incarnation, so cumulative
+// accounting sums over Incarnations.
 func (c *Cluster) restart(i int, at sim.Cycles) error {
 	c.prior[i] = append(c.prior[i], c.machines[i])
 	mcfg := c.specs[i].Config
@@ -1432,37 +1476,6 @@ func (c *Cluster) restart(i int, at sim.Cycles) error {
 				// dropped; the revived machine takes new traffic.
 				d.downAt = 0
 			}
-		}
-	}
-	// c.pipes holds each pipe once, in wiring order, so a Bottleneck
-	// pipe shared by several links is re-armed exactly once.
-	for _, p := range c.pipes {
-		if p.drr == nil {
-			continue
-		}
-		// Frames still parked for a link into the crashed member were
-		// accepted by the wire but addressed to an incarnation that no
-		// longer exists — serving them after the reboot would deliver
-		// stale traffic into the fresh machine. They become counted
-		// drops on the link that offered them, so Queued drains to
-		// Dropped and Sent = Delivered + Dropped + Queued holds across
-		// the reboot.
-		p.drr.Expire(
-			func(e device.QdiscEntry) bool { return p.byTag[e.Tag].to == i },
-			func(e device.QdiscEntry) {
-				el := p.byTag[e.Tag]
-				el.queued--
-				el.dropped++
-			})
-		if p.home == i {
-			// The pipe's kick timer died with the old incarnation: pick
-			// the backlog back up. Nobody served the wire while the home
-			// was dead, so the committed horizon resumes no earlier than
-			// the reboot instant (also keeping the fresh event queue free
-			// of past-time events).
-			p.kickArmed = false
-			p.busyUntil = max(p.busyUntil, at)
-			c.armKick(p)
 		}
 	}
 	if boot := c.specs[i].Boot; boot != nil {

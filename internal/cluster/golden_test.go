@@ -20,9 +20,10 @@ var update = flag.Bool("update", false, "rewrite the fabric goldens under testda
 // to a crash while backlog stands: two forkable senders share one DRR
 // Bottleneck pipe, the first toward member 2 (the pipe's home, which
 // crashes at 3 ms and reboots at 4 ms) and the second toward member 3.
-// Both offer 2.5x the wire's rate, so at the reboot the sender to 2 has
-// lost its backlog to expiry while the sender to 3 still has frames
-// queued, and the rebooted home must hold exactly one kick for them.
+// Both offer 2.5x the wire's rate, so at the crash the backlog bound
+// for 2 expires while frames for 3 stay queued, and the kick timer
+// moves to the first live member, senderA. Exactly one kick must
+// drain them: the reboot must not arm a second one on the home.
 func homeRebootCfg() Config {
 	sender := func(seed int64, dst int, flow uint32) MachineSpec {
 		return MachineSpec{
@@ -178,25 +179,28 @@ func renderSwap(c *Cluster) string {
 // golden covers, as renderCluster's text in testdata/<name>.golden:
 // the snapshot fabric whose receiver crashes and reboots behind a DRR
 // hop, TestRestartExpiresStrandedDRRBacklog's fabric, homeRebootCfg,
-// whose render also counts the rebooted home's pending events at a
-// barrier just after the reboot, so a second kick timer would show,
-// and sharedSwapCfg, whose render counts the swap host's pending
-// events mid-backlog and adds renderSwap. The first three goldens were
-// recorded before the cluster named link endpoints and pipe homes by
-// member index, and shared_swap before the swap host kept its remote
-// I/O in a backlog. Regenerate them only to move that bar on purpose:
+// whose render also counts every member's pending events at a barrier
+// just after the reboot, so a second kick timer would show wherever it
+// was armed, and sharedSwapCfg, whose render counts the swap host's
+// pending events mid-backlog and adds renderSwap. crash_restart and
+// stranded_drr were recorded before the cluster named link endpoints
+// and pipe homes by member index, shared_swap before the swap host
+// kept its remote I/O in a backlog, and drr_home_reboot when a member
+// going down first handed its pipes' kick timers to a live member.
+// Regenerate them only to move that bar on purpose:
 //
 //	go test ./internal/cluster -run TestFabricGoldens -update
 func TestFabricGoldens(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		cfg     Config
-		barrier sim.Cycles // nonzero: render member 2's pending events here
+		barrier sim.Cycles // nonzero: render the pending events of members here
+		members []int
 	}{
-		{"crash_restart", snapClusterCfg(307, 160, 4_000_000, 500_000), 0},
-		{"stranded_drr", strandedDRRCfg(100), 0},
-		{"drr_home_reboot", homeRebootCfg(), 4_100_000},
-		{"shared_swap", sharedSwapCfg(), sharedSwapBarriers[1]},
+		{"crash_restart", snapClusterCfg(307, 160, 4_000_000, 500_000), 0, nil},
+		{"stranded_drr", strandedDRRCfg(100), 0, nil},
+		{"drr_home_reboot", homeRebootCfg(), 4_100_000, []int{0, 1, 2, 3}},
+		{"shared_swap", sharedSwapCfg(), sharedSwapBarriers[1], []int{2}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c, err := New(tc.cfg)
@@ -208,12 +212,14 @@ func TestFabricGoldens(t *testing.T) {
 				if done, err := c.RunUntil(tc.barrier); err != nil || done {
 					t.Fatalf("RunUntil(%d) = %v, %v; want a live fabric at the barrier", tc.barrier, done, err)
 				}
-				img, err := c.Machine(2).Snapshot()
+			}
+			for _, i := range tc.members {
+				img, err := c.Machine(i).Snapshot()
 				if err != nil {
 					t.Fatal(err)
 				}
-				pending = fmt.Sprintf("%s.%d pending=%d at=%d\n",
-					c.Name(2), len(c.Incarnations(2))-1, img.PendingEvents(), img.At())
+				pending += fmt.Sprintf("%s.%d pending=%d at=%d\n",
+					c.Name(i), len(c.Incarnations(i))-1, img.PendingEvents(), img.At())
 			}
 			if err := c.Run(); err != nil {
 				t.Fatal(err)

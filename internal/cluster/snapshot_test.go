@@ -43,17 +43,22 @@ func (g *snapSender) Activate(ctx guest.Context, r guest.Resume) bool {
 	return true
 }
 
-// snapWatcher is a forkable infinite sink: it blocks in NetRxWait
-// forever, consuming deliveries on a Service machine so the cluster
-// retires it at quiescence.
+// snapWatcher is a forkable sink: it blocks in NetRxWait, consuming
+// deliveries on a Service machine so the cluster retires it at
+// quiescence, or exits once it has seen limit deliveries (limit 0
+// waits forever).
 type snapWatcher struct {
 	seen    uint64
 	started bool
+	limit   uint64
 }
 
 func (w *snapWatcher) Activate(ctx guest.Context, r guest.Resume) bool {
 	if w.started {
 		w.seen = r.Ret
+	}
+	if w.limit > 0 && w.seen >= w.limit {
+		return false
 	}
 	w.started = true
 	ctx.NetRxWait(w.seen)
