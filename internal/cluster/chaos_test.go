@@ -366,6 +366,66 @@ func checkDrained(t *testing.T, cfg Config) {
 	}
 }
 
+// TestKickArmedInTheHomesPastRuns pins the lockstep barrier against a
+// DRR kick timer armed far in its home's past. The sender's first
+// frame commits the idle 1,000-pps wire through ~1.1 ms; its second,
+// offered at ~2 ms inside an outage window, parks in the backlog, and
+// the kick is armed at that stale horizon on the home, which has
+// already run to ~2.5 ms. Before the fix every later round's target
+// (the kick's time plus the 500 µs lookahead) lay behind the home's
+// clock, so no round ran anything and Run never returned.
+func TestKickArmedInTheHomesPastRuns(t *testing.T) {
+	perUs := sim.Cycles(testHz / 1_000_000)
+	cl, err := New(Config{
+		Machines: []MachineSpec{
+			{Name: "home", Config: kernel.Config{Seed: 241, CPUHz: testHz}, Service: true, Boot: drainDaemon},
+			{
+				Name:   "sender",
+				Config: kernel.Config{Seed: 242, CPUHz: testHz},
+				Boot: func(c *Cluster, m *kernel.Machine) error {
+					dst := c.AddrOf(0)
+					_, err := m.Spawn(kernel.SpawnConfig{
+						Name: "sender", Content: "two-frame sender v1",
+						Body: func(ctx guest.Context) {
+							//simlint:errno-ok the test asserts on the link ledger, not per-send errno
+							ctx.NetSend(guest.Frame{Dst: dst})
+							ctx.Sleep(2_000 * perUs)
+							//simlint:errno-ok the test asserts on the link ledger, not per-send errno
+							ctx.NetSend(guest.Frame{Dst: dst})
+						},
+					})
+					return err
+				},
+			},
+		},
+		Links: []LinkSpec{{
+			From: 1, To: 0, PacketsPerSecond: 1_000, Qdisc: QdiscDRR,
+			Flap: &FlapSpec{FirstDownUs: 1_900, DownUs: 750},
+		}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Round by round, so a wedged barrier fails instead of hanging.
+	for n := 0; ; n++ {
+		if n == 1_000 {
+			cl.Shutdown()
+			t.Fatalf("no end after %d rounds, frontier %d", n, cl.Now())
+		}
+		st, err := cl.round(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st == roundAllDone {
+			break
+		}
+	}
+	if l := cl.Link(0); l.Sent() != 2 || l.Delivered() != 2 || l.Queued() != 0 {
+		t.Errorf("link: sent %d, delivered %d, dropped %d, queued %d; want both frames delivered",
+			l.Sent(), l.Delivered(), l.Dropped(), l.Queued())
+	}
+}
+
 // TestFlapWindowDropsThenResumes pins FIFO flap semantics: offers
 // inside a scheduled outage window are counted drops, offers before
 // and after are carried, and the ledger stays balanced.

@@ -1301,6 +1301,14 @@ func (c *Cluster) round(stop sim.Cycles) (int, error) {
 			}
 			allDone = false
 			at, ok := m.NextWorkAt()
+			if now := m.Clock().Now(); ok && at+c.lookahead <= now {
+				// Work due a lookahead or more in the machine's past (a
+				// kick timer armed behind its home's clock) would give a
+				// round whose target the machine has already passed,
+				// which runs nothing, forever. Move the base up just
+				// enough that the round runs it.
+				at = now + 1 - c.lookahead
+			}
 			if ca := c.crashAt[i]; ca > 0 && (!ok || ca < at) {
 				at, ok = ca, true
 			}
