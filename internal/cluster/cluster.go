@@ -707,13 +707,21 @@ func (p *pipe) drain() {
 
 // armKick schedules a DRR pipe's service timer at the wire's
 // committed horizon on its home member (the first declared link's
-// receiver until that member goes down, then a live one), so backlog
-// keeps draining — one frame per firing — after the senders go quiet.
-// Without it, queued frames would wait for the next offer that may
-// never come.
+// receiver; once that member is down, the first live member), so
+// backlog keeps draining — one frame per firing — after the senders
+// go quiet. Without it, queued frames would wait for the next offer
+// that may never come.
 func (c *Cluster) armKick(p *pipe) {
 	if p.kickArmed || p.drr.Len() == 0 {
 		return
+	}
+	if c.done[p.home] {
+		for j, done := range c.done {
+			if !done {
+				p.home = j
+				break
+			}
+		}
 	}
 	p.kickArmed = true
 	// A flap-down window pushes the kick to the window's end: the
@@ -1423,11 +1431,11 @@ func (c *Cluster) crash(i int) {
 // virtual time at. Backlog for a link into i can never be delivered
 // (and serving it after a reboot would deliver stale traffic into a
 // fresh machine), so it becomes counted drops on the link that
-// offered it. A pipe whose kick timer died with i hands it to the
-// first live member; nobody served its backlog past at, so the
-// committed horizon resumes no earlier than that. Every queued frame
-// then has a live destination and a live timer, and a completed Run
-// ends with Queued zero on every direction.
+// offered it. A pipe whose kick timer died with i re-arms it, which
+// puts it on the first live member; nobody served its backlog past
+// at, so the committed horizon resumes no earlier than that. Every
+// queued frame then has a live destination and a live timer, and a
+// completed Run ends with Queued zero on every direction.
 func (c *Cluster) down(i int, at sim.Cycles) {
 	// c.pipes holds each pipe once, in wiring order, so a Bottleneck
 	// pipe shared by several links is settled exactly once.
@@ -1442,19 +1450,12 @@ func (c *Cluster) down(i int, at sim.Cycles) {
 				el.queued--
 				el.dropped++
 			})
-		if p.home != i {
-			continue
-		}
-		p.kickArmed = false
-		for j, done := range c.done {
-			if !done {
-				p.home = j
-				break
+		if p.home == i {
+			p.kickArmed = false
+			if p.drr.Len() > 0 {
+				p.busyUntil = max(p.busyUntil, at)
+				c.armKick(p)
 			}
-		}
-		if p.drr.Len() > 0 {
-			p.busyUntil = max(p.busyUntil, at)
-			c.armKick(p)
 		}
 	}
 }
