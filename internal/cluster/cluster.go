@@ -358,7 +358,7 @@ type pipe struct {
 	// DRR engine state (nil drr selects the FIFO horizon above).
 	drr         *device.DRR
 	quantum     uint64
-	home        int        // member whose event queue runs the kick timer (moved on by down)
+	home        int        // member whose event queue runs the kick timer; armKick moves it off a down member
 	byTag       []*Link    // queued-entry tag -> owning link
 	busyUntil   sim.Cycles // wire committed through here
 	commitClock sim.Cycles // monotone max of observed offer/kick times

@@ -153,7 +153,7 @@ func (f *fabric) victim(v ClusterVictim, daemons func(*kernel.Machine) error) (i
 	if err != nil {
 		return 0, err
 	}
-	h := &victimHost{v: v}
+	h := &victimHost{billing: v.Billing}
 	h.idx = f.member("", func(_ *cluster.Cluster, m *kernel.Machine) (err error) {
 		if daemons != nil {
 			if err := daemons(m); err != nil {
@@ -198,12 +198,12 @@ func (f *fabric) run() (ranFabric, error) {
 	return r, nil
 }
 
-// victimHost is a fabric's billed victim host: member idx, running v
-// (its billing resolved) and, once booted, the launched job.
+// victimHost is a fabric's billed victim host: member idx, its
+// resolved billing scheme and, once booted, its launched job.
 type victimHost struct {
-	v      ClusterVictim
-	idx    int
-	launch *launched
+	billing string
+	idx     int
+	launch  *launched
 }
 
 // harvest collects the finished host's bill. A job retired unfinished
@@ -213,7 +213,7 @@ func (h *victimHost) harvest(m *kernel.Machine) (ClusterVictimOut, error) {
 	if h.launch.prog != nil && !h.launch.prog.Done {
 		return ClusterVictimOut{}, errors.New("victim workload retired before completion (stalled behind the service daemon?)")
 	}
-	return ClusterVictimOut{Billing: h.v.Billing, Run: h.launch.harvest(m), PacketsReceived: m.NIC().Received()}, nil
+	return ClusterVictimOut{Billing: h.billing, Run: h.launch.harvest(m), PacketsReceived: m.NIC().Received()}, nil
 }
 
 // floodSeconds is an attack's transmit duration: 1.5x the longest

@@ -42,10 +42,12 @@ const harvestDigests = "testdata/harvest.sha256"
 // chaosflood renders at the commit before the routed star and the
 // victim host were each built in one place; the single-machine renders
 // while the paper's guests still ran on a goroutine per task. All of
-// them still pass byte for byte. The harvest digests were last
-// rewritten when 23 spec fields that nothing set were deleted, which
-// took exactly those fields' lines out of the dumps: each at its zero
-// value, or Opts.MaxSteps=400000000.
+// them still pass byte for byte, and so do the harvest digests since
+// the five cluster runners declare their scenarios on one builder,
+// fabric, with ElapsedSec read from the cluster's final clock. The
+// harvest digests were last rewritten when 23 spec fields that nothing
+// set were deleted, which took exactly those fields' lines out of the
+// dumps: each at its zero value, or Opts.MaxSteps=400000000.
 // Regenerate the goldens only to move that bar on purpose:
 //
 //	go test ./internal/experiments -run TestClusterGoldens -update

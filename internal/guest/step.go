@@ -44,8 +44,7 @@ type Resume struct {
 	// and FindProcess.
 	OK bool
 	// Ret is the request's integer reply: ClockNow's cycle count,
-	// NetRx/NetRxWait's delivery total, Fork/SpawnThread/FindProcess's
-	// pid.
+	// NetRxWait's delivery total, Fork/SpawnThread/FindProcess's pid.
 	Ret uint64
 	// Err is the request's error reply (Syscall, Ptrace, and the
 	// injected-fault surface of NetSend/NetForward/NetRecv).
