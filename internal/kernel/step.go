@@ -256,14 +256,16 @@ func (c *stepCtx) ClockNow() sim.Cycles {
 	return sim.Cycles(c.post().Ret)
 }
 
+// NetSend stamps the frame with the machine's fabric address, which
+// never changes during the machine's life, and sends it as NetForward
+// does.
 func (c *stepCtx) NetSend(f guest.Frame) (bool, error) {
-	c.r = request{kind: rqNetSend, Resume: guest.Resume{Frame: f}}
-	r := c.post()
-	return r.OK, r.Err
+	f.Src = c.t.m.nic.Addr()
+	return c.NetForward(f)
 }
 
 func (c *stepCtx) NetForward(f guest.Frame) (bool, error) {
-	c.r = request{kind: rqNetForward, Resume: guest.Resume{Frame: f}}
+	c.r = request{kind: rqNetSend, Resume: guest.Resume{Frame: f}}
 	r := c.post()
 	return r.OK, r.Err
 }

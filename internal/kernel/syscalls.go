@@ -159,22 +159,6 @@ func (m *Machine) beginRequest(t *task, r *request) {
 		// sendto entry/service/exit, then the driver's tx path — ring
 		// descriptor fill and doorbell — all system time of the sender.
 		m.chargedAdvance(m.sysCost[sysSendto]+c.NICTx, cpu.Kernel, t)
-		f := r.Frame
-		f.Src = m.nic.Addr()
-		r.OK = m.nic.Transmit(f)
-		m.grantNow(t)
-
-	case rqNetForward:
-		st.Syscalls++
-		if e, hit := m.injectFault(sysSendto); hit {
-			m.chargedAdvance(m.sysCost[sysSendto], cpu.Kernel, t)
-			r.Err = e
-			m.grantNow(t)
-			break
-		}
-		// Same driver path as a send; the frame's Src is preserved so
-		// the next hop still sees the original sender.
-		m.chargedAdvance(m.sysCost[sysSendto]+c.NICTx, cpu.Kernel, t)
 		r.OK = m.nic.Transmit(r.Frame)
 		m.grantNow(t)
 

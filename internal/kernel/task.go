@@ -32,7 +32,6 @@ const (
 	rqFind
 	rqClock
 	rqNetSend
-	rqNetForward
 	rqNetRecv
 	rqNetRxWait
 )
@@ -59,7 +58,7 @@ type request struct {
 	code   int // rqExit
 
 	// The reply, which a Step guest's next activation receives as is.
-	// Its Frame is also the input of rqNetSend and rqNetForward.
+	// Its Frame is also rqNetSend's input, sent as is.
 	guest.Resume
 }
 
