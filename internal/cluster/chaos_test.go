@@ -366,37 +366,20 @@ func checkDrained(t *testing.T, cfg Config) {
 	}
 }
 
-// TestKickArmedInTheHomesPastRuns pins the lockstep barrier against a
-// DRR kick timer armed far in its home's past. The sender's first
-// frame commits the idle 1,000-pps wire through ~1.1 ms; its second,
-// offered at ~2 ms inside an outage window, parks in the backlog, and
-// the kick is armed at that stale horizon on the home, which has
-// already run to ~2.5 ms. Before the fix every later round's target
-// (the kick's time plus the 500 µs lookahead) lay behind the home's
-// clock, so no round ran anything and Run never returned.
-func TestKickArmedInTheHomesPastRuns(t *testing.T) {
+// TestParkedFrameWaitsOutTheOutage pins a DRR frame offered inside an
+// outage window after its wire idled: it leaves the wire no earlier
+// than the window's end. The sender's first frame commits the idle
+// 1,000-pps wire through ~1.1 ms; its second, offered at ~2 ms inside
+// the 1.9–2.65 ms outage, parks in the backlog. Before the fix the
+// park left the committed horizon where the idle wire had left it, so
+// the kick served the frame from there: it left the wire at 1,987,862
+// cycles, inside the outage and before it was offered.
+func TestParkedFrameWaitsOutTheOutage(t *testing.T) {
 	perUs := sim.Cycles(testHz / 1_000_000)
 	cl, err := New(Config{
 		Machines: []MachineSpec{
 			{Name: "home", Config: kernel.Config{Seed: 241, CPUHz: testHz}, Service: true, Boot: drainDaemon},
-			{
-				Name:   "sender",
-				Config: kernel.Config{Seed: 242, CPUHz: testHz},
-				Boot: func(c *Cluster, m *kernel.Machine) error {
-					dst := c.AddrOf(0)
-					_, err := m.Spawn(kernel.SpawnConfig{
-						Name: "sender", Content: "two-frame sender v1",
-						Body: func(ctx guest.Context) {
-							//simlint:errno-ok the test asserts on the link ledger, not per-send errno
-							ctx.NetSend(guest.Frame{Dst: dst})
-							ctx.Sleep(2_000 * perUs)
-							//simlint:errno-ok the test asserts on the link ledger, not per-send errno
-							ctx.NetSend(guest.Frame{Dst: dst})
-						},
-					})
-					return err
-				},
-			},
+			{Name: "sender", Config: kernel.Config{Seed: 242, CPUHz: testHz}, Boot: pacedSender(0, 2, 2_000*perUs)},
 		},
 		Links: []LinkSpec{{
 			From: 1, To: 0, PacketsPerSecond: 1_000, Qdisc: QdiscDRR,
@@ -406,11 +389,80 @@ func TestKickArmedInTheHomesPastRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := cl.Run(); err != nil {
+		t.Fatal(err)
+	}
+	l := cl.Link(0)
+	if l.Sent() != 2 || l.Delivered() != 2 || l.Queued() != 0 {
+		t.Errorf("link: sent %d, delivered %d, dropped %d, queued %d; want both frames delivered",
+			l.Sent(), l.Delivered(), l.Dropped(), l.Queued())
+	}
+	// The last frame served leaves the wire at the committed horizon.
+	if left, end := l.pipe.busyUntil, 2_650*perUs; left <= end {
+		t.Errorf("the parked frame left the wire at cycle %d, before the outage ended at %d", left, end)
+	}
+}
+
+// TestKickArmedInTheHomesPastRuns pins the lockstep barrier against a
+// DRR kick timer armed a lookahead or more in its home's past. The
+// home exports a shared swap device at 600 µs of service per remote
+// I/O, and runs first in every round: once the hog swaps, each service
+// is an interrupt lump that overruns the round's 50 µs barrier and
+// leaves the home idle far ahead. In those rounds the sender offers
+// frame pairs for the peer to the idle 10,000-pps bottleneck homed on
+// the home: the first goes straight out, the second parks behind it,
+// and the kick is armed at the ~100 µs horizon, behind the home's
+// clock. Without the barrier's clamp every later round's target (the
+// kick's time plus the lookahead) lies behind the home's clock, so no
+// round runs the kick and Run never returns.
+func TestKickArmedInTheHomesPastRuns(t *testing.T) {
+	perUs := sim.Cycles(testHz / 1_000_000)
+	pairs := func(c *Cluster, m *kernel.Machine) error {
+		dst := c.AddrOf(3)
+		_, err := m.Spawn(kernel.SpawnConfig{
+			Name: "pairs", Content: "pair sender v1",
+			Body: func(ctx guest.Context) {
+				for i := 0; i < 30; i++ {
+					//simlint:errno-ok the test asserts on the link ledger, not per-send errno
+					ctx.NetSend(guest.Frame{Dst: dst})
+					//simlint:errno-ok the test asserts on the link ledger, not per-send errno
+					ctx.NetSend(guest.Frame{Dst: dst})
+					ctx.Sleep(300 * perUs)
+				}
+			},
+		})
+		return err
+	}
+	hog := func(_ *Cluster, m *kernel.Machine) error {
+		step, fork := guest.Resumable(swapHog{pages: 40, touches: 40})
+		_, err := m.Spawn(kernel.SpawnConfig{Name: "memhog", Content: "memhog v1", Step: step, Fork: fork})
+		return err
+	}
+	cl, err := New(Config{
+		Machines: []MachineSpec{
+			{Name: "home", Config: kernel.Config{Seed: 241, CPUHz: testHz}, Service: true, Boot: drainDaemon},
+			{Name: "hog", Config: kernel.Config{Seed: 242, CPUHz: testHz, PhysMemBytes: 32 * 4096}, Boot: hog},
+			{Name: "sender", Config: kernel.Config{Seed: 243, CPUHz: testHz}, Boot: pairs},
+			{Name: "peer", Config: kernel.Config{Seed: 244, CPUHz: testHz}, Service: true, Boot: drainDaemon},
+		},
+		Links: []LinkSpec{
+			{From: 2, To: 0, LatencyUs: 50, PacketsPerSecond: 10_000, Qdisc: QdiscDRR, Bottleneck: "b"},
+			{From: 2, To: 3, LatencyUs: 50, PacketsPerSecond: 10_000, Qdisc: QdiscDRR, Bottleneck: "b"},
+		},
+		SharedSwap: &SharedSwapSpec{Host: 0, Clients: []int{1}, ServiceUs: 600},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Round by round, so a wedged barrier fails instead of hanging.
+	p, behind := cl.Link(0).pipe, 0
 	for n := 0; ; n++ {
 		if n == 1_000 {
 			cl.Shutdown()
 			t.Fatalf("no end after %d rounds, frontier %d", n, cl.Now())
+		}
+		if p.kickArmed && p.busyUntil+cl.lookahead <= cl.Machine(0).Clock().Now() {
+			behind++
 		}
 		st, err := cl.round(0)
 		if err != nil {
@@ -420,8 +472,57 @@ func TestKickArmedInTheHomesPastRuns(t *testing.T) {
 			break
 		}
 	}
-	if l := cl.Link(0); l.Sent() != 2 || l.Delivered() != 2 || l.Queued() != 0 {
-		t.Errorf("link: sent %d, delivered %d, dropped %d, queued %d; want both frames delivered",
+	if behind == 0 {
+		t.Fatal("no round started with a kick a lookahead behind its home; the fabric no longer tests the clamp")
+	}
+	if l := cl.Link(1); l.Sent() != 60 || l.Delivered() != 60 || l.Queued() != 0 {
+		t.Errorf("link to the peer: sent %d, delivered %d, dropped %d, queued %d; want every frame delivered",
+			l.Sent(), l.Delivered(), l.Dropped(), l.Queued())
+	}
+}
+
+// TestRunUntilPausesOverOverdueWork pins RunUntil against work due in
+// the past of a member that already stands at the stop barrier. The
+// home runs first and reaches the 480 µs barrier; then the sender
+// parks a frame in the DRR wire's 0–250 µs outage, and the kick lands
+// at 250 µs, in the home's past. Before the fix every later round
+// took that kick as its base, clamped its target to the barrier the
+// home had already reached, and ran nothing, so RunUntil never
+// returned.
+func TestRunUntilPausesOverOverdueWork(t *testing.T) {
+	perUs := sim.Cycles(testHz / 1_000_000)
+	cl, err := New(Config{
+		Machines: []MachineSpec{
+			{Name: "home", Config: kernel.Config{Seed: 251, CPUHz: testHz}, Service: true, Boot: drainDaemon},
+			{Name: "sender", Config: kernel.Config{Seed: 252, CPUHz: testHz}, Boot: pacedSender(0, 1, 0)},
+		},
+		Links: []LinkSpec{{From: 1, To: 0, Qdisc: QdiscDRR, Flap: &FlapSpec{DownUs: 250}}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Round by round, so a wedged barrier fails instead of hanging.
+	for n := 0; ; n++ {
+		if n == 100 {
+			cl.Shutdown()
+			t.Fatalf("no pause after %d rounds, frontier %d", n, cl.Now())
+		}
+		st, err := cl.round(480 * perUs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st == roundAllDone {
+			t.Fatal("the fabric finished before the barrier")
+		}
+		if st == roundPaused {
+			break
+		}
+	}
+	if err := cl.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if l := cl.Link(0); l.Sent() != 1 || l.Delivered() != 1 {
+		t.Errorf("link: sent %d, delivered %d, dropped %d, queued %d; want the frame delivered",
 			l.Sent(), l.Delivered(), l.Dropped(), l.Queued())
 	}
 }

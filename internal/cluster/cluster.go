@@ -342,12 +342,11 @@ var ErrStalled = errors.New("cluster: unfinished machines but no machine has pen
 // service-time event at a time, with the kick timer on the home
 // member draining whatever the senders' own offers do not.
 type pipe struct {
-	gap         sim.Cycles // serialisation spacing per minimum-frame slot at wire capacity; 0 = infinite rate
-	depth       uint64     // queue bound in minimum-frame slots
-	red         *REDSpec   // nil: pure tail-drop
-	lastArrival sim.Cycles
-	rng         *sim.Rand
-	avgFP       uint64 // EWMA queue estimate, 16.16 fixed point (RED Weight > 0)
+	gap   sim.Cycles // serialisation spacing per minimum-frame slot at wire capacity; 0 = infinite rate
+	depth uint64     // queue bound in minimum-frame slots
+	red   *REDSpec   // nil: pure tail-drop
+	rng   *sim.Rand
+	pipeRun
 
 	// Flap schedule in cycles (flapDown 0: never down). flapPeriod 0
 	// with flapDown armed means one outage window only.
@@ -356,20 +355,27 @@ type pipe struct {
 	flapPeriod sim.Cycles
 
 	// DRR engine state (nil drr selects the FIFO horizon above).
-	drr         *device.DRR
-	quantum     uint64
-	home        int        // member whose event queue runs the kick timer; armKick moves it off a down member
-	byTag       []*Link    // queued-entry tag -> owning link
-	busyUntil   sim.Cycles // wire committed through here
-	commitClock sim.Cycles // monotone max of observed offer/kick times
-	kickArmed   bool
-	kickFire    func()
+	drr      *device.DRR
+	quantum  uint64
+	home     int     // member whose event queue runs the kick timer; armKick moves it off a down member
+	byTag    []*Link // queued-entry tag -> owning link
+	kickFire func()
 
 	// id is the pipe's position in the cluster's wiring-order pipe
 	// table — the restore tag stamped on its "pipe-service" events, so
 	// a checkpoint restore can re-point a pending kick at the rebuilt
 	// pipe's kickFire.
 	id uint64
+}
+
+// pipeRun is the part of a pipe's state that a run moves; a checkpoint
+// copies it as one value.
+type pipeRun struct {
+	lastArrival sim.Cycles // FIFO: the wire's committed tail
+	avgFP       uint64     // EWMA queue estimate, 16.16 fixed point (RED Weight > 0)
+	busyUntil   sim.Cycles // DRR: wire committed through here
+	commitClock sim.Cycles // DRR: monotone max of observed offer/kick times
+	kickArmed   bool
 }
 
 // svcBytes reports the serialisation time of wb wire bytes: the
@@ -480,13 +486,12 @@ type Link struct {
 	pipe     *pipe
 	rev      *Link
 	tag      uint32 // this link's entry tag in a DRR pipe's table
-	// downAt is the destination's scheduled CrashAt: a frame arriving
-	// at or after it lands on a dead machine and is dropped at the
-	// wire instead (the sender learns synchronously, the accounting
-	// identity holds through the crash). Cleared when the destination
-	// restarts. Zero: no crash scheduled.
-	downAt sim.Cycles
+	counts
+}
 
+// counts is one link direction's frame ledger; a checkpoint copies it
+// as one value.
+type counts struct {
 	sent      uint64
 	delivered uint64
 	dropped   uint64
@@ -549,14 +554,14 @@ func (l *Link) Reverse() *Link { return l.rev }
 // flow is the hog, in which case it is the drop.
 func (l *Link) Send(f Frame) bool {
 	l.sent++
-	if l.c.machines[l.to].Closed() {
+	if l.c.members[l.to].m.Closed() {
 		l.dropped++
 		return false
 	}
 	if l.pipe.drr != nil {
 		return l.pipe.sendDRR(l, f)
 	}
-	now := l.c.machines[l.from].Clock().Now()
+	now := l.c.members[l.from].m.Clock().Now()
 	if l.pipe.flapDefer(now) > now {
 		// The wire is in a flap-down window: a FIFO direction has no
 		// backlog to hold the frame in, so the offer is a loss.
@@ -616,16 +621,17 @@ func (l *Link) redAdmit(queued uint64, f *Frame) bool {
 // land hands a wire-committed frame to the destination NIC at its
 // arrival time — or counts a drop when the destination machine has
 // finished, or when the frame would arrive at or after the
-// destination's scheduled crash (it occupied the wire but lands on a
-// dead machine).
+// destination's pending crash: it occupied the wire but lands on a
+// dead machine, so the sender learns synchronously and the ledger
+// holds through the crash.
 func (l *Link) land(arrive sim.Cycles, f Frame) bool {
-	to := l.c.machines[l.to]
-	if to.Closed() || (l.downAt > 0 && arrive >= l.downAt) {
+	to := &l.c.members[l.to]
+	if to.m.Closed() || (to.crashAt > 0 && arrive >= to.crashAt) {
 		l.dropped++
 		return false
 	}
 	l.delivered++
-	to.NIC().InjectRxFrame(arrive, f)
+	to.m.NIC().InjectRxFrame(arrive, f)
 	return true
 }
 
@@ -636,7 +642,7 @@ func (l *Link) land(arrive sim.Cycles, f Frame) bool {
 // observed offer times and a frame offered "in the past" (bounded by
 // one lookahead window) queues as if it arrived at the frontier.
 func (p *pipe) sendDRR(l *Link, f Frame) bool {
-	now := l.c.machines[l.from].Clock().Now()
+	now := l.c.members[l.from].m.Clock().Now()
 	if now > p.commitClock {
 		p.commitClock = now
 	}
@@ -654,8 +660,11 @@ func (p *pipe) sendDRR(l *Link, f Frame) bool {
 			l.land(p.busyUntil+l.latency, f)
 			return true
 		}
-		// Flap-down window: fall through and park the frame in the
-		// backlog; drain resumes service when the window ends.
+		// Flap-down window: park the frame in the backlog. The wire
+		// is committed through the offer, so drain and the kick serve
+		// it from the window's end, not from a horizon the idle wire
+		// left behind.
+		p.busyUntil = start
 	}
 	// Wire busy: admit under the buffer policy. Capacity is QueueDepth
 	// minimum-frame slots' worth of bytes; under pressure the fattest
@@ -715,9 +724,9 @@ func (c *Cluster) armKick(p *pipe) {
 	if p.kickArmed || p.drr.Len() == 0 {
 		return
 	}
-	if c.done[p.home] {
-		for j, done := range c.done {
-			if !done {
+	if c.members[p.home].done {
+		for j := range c.members {
+			if !c.members[j].done {
 				p.home = j
 				break
 			}
@@ -726,7 +735,7 @@ func (c *Cluster) armKick(p *pipe) {
 	p.kickArmed = true
 	// A flap-down window pushes the kick to the window's end: the
 	// timer is what revives a parked backlog once senders go quiet.
-	c.machines[p.home].NIC().ScheduleEgressTagged(p.flapDefer(p.busyUntil), p.id, p.kickFire)
+	c.members[p.home].m.NIC().ScheduleEgressTagged(p.flapDefer(p.busyUntil), p.id, p.kickFire)
 }
 
 // Cluster is a set of machines advancing in lockstep plus the links
@@ -736,33 +745,34 @@ func (c *Cluster) armKick(p *pipe) {
 // leaves on. A member's NIC holds only its address and a transmit
 // function into that table, which plug sets on every incarnation.
 type Cluster struct {
-	machines  []*kernel.Machine
-	names     []string
-	service   []bool
+	// members holds each member's run state; its name, service flag
+	// and spec are cfg.Machines[i].
+	members   []member
 	links     []*Link
-	done      []bool
 	lookahead sim.Cycles
 	maxCycles sim.Cycles
-
-	// fwd is each member's forwarding table, built once by wire from
-	// Links and Routes and fixed from then on.
-	fwd []map[Addr]*Link
-
-	// Crash/restart state. specs keeps the original declarations so a
-	// restart can rebuild its machine; crashAt/restartAt are the
-	// pending schedule (zero: none); prior holds retired incarnations,
-	// oldest first.
-	specs     []MachineSpec
-	crashAt   []sim.Cycles
-	restartAt []sim.Cycles
-	crashed   []bool
-	prior     [][]*kernel.Machine
 
 	// Checkpoint support. cfg keeps the whole declaration (a restore
 	// rebuilds the wiring from it); pipes is every distinct pipe in
 	// wiring order, indexed by pipe.id.
 	cfg   Config
 	pipes []*pipe
+}
+
+// member is one cluster member's run state.
+type member struct {
+	m     *kernel.Machine   // the current incarnation
+	prior []*kernel.Machine // retired incarnations, oldest first
+	// fwd is the member's forwarding table, built once by wire from
+	// Links and Routes and fixed from then on.
+	fwd     map[Addr]*Link
+	done    bool
+	crashed bool
+	// The pending crash and reboot (zero: none). crashAt starts as the
+	// spec's CrashAt and clears when the crash fires or the member
+	// finishes first.
+	crashAt   sim.Cycles
+	restartAt sim.Cycles
 }
 
 // newPipe builds one direction's serialisation state from a spec.
@@ -793,7 +803,7 @@ func (c *Cluster) newPipe(freq sim.Hz, pps, depth uint64, red *REDSpec, seed int
 		p.home = home
 		p.kickFire = func() {
 			p.kickArmed = false
-			if now := c.machines[p.home].Clock().Now(); now > p.commitClock {
+			if now := c.members[p.home].m.Clock().Now(); now > p.commitClock {
 				p.commitClock = now
 			}
 			p.drain()
@@ -803,30 +813,39 @@ func (c *Cluster) newPipe(freq sim.Hz, pps, depth uint64, red *REDSpec, seed int
 	return p
 }
 
+// member returns member i's record. what names the calling accessor
+// in the descriptive panic an out-of-range index gets.
+func (c *Cluster) member(i int, what string) *member {
+	if i < 0 || i >= len(c.members) {
+		panic(fmt.Sprintf("cluster: %s(%d) out of range: cluster has %d machines (0..%d)", what, i, len(c.members), len(c.members)-1))
+	}
+	return &c.members[i]
+}
+
 // AddrOf reports machine i's fabric address (machine i is addressed
 // i+1; zero is reserved).
 func (c *Cluster) AddrOf(i int) Addr {
-	if i < 0 || i >= len(c.machines) {
-		panic(fmt.Sprintf("cluster: AddrOf(%d) out of range: cluster has %d machines", i, len(c.machines)))
-	}
+	c.member(i, "AddrOf")
 	return Addr(i + 1)
 }
 
 // machineDesc names machine i for error messages.
 func (c *Cluster) machineDesc(i int) string {
-	if c.names[i] != "" {
-		return fmt.Sprintf("machine %d (%s)", i, c.names[i])
+	if name := c.cfg.Machines[i].Name; name != "" {
+		return fmt.Sprintf("machine %d (%s)", i, name)
 	}
 	return fmt.Sprintf("machine %d", i)
 }
 
-// shellFrom validates a Config and builds the Cluster shell — every
-// per-machine array sized and filled, no machines yet. New populates
-// the machine slots with fresh kernels; Restore populates them from a
-// checkpoint image. The returned freq/perUs are the cluster timebase.
-func shellFrom(cfg Config) (c *Cluster, freq sim.Hz, perUs sim.Cycles, err error) {
+// shellFrom validates a Config and wires it into a Cluster shell: one
+// record per member, the links, pipes, forwarding tables and routes,
+// and the checked shared-swap declaration, but no machines. New fills
+// the members with fresh kernels, Restore with kernels restored from a
+// checkpoint image, so a refused Config leaves nothing to shut down.
+// perUs is the cluster timebase's cycles per microsecond.
+func shellFrom(cfg Config) (c *Cluster, perUs sim.Cycles, err error) {
 	if len(cfg.Machines) == 0 {
-		return nil, 0, 0, fmt.Errorf("cluster: no machines")
+		return nil, 0, fmt.Errorf("cluster: no machines")
 	}
 	// The image-reuse path keeps a ClusterImage alive across restores,
 	// so the shell's view of the declaration must not alias caller
@@ -834,20 +853,8 @@ func shellFrom(cfg Config) (c *Cluster, freq sim.Hz, perUs sim.Cycles, err error
 	cfg.Machines = append([]MachineSpec(nil), cfg.Machines...)
 	cfg.Links = append([]LinkSpec(nil), cfg.Links...)
 	cfg.Routes = append([]RouteSpec(nil), cfg.Routes...)
-	c = &Cluster{
-		machines:  make([]*kernel.Machine, len(cfg.Machines)),
-		names:     make([]string, len(cfg.Machines)),
-		service:   make([]bool, len(cfg.Machines)),
-		done:      make([]bool, len(cfg.Machines)),
-		fwd:       make([]map[Addr]*Link, len(cfg.Machines)),
-		specs:     cfg.Machines,
-		crashAt:   make([]sim.Cycles, len(cfg.Machines)),
-		restartAt: make([]sim.Cycles, len(cfg.Machines)),
-		crashed:   make([]bool, len(cfg.Machines)),
-		prior:     make([][]*kernel.Machine, len(cfg.Machines)),
-		cfg:       cfg,
-	}
-	freq = cfg.Machines[0].Config.CPUHz
+	c = &Cluster{members: make([]member, len(cfg.Machines)), cfg: cfg}
+	freq := cfg.Machines[0].Config.CPUHz
 	if freq == 0 {
 		freq = sim.DefaultCPUHz
 	}
@@ -859,58 +866,52 @@ func shellFrom(cfg Config) (c *Cluster, freq sim.Hz, perUs sim.Cycles, err error
 			f = sim.DefaultCPUHz
 		}
 		if f != freq {
-			return nil, 0, 0, fmt.Errorf("cluster: machine %d runs at %d Hz, machine 0 at %d Hz (one timebase required)", i, f, freq)
+			return nil, 0, fmt.Errorf("cluster: machine %d runs at %d Hz, machine 0 at %d Hz (one timebase required)", i, f, freq)
 		}
 		if ms.Name != "" {
 			if prev, dup := seenNames[ms.Name]; dup {
-				return nil, 0, 0, fmt.Errorf("cluster: machines %d and %d both named %q (names must be unique)", prev, i, ms.Name)
+				return nil, 0, fmt.Errorf("cluster: machines %d and %d both named %q (names must be unique)", prev, i, ms.Name)
 			}
 			seenNames[ms.Name] = i
 		}
 		if ms.RestartAfter > 0 && ms.CrashAt == 0 {
-			return nil, 0, 0, fmt.Errorf("cluster: machine %d sets RestartAfter without CrashAt (nothing to restart)", i)
+			return nil, 0, fmt.Errorf("cluster: machine %d sets RestartAfter without CrashAt (nothing to restart)", i)
 		}
 		if ms.CrashAt > 0 && cfg.SharedSwap != nil {
-			return nil, 0, 0, fmt.Errorf("cluster: machine %d arms CrashAt under a shared swap device (crash/restart does not compose with cross-machine swap billing)", i)
+			return nil, 0, fmt.Errorf("cluster: machine %d arms CrashAt under a shared swap device (crash/restart does not compose with cross-machine swap billing)", i)
 		}
 		if err := ms.Config.Validate(); err != nil {
-			return nil, 0, 0, fmt.Errorf("cluster: machine %d: %w", i, err)
+			return nil, 0, fmt.Errorf("cluster: machine %d: %w", i, err)
 		}
-		c.fwd[i] = make(map[Addr]*Link)
-		c.crashAt[i] = ms.CrashAt
-		c.names[i] = ms.Name
-		c.service[i] = ms.Service
+		c.members[i] = member{fwd: make(map[Addr]*Link), crashAt: ms.CrashAt}
 	}
 	perUs = sim.Cycles(uint64(freq) / 1_000_000)
 	if perUs == 0 {
 		perUs = 1
 	}
-	return c, freq, perUs, nil
+	if err := c.wire(freq, perUs); err != nil {
+		return nil, 0, err
+	}
+	return c, perUs, nil
 }
 
-// New builds the machines, wires the links and forwarding tables,
-// couples any shared swap, plugs each machine in as its member, and
-// runs every Boot routine. On any error the already-built machines are
-// shut down.
+// New wires the declaration, builds each member's machine and plugs it
+// in, couples any shared swap, and runs every Boot routine. A refused
+// Config builds no machine; a failed Boot shuts the built ones down.
 func New(cfg Config) (*Cluster, error) {
-	c, freq, perUs, err := shellFrom(cfg)
+	c, perUs, err := shellFrom(cfg)
 	if err != nil {
 		return nil, err
 	}
 	for i, ms := range c.cfg.Machines {
-		c.machines[i] = kernel.New(ms.Config)
+		c.plug(i, kernel.New(ms.Config))
 	}
-	if err := c.wire(freq, perUs, false); err != nil {
-		return nil, err
-	}
-	for i, m := range c.machines {
-		c.plug(i, m)
-	}
+	c.couple(perUs, false)
 	for i, ms := range c.cfg.Machines {
 		if ms.Boot == nil {
 			continue
 		}
-		if err := ms.Boot(c, c.machines[i]); err != nil {
+		if err := ms.Boot(c, c.members[i].m); err != nil {
 			c.Shutdown()
 			return nil, fmt.Errorf("cluster: boot machine %d: %w", i, err)
 		}
@@ -919,16 +920,14 @@ func New(cfg Config) (*Cluster, error) {
 }
 
 // wire builds every link, pipe, and forwarding table from the stored
-// Config, computes the lookahead, and couples any shared swap onto the
-// current machine set. It is the common back half of New and the
-// checkpoint Restore path: on the restore path (restored true) the
-// machines already carry their disk-channel horizons, so wiring
-// re-points the shared swap channel instead of creating a fresh one.
-// Each member's table maps a neighbor's address to the first link
-// that reaches it, plus one entry per static route. On any error the
-// already-built machines are shut down.
-func (c *Cluster) wire(freq sim.Hz, perUs sim.Cycles, restored bool) error {
+// Config, installs the routes, computes the lookahead, and checks any
+// shared swap declaration. It touches no machine, so New and the
+// checkpoint Restore run it before they build or restore any. Each
+// member's table maps a neighbor's address to the first link that
+// reaches it, plus one entry per static route.
+func (c *Cluster) wire(freq sim.Hz, perUs sim.Cycles) error {
 	cfg := c.cfg
+	n := len(c.members)
 	shared := make(map[string]*pipe)
 	// Every distinct pipe is registered in wiring order; its position
 	// is its checkpoint identity (pipe.id), the restore tag its
@@ -944,12 +943,10 @@ func (c *Cluster) wire(freq sim.Hz, perUs sim.Cycles, restored bool) error {
 		c.pipes = append(c.pipes, p)
 	}
 	for li, ls := range cfg.Links {
-		if ls.From < 0 || ls.From >= len(c.machines) || ls.To < 0 || ls.To >= len(c.machines) {
-			c.Shutdown()
-			return fmt.Errorf("cluster: link %d connects %d->%d, but machine indices range over 0..%d", li, ls.From, ls.To, len(c.machines)-1)
+		if ls.From < 0 || ls.From >= n || ls.To < 0 || ls.To >= n {
+			return fmt.Errorf("cluster: link %d connects %d->%d, but machine indices range over 0..%d", li, ls.From, ls.To, n-1)
 		}
 		if ls.From == ls.To {
-			c.Shutdown()
 			return fmt.Errorf("cluster: link %d is a self-link on %s (loopback is not a wire)", li, c.machineDesc(ls.From))
 		}
 		qdisc := ls.Qdisc
@@ -958,24 +955,19 @@ func (c *Cluster) wire(freq sim.Hz, perUs sim.Cycles, restored bool) error {
 			qdisc = QdiscFIFO
 		case QdiscFIFO, QdiscDRR:
 		default:
-			c.Shutdown()
 			return fmt.Errorf("cluster: link %d selects unknown qdisc %q (have %q, %q)", li, ls.Qdisc, QdiscFIFO, QdiscDRR)
 		}
 		if qdisc != QdiscDRR && ls.QuantumBytes != 0 {
-			c.Shutdown()
 			return fmt.Errorf("cluster: link %d sets QuantumBytes %d without Qdisc %q (FIFO has no per-flow quantum)", li, ls.QuantumBytes, QdiscDRR)
 		}
 		if qdisc == QdiscDRR && ls.PacketsPerSecond == UnlimitedPPS {
-			c.Shutdown()
 			return fmt.Errorf("cluster: link %d arms qdisc %q on an infinite-rate wire (no queue to schedule)", li, QdiscDRR)
 		}
 		if (ls.Flap != nil || ls.RevFlap != nil) && ls.Bottleneck != "" {
-			c.Shutdown()
 			return fmt.Errorf("cluster: link %d arms flap windows on bottleneck %q (a shared pipe cannot take per-link outages)", li, ls.Bottleneck)
 		}
 		for _, fs := range []*FlapSpec{ls.Flap, ls.RevFlap} {
 			if fs != nil && fs.DownUs == 0 {
-				c.Shutdown()
 				return fmt.Errorf("cluster: link %d flap window has DownUs 0 (an outage must have a length)", li)
 			}
 		}
@@ -987,7 +979,6 @@ func (c *Cluster) wire(freq sim.Hz, perUs sim.Cycles, restored bool) error {
 		fwdPipe := c.newPipe(freq, ls.PacketsPerSecond, ls.QueueDepth, ls.RED, pipeSeed, qdisc, ls.QuantumBytes, ls.To)
 		if ls.RED != nil {
 			if err := ls.RED.validate(fwdPipe.depth); err != nil {
-				c.Shutdown()
 				return fmt.Errorf("cluster: link %d: %w", li, err)
 			}
 		}
@@ -997,7 +988,6 @@ func (c *Cluster) wire(freq sim.Hz, perUs sim.Cycles, restored bool) error {
 				// the default it resolves to are not a false mismatch.
 				if b.gap != fwdPipe.gap || b.depth != fwdPipe.depth || !redEqual(b.red, fwdPipe.red) ||
 					(b.drr != nil) != (fwdPipe.drr != nil) || b.quantum != fwdPipe.quantum {
-					c.Shutdown()
 					return fmt.Errorf("cluster: link %d bottleneck %q resolves to gap=%d depth=%d red=%v drr=%v quantum=%d, earlier link resolved gap=%d depth=%d red=%v drr=%v quantum=%d",
 						li, ls.Bottleneck, fwdPipe.gap, fwdPipe.depth, fwdPipe.red, fwdPipe.drr != nil, fwdPipe.quantum,
 						b.gap, b.depth, b.red, b.drr != nil, b.quantum)
@@ -1024,8 +1014,6 @@ func (c *Cluster) wire(freq sim.Hz, perUs sim.Cycles, restored bool) error {
 		fwd.rev, rev.rev = rev, fwd
 		fwd.pipe.applyFlap(ls.Flap, perUs)
 		rev.pipe.applyFlap(ls.RevFlap, perUs)
-		fwd.downAt = cfg.Machines[ls.To].CrashAt
-		rev.downAt = cfg.Machines[ls.From].CrashAt
 		addPipe(fwdPipe)
 		addPipe(rev.pipe)
 		if fwdPipe.drr != nil {
@@ -1035,15 +1023,14 @@ func (c *Cluster) wire(freq sim.Hz, perUs sim.Cycles, restored bool) error {
 			rev.tag = rev.pipe.register(rev)
 		}
 		for _, d := range [2]*Link{fwd, rev} {
-			if _, ok := c.fwd[d.from][c.AddrOf(d.to)]; !ok {
-				c.fwd[d.from][c.AddrOf(d.to)] = d
+			if _, ok := c.members[d.from].fwd[c.AddrOf(d.to)]; !ok {
+				c.members[d.from].fwd[c.AddrOf(d.to)] = d
 			}
 		}
 		c.links = append(c.links, fwd)
 	}
 	for ri, rs := range cfg.Routes {
 		if err := c.installRoute(rs); err != nil {
-			c.Shutdown()
 			return fmt.Errorf("cluster: route %d: %w", ri, err)
 		}
 	}
@@ -1061,21 +1048,39 @@ func (c *Cluster) wire(freq sim.Hz, perUs sim.Cycles, restored bool) error {
 		c.lookahead = sim.Cycles(uint64(freq) / kernel.DefaultHZ)
 	}
 	if ss := cfg.SharedSwap; ss != nil {
-		if err := c.wireSharedSwap(ss, freq, perUs, restored); err != nil {
-			c.Shutdown()
-			return err
+		if ss.Host < 0 || ss.Host >= n {
+			return fmt.Errorf("cluster: shared swap host %d out of range (%d machines)", ss.Host, n)
+		}
+		if len(ss.Clients) == 0 {
+			return fmt.Errorf("cluster: shared swap declares no clients")
+		}
+		seen := map[int]bool{ss.Host: true}
+		for _, ci := range ss.Clients {
+			if ci < 0 || ci >= n {
+				return fmt.Errorf("cluster: shared swap client %d out of range (%d machines)", ci, n)
+			}
+			if seen[ci] {
+				return fmt.Errorf("cluster: shared swap lists machine %d twice", ci)
+			}
+			seen[ci] = true
+		}
+		// Swap notifications fly one disk latency ahead at minimum; keep
+		// the lockstep window comfortably inside that horizon.
+		if dl := mem.DiskLatency(freq) / 2; c.lookahead > dl && dl > 0 {
+			c.lookahead = dl
 		}
 	}
 	return nil
 }
 
-// plug connects machine m as member i: its NIC takes the member's
-// fabric address and a transmit function that sends each frame on the
-// link direction the member's forwarding table maps its destination
-// to (no entry: the NIC counts a drop). New, Restore and a reboot all
-// plug a machine in this way.
+// plug connects machine m as member i's current incarnation: its NIC
+// takes the member's fabric address and a transmit function that sends
+// each frame on the link direction the member's forwarding table maps
+// its destination to (no entry: the NIC counts a drop). New, Restore
+// and a reboot all plug a machine in this way.
 func (c *Cluster) plug(i int, m *kernel.Machine) {
-	tab := c.fwd[i]
+	tab := c.members[i].fwd
+	c.members[i].m = m
 	m.NIC().SetAddr(c.AddrOf(i))
 	m.NIC().SetTx(func(f Frame) bool {
 		l, ok := tab[f.Dst]
@@ -1095,14 +1100,14 @@ func redEqual(a, b *REDSpec) bool {
 // table entry on its machine. Via must be a neighbor: the table's
 // entry for Via's address is then the first link that reaches it.
 func (c *Cluster) installRoute(rs RouteSpec) error {
-	n := len(c.machines)
+	n := len(c.members)
 	if rs.On < 0 || rs.On >= n || rs.Dst < 0 || rs.Dst >= n || rs.Via < 0 || rs.Via >= n {
 		return fmt.Errorf("{On:%d Dst:%d Via:%d} references machines outside 0..%d", rs.On, rs.Dst, rs.Via, n-1)
 	}
 	if rs.Dst == rs.On {
 		return fmt.Errorf("%s routes to itself", c.machineDesc(rs.On))
 	}
-	tab := c.fwd[rs.On]
+	tab := c.members[rs.On].fwd
 	l, ok := tab[c.AddrOf(rs.Via)]
 	if !ok || l.to != rs.Via {
 		return fmt.Errorf("%s has no link to via-%s", c.machineDesc(rs.On), c.machineDesc(rs.Via))
@@ -1114,24 +1119,21 @@ func (c *Cluster) installRoute(rs RouteSpec) error {
 	return nil
 }
 
-// wireSharedSwap couples the spec'd machines' disks through one
-// shared occupancy channel and bills the host for every client I/O:
-// each client's OnIO hook books the I/O in the host's remote I/O
-// backlog (kernel.Machine.RemoteIO). On the checkpoint-restore path
-// (restored true) the host's disk already carries the shared channel's
-// horizons from the image (every sharer held the same channel, so the
-// host's clone is authoritative), and the host's image carries its
-// backlog; the clients are re-pointed at the channel instead of a
-// fresh idle one.
-func (c *Cluster) wireSharedSwap(ss *SharedSwapSpec, freq sim.Hz, perUs sim.Cycles, restored bool) error {
-	if ss.Host < 0 || ss.Host >= len(c.machines) {
-		return fmt.Errorf("cluster: shared swap host %d out of range (%d machines)", ss.Host, len(c.machines))
+// couple joins the machines of a declared (and by wire checked) shared
+// swap: the clients' disks share one occupancy channel with the host's,
+// and each client's OnIO hook books its I/O in the host's remote I/O
+// backlog (kernel.Machine.RemoteIO), which bills the host. On the
+// checkpoint-restore path (restored true) the host's disk already
+// carries the shared channel's horizons from the image (every sharer
+// held the same channel, so the host's clone is authoritative), and
+// the host's image carries its backlog; the clients are re-pointed at
+// the channel instead of a fresh idle one.
+func (c *Cluster) couple(perUs sim.Cycles, restored bool) {
+	ss := c.cfg.SharedSwap
+	if ss == nil {
+		return
 	}
-	if len(ss.Clients) == 0 {
-		return fmt.Errorf("cluster: shared swap declares no clients")
-	}
-	seen := map[int]bool{ss.Host: true}
-	host := c.machines[ss.Host]
+	host := c.members[ss.Host].m
 	ch := host.Disk().Channel()
 	if !restored {
 		ch = device.NewDiskChannel()
@@ -1143,14 +1145,7 @@ func (c *Cluster) wireSharedSwap(ss *SharedSwapSpec, freq sim.Hz, perUs sim.Cycl
 	}
 	host.ServeRemoteIO(sim.Cycles(svcUs) * perUs)
 	for _, ci := range ss.Clients {
-		if ci < 0 || ci >= len(c.machines) {
-			return fmt.Errorf("cluster: shared swap client %d out of range (%d machines)", ci, len(c.machines))
-		}
-		if seen[ci] {
-			return fmt.Errorf("cluster: shared swap lists machine %d twice", ci)
-		}
-		seen[ci] = true
-		cm := c.machines[ci]
+		cm := c.members[ci].m
 		cm.Disk().Share(ch)
 		// The request frame's rx interrupt plus the swap server's
 		// block-layer/copy/reply work land on the host at the I/O's
@@ -1161,32 +1156,19 @@ func (c *Cluster) wireSharedSwap(ss *SharedSwapSpec, freq sim.Hz, perUs sim.Cycl
 		// device-occupancy channel is what gates swap throughput.)
 		cm.Disk().OnIO(host.RemoteIO)
 	}
-	// Swap notifications fly one disk latency ahead at minimum; keep
-	// the lockstep window comfortably inside that horizon.
-	if dl := mem.DiskLatency(freq) / 2; c.lookahead > dl && dl > 0 {
-		c.lookahead = dl
-	}
-	return nil
 }
 
 // Size reports the number of machines.
-func (c *Cluster) Size() int { return len(c.machines) }
+func (c *Cluster) Size() int { return len(c.members) }
 
 // Machine returns cluster member i. It panics with a descriptive
 // message on an out-of-range index.
-func (c *Cluster) Machine(i int) *kernel.Machine {
-	if i < 0 || i >= len(c.machines) {
-		panic(fmt.Sprintf("cluster: Machine(%d) out of range: cluster has %d machines (0..%d)", i, len(c.machines), len(c.machines)-1))
-	}
-	return c.machines[i]
-}
+func (c *Cluster) Machine(i int) *kernel.Machine { return c.member(i, "Machine").m }
 
 // Name reports machine i's declared name ("" if unnamed).
 func (c *Cluster) Name(i int) string {
-	if i < 0 || i >= len(c.names) {
-		panic(fmt.Sprintf("cluster: Name(%d) out of range: cluster has %d machines (0..%d)", i, len(c.names), len(c.names)-1))
-	}
-	return c.names[i]
+	c.member(i, "Name")
+	return c.cfg.Machines[i].Name
 }
 
 // Link returns the forward direction of the i-th declared link. It
@@ -1202,7 +1184,7 @@ func (c *Cluster) Link(i int) *Link {
 func (c *Cluster) Links() int { return len(c.links) }
 
 // Done reports whether machine i has finished (every task exited).
-func (c *Cluster) Done(i int) bool { return c.done[i] }
+func (c *Cluster) Done(i int) bool { return c.member(i, "Done").done }
 
 // Now reports the earliest virtual time any machine still has to
 // simulate — the cluster's lockstep frontier. With every machine
@@ -1210,17 +1192,16 @@ func (c *Cluster) Done(i int) bool { return c.done[i] }
 func (c *Cluster) Now() sim.Cycles {
 	var frontier sim.Cycles
 	first := true
-	for i, m := range c.machines {
-		if c.done[i] {
-			continue
-		}
-		if t := m.Clock().Now(); first || t < frontier {
-			frontier, first = t, false
+	for i := range c.members {
+		if mb := &c.members[i]; !mb.done {
+			if t := mb.m.Clock().Now(); first || t < frontier {
+				frontier, first = t, false
+			}
 		}
 	}
 	if first {
-		for _, m := range c.machines {
-			if t := m.Clock().Now(); t > frontier {
+		for i := range c.members {
+			if t := c.members[i].m.Clock().Now(); t > frontier {
 				frontier = t
 			}
 		}
@@ -1286,144 +1267,147 @@ const (
 // A window narrower than the lookahead is always safe — the lookahead
 // is an upper bound on how far a round may reach, not a lower one.
 func (c *Cluster) round(stop sim.Cycles) (int, error) {
-	{
-		// The barrier base: the earliest time any unfinished machine
-		// can make progress on its own. A pending crash is scheduled
-		// work even when the machine is blocked on network input — it
-		// must die on time whether or not it would ever have run again
-		// — and a crashed machine with a reboot pending has that
-		// reboot as its next work. Without either clause a scheduled
-		// failure on the barrier's min machine would wedge Run.
-		var tmin sim.Cycles
-		haveWork, allDone := false, true
-		for i, m := range c.machines {
-			if c.done[i] {
-				if at := c.restartAt[i]; at > 0 {
-					allDone = false
-					if !haveWork || at < tmin {
-						tmin = at
-					}
-					haveWork = true
+	// The barrier base: the earliest time any unfinished machine can
+	// make progress on its own. A pending crash is scheduled work even
+	// when the machine is blocked on network input — it must die on
+	// time whether or not it would ever have run again — and a crashed
+	// machine with a reboot pending has that reboot as its next work.
+	// Without either clause a scheduled failure on the barrier's min
+	// machine would wedge Run.
+	var tmin sim.Cycles
+	haveWork, allDone := false, true
+	for i := range c.members {
+		mb := &c.members[i]
+		if mb.done {
+			if at := mb.restartAt; at > 0 {
+				allDone = false
+				if !haveWork || at < tmin {
+					tmin = at
 				}
-				continue
+				haveWork = true
 			}
-			allDone = false
-			at, ok := m.NextWorkAt()
-			if now := m.Clock().Now(); ok && at+c.lookahead <= now {
-				// Work due a lookahead or more in the machine's past (a
-				// kick timer armed behind its home's clock) would give a
-				// round whose target the machine has already passed,
-				// which runs nothing, forever. Move the base up just
-				// enough that the round runs it.
-				at = now + 1 - c.lookahead
-			}
-			if ca := c.crashAt[i]; ca > 0 && (!ok || ca < at) {
-				at, ok = ca, true
-			}
-			if !ok {
-				continue // waiting for network input
-			}
-			if !haveWork || at < tmin {
-				tmin = at
-			}
-			haveWork = true
+			continue
 		}
-		if allDone {
-			return roundAllDone, nil
+		allDone = false
+		at, ok := mb.m.NextWorkAt()
+		switch now := mb.m.Clock().Now(); {
+		case ok && at < now && stop > 0 && now >= stop:
+			// Work due in the past of a machine that already stands at
+			// the stop barrier runs only in a round past it: it counts
+			// as work at the machine's clock, so the cluster pauses
+			// instead of running rounds clamped to a barrier the
+			// machine has passed, which run nothing, forever.
+			at = now
+		case ok && at+c.lookahead <= now:
+			// Work due a lookahead or more in the machine's past (a
+			// kick timer armed behind a home that overran its round)
+			// would give a round whose target the machine has already
+			// passed, which runs nothing, forever. Move the base up
+			// just enough that the round runs it.
+			at = now + 1 - c.lookahead
 		}
-		if !haveWork {
-			// Every unfinished machine is blocked on network input with
-			// nothing in flight. If all of them are service machines
-			// (daemons that wait for traffic forever), the fabric has
-			// quiesced: retire them and complete. Anything else is a
-			// genuine stall.
-			allService := true
-			for i := range c.machines {
-				if !c.done[i] && !c.service[i] {
-					allService = false
-					break
-				}
-			}
-			if allService {
-				for i, m := range c.machines {
-					if !c.done[i] {
-						m.Shutdown()
-						c.done[i] = true
-					}
-				}
-				return roundAllDone, nil
-			}
-			c.Shutdown()
-			return 0, ErrStalled
+		if ca := mb.crashAt; ca > 0 && (!ok || ca < at) {
+			at, ok = ca, true
 		}
-		if stop > 0 && tmin >= stop {
-			return roundPaused, nil
+		if !ok {
+			continue // waiting for network input
 		}
-		target := tmin + c.lookahead
-		if stop > 0 && target > stop {
-			target = stop
+		if !haveWork || at < tmin {
+			tmin = at
 		}
-		if target > c.maxCycles {
-			c.Shutdown()
-			return 0, fmt.Errorf("cluster: exceeded %d virtual cycles (runaway scenario?)", c.maxCycles)
-		}
-		// Reboot any crashed machine whose restart instant this round
-		// reaches, before the round runs: the fresh incarnation then
-		// advances with everyone else.
-		for i := range c.machines {
-			if at := c.restartAt[i]; at > 0 && at <= target {
-				if err := c.restart(i, at); err != nil {
-					c.Shutdown()
-					return 0, err
-				}
-			}
-		}
-		// Fixed machine order per round keeps cross-machine event
-		// insertion — and therefore the whole history — deterministic.
-		for i, m := range c.machines {
-			if c.done[i] {
-				continue
-			}
-			limit := target
-			if ca := c.crashAt[i]; ca > 0 && ca < limit {
-				limit = ca
-			}
-			done, err := m.RunUntil(limit)
-			if err != nil {
-				c.Shutdown()
-				return 0, fmt.Errorf("cluster: machine %d: %w", i, err)
-			}
-			c.done[i] = done
-			if done {
-				// Finished naturally ahead of any scheduled crash:
-				// nothing left to kill.
-				c.crashAt[i] = 0
-				c.down(i, m.Clock().Now())
-				continue
-			}
-			if ca := c.crashAt[i]; ca > 0 && ca <= limit {
-				c.crash(i)
-			}
-		}
-		return roundRan, nil
+		haveWork = true
 	}
+	if allDone {
+		return roundAllDone, nil
+	}
+	if !haveWork {
+		// Every unfinished machine is blocked on network input with
+		// nothing in flight. If all of them are service machines
+		// (daemons that wait for traffic forever), the fabric has
+		// quiesced: retire them and complete. Anything else is a
+		// genuine stall.
+		for i := range c.members {
+			if !c.members[i].done && !c.cfg.Machines[i].Service {
+				c.Shutdown()
+				return 0, ErrStalled
+			}
+		}
+		for i := range c.members {
+			if mb := &c.members[i]; !mb.done {
+				mb.m.Shutdown()
+				mb.done = true
+			}
+		}
+		return roundAllDone, nil
+	}
+	if stop > 0 && tmin >= stop {
+		return roundPaused, nil
+	}
+	target := tmin + c.lookahead
+	if stop > 0 && target > stop {
+		target = stop
+	}
+	if target > c.maxCycles {
+		c.Shutdown()
+		return 0, fmt.Errorf("cluster: exceeded %d virtual cycles (runaway scenario?)", c.maxCycles)
+	}
+	// Reboot any crashed machine whose restart instant this round
+	// reaches, before the round runs: the fresh incarnation then
+	// advances with everyone else.
+	for i := range c.members {
+		if at := c.members[i].restartAt; at > 0 && at <= target {
+			if err := c.restart(i, at); err != nil {
+				c.Shutdown()
+				return 0, err
+			}
+		}
+	}
+	// Fixed machine order per round keeps cross-machine event
+	// insertion — and therefore the whole history — deterministic.
+	for i := range c.members {
+		mb := &c.members[i]
+		if mb.done {
+			continue
+		}
+		limit := target
+		if ca := mb.crashAt; ca > 0 && ca < limit {
+			limit = ca
+		}
+		done, err := mb.m.RunUntil(limit)
+		if err != nil {
+			c.Shutdown()
+			return 0, fmt.Errorf("cluster: machine %d: %w", i, err)
+		}
+		mb.done = done
+		if done {
+			// Finished naturally ahead of any scheduled crash:
+			// nothing left to kill.
+			mb.crashAt = 0
+			c.down(i, mb.m.Clock().Now())
+			continue
+		}
+		if ca := mb.crashAt; ca > 0 && ca <= limit {
+			c.crash(i)
+		}
+	}
+	return roundRan, nil
 }
 
 // crash takes machine i's scheduled failure: the machine is torn down
 // mid-run — in-flight guests unwound, pending events (kick timers
 // included) dead — and any configured reboot is armed. Frames heading
-// toward it were already written off at the wire by the link's downAt
-// horizon, so Sent = Delivered + Dropped + Queued holds through the
-// failure.
+// toward it were already written off at the wire, where land checks
+// the pending crash, so Sent = Delivered + Dropped + Queued holds
+// through the failure.
 func (c *Cluster) crash(i int) {
-	at := c.crashAt[i]
-	c.machines[i].Shutdown()
-	c.done[i] = true
-	c.crashed[i] = true
-	if ra := c.specs[i].RestartAfter; ra > 0 {
-		c.restartAt[i] = at + ra
+	mb := &c.members[i]
+	at := mb.crashAt
+	mb.m.Shutdown()
+	mb.done, mb.crashed = true, true
+	if ra := c.cfg.Machines[i].RestartAfter; ra > 0 {
+		mb.restartAt = at + ra
 	}
-	c.crashAt[i] = 0
+	mb.crashAt = 0
 	c.down(i, at)
 }
 
@@ -1470,25 +1454,14 @@ func (c *Cluster) down(i int, at sim.Cycles) {
 // Boot runs again); ledgers are per-incarnation, so cumulative
 // accounting sums over Incarnations.
 func (c *Cluster) restart(i int, at sim.Cycles) error {
-	c.prior[i] = append(c.prior[i], c.machines[i])
-	mcfg := c.specs[i].Config
+	mb, ms := &c.members[i], c.cfg.Machines[i]
+	mb.prior = append(mb.prior, mb.m)
+	mcfg := ms.Config
 	mcfg.BootAt = at
-	m := kernel.New(mcfg)
-	c.plug(i, m)
-	c.machines[i] = m
-	c.done[i] = false
-	c.restartAt[i] = 0
-	for _, l := range c.links {
-		for _, d := range [2]*Link{l, l.rev} {
-			if d.to == i {
-				// Frames written off while the machine was down stay
-				// dropped; the revived machine takes new traffic.
-				d.downAt = 0
-			}
-		}
-	}
-	if boot := c.specs[i].Boot; boot != nil {
-		if err := boot(c, m); err != nil {
+	c.plug(i, kernel.New(mcfg))
+	mb.done, mb.restartAt = false, 0
+	if ms.Boot != nil {
+		if err := ms.Boot(c, mb.m); err != nil {
 			return fmt.Errorf("cluster: reboot machine %d at cycle %d: %w", i, at, err)
 		}
 	}
@@ -1497,12 +1470,7 @@ func (c *Cluster) restart(i int, at sim.Cycles) error {
 
 // Crashed reports whether machine i took its scheduled crash. It
 // stays true across a restart — the current incarnation is a reboot.
-func (c *Cluster) Crashed(i int) bool {
-	if i < 0 || i >= len(c.crashed) {
-		panic(fmt.Sprintf("cluster: Crashed(%d) out of range: cluster has %d machines (0..%d)", i, len(c.crashed), len(c.crashed)-1))
-	}
-	return c.crashed[i]
-}
+func (c *Cluster) Crashed(i int) bool { return c.member(i, "Crashed").crashed }
 
 // Incarnations returns every kernel machine that has served as member
 // i: retired incarnations oldest-first, the current one last (a
@@ -1510,20 +1478,18 @@ func (c *Cluster) Crashed(i int) bool {
 // survive a crash — a billing scheme's cumulative charge, an
 // interrupt count — is the sum over incarnations.
 func (c *Cluster) Incarnations(i int) []*kernel.Machine {
-	if i < 0 || i >= len(c.machines) {
-		panic(fmt.Sprintf("cluster: Incarnations(%d) out of range: cluster has %d machines (0..%d)", i, len(c.machines), len(c.machines)-1))
-	}
-	out := make([]*kernel.Machine, 0, len(c.prior[i])+1)
-	out = append(out, c.prior[i]...)
-	return append(out, c.machines[i])
+	mb := c.member(i, "Incarnations")
+	out := make([]*kernel.Machine, 0, len(mb.prior)+1)
+	out = append(out, mb.prior...)
+	return append(out, mb.m)
 }
 
 // Shutdown stops every machine's guest coroutines. Run calls it on
 // failure; callers abandoning a cluster early must call it to avoid
 // leaking suspended Body guests. It is idempotent.
 func (c *Cluster) Shutdown() {
-	for _, m := range c.machines {
-		if m != nil {
+	for i := range c.members {
+		if m := c.members[i].m; m != nil {
 			m.Shutdown()
 		}
 	}

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/guest"
@@ -146,12 +147,15 @@ func FuzzClusterConfig(f *testing.F) {
 // deliveries, and a small sender toward a decoded peer. Whatever Run
 // returns, every link direction must balance, Sent = Delivered +
 // Dropped + Queued, and a Run that returns nil must leave nothing
-// queued.
+// queued. Both guests are forkable, so a decoded barrier (in 20 µs
+// steps; zero runs straight through) checkpoints the fabric there
+// when Snapshot accepts it: the original and its restore, each run to
+// the end, must render identically and return the same error.
 func FuzzClusterRun(f *testing.F) {
 	// Three service members; links 0→2 and 1→0 share a 1,000-pps DRR
 	// bottleneck homed on member 2, which crashes at 2 ms and never
 	// reboots while frames for member 0 stand in the backlog.
-	f.Add([]byte{
+	bottleneck := []byte{
 		2,
 		1, 0, 1, 0, 0,
 		2, 0, 1, 0, 0,
@@ -163,11 +167,15 @@ func FuzzClusterRun(f *testing.F) {
 		2, 15, 0, 1,
 		0, 15, 0, 2,
 		0, 0, 0, 3,
-	})
+	}
+	f.Add(bottleneck)
 	// All three members crash at 1 ms and only the first two reboot:
 	// the 1-pps DRR link 1→0 loses every live home at once, and the
 	// frame member 1 sends after its reboot needs a live one again.
 	f.Add([]byte("20011100111000109290000000008202002000000000000"))
+	// The first fabric checkpointed at 800 µs, with the home's crash
+	// still pending.
+	f.Add(append(bottleneck, 40))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		b := fuzzBytes(data)
 		cfg := decodeClusterConfig(&b)
@@ -175,27 +183,60 @@ func FuzzClusterRun(f *testing.F) {
 			peer, frames := b.pick(len(cfg.Machines)), 1+b.pick(16)
 			limit, flow := uint64(b.pick(4))*4, uint32(b.pick(4))
 			cfg.Machines[i].Boot = func(c *Cluster, m *kernel.Machine) error {
-				sink, _ := guest.Resumable(snapWatcher{limit: limit})
-				if _, err := m.Spawn(kernel.SpawnConfig{Name: "sink", Content: "sink v1", Step: sink}); err != nil {
+				sink, fork := guest.Resumable(snapWatcher{limit: limit})
+				if _, err := m.Spawn(kernel.SpawnConfig{Name: "sink", Content: "sink v1", Step: sink, Fork: fork}); err != nil {
 					return err
 				}
-				send, _ := guest.Resumable(snapSender{dst: c.AddrOf(peer), flow: flow, frames: frames, gap: 40_000})
-				_, err := m.Spawn(kernel.SpawnConfig{Name: "pktgen", Content: "pktgen v1", Step: send})
+				send, fork := guest.Resumable(snapSender{dst: c.AddrOf(peer), flow: flow, frames: frames, gap: 40_000})
+				_, err := m.Spawn(kernel.SpawnConfig{Name: "pktgen", Content: "pktgen v1", Step: send, Fork: fork})
 				return err
 			}
 		}
+		barrier := sim.Cycles(b.next()) * 20 * sim.Cycles(testHz/1_000_000)
 		cl, err := New(cfg)
 		if err != nil {
 			return
 		}
-		runErr := cl.Run()
-		for i := 0; i < cl.Links(); i++ {
-			for d, l := range []*Link{cl.Link(i), cl.Link(i).Reverse()} {
-				if l.Sent() != l.Delivered()+l.Dropped()+l.Queued() || (runErr == nil && l.Queued() != 0) {
-					t.Fatalf("link%d.%d after Run (err %v): sent %d, delivered %d, dropped %d, queued %d",
-						i, d, runErr, l.Sent(), l.Delivered(), l.Dropped(), l.Queued())
-				}
+		var img *ClusterImage
+		done, runErr := false, error(nil)
+		if barrier > 0 {
+			if done, runErr = cl.RunUntil(barrier); !done && runErr == nil {
+				img, _ = cl.Snapshot() // nil where Snapshot refuses the cluster
 			}
 		}
+		if !done && runErr == nil {
+			runErr = cl.Run()
+		}
+		checkRunBalanced(t, cl, runErr)
+		if img == nil {
+			return
+		}
+		r, err := Restore(img)
+		if err != nil {
+			t.Fatalf("restore at %d: %v", barrier, err)
+		}
+		rerr := r.Run()
+		if fmt.Sprint(rerr) != fmt.Sprint(runErr) {
+			t.Fatalf("barrier %d: the original's Run returned %v, the restore's %v", barrier, runErr, rerr)
+		}
+		checkRunBalanced(t, r, rerr)
+		if want, got := renderCluster(cl), renderCluster(r); got != want {
+			t.Fatalf("barrier %d: the restore diverged from the original:\n--- original\n%s--- restored\n%s", barrier, want, got)
+		}
 	})
+}
+
+// checkRunBalanced requires every link direction of a cluster whose
+// run returned runErr to balance, and to hold nothing queued when the
+// run succeeded.
+func checkRunBalanced(t *testing.T, cl *Cluster, runErr error) {
+	t.Helper()
+	for i := 0; i < cl.Links(); i++ {
+		for d, l := range []*Link{cl.Link(i), cl.Link(i).Reverse()} {
+			if l.Sent() != l.Delivered()+l.Dropped()+l.Queued() || (runErr == nil && l.Queued() != 0) {
+				t.Fatalf("link%d.%d after Run (err %v): sent %d, delivered %d, dropped %d, queued %d",
+					i, d, runErr, l.Sent(), l.Delivered(), l.Dropped(), l.Queued())
+			}
+		}
+	}
 }

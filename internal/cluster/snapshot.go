@@ -27,41 +27,27 @@ import (
 	"repro/internal/sim"
 )
 
-// linkDirImage is one link direction's serialisable state.
-type linkDirImage struct {
-	sent      uint64
-	delivered uint64
-	dropped   uint64
-	queued    uint64
-	marked    uint64
-	earlyDrop uint64
-	downAt    sim.Cycles
-}
-
 // pipeImage is one pipe's serialisable dynamic state. The static
 // shape (rate, depth, RED policy, qdisc, flap schedule, home member)
 // is rebuilt from the Config; only what the run mutated is carried.
 type pipeImage struct {
-	lastArrival sim.Cycles
-	rngState    uint64
-	avgFP       uint64
-	busyUntil   sim.Cycles
-	commitClock sim.Cycles
-	kickArmed   bool
-	drr         *device.DRR // frozen backlog clone; nil on FIFO pipes
+	pipeRun
+	rngState uint64
+	drr      *device.DRR // frozen backlog clone; nil on FIFO pipes
 }
 
 // ClusterImage is a Cluster's full checkpoint: the declaration it was
-// built from, one kernel image per machine, the pending crash
-// schedule, and every link direction's and pipe's wire state. Images
-// are immutable — Restore deep-copies all mutable state — so one
-// image serves any number of restores.
+// built from, one kernel image per machine, and every link direction's
+// and pipe's wire state. A pending crash needs no field of its own: a
+// snapshot requires every member live and uncrashed, so its pending
+// crash is still the declaration's CrashAt. Images are immutable —
+// Restore deep-copies all mutable state — so one image serves any
+// number of restores.
 type ClusterImage struct {
 	cfg      Config
 	machines []*kernel.MachineImage
-	crashAt  []sim.Cycles
-	links    []linkDirImage // 2 per declared link: forward, then reverse
-	pipes    []pipeImage    // by pipe id (wiring order)
+	links    []counts    // 2 per declared link: forward, then reverse
+	pipes    []pipeImage // by pipe id (wiring order)
 }
 
 // At reports the image's lockstep frontier: the earliest machine
@@ -79,34 +65,6 @@ func (img *ClusterImage) At() sim.Cycles {
 // Machines reports the number of machine images.
 func (img *ClusterImage) Machines() int { return len(img.machines) }
 
-// snapDir captures one link direction.
-func snapDir(l *Link) linkDirImage {
-	return linkDirImage{
-		sent:      l.sent,
-		delivered: l.delivered,
-		dropped:   l.dropped,
-		queued:    l.queued,
-		marked:    l.marked,
-		earlyDrop: l.earlyDrop,
-		downAt:    l.downAt,
-	}
-}
-
-// applyDir overlays one link direction from its image.
-func applyDir(l *Link, di linkDirImage) {
-	//simlint:ledger-ok restore overlay: the image holds a balanced ledger captured at the barrier; all four counters land together
-	l.sent = di.sent
-	//simlint:ledger-ok restore overlay: the image holds a balanced ledger captured at the barrier; all four counters land together
-	l.delivered = di.delivered
-	//simlint:ledger-ok restore overlay: the image holds a balanced ledger captured at the barrier; all four counters land together
-	l.dropped = di.dropped
-	//simlint:ledger-ok restore overlay: the image holds a balanced ledger captured at the barrier; all four counters land together
-	l.queued = di.queued
-	l.marked = di.marked
-	l.earlyDrop = di.earlyDrop
-	l.downAt = di.downAt
-}
-
 // Snapshot captures the cluster's complete deterministic state at a
 // round boundary (between Run rounds — in practice, after a RunUntil
 // barrier). Every machine must be live and individually
@@ -114,39 +72,29 @@ func applyDir(l *Link, di linkDirImage) {
 // the cluster unsnapshottable (errors.Is kernel.ErrNotSnapshottable),
 // as does any machine hosting a started Body guest or a Step guest
 // spawned without a Fork function. A still-pending CrashAt schedule
-// is plain data and is carried: the restored cluster takes the crash,
+// is part of the declaration: the restored cluster takes the crash,
 // reboot, and incarnation split identically.
 func (c *Cluster) Snapshot() (*ClusterImage, error) {
-	for i := range c.machines {
-		if c.done[i] || c.crashed[i] || c.restartAt[i] > 0 || len(c.prior[i]) > 0 {
+	for i := range c.members {
+		// A reboot-pending member is done, and a rebooted one crashed.
+		if mb := &c.members[i]; mb.done || mb.crashed {
 			return nil, fmt.Errorf("cluster: %s has finished, crashed, or rebooted; snapshot requires every machine live: %w",
 				c.machineDesc(i), kernel.ErrNotSnapshottable)
 		}
 	}
-	img := &ClusterImage{
-		cfg:      c.cfg,
-		machines: make([]*kernel.MachineImage, len(c.machines)),
-		crashAt:  append([]sim.Cycles(nil), c.crashAt...),
-	}
-	for i, m := range c.machines {
-		mi, err := m.Snapshot()
+	img := &ClusterImage{cfg: c.cfg, machines: make([]*kernel.MachineImage, len(c.members))}
+	for i := range c.members {
+		mi, err := c.members[i].m.Snapshot()
 		if err != nil {
 			return nil, fmt.Errorf("cluster: %s: %w", c.machineDesc(i), err)
 		}
 		img.machines[i] = mi
 	}
 	for _, l := range c.links {
-		img.links = append(img.links, snapDir(l), snapDir(l.rev))
+		img.links = append(img.links, l.counts, l.rev.counts)
 	}
 	for _, p := range c.pipes {
-		pi := pipeImage{
-			lastArrival: p.lastArrival,
-			rngState:    p.rng.State(),
-			avgFP:       p.avgFP,
-			busyUntil:   p.busyUntil,
-			commitClock: p.commitClock,
-			kickArmed:   p.kickArmed,
-		}
+		pi := pipeImage{pipeRun: p.pipeRun, rngState: p.rng.State()}
 		if p.drr != nil {
 			pi.drr = p.drr.Clone()
 		}
@@ -155,30 +103,32 @@ func (c *Cluster) Snapshot() (*ClusterImage, error) {
 	return img, nil
 }
 
-// Restore rebuilds an independent cluster from an image: machines are
-// restored from their kernel images (pending cluster-owned events —
-// DRR kick timers — are re-pointed at the rebuilt wiring; a swap
-// host's image carries its own remote I/O backlog), links, pipes and
-// forwarding tables are rewired from
-// the declaration in the identical order, each machine is plugged in
-// as its member, and the wire state is overlaid. Boot
-// routines do NOT run again: the tasks they spawned are part of the
-// machine images. The restored cluster continues the image's history
-// under the same barrier sequence; the image remains valid for
-// further restores.
+// Restore rebuilds an independent cluster from an image: links, pipes
+// and forwarding tables are rewired from the declaration in the
+// identical order before any machine is restored, then each machine is
+// restored from its kernel image (pending cluster-owned events — DRR
+// kick timers — are re-pointed at the rebuilt pipes; a swap host's
+// image carries its own remote I/O backlog) and plugged in as its
+// member, and the wire state is overlaid. Boot routines do NOT run
+// again: the tasks they spawned are part of the machine images. The
+// restored cluster continues the image's history under the same
+// barrier sequence; the image remains valid for further restores.
 func Restore(img *ClusterImage) (*Cluster, error) {
-	c, freq, perUs, err := shellFrom(img.cfg)
+	c, perUs, err := shellFrom(img.cfg)
 	if err != nil {
 		return nil, err
 	}
-	// Cluster-owned events restore through late-bound lookups: the
-	// pipes are wired after the machines, but nothing fires until the
-	// cluster advances.
+	if len(img.links) != 2*len(c.links) || len(img.pipes) != len(c.pipes) {
+		return nil, fmt.Errorf("cluster: image wiring mismatch: %d link directions and %d pipes in image, %d and %d rebuilt",
+			len(img.links), len(img.pipes), 2*len(c.links), len(c.pipes))
+	}
+	// A "pipe-service" tag outside the pipe table is not this
+	// cluster's event, and the kernel reports it.
 	ext := func(kind string, tag uint64) (func(), bool) {
-		if kind == "pipe-service" {
-			return func() { c.pipes[tag].kickFire() }, true
+		if kind != "pipe-service" || tag >= uint64(len(c.pipes)) {
+			return nil, false
 		}
-		return nil, false
+		return c.pipes[tag].kickFire, true
 	}
 	for i, mi := range img.machines {
 		m, err := kernel.RestoreWith(mi, ext)
@@ -186,32 +136,16 @@ func Restore(img *ClusterImage) (*Cluster, error) {
 			c.Shutdown()
 			return nil, fmt.Errorf("cluster: restore %s: %w", c.machineDesc(i), err)
 		}
-		c.machines[i] = m
-	}
-	if err := c.wire(freq, perUs, true); err != nil {
-		return nil, err
-	}
-	for i, m := range c.machines {
 		c.plug(i, m)
 	}
-	copy(c.crashAt, img.crashAt)
-	if len(img.links) != 2*len(c.links) || len(img.pipes) != len(c.pipes) {
-		c.Shutdown()
-		return nil, fmt.Errorf("cluster: image wiring mismatch: %d link directions and %d pipes in image, %d and %d rebuilt",
-			len(img.links), len(img.pipes), 2*len(c.links), len(c.pipes))
-	}
+	c.couple(perUs, true)
 	for i, l := range c.links {
-		applyDir(l, img.links[2*i])
-		applyDir(l.rev, img.links[2*i+1])
+		l.counts, l.rev.counts = img.links[2*i], img.links[2*i+1]
 	}
 	for i, p := range c.pipes {
 		pi := img.pipes[i]
-		p.lastArrival = pi.lastArrival
+		p.pipeRun = pi.pipeRun
 		p.rng.SetState(pi.rngState)
-		p.avgFP = pi.avgFP
-		p.busyUntil = pi.busyUntil
-		p.commitClock = pi.commitClock
-		p.kickArmed = pi.kickArmed
 		if pi.drr != nil {
 			// Clone again: the image's backlog stays frozen for reuse.
 			p.drr = pi.drr.Clone()
