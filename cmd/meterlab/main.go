@@ -23,7 +23,10 @@
 //	                                    restore into an independent fork, and run
 //	                                    the fork to completion
 //
-// Flags:
+// Flags. Each verb takes only its own and refuses any other flag or a
+// stray argument. run, all, meter, cluster and chaos take -scale,
+// -seed, -hz, -sched and -parallel; snapshot takes -seed; every verb
+// takes -cpuprofile and -memprofile:
 //
 //	-scale f      victim/attack scale, 1.0 = paper scale (default 1.0)
 //	-seed n       simulation seed (default 2010)
@@ -34,7 +37,10 @@
 //	              at most n machines or clusters are live at once
 //	-attack k     (meter only) arm one attack: shell ctor subst sched thrash irqflood excflood
 //	-pps n        (cluster/chaos) flood rate per victim link — per attacker in
-//	              chaos mode (default 40000; 0 = silent attackers)
+//	              chaos mode (default 40000; 0 = silent attackers);
+//	              (snapshot) the fork lab's flood rate (0 = its 40000 default);
+//	              (resume) re-arm the fork's flood at n (0, the default, keeps
+//	              the checkpointed flood)
 //	-latency-us n (cluster/chaos) one-way link latency, must be > 0 (default 500)
 //	-victims s    (cluster only) victim workloads, e.g. "O,O" (default "O,O";
 //	              the first victim bills jiffy, the second process-aware)
@@ -65,8 +71,8 @@
 //	              in virtual seconds (e.g. 0.5:0.1:0.4; up 0 = one outage)
 //	-out f        (snapshot only) replay-manifest output path (required)
 //	-from f       (resume only) replay-manifest input path (required)
-//	-warmup f     (snapshot/resume snapshot side) checkpoint barrier in virtual
-//	              seconds (0 = the fork lab's default mid-run barrier)
+//	-warmup f     (snapshot only) checkpoint barrier in virtual seconds
+//	              (0 = the fork lab's default mid-run barrier)
 //	-rounds n     (snapshot only) fork-lab churn rounds, scales run length
 //	              (0 = default 60)
 //	-cpuprofile f write a pprof CPU profile of the command to file f
@@ -100,127 +106,114 @@ func main() {
 
 func run(args []string) error {
 	if len(args) == 0 {
-		return fmt.Errorf("usage: meterlab list | run <artifact> | all | meter <O|P|W|B> | cluster | chaos")
+		return fmt.Errorf("usage: meterlab list | run <artifact> | all | meter <O|P|W|B> | cluster | chaos | snapshot -out f | resume -from f")
 	}
 	cmd, rest := args[0], args[1:]
-
-	fs := flag.NewFlagSet("meterlab", flag.ContinueOnError)
-	scale := fs.Float64("scale", 1.0, "victim/attack scale (1.0 = paper scale)")
-	seed := fs.Int64("seed", 2010, "simulation seed")
-	hz := fs.Uint64("hz", 250, "timer ticks per second")
-	sched := fs.String("sched", "o1", "scheduler policy: o1 or cfs")
-	parallel := fs.Int("parallel", 0, "campaign worker-pool size; 'all' runs every artifact's distinct runs on one pool of n (0 = all cores, 1 = sequential)")
-	attackKey := fs.String("attack", "", "attack to arm for 'meter'")
-	pps := fs.Int64("pps", 40_000, "flood rate per victim link for 'cluster' (0 = silent attacker)")
-	latencyUs := fs.Int64("latency-us", 500, "one-way link latency for 'cluster', microseconds (> 0)")
-	victims := fs.String("victims", "O,O", "victim workloads for 'cluster' (comma-separated)")
-	linkPPS := fs.Int64("link-pps", 0, "per-link wire capacity for 'cluster' (0 = 148800)")
-	queueDepth := fs.Int64("queue-depth", 0, "per-link tail-drop queue bound for 'cluster', packets (0 = 64)")
-	lossless := fs.Bool("lossless", false, "idealised infinite-rate lossless wires for 'cluster'")
-	redMin := fs.Int64("red-min", 0, "RED early-feedback start for 'cluster', queue slots (0 = RED disabled)")
-	redMax := fs.Int64("red-max", 0, "RED all-feedback threshold for 'cluster' (0 = 3x -red-min, capped at queue depth)")
-	redMaxP := fs.Int64("red-maxp", 50, "RED max mark/drop probability for 'cluster', percent")
-	redWeight := fs.Int64("red-weight", 0, "RED EWMA weight exponent for 'cluster' (0 = instantaneous depth)")
-	qdisc := fs.String("qdisc", "", "per-link queueing discipline for 'cluster': fifo (default) or drr")
-	quantumBytes := fs.Int64("quantum-bytes", 0, "DRR per-flow byte quantum for 'cluster' (0 = 1514; requires -qdisc drr)")
-	faultPPM := fs.Int64("fault-ppm", 0, "per-syscall fault probability for 'chaos', parts per million (0 = no injection)")
-	faultSyscalls := fs.String("fault-syscalls", "", "comma-separated syscalls taking injection for 'chaos' (default sendto,read; requires -fault-ppm)")
-	faultErrno := fs.String("fault-errno", "", "injected errno for 'chaos': eagain (default), enomem, eio (requires -fault-ppm)")
-	crashAt := fs.Float64("crash-at", 0, "kill the router this many virtual seconds in for 'chaos' (0 = never)")
-	restartAfter := fs.Float64("restart-after", 0, "reboot the router this many virtual seconds after the crash for 'chaos' (0 = stays down; requires -crash-at)")
-	flapStr := fs.String("flap", "", "egress outage windows for 'chaos': first:down:up in virtual seconds (up 0 = one outage)")
-	outPath := fs.String("out", "", "replay-manifest output path for 'snapshot' (required)")
-	fromPath := fs.String("from", "", "replay-manifest input path for 'resume' (required)")
-	warmup := fs.Float64("warmup", 0, "checkpoint barrier for 'snapshot' in virtual seconds (0 = default mid-run barrier)")
-	rounds := fs.Int64("rounds", 0, "fork-lab churn rounds for 'snapshot' (0 = default 60)")
-	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile of the command to this file")
-	memProfile := fs.String("memprofile", "", "write a pprof heap profile (post-run, after a GC) to this file")
-
+	target := ""
+	if cmd == "run" || cmd == "meter" {
+		if len(rest) == 0 {
+			return fmt.Errorf("%s: missing argument", cmd)
+		}
+		target, rest = rest[0], rest[1:]
+	}
+	// Each verb registers only the flags it reads, so a flag meant for
+	// another verb is an error instead of a silently ignored default.
+	fs := flag.NewFlagSet("meterlab "+cmd, flag.ContinueOnError)
+	var verb func() error
 	switch cmd {
 	case "list":
-		for _, id := range cpumeter.Experiments() {
-			fmt.Println(id)
-		}
-		return nil
-
-	case "run", "all", "meter", "cluster", "chaos", "snapshot", "resume":
-		target := ""
-		if cmd == "run" || cmd == "meter" {
-			if len(rest) == 0 {
-				return fmt.Errorf("%s: missing argument", cmd)
+		verb = func() error {
+			for _, id := range cpumeter.Experiments() {
+				fmt.Println(id)
 			}
-			target, rest = rest[0], rest[1:]
+			return nil
 		}
-		if err := fs.Parse(rest); err != nil {
-			return err
-		}
-		opts := cpumeter.Options{
-			Seed:            *seed,
-			HZ:              *hz,
-			SchedulerPolicy: *sched,
-			Scale:           *scale,
-			Parallelism:     *parallel,
-		}
-		prof, err := startProfiles(*cpuProfile, *memProfile)
-		if err != nil {
-			return err
-		}
-		runErr := func() error {
-			switch cmd {
-			case "run":
-				return runArtifact(target, opts)
-			case "all":
-				return runAllArtifacts(opts)
-			case "cluster":
-				return runCluster(clusterFlags{
-					victims:      *victims,
-					pps:          *pps,
-					latencyUs:    *latencyUs,
-					linkPPS:      *linkPPS,
-					queueDepth:   *queueDepth,
-					lossless:     *lossless,
-					redMin:       *redMin,
-					redMax:       *redMax,
-					redMaxP:      *redMaxP,
-					redWeight:    *redWeight,
-					qdisc:        *qdisc,
-					quantumBytes: *quantumBytes,
-				}, opts)
-			case "chaos":
-				return runChaos(chaosFlags{
-					pps:          *pps,
-					latencyUs:    *latencyUs,
-					faultPPM:     *faultPPM,
-					faultCalls:   *faultSyscalls,
-					faultErrno:   *faultErrno,
-					crashAt:      *crashAt,
-					restartAfter: *restartAfter,
-					flap:         *flapStr,
-				}, opts)
-			case "snapshot":
-				return runSnapshot(snapshotFlags{
-					out:    *outPath,
-					warmup: *warmup,
-					rounds: *rounds,
-					pps:    *pps,
-				}, opts)
-			case "resume":
-				return runResume(resumeFlags{
-					from: *fromPath,
-					pps:  *pps,
-				})
-			default:
-				return meterJob(target, *attackKey, opts)
-			}
-		}()
-		if err := prof.stop(); err != nil && runErr == nil {
-			runErr = err
-		}
-		return runErr
-
+	case "run":
+		opts := optionFlags(fs)
+		verb = func() error { return runArtifact(target, *opts) }
+	case "all":
+		opts := optionFlags(fs)
+		verb = func() error { return runAllArtifacts(*opts) }
+	case "meter":
+		opts := optionFlags(fs)
+		attackKey := fs.String("attack", "", "attack to arm: shell ctor subst sched thrash irqflood excflood")
+		verb = func() error { return meterJob(target, *attackKey, *opts) }
+	case "cluster":
+		opts, f := optionFlags(fs), &clusterFlags{}
+		floodFlags(fs, &f.pps, &f.latencyUs)
+		fs.StringVar(&f.victims, "victims", "O,O", "victim workloads (comma-separated)")
+		fs.Int64Var(&f.linkPPS, "link-pps", 0, "per-link wire capacity (0 = 148800)")
+		fs.Int64Var(&f.queueDepth, "queue-depth", 0, "per-link tail-drop queue bound, packets (0 = 64)")
+		fs.BoolVar(&f.lossless, "lossless", false, "idealised infinite-rate lossless wires")
+		fs.Int64Var(&f.redMin, "red-min", 0, "RED early-feedback start, queue slots (0 = RED disabled)")
+		fs.Int64Var(&f.redMax, "red-max", 0, "RED all-feedback threshold (0 = 3x -red-min, capped at queue depth)")
+		fs.Int64Var(&f.redMaxP, "red-maxp", 50, "RED max mark/drop probability, percent")
+		fs.Int64Var(&f.redWeight, "red-weight", 0, "RED EWMA weight exponent (0 = instantaneous depth)")
+		fs.StringVar(&f.qdisc, "qdisc", "", "per-link queueing discipline: fifo (default) or drr")
+		fs.Int64Var(&f.quantumBytes, "quantum-bytes", 0, "DRR per-flow byte quantum (0 = 1514; requires -qdisc drr)")
+		verb = func() error { return runCluster(*f, *opts) }
+	case "chaos":
+		opts, f := optionFlags(fs), &chaosFlags{}
+		floodFlags(fs, &f.pps, &f.latencyUs)
+		fs.Int64Var(&f.faultPPM, "fault-ppm", 0, "per-syscall fault probability, parts per million (0 = no injection)")
+		fs.StringVar(&f.faultCalls, "fault-syscalls", "", "comma-separated syscalls taking injection (default sendto,read; requires -fault-ppm)")
+		fs.StringVar(&f.faultErrno, "fault-errno", "", "injected errno: eagain (default), enomem, eio (requires -fault-ppm)")
+		fs.Float64Var(&f.crashAt, "crash-at", 0, "kill the router this many virtual seconds in (0 = never)")
+		fs.Float64Var(&f.restartAfter, "restart-after", 0, "reboot the router this many virtual seconds after the crash (0 = stays down; requires -crash-at)")
+		fs.StringVar(&f.flap, "flap", "", "egress outage windows: first:down:up in virtual seconds (up 0 = one outage)")
+		verb = func() error { return runChaos(*f, *opts) }
+	case "snapshot":
+		f := &snapshotFlags{}
+		fs.Int64Var(&f.seed, "seed", 2010, "simulation seed")
+		fs.StringVar(&f.out, "out", "", "replay-manifest output path (required)")
+		fs.Float64Var(&f.warmup, "warmup", 0, "checkpoint barrier in virtual seconds (0 = default mid-run barrier)")
+		fs.Int64Var(&f.rounds, "rounds", 0, "fork-lab churn rounds (0 = default 60)")
+		fs.Int64Var(&f.pps, "pps", 0, "fork-lab flood rate (0 = the fork lab's default, 40000)")
+		verb = func() error { return runSnapshot(*f) }
+	case "resume":
+		f := &resumeFlags{}
+		fs.StringVar(&f.from, "from", "", "replay-manifest input path (required)")
+		fs.Int64Var(&f.pps, "pps", 0, "re-arm the fork's flood at this rate (0 = keep the checkpointed flood)")
+		verb = func() error { return runResume(*f) }
 	default:
 		return fmt.Errorf("unknown command %q", cmd)
 	}
+	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile of the command to this file")
+	memProfile := fs.String("memprofile", "", "write a pprof heap profile (post-run, after a GC) to this file")
+	if err := fs.Parse(rest); err != nil {
+		return err
+	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("%s: unexpected argument %q", cmd, fs.Arg(0))
+	}
+	prof, err := startProfiles(*cpuProfile, *memProfile)
+	if err != nil {
+		return err
+	}
+	runErr := verb()
+	if err := prof.stop(); err != nil && runErr == nil {
+		runErr = err
+	}
+	return runErr
+}
+
+// optionFlags registers the simulation options that run, all, meter,
+// cluster and chaos take, bound into the Options it returns.
+func optionFlags(fs *flag.FlagSet) *cpumeter.Options {
+	o := &cpumeter.Options{}
+	fs.Float64Var(&o.Scale, "scale", 1.0, "victim/attack scale (1.0 = paper scale)")
+	fs.Int64Var(&o.Seed, "seed", 2010, "simulation seed")
+	fs.Uint64Var(&o.HZ, "hz", 250, "timer ticks per second")
+	fs.StringVar(&o.SchedulerPolicy, "sched", "o1", "scheduler policy: o1 or cfs")
+	fs.IntVar(&o.Parallelism, "parallel", 0, "campaign worker-pool size; 'all' runs every artifact's distinct runs on one pool of n (0 = all cores, 1 = sequential)")
+	return o
+}
+
+// floodFlags registers the attacker flood rate and link latency that
+// cluster and chaos take.
+func floodFlags(fs *flag.FlagSet, pps, latencyUs *int64) {
+	fs.Int64Var(pps, "pps", 40_000, "flood rate per victim link, per attacker in chaos (0 = silent attackers)")
+	fs.Int64Var(latencyUs, "latency-us", 500, "one-way link latency, microseconds (> 0)")
 }
 
 // profiler manages the optional pprof outputs wrapped around one
@@ -541,6 +534,7 @@ func parseVictims(victims string) ([]cpumeter.ClusterVictim, error) {
 }
 
 type snapshotFlags struct {
+	seed   int64
 	out    string
 	warmup float64
 	rounds int64
@@ -599,7 +593,7 @@ func warmForkLab(spec cpumeter.ForkLabSpec, barrier cpumeter.Cycles) (*cpumeter.
 
 // runSnapshot warms the fork-lab machine to the barrier, proves it
 // checkpoints, and writes the replay manifest.
-func runSnapshot(f snapshotFlags, opts cpumeter.Options) error {
+func runSnapshot(f snapshotFlags) error {
 	if f.out == "" {
 		return fmt.Errorf("snapshot: -out is required (where to write the replay manifest)")
 	}
@@ -613,7 +607,7 @@ func runSnapshot(f snapshotFlags, opts cpumeter.Options) error {
 	if err != nil {
 		return fmt.Errorf("snapshot: %w", err)
 	}
-	spec := cpumeter.ForkLabSpec{Seed: opts.Seed, Rounds: int(f.rounds), FloodPPS: uint64(f.pps)}
+	spec := cpumeter.ForkLabSpec{Seed: f.seed, Rounds: int(f.rounds), FloodPPS: uint64(f.pps)}
 	m, err := warmForkLab(spec, barrier)
 	if err != nil {
 		return fmt.Errorf("snapshot: %w", err)
@@ -625,7 +619,7 @@ func runSnapshot(f snapshotFlags, opts cpumeter.Options) error {
 	}
 	manifest := checkpointManifest{
 		Kind:         manifestKind,
-		Seed:         opts.Seed,
+		Seed:         f.seed,
 		Rounds:       int(f.rounds),
 		FloodPPS:     uint64(f.pps),
 		WarmupCycles: uint64(barrier),

@@ -271,3 +271,73 @@ func TestSnapshotResumeRoundTrip(t *testing.T) {
 		t.Fatalf("past-end warmup = %v, want a warmup-finished error", err)
 	}
 }
+
+// runOutput runs the command and returns what it printed to stdout.
+func runOutput(t *testing.T, args ...string) string {
+	t.Helper()
+	out, err := os.CreateTemp(t.TempDir(), "stdout")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer out.Close()
+	saved := os.Stdout
+	os.Stdout = out
+	err = run(args)
+	os.Stdout = saved
+	if err != nil {
+		t.Fatalf("run(%v) = %v", args, err)
+	}
+	printed, err := os.ReadFile(out.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(printed)
+}
+
+// TestResumeKeepsTheCheckpointedFlood pins resume's -pps default: a
+// fork resumed without -pps runs the flood its manifest checkpointed,
+// exactly as with -pps 0. While every verb parsed one shared flag set,
+// resume took the cluster verbs' 40,000 default and re-armed the
+// flood at that rate.
+func TestResumeKeepsTheCheckpointedFlood(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	manifest := t.TempDir() + "/checkpoint.json"
+	runOutput(t, "snapshot", "-out", manifest, "-pps", "10000")
+	kept := runOutput(t, "resume", "-from", manifest, "-pps", "0")
+	if got := runOutput(t, "resume", "-from", manifest); got != kept {
+		t.Errorf("resume without -pps printed\n%s\nwhere resume -pps 0 printed\n%s", got, kept)
+	}
+}
+
+// TestVerbsRejectForeignFlags pins that each verb parses only its own
+// flags: a flag that only another verb takes is a usage error, not a
+// value the verb silently ignores.
+func TestVerbsRejectForeignFlags(t *testing.T) {
+	absent := t.TempDir() + "/absent.json"
+	cases := []struct {
+		args []string
+		flag string
+	}{
+		{[]string{"run", "figure4", "-scale", "0.001", "-qdisc", "drr"}, "-qdisc"},
+		{[]string{"all", "-sched", "rr", "-attack", "sched"}, "-attack"},
+		{[]string{"meter", "O", "-scale", "0.001", "-pps", "5000"}, "-pps"},
+		{[]string{"cluster", "-latency-us", "0", "-fault-ppm", "5"}, "-fault-ppm"},
+		{[]string{"chaos", "-latency-us", "0", "-victims", "O"}, "-victims"},
+		{[]string{"snapshot", "-scale", "0.5"}, "-scale"},
+		{[]string{"resume", "-from", absent, "-scale", "0.5"}, "-scale"},
+		{[]string{"resume", "-from", absent, "-seed", "7"}, "-seed"},
+		{[]string{"list", "-scale", "0.5"}, "-scale"},
+	}
+	for _, tc := range cases {
+		want := "flag provided but not defined: " + tc.flag
+		if err := run(tc.args); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("run(%v) = %v, want an error containing %q", tc.args, err, want)
+		}
+	}
+	args := []string{"run", "figure4", "-scale", "0.001", "figure5"}
+	if err := run(args); err == nil || !strings.Contains(err.Error(), `unexpected argument "figure5"`) {
+		t.Errorf("run(%v) = %v, want the stray argument refused", args, err)
+	}
+}
